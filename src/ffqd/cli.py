@@ -17,9 +17,7 @@ from __future__ import annotations
 
 import argparse
 import math
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -315,14 +313,6 @@ _OUTPUT_FUNCS = {
 }
 
 
-def _max_workers() -> int:
-    raw = os.environ.get("FFQD_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
-
-
 def run(scenario: Scenario, out_dir) -> list[Path]:
     """Compute every requested output for every t_ff; one CSV per output."""
     out_dir = Path(out_dir)
@@ -330,7 +320,6 @@ def run(scenario: Scenario, out_dir) -> list[Path]:
     written: list[Path] = []
     if not scenario.t_ff_list:
         return written
-    workers = min(_max_workers(), len(scenario.t_ff_list))
     for output in scenario.outputs:
         if output == "snapshots":
             for i, t_ff in enumerate(scenario.t_ff_list):
@@ -341,11 +330,7 @@ def run(scenario: Scenario, out_dir) -> list[Path]:
                 written.append(path)
             continue
         fn = _OUTPUT_FUNCS[output]
-        if workers > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                rows = list(pool.map(lambda t: fn(scenario, t), scenario.t_ff_list))
-        else:
-            rows = [fn(scenario, t) for t in scenario.t_ff_list]
+        rows = [fn(scenario, t) for t in scenario.t_ff_list]
         rows.sort(key=lambda r: r[0])
         path = out_dir / f"{output}.csv"
         with open(path, "w", newline="") as fh:

@@ -266,7 +266,7 @@ def v_ff_box(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL):
     """Closed-form box drive -(m/2)(L_ddot/L) x^2, defined inside [0, L(t)] only."""
     L = traj.value(t)
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < -1e-12 * L) or np.any(xa > L * (1.0 + 1e-12)):
+    if xa.size and (xa.min() < -1e-12 * L or xa.max() > L * (1.0 + 1e-12)):
         raise ValueError(f"x outside the box [0, {L}]")
     return -0.5 * units.mass * traj.acceleration(t) / L * xa**2
 

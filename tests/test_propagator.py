@@ -1,12 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.linalg import solve_banded
 
 from ffqd.core import ComplexField, Grid, normalize
 from ffqd.fastforward import box_psi_ff_values, ho_psi_ff_values, psi_ff_box, v_ff_box, v_ff_ho
 from ffqd.propagator import (
+    DirichletFixed,
     DirichletMovingWall,
     PropagationError,
     PropagationSpec,
+    _cn_step,
     fidelity,
     propagate,
     tdse_residual,
@@ -107,6 +112,86 @@ def test_fidelity_properties():
     assert fidelity(a, rotated) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
         fidelity(a, box_eigenstate(1, 1.0, Grid(0.0, 1.0, 513)))
+
+
+def test_moving_wall_past_t_ff_rejected_before_stepping():
+    traj = box_ramp(POLYNOMIAL)
+    grid = Grid(0.0, 1.0, 64)
+    phi = box_eigenstate(1, 1.0, grid)
+    seen = []
+
+    def pot(x, t):
+        seen.append(t)
+        return np.zeros_like(x)
+
+    n_steps = 1500
+    spec = PropagationSpec(grid, 1.5 / n_steps, 1.5, pot, DirichletMovingWall(traj))
+    with pytest.raises(ValueError, match="outside"):
+        propagate(phi, spec)
+    assert 0.5 * (1.5 / n_steps) not in seen  # the first half step was never evaluated
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("moving", [False, True])
+def test_non_finite_potential_mid_run_raises(bad, moving):
+    # 100 steps of 1e-4; the bad value sits only around the half step of step
+    # 51, far from the 65 times the dt*max|V| precondition samples
+    grid = Grid(0.0, 1.0, 128)
+    phi = box_eigenstate(1, 1.0, grid)
+    t_final, n_steps = 0.01, 100
+    dt = t_final / n_steps
+    t_bad = 50.5 * dt
+
+    def pot(x, t):
+        v = np.zeros_like(x)
+        if abs(t - t_bad) < 0.25 * dt:
+            v[len(v) // 2] = bad
+        return v
+
+    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
+    with pytest.raises(PropagationError, match="not finite at step 51/100"):
+        propagate(phi, PropagationSpec(grid, dt, t_final, pot, boundary))
+
+
+def _random_hermitian_tridiagonal(n, seed, scale):
+    rng = np.random.default_rng(seed)
+    diag = rng.normal(size=n)
+    upper = rng.normal(size=n - 1) + 1j * rng.normal(size=n - 1)
+    lam = scale / max(np.max(np.abs(diag)), np.max(np.abs(upper)))
+    u = rng.normal(size=n) + 1j * rng.normal(size=n)
+    return diag.astype(complex), upper, np.conj(upper), u, lam
+
+
+_tridiagonals = st.builds(
+    _random_hermitian_tridiagonal,
+    st.integers(3, 600),
+    st.integers(0, 2**32 - 1),
+    st.floats(1e-3, 0.499),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tridiagonals)
+def test_cn_step_matches_banded_reference(case):
+    diag, upper, lower, u, lam = case
+    ab = np.zeros((3, u.size), dtype=complex)
+    ab[0, 1:] = 1j * lam * upper
+    ab[1, :] = 1.0 + 1j * lam * diag
+    ab[2, :-1] = 1j * lam * lower
+    hu = diag * u
+    hu[:-1] += upper * u[1:]
+    hu[1:] += lower * u[:-1]
+    ref = solve_banded((1, 1), ab, u - 1j * lam * hu)
+    out = _cn_step(diag, upper, lower, u, lam)
+    assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_tridiagonals)
+def test_cn_step_is_unitary(case):
+    diag, upper, lower, u, lam = case
+    out = _cn_step(diag, upper, lower, u, lam)
+    assert np.vdot(out, out).real == pytest.approx(np.vdot(u, u).real, rel=1e-12)
 
 
 def test_snapshot_dump(tmp_path):

@@ -59,6 +59,22 @@ def test_domain_errors():
         traj.velocity(1.01)
 
 
+@pytest.mark.parametrize("t", [float("nan"), np.float64("nan"), np.array([0.1, np.nan, 0.5])])
+def test_nan_times_rejected(t):
+    traj = ControlTrajectory.polynomial(1.0, 54.0, 1.0)
+    for fn in (traj.value, traj.velocity, traj.acceleration):
+        with pytest.raises(ValueError):
+            fn(t)
+
+
+def test_scalar_and_array_paths_agree():
+    for kind in BOTH_RAMPS:
+        traj = ControlTrajectory(kind, 1.0, 1.0, vbar=vbar_for_target(kind, 1.0, 10.0, 1.0))
+        ts = np.array([0.0, 0.3, 0.5, 1.0 + 1e-10])
+        for fn in (traj.value, traj.velocity, traj.acceleration):
+            np.testing.assert_allclose([fn(float(t)) for t in ts], fn(ts), rtol=1e-14, atol=1e-12)
+
+
 def test_positivity_enforced_at_construction():
     with pytest.raises(ValueError):
         ControlTrajectory.polynomial(1.0, -7.0, 1.0)  # l(T) = 1 - 7/6 < 0
