@@ -87,12 +87,18 @@ class Scenario:
                 raise ValueError(f"unknown output {out!r}; choose from {_OUTPUTS}")
         if "ie_compare" in self.outputs and self.system != "harmonic":
             raise ValueError("ie_compare is only defined for the harmonic system")
-        if self.l0 <= 0 or self.l_final <= 0:
-            raise ValueError("l0 and l_final must be positive")
-        if self.omega0 <= 0 or self.omegaF <= 0:
-            raise ValueError("omega0 and omegaF must be positive")
-        if any(t <= 0 for t in self.t_ff_list):
-            raise ValueError("every t_ff must be positive")
+        # `0 < v < inf` is False for NaN, so each check also rejects non-finite input
+        for name in ("l0", "l_final", "omega0", "omegaF", "dt"):
+            if not 0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not all(0 < t < math.inf for t in self.t_ff_list):
+            raise ValueError(f"every t_ff must be positive and finite, got {self.t_ff_list!r}")
+        if not math.isfinite(self.epsilon):
+            raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
+        if not self.beta > 0:
+            raise ValueError(f"beta must be positive (inf for zero temperature), got {self.beta!r}")
+        if self.n_particles < 1:
+            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
 
     # -- geometry ----------------------------------------------------------
     def control_endpoints(self) -> tuple[float, float]:

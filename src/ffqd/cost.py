@@ -13,6 +13,15 @@ side by side and must agree:
 The literature's printed closed-form coefficients are treated as claims under
 test: CostReport carries both the quadrature value (primary) and the printed
 form, and records their ratio instead of hiding a disagreement.
+
+The numeric thermal trace sum_n f_n <psi_n| H_FF |psi_n> that judges them is
+evaluated in real arithmetic.  The eigenamplitudes phi_n are real and the
+gauge phase theta_j = a x_j^2 is common to every level, so
+Re(conj psi_n,j psi_n,k) = phi_n,j phi_n,k cos(theta_k - theta_j).  The
+occupation-weighted trace therefore needs only rho0_j = sum_n f_n phi_n,j^2,
+rho1_j = sum_n f_n phi_n,j phi_n,j+1 and, for the one-sided end stencils of
+the kinetic operator, the pairs (0, 2), (0, 3) and their mirrors (-1, -3),
+(-1, -4); no complex level x grid table is formed.
 """
 
 from __future__ import annotations
@@ -95,9 +104,15 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 
     pad = 50.0 / beta + 1.0
     lo, hi = e[0] - pad, e[-1] + pad
+
+    def excess(m: float) -> float:
+        # beta (m - e) is bit-identical to _fermi's -beta (e - m), so the
+        # accepted residual is that of the occupations the trace then uses
+        return float(expit(beta * (m - e)).sum()) - n_particles
+
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        g = float(np.sum(_fermi(e, beta, mid))) - n_particles
+        g = excess(mid)
         if abs(g) < 1e-10:
             return mid
         if g > 0:
@@ -106,7 +121,7 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
             lo = mid
         if hi - lo < 1e-15 * (1.0 + abs(mid)):
             break
-    g = float(np.sum(_fermi(e, beta, 0.5 * (lo + hi)))) - n_particles
+    g = excess(0.5 * (lo + hi))
     if abs(g) > 1e-10:
         raise RuntimeError(f"mu bisection stalled with residual {g:.3e}")
     return 0.5 * (lo + hi)
@@ -189,13 +204,29 @@ def internal_energy_box(traj: ControlTrajectory, t: float, ens: ThermalEnsemble)
 Model = Union[HarmonicModel, BoxModel]
 
 
-def _lap2_rows(arr: np.ndarray, dx: float) -> np.ndarray:
-    out = np.empty_like(arr)
-    inv = 1.0 / (dx * dx)
-    out[:, 1:-1] = (arr[:, 2:] - 2.0 * arr[:, 1:-1] + arr[:, :-2]) * inv
-    out[:, 0] = (2.0 * arr[:, 0] - 5.0 * arr[:, 1] + 4.0 * arr[:, 2] - arr[:, 3]) * inv
-    out[:, -1] = (2.0 * arr[:, -1] - 5.0 * arr[:, -2] + 4.0 * arr[:, -3] - arr[:, -4]) * inv
-    return out
+def _weighted_trace(
+    amps: np.ndarray, f: np.ndarray, theta: np.ndarray, v: np.ndarray, dx: float, kin: float
+) -> float:
+    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = amps[n] exp(i theta).
+
+    D2 is the three-point second difference with the one-sided stencil
+    (2, -5, 4, -1) at each end and <.|.> the trapezoid rule; the level sum is
+    taken first, in the real-arithmetic form of the module docstring.
+    """
+    fa = f[:, None] * amps
+    rho0 = np.einsum("nj,nj->j", fa, amps)
+    rho1 = np.einsum("nj,nj->j", fa[:, :-1], amps[:, 1:]) * np.cos(np.diff(theta))
+    k = np.empty_like(rho0)
+    k[1:-1] = rho1[1:] + rho1[:-1] - 2.0 * rho0[1:-1]
+    for end, step in ((0, 1), (-1, -1)):
+        j2, j3 = end + 2 * step, end + 3 * step
+        k[end] = (
+            2.0 * rho0[end]
+            - 5.0 * rho1[end]
+            + 4.0 * float(fa[:, end] @ amps[:, j2]) * math.cos(theta[j2] - theta[end])
+            - float(fa[:, end] @ amps[:, j3]) * math.cos(theta[j3] - theta[end])
+        )
+    return float(np.trapezoid((-kin / (dx * dx)) * k + v * rho0, dx=dx))
 
 
 def _grid_for(model: Model, traj: ControlTrajectory, l: float, n_max: int, n_points: int) -> Grid:
@@ -210,7 +241,7 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: float, cutoff: int |
     if cutoff is not None:
         n_max = cutoff
         ns = model.level_numbers(n_max)
-        e = np.array([model.energy(int(n), l) for n in ns])
+        e = model.energy(ns, l)
         mu = solve_mu(e, ens.beta, ens.n_particles)
         f = _fermi(e, ens.beta, mu)
         if f[-1] >= _F_TOL:
@@ -221,7 +252,7 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: float, cutoff: int |
     n_max = max(4 * ens.n_particles + 16, 64)
     while True:
         ns = model.level_numbers(n_max)
-        e = np.array([model.energy(int(n), l) for n in ns])
+        e = model.energy(ns, l)
         mu = solve_mu(e, ens.beta, ens.n_particles)
         f = _fermi(e, ens.beta, mu)
         if f[-1] < _F_TOL:
@@ -246,30 +277,35 @@ def internal_energy_numeric(
 
     The chemical potential is re-solved from the fixed particle number at the
     instantaneous spectrum; each accelerated state carries the gauge phase
-    exp(i m l_dot x^2 / 2 hbar l), and the matrix element is taken with the
-    second-order finite-difference kinetic operator plus V0 + V_FF.
+    exp(i theta), theta = a x^2 with a = m l_dot / 2 hbar l, and the matrix
+    element is taken with the second-order finite-difference kinetic operator
+    plus V0 + V_FF.
+
+    The sum is formed in real arithmetic: Re(conj psi_n,j psi_n,k) =
+    phi_n,j phi_n,k cos(theta_k - theta_j) for the real amplitudes phi_n, so
+    the trace is trapezoid(-(hbar^2 / 2m dx^2) K + v rho0) with
+    rho0_j = sum_n f_n phi_n,j^2, rho1_j = sum_n f_n phi_n,j phi_n,j+1 and
+    K_j = rho1_j cos(theta_j+1 - theta_j) + rho1_j-1 cos(theta_j - theta_j-1)
+    - 2 rho0_j inside; the one-sided end stencils use the pairs (0, 1), (0, 2),
+    (0, 3) and their mirrors at the last grid point.
     """
     if ens.n_particles == 0:
         return 0.0
     u = model.units
     l = traj.value(t)
     ldot = traj.velocity(t)
-    ns, energies, f = _occupied_levels(model, ens, l, cutoff, max_levels)
+    ns, _, f = _occupied_levels(model, ens, l, cutoff, max_levels)
     n_top = int(ns[-1])
     grid = _grid_for(model, traj, l, n_top, n_points)
     x = grid.points
     amps = model.amplitudes(n_top, l, grid)[: ns.size]
 
     a = u.mass * ldot / (2.0 * u.hbar * l)
-    psi = amps * np.exp(1j * a * x * x)[None, :]
-    kinetic = -(u.hbar**2 / (2.0 * u.mass)) * _lap2_rows(psi, grid.dx)
     if isinstance(model, BoxModel):
         v = model.v0(x, l) + v_ff_box(x, t, traj, u)
     else:
         v = model.v0(x, l) + v_ff_ho(x, t, traj, u)
-    integrand = (np.conjugate(psi) * kinetic).real + v[None, :] * (amps * amps)
-    h_diag = np.trapezoid(integrand, dx=grid.dx, axis=1)
-    return float(np.dot(f, h_diag))
+    return _weighted_trace(amps, f, a * x * x, v, grid.dx, u.hbar**2 / (2.0 * u.mass))
 
 
 # ---------------------------------------------------------------------------
@@ -449,7 +485,7 @@ def frobenius_cost(
         x = grid.points
         amps = model.amplitudes(m_cut, l, grid)
         ns = model.level_numbers(m_cut)
-        e = np.array([model.energy(int(n), l) for n in ns])
+        e = model.energy(ns, l)
         if isinstance(model, BoxModel):
             vff = v_ff_box(x, t, traj, u)
         else:

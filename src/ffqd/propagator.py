@@ -24,6 +24,7 @@ tridiagonal system (1 + i dt H / 2hbar) psi' = (1 - i dt H / 2hbar) psi.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Union
 
@@ -85,17 +86,19 @@ def fidelity(a: ComplexField, b: ComplexField) -> float:
 
 
 def _max_potential_sample(spec: PropagationSpec) -> float:
-    times = np.linspace(0.0, spec.t_final, 65)
+    """max |V| over 65 sample times; a non-finite sample raises PropagationError."""
+    moving = isinstance(spec.boundary, DirichletMovingWall)
+    y = np.linspace(0.0, 1.0, spec.grid.n_points) if moving else None
     vmax = 0.0
-    if isinstance(spec.boundary, DirichletMovingWall):
-        y = np.linspace(0.0, 1.0, spec.grid.n_points)
-        for t in times:
-            L = spec.boundary.traj.value(min(t, spec.boundary.traj.t_ff))
-            vmax = max(vmax, float(np.max(np.abs(spec.potential(L * y, t)))))
-    else:
-        x = spec.grid.points
-        for t in times:
-            vmax = max(vmax, float(np.max(np.abs(spec.potential(x, t)))))
+    for t in np.linspace(0.0, spec.t_final, 65):
+        if moving:
+            x = spec.boundary.traj.value(min(t, spec.boundary.traj.t_ff)) * y
+        else:
+            x = spec.grid.points
+        v = float(np.max(np.abs(spec.potential(x, t))))
+        if not v < math.inf:
+            raise PropagationError(f"potential is not finite at sample time t = {t:.6g}")
+        vmax = max(vmax, v)
     return vmax
 
 

@@ -6,6 +6,7 @@ vanishes identically), so everything here returns real-valued fields.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,15 +25,15 @@ def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     h = np.empty((n_max + 1, xi.size))
     h[0] = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     if n_max >= 1:
-        h[1] = np.sqrt(2.0) * xi * h[0]
+        h[1] = math.sqrt(2.0) * xi * h[0]
     for k in range(1, n_max):
-        h[k + 1] = np.sqrt(2.0 / (k + 1.0)) * xi * h[k] - np.sqrt(k / (k + 1.0)) * h[k - 1]
+        h[k + 1] = math.sqrt(2.0 / (k + 1.0)) * xi * h[k] - math.sqrt(k / (k + 1.0)) * h[k - 1]
     return h
 
 
-def ho_energy(n: int, R: float, units: UnitSystem = NATURAL) -> float:
-    """(n + 1/2) hbar omega with omega = 1/R^2."""
-    if n < 0:
+def ho_energy(n, R: float, units: UnitSystem = NATURAL):
+    """(n + 1/2) hbar omega with omega = 1/R^2; n may be an integer array of levels."""
+    if np.any(np.less(n, 0)):
         raise ValueError("oscillator quantum number must be >= 0")
     if R <= 0:
         raise ValueError("R must be positive")
@@ -61,9 +62,9 @@ def ho_eigenstate(n: int, R: float, grid: Grid, units: UnitSystem = NATURAL) -> 
     return ComplexField(grid, phi / nrm)
 
 
-def box_energy(n: int, L: float, units: UnitSystem = NATURAL) -> float:
-    """hbar^2 (pi n / L)^2 / 2m for the hard-wall box."""
-    if n < 1:
+def box_energy(n, L: float, units: UnitSystem = NATURAL):
+    """hbar^2 (pi n / L)^2 / 2m for the hard-wall box; n may be an integer array of levels."""
+    if np.any(np.less(n, 1)):
         raise ValueError("box quantum number must be >= 1")
     if L <= 0:
         raise ValueError("L must be positive")
@@ -122,7 +123,8 @@ class HarmonicModel:
         """Ground-state width sqrt(hbar/(m omega))."""
         return R * np.sqrt(self.units.hbar / self.units.mass)
 
-    def energy(self, n: int, R: float) -> float:
+    def energy(self, n, R: float):
+        """Level energy; an array of n gives the energies of those levels."""
         return ho_energy(n, R, self.units)
 
     def v0(self, x: np.ndarray, R: float) -> np.ndarray:
@@ -133,14 +135,17 @@ class HarmonicModel:
         """Rows n = 0..n_max of grid-renormalized eigenamplitudes."""
         x = grid.points
         scale = np.sqrt(self.units.mass / (self.units.hbar * R * R))
-        h = np.sqrt(scale) * _hermite_functions(n_max, scale * x)
+        h = _hermite_functions(n_max, scale * x)
+        h *= np.sqrt(scale)
         edge = np.max(np.abs(h[:, [0, -1]]))
         if edge > _EDGE_AMPLITUDE_LIMIT:
             raise ValueError(
                 f"grid too narrow for levels up to n={n_max}: edge amplitude {edge:.3e}"
             )
-        nrm = np.sqrt(np.trapezoid(h * h, dx=grid.dx, axis=1))
-        return h / nrm[:, None]
+        # trapezoid row norms in one pass: dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
+        ends = h[:, 0] ** 2 + h[:, -1] ** 2
+        h /= np.sqrt(grid.dx * (np.einsum("ij,ij->i", h, h) - 0.5 * ends))[:, None]
+        return h
 
     def level_numbers(self, n_max: int) -> np.ndarray:
         return np.arange(0, n_max + 1)
@@ -158,7 +163,8 @@ class BoxModel:
     units: UnitSystem = NATURAL
     n_min: int = 1
 
-    def energy(self, n: int, L: float) -> float:
+    def energy(self, n, L: float):
+        """Level energy; an array of n gives the energies of those levels."""
         return box_energy(n, L, self.units)
 
     def v0(self, x: np.ndarray, L: float) -> np.ndarray:

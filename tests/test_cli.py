@@ -44,6 +44,45 @@ def test_scenario_validation():
         Scenario(outputs=("plot",))
 
 
+_BAD_OVERRIDES = [
+    "n_particles=0",
+    "n_particles=-3",
+    "l0=nan",
+    "l0=inf",
+    "l_final=nan",
+    "omega0=inf",
+    "omegaF=nan",
+    "t_ff_list=1.0,nan",
+    "t_ff_list=inf",
+    "dt=0",
+    "dt=-1e-4",
+    "dt=nan",
+    "dt=inf",
+    "epsilon=nan",
+    "epsilon=inf",
+    "beta=nan",
+    "beta=0",
+    "beta=-1",
+]
+
+
+@pytest.mark.parametrize("override", _BAD_OVERRIDES)
+def test_invalid_scenario_exits_2_without_traceback(tmp_path, capsys, override):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("system=box\nramp=polynomial\nt_ff_list=1.0\noutputs=cost_curve\n")
+    assert main(["run", str(cfg), override, "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out" / "cost_curve.csv").exists()
+
+
+def test_scenario_boundary_values_accepted():
+    assert Scenario(beta=math.inf).beta == math.inf
+    assert Scenario(epsilon=-0.01).epsilon == -0.01
+    assert Scenario(n_particles=1, dt=1e-9).n_particles == 1
+
+
 def test_config_parsing_and_overrides(tmp_path):
     cfg = tmp_path / "s.cfg"
     cfg.write_text("# comment\nsystem=box\nramp=polynomial\nt_ff_list=0.5,1.0\nbeta=inf\n")

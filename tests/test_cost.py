@@ -2,7 +2,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.special import expit
 
 from ffqd.cost import (
     ThermalEnsemble,
@@ -20,6 +23,7 @@ from ffqd.cost import (
     internal_energy_ho,
     internal_energy_numeric,
     solve_mu,
+    _weighted_trace,
 )
 from ffqd.core import Grid
 from ffqd.spectra import BoxModel, HarmonicModel, box_energy
@@ -182,6 +186,90 @@ def test_trace_vs_printed_ho_form_is_factor_two_at_n1():
         numeric = internal_energy_numeric(HarmonicModel(), traj, t, ZERO_T, n_points=2048)
         closed = internal_energy_ho(traj, t, 1.0)
         assert numeric / closed == pytest.approx(2.0, abs=2e-4)
+
+
+def _complex_trace_reference(amps, f, a, x, v, dx, kin):
+    """The complex-table trace: psi = phi exp(i a x^2), row Laplacian, per-level trapezoid.
+
+    Also returns the scale sum_n f_n int (|Re conj(psi) T psi| + |v| phi^2),
+    against which rounding differences are measured.
+    """
+    psi = amps * np.exp(1j * a * x * x)[None, :]
+    lap = np.empty_like(psi)
+    inv = 1.0 / (dx * dx)
+    lap[:, 1:-1] = (psi[:, 2:] - 2.0 * psi[:, 1:-1] + psi[:, :-2]) * inv
+    lap[:, 0] = (2.0 * psi[:, 0] - 5.0 * psi[:, 1] + 4.0 * psi[:, 2] - psi[:, 3]) * inv
+    lap[:, -1] = (2.0 * psi[:, -1] - 5.0 * psi[:, -2] + 4.0 * psi[:, -3] - psi[:, -4]) * inv
+    kinetic = (np.conjugate(psi) * (-kin * lap)).real
+    potential = v[None, :] * (amps * amps)
+    h_diag = np.trapezoid(kinetic + potential, dx=dx, axis=1)
+    scale = np.dot(f, np.trapezoid(np.abs(kinetic) + np.abs(potential), dx=dx, axis=1))
+    return float(np.dot(f, h_diag)), float(scale)
+
+
+def _random_trace_case(n_levels, n_points, seed, a, x0, width, v_scale):
+    rng = np.random.default_rng(seed)
+    x = np.linspace(x0, x0 + width, n_points)
+    amps = rng.normal(size=(n_levels, n_points))
+    f = rng.random(n_levels)
+    v = v_scale * rng.normal(size=n_points)
+    return amps, f, a, x, v, x[1] - x[0]
+
+
+_trace_cases = st.builds(
+    _random_trace_case,
+    st.integers(1, 60),
+    st.integers(8, 600),
+    st.integers(0, 2**32 - 1),
+    st.floats(-20.0, 20.0),
+    st.floats(-30.0, 30.0),
+    st.floats(0.5, 60.0),
+    st.floats(0.0, 1e4),
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_trace_cases, st.floats(0.1, 10.0))
+def test_weighted_trace_matches_complex_reference(case, kin):
+    amps, f, a, x, v, dx = case
+    ref, scale = _complex_trace_reference(amps, f, a, x, v, dx, kin)
+    got = _weighted_trace(amps, f, a * x * x, v, dx, kin)
+    assert abs(got - ref) <= 1e-12 * scale
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=200),
+    st.floats(1e-3, 1e4),
+    st.data(),
+)
+def test_solve_mu_matches_particle_number(energies, beta, data):
+    e = np.array(energies)
+    n = data.draw(st.integers(1, e.size - 1))
+    try:
+        mu = solve_mu(e, beta, n)
+    except RuntimeError:
+        # the bisection stops at a bracket of 1e-15 (1 + |mu|), across which
+        # sum f can still move by beta * bracket * e.size / 4: only there may
+        # the 1e-10 residual be out of reach
+        bracket = 1e-15 * (2.0 + np.max(np.abs(e)) + 50.0 / beta)
+        assert beta * bracket * e.size > 4e-11
+        return
+    assert abs(float(np.sum(expit(-beta * (e - mu)))) - n) <= 1e-10
+
+
+# cost_ff_numeric at the 1 -> 10 ramps over T = 1, 64 nodes, 1024 points, as
+# computed by the complex-table trace with per-level energies
+@pytest.mark.parametrize(
+    "model, traj, ens, pinned",
+    [
+        (HarmonicModel(), ho_ramp(TRIGONOMETRIC), ThermalEnsemble(beta=1.0, n_particles=32), 2387.9791270685087),
+        (BoxModel(), box_ramp(POLYNOMIAL), ThermalEnsemble(beta=math.inf, n_particles=50), 37037.78697902546),
+    ],
+    ids=["oscillator_beta1_N32", "box_T0_N50"],
+)
+def test_cost_ff_numeric_pinned(model, traj, ens, pinned):
+    assert cost_ff_numeric(model, traj, ens) == pytest.approx(pinned, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,25 @@ def test_non_finite_potential_mid_run_raises(bad, moving):
         propagate(phi, PropagationSpec(grid, dt, t_final, pot, boundary))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("moving", [False, True])
+def test_non_finite_potential_sample_fails_precondition(bad, moving):
+    # bad at the t = 0 sample only, 3 elsewhere: a NaN must not be folded away
+    # into vmax = 3 by the dt*max|V| precondition
+    grid = Grid(0.0, 1.0, 128)
+    phi = box_eigenstate(1, 1.0, grid)
+
+    def pot(x, t):
+        v = np.full_like(x, 3.0)
+        if t == 0.0:
+            v[len(v) // 2] = bad
+        return v
+
+    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
+    with pytest.raises(PropagationError, match="not finite at sample time t = 0"):
+        propagate(phi, PropagationSpec(grid, 1e-4, 0.01, pot, boundary))
+
+
 def _random_hermitian_tridiagonal(n, seed, scale):
     rng = np.random.default_rng(seed)
     diag = rng.normal(size=n)

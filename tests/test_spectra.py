@@ -136,3 +136,16 @@ def test_energies_in_non_natural_units():
     units = UnitSystem(hbar=2.0, mass=3.0)
     assert ho_energy(1, 0.5, units) == pytest.approx(1.5 * 2.0 * 4.0)  # (n+1/2) hbar/R^2
     assert box_energy(2, 1.0, units) == pytest.approx(4.0 * np.pi**2 * 4.0 / 6.0)
+
+
+@pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
+def test_vectorised_energies_match_per_level_calls(model):
+    ns = model.level_numbers(40)
+    for l in (0.3, 1.0, 7.5, np.float64(2.25)):
+        per_level = np.array([model.energy(int(n), l) for n in ns])
+        np.testing.assert_array_equal(model.energy(ns, l), per_level)
+    bad = np.append(ns, model.n_min - 1)
+    with pytest.raises(ValueError, match="quantum number"):
+        model.energy(bad, 1.0)
+    with pytest.raises(ValueError, match="positive"):
+        model.energy(ns, 0.0)
