@@ -93,6 +93,8 @@ class Scenario:
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
         if not all(0 < t < math.inf for t in self.t_ff_list):
             raise ValueError(f"every t_ff must be positive and finite, got {self.t_ff_list!r}")
+        if len(set(self.t_ff_list)) != len(self.t_ff_list):
+            raise ValueError(f"t_ff_list has duplicate entries: {self.t_ff_list!r}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
         if not self.beta > 0:
@@ -191,9 +193,7 @@ def scenario_from_csv_header(path) -> Scenario:
 
 def _propagation_grid(scn: Scenario, traj: ControlTrajectory) -> Grid:
     if scn.system == "harmonic":
-        model = HarmonicModel()
-        r_max = float(np.max(traj.value(np.linspace(0.0, traj.t_ff, 257))))
-        return model.default_grid(r_max, scn.grid_points)
+        return HarmonicModel().default_grid(traj._l_max, scn.grid_points)
     return Grid(0.0, traj.value(0.0), scn.grid_points)
 
 

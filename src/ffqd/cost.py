@@ -32,9 +32,8 @@ from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.special import expit
 
+from ._numutil import gauss_legendre
 from .core import NATURAL, Grid, UnitSystem
 from .fastforward import v_ff_box, v_ff_ho
 from .spectra import BoxModel, HarmonicModel
@@ -73,12 +72,22 @@ class ThermalEnsemble:
         return cls(beta=beta, n_particles=n_particles, units=units)
 
 
+def _fermi_factor(z):
+    """1 / (exp(z) + 1) for z = beta (E - mu): the logistic function of -z.
+
+    exp(z) overflows to inf above z = 709.78, which gives the exact limit 0;
+    callers hold np.errstate(over="ignore") around the call.
+    """
+    return 1.0 / (np.exp(z) + 1.0)
+
+
 def _fermi(e, beta: float, mu: float):
     e = np.asarray(e, dtype=float)
     if math.isinf(beta):
         out = np.where(e < mu, 1.0, np.where(e > mu, 0.0, 0.5))
     else:
-        out = expit(-beta * (e - mu))
+        with np.errstate(over="ignore"):
+            out = _fermi_factor(beta * (e - mu))
     return float(out) if out.ndim == 0 else out
 
 
@@ -106,22 +115,23 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
     lo, hi = e[0] - pad, e[-1] + pad
 
     def excess(m: float) -> float:
-        # beta (m - e) is bit-identical to _fermi's -beta (e - m), so the
-        # accepted residual is that of the occupations the trace then uses
-        return float(expit(beta * (m - e)).sum()) - n_particles
+        # the occupations exactly as _fermi forms them, so the accepted
+        # residual is that of the occupations the trace then uses
+        return float(_fermi_factor(beta * (e - m)).sum()) - n_particles
 
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g = excess(mid)
-        if abs(g) < 1e-10:
-            return mid
-        if g > 0:
-            hi = mid
-        else:
-            lo = mid
-        if hi - lo < 1e-15 * (1.0 + abs(mid)):
-            break
-    g = excess(0.5 * (lo + hi))
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            g = excess(mid)
+            if abs(g) < 1e-10:
+                return mid
+            if g > 0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < 1e-15 * (1.0 + abs(mid)):
+                break
+        g = excess(0.5 * (lo + hi))
     if abs(g) > 1e-10:
         raise RuntimeError(f"mu bisection stalled with residual {g:.3e}")
     return 0.5 * (lo + hi)
@@ -232,8 +242,7 @@ def _weighted_trace(
 def _grid_for(model: Model, traj: ControlTrajectory, l: float, n_max: int, n_points: int) -> Grid:
     if isinstance(model, BoxModel):
         return model.default_grid(l, n_points)
-    r_max = float(np.max(traj.value(np.linspace(0.0, traj.t_ff, 257))))
-    return model.default_grid(r_max, n_points, n_max=n_max)
+    return model.default_grid(traj._l_max, n_points, n_max=n_max)
 
 
 def _occupied_levels(model: Model, ens: ThermalEnsemble, l: float, cutoff: int | None, max_levels: int):
@@ -312,11 +321,14 @@ def internal_energy_numeric(
 # time-averaged costs
 
 def cost_ff(u_of_t: Callable[[float], float], t_ff: float, rel_tol: float = 1e-10) -> float:
-    """Time average (1/T) int_0^T u(t) dt by adaptive quadrature."""
-    res = quad(u_of_t, 0.0, t_ff, epsabs=1e-300, epsrel=rel_tol, limit=200, full_output=1)
-    if len(res) > 3:
-        raise RuntimeError(f"time quadrature did not converge: {res[3]}")
-    return float(res[0]) / t_ff
+    """Time average (1/T) int_0^T u(t) dt by 32/64-node Gauss-Legendre panels.
+
+    u_of_t takes one time and is called at each node.  A panel whose
+    32/64-node difference exceeds its share of rel_tol is halved; RuntimeError
+    if the quadrature does not converge.
+    """
+    val, _ = gauss_legendre(lambda ts: [u_of_t(float(t)) for t in ts], 0.0, t_ff, rel_tol)
+    return val / t_ff
 
 
 _DRIVE_SHAPE = {POLYNOMIAL: 1.0 / 15.0, TRIGONOMETRIC: 3.0}
@@ -368,7 +380,7 @@ def _require_smooth_ramp(traj: ControlTrajectory) -> None:
 
 
 def _mean_inverse_l2(traj: ControlTrajectory, rel_tol: float = 1e-12) -> float:
-    val, _ = quad(lambda s: 1.0 / traj.value(s) ** 2, 0.0, traj.t_ff, epsabs=1e-300, epsrel=rel_tol, limit=200)
+    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, 0.0, traj.t_ff, rel_tol)
     return val / traj.t_ff
 
 
@@ -496,7 +508,4 @@ def frobenius_cost(
         mat[np.diag_indices_from(mat)] += e
         return float(np.sqrt(np.sum(mat * mat)))
 
-    res = quad(h_norm, 0.0, t_ff, epsabs=1e-300, epsrel=rel_tol, limit=200, full_output=1)
-    if len(res) > 3:
-        raise RuntimeError(f"Frobenius time quadrature did not converge: {res[3]}")
-    return FrobeniusCost(value=float(res[0]) / t_ff, cutoff=m_cut)
+    return FrobeniusCost(value=cost_ff(h_norm, t_ff, rel_tol), cutoff=m_cut)

@@ -21,9 +21,8 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
-from ._numutil import cumint, grad4
+from ._numutil import cumint, gauss_legendre, grad4
 from .core import NATURAL, ComplexField, Grid, UnitSystem
 from .spectra import _hermite_functions, box_eigenstate, ho_eigenstate
 from .trajectory import ControlTrajectory
@@ -275,14 +274,14 @@ def _dynamical_phase_box(n: int, t: float, traj: ControlTrajectory, units: UnitS
     if t == 0.0:
         return 0.0
     pref = units.hbar * (np.pi * n) ** 2 / (2.0 * units.mass)
-    val, _ = quad(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, epsabs=tol, epsrel=tol, limit=200)
+    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, tol, tol)
     return pref * val
 
 
 def _dynamical_phase_ho(n: int, t: float, traj: ControlTrajectory, units: UnitSystem, tol: float) -> float:
     if t == 0.0:
         return 0.0
-    val, _ = quad(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, epsabs=tol, epsrel=tol, limit=200)
+    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, tol, tol)
     return (n + 0.5) * val
 
 

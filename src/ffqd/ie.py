@@ -17,7 +17,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+
+from ._numutil import gauss_legendre
 
 _POSITIVITY_SAMPLES = 10_000
 
@@ -106,19 +107,13 @@ def h_ie_expectation(sol: ErmakovSolution, t, beta: float) -> float:
 
 
 def cost_ie(sol: ErmakovSolution, beta: float, rel_tol: float = 1e-10) -> float:
-    """Time-averaged <H_IE> over the ramp, by adaptive quadrature."""
-    res = quad(
-        lambda s: h_ie_expectation(sol, s, beta),
-        0.0,
-        sol.t_ff,
-        epsabs=1e-300,
-        epsrel=rel_tol,
-        limit=200,
-        full_output=1,
-    )
-    if len(res) > 3:
-        raise RuntimeError(f"IE cost quadrature did not converge: {res[3]}")
-    return float(res[0]) / sol.t_ff
+    """Time-averaged <H_IE> over the ramp, by 32/64-node Gauss-Legendre panels.
+
+    Each panel evaluates <H_IE> on its whole node array; RuntimeError if the
+    quadrature does not converge.
+    """
+    val, _ = gauss_legendre(lambda s: h_ie_expectation(sol, s, beta), 0.0, sol.t_ff, rel_tol)
+    return val / sol.t_ff
 
 
 def write_profile_csv(sol: ErmakovSolution, beta: float, path, n_samples: int = 201) -> None:

@@ -29,7 +29,6 @@ from dataclasses import dataclass, field
 from typing import Callable, Union
 
 import numpy as np
-from scipy.linalg.lapack import zgtsv
 
 from ._numutil import lap2
 from .core import NATURAL, ComplexField, Grid, UnitSystem
@@ -147,18 +146,26 @@ def propagate(
     if abs(nrm0 - 1.0) > 1e-6:
         raise ValueError(f"psi0 must be normalized, got norm {nrm0!r}")
 
+    from scipy.linalg.lapack import zgtsv
+
     writer = _SnapshotWriter(snapshot_path, snapshot_stride) if snapshot_path and snapshot_stride > 0 else None
     try:
         if isinstance(spec.boundary, DirichletMovingWall):
-            return _propagate_moving_wall(psi0, spec, n_steps, dt, writer)
-        return _propagate_fixed(psi0, spec, n_steps, dt, writer)
+            return _propagate_moving_wall(psi0, spec, n_steps, dt, writer, zgtsv)
+        return _propagate_fixed(psi0, spec, n_steps, dt, writer, zgtsv)
     finally:
         if writer is not None:
             writer.close()
 
 
-def _cn_step(diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, u: np.ndarray, lam: float) -> np.ndarray:
-    """One Cayley step for a tridiagonal Hermitian H given by (diag, upper, lower)."""
+def _cn_step(
+    diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, u: np.ndarray, lam: float, zgtsv
+) -> np.ndarray:
+    """One Cayley step for a tridiagonal Hermitian H given by (diag, upper, lower).
+
+    zgtsv is LAPACK's tridiagonal solver as scipy binds it, looked up once per
+    run by the caller.
+    """
     hu = diag * u
     hu[:-1] += upper * u[1:]
     hu[1:] += lower * u[:-1]
@@ -185,7 +192,7 @@ def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int) -> Non
         )
 
 
-def _propagate_fixed(psi0, spec, n_steps, dt, writer) -> ComplexField:
+def _propagate_fixed(psi0, spec, n_steps, dt, writer, zgtsv) -> ComplexField:
     units = spec.units
     hbar, m = units.hbar, units.mass
     grid = spec.grid
@@ -206,7 +213,7 @@ def _propagate_fixed(psi0, spec, n_steps, dt, writer) -> ComplexField:
     for step in range(n_steps):
         v = spec.potential(x_int, (step + 0.5) * dt)
         _check_potential(v, step, n_steps)
-        ui = _cn_step(2.0 * k + v.astype(complex), off, off, ui, lam)
+        ui = _cn_step(2.0 * k + v.astype(complex), off, off, ui, lam, zgtsv)
         if (step + 1) % _NORM_CHECK_STRIDE == 0 or step + 1 == n_steps:
             _check_norm(ui, dx, step + 1, n_steps)
         if writer:
@@ -219,7 +226,7 @@ def _propagate_fixed(psi0, spec, n_steps, dt, writer) -> ComplexField:
     return ComplexField(grid, out)
 
 
-def _propagate_moving_wall(psi0, spec, n_steps, dt, writer) -> ComplexField:
+def _propagate_moving_wall(psi0, spec, n_steps, dt, writer, zgtsv) -> ComplexField:
     units = spec.units
     hbar, m = units.hbar, units.mass
     traj = spec.boundary.traj
@@ -256,7 +263,7 @@ def _propagate_moving_wall(psi0, spec, n_steps, dt, writer) -> ComplexField:
         _check_potential(v, step, n_steps)
         upper = -k + 1j * q * y_pair
         lower = -k - 1j * q * y_pair
-        ui = _cn_step(2.0 * k + v.astype(complex), upper, lower, ui, lam)
+        ui = _cn_step(2.0 * k + v.astype(complex), upper, lower, ui, lam, zgtsv)
         if (step + 1) % _NORM_CHECK_STRIDE == 0 or step + 1 == n_steps:
             _check_norm(ui, dy, step + 1, n_steps)
         if writer:

@@ -10,10 +10,10 @@ by parts.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
 
 POLYNOMIAL = "polynomial"
 TRIGONOMETRIC = "trigonometric"
@@ -63,6 +63,15 @@ class ControlTrajectory:
     @classmethod
     def adiabatic_linear(cls, l0: float, epsilon: float, t_ff: float) -> "ControlTrajectory":
         return cls(ADIABATIC_LINEAR, l0, t_ff, epsilon=epsilon)
+
+    @cached_property
+    def _l_max(self) -> float:
+        """Largest l over 257 even samples of [0, t_ff]; oscillator grids are sized by it.
+
+        Computed once per trajectory: the thermal trace and the propagation
+        grid ask for it at every time node.
+        """
+        return float(np.max(self.value(np.linspace(0.0, self.t_ff, 257))))
 
     def _check_domain(self, t):
         """t clipped to [0, t_ff]; errors for NaN or t beyond a 1e-9 t_ff slack."""
@@ -143,6 +152,10 @@ def advanced_time(alpha: Callable[[float], float], t: float, quadrature_tol: flo
     sample = np.array([alpha(ts) for ts in np.linspace(0.0, t, 257)])
     if np.any(sample < 0.0):
         raise ValueError("alpha must be non-negative on [0, t]")
+    # alpha is user-supplied and takes one time at a time; scipy's adaptive
+    # quad stays for it, imported only here
+    from scipy.integrate import quad
+
     val, abserr = quad(alpha, 0.0, t, epsabs=quadrature_tol, epsrel=quadrature_tol, limit=200)
     return float(val)
 

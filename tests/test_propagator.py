@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
+from scipy.linalg.lapack import zgtsv
 
 from ffqd.core import ComplexField, Grid, normalize
 from ffqd.fastforward import box_psi_ff_values, ho_psi_ff_values, psi_ff_box, v_ff_box, v_ff_ho
@@ -114,6 +115,16 @@ def test_fidelity_properties():
         fidelity(a, box_eigenstate(1, 1.0, Grid(0.0, 1.0, 513)))
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(8, 600), st.floats(1e-3, 1e3), st.integers(0, 2**32 - 1))
+def test_fidelity_at_most_one(n, width, seed):
+    rng = np.random.default_rng(seed)
+    grid = Grid(-0.5 * width, 0.5 * width, n)
+    a, b = (normalize(ComplexField(grid, rng.normal(size=n) + 1j * rng.normal(size=n))) for _ in range(2))
+    assert fidelity(a, b) <= 1.0 + 1e-12
+    assert fidelity(a, a) <= 1.0 + 1e-12
+
+
 def test_moving_wall_past_t_ff_rejected_before_stepping():
     traj = box_ramp(POLYNOMIAL)
     grid = Grid(0.0, 1.0, 64)
@@ -201,7 +212,7 @@ def test_cn_step_matches_banded_reference(case):
     hu[:-1] += upper * u[1:]
     hu[1:] += lower * u[:-1]
     ref = solve_banded((1, 1), ab, u - 1j * lam * hu)
-    out = _cn_step(diag, upper, lower, u, lam)
+    out = _cn_step(diag, upper, lower, u, lam, zgtsv)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -209,7 +220,7 @@ def test_cn_step_matches_banded_reference(case):
 @given(_tridiagonals)
 def test_cn_step_is_unitary(case):
     diag, upper, lower, u, lam = case
-    out = _cn_step(diag, upper, lower, u, lam)
+    out = _cn_step(diag, upper, lower, u, lam, zgtsv)
     assert np.vdot(out, out).real == pytest.approx(np.vdot(u, u).real, rel=1e-12)
 
 

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ffqd.trajectory import (
     ADIABATIC_LINEAR,
@@ -73,6 +75,24 @@ def test_scalar_and_array_paths_agree():
         ts = np.array([0.0, 0.3, 0.5, 1.0 + 1e-10])
         for fn in (traj.value, traj.velocity, traj.acceleration):
             np.testing.assert_allclose([fn(float(t)) for t in ts], fn(ts), rtol=1e-14, atol=1e-12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.sampled_from((POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+    st.floats(1e-3, 1e3),
+)
+def test_ramps_stay_positive_and_hit_both_endpoints(kind, l0, l_final, t_ff):
+    if kind == ADIABATIC_LINEAR:
+        traj = ControlTrajectory.adiabatic_linear(l0, (l_final - l0) / t_ff, t_ff)
+    else:
+        traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l_final, t_ff))
+    assert traj.value(0.0) == l0
+    # l0 + (l_final - l0) rounds at the scale of the larger endpoint
+    assert abs(traj.value(t_ff) - l_final) <= 1e-12 * max(l0, l_final)
+    assert np.min(traj.value(np.linspace(0.0, t_ff, 20_001))) > 0.0
 
 
 def test_positivity_enforced_at_construction():
