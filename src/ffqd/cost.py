@@ -22,6 +22,14 @@ occupation-weighted trace therefore needs only rho0_j = sum_n f_n phi_n,j^2,
 rho1_j = sum_n f_n phi_n,j phi_n,j+1 and, for the one-sided end stencils of
 the kinetic operator, the pairs (0, 2), (0, 3) and their mirrors (-1, -3),
 (-1, -4); no complex level x grid table is formed.
+
+The trace is batched over time nodes: cost_ff_numeric evaluates all its
+Gauss-Legendre nodes in one pass (_node_traces), with one vectorised ramp
+call, energies E_n(l) = E_n(1) / l^2, one row-wise mu bisection, and
+amplitude stacks supplied by the model in chunks of nodes.  The box grid
+scales with the wall, x = L xi, so a single sine table at L = 1, scaled by
+L^-1/2, serves every node and the Frobenius cost takes its x^2 matrix from
+that table; the oscillator keeps a fixed grid per node.
 """
 
 from __future__ import annotations
@@ -34,8 +42,7 @@ from typing import Callable, Union
 import numpy as np
 
 from ._numutil import gauss_legendre
-from .core import NATURAL, Grid, UnitSystem
-from .fastforward import v_ff_box, v_ff_ho
+from .core import NATURAL, UnitSystem
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
@@ -98,43 +105,94 @@ def fermi_occupation(e_n, ens: ThermalEnsemble):
     return _fermi(e_n, ens.beta, ens.mu)
 
 
+_MU_TOL = 1e-10  # occupation-sum residual the bisection accepts at once
+
+
+def _excess(e, beta: float, mu, n_particles: int):
+    """sum_n f_n - N along the last axis of e, one mu per row.
+
+    The occupations are formed exactly as _fermi forms them, so the accepted
+    residual is that of the occupations the trace then uses.
+    """
+    return _fermi_factor(beta * (e - np.asarray(mu)[..., None])).sum(axis=-1) - n_particles
+
+
+def _mu_past_stall(e: np.ndarray, beta: float, n_particles: int, lo: float, hi: float) -> float:
+    """mu of one spectrum whose bisection bracket [lo, hi] fell below 1e-15 (1 + |mu|).
+
+    The midpoint is returned if its residual meets the 1e-10 tolerance.
+    Otherwise the bisection goes on to adjacent doubles: near a degenerate
+    level at large beta, sum f moves by more than 1e-10 across one ulp of mu.
+    The better end is accepted if its residual is within what one ulp can
+    reach, beta ulp(mu) sum f (1 - f), plus the rounding of the sum
+    (2 n_levels eps N); RuntimeError above that.
+    """
+    while True:
+        mid = 0.5 * (lo + hi)
+        g = float(_excess(e, beta, mid, n_particles))
+        if abs(g) <= _MU_TOL:
+            return mid
+        if mid in (lo, hi):  # lo and hi are adjacent doubles
+            break
+        if g > 0:
+            hi = mid
+        else:
+            lo = mid
+    g, mu = min((abs(float(_excess(e, beta, m, n_particles))), m) for m in (lo, hi))
+    f = _fermi_factor(beta * (e - mu))
+    rounding = 2.0 * e.size * np.finfo(float).eps * n_particles
+    reach = beta * (hi - lo) * float(np.sum(f * (1.0 - f))) + rounding
+    if g > reach:
+        raise RuntimeError(f"mu bisection stalled with residual {g:.3e} above the one-ulp reach {reach:.3e}")
+    return mu
+
+
+def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
+    """Chemical potential of each row of e (ascending energies), all rows in one bisection.
+
+    Each row follows the path solve_mu takes for it alone: the same bracket
+    and midpoints, acceptance below 1e-10, and the same stall rule; a row
+    leaves the loop once it is accepted or its bracket stalls.  Row sums are
+    the contiguous 1-D sums, so every mu is bit-identical to solve_mu's.
+    """
+    if not 0 < n_particles < e.shape[1]:
+        raise ValueError(f"need 0 < n_particles < {e.shape[1]}, got {n_particles}")
+    if math.isinf(beta):
+        return 0.5 * (e[:, n_particles - 1] + e[:, n_particles])
+    pad = 50.0 / beta + 1.0
+    lo, hi = e[:, 0] - pad, e[:, -1] + pad
+    mu = np.empty(e.shape[0])
+    rows = np.arange(e.shape[0])
+    with np.errstate(over="ignore"):
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            g = _excess(e[rows], beta, mid, n_particles)
+            done = np.abs(g) < _MU_TOL
+            mu[rows[done]] = mid[done]
+            up = g > 0
+            hi = np.where(up, mid, hi)
+            lo = np.where(up, lo, mid)
+            live = ~done & (hi - lo >= 1e-15 * (1.0 + np.abs(mid)))
+            for i in np.flatnonzero(~done & ~live):
+                mu[rows[i]] = _mu_past_stall(e[rows[i]], beta, n_particles, lo[i], hi[i])
+            rows, lo, hi = rows[live], lo[live], hi[live]
+            if not rows.size:
+                return mu
+        for r, a, b in zip(rows, lo, hi):
+            mu[r] = _mu_past_stall(e[r], beta, n_particles, a, b)
+    return mu
+
+
 def solve_mu(energies, beta: float, n_particles: int) -> float:
     """Chemical potential with sum_n f_n = n_particles, by bisection.
 
     The occupation sum is monotone increasing in mu, so the root is unique at
     finite beta; at beta = inf any point of the zero-temperature plateau is
-    returned.  Residual tolerance 1e-10.
+    returned.  Residual tolerance 1e-10, or, where no double meets it, the
+    residual one ulp of mu can reach (RuntimeError beyond that).
     """
     e = np.sort(np.asarray(energies, dtype=float))
-    if not 0 < n_particles < e.size:
-        raise ValueError(f"need 0 < n_particles < {e.size}, got {n_particles}")
-    if math.isinf(beta):
-        return 0.5 * (e[n_particles - 1] + e[n_particles])
-
-    pad = 50.0 / beta + 1.0
-    lo, hi = e[0] - pad, e[-1] + pad
-
-    def excess(m: float) -> float:
-        # the occupations exactly as _fermi forms them, so the accepted
-        # residual is that of the occupations the trace then uses
-        return float(_fermi_factor(beta * (e - m)).sum()) - n_particles
-
-    with np.errstate(over="ignore"):
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            g = excess(mid)
-            if abs(g) < 1e-10:
-                return mid
-            if g > 0:
-                hi = mid
-            else:
-                lo = mid
-            if hi - lo < 1e-15 * (1.0 + abs(mid)):
-                break
-        g = excess(0.5 * (lo + hi))
-    if abs(g) > 1e-10:
-        raise RuntimeError(f"mu bisection stalled with residual {g:.3e}")
-    return 0.5 * (lo + hi)
+    return float(_solve_mu_rows(e[None, :], beta, n_particles)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -215,62 +273,127 @@ Model = Union[HarmonicModel, BoxModel]
 
 
 def _weighted_trace(
-    amps: np.ndarray, f: np.ndarray, theta: np.ndarray, v: np.ndarray, dx: float, kin: float
-) -> float:
-    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = amps[n] exp(i theta).
+    amps: np.ndarray, f: np.ndarray, theta: np.ndarray, v: np.ndarray, dx, kin: float
+):
+    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = amps[n] exp(i theta), per node.
 
     D2 is the three-point second difference with the one-sided stencil
     (2, -5, 4, -1) at each end and <.|.> the trapezoid rule; the level sum is
-    taken first, in the real-arithmetic form of the module docstring.
+    taken first, in the real-arithmetic form of the module docstring.  A
+    leading node axis is optional and broadcasts: amps is (levels, points),
+    shared by every node, or (nodes, levels, points); f is (nodes, levels),
+    theta and v (nodes, points) and dx (nodes,).  Without one (a single
+    node) the trace is returned as a float.
     """
-    fa = f[:, None] * amps
-    rho0 = np.einsum("nj,nj->j", fa, amps)
-    rho1 = np.einsum("nj,nj->j", fa[:, :-1], amps[:, 1:]) * np.cos(np.diff(theta))
+
+    def level_sum(a, b):
+        # sum_n f_n a_n,j b_n,j, level by level in order: for a stack it is the
+        # one-node sum, and a shared table forms no (levels x points) product
+        return np.einsum("...n,...nj,...nj->...j", f, a, b)
+
+    rho0 = level_sum(amps, amps)
+    rho1 = level_sum(amps[..., :-1], amps[..., 1:]) * np.cos(np.diff(theta))
     k = np.empty_like(rho0)
-    k[1:-1] = rho1[1:] + rho1[:-1] - 2.0 * rho0[1:-1]
+    k[..., 1:-1] = rho1[..., 1:] + rho1[..., :-1] - 2.0 * rho0[..., 1:-1]
     for end, step in ((0, 1), (-1, -1)):
         j2, j3 = end + 2 * step, end + 3 * step
-        k[end] = (
-            2.0 * rho0[end]
-            - 5.0 * rho1[end]
-            + 4.0 * float(fa[:, end] @ amps[:, j2]) * math.cos(theta[j2] - theta[end])
-            - float(fa[:, end] @ amps[:, j3]) * math.cos(theta[j3] - theta[end])
+        far = level_sum(amps[..., [end, end]], amps[..., [j2, j3]])
+        k[..., end] = (
+            2.0 * rho0[..., end]
+            - 5.0 * rho1[..., end]
+            + 4.0 * far[..., 0] * np.cos(theta[..., j2] - theta[..., end])
+            - far[..., 1] * np.cos(theta[..., j3] - theta[..., end])
         )
-    return float(np.trapezoid((-kin / (dx * dx)) * k + v * rho0, dx=dx))
+    dx = np.asarray(dx, dtype=float)[..., None]
+    y = (-kin / (dx * dx)) * k + v * rho0
+    out = (dx * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)  # trapezoid, row by row
+    return float(out) if out.ndim == 0 else out
 
 
-def _grid_for(model: Model, traj: ControlTrajectory, l: float, n_max: int, n_points: int) -> Grid:
-    if isinstance(model, BoxModel):
-        return model.default_grid(l, n_points)
-    return model.default_grid(traj._l_max, n_points, n_max=n_max)
+def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray, cutoff: int | None, max_levels: int):
+    """Level numbers, occupations and top levels of the trace at control values l.
 
+    Returns (ns, f, n_top): f[i] holds node i's occupations of the levels ns,
+    zero above its own cutoff, and n_top[i] is its top level.  Energies scale
+    as E_n(l) = E_n(1) / l^2, and mu is solved for all nodes at once.  An
+    explicit cutoff keeps levels up to it and must leave every top
+    occupation below 1e-12.  Otherwise every node starts from
+    max(4N + 16, 64) levels, the nodes whose top occupation is still
+    >= 1e-12 double theirs, and each node keeps the levels up to two past
+    its last occupation >= 1e-12, and at least N + 1.
+    """
 
-def _occupied_levels(model: Model, ens: ThermalEnsemble, l: float, cutoff: int | None, max_levels: int):
-    """Quantum numbers, energies, occupations, and the trace cutoff at frozen l."""
+    def occupations(n_max, rows):
+        ns = model.level_numbers(n_max)
+        e = model.energy(ns, 1.0) / (l[rows] * l[rows])[:, None]
+        return ns, _fermi(e, ens.beta, _solve_mu_rows(e, ens.beta, ens.n_particles)[:, None])
+
     if cutoff is not None:
-        n_max = cutoff
-        ns = model.level_numbers(n_max)
-        e = model.energy(ns, l)
-        mu = solve_mu(e, ens.beta, ens.n_particles)
-        f = _fermi(e, ens.beta, mu)
-        if f[-1] >= _F_TOL:
+        ns, f = occupations(cutoff, slice(None))
+        bad = np.flatnonzero(f[:, -1] >= _F_TOL)
+        if bad.size:
             raise ValueError(
-                f"cutoff {cutoff} too small: top occupation {f[-1]:.3e} >= {_F_TOL:g}"
+                f"cutoff {cutoff} too small: top occupation {f[bad[0], -1]:.3e} >= {_F_TOL:g}"
             )
-        return ns, e, f
+        return ns, f, np.full(l.size, ns[-1])
     n_max = max(4 * ens.n_particles + 16, 64)
+    rows = np.arange(l.size)
+    kept = [None] * l.size  # each node's occupations up to its cutoff
     while True:
-        ns = model.level_numbers(n_max)
-        e = model.energy(ns, l)
-        mu = solve_mu(e, ens.beta, ens.n_particles)
-        f = _fermi(e, ens.beta, mu)
-        if f[-1] < _F_TOL:
-            keep = max(int(np.max(np.nonzero(f >= _F_TOL)[0], initial=0)) + 2, ens.n_particles + 1)
-            keep = min(keep, f.size)
-            return ns[:keep], e[:keep], f[:keep]
+        ns, f = occupations(n_max, rows)
+        ok = f[:, -1] < _F_TOL
+        last = np.where(f >= _F_TOL, np.arange(ns.size), 0).max(axis=1)
+        keep = np.minimum(np.maximum(last + 2, ens.n_particles + 1), ns.size)
+        for i in np.flatnonzero(ok):
+            kept[rows[i]] = f[i, : keep[i]]
+        rows = rows[~ok]
+        if not rows.size:
+            break
         if n_max >= max_levels:
             raise ValueError(f"no cutoff below {max_levels} reaches occupation < {_F_TOL:g}")
         n_max *= 2
+    occ = np.zeros((l.size, max(k.size for k in kept)))
+    for i, k in enumerate(kept):
+        occ[i, : k.size] = k
+    return ns[: occ.shape[1]], occ, ns[[k.size - 1 for k in kept]]
+
+
+def _node_traces(
+    model: Model,
+    traj: ControlTrajectory,
+    ts: np.ndarray,
+    ens: ThermalEnsemble,
+    cutoff: int | None = None,
+    n_points: int = 2048,
+    max_levels: int = 4096,
+) -> np.ndarray:
+    """The thermal trace of internal_energy_numeric at every time of ts, in one pass.
+
+    l, l_dot and l_ddot come from one vectorised trajectory call each and mu
+    from one row-wise bisection.  The model supplies the amplitudes in
+    chunks of nodes: model._trace_stacks(traj, l, n_top, n_points) yields
+    (nodes, xi, length, table, weight), where node i has the grid
+    x = length_i xi and the amplitudes sqrt(weight_i) table, with xi and
+    table either shared by the chunk or given per node.  Both drives are
+    -(m/2)(l_ddot/l) x^2, so beyond that the model supplies only v0.
+    """
+    ts = np.asarray(ts, dtype=float)
+    if ens.n_particles == 0:
+        return np.zeros(ts.size)
+    u = model.units
+    l, ldot, lddot = traj.value(ts), traj.velocity(ts), traj.acceleration(ts)
+    _, f, n_top = _occupied_levels(model, ens, l, cutoff, max_levels)
+    a = u.mass * ldot / (2.0 * u.hbar * l)  # gauge phase theta = a x^2
+    c = -0.5 * u.mass * lddot / l  # drive V_FF = c x^2
+    out = np.empty(ts.size)
+    for sl, xi, length, table, weight in model._trace_stacks(traj, l, n_top, n_points):
+        x = length[:, None] * xi
+        v = model.v0(x, l[sl, None]) + c[sl, None] * x**2
+        occ = f[sl, : table.shape[-2]] * weight
+        dx = (x[:, -1] - x[:, 0]) / (n_points - 1)
+        out[sl] = _weighted_trace(table, occ, a[sl, None] * x * x, v, dx, u.hbar**2 / (2.0 * u.mass))
+        del x, v, table  # free this chunk before the next one is built
+    return out
 
 
 def internal_energy_numeric(
@@ -296,25 +419,10 @@ def internal_energy_numeric(
     rho0_j = sum_n f_n phi_n,j^2, rho1_j = sum_n f_n phi_n,j phi_n,j+1 and
     K_j = rho1_j cos(theta_j+1 - theta_j) + rho1_j-1 cos(theta_j - theta_j-1)
     - 2 rho0_j inside; the one-sided end stencils use the pairs (0, 1), (0, 2),
-    (0, 3) and their mirrors at the last grid point.
+    (0, 3) and their mirrors at the last grid point.  This is the one-node
+    call of the batched trace that cost_ff_numeric runs on all its nodes.
     """
-    if ens.n_particles == 0:
-        return 0.0
-    u = model.units
-    l = traj.value(t)
-    ldot = traj.velocity(t)
-    ns, _, f = _occupied_levels(model, ens, l, cutoff, max_levels)
-    n_top = int(ns[-1])
-    grid = _grid_for(model, traj, l, n_top, n_points)
-    x = grid.points
-    amps = model.amplitudes(n_top, l, grid)[: ns.size]
-
-    a = u.mass * ldot / (2.0 * u.hbar * l)
-    if isinstance(model, BoxModel):
-        v = model.v0(x, l) + v_ff_box(x, t, traj, u)
-    else:
-        v = model.v0(x, l) + v_ff_ho(x, t, traj, u)
-    return _weighted_trace(amps, f, a * x * x, v, grid.dx, u.hbar**2 / (2.0 * u.mass))
+    return float(_node_traces(model, traj, np.array([float(t)]), ens, cutoff, n_points, max_levels)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -456,14 +564,12 @@ def cost_ff_numeric(
 
     Fixed-order Gauss-Legendre in time rather than adaptive quadrature: the
     trace integrand is smooth but carries a ~1e-9 grid-quadrature noise floor
-    that adaptive refinement would chase forever.
+    that adaptive refinement would chase forever.  All nodes go through one
+    batched trace (see _node_traces).
     """
     nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     ts = 0.5 * traj.t_ff * (nodes + 1.0)
-    vals = np.array(
-        [internal_energy_numeric(model, traj, float(t), ens, n_points=n_points) for t in ts]
-    )
-    return float(np.dot(weights, vals) * 0.5)
+    return float(np.dot(weights, _node_traces(model, traj, ts, ens, n_points=n_points)) * 0.5)
 
 
 def frobenius_cost(
@@ -479,33 +585,41 @@ def frobenius_cost(
     The untruncated norm diverges for quadratic drives, so a basis cutoff is
     mandatory (>= 2) and is reported with the value.  Passing an ensemble
     derives the cutoff from its occupation tail at the widest wall position.
+    At each node H = diag(E_n(1) / l^2) + c X2 with c = -(m/2) l_ddot / l and
+    X2 the trapezoid x^2 matrix on the trace grid; the integrand is called
+    once per Gauss-Legendre panel.  On the box grid X2(l) = l^2 X2(1), with
+    X2(1) taken from the l = 1 table once per chunk of nodes, so a node adds
+    only its levels x levels matrix: ||H||^2 = s0 / l^4 + 2 c s1 + c^2 l^4 s2.
+    The oscillator takes X2 from its batched stacks.
     """
     u = model.units
     if isinstance(ens_or_cutoff, ThermalEnsemble):
         ls = traj.value(np.linspace(0.0, t_ff, 17))
-        l_widest = float(np.max(ls))
-        ns, _, _ = _occupied_levels(model, ens_or_cutoff, l_widest, None, 4096)
-        m_cut = max(int(ns[-1]), 2)
+        l_widest = np.array([np.max(ls)])
+        _, _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest, None, 4096)
+        m_cut = max(int(n_top[0]), 2)
     else:
         m_cut = int(ens_or_cutoff)
     if m_cut < 2:
         raise ValueError("Frobenius cutoff must be >= 2")
+    e1 = model.energy(model.level_numbers(m_cut), 1.0)
 
-    def h_norm(t: float) -> float:
-        l = traj.value(t)
-        grid = _grid_for(model, traj, l, m_cut, n_points)
-        x = grid.points
-        amps = model.amplitudes(m_cut, l, grid)
-        ns = model.level_numbers(m_cut)
-        e = model.energy(ns, l)
-        if isinstance(model, BoxModel):
-            vff = v_ff_box(x, t, traj, u)
-        else:
-            vff = v_ff_ho(x, t, traj, u)
-        w = np.full(x.size, grid.dx)
-        w[0] = w[-1] = 0.5 * grid.dx
-        mat = (amps * w[None, :]) @ (vff[None, :] * amps).T
-        mat[np.diag_indices_from(mat)] += e
-        return float(np.sqrt(np.sum(mat * mat)))
+    def h_norm(ts: np.ndarray) -> np.ndarray:
+        l = traj.value(ts)
+        c = -0.5 * u.mass * traj.acceleration(ts) / l  # V_FF = c x^2
+        out = np.empty(ts.size)
+        for sl, xi, length, table, weight in model._trace_stacks(traj, l, np.full(ts.size, m_cut), n_points):
+            # <k|xi^2|m> on the stack's own grid by the trapezoid rule
+            w = np.ones(xi.shape)
+            w[..., [0, -1]] = 0.5
+            w *= ((xi[..., -1] - xi[..., 0]) / (n_points - 1))[..., None]
+            xi2 = (table * (w * xi * xi)[..., None, :]) @ np.swapaxes(table, -1, -2)
+            s = np.sqrt(weight)
+            h = (c[sl] * length**3)[:, None, None] * s[:, :, None] * xi2 * s[:, None, :]
+            h[:, np.arange(e1.size), np.arange(e1.size)] += e1 / (l[sl, None] * l[sl, None])
+            out[sl] = np.sqrt(np.sum(h * h, axis=(1, 2)))
+            del h, xi2, table  # free this chunk before the next one is built
+        return out
 
-    return FrobeniusCost(value=cost_ff(h_norm, t_ff, rel_tol), cutoff=m_cut)
+    val, _ = gauss_legendre(h_norm, 0.0, t_ff, rel_tol)
+    return FrobeniusCost(value=val / t_ff, cutoff=m_cut)

@@ -270,18 +270,24 @@ def v_ff_box(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL):
     return -0.5 * units.mass * traj.acceleration(t) / L * xa**2
 
 
-def _dynamical_phase_box(n: int, t: float, traj: ControlTrajectory, units: UnitSystem, tol: float) -> float:
-    if t == 0.0:
+def _dynamical_phase_box(
+    n: int, t: float, traj: ControlTrajectory, units: UnitSystem, tol: float, t0: float = 0.0
+) -> float:
+    """E_n(1) int_t0^t l^-2 ds / hbar: the dynamical phase gathered since t0."""
+    if t == t0:
         return 0.0
     pref = units.hbar * (np.pi * n) ** 2 / (2.0 * units.mass)
-    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, tol, tol)
+    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, t0, t, tol, tol)
     return pref * val
 
 
-def _dynamical_phase_ho(n: int, t: float, traj: ControlTrajectory, units: UnitSystem, tol: float) -> float:
-    if t == 0.0:
+def _dynamical_phase_ho(
+    n: int, t: float, traj: ControlTrajectory, units: UnitSystem, tol: float, t0: float = 0.0
+) -> float:
+    """(n + 1/2) int_t0^t l^-2 ds: the dynamical phase gathered since t0."""
+    if t == t0:
         return 0.0
-    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, tol, tol)
+    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, t0, t, tol, tol)
     return (n + 0.5) * val
 
 
@@ -292,19 +298,22 @@ def box_psi_ff_values(
     x: np.ndarray,
     units: UnitSystem = NATURAL,
     phase_tol: float = 1e-12,
+    *,
+    _phase_origin: float = 0.0,
 ) -> np.ndarray:
     """Accelerated box state as a smooth formula on arbitrary x.
 
     No wall clipping is applied: the expression solves the driven equation
     pointwise for every x, which is what the centered-in-time residual checks
-    need when the wall position differs across the stencil.
+    need when the wall position differs across the stencil.  _phase_origin
+    moves the start of the dynamical phase from t = 0 (a global phase).
     """
     L = traj.value(t)
     Ldot = traj.velocity(t)
     xa = np.asarray(x, dtype=float)
     amp = np.sqrt(2.0 / L) * np.sin(n * np.pi * xa / L)
     gauge = np.exp(1j * (units.mass * Ldot / (2.0 * units.hbar * L)) * xa**2)
-    dyn = np.exp(-1j * _dynamical_phase_box(n, t, traj, units, phase_tol))
+    dyn = np.exp(-1j * _dynamical_phase_box(n, t, traj, units, phase_tol, _phase_origin))
     return amp * gauge * dyn
 
 
@@ -315,15 +324,20 @@ def ho_psi_ff_values(
     x: np.ndarray,
     units: UnitSystem = NATURAL,
     phase_tol: float = 1e-12,
+    *,
+    _phase_origin: float = 0.0,
 ) -> np.ndarray:
-    """Accelerated oscillator state as a smooth formula on arbitrary x."""
+    """Accelerated oscillator state as a smooth formula on arbitrary x.
+
+    _phase_origin moves the start of the dynamical phase from t = 0 (a global phase).
+    """
     R = traj.value(t)
     Rdot = traj.velocity(t)
     xa = np.asarray(x, dtype=float)
     scale = np.sqrt(units.mass / (units.hbar * R * R))
     amp = np.sqrt(scale) * _hermite_functions(n, scale * xa)[n]
     gauge = np.exp(1j * (units.mass * Rdot / (2.0 * units.hbar * R)) * xa**2)
-    dyn = np.exp(-1j * _dynamical_phase_ho(n, t, traj, units, phase_tol))
+    dyn = np.exp(-1j * _dynamical_phase_ho(n, t, traj, units, phase_tol, _phase_origin))
     return amp * gauge * dyn
 
 

@@ -21,13 +21,18 @@ def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
 
     Upward three-term recurrence with the normalization folded in, so no
     factorials are ever formed:  h_{k+1} = xi*sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}.
+    The level axis is second to last: xi of shape (..., P) gives (..., n_max + 1, P),
+    so a stack of grids, one per row of xi, runs one recurrence.
     """
-    h = np.empty((n_max + 1, xi.size))
-    h[0] = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    xi = np.atleast_1d(xi)
+    h = np.empty(xi.shape[:-1] + (n_max + 1, xi.shape[-1]))
+    h[..., 0, :] = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
     if n_max >= 1:
-        h[1] = math.sqrt(2.0) * xi * h[0]
+        h[..., 1, :] = math.sqrt(2.0) * xi * h[..., 0, :]
     for k in range(1, n_max):
-        h[k + 1] = math.sqrt(2.0 / (k + 1.0)) * xi * h[k] - math.sqrt(k / (k + 1.0)) * h[k - 1]
+        h[..., k + 1, :] = (
+            math.sqrt(2.0 / (k + 1.0)) * xi * h[..., k, :] - math.sqrt(k / (k + 1.0)) * h[..., k - 1, :]
+        )
     return h
 
 
@@ -107,6 +112,30 @@ def box_eigenpair(n: int, L: float, grid: Grid, units: UnitSystem = NATURAL) -> 
     return EigenPair(n, box_energy(n, L, units), box_eigenstate(n, L, grid, units))
 
 
+_CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this many nodes
+_CHUNK_DOUBLES = 2**15  # and a chunk's own amplitude stack at most this many doubles
+
+
+def _node_chunks(rows: np.ndarray, n_points: int):
+    """Consecutive slices of the node axis for batched traces.
+
+    rows[i] is the number of table rows node i needs on a grid of its own (0
+    where every node shares one table).  A chunk holds at most _CHUNK_NODES
+    nodes and, past its first node, a stack of at most _CHUNK_DOUBLES doubles,
+    so batching keeps the peak memory of the one-node trace.
+    """
+    start = 0
+    while start < rows.size:
+        stop = start + 1
+        while (
+            stop < min(rows.size, start + _CHUNK_NODES)
+            and (stop + 1 - start) * max(rows[start : stop + 1]) * n_points <= _CHUNK_DOUBLES
+        ):
+            stop += 1
+        yield slice(start, stop)
+        start = stop
+
+
 @dataclass(frozen=True)
 class HarmonicModel:
     """Oscillator with frequency set by the length scale R: omega(R) = 1/R^2."""
@@ -114,8 +143,9 @@ class HarmonicModel:
     units: UnitSystem = NATURAL
     n_min: int = 0
 
-    def omega(self, R: float) -> float:
-        if R <= 0:
+    def omega(self, R):
+        # a float is compared without numpy: propagation calls v0 at every step
+        if not (R > 0 if isinstance(R, float) else np.all(np.greater(R, 0))):
             raise ValueError("R must be positive")
         return 1.0 / (R * R)
 
@@ -127,32 +157,62 @@ class HarmonicModel:
         """Level energy; an array of n gives the energies of those levels."""
         return ho_energy(n, R, self.units)
 
-    def v0(self, x: np.ndarray, R: float) -> np.ndarray:
+    def v0(self, x: np.ndarray, R) -> np.ndarray:
         w = self.omega(R)
         return 0.5 * self.units.mass * w * w * np.asarray(x) ** 2
 
-    def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
-        """Rows n = 0..n_max of grid-renormalized eigenamplitudes."""
-        x = grid.points
-        scale = np.sqrt(self.units.mass / (self.units.hbar * R * R))
-        h = _hermite_functions(n_max, scale * x)
-        h *= np.sqrt(scale)
-        edge = np.max(np.abs(h[:, [0, -1]]))
-        if edge > _EDGE_AMPLITUDE_LIMIT:
+    def _hermite_stack(self, n_top: np.ndarray, R: np.ndarray, x: np.ndarray) -> np.ndarray:
+        """Grid-renormalized eigenamplitudes of nodes with length scales R on grids x.
+
+        x is (nodes, points); the result is (nodes, levels, points), levels
+        0..max(n_top) from one recurrence.  Node i's own rows, n = 0..n_top[i],
+        must decay below 1e-6 at both ends of its grid; rows above them only
+        pad the stack of a batch and are neither checked nor used.
+        """
+        scale = np.sqrt(self.units.mass / (self.units.hbar * R * R))  # sqrt(m omega / hbar)
+        h = _hermite_functions(int(np.max(n_top)), scale[:, None] * x)
+        h *= np.sqrt(scale)[:, None, None]
+        edge = np.maximum(np.abs(h[..., 0]), np.abs(h[..., -1]))
+        edge = np.where(np.arange(h.shape[-2]) <= n_top[:, None], edge, 0.0).max(axis=1)
+        bad = np.flatnonzero(edge > _EDGE_AMPLITUDE_LIMIT)
+        if bad.size:
             raise ValueError(
-                f"grid too narrow for levels up to n={n_max}: edge amplitude {edge:.3e}"
+                f"grid too narrow for levels up to n={n_top[bad[0]]}: edge amplitude {edge[bad[0]]:.3e}"
             )
         # trapezoid row norms in one pass: dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
-        ends = h[:, 0] ** 2 + h[:, -1] ** 2
-        h /= np.sqrt(grid.dx * (np.einsum("ij,ij->i", h, h) - 0.5 * ends))[:, None]
+        dx = (x[:, -1] - x[:, 0]) / (x.shape[-1] - 1)
+        ends = h[..., 0] ** 2 + h[..., -1] ** 2
+        h /= np.sqrt(dx[:, None] * (np.einsum("ikj,ikj->ik", h, h) - 0.5 * ends))[..., None]
         return h
+
+    def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
+        """Rows n = 0..n_max of grid-renormalized eigenamplitudes."""
+        return self._hermite_stack(np.array([n_max]), np.array([R]), grid.points[None, :])[0]
+
+    def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
+        """Chunks (nodes, x, length, table, weight) of amplitude stacks at nodes l.
+
+        Each node keeps the fixed grid of default_grid, sized by the
+        trajectory's widest l and widened for the node's own top level.  That
+        grid does not scale with l (length 1), so each chunk runs one
+        recurrence over its nodes' grids; the table rows are normalized
+        (weight 1).
+        """
+        half = self._half_width(traj._l_max, n_top)
+        for sl in _node_chunks(n_top + 1, n_points):
+            x = np.linspace(-half[sl], half[sl], n_points, axis=-1)
+            ones = np.ones((x.shape[0], 1))
+            yield sl, x, ones[:, 0], self._hermite_stack(n_top[sl], l[sl], x), ones
 
     def level_numbers(self, n_max: int) -> np.ndarray:
         return np.arange(0, n_max + 1)
 
+    def _half_width(self, r_max: float, n_max):
+        return self.sigma(r_max) * (7.0 + np.sqrt(2.0 * n_max + 1.0))
+
     def default_grid(self, r_max: float, n_points: int, n_max: int = 0) -> Grid:
         """[-8 sigma, 8 sigma] widened for excited levels up to n_max."""
-        half = self.sigma(r_max) * (7.0 + np.sqrt(2.0 * n_max + 1.0))
+        half = self._half_width(r_max, n_max)
         return Grid(-half, half, n_points)
 
 
@@ -167,17 +227,35 @@ class BoxModel:
         """Level energy; an array of n gives the energies of those levels."""
         return box_energy(n, L, self.units)
 
-    def v0(self, x: np.ndarray, L: float) -> np.ndarray:
+    def v0(self, x: np.ndarray, L) -> np.ndarray:
         return np.zeros_like(np.asarray(x, dtype=float))
+
+    @staticmethod
+    def _unit_table(n_max: int, xi: np.ndarray) -> np.ndarray:
+        """Rows n = 1..n_max of sqrt(2) sin(n pi xi), the amplitudes at L = 1 (xi = x/L)."""
+        phi = np.multiply.outer(np.arange(1, n_max + 1) * np.pi, xi)
+        np.sin(phi, out=phi)
+        phi *= math.sqrt(2.0)
+        phi[:, 0] = 0.0
+        phi[:, -1] = 0.0
+        return phi
 
     def amplitudes(self, n_max: int, L: float, grid: Grid) -> np.ndarray:
         """Rows n = 1..n_max of box eigenamplitudes on a [0, L] grid."""
         _check_box_grid(grid, L)
-        n = np.arange(1, n_max + 1)[:, None]
-        phi = np.sqrt(2.0 / L) * np.sin(n * np.pi * grid.points[None, :] / L)
-        phi[:, 0] = 0.0
-        phi[:, -1] = 0.0
-        return phi
+        return self._unit_table(n_max, grid.points / L) / math.sqrt(L)
+
+    def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
+        """Chunks (nodes, xi, length, table, weight) sharing one L = 1 table.
+
+        The wall grid scales with L, x = L xi on xi in [0, 1], and
+        phi_n(x; L) = L^-1/2 phi_n(xi; 1), so one sine table built here serves
+        every node with length L and weight 1/L; no sine is evaluated per node.
+        """
+        xi = np.linspace(0.0, 1.0, n_points)
+        table = self._unit_table(int(np.max(n_top)), xi)
+        for sl in _node_chunks(np.zeros(l.size, dtype=int), n_points):
+            yield sl, xi, l[sl], table, 1.0 / l[sl, None]
 
     def level_numbers(self, n_max: int) -> np.ndarray:
         return np.arange(1, n_max + 1)

@@ -4,6 +4,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +17,7 @@ from ffqd.cli import (
     scenario_from_csv_header,
     verify,
 )
+from ffqd.spectra import HarmonicModel
 
 
 def small_box_scenario(**overrides):
@@ -214,6 +216,52 @@ def test_main_run_and_exit_codes(tmp_path):
     assert (tmp_path / "out" / "residual.csv").exists()
     # invalid override -> exit 2
     assert main(["run", str(cfg), "system=ring", "--out", str(tmp_path / "out2")]) == 2
+
+
+def test_run_writes_no_csv_when_a_later_output_fails(tmp_path):
+    # dt = 0.1 makes the fidelity propagation fail its dt * max|V| precondition
+    # after the cost curve has been computed
+    cfg = tmp_path / "ho.cfg"
+    cfg.write_text("system=harmonic\nt_ff_list=1.0\ngrid_points=128\ndt=0.1\noutputs=cost_curve,fidelity\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert not (tmp_path / "out" / "cost_curve.csv").exists()
+
+
+@pytest.mark.parametrize("system", ["harmonic", "box"])
+def test_driven_residual_matches_quad_phase_oracle(system):
+    # the same analytic state with its dynamical phase from scipy's quad over
+    # [t_mid, s]; a global phase does not change the residual
+    from scipy.integrate import quad
+
+    from ffqd import cli
+    from ffqd import fastforward as ff
+    from ffqd.core import Grid
+    from ffqd.propagator import tdse_residual
+
+    scn = small_box_scenario(system=system, ramp="polynomial", grid_points=512)
+    traj = scn.trajectory(1.0)
+    driven, _ = cli._residuals(scn, traj)
+    t_mid, dt = 0.3, 1e-5
+    if system == "harmonic":
+        grid, level, pref = cli._propagation_grid(scn, traj), 0, 0.5
+        values = ff.ho_psi_ff_values
+
+        def pot(x, t):
+            return HarmonicModel().v0(x, traj.value(t)) + ff.v_ff_ho(x, t, traj)
+
+    else:
+        grid, level, pref = Grid(0.0, traj.value(t_mid), 512), 1, 0.5 * math.pi**2
+        values = ff.box_psi_ff_values
+
+        def pot(x, t):
+            return ff.v_ff_box(x, t, traj)
+
+    def psi(s):
+        phase = pref * quad(lambda u: traj.value(u) ** -2, t_mid, s, epsabs=0.0, epsrel=1e-13)[0]
+        return values(level, s, traj, grid.points, _phase_origin=s) * np.exp(-1j * phase)
+
+    oracle = tdse_residual(psi, pot, grid, t_mid, dt)
+    assert driven == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 
 def test_console_entry_point(tmp_path):

@@ -23,11 +23,13 @@ from ffqd.cost import (
     internal_energy_ho,
     internal_energy_numeric,
     solve_mu,
+    _node_traces,
+    _solve_mu_rows,
     _weighted_trace,
 )
 from ffqd.core import Grid
-from ffqd.spectra import BoxModel, HarmonicModel, box_energy
-from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
+from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, box_energy
+from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 from helpers import box_ramp, ho_ramp
 
@@ -157,6 +159,12 @@ def test_trace_empty_ensemble():
     assert internal_energy_numeric(BoxModel(), box_ramp(), 0.5, ens) == 0.0
 
 
+@pytest.mark.parametrize("beta", [math.inf, 2.0])
+def test_trace_cutoff_must_exceed_particle_number(beta):
+    with pytest.raises(ValueError, match="n_particles"):
+        internal_energy_numeric(BoxModel(), box_ramp(), 0.5, ThermalEnsemble(beta, 3), cutoff=3)
+
+
 def test_trace_cutoff_too_small():
     ens = ThermalEnsemble(beta=1.0, n_particles=1)
     with pytest.raises(ValueError):
@@ -237,6 +245,12 @@ def test_weighted_trace_matches_complex_reference(case, kin):
     assert abs(got - ref) <= 1e-12 * scale
 
 
+def _one_ulp_reach(e, beta, n, mu):
+    """Residual that one ulp of mu can reach: beta ulp(mu) sum f (1 - f), plus the sum's rounding."""
+    f = expit(-beta * (e - mu))
+    return beta * np.spacing(abs(mu)) * float(np.sum(f * (1.0 - f))) + 2.0 * e.size * np.finfo(float).eps * n
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     st.lists(st.floats(-1e4, 1e4), min_size=2, max_size=200),
@@ -246,16 +260,93 @@ def test_weighted_trace_matches_complex_reference(case, kin):
 def test_solve_mu_matches_particle_number(energies, beta, data):
     e = np.array(energies)
     n = data.draw(st.integers(1, e.size - 1))
-    try:
-        mu = solve_mu(e, beta, n)
-    except RuntimeError:
-        # the bisection stops at a bracket of 1e-15 (1 + |mu|), across which
+    mu = solve_mu(e, beta, n)
+    residual = abs(float(np.sum(expit(-beta * (e - mu)))) - n)
+    if residual > 1e-10:
+        # the bisection stalls at a bracket of 1e-15 (1 + |mu|), across which
         # sum f can still move by beta * bracket * e.size / 4: only there may
-        # the 1e-10 residual be out of reach
+        # the 1e-10 residual be out of reach, and then the residual is what
+        # one ulp of mu can reach (plus 4 ulp per level, expit against the
+        # library's Fermi factor)
         bracket = 1e-15 * (2.0 + np.max(np.abs(e)) + 50.0 / beta)
         assert beta * bracket * e.size > 4e-11
-        return
-    assert abs(float(np.sum(expit(-beta * (e - mu)))) - n) <= 1e-10
+        assert residual <= _one_ulp_reach(e, beta, n, mu) + 4.0 * e.size * np.finfo(float).eps
+
+
+# near-degenerate spectra at large beta |mu|: the bisection used to stop at
+# a bracket of 1e-15 (1 + |mu|) with a residual above 1e-10 and raise "mu
+# bisection stalled".  Past that bracket, the first has a double with residual
+# 0 (mu = -386); the second has no double within 1e-10.
+@pytest.mark.parametrize(
+    "energies, beta, n, within_1e10",
+    [([0.0, -386.0, -386.0], 4148.0, 1, True), ([461.0, 461.0, 461.0], 9114.0, 1, False)],
+    ids=["pair_at_-386", "triple_at_461"],
+)
+def test_solve_mu_near_degenerate_spectra_no_longer_stall(energies, beta, n, within_1e10):
+    e = np.array(energies)
+    mu = solve_mu(e, beta, n)
+    residual = abs(float(np.sum(expit(-beta * (e - mu)))) - n)
+    assert (residual <= 1e-10) == within_1e10
+    assert residual <= max(1e-10, _one_ulp_reach(e, beta, n, mu))
+
+
+def test_solve_mu_one_ulp_bound_is_tight():
+    e, beta, n = np.array([461.0, 461.0, 461.0]), 9114.0, 1
+
+    def g(m):
+        return float(np.sum(expit(-beta * (e - m)))) - n
+
+    mu = solve_mu(e, beta, n)
+    other = np.nextafter(mu, math.inf if g(mu) < 0 else -math.inf)
+    # mu and its neighbour bracket the root and both miss 1e-10: no double meets it
+    assert g(mu) * g(other) < 0
+    assert min(abs(g(mu)), abs(g(other))) > 1e-10
+    assert abs(g(mu)) <= abs(g(other))
+    # the bound is the jump of sum f across that one ulp, not a wider tolerance
+    jump = abs(g(other) - g(mu))
+    assert jump <= _one_ulp_reach(e, beta, n, mu) <= 1.001 * jump
+
+
+def _bisection_before_stall_rule(e, beta, n):
+    """solve_mu as it was before the one-ulp rule; None where it raised."""
+    pad = 50.0 / beta + 1.0
+    lo, hi = e[0] - pad, e[-1] + pad
+    with np.errstate(over="ignore"):
+        excess = lambda m: float((1.0 / (np.exp(beta * (e - m)) + 1.0)).sum()) - n  # noqa: E731
+        for _ in range(200):
+            mid = 0.5 * (lo + hi)
+            g = excess(mid)
+            if abs(g) < 1e-10:
+                return mid
+            if g > 0:
+                hi = mid
+            else:
+                lo = mid
+            if hi - lo < 1e-15 * (1.0 + abs(mid)):
+                break
+        g = excess(0.5 * (lo + hi))
+    return None if abs(g) > 1e-10 else 0.5 * (lo + hi)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.integers(1, 12),
+    st.integers(2, 40),
+    st.integers(0, 2**32 - 1),
+    st.sampled_from([1.0, 30.0, 1e3]),
+    st.one_of(st.just(math.inf), st.floats(1e-2, 1e3)),
+    st.data(),
+)
+def test_row_wise_mu_is_bit_identical_to_solve_mu(rows, levels, seed, spread, beta, data):
+    # rounded energies give degenerate levels, so stalled rows are drawn too
+    e = np.sort(np.round(np.random.default_rng(seed).normal(scale=spread, size=(rows, levels))), axis=1)
+    n = data.draw(st.integers(1, levels - 1))
+    mu = _solve_mu_rows(e, beta, n)
+    for row, m in zip(e, mu):
+        assert m == solve_mu(row, beta, n)
+        before = math.inf if math.isinf(beta) else _bisection_before_stall_rule(row, beta, n)
+        if before not in (None, math.inf):
+            assert m == before
 
 
 # cost_ff_numeric at the 1 -> 10 ramps over T = 1, 64 nodes, 1024 points, as
@@ -377,6 +468,93 @@ def test_cost_ff_numeric_matches_quadrature_of_trace():
     assert fast == pytest.approx(ref, rel=1e-6)
 
 
+def _per_node_trace(model, traj, t, ens, cutoff, n_points):
+    """The thermal trace one node at a time, as the one-node path formed it.
+
+    Per-node energies E_n(l), a scalar mu, the node's own grid and amplitude
+    table (sines at L, or grid-normalized Hermite functions), the drive
+    -(m/2)(l_ddot/l) x^2, and the complex-table trace of the reference above.
+    Returns (trace, scale) or raises ValueError like the library.
+    """
+    u = model.units
+    l, ldot, lddot = traj.value(t), traj.velocity(t), traj.acceleration(t)
+    n_max = cutoff if cutoff is not None else max(4 * ens.n_particles + 16, 64)
+    while True:
+        ns = model.level_numbers(n_max)
+        e = model.energy(ns, l)
+        mu = solve_mu(e, ens.beta, ens.n_particles)
+        f = fermi_occupation(e, ThermalEnsemble(ens.beta, ens.n_particles, mu))
+        if f[-1] < 1e-12:
+            break
+        if cutoff is not None:
+            raise ValueError("cutoff too small")
+        n_max *= 2
+    if cutoff is None:
+        keep = max(int(np.max(np.nonzero(f >= 1e-12)[0], initial=0)) + 2, ens.n_particles + 1)
+        ns, f = ns[: min(keep, f.size)], f[: min(keep, f.size)]
+    if isinstance(model, BoxModel):
+        grid = Grid(0.0, l, n_points)
+        amps = np.sqrt(2.0 / l) * np.sin(ns[:, None] * np.pi * grid.points / l)
+        amps[:, [0, -1]] = 0.0
+    else:
+        grid = model.default_grid(traj._l_max, n_points, n_max=int(ns[-1]))
+        scale = np.sqrt(u.mass / (u.hbar * l * l))
+        amps = _hermite_functions(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
+        amps /= np.sqrt(np.trapezoid(amps * amps, dx=grid.dx, axis=1))[:, None]
+    x = grid.points
+    v = model.v0(x, l) - 0.5 * u.mass * lddot / l * x * x
+    a = u.mass * ldot / (2.0 * u.hbar * l)
+    return _complex_trace_reference(amps, f, a, x, v, grid.dx, u.hbar**2 / (2.0 * u.mass))
+
+
+@st.composite
+def _trace_scenarios(draw):
+    box = draw(st.booleans())
+    kind = draw(st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]))
+    l0 = draw(st.floats(0.5, 1.5))
+    l1 = draw(st.floats(0.5, 6.0) if box else st.floats(0.3, 1.5))
+    t_ff = draw(st.floats(0.2, 3.0))
+    traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff))
+    beta = draw(st.one_of(st.just(math.inf), st.floats(0.5, 5.0)))
+    ens = ThermalEnsemble(beta=beta, n_particles=draw(st.integers(1, 12)))
+    cutoff = draw(st.one_of(st.none(), st.integers(ens.n_particles + 1, 120)))
+    n_nodes = draw(st.integers(1, 20).filter(lambda k: k % 8))
+    model = BoxModel() if box else HarmonicModel()
+    return model, traj, ens, cutoff, n_nodes, draw(st.sampled_from([64, 160, 256]))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_trace_scenarios())
+def test_batched_trace_matches_per_node_reference(scenario):
+    model, traj, ens, cutoff, n_nodes, n_points = scenario
+    ts = 0.5 * traj.t_ff * (np.polynomial.legendre.leggauss(n_nodes)[0] + 1.0)
+    try:
+        refs = [_per_node_trace(model, traj, float(t), ens, cutoff, n_points) for t in ts]
+    except ValueError:
+        with pytest.raises(ValueError):
+            _node_traces(model, traj, ts, ens, cutoff, n_points)
+        return
+    got = _node_traces(model, traj, ts, ens, cutoff, n_points)
+    for g, (ref, scale) in zip(got, refs):
+        assert abs(g - ref) <= 1e-12 * scale
+    if cutoff is None:
+        weights = np.polynomial.legendre.leggauss(n_nodes)[1]
+        assert cost_ff_numeric(model, traj, ens, n_nodes, n_points) == 0.5 * float(np.dot(weights, got))
+
+
+def test_batched_edge_check_sees_each_nodes_own_rows_only():
+    model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)  # grids sized for the widest l = 1
+    # node 0 needs levels up to 2, node 1 up to 60: one chunk, one recurrence
+    ((sl, x, _, table, _),) = model._trace_stacks(traj, np.array([1.0, 1.0]), np.array([2, 60]), 64)
+    assert sl == slice(0, 2)
+    # node 0's padded rows leak at the edge of its narrow grid and do not raise
+    assert np.max(np.abs(table[0, 3:, [0, -1]])) > 1e-6
+    assert np.max(np.abs(table[0, :3, [0, -1]])) < 1e-6
+    # a node whose own rows leak raises inside the same batch
+    with pytest.raises(ValueError, match="grid too narrow for levels up to n=2"):
+        list(model._trace_stacks(traj, np.array([1.0, 3.0, 1.0]), np.array([2, 2, 60]), 64))
+
+
 # ---------------------------------------------------------------------------
 # Frobenius cost
 
@@ -395,14 +573,8 @@ def test_frobenius_static_diagonal():
     assert got.cutoff == 4
 
 
-def test_frobenius_box_x2_matrix_elements_match_analytic():
-    # grid quadrature of <m|x^2|n> against the closed-form sine integrals
-    L = 4.6
-    grid = Grid(0.0, L, 2048)
-    amps = BoxModel().amplitudes(10, L, grid)
-    w = np.full(grid.n_points, grid.dx)
-    w[0] = w[-1] = 0.5 * grid.dx
-    numeric = (amps * w) @ (grid.points**2 * amps).T
+def _box_x2_exact(L, n_max):
+    """<m|x^2|n> of the box eigenstates, m, n = 1..n_max, from the closed-form sine integrals."""
 
     def analytic(m, n):
         if m == n:
@@ -410,8 +582,37 @@ def test_frobenius_box_x2_matrix_elements_match_analytic():
         sign = (-1.0) ** (m + n)
         return (2.0 * L * L / np.pi**2) * sign * (1.0 / (m - n) ** 2 - 1.0 / (m + n) ** 2)
 
-    exact = np.array([[analytic(m, n) for n in range(1, 11)] for m in range(1, 11)])
-    np.testing.assert_allclose(numeric, exact, atol=1e-8)
+    return np.array([[analytic(m, n) for n in range(1, n_max + 1)] for m in range(1, n_max + 1)])
+
+
+def _box_x2_grid(L, n_max, n_points):
+    """<m|x^2|n> by the trapezoid rule on the node's own [0, L] grid."""
+    grid = Grid(0.0, L, n_points)
+    amps = BoxModel().amplitudes(n_max, L, grid)
+    w = np.full(grid.n_points, grid.dx)
+    w[0] = w[-1] = 0.5 * grid.dx
+    return (amps * w) @ (grid.points**2 * amps).T
+
+
+def test_frobenius_box_x2_matrix_elements_match_analytic():
+    # grid quadrature of <m|x^2|n> against the closed-form sine integrals
+    np.testing.assert_allclose(_box_x2_grid(4.6, 10, 2048), _box_x2_exact(4.6, 10), atol=1e-8)
+
+
+def test_box_frobenius_from_unit_table_matches_per_node_forms():
+    traj, m_cut, n_points = box_ramp(POLYNOMIAL), 12, 1024
+    ns = np.arange(1, m_cut + 1)
+
+    def h_norm(t, x2_of_l):
+        l = traj.value(t)
+        h = -0.5 * traj.acceleration(t) / l * x2_of_l(l) + np.diag(box_energy(ns, l))
+        return float(np.sqrt(np.sum(h * h)))
+
+    got = frobenius_cost(BoxModel(), traj, m_cut, traj.t_ff, n_points=n_points, rel_tol=1e-10).value
+    per_node_grid = cost_ff(lambda t: h_norm(t, lambda l: _box_x2_grid(l, m_cut, n_points)), traj.t_ff)
+    exact = cost_ff(lambda t: h_norm(t, lambda l: _box_x2_exact(l, m_cut)), traj.t_ff)
+    assert got == pytest.approx(per_node_grid, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(exact, rel=1e-7, abs=0.0)
 
 
 def test_frobenius_cutoff_from_ensemble():
