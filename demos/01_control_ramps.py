@@ -1,22 +1,15 @@
-"""Control ramps and the advanced-time map.
+"""Control ramps.
 
 Both confinement models are driven by the same ramp shapes: the box wall L(t)
 and the oscillator length scale R(t) = sqrt(1/omega(t)).  The two smooth
 ramps start and end at rest, which is what later makes the boundary term of
 the cost integration-by-parts vanish.  A slow linear ramp is the quasi-static
-reference: the accelerated protocol revisits its configurations at the
-advanced time Lambda(t).
+reference the accelerated protocol is compared with.
 """
 
 import numpy as np
 
-from ffqd.trajectory import (
-    POLYNOMIAL,
-    TRIGONOMETRIC,
-    AdvancedTime,
-    ControlTrajectory,
-    vbar_for_target,
-)
+from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 T = 1.0
 ramps = {
@@ -33,13 +26,6 @@ for kind, traj in ramps.items():
             f"  l_ddot={traj.acceleration(t):9.4f}"
         )
     assert traj.velocity(0.0) == 0.0 and traj.velocity(T) == 0.0
-
-# a uniform magnification alpha compresses the slow schedule: with
-# alpha = 10 the accelerated run visits in t what the reference reaches at 10 t
-adv = AdvancedTime(alpha=lambda t: 10.0, epsilon=0.01)
-print("\nuniform magnification x10: Lambda(t) = 10 t")
-for t in (0.0, 0.5, 1.0):
-    print(f"  t={t:4.2f}  Lambda={adv.lam(t):5.2f}  v = eps*alpha = {adv.v(t):g}")
 
 try:
     import matplotlib

@@ -11,26 +11,28 @@ believes the closed forms only because this run says so.
 import numpy as np
 
 from ffqd.core import Grid
-from ffqd.fastforward import psi_ff_box, v_ff_box
+from ffqd.fastforward import psi_ff, v_ff
 from ffqd.propagator import DirichletMovingWall, PropagationSpec, fidelity, propagate
+from ffqd.spectra import BoxModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 T = 1.0
+BOX = BoxModel()
 N_POINTS = 1024
 DT = 1e-4
 
 for kind in (POLYNOMIAL, TRIGONOMETRIC):
     traj = ControlTrajectory(kind, 1.0, T, vbar=vbar_for_target(kind, 1.0, 10.0, T))
     grid = Grid(0.0, 1.0, N_POINTS)
-    psi0 = psi_ff_box(1, 0.0, traj, grid)
+    psi0 = psi_ff(BOX, 1, 0.0, traj, grid)
 
     spec = PropagationSpec(
         grid, DT, T,
-        lambda x, t, traj=traj: v_ff_box(x, min(t, T), traj),
+        lambda x, t, traj=traj: v_ff(x, min(t, T), traj),
         DirichletMovingWall(traj),
     )
     out = propagate(psi0, spec)
-    target = psi_ff_box(1, T, traj, out.grid)
+    target = psi_ff(BOX, 1, T, traj, out.grid)
     fid = fidelity(out, target)
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
 

@@ -9,7 +9,7 @@ the drive included and orders of magnitude larger without it.
 
 import numpy as np
 
-from ffqd.fastforward import ho_psi_ff_values, psi_ff_ho, v_ff_ho
+from ffqd.fastforward import psi_ff, psi_ff_values, v_ff
 from ffqd.propagator import PropagationSpec, fidelity, propagate, tdse_residual
 from ffqd.spectra import HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, ControlTrajectory, vbar_for_target
@@ -23,21 +23,21 @@ grid = model.default_grid(R0, 1024)
 
 def driven(x, t):
     tc = min(t, T)
-    return model.v0(x, traj.value(tc)) + v_ff_ho(x, tc, traj)
+    return model.v0(x, traj.value(tc)) + v_ff(x, tc, traj)
 
 
 def undriven(x, t):
     return model.v0(x, traj.value(min(t, T)))
 
 
-psi0 = psi_ff_ho(0, 0.0, traj, grid)
-target = psi_ff_ho(0, T, traj, grid)
+psi0 = psi_ff(model, 0, 0.0, traj, grid)
+target = psi_ff(model, 0, T, traj, grid)
 out = propagate(psi0, PropagationSpec(grid, 1e-4, T, driven))
 out0 = propagate(psi0, PropagationSpec(grid, 1e-4, T, undriven))
 print(f"driven fidelity   : {fidelity(out, target):.10f}")
 print(f"undriven fidelity : {fidelity(out0, target):.6f}")
 
-psi_fn = lambda s: ho_psi_ff_values(0, s, traj, grid.points)
+psi_fn = lambda s: psi_ff_values(model, 0, s, traj, grid.points)
 r = tdse_residual(psi_fn, driven, grid, 0.3, 1e-5)
 r0 = tdse_residual(psi_fn, undriven, grid, 0.3, 1e-5)
 print(f"equation residual at t = 0.3: driven {r:.2e}, undriven {r0:.2e} ({r0/r:.0f}x)")

@@ -3,9 +3,9 @@
 Library layout:
 
   core         units, grids, complex fields, inner products
-  trajectory   control ramps l(t) and the advanced-time map
-  spectra      frozen-parameter eigenproblem for oscillator and box
-  fastforward  regularization phase, driving potential, accelerated states
+  trajectory   control ramps l(t)
+  spectra      the two scale-invariant traps: level energies, potentials, amplitude tables
+  fastforward  regularization phase, driving potential, accelerated states of either trap
   propagator   Crank-Nicolson oracle for the driven Schroedinger equation
   cost         thermal traces, closed-form energy costs, Frobenius cost
   ie           inverse-engineering comparison protocol (Ermakov machinery)
@@ -17,39 +17,21 @@ from .trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,
     TRIGONOMETRIC,
-    AdvancedTime,
     ControlTrajectory,
-    advanced_time,
     vbar_for_target,
 )
-from .spectra import (
-    BoxModel,
-    EigenPair,
-    HarmonicModel,
-    box_eigenpair,
-    box_eigenstate,
-    box_energy,
-    ho_eigenpair,
-    ho_eigenstate,
-    ho_energy,
-)
+from .spectra import BoxModel, HarmonicModel
 from .fastforward import (
-    FastForwardFields,
     PhaseFunctions,
     RegularizationSingularity,
-    box_fast_forward_fields,
-    box_psi_ff_values,
     continuity_residual,
     dtheta_dx_numeric,
-    ho_fast_forward_fields,
-    ho_psi_ff_values,
-    psi_ff_box,
-    psi_ff_ho,
+    psi_ff,
+    psi_ff_values,
     scaling_phase_functions,
     theta_numeric,
-    v_ff_box,
+    v_ff,
     v_ff_generic,
-    v_ff_ho,
     v_tilde,
 )
 from .propagator import (

@@ -21,8 +21,6 @@ import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
 
-import numpy as np
-
 from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
@@ -36,7 +34,7 @@ from .propagator import (
     propagate,
     tdse_residual,
 )
-from .spectra import HarmonicModel
+from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,
@@ -101,6 +99,8 @@ class Scenario:
             raise ValueError(f"beta must be positive (inf for zero temperature), got {self.beta!r}")
         if self.n_particles < 1:
             raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
+        if self.grid_points < 8:
+            raise ValueError(f"grid_points must be >= 8, got {self.grid_points}")
 
     # -- geometry ----------------------------------------------------------
     def control_endpoints(self) -> tuple[float, float]:
@@ -191,44 +191,39 @@ def scenario_from_csv_header(path) -> Scenario:
 # ---------------------------------------------------------------------------
 # per-sweep-entry computations
 
-def _propagation_grid(scn: Scenario, traj: ControlTrajectory) -> Grid:
+def _system(scn: Scenario, traj: ControlTrajectory, t: float):
+    """(model, grid at time t, boundary) of the scenario's trap.
+
+    The oscillator keeps one fixed grid sized by the widest l of the ramp;
+    the box grid spans [0, L(t)] and its wall moves with the ramp.
+    """
     if scn.system == "harmonic":
-        return HarmonicModel().default_grid(traj._l_max, scn.grid_points)
-    return Grid(0.0, traj.value(0.0), scn.grid_points)
+        model = HarmonicModel()
+        return model, model.default_grid(traj._l_max, scn.grid_points), DirichletFixed()
+    return BoxModel(), Grid(0.0, traj.value(t), scn.grid_points), DirichletMovingWall(traj)
 
 
 def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, snapshot_path=None):
     """Propagate the tracked level and return (fidelity vs target, norm error)."""
-    grid = _propagation_grid(scn, traj)
+    model, grid, boundary = _system(scn, traj, 0.0)
+    n = model.n_min
     T = traj.t_ff
-    if scn.system == "harmonic":
-        model = HarmonicModel()
-        psi0 = ff.psi_ff_ho(0, 0.0, traj, grid)
-        target = ff.psi_ff_ho(0, T, traj, grid)
 
-        def potential(x, t):
-            tc = min(t, T)
-            v = model.v0(x, traj.value(tc))
-            if driven:
-                v = v + ff.v_ff_ho(x, tc, traj)
-            return v
+    def potential(x, t):
+        tc = min(t, T)
+        l = traj.value(tc)
+        v = model.v0(x, l)
+        return v + ff.v_ff(x, tc, traj, l=l) if driven else v
 
-        spec = PropagationSpec(grid, scn.dt, T, potential, DirichletFixed())
-    else:
-        psi0 = ff.psi_ff_box(1, 0.0, traj, grid)
-
-        def potential(x, t):
-            if not driven:
-                return np.zeros_like(x)
-            return ff.v_ff_box(x, min(t, T), traj)
-
-        spec = PropagationSpec(grid, scn.dt, T, potential, DirichletMovingWall(traj))
     n_steps = max(1, int(round(T / scn.dt)))
     stride = max(1, n_steps // 8)
-    out = propagate(psi0, spec, snapshot_path=snapshot_path, snapshot_stride=stride if snapshot_path else 0)
-    if scn.system == "box":
-        target = ff.psi_ff_box(1, T, traj, out.grid)
-    return fidelity(out, target), abs(norm(out) - 1.0)
+    out = propagate(
+        ff.psi_ff(model, n, 0.0, traj, grid),
+        PropagationSpec(grid, scn.dt, T, potential, boundary),
+        snapshot_path=snapshot_path,
+        snapshot_stride=stride if snapshot_path else 0,
+    )
+    return fidelity(out, ff.psi_ff(model, n, T, traj, out.grid)), abs(norm(out) - 1.0)
 
 
 def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
@@ -243,31 +238,17 @@ def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
     T = traj.t_ff
     t_mid = 0.3 * T
     dt = min(1e-5, 0.1 * T)
-    if scn.system == "harmonic":
-        model = HarmonicModel()
-        grid = _propagation_grid(scn, traj)
+    model, grid, _ = _system(scn, traj, t_mid)
+    n = model.n_min
 
-        def psi(s):
-            return ff.ho_psi_ff_values(0, s, traj, grid.points, _phase_origin=t_mid)
+    def psi(s):
+        return ff.psi_ff_values(model, n, s, traj, grid.points, _phase_origin=t_mid)
 
-        def pot(x, t):
-            return model.v0(x, traj.value(t)) + ff.v_ff_ho(x, t, traj)
+    def pot_no_drive(x, t):
+        return model.v0(x, traj.value(t))
 
-        def pot_no_drive(x, t):
-            return model.v0(x, traj.value(t))
-
-    else:
-        L_mid = traj.value(t_mid)
-        grid = Grid(0.0, L_mid, scn.grid_points)
-
-        def psi(s):
-            return ff.box_psi_ff_values(1, s, traj, grid.points, _phase_origin=t_mid)
-
-        def pot(x, t):
-            return ff.v_ff_box(x, t, traj)
-
-        def pot_no_drive(x, t):
-            return np.zeros_like(x)
+    def pot(x, t):
+        return pot_no_drive(x, t) + ff.v_ff(x, t, traj)
 
     driven = tdse_residual(psi, pot, grid, t_mid, dt)
     undriven = tdse_residual(psi, pot_no_drive, grid, t_mid, dt)

@@ -43,7 +43,7 @@ import numpy as np
 
 from ._numutil import gauss_legendre
 from .core import NATURAL, UnitSystem
-from .spectra import BoxModel, HarmonicModel
+from .spectra import Model
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
@@ -268,9 +268,6 @@ def internal_energy_box(traj: ControlTrajectory, t: float, ens: ThermalEnsemble)
 
 # ---------------------------------------------------------------------------
 # numeric thermal trace (the oracle the closed forms are judged against)
-
-Model = Union[HarmonicModel, BoxModel]
-
 
 def _weighted_trace(
     amps: np.ndarray, f: np.ndarray, theta: np.ndarray, v: np.ndarray, dx, kin: float

@@ -6,9 +6,13 @@ The machinery has two layers that validate each other:
   gradient is the weighted running integral of the parameter derivative of
   the probability density, and the driving potential is assembled from the
   generic five-term expression in the phase functions;
-* closed forms for the two confinement models, where the phase collapses to
-  theta = (m/2 hbar) x^2 / l and the driving potential to the quadratic
-  -(m/2)(l_ddot/l) x^2.
+* closed forms shared by the scale-invariant traps V0 = l^-2 U(x/l), the box
+  and the oscillator: the phase collapses to theta = (m/2 hbar) x^2 / l, the
+  driving potential to the quadratic -(m/2)(l_ddot/l) x^2 (v_ff), and the
+  accelerated state of level n to l^-1/2 phi_n(x/l; 1) times the gauge
+  factor exp(i (m/2 hbar)(l_dot/l) x^2) and the dynamical phase
+  E_n(1)/hbar int l^-2 dt (psi_ff on a grid, psi_ff_values on any x).  The
+  model supplies only phi_n and E_n(1).
 
 Both models carry real eigenamplitudes, so eta = 0 and the first-order
 regularizing potential vanishes identically; the generic evaluators still
@@ -17,6 +21,7 @@ accept complex states.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable
 
@@ -24,7 +29,7 @@ import numpy as np
 
 from ._numutil import cumint, gauss_legendre, grad4
 from .core import NATURAL, ComplexField, Grid, UnitSystem
-from .spectra import _hermite_functions, box_eigenstate, ho_eigenstate
+from .spectra import Model
 from .trajectory import ControlTrajectory
 
 # density below this is treated as an exact zero of the amplitude
@@ -34,6 +39,8 @@ _INTEGRAL_REL_TOL = 1e-8
 # the ratio integral/density is ill-conditioned below this fraction of the peak
 # density; such points are bridged by the smooth limit instead of divided out
 _DENSITY_FLOOR_REL = 3e-4
+# absolute and relative tolerance of the dynamical-phase integral int l^-2 dt
+_PHASE_TOL = 1e-12
 
 
 class RegularizationSingularity(RuntimeError):
@@ -255,164 +262,56 @@ def v_ff_generic(
     )
 
 
-def v_ff_ho(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL):
-    """Closed-form oscillator drive -(m/2)(R_ddot/R) x^2."""
-    R = traj.value(t)
-    return -0.5 * units.mass * traj.acceleration(t) / R * np.asarray(x, dtype=float) ** 2
+def v_ff(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL, *, l: float | None = None):
+    """Closed-form drive -(m/2)(l_ddot/l) x^2, the same for every scale-invariant trap.
+
+    l is l(t) when the caller has it already (the per-step potentials do).
+    """
+    if l is None:
+        l = traj.value(t)
+    return -0.5 * units.mass * traj.acceleration(t) / l * np.asarray(x, dtype=float) ** 2
 
 
-def v_ff_box(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL):
-    """Closed-form box drive -(m/2)(L_ddot/L) x^2, defined inside [0, L(t)] only."""
-    L = traj.value(t)
-    xa = np.asarray(x, dtype=float)
-    if xa.size and (xa.min() < -1e-12 * L or xa.max() > L * (1.0 + 1e-12)):
-        raise ValueError(f"x outside the box [0, {L}]")
-    return -0.5 * units.mass * traj.acceleration(t) / L * xa**2
-
-
-def _dynamical_phase_box(
-    n: int, t: float, traj: ControlTrajectory, units: UnitSystem, tol: float, t0: float = 0.0
-) -> float:
-    """E_n(1) int_t0^t l^-2 ds / hbar: the dynamical phase gathered since t0."""
+def _dynamical_phase(model: Model, n: int, t: float, traj: ControlTrajectory, t0: float = 0.0) -> float:
+    """E_n(1)/hbar int_t0^t l^-2 ds: the dynamical phase gathered since t0, as E_n(l) = E_n(1)/l^2."""
+    e1 = model.energy(n, 1.0)  # also rejects n below the model's lowest level
     if t == t0:
         return 0.0
-    pref = units.hbar * (np.pi * n) ** 2 / (2.0 * units.mass)
-    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, t0, t, tol, tol)
-    return pref * val
+    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, t0, t, _PHASE_TOL, _PHASE_TOL)
+    return e1 / model.units.hbar * val
 
 
-def _dynamical_phase_ho(
-    n: int, t: float, traj: ControlTrajectory, units: UnitSystem, tol: float, t0: float = 0.0
-) -> float:
-    """(n + 1/2) int_t0^t l^-2 ds: the dynamical phase gathered since t0."""
-    if t == t0:
-        return 0.0
-    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, t0, t, tol, tol)
-    return (n + 0.5) * val
+def _gauge(units: UnitSystem, traj: ControlTrajectory, t: float, l: float, x: np.ndarray) -> np.ndarray:
+    """exp(i theta) with theta = (m/2 hbar)(l_dot/l) x^2."""
+    return np.exp(1j * (units.mass * traj.velocity(t) / (2.0 * units.hbar * l)) * x**2)
 
 
-def box_psi_ff_values(
-    n: int,
-    t: float,
-    traj: ControlTrajectory,
-    x: np.ndarray,
-    units: UnitSystem = NATURAL,
-    phase_tol: float = 1e-12,
-    *,
-    _phase_origin: float = 0.0,
+def psi_ff(model: Model, n: int, t: float, traj: ControlTrajectory, grid: Grid) -> ComplexField:
+    """Accelerated state of level n on a grid: the model's amplitude row at l(t) with both phases.
+
+    The model checks the grid: a box grid must span exactly [0, L(t)], and an
+    oscillator grid must hold the state (edge amplitude below 1e-6), which is
+    then renormalized on it.
+    """
+    dyn = _dynamical_phase(model, n, t, traj)
+    l = traj.value(t)
+    amp = model.amplitudes(n, l, grid)[n - model.n_min]
+    return ComplexField(grid, amp * _gauge(model.units, traj, t, l, grid.points) * np.exp(-1j * dyn))
+
+
+def psi_ff_values(
+    model: Model, n: int, t: float, traj: ControlTrajectory, x, *, _phase_origin: float = 0.0
 ) -> np.ndarray:
-    """Accelerated box state as a smooth formula on arbitrary x.
+    """Accelerated state of level n as the smooth formula l^-1/2 phi_n(x/l; 1) on arbitrary x.
 
-    No wall clipping is applied: the expression solves the driven equation
-    pointwise for every x, which is what the centered-in-time residual checks
-    need when the wall position differs across the stencil.  _phase_origin
-    moves the start of the dynamical phase from t = 0 (a global phase).
+    No grid check, wall clipping or renormalization: the expression solves
+    the driven equation pointwise for every x, which is what the
+    centered-in-time residual needs when the wall moves across the stencil.
+    _phase_origin moves the start of the dynamical phase from t = 0 (a
+    global phase).
     """
-    L = traj.value(t)
-    Ldot = traj.velocity(t)
+    dyn = _dynamical_phase(model, n, t, traj, _phase_origin)
+    l = traj.value(t)
     xa = np.asarray(x, dtype=float)
-    amp = np.sqrt(2.0 / L) * np.sin(n * np.pi * xa / L)
-    gauge = np.exp(1j * (units.mass * Ldot / (2.0 * units.hbar * L)) * xa**2)
-    dyn = np.exp(-1j * _dynamical_phase_box(n, t, traj, units, phase_tol, _phase_origin))
-    return amp * gauge * dyn
-
-
-def ho_psi_ff_values(
-    n: int,
-    t: float,
-    traj: ControlTrajectory,
-    x: np.ndarray,
-    units: UnitSystem = NATURAL,
-    phase_tol: float = 1e-12,
-    *,
-    _phase_origin: float = 0.0,
-) -> np.ndarray:
-    """Accelerated oscillator state as a smooth formula on arbitrary x.
-
-    _phase_origin moves the start of the dynamical phase from t = 0 (a global phase).
-    """
-    R = traj.value(t)
-    Rdot = traj.velocity(t)
-    xa = np.asarray(x, dtype=float)
-    scale = np.sqrt(units.mass / (units.hbar * R * R))
-    amp = np.sqrt(scale) * _hermite_functions(n, scale * xa)[n]
-    gauge = np.exp(1j * (units.mass * Rdot / (2.0 * units.hbar * R)) * xa**2)
-    dyn = np.exp(-1j * _dynamical_phase_ho(n, t, traj, units, phase_tol, _phase_origin))
-    return amp * gauge * dyn
-
-
-def psi_ff_box(
-    n: int,
-    t: float,
-    traj: ControlTrajectory,
-    grid: Grid,
-    units: UnitSystem = NATURAL,
-    phase_tol: float = 1e-12,
-) -> ComplexField:
-    """Accelerated box state on a grid spanning exactly [0, L(t)]."""
-    L = traj.value(t)
-    Ldot = traj.velocity(t)
-    phi = box_eigenstate(n, L, grid, units)
-    x = grid.points
-    gauge = np.exp(1j * (units.mass * Ldot / (2.0 * units.hbar * L)) * x**2)
-    dyn = np.exp(-1j * _dynamical_phase_box(n, t, traj, units, phase_tol))
-    return ComplexField(grid, phi.values * gauge * dyn)
-
-
-def psi_ff_ho(
-    n: int,
-    t: float,
-    traj: ControlTrajectory,
-    grid: Grid,
-    units: UnitSystem = NATURAL,
-    phase_tol: float = 1e-12,
-) -> ComplexField:
-    """Accelerated oscillator state on a fixed grid."""
-    R = traj.value(t)
-    Rdot = traj.velocity(t)
-    phi = ho_eigenstate(n, R, grid, units)
-    x = grid.points
-    gauge = np.exp(1j * (units.mass * Rdot / (2.0 * units.hbar * R)) * x**2)
-    dyn = np.exp(-1j * _dynamical_phase_ho(n, t, traj, units, phase_tol))
-    return ComplexField(grid, phi.values * gauge * dyn)
-
-
-@dataclass(frozen=True)
-class FastForwardFields:
-    """Bundle of the fields attached to one accelerated level of one model.
-
-    theta/eta/v_tilde are functions of (x, l); v_ff of (x, t); psi_ff maps
-    (t, grid) to the accelerated state.
-    """
-
-    theta: Callable[[np.ndarray, float], np.ndarray]
-    eta: Callable[[np.ndarray, float], np.ndarray]
-    v_tilde: Callable[[np.ndarray, float], np.ndarray]
-    v_ff: Callable[[np.ndarray, float], np.ndarray]
-    psi_ff: Callable[[float, Grid], ComplexField]
-
-
-def _zero_xl(x, l):
-    return np.zeros_like(np.asarray(x, dtype=float))
-
-
-def box_fast_forward_fields(n: int, traj: ControlTrajectory, units: UnitSystem = NATURAL) -> FastForwardFields:
-    ph = scaling_phase_functions(units)
-    return FastForwardFields(
-        theta=ph.theta,
-        eta=_zero_xl,
-        v_tilde=_zero_xl,
-        v_ff=lambda x, t: v_ff_box(x, t, traj, units),
-        psi_ff=lambda t, grid: psi_ff_box(n, t, traj, grid, units),
-    )
-
-
-def ho_fast_forward_fields(n: int, traj: ControlTrajectory, units: UnitSystem = NATURAL) -> FastForwardFields:
-    ph = scaling_phase_functions(units)
-    return FastForwardFields(
-        theta=ph.theta,
-        eta=_zero_xl,
-        v_tilde=_zero_xl,
-        v_ff=lambda x, t: v_ff_ho(x, t, traj, units),
-        psi_ff=lambda t, grid: psi_ff_ho(n, t, traj, grid, units),
-    )
+    amp = model._unit_amplitudes(n, xa / l)[n - model.n_min] / math.sqrt(l)
+    return amp * _gauge(model.units, traj, t, l, xa) * np.exp(-1j * dyn)

@@ -1,5 +1,11 @@
 """Inverse-engineering comparison protocol for the oscillator.
 
+The Ermakov design below reads the frequency ramp omega^2(t) off the
+scaling function b(t), so it needs a trap whose control is the frequency of
+a quadratic potential, U(xi) proportional to xi^2.  It therefore stays
+oscillator-only and is not generalised to the scale-invariant family of
+spectra.py; the box has no inverse-engineering counterpart here.
+
 A scaling function b(t) is prescribed as the unique quintic with
 b(0) = 1, b(T) = sqrt(omega0/omegaF) and vanishing first and second
 derivatives at both ends; the frequency ramp is then read off the auxiliary
@@ -115,16 +121,3 @@ def cost_ie(sol: ErmakovSolution, beta: float, rel_tol: float = 1e-10) -> float:
     val, _ = gauss_legendre(lambda s: h_ie_expectation(sol, s, beta), 0.0, sol.t_ff, rel_tol)
     return val / sol.t_ff
 
-
-def write_profile_csv(sol: ErmakovSolution, beta: float, path, n_samples: int = 201) -> None:
-    """Dump (t, b, b_dot, omega^2, <H_IE>) rows for plotting or inspection."""
-    ts = np.linspace(0.0, sol.t_ff, n_samples)
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# omega0={sol.omega0:.14e}\n# omegaF={sol.omegaF:.14e}\n")
-        fh.write(f"# t_ff={sol.t_ff:.14e}\n# beta={beta:.14e}\n")
-        fh.write("t,b,b_dot,omega_sq,h_ie\n")
-        for t in ts:
-            fh.write(
-                f"{t:.14e},{sol.b(float(t)):.14e},{sol.b_dot(float(t)):.14e},"
-                f"{sol.omega_sq(float(t)):.14e},{h_ie_expectation(sol, float(t), beta):.14e}\n"
-            )

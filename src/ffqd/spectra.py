@@ -1,17 +1,21 @@
 """Frozen-parameter eigenproblem for the two confinement models.
 
-Both models have real eigenamplitudes (the phase eta of the general scheme
-vanishes identically), so everything here returns real-valued fields.
+Both are scale-invariant traps, V0(x; l) = l^-2 U(x/l), so
+E_n(l) = E_n(1) / l^2 and phi_n(x; l) = l^-1/2 phi_n(x/l; 1).  A model
+supplies its level energies, its potential and its amplitude tables; the
+amplitudes are real (the phase eta of the general scheme vanishes
+identically).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Union
 
 import numpy as np
 
-from .core import NATURAL, ComplexField, Grid, UnitSystem
+from .core import NATURAL, Grid, UnitSystem
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6  # oscillator grids must decay below this at the boundary
 
@@ -36,94 +40,28 @@ def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
     return h
 
 
-def ho_energy(n, R: float, units: UnitSystem = NATURAL):
-    """(n + 1/2) hbar omega with omega = 1/R^2; n may be an integer array of levels."""
-    if np.any(np.less(n, 0)):
-        raise ValueError("oscillator quantum number must be >= 0")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    return (n + 0.5) * units.hbar / (R * R)
-
-
-def ho_eigenstate(n: int, R: float, grid: Grid, units: UnitSystem = NATURAL) -> ComplexField:
-    """Hermite-Gauss eigenamplitude at frozen R, renormalized on the grid.
-
-    The grid must be wide enough that the state has decayed at the edges;
-    a leaked edge amplitude above 1e-6 raises.
-    """
-    if n < 0:
-        raise ValueError("oscillator quantum number must be >= 0")
-    if R <= 0:
-        raise ValueError("R must be positive")
-    x = grid.points
-    scale = np.sqrt(units.mass / (units.hbar * R * R))  # sqrt(m omega / hbar)
-    phi = np.sqrt(scale) * _hermite_functions(n, scale * x)[n]
-    edge = max(abs(phi[0]), abs(phi[-1]))
-    if edge > _EDGE_AMPLITUDE_LIMIT:
-        raise ValueError(
-            f"grid too narrow for n={n}, R={R}: edge amplitude {edge:.3e} > {_EDGE_AMPLITUDE_LIMIT:.0e}"
-        )
-    nrm = np.sqrt(np.trapezoid(phi * phi, dx=grid.dx))
-    return ComplexField(grid, phi / nrm)
-
-
-def box_energy(n, L: float, units: UnitSystem = NATURAL):
-    """hbar^2 (pi n / L)^2 / 2m for the hard-wall box; n may be an integer array of levels."""
-    if np.any(np.less(n, 1)):
-        raise ValueError("box quantum number must be >= 1")
-    if L <= 0:
-        raise ValueError("L must be positive")
-    return units.hbar**2 * (np.pi * n / L) ** 2 / (2.0 * units.mass)
-
-
 def _check_box_grid(grid: Grid, L: float) -> None:
     tol = 1e-9 * L
     if abs(grid.x_min) > tol or abs(grid.x_max - L) > tol:
         raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
 
 
-def box_eigenstate(n: int, L: float, grid: Grid, units: UnitSystem = NATURAL) -> ComplexField:
-    """sqrt(2/L) sin(n pi x / L) on a grid spanning exactly [0, L]."""
-    if n < 1:
-        raise ValueError("box quantum number must be >= 1")
-    if L <= 0:
-        raise ValueError("L must be positive")
-    _check_box_grid(grid, L)
-    phi = np.sqrt(2.0 / L) * np.sin(n * np.pi * grid.points / L)
-    phi[0] = 0.0
-    phi[-1] = 0.0
-    return ComplexField(grid, phi)
-
-
-@dataclass(frozen=True, eq=False)
-class EigenPair:
-    """One adiabatic level at frozen control parameter: (n, E_n, amplitude)."""
-
-    n: int
-    energy: float
-    amplitude: ComplexField
-
-
-def ho_eigenpair(n: int, R: float, grid: Grid, units: UnitSystem = NATURAL) -> EigenPair:
-    return EigenPair(n, ho_energy(n, R, units), ho_eigenstate(n, R, grid, units))
-
-
-def box_eigenpair(n: int, L: float, grid: Grid, units: UnitSystem = NATURAL) -> EigenPair:
-    return EigenPair(n, box_energy(n, L, units), box_eigenstate(n, L, grid, units))
-
-
 _CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this many nodes
 _CHUNK_DOUBLES = 2**15  # and a chunk's own amplitude stack at most this many doubles
 
 
-def _node_chunks(rows: np.ndarray, n_points: int):
+def _node_chunks(rows: np.ndarray, n_points: int) -> list[slice]:
     """Consecutive slices of the node axis for batched traces.
 
     rows[i] is the number of table rows node i needs on a grid of its own (0
     where every node shares one table).  A chunk holds at most _CHUNK_NODES
     nodes and, past its first node, a stack of at most _CHUNK_DOUBLES doubles,
-    so batching keeps the peak memory of the one-node trace.
+    so batching keeps the peak memory of the one-node trace.  Every trace
+    grid goes through here, so the n_points >= 8 of Grid is checked here.
     """
+    if n_points < 8:
+        raise ValueError(f"need n_points >= 8, got {n_points}")
+    chunks = []
     start = 0
     while start < rows.size:
         stop = start + 1
@@ -132,8 +70,9 @@ def _node_chunks(rows: np.ndarray, n_points: int):
             and (stop + 1 - start) * max(rows[start : stop + 1]) * n_points <= _CHUNK_DOUBLES
         ):
             stop += 1
-        yield slice(start, stop)
+        chunks.append(slice(start, stop))
         start = stop
+    return chunks
 
 
 @dataclass(frozen=True)
@@ -154,8 +93,12 @@ class HarmonicModel:
         return R * np.sqrt(self.units.hbar / self.units.mass)
 
     def energy(self, n, R: float):
-        """Level energy; an array of n gives the energies of those levels."""
-        return ho_energy(n, R, self.units)
+        """(n + 1/2) hbar omega with omega = 1/R^2; n may be an integer array of levels."""
+        if np.any(np.less(n, 0)):
+            raise ValueError("oscillator quantum number must be >= 0")
+        if R <= 0:
+            raise ValueError("R must be positive")
+        return (n + 0.5) * self.units.hbar / (R * R)
 
     def v0(self, x: np.ndarray, R) -> np.ndarray:
         w = self.omega(R)
@@ -188,6 +131,11 @@ class HarmonicModel:
     def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
         """Rows n = 0..n_max of grid-renormalized eigenamplitudes."""
         return self._hermite_stack(np.array([n_max]), np.array([R]), grid.points[None, :])[0]
+
+    def _unit_amplitudes(self, n_max: int, xi: np.ndarray) -> np.ndarray:
+        """Rows n = 0..n_max of the Hermite-Gauss amplitudes at R = 1 on any xi."""
+        scale = math.sqrt(self.units.mass / self.units.hbar)
+        return math.sqrt(scale) * _hermite_functions(n_max, scale * xi)
 
     def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
         """Chunks (nodes, x, length, table, weight) of amplitude stacks at nodes l.
@@ -224,18 +172,35 @@ class BoxModel:
     n_min: int = 1
 
     def energy(self, n, L: float):
-        """Level energy; an array of n gives the energies of those levels."""
-        return box_energy(n, L, self.units)
+        """hbar^2 (pi n / L)^2 / 2m; n may be an integer array of levels."""
+        if np.any(np.less(n, 1)):
+            raise ValueError("box quantum number must be >= 1")
+        if L <= 0:
+            raise ValueError("L must be positive")
+        return self.units.hbar**2 * (np.pi * n / L) ** 2 / (2.0 * self.units.mass)
 
     def v0(self, x: np.ndarray, L) -> np.ndarray:
-        return np.zeros_like(np.asarray(x, dtype=float))
+        """Zero inside [0, L]; the potential is infinite beyond the walls, so x there raises.
+
+        L may be a float or an array that broadcasts against x (one wall per row).
+        """
+        xi = np.asarray(x, dtype=float) / L
+        if xi.size and (xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12):
+            raise ValueError(f"x outside the box [0, {L}]")
+        return np.zeros(xi.shape)
 
     @staticmethod
-    def _unit_table(n_max: int, xi: np.ndarray) -> np.ndarray:
+    def _unit_amplitudes(n_max: int, xi: np.ndarray) -> np.ndarray:
         """Rows n = 1..n_max of sqrt(2) sin(n pi xi), the amplitudes at L = 1 (xi = x/L)."""
         phi = np.multiply.outer(np.arange(1, n_max + 1) * np.pi, xi)
         np.sin(phi, out=phi)
         phi *= math.sqrt(2.0)
+        return phi
+
+    @staticmethod
+    def _unit_table(n_max: int, xi: np.ndarray) -> np.ndarray:
+        """_unit_amplitudes on a grid xi spanning [0, 1], exactly zero at both walls."""
+        phi = BoxModel._unit_amplitudes(n_max, xi)
         phi[:, 0] = 0.0
         phi[:, -1] = 0.0
         return phi
@@ -252,9 +217,10 @@ class BoxModel:
         phi_n(x; L) = L^-1/2 phi_n(xi; 1), so one sine table built here serves
         every node with length L and weight 1/L; no sine is evaluated per node.
         """
+        chunks = _node_chunks(np.zeros(l.size, dtype=int), n_points)
         xi = np.linspace(0.0, 1.0, n_points)
         table = self._unit_table(int(np.max(n_top)), xi)
-        for sl in _node_chunks(np.zeros(l.size, dtype=int), n_points):
+        for sl in chunks:
             yield sl, xi, l[sl], table, 1.0 / l[sl, None]
 
     def level_numbers(self, n_max: int) -> np.ndarray:
@@ -262,3 +228,6 @@ class BoxModel:
 
     def default_grid(self, L: float, n_points: int) -> Grid:
         return Grid(0.0, L, n_points)
+
+
+Model = Union[HarmonicModel, BoxModel]

@@ -1,4 +1,4 @@
-"""Control-parameter ramps l(t), their derivatives, and the advanced-time map.
+"""Control-parameter ramps l(t) and their derivatives.
 
 The same ramp shapes drive both confinement models: the wall position L(t) of
 the box and the oscillator length scale R(t) = sqrt(1/omega(t)).  Both smooth
@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
 
 import numpy as np
 
@@ -138,38 +137,3 @@ def vbar_for_target(kind: str, l0: float, l_final: float, t_ff: float) -> float:
         raise ValueError("linear ramps are parameterized by epsilon, not vbar")
     raise ValueError(f"unknown trajectory kind {kind!r}")
 
-
-def advanced_time(alpha: Callable[[float], float], t: float, quadrature_tol: float = 1e-10) -> float:
-    """Lambda(t) = integral of the magnification factor alpha from 0 to t.
-
-    alpha must be non-negative on [0, t] (checked on a dense sample); the map
-    then satisfies Lambda(0) = 0 and is monotone non-decreasing.
-    """
-    if t < 0:
-        raise ValueError("t must be non-negative")
-    if t == 0.0:
-        return 0.0
-    sample = np.array([alpha(ts) for ts in np.linspace(0.0, t, 257)])
-    if np.any(sample < 0.0):
-        raise ValueError("alpha must be non-negative on [0, t]")
-    # alpha is user-supplied and takes one time at a time; scipy's adaptive
-    # quad stays for it, imported only here
-    from scipy.integrate import quad
-
-    val, abserr = quad(alpha, 0.0, t, epsabs=quadrature_tol, epsrel=quadrature_tol, limit=200)
-    return float(val)
-
-
-@dataclass(frozen=True)
-class AdvancedTime:
-    """Magnification alpha(t) with its cumulative map Lambda and velocity eps*alpha."""
-
-    alpha: Callable[[float], float]
-    epsilon: float = 1.0
-    quadrature_tol: float = 1e-10
-
-    def lam(self, t: float) -> float:
-        return advanced_time(self.alpha, t, self.quadrature_tol)
-
-    def v(self, t: float) -> float:
-        return self.epsilon * float(self.alpha(t))

@@ -2,6 +2,8 @@
 
 import numpy as np
 
+from ffqd.core import ComplexField, Grid
+from ffqd.spectra import BoxModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 R_FINAL = 1.0 / np.sqrt(10.0)  # oscillator length scale for omega 1 -> 10
@@ -16,3 +18,8 @@ def ho_ramp(kind=POLYNOMIAL, r0=1.0, r_final=R_FINAL, t_ff=1.0) -> ControlTrajec
 
 
 BOTH_RAMPS = (POLYNOMIAL, TRIGONOMETRIC)
+
+
+def box_state(n: int, L: float, grid: Grid) -> ComplexField:
+    """Box eigenstate n at wall position L on a grid spanning [0, L]."""
+    return ComplexField(grid, BoxModel().amplitudes(n, L, grid)[n - 1])

@@ -30,7 +30,7 @@ from ffqd.cost import (
     internal_energy_ho,
     internal_energy_numeric,
 )
-from ffqd.fastforward import psi_ff_box, psi_ff_ho, theta_numeric, v_ff_box, v_ff_ho
+from ffqd.fastforward import psi_ff, theta_numeric, v_ff
 from ffqd.ie import cost_ie, design_b, ermakov_residual
 from ffqd.propagator import (
     DirichletMovingWall,
@@ -38,7 +38,7 @@ from ffqd.propagator import (
     fidelity,
     propagate,
 )
-from ffqd.spectra import BoxModel, HarmonicModel, box_energy
+from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 from helpers import BOTH_RAMPS, box_ramp, ho_ramp
@@ -56,12 +56,12 @@ def test_criterion_01_oscillator_fast_forward_exactness():
     traj = ho_ramp(POLYNOMIAL)  # omega 1 -> 10 over T = 1
     model = HarmonicModel()
     grid = model.default_grid(1.0, 1024)
-    psi0 = psi_ff_ho(0, 0.0, traj, grid)
-    target = psi_ff_ho(0, 1.0, traj, grid)
+    psi0 = psi_ff(model, 0, 0.0, traj, grid)
+    target = psi_ff(model, 0, 1.0, traj, grid)
 
     def driven(x, t):
         tc = min(t, 1.0)
-        return model.v0(x, traj.value(tc)) + v_ff_ho(x, tc, traj)
+        return model.v0(x, traj.value(tc)) + v_ff(x, tc, traj)
 
     def undriven(x, t):
         return model.v0(x, traj.value(min(t, 1.0)))
@@ -84,13 +84,13 @@ def test_criterion_02_box_fast_forward_exactness():
     for kind in BOTH_RAMPS:
         traj = box_ramp(kind)  # L 1 -> 10 over T = 1
         grid = Grid(0.0, 1.0, 2048)
-        psi0 = psi_ff_box(1, 0.0, traj, grid)
+        psi0 = psi_ff(BoxModel(), 1, 0.0, traj, grid)
         spec = PropagationSpec(
-            grid, 5e-5, 1.0, lambda x, t, traj=traj: v_ff_box(x, min(t, 1.0), traj),
+            grid, 5e-5, 1.0, lambda x, t, traj=traj: v_ff(x, min(t, 1.0), traj),
             DirichletMovingWall(traj),
         )
         out = propagate(psi0, spec)
-        fid = fidelity(out, psi_ff_box(1, 1.0, traj, out.grid))
+        fid = fidelity(out, psi_ff(BoxModel(), 1, 1.0, traj, out.grid))
         nrm = float(np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx)))
         results.append((kind, fid, abs(nrm - 1.0)))
     ok = all(f >= 1.0 - 1e-3 and d < 1e-8 for _, f, d in results)
@@ -215,11 +215,11 @@ def test_criterion_08_companion_frozen_convention_ratios():
     ens = ThermalEnsemble(beta=math.inf, n_particles=50)
     traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)
     numeric = internal_energy_numeric(BoxModel(), traj, 0.5, ens, n_points=2048)
-    exact_sum = sum(box_energy(n, 1.0) for n in range(1, 51))
+    exact_sum = sum(BoxModel().energy(n, 1.0) for n in range(1, 51))
     printed = internal_energy_box(traj, 0.5, ens)
     assert numeric == pytest.approx(exact_sum, rel=1e-3)  # FD-limited
     assert exact_sum / printed == pytest.approx(4.1208, abs=1e-4)
-    spinful = 2.0 * sum(box_energy(n, 1.0) for n in range(1, 26))
+    spinful = 2.0 * sum(BoxModel().energy(n, 1.0) for n in range(1, 26))
     assert spinful / printed == pytest.approx(1.0608, abs=1e-4)
 
 
@@ -231,11 +231,11 @@ def test_criterion_09_propagator_convergence_order():
     traj = ho_ramp(POLYNOMIAL, r_final=1.0 / math.sqrt(2.0), t_ff=0.5)
     model = HarmonicModel()
     grid = model.default_grid(1.0, 1024)
-    psi0 = psi_ff_ho(0, 0.0, traj, grid)
+    psi0 = psi_ff(model, 0, 0.0, traj, grid)
 
     def pot(x, t):
         tc = min(t, 0.5)
-        return model.v0(x, traj.value(tc)) + v_ff_ho(x, tc, traj)
+        return model.v0(x, traj.value(tc)) + v_ff(x, tc, traj)
 
     ref = propagate(psi0, PropagationSpec(grid, 2.5e-5, 0.5, pot))
     errs = []

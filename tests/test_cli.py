@@ -70,14 +70,17 @@ _BAD_OVERRIDES = [
     "beta=nan",
     "beta=0",
     "beta=-1",
+    "grid_points=0",
+    "grid_points=7",
+    "system=harmonic outputs=ie_compare beta=1.0 grid_points=2",
 ]
 
 
-@pytest.mark.parametrize("override", _BAD_OVERRIDES)
-def test_invalid_scenario_exits_2_without_traceback(tmp_path, capsys, override):
+@pytest.mark.parametrize("overrides", _BAD_OVERRIDES)
+def test_invalid_scenario_exits_2_without_traceback(tmp_path, capsys, overrides):
     cfg = tmp_path / "box.cfg"
     cfg.write_text("system=box\nramp=polynomial\nt_ff_list=1.0\noutputs=cost_curve\n")
-    assert main(["run", str(cfg), override, "--out", str(tmp_path / "out")]) == 2
+    assert main(["run", str(cfg), *overrides.split(), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert "invalid scenario" in err
     assert "Traceback" not in err
@@ -137,7 +140,7 @@ def _scenarios(draw):
         t_ff_list=tuple(draw(st.lists(_positive, max_size=5, unique=True))),
         beta=draw(st.one_of(_positive, st.just(math.inf))),
         n_particles=draw(st.integers(1, 10**6)),
-        grid_points=draw(st.integers(4, 10**6)),
+        grid_points=draw(st.integers(8, 10**6)),
         dt=draw(_positive),
         epsilon=draw(st.floats(allow_nan=False, allow_infinity=False)),
         outputs=tuple(draw(st.lists(st.sampled_from(outputs), unique=True))),
@@ -237,28 +240,25 @@ def test_driven_residual_matches_quad_phase_oracle(system):
     from ffqd import fastforward as ff
     from ffqd.core import Grid
     from ffqd.propagator import tdse_residual
+    from ffqd.spectra import BoxModel
 
     scn = small_box_scenario(system=system, ramp="polynomial", grid_points=512)
     traj = scn.trajectory(1.0)
     driven, _ = cli._residuals(scn, traj)
     t_mid, dt = 0.3, 1e-5
     if system == "harmonic":
-        grid, level, pref = cli._propagation_grid(scn, traj), 0, 0.5
-        values = ff.ho_psi_ff_values
-
-        def pot(x, t):
-            return HarmonicModel().v0(x, traj.value(t)) + ff.v_ff_ho(x, t, traj)
-
+        model, level, pref = HarmonicModel(), 0, 0.5
+        grid = model.default_grid(traj._l_max, 512)
     else:
-        grid, level, pref = Grid(0.0, traj.value(t_mid), 512), 1, 0.5 * math.pi**2
-        values = ff.box_psi_ff_values
+        model, level, pref = BoxModel(), 1, 0.5 * math.pi**2
+        grid = Grid(0.0, traj.value(t_mid), 512)
 
-        def pot(x, t):
-            return ff.v_ff_box(x, t, traj)
+    def pot(x, t):
+        return model.v0(x, traj.value(t)) + ff.v_ff(x, t, traj)
 
     def psi(s):
         phase = pref * quad(lambda u: traj.value(u) ** -2, t_mid, s, epsabs=0.0, epsrel=1e-13)[0]
-        return values(level, s, traj, grid.points, _phase_origin=s) * np.exp(-1j * phase)
+        return ff.psi_ff_values(model, level, s, traj, grid.points, _phase_origin=s) * np.exp(-1j * phase)
 
     oracle = tdse_residual(psi, pot, grid, t_mid, dt)
     assert driven == pytest.approx(oracle, rel=1e-13, abs=0.0)
@@ -276,8 +276,8 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_and_cost_preset_load_no_scipy(tmp_path):
-    # scipy is imported on first use by propagation, advanced_time and the
-    # numeric phase check; the cost layer behind the presets needs none of it
+    # scipy is imported on first use by propagation and the numeric phase
+    # check; the cost layer behind the presets needs none of it
     code = (
         "import sys\n"
         "import ffqd, ffqd.cli\n"

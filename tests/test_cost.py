@@ -28,7 +28,7 @@ from ffqd.cost import (
     _weighted_trace,
 )
 from ffqd.core import Grid
-from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, box_energy
+from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 from helpers import box_ramp, ho_ramp
@@ -60,7 +60,7 @@ def test_fermi_occupation_needs_mu():
 
 
 def test_solve_mu_zero_t_filling():
-    e = [box_energy(n, 1.0) for n in range(1, 13)]
+    e = [BoxModel().energy(n, 1.0) for n in range(1, 13)]
     mu = solve_mu(e, 1e3, 3)
     assert e[2] < mu < e[3]
     mu0 = solve_mu(e, math.inf, 3)
@@ -568,7 +568,7 @@ def test_frobenius_static_diagonal():
     # static wall: H is diagonal in its own eigenbasis, norm = sqrt(sum E_n^2)
     traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)
     got = frobenius_cost(BoxModel(), traj, 4, 1.0, rel_tol=1e-10)
-    expected = np.sqrt(sum(box_energy(n, 1.0) ** 2 for n in range(1, 5)))
+    expected = np.sqrt(sum(BoxModel().energy(n, 1.0) ** 2 for n in range(1, 5)))
     assert got.value == pytest.approx(expected, rel=1e-8)
     assert got.cutoff == 4
 
@@ -605,7 +605,7 @@ def test_box_frobenius_from_unit_table_matches_per_node_forms():
 
     def h_norm(t, x2_of_l):
         l = traj.value(t)
-        h = -0.5 * traj.acceleration(t) / l * x2_of_l(l) + np.diag(box_energy(ns, l))
+        h = -0.5 * traj.acceleration(t) / l * x2_of_l(l) + np.diag(BoxModel().energy(ns, l))
         return float(np.sqrt(np.sum(h * h)))
 
     got = frobenius_cost(BoxModel(), traj, m_cut, traj.t_ff, n_points=n_points, rel_tol=1e-10).value
@@ -613,6 +613,36 @@ def test_box_frobenius_from_unit_table_matches_per_node_forms():
     exact = cost_ff(lambda t: h_norm(t, lambda l: _box_x2_exact(l, m_cut)), traj.t_ff)
     assert got == pytest.approx(per_node_grid, rel=1e-12, abs=0.0)
     assert got == pytest.approx(exact, rel=1e-7, abs=0.0)
+
+
+# a trace grid needs the 8 points Grid asks for: below that the stencils and
+# the sine table degenerate (at 2 points every sine vanishes) and a number
+# came back anyway
+
+
+@pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
+@pytest.mark.parametrize("n_points", [0, 2, 4, 7])
+def test_cost_ff_numeric_rejects_fewer_than_8_points(model, n_points):
+    traj = box_ramp(POLYNOMIAL) if model.n_min else ho_ramp(POLYNOMIAL)
+    with pytest.raises(ValueError, match="n_points >= 8"):
+        cost_ff_numeric(model, traj, ThermalEnsemble(beta=1.0, n_particles=1), n_nodes=4, n_points=n_points)
+
+
+@pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
+@pytest.mark.parametrize("n_points", [2, 7])
+def test_internal_energy_numeric_rejects_fewer_than_8_points(model, n_points):
+    traj = box_ramp(POLYNOMIAL) if model.n_min else ho_ramp(POLYNOMIAL)
+    with pytest.raises(ValueError, match="n_points >= 8"):
+        internal_energy_numeric(model, traj, 0.5, ThermalEnsemble(beta=math.inf, n_particles=2), n_points=n_points)
+
+
+@pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
+@pytest.mark.parametrize("n_points", [2, 7])
+def test_frobenius_cost_rejects_fewer_than_8_points(model, n_points):
+    traj = box_ramp(POLYNOMIAL) if model.n_min else ho_ramp(POLYNOMIAL)
+    with pytest.raises(ValueError, match="n_points >= 8"):
+        frobenius_cost(model, traj, 4, 1.0, n_points=n_points)
+    assert frobenius_cost(model, traj, 4, 1.0, n_points=8).value > 0.0
 
 
 def test_frobenius_cutoff_from_ensemble():

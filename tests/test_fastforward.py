@@ -1,23 +1,21 @@
 import numpy as np
 import pytest
 
-from ffqd.core import Grid, inner_product
+from ffqd.core import Grid, UnitSystem, inner_product
 from ffqd.fastforward import (
     PhaseFunctions,
     RegularizationSingularity,
-    box_psi_ff_values,
     continuity_residual,
     dtheta_dx_numeric,
-    psi_ff_box,
-    psi_ff_ho,
+    psi_ff,
+    psi_ff_values,
     scaling_phase_functions,
     theta_numeric,
-    v_ff_box,
+    v_ff,
     v_ff_generic,
-    v_ff_ho,
     v_tilde,
 )
-from ffqd.spectra import HarmonicModel
+from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 from helpers import BOTH_RAMPS, box_ramp, ho_ramp
@@ -127,24 +125,27 @@ def test_v_tilde_synthetic_complex_state():
 def test_v_ff_zero_without_motion():
     traj = ControlTrajectory.adiabatic_linear(1.0, 0.0, 1.0)
     x = np.linspace(0.0, 1.0, 64)
-    np.testing.assert_allclose(v_ff_box(x, 0.5, traj), 0.0, atol=1e-15)
+    np.testing.assert_allclose(v_ff(x, 0.5, traj), 0.0, atol=1e-15)
 
 
 def test_v_ff_box_value_at_ramp_start():
     traj = box_ramp(POLYNOMIAL)  # vbar = 54, L_dd(0) = 54
-    assert v_ff_box(1.0, 0.0, traj) == pytest.approx(-27.0, rel=1e-12)
+    assert v_ff(1.0, 0.0, traj) == pytest.approx(-27.0, rel=1e-12)
 
 
 def test_v_ff_box_domain_error():
+    # the driven box potential V0 + V_FF is infinite beyond the wall; V0 raises there
     traj = box_ramp(POLYNOMIAL)
-    with pytest.raises(ValueError):
-        v_ff_box(2.0, 0.0, traj)  # box is [0, 1] at t = 0
+    with pytest.raises(ValueError, match="outside the box"):
+        BoxModel().v0(2.0, traj.value(0.0)) + v_ff(2.0, 0.0, traj)  # box is [0, 1] at t = 0
+    with pytest.raises(ValueError, match="outside the box"):
+        BoxModel().v0(np.array([[0.5, 1.5]]), np.array([[1.0]]))  # one wall per row
 
 
 def test_v_ff_trig_sign_flip_across_midpoint():
     traj = box_ramp(TRIGONOMETRIC)
-    early = v_ff_box(0.5, 0.25, traj)
-    late = v_ff_box(0.5, 0.75, traj)
+    early = v_ff(0.5, 0.25, traj)
+    late = v_ff(0.5, 0.75, traj)
     assert early < 0.0 < late  # wall acceleration changes sign at T/2
 
 
@@ -156,11 +157,7 @@ def test_generic_drive_matches_closed_form(system, kind):
     x = np.linspace(0.0, 1.0, 257) if system == "box" else np.linspace(-6.0, 6.0, 257)
     for t in (0.1, 0.35, 0.8):
         generic = v_ff_generic(phases, traj, t, x)
-        if system == "box":
-            closed = v_ff_box(x, t, traj)  # x within [0, 1] subset of [0, L(t)]
-        else:
-            closed = v_ff_ho(x, t, traj)
-        np.testing.assert_allclose(generic, closed, atol=1e-8)
+        np.testing.assert_allclose(generic, v_ff(x, t, traj), atol=1e-8)
 
 
 def test_generic_drive_requires_all_phase_functions():
@@ -179,7 +176,7 @@ def test_generic_drive_requires_all_phase_functions():
 def test_psi_ff_box_reduces_to_eigenstate_at_start(kind):
     traj = box_ramp(kind)
     grid = Grid(0.0, 1.0, 1024)
-    psi = psi_ff_box(1, 0.0, traj, grid)
+    psi = psi_ff(BoxModel(), 1, 0.0, traj, grid)
     expected = np.sqrt(2.0) * np.sin(np.pi * grid.points)
     np.testing.assert_allclose(psi.values.real, expected, atol=1e-12)
     np.testing.assert_allclose(psi.values.imag, 0.0, atol=1e-12)
@@ -190,7 +187,7 @@ def test_psi_ff_norm_preserved_and_modulus_local():
     for t in (0.0, 0.3, 0.7, 1.0):
         L = traj.value(t)
         grid = Grid(0.0, L, 1024)
-        psi = psi_ff_box(1, t, traj, grid)
+        psi = psi_ff(BoxModel(), 1, t, traj, grid)
         assert inner_product(psi, psi).real == pytest.approx(1.0, abs=1e-10)
         np.testing.assert_allclose(
             np.abs(psi.values),
@@ -202,7 +199,7 @@ def test_psi_ff_norm_preserved_and_modulus_local():
 def test_psi_ff_box_final_modulus():
     traj = box_ramp(POLYNOMIAL)
     grid = Grid(0.0, 10.0, 1024)
-    psi = psi_ff_box(1, 1.0, traj, grid)
+    psi = psi_ff(BoxModel(), 1, 1.0, traj, grid)
     np.testing.assert_allclose(
         np.abs(psi.values),
         np.abs(np.sqrt(0.2) * np.sin(np.pi * grid.points / 10.0)),
@@ -213,47 +210,65 @@ def test_psi_ff_box_final_modulus():
 def test_psi_ff_ho_norm_and_start():
     traj = ho_ramp(POLYNOMIAL)
     grid = Grid(-8.0, 8.0, 1024)
-    psi0 = psi_ff_ho(0, 0.0, traj, grid)
+    psi0 = psi_ff(HarmonicModel(), 0, 0.0, traj, grid)
     np.testing.assert_allclose(psi0.values.imag, 0.0, atol=1e-12)
     for t in (0.4, 1.0):
-        psi = psi_ff_ho(0, t, traj, grid)
+        psi = psi_ff(HarmonicModel(), 0, t, traj, grid)
         assert inner_product(psi, psi).real == pytest.approx(1.0, abs=1e-10)
 
 
-def test_box_values_extension_matches_field_inside():
-    traj = box_ramp(TRIGONOMETRIC)
+@pytest.mark.parametrize(
+    "model",
+    [BoxModel(), HarmonicModel(), HarmonicModel(UnitSystem(hbar=0.5, mass=2.0))],
+    ids=["box", "harmonic", "harmonic-units"],
+)
+def test_values_extension_matches_field_inside(model):
+    # the smooth l^-1/2 phi_n(x/l; 1) formula against the grid field built
+    # from the model's amplitude table at l (wall-clipped or grid-renormalized)
     t = 0.45
-    L = traj.value(t)
-    grid = Grid(0.0, L, 512)
-    field = psi_ff_box(1, t, traj, grid)
-    vals = box_psi_ff_values(1, t, traj, grid.points)
-    np.testing.assert_allclose(vals[1:-1], field.values[1:-1], atol=1e-12)
+    if isinstance(model, BoxModel):
+        traj = box_ramp(TRIGONOMETRIC)
+        grid = Grid(0.0, traj.value(t), 512)
+    else:
+        traj = ho_ramp(TRIGONOMETRIC)
+        grid = model.default_grid(1.0, 512, n_max=2)
+    for n in (model.n_min, model.n_min + 2):
+        field = psi_ff(model, n, t, traj, grid)
+        vals = psi_ff_values(model, n, t, traj, grid.points)
+        np.testing.assert_allclose(vals[1:-1], field.values[1:-1], atol=1e-12)
 
 
-def test_field_bundles():
-    from ffqd.fastforward import box_fast_forward_fields, ho_fast_forward_fields
-
+def test_level_fields_per_model():
+    # the fields of one accelerated level: theta, eta, v_tilde, v_ff, psi_ff
     traj = box_ramp(POLYNOMIAL)
-    fields = box_fast_forward_fields(1, traj)
+    phases = scaling_phase_functions()
     x = np.linspace(0.0, 1.0, 65)
-    np.testing.assert_allclose(fields.theta(x, 2.0), 0.25 * x * x, atol=1e-14)
-    np.testing.assert_allclose(fields.eta(x, 2.0), 0.0)
-    np.testing.assert_allclose(fields.v_tilde(x, 2.0), 0.0)
-    np.testing.assert_allclose(fields.v_ff(x, 0.0), -27.0 * x * x, atol=1e-10)
+    np.testing.assert_allclose(phases.theta(x, 2.0), 0.25 * x * x, atol=1e-14)
+    np.testing.assert_allclose(phases.eta(x, 2.0), 0.0)
+    grid1 = Grid(0.0, 2.0, 65)
+    np.testing.assert_allclose(v_tilde(box_amplitude_fn(1, grid1), None, None, 2.0, grid1), 0.0)
+    np.testing.assert_allclose(v_ff(x, 0.0, traj), -27.0 * x * x, atol=1e-10)
     grid = Grid(0.0, traj.value(0.5), 256)
-    psi = fields.psi_ff(0.5, grid)
+    psi = psi_ff(BoxModel(), 1, 0.5, traj, grid)
     assert inner_product(psi, psi).real == pytest.approx(1.0, abs=1e-10)
 
     trajh = ho_ramp(POLYNOMIAL)
-    fieldsh = ho_fast_forward_fields(0, trajh)
     gridh = Grid(-8.0, 8.0, 256)
-    psih = fieldsh.psi_ff(0.3, gridh)
+    psih = psi_ff(HarmonicModel(), 0, 0.3, trajh, gridh)
     assert inner_product(psih, psih).real == pytest.approx(1.0, abs=1e-10)
 
 
-def test_theta_units_scaling():
-    from ffqd.core import UnitSystem
+@pytest.mark.parametrize("model", [BoxModel(), HarmonicModel()], ids=["box", "harmonic"])
+def test_accelerated_state_rejects_levels_below_n_min(model):
+    traj = box_ramp(POLYNOMIAL)
+    grid = Grid(0.0, 1.0, 64) if model.n_min else Grid(-8.0, 8.0, 64)
+    with pytest.raises(ValueError, match="quantum number"):
+        psi_ff(model, model.n_min - 1, 0.0, traj, grid)
+    with pytest.raises(ValueError, match="quantum number"):
+        psi_ff_values(model, model.n_min - 1, 0.5, traj, grid.points)
 
+
+def test_theta_units_scaling():
     units = UnitSystem(hbar=0.5, mass=2.0)  # m/hbar = 4x the natural value
     grid = Grid(0.0, 1.0, 1024)
     theta = theta_numeric(box_amplitude_fn(1, grid), 1.0, grid, units=units)

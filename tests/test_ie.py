@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffqd.ie import cost_ie, design_b, ermakov_residual, h_ie_expectation, write_profile_csv
+from ffqd.ie import cost_ie, design_b, ermakov_residual, h_ie_expectation
 
 
 def test_no_ramp_is_constant():
@@ -73,11 +73,3 @@ def test_cost_ie_nonincreasing_in_t_ff():
     costs = [cost_ie(design_b(1.0, 10.0, T), 1.0) for T in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
-
-def test_profile_csv(tmp_path):
-    sol = design_b(1.0, 10.0, 1.0)
-    path = tmp_path / "ie.csv"
-    write_profile_csv(sol, 1.0, path, n_samples=11)
-    lines = path.read_text().splitlines()
-    assert lines[4] == "t,b,b_dot,omega_sq,h_ie"
-    assert len(lines) == 5 + 11

@@ -8,10 +8,10 @@ from scipy.integrate import quad
 from scipy.special import expit
 
 from ffqd._numutil import gauss_legendre
-from ffqd.core import NATURAL
 from ffqd.cost import _fermi_factor, _mean_inverse_l2, cost_ff
-from ffqd.fastforward import _dynamical_phase_ho
+from ffqd.fastforward import _dynamical_phase
 from ffqd.ie import cost_ie, design_b, h_ie_expectation
+from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 _ramps = st.builds(
@@ -27,18 +27,27 @@ def _quad(f, a, b, tol_abs, tol_rel):
     return quad(f, a, b, epsabs=tol_abs, epsrel=tol_rel, limit=200)[0]
 
 
+# E_n(1)/hbar of level n_min + k, written out independently of the models
+_UNIT_LEVEL = {
+    "harmonic": (HarmonicModel(), lambda k: k + 0.5),
+    "box": (BoxModel(), lambda k: 0.5 * (math.pi * (k + 1)) ** 2),
+}
+
+
 @settings(max_examples=80, deadline=None)
-@given(_ramps, st.floats(0.01, 1.0))
-def test_inverse_l2_integrals_match_adaptive_quad(traj, frac):
-    # the mean of l^-2 (rel 1e-12) and the dynamical phase to t (abs = rel = 1e-12)
+@given(_ramps, st.floats(0.01, 1.0), st.sampled_from(sorted(_UNIT_LEVEL)), st.integers(0, 3))
+def test_inverse_l2_integrals_match_adaptive_quad(traj, frac, system, k):
+    # the mean of l^-2 (rel 1e-12) and the dynamical phase E_n(1)/hbar int_0^t l^-2
+    # of either trap, its integral to abs = rel = 1e-12
     T = traj.t_ff
     ref_mean = _quad(lambda s: 1.0 / traj.value(s) ** 2, 0.0, T, 1e-300, 1e-12) / T
     assert abs(_mean_inverse_l2(traj) - ref_mean) <= 1e-12 * ref_mean
 
+    model, pref = _UNIT_LEVEL[system][0], _UNIT_LEVEL[system][1](k)
     t = frac * T
-    ref_phase = 0.5 * _quad(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, 1e-12, 1e-12)
-    got = _dynamical_phase_ho(0, t, traj, NATURAL, 1e-12)
-    assert abs(got - ref_phase) <= max(1e-12, 1e-12 * ref_phase)
+    ref_phase = pref * _quad(lambda s: 1.0 / traj.value(s) ** 2, 0.0, t, 1e-12, 1e-12)
+    got = _dynamical_phase(model, model.n_min + k, t, traj)
+    assert abs(got - ref_phase) <= max(2e-12 * pref, 1e-12 * ref_phase)
 
 
 @settings(max_examples=80, deadline=None)

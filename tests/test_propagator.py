@@ -6,7 +6,7 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgtsv
 
 from ffqd.core import ComplexField, Grid, normalize
-from ffqd.fastforward import box_psi_ff_values, ho_psi_ff_values, psi_ff_box, v_ff_box, v_ff_ho
+from ffqd.fastforward import psi_ff, psi_ff_values, v_ff
 from ffqd.propagator import (
     DirichletFixed,
     DirichletMovingWall,
@@ -17,10 +17,10 @@ from ffqd.propagator import (
     propagate,
     tdse_residual,
 )
-from ffqd.spectra import HarmonicModel, box_eigenstate, box_energy
+from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, ControlTrajectory
 
-from helpers import box_ramp, ho_ramp
+from helpers import box_ramp, box_state, ho_ramp
 
 
 def zero_potential(x, t):
@@ -29,15 +29,15 @@ def zero_potential(x, t):
 
 def test_stationary_box_mode_acquires_pure_phase():
     grid = Grid(0.0, 1.0, 512)
-    phi = box_eigenstate(1, 1.0, grid)
-    t_final = 2.0 * np.pi / box_energy(1, 1.0)
+    phi = box_state(1, 1.0, grid)
+    t_final = 2.0 * np.pi / BoxModel().energy(1, 1.0)
     out = propagate(phi, PropagationSpec(grid, t_final / 4000, t_final, zero_potential))
     assert fidelity(out, phi) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_single_tiny_step_is_identity():
     grid = Grid(0.0, 1.0, 256)
-    phi = box_eigenstate(2, 1.0, grid)
+    phi = box_state(2, 1.0, grid)
     out = propagate(phi, PropagationSpec(grid, 1e-12, 1e-12, zero_potential))
     np.testing.assert_allclose(out.values, phi.values, atol=1e-10)
 
@@ -56,14 +56,14 @@ def test_free_gaussian_dispersion():
 
 def test_cfl_style_precondition():
     grid = Grid(0.0, 1.0, 256)
-    phi = box_eigenstate(1, 1.0, grid)
+    phi = box_state(1, 1.0, grid)
     with pytest.raises(PropagationError):
         propagate(phi, PropagationSpec(grid, 0.1, 1.0, lambda x, t: 100.0 * np.ones_like(x)))
 
 
 def test_unnormalized_initial_state_rejected():
     grid = Grid(0.0, 1.0, 256)
-    phi = box_eigenstate(1, 1.0, grid)
+    phi = box_state(1, 1.0, grid)
     bad = ComplexField(grid, 2.0 * phi.values)
     with pytest.raises(ValueError):
         propagate(bad, PropagationSpec(grid, 1e-3, 0.1, zero_potential))
@@ -73,9 +73,9 @@ def test_long_run_unitarity():
     # 1e5 Cayley steps: norm must hold to far better than 1e-8
     grid = Grid(0.0, 1.0, 256)
     traj = box_ramp(POLYNOMIAL, t_ff=1.0)
-    psi0 = psi_ff_box(1, 0.0, traj, grid)
+    psi0 = psi_ff(BoxModel(), 1, 0.0, traj, grid)
     spec = PropagationSpec(
-        grid, 1e-5, 1.0, lambda x, t: v_ff_box(x, min(t, 1.0), traj), DirichletMovingWall(traj)
+        grid, 1e-5, 1.0, lambda x, t: v_ff(x, min(t, 1.0), traj), DirichletMovingWall(traj)
     )
     out = propagate(psi0, spec)
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
@@ -85,7 +85,7 @@ def test_long_run_unitarity():
 def test_moving_wall_grid_must_match_initial_box():
     traj = box_ramp(POLYNOMIAL)
     grid = Grid(0.0, 2.0, 256)
-    phi = box_eigenstate(1, 2.0, grid)
+    phi = box_state(1, 2.0, grid)
     with pytest.raises(ValueError):
         propagate(phi, PropagationSpec(grid, 1e-4, 1.0, zero_potential, DirichletMovingWall(traj)))
 
@@ -95,24 +95,24 @@ def test_moving_wall_adiabatic_limit():
     eps = 0.05
     traj = ControlTrajectory.adiabatic_linear(1.0, eps, 10.0)
     grid = Grid(0.0, 1.0, 1024)
-    phi0 = box_eigenstate(1, 1.0, grid)
+    phi0 = box_state(1, 1.0, grid)
     out = propagate(
         phi0, PropagationSpec(grid, 2e-4, 10.0, zero_potential, DirichletMovingWall(traj))
     )
-    inst = box_eigenstate(1, traj.value(10.0), out.grid)
+    inst = box_state(1, traj.value(10.0), out.grid)
     assert 1.0 - fidelity(out, inst) < 0.1 * eps * eps
 
 
 def test_fidelity_properties():
     grid = Grid(0.0, 1.0, 512)
-    a = box_eigenstate(1, 1.0, grid)
-    b = box_eigenstate(2, 1.0, grid)
+    a = box_state(1, 1.0, grid)
+    b = box_state(2, 1.0, grid)
     assert fidelity(a, a) == pytest.approx(1.0, abs=1e-12)
     assert fidelity(a, b) == pytest.approx(0.0, abs=1e-10)
     rotated = ComplexField(grid, np.exp(1j * np.pi / 3.0) * a.values)
     assert fidelity(a, rotated) == pytest.approx(1.0, abs=1e-12)
     with pytest.raises(ValueError):
-        fidelity(a, box_eigenstate(1, 1.0, Grid(0.0, 1.0, 513)))
+        fidelity(a, box_state(1, 1.0, Grid(0.0, 1.0, 513)))
 
 
 @settings(max_examples=100, deadline=None)
@@ -128,7 +128,7 @@ def test_fidelity_at_most_one(n, width, seed):
 def test_moving_wall_past_t_ff_rejected_before_stepping():
     traj = box_ramp(POLYNOMIAL)
     grid = Grid(0.0, 1.0, 64)
-    phi = box_eigenstate(1, 1.0, grid)
+    phi = box_state(1, 1.0, grid)
     seen = []
 
     def pot(x, t):
@@ -148,7 +148,7 @@ def test_non_finite_potential_mid_run_raises(bad, moving):
     # 100 steps of 1e-4; the bad value sits only around the half step of step
     # 51, far from the 65 times the dt*max|V| precondition samples
     grid = Grid(0.0, 1.0, 128)
-    phi = box_eigenstate(1, 1.0, grid)
+    phi = box_state(1, 1.0, grid)
     t_final, n_steps = 0.01, 100
     dt = t_final / n_steps
     t_bad = 50.5 * dt
@@ -170,7 +170,7 @@ def test_non_finite_potential_sample_fails_precondition(bad, moving):
     # bad at the t = 0 sample only, 3 elsewhere: a NaN must not be folded away
     # into vmax = 3 by the dt*max|V| precondition
     grid = Grid(0.0, 1.0, 128)
-    phi = box_eigenstate(1, 1.0, grid)
+    phi = box_state(1, 1.0, grid)
 
     def pot(x, t):
         v = np.full_like(x, 3.0)
@@ -226,7 +226,7 @@ def test_cn_step_is_unitary(case):
 
 def test_snapshot_dump(tmp_path):
     grid = Grid(0.0, 1.0, 64)
-    phi = box_eigenstate(1, 1.0, grid)
+    phi = box_state(1, 1.0, grid)
     path = tmp_path / "snaps.csv"
     propagate(phi, PropagationSpec(grid, 1e-3, 0.01, zero_potential), snapshot_path=path, snapshot_stride=5)
     lines = path.read_text().splitlines()
@@ -240,7 +240,7 @@ def test_snapshot_dump(tmp_path):
 def test_residual_static_eigenstate():
     traj = ControlTrajectory.adiabatic_linear(1.0, 1e-14, 1.0)
     grid = Grid(0.0, 1.0, 2048)
-    psi = lambda s: box_psi_ff_values(1, s, traj, grid.points)
+    psi = lambda s: psi_ff_values(BoxModel(), 1, s, traj, grid.points)
     assert tdse_residual(psi, zero_potential, grid, 0.5, 1e-5) < 1e-4
 
 
@@ -248,8 +248,8 @@ def test_residual_driven_box_and_negative_control():
     traj = box_ramp(POLYNOMIAL)
     t_probe = 0.3  # wall acceleration nonzero here (vanishes at exactly T/2)
     grid = Grid(0.0, traj.value(t_probe), 2048)
-    psi = lambda s: box_psi_ff_values(1, s, traj, grid.points)
-    driven = tdse_residual(psi, lambda x, t: v_ff_box(x, t, traj), grid, t_probe, 1e-5)
+    psi = lambda s: psi_ff_values(BoxModel(), 1, s, traj, grid.points)
+    driven = tdse_residual(psi, lambda x, t: v_ff(x, t, traj), grid, t_probe, 1e-5)
     undriven = tdse_residual(psi, zero_potential, grid, t_probe, 1e-5)
     assert driven < 1e-3
     assert undriven >= 10.0 * driven
@@ -259,13 +259,13 @@ def test_residual_driven_oscillator():
     traj = ho_ramp(POLYNOMIAL)
     model = HarmonicModel()
     grid = model.default_grid(1.0, 2048)
-    psi = lambda s: ho_psi_ff_values(0, s, traj, grid.points)
-    pot = lambda x, t: model.v0(x, traj.value(t)) + v_ff_ho(x, t, traj)
+    psi = lambda s: psi_ff_values(model, 0, s, traj, grid.points)
+    pot = lambda x, t: model.v0(x, traj.value(t)) + v_ff(x, t, traj)
     assert tdse_residual(psi, pot, grid, 0.3, 1e-5) < 1e-3
 
 
 def test_residual_stencil_domain():
     grid = Grid(0.0, 1.0, 256)
-    psi = lambda s: box_eigenstate(1, 1.0, grid).values
+    psi = lambda s: box_state(1, 1.0, grid).values
     with pytest.raises(ValueError):
         tdse_residual(psi, zero_potential, grid, 0.0, 1e-3)

@@ -2,68 +2,62 @@ import numpy as np
 import pytest
 
 from ffqd._numutil import lap2
-from ffqd.core import Grid, inner_product
-from ffqd.spectra import (
-    BoxModel,
-    HarmonicModel,
-    box_eigenstate,
-    box_energy,
-    ho_eigenstate,
-    ho_energy,
-)
+from ffqd.core import ComplexField, Grid, UnitSystem, inner_product
+from ffqd.spectra import BoxModel, HarmonicModel
+
+HO, BOX = HarmonicModel(), BoxModel()
 
 
 def test_ho_energy_values():
-    assert ho_energy(0, 1.0) == pytest.approx(0.5)
-    assert ho_energy(2, 1.0 / np.sqrt(10.0)) == pytest.approx(25.0)  # (2.5)*omega with omega=10
-    assert ho_energy(1, np.sqrt(1.0 / 10.0)) == pytest.approx(15.0)
+    assert HO.energy(0, 1.0) == pytest.approx(0.5)
+    assert HO.energy(2, 1.0 / np.sqrt(10.0)) == pytest.approx(25.0)  # (2.5)*omega with omega=10
+    assert HO.energy(1, np.sqrt(1.0 / 10.0)) == pytest.approx(15.0)
     with pytest.raises(ValueError):
-        ho_energy(-1, 1.0)
+        HO.energy(-1, 1.0)
 
 
 def test_ho_ground_state_peak_value():
     grid = Grid(-8.0, 8.0, 2049)  # odd count so x = 0 is a grid point
-    phi = ho_eigenstate(0, 1.0, grid)
-    assert phi.values[1024].real == pytest.approx(np.pi ** -0.25, rel=1e-8)
+    phi = HO.amplitudes(0, 1.0, grid)[0]
+    assert phi[1024] == pytest.approx(np.pi ** -0.25, rel=1e-8)
 
 
 def test_ho_odd_state_vanishes_at_origin():
     grid = Grid(-8.0, 8.0, 2049)  # odd count so x = 0 is a grid point
-    phi = ho_eigenstate(1, 1.0, grid)
-    assert phi.values[1024] == 0.0
+    phi = HO.amplitudes(1, 1.0, grid)[1]
+    assert phi[1024] == 0.0
 
 
 def test_ho_grid_norm():
     grid = Grid(-10.0, 10.0, 2048)
-    phi = ho_eigenstate(3, 1.0, grid)
+    phi = ComplexField(grid, HO.amplitudes(3, 1.0, grid)[3])
     assert inner_product(phi, phi).real == pytest.approx(1.0, abs=1e-8)
 
 
 def test_ho_narrow_grid_rejected():
     with pytest.raises(ValueError):
-        ho_eigenstate(0, 1.0, Grid(-2.0, 2.0, 256))
+        HO.amplitudes(0, 1.0, Grid(-2.0, 2.0, 256))
 
 
 def test_box_energy_values():
-    assert box_energy(1, 1.0) == pytest.approx(np.pi**2 / 2.0)
-    assert box_energy(2, 2.0) == pytest.approx(np.pi**2 / 2.0)
-    assert box_energy(1, 2.0) == pytest.approx(box_energy(1, 1.0) / 4.0)
+    assert BOX.energy(1, 1.0) == pytest.approx(np.pi**2 / 2.0)
+    assert BOX.energy(2, 2.0) == pytest.approx(np.pi**2 / 2.0)
+    assert BOX.energy(1, 2.0) == pytest.approx(BOX.energy(1, 1.0) / 4.0)
     with pytest.raises(ValueError):
-        box_energy(0, 1.0)
+        BOX.energy(0, 1.0)
 
 
 def test_box_eigenstate_values():
     grid = Grid(0.0, 1.0, 2049)
-    phi1 = box_eigenstate(1, 1.0, grid)
-    assert phi1.values[1024].real == pytest.approx(np.sqrt(2.0), rel=1e-12)
-    assert phi1.values[0] == 0.0 and phi1.values[-1] == 0.0
-    phi2 = box_eigenstate(2, 1.0, grid)
-    assert abs(phi2.values[1024]) < 1e-12  # node of sin(2 pi x) at x = 1/2
+    phi1, phi2 = BOX.amplitudes(2, 1.0, grid)
+    assert phi1[1024] == pytest.approx(np.sqrt(2.0), rel=1e-12)
+    assert phi1[0] == 0.0 and phi1[-1] == 0.0
+    assert abs(phi2[1024]) < 1e-12  # node of sin(2 pi x) at x = 1/2
 
 
 def test_box_eigenstate_grid_domain_checked():
     with pytest.raises(ValueError):
-        box_eigenstate(1, 2.0, Grid(0.0, 1.0, 256))
+        BOX.amplitudes(1, 2.0, Grid(0.0, 1.0, 256))
 
 
 @pytest.mark.parametrize("model_case", ["box", "ho"])
@@ -104,11 +98,11 @@ def test_eigen_residual_second_order_fd(model_case):
 
 def test_amplitudes_are_real():
     grid = Grid(0.0, 1.0, 512)
-    phi = box_eigenstate(3, 1.0, grid)
-    assert np.all(phi.values.imag == 0.0)
+    assert BOX.amplitudes(3, 1.0, grid).dtype == np.float64
+    assert BOX._unit_amplitudes(3, grid.points).dtype == np.float64
     gridh = Grid(-9.0, 9.0, 512)
-    phih = ho_eigenstate(2, 1.0, gridh)
-    assert np.all(phih.values.imag == 0.0)
+    assert HO.amplitudes(2, 1.0, gridh).dtype == np.float64
+    assert HO._unit_amplitudes(2, gridh.points).dtype == np.float64
 
 
 def test_model_metadata():
@@ -119,23 +113,20 @@ def test_model_metadata():
     np.testing.assert_array_equal(HarmonicModel().level_numbers(3), [0, 1, 2, 3])
 
 
-def test_eigenpair_constructors():
-    from ffqd.spectra import box_eigenpair, ho_eigenpair
-
-    pair = box_eigenpair(2, 1.0, Grid(0.0, 1.0, 256))
-    assert pair.n == 2
-    assert pair.energy == pytest.approx(2.0 * np.pi**2)
-    assert np.trapezoid(np.abs(pair.amplitude.values) ** 2, dx=1.0 / 255) == pytest.approx(1.0, abs=1e-8)
-    pair_h = ho_eigenpair(0, 1.0, Grid(-8.0, 8.0, 256))
-    assert pair_h.energy == pytest.approx(0.5)
+def test_model_energy_and_amplitude_row():
+    # level n is row n - n_min of the model's table, with energy model.energy(n, l)
+    amp = BOX.amplitudes(2, 1.0, Grid(0.0, 1.0, 256))[2 - BOX.n_min]
+    assert BOX.energy(2, 1.0) == pytest.approx(2.0 * np.pi**2)
+    assert np.trapezoid(amp**2, dx=1.0 / 255) == pytest.approx(1.0, abs=1e-8)
+    amp_h = HO.amplitudes(0, 1.0, Grid(-8.0, 8.0, 256))[0 - HO.n_min]
+    assert HO.energy(0, 1.0) == pytest.approx(0.5)
+    assert np.trapezoid(amp_h**2, dx=16.0 / 255) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_energies_in_non_natural_units():
-    from ffqd.core import UnitSystem
-
     units = UnitSystem(hbar=2.0, mass=3.0)
-    assert ho_energy(1, 0.5, units) == pytest.approx(1.5 * 2.0 * 4.0)  # (n+1/2) hbar/R^2
-    assert box_energy(2, 1.0, units) == pytest.approx(4.0 * np.pi**2 * 4.0 / 6.0)
+    assert HarmonicModel(units).energy(1, 0.5) == pytest.approx(1.5 * 2.0 * 4.0)  # (n+1/2) hbar/R^2
+    assert BoxModel(units).energy(2, 1.0) == pytest.approx(4.0 * np.pi**2 * 4.0 / 6.0)
 
 
 @pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])

@@ -7,9 +7,7 @@ from ffqd.trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,
     TRIGONOMETRIC,
-    AdvancedTime,
     ControlTrajectory,
-    advanced_time,
     vbar_for_target,
 )
 
@@ -129,25 +127,3 @@ def test_vbar_for_target_linear_rejected():
     with pytest.raises(ValueError):
         vbar_for_target(ADIABATIC_LINEAR, 1.0, 10.0, 1.0)
 
-
-def test_advanced_time_identity_and_constant():
-    assert advanced_time(lambda t: 1.0, 2.5) == pytest.approx(2.5, rel=1e-12)
-    assert advanced_time(lambda t: 2.0, 3.0) == pytest.approx(6.0, rel=1e-12)
-
-
-def test_advanced_time_linear_alpha():
-    assert advanced_time(lambda t: 2.0 * t, 1.0) == pytest.approx(1.0, rel=1e-10)
-
-
-def test_advanced_time_rejects_negative_alpha():
-    with pytest.raises(ValueError):
-        advanced_time(lambda t: -1.0, 1.0)
-
-
-def test_advanced_time_monotone():
-    adv = AdvancedTime(alpha=lambda t: np.sin(t) ** 2, epsilon=0.5)
-    assert adv.lam(0.0) == 0.0
-    ts = np.linspace(0.0, 3.0, 13)
-    lams = [adv.lam(float(t)) for t in ts]
-    assert all(b >= a for a, b in zip(lams, lams[1:]))
-    assert adv.v(1.0) == pytest.approx(0.5 * np.sin(1.0) ** 2)
