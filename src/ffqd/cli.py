@@ -30,6 +30,7 @@ from .propagator import (
     DirichletMovingWall,
     PropagationError,
     PropagationSpec,
+    QuadraticPotential,
     fidelity,
     propagate,
     tdse_residual,
@@ -203,23 +204,29 @@ def _system(scn: Scenario, traj: ControlTrajectory, t: float):
     return BoxModel(), Grid(0.0, traj.value(t), scn.grid_points), DirichletMovingWall(traj)
 
 
+def _trap_potential(model, traj: ControlTrajectory, driven: bool) -> QuadraticPotential:
+    """V = a(t) x^2 of the trap: model.v0's coefficient, plus v_ff's if driven.
+
+    In the box the wall frame only samples the inside, where v0 = 0.
+    """
+
+    def coefficient(t):
+        a = model._v0_coefficient(traj.value(t))
+        return a + ff._v_ff_coefficient(t, traj, model.units) if driven else a
+
+    return QuadraticPotential(coefficient)
+
+
 def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, snapshot_path=None):
     """Propagate the tracked level and return (fidelity vs target, norm error)."""
     model, grid, boundary = _system(scn, traj, 0.0)
     n = model.n_min
     T = traj.t_ff
-
-    def potential(x, t):
-        tc = min(t, T)
-        l = traj.value(tc)
-        v = model.v0(x, l)
-        return v + ff.v_ff(x, tc, traj, l=l) if driven else v
-
     n_steps = max(1, int(round(T / scn.dt)))
     stride = max(1, n_steps // 8)
     out = propagate(
         ff.psi_ff(model, n, 0.0, traj, grid),
-        PropagationSpec(grid, scn.dt, T, potential, boundary),
+        PropagationSpec(grid, scn.dt, T, _trap_potential(model, traj, driven), boundary),
         snapshot_path=snapshot_path,
         snapshot_stride=stride if snapshot_path else 0,
     )
@@ -244,14 +251,8 @@ def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
     def psi(s):
         return ff.psi_ff_values(model, n, s, traj, grid.points, _phase_origin=t_mid)
 
-    def pot_no_drive(x, t):
-        return model.v0(x, traj.value(t))
-
-    def pot(x, t):
-        return pot_no_drive(x, t) + ff.v_ff(x, t, traj)
-
-    driven = tdse_residual(psi, pot, grid, t_mid, dt)
-    undriven = tdse_residual(psi, pot_no_drive, grid, t_mid, dt)
+    driven = tdse_residual(psi, _trap_potential(model, traj, True), grid, t_mid, dt)
+    undriven = tdse_residual(psi, _trap_potential(model, traj, False), grid, t_mid, dt)
     return driven, undriven
 
 

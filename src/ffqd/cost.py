@@ -43,7 +43,7 @@ import numpy as np
 
 from ._numutil import gauss_legendre
 from .core import NATURAL, UnitSystem
-from .spectra import Model
+from .spectra import Model, _require_trace_points
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
@@ -375,6 +375,7 @@ def _node_traces(
     -(m/2)(l_ddot/l) x^2, so beyond that the model supplies only v0.
     """
     ts = np.asarray(ts, dtype=float)
+    _require_trace_points(n_points)  # before the empty ensemble's early return
     if ens.n_particles == 0:
         return np.zeros(ts.size)
     u = model.units

@@ -262,14 +262,14 @@ def v_ff_generic(
     )
 
 
-def v_ff(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL, *, l: float | None = None):
-    """Closed-form drive -(m/2)(l_ddot/l) x^2, the same for every scale-invariant trap.
+def v_ff(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL):
+    """Closed-form drive -(m/2)(l_ddot/l) x^2, the same for every scale-invariant trap."""
+    return _v_ff_coefficient(t, traj, units) * np.asarray(x, dtype=float) ** 2
 
-    l is l(t) when the caller has it already (the per-step potentials do).
-    """
-    if l is None:
-        l = traj.value(t)
-    return -0.5 * units.mass * traj.acceleration(t) / l * np.asarray(x, dtype=float) ** 2
+
+def _v_ff_coefficient(t, traj: ControlTrajectory, units: UnitSystem = NATURAL):
+    """c of v_ff = c x^2: -(m/2) l_ddot/l, t a float or an array."""
+    return -0.5 * units.mass * traj.acceleration(t) / traj.value(t)
 
 
 def _dynamical_phase(model: Model, n: int, t: float, traj: ControlTrajectory, t0: float = 0.0) -> float:

@@ -3,23 +3,25 @@
 This is the correctness oracle for the analytic fast-forward states: a state
 is only believed once the independently stepped wavefunction reproduces it.
 
-Two boundary modes:
+One Cayley loop runs in the frame y = x / s(t), where the exactly
+transformed Hamiltonian is
+    H = -(hbar^2 / 2 m s^2) d_yy - (s_dot/s) D + V(s y, t),
+    D = -i hbar (y d_y + 1/2),
+with the dilation term discretized symmetrically so the tridiagonal matrix
+stays Hermitian and the Cayley step exactly unitary.
 
-* DirichletFixed: hard walls at the grid ends (also used for oscillator runs,
-  where the state has decayed at the edges).
-* DirichletMovingWall: wall at x = L(t).  The run is carried out in the
-  scaled coordinate y = x/L(t) on the fixed domain [0, 1], where the exactly
-  transformed Hamiltonian picks up a dilation term
-      H = -(hbar^2 / 2 m L^2) d_yy - (L_dot/L) D + V(L y, t),
-      D = -i hbar (y d_y + 1/2),
-  discretized symmetrically so the tridiagonal matrix stays Hermitian and the
-  Cayley step exactly unitary.  No regridding, no interpolation at the wall.
+* DirichletFixed: hard walls at the grid ends, s = 1, no dilation term (also
+  used for oscillator runs, where the state has decayed at the edges).
+* DirichletMovingWall: wall at x = L(t), s = L, so y runs over the fixed
+  domain [0, 1].  No regridding, no interpolation at the wall.
 
 The half-step potential V(x, t + dt/2) keeps the scheme second order in time
-for explicitly time-dependent Hamiltonians.  The control values L and L_dot
-at every half step (k + 1/2) dt are evaluated once, in one vectorised call
-each, before the loop; each step is then a direct LAPACK zgtsv solve of the
-tridiagonal system (1 + i dt H / 2hbar) psi' = (1 - i dt H / 2hbar) psi.
+for explicitly time-dependent Hamiltonians.  s, s_dot and the coefficient of
+a QuadraticPotential V = a(t) x^2 are evaluated at every half step in one
+vectorised call each before the loop; any other V(x, t) is called once per
+step.  A step refills the diagonals of A = 1 + i dt H / 2hbar and makes one
+LAPACK zgtsv solve: A^-1 (1 - i dt H / 2hbar) = 2 A^-1 - 1, so the new state
+is 2 A^-1 psi - psi, with no product H psi.
 """
 
 from __future__ import annotations
@@ -56,8 +58,25 @@ Boundary = Union[DirichletFixed, DirichletMovingWall]
 
 
 @dataclass(frozen=True)
+class QuadraticPotential:
+    """V(x, t) = a(t) x^2, with a(t) vectorised over an array of times.
+
+    propagate evaluates a at every half step in one call; the instance is
+    also a plain V(x, t) callable for everything else.
+    """
+
+    coefficient: Callable[[np.ndarray], np.ndarray]
+
+    def __call__(self, x, t):
+        return self.coefficient(t) * np.asarray(x, dtype=float) ** 2
+
+
+@dataclass(frozen=True)
 class PropagationSpec:
     """One propagation run: grid, stepping, potential V(x, t), boundary mode.
+
+    The potential is a QuadraticPotential or any callable V(x, t) of physical
+    x (an array) and t (a float).
 
     For DirichletMovingWall the grid spans the initial box [0, L(0)]; the
     returned field lives on [0, L(t_final)].
@@ -82,17 +101,11 @@ def fidelity(a: ComplexField, b: ComplexField) -> float:
     return abs(inner_product(a, b))
 
 
-def _max_potential_sample(spec: PropagationSpec) -> float:
+def _max_potential_sample(spec: PropagationSpec, frame: Grid, scale) -> float:
     """max |V| over 65 sample times; a non-finite sample raises PropagationError."""
-    moving = isinstance(spec.boundary, DirichletMovingWall)
-    y = np.linspace(0.0, 1.0, spec.grid.n_points) if moving else None
     vmax = 0.0
     for t in np.linspace(0.0, spec.t_final, 65):
-        if moving:
-            x = spec.boundary.traj.value(min(t, spec.boundary.traj.t_ff)) * y
-        else:
-            x = spec.grid.points
-        v = float(np.max(np.abs(spec.potential(x, t))))
+        v = float(np.max(np.abs(spec.potential(scale(t) * frame.points, t))))
         if not v < math.inf:
             raise PropagationError(f"potential is not finite at sample time t = {t:.6g}")
         vmax = max(vmax, v)
@@ -107,14 +120,39 @@ class _SnapshotWriter:
         self.fh = open(path, "w", newline="")
         self.fh.write("t,x,re_psi,im_psi\n")
 
-    def maybe_write(self, step: int, last: bool, t: float, x: np.ndarray, psi: np.ndarray):
-        if not (last or step % self.stride == 0):
-            return
-        for xj, pj in zip(x, psi):
+    def write(self, t: float, grid: Grid, psi: np.ndarray):
+        for xj, pj in zip(grid.points, psi):
             self.fh.write(f"{t:.14e},{xj:.14e},{pj.real:.14e},{pj.imag:.14e}\n")
 
     def close(self):
         self.fh.close()
+
+
+def _frame(spec: PropagationSpec, psi0: ComplexField, t_half: np.ndarray):
+    """(frame grid of y, s and s_dot at t_half, s(t)) for the frame x = s(t) y.
+
+    DirichletFixed: y = x and s = 1.  DirichletMovingWall: y = x / L(t) on
+    [0, 1] and s = L; the wall ramp is evaluated (and domain-checked) at every
+    half step here, before the first step.
+    """
+    if not isinstance(spec.boundary, DirichletMovingWall):
+        return spec.grid, np.ones(t_half.size), np.zeros(t_half.size), lambda t: 1.0
+    traj = spec.boundary.traj
+    L0 = traj.value(0.0)
+    g = spec.grid
+    if abs(g.x_min) > 1e-9 * L0 or abs(g.x_max - L0) > 1e-9 * L0:
+        raise ValueError(f"moving-wall grid must span [0, L(0)] = [0, {L0}]")
+    if max(abs(psi0.values[0]), abs(psi0.values[-1])) > 1e-8:
+        raise ValueError("psi0 must vanish at x = 0 and x = L(0)")
+    scale = lambda t: traj.value(min(t, traj.t_ff))
+    return Grid(0.0, 1.0, g.n_points), traj.value(t_half), traj.velocity(t_half), scale
+
+
+def _physical(frame: Grid, u: np.ndarray, s: float) -> tuple[Grid, np.ndarray]:
+    """(grid, values) of psi(x) = s^-1/2 u(x / s) on [s y_min, s y_max], zero at both ends."""
+    out = np.zeros(frame.n_points, dtype=complex)
+    out[1:-1] = u / math.sqrt(s)
+    return Grid(s * frame.x_min, s * frame.x_max, frame.n_points), out
 
 
 def propagate(
@@ -132,52 +170,88 @@ def propagate(
     """
     units = spec.units
     hbar, m = units.hbar, units.mass
-    vmax = _max_potential_sample(spec)
+    n_steps = max(1, int(round(spec.t_final / spec.dt)))
+    dt = spec.t_final / n_steps
+    t_half = (np.arange(n_steps) + 0.5) * dt
+    frame, s, s_dot, scale = _frame(spec, psi0, t_half)
+    vmax = _max_potential_sample(spec, frame, scale)
     if spec.dt * vmax / hbar >= 0.5:
         raise PropagationError(
             f"time step too coarse: dt*max|V|/hbar = {spec.dt * vmax / hbar:.3g} >= 0.5"
         )
-    n_steps = max(1, int(round(spec.t_final / spec.dt)))
-    dt = spec.t_final / n_steps
-
     nrm0 = norm(psi0)
     if abs(nrm0 - 1.0) > 1e-6:
         raise ValueError(f"psi0 must be normalized, got norm {nrm0!r}")
 
+    dy = frame.dx
+    y = frame.points[1:-1]
+    y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
+    # A = 1 + i lam H at every half step: kinetic lam hbar^2/(2 m s^2 dy^2),
+    # dilation lam hbar (s_dot/s)/(4 dy), and for a QuadraticPotential lam a s^2
+    lam = dt / (2.0 * hbar)
+    c_kin = lam * hbar * hbar / (2.0 * m * dy * dy)
+    c_dil = lam * hbar / (4.0 * dy)
+    pot = None
+    if isinstance(spec.potential, QuadraticPotential):
+        pot = lam * spec.potential.coefficient(t_half) * (s * s)
+        bad = np.flatnonzero(~np.isfinite(pot))
+        if bad.size:
+            raise PropagationError(f"potential is not finite at step {bad[0] + 1}/{n_steps}")
+        y2 = (y * y).astype(complex)
+
     from scipy.linalg.lapack import zgtsv
 
+    u = math.sqrt(scale(0.0)) * psi0.values[1:-1]  # unitary map to the frame
+    w = np.empty_like(u)
+    d = np.empty_like(u)
+    du = np.empty(u.size - 1, dtype=complex)
+    dl = np.empty_like(du)
     writer = _SnapshotWriter(snapshot_path, snapshot_stride) if snapshot_path and snapshot_stride > 0 else None
     try:
-        if isinstance(spec.boundary, DirichletMovingWall):
-            return _propagate_moving_wall(psi0, spec, n_steps, dt, writer, zgtsv)
-        return _propagate_fixed(psi0, spec, n_steps, dt, writer, zgtsv)
+        if writer:
+            writer.write(0.0, *_physical(frame, u, scale(0.0)))
+        for step in range(n_steps):
+            sk = s.item(step)
+            if pot is None:
+                v = spec.potential(sk * y, t_half.item(step))
+                if not np.isfinite(v).all():
+                    raise PropagationError(f"potential is not finite at step {step + 1}/{n_steps}")
+                np.multiply(v, 1j * lam, out=d)
+            else:
+                np.multiply(y2, 1j * pot.item(step), out=d)
+            k, q = c_kin / (sk * sk), c_dil * (s_dot.item(step) / sk)
+            d += 1.0 + 2j * k
+            np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
+            du -= 1j * k
+            np.subtract(-2j * k, du, out=dl)  # dl = -i lam k + lam q y_pair, exactly
+            u, w = _cayley_step(dl, d, du, u, w, zgtsv), u
+            done, last = step + 1, step + 1 == n_steps
+            if done % _NORM_CHECK_STRIDE == 0 or last:
+                _check_norm(u, dy, done, n_steps)
+            if writer and (last or done % writer.stride == 0):
+                writer.write(done * dt, *_physical(frame, u, scale(done * dt)))
     finally:
         if writer is not None:
             writer.close()
+    return ComplexField(*_physical(frame, u, scale(spec.t_final)))
 
 
-def _cn_step(
-    diag: np.ndarray, upper: np.ndarray, lower: np.ndarray, u: np.ndarray, lam: float, zgtsv
-) -> np.ndarray:
-    """One Cayley step for a tridiagonal Hermitian H given by (diag, upper, lower).
+def _cayley_step(dl, d, du, u: np.ndarray, w: np.ndarray, zgtsv) -> np.ndarray:
+    """One Cayley step u -> (1 + i lam H)^-1 (1 - i lam H) u for a tridiagonal H.
 
-    zgtsv is LAPACK's tridiagonal solver as scipy binds it, looked up once per
-    run by the caller.
+    dl, d, du are the sub-, main and super-diagonal of A = 1 + i lam H.  As
+    (1 + i lam H)^-1 (1 - i lam H) = 2 (1 + i lam H)^-1 - 1 exactly, the step
+    is 2 A^-1 u - u: one solve, no product H u (the solve takes 2u, which
+    doubles its result exactly).  zgtsv is LAPACK's tridiagonal solver as
+    scipy binds it, looked up once per run by the caller; it overwrites dl,
+    d, du and the scratch vector w, and the result may share w's memory.
     """
-    hu = diag * u
-    hu[:-1] += upper * u[1:]
-    hu[1:] += lower * u[:-1]
-    rhs = u - 1j * lam * hu
-    # every operand is a fresh temporary, so LAPACK may overwrite all four
-    _, _, _, x, info = zgtsv(1j * lam * lower, 1.0 + 1j * lam * diag, 1j * lam * upper, rhs, 1, 1, 1, 1)
+    np.multiply(u, 2.0, out=w)
+    _, _, _, x, info = zgtsv(dl, d, du, w, 1, 1, 1, 1)
     if info != 0:
         raise PropagationError(f"zgtsv failed in the Cayley step (info = {info})")
+    x -= u
     return x
-
-
-def _check_potential(v: np.ndarray, step: int, n_steps: int) -> None:
-    if not np.isfinite(v).all():
-        raise PropagationError(f"potential is not finite at step {step + 1}/{n_steps}")
 
 
 def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int) -> None:
@@ -188,93 +262,6 @@ def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int) -> Non
         raise PropagationError(
             f"norm drifted to {nrm!r} at step {step}/{n_steps} (|drift| > {_NORM_DRIFT_LIMIT:g})"
         )
-
-
-def _propagate_fixed(psi0, spec, n_steps, dt, writer, zgtsv) -> ComplexField:
-    units = spec.units
-    hbar, m = units.hbar, units.mass
-    grid = spec.grid
-    x = grid.points
-    dx = grid.dx
-    k = hbar * hbar / (2.0 * m * dx * dx)
-    lam = dt / (2.0 * hbar)
-
-    u = psi0.values.copy()
-    u[0] = 0.0
-    u[-1] = 0.0
-    x_int = x[1:-1]
-    ui = u[1:-1].astype(complex)
-    off = np.full(x_int.size - 1, -k, dtype=complex)
-
-    if writer:
-        writer.maybe_write(0, False, 0.0, x, u)
-    for step in range(n_steps):
-        v = spec.potential(x_int, (step + 0.5) * dt)
-        _check_potential(v, step, n_steps)
-        ui = _cn_step(2.0 * k + v.astype(complex), off, off, ui, lam, zgtsv)
-        if (step + 1) % _NORM_CHECK_STRIDE == 0 or step + 1 == n_steps:
-            _check_norm(ui, dx, step + 1, n_steps)
-        if writer:
-            full = np.zeros(grid.n_points, dtype=complex)
-            full[1:-1] = ui
-            writer.maybe_write(step + 1, step + 1 == n_steps, (step + 1) * dt, x, full)
-
-    out = np.zeros(grid.n_points, dtype=complex)
-    out[1:-1] = ui
-    return ComplexField(grid, out)
-
-
-def _propagate_moving_wall(psi0, spec, n_steps, dt, writer, zgtsv) -> ComplexField:
-    units = spec.units
-    hbar, m = units.hbar, units.mass
-    traj = spec.boundary.traj
-    L0 = traj.value(0.0)
-    g = spec.grid
-    if abs(g.x_min) > 1e-9 * L0 or abs(g.x_max - L0) > 1e-9 * L0:
-        raise ValueError(f"moving-wall grid must span [0, L(0)] = [0, {L0}]")
-    if max(abs(psi0.values[0]), abs(psi0.values[-1])) > 1e-8:
-        raise ValueError("psi0 must vanish at x = 0 and x = L(0)")
-
-    n = g.n_points
-    y = np.linspace(0.0, 1.0, n)
-    dy = y[1] - y[0]
-    lam = dt / (2.0 * hbar)
-
-    # unitary map to the scaled frame: u(y) = sqrt(L) psi(L y)
-    u = np.sqrt(L0) * psi0.values.astype(complex)
-    ui = u[1:-1]
-    y_int = y[1:-1]
-    y_pair = y_int[:-1] + y_int[1:]  # y_j + y_{j+1} for the symmetrized dilation term
-
-    # control values at every half step, domain-checked once before stepping
-    t_half = (np.arange(n_steps) + 0.5) * dt
-    L_half = traj.value(t_half)
-    Ldot_half = traj.velocity(t_half)
-
-    if writer:
-        writer.maybe_write(0, False, 0.0, L0 * y, psi0.values)
-    for step in range(n_steps):
-        tm, L, Ldot = t_half.item(step), L_half.item(step), Ldot_half.item(step)
-        k = hbar * hbar / (2.0 * m * L * L * dy * dy)
-        q = hbar * (Ldot / L) / (4.0 * dy)
-        v = spec.potential(L * y_int, tm)
-        _check_potential(v, step, n_steps)
-        upper = -k + 1j * q * y_pair
-        lower = -k - 1j * q * y_pair
-        ui = _cn_step(2.0 * k + v.astype(complex), upper, lower, ui, lam, zgtsv)
-        if (step + 1) % _NORM_CHECK_STRIDE == 0 or step + 1 == n_steps:
-            _check_norm(ui, dy, step + 1, n_steps)
-        if writer:
-            t_now = (step + 1) * dt
-            L_now = traj.value(min(t_now, traj.t_ff))
-            full = np.zeros(n, dtype=complex)
-            full[1:-1] = ui
-            writer.maybe_write(step + 1, step + 1 == n_steps, t_now, L_now * y, full / np.sqrt(L_now))
-
-    L_f = traj.value(min(spec.t_final, traj.t_ff))
-    out = np.zeros(n, dtype=complex)
-    out[1:-1] = ui / np.sqrt(L_f)
-    return ComplexField(Grid(0.0, L_f, n), out)
 
 
 def tdse_residual(

@@ -50,6 +50,12 @@ _CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this
 _CHUNK_DOUBLES = 2**15  # and a chunk's own amplitude stack at most this many doubles
 
 
+def _require_trace_points(n_points: int) -> None:
+    """The n_points >= 8 of Grid, for trace grids built from a point count."""
+    if n_points < 8:
+        raise ValueError(f"need n_points >= 8, got {n_points}")
+
+
 def _node_chunks(rows: np.ndarray, n_points: int) -> list[slice]:
     """Consecutive slices of the node axis for batched traces.
 
@@ -59,8 +65,7 @@ def _node_chunks(rows: np.ndarray, n_points: int) -> list[slice]:
     so batching keeps the peak memory of the one-node trace.  Every trace
     grid goes through here, so the n_points >= 8 of Grid is checked here.
     """
-    if n_points < 8:
-        raise ValueError(f"need n_points >= 8, got {n_points}")
+    _require_trace_points(n_points)
     chunks = []
     start = 0
     while start < rows.size:
@@ -83,8 +88,7 @@ class HarmonicModel:
     n_min: int = 0
 
     def omega(self, R):
-        # a float is compared without numpy: propagation calls v0 at every step
-        if not (R > 0 if isinstance(R, float) else np.all(np.greater(R, 0))):
+        if not np.all(np.greater(R, 0)):
             raise ValueError("R must be positive")
         return 1.0 / (R * R)
 
@@ -101,8 +105,12 @@ class HarmonicModel:
         return (n + 0.5) * self.units.hbar / (R * R)
 
     def v0(self, x: np.ndarray, R) -> np.ndarray:
+        return self._v0_coefficient(R) * np.asarray(x) ** 2
+
+    def _v0_coefficient(self, R):
+        """a of v0 = a x^2: m omega(R)^2 / 2, R a float or an array."""
         w = self.omega(R)
-        return 0.5 * self.units.mass * w * w * np.asarray(x) ** 2
+        return 0.5 * self.units.mass * w * w
 
     def _hermite_stack(self, n_top: np.ndarray, R: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Grid-renormalized eigenamplitudes of nodes with length scales R on grids x.
@@ -188,6 +196,11 @@ class BoxModel:
         if xi.size and (xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12):
             raise ValueError(f"x outside the box [0, {L}]")
         return np.zeros(xi.shape)
+
+    @staticmethod
+    def _v0_coefficient(L):
+        """a of v0 = a x^2 inside the box, where a wall-frame run samples it: zero."""
+        return np.zeros(np.shape(L))
 
     @staticmethod
     def _unit_amplitudes(n_max: int, xi: np.ndarray) -> np.ndarray:

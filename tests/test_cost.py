@@ -637,6 +637,18 @@ def test_internal_energy_numeric_rejects_fewer_than_8_points(model, n_points):
 
 
 @pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
+def test_empty_ensemble_rejects_fewer_than_8_points(model):
+    # N = 0 has a zero trace, but the point count is checked first, as for N >= 1
+    traj = box_ramp(POLYNOMIAL) if model.n_min else ho_ramp(POLYNOMIAL)
+    empty = ThermalEnsemble(beta=1.0, n_particles=0)
+    with pytest.raises(ValueError, match="n_points >= 8"):
+        internal_energy_numeric(model, traj, 0.5, empty, n_points=2)
+    with pytest.raises(ValueError, match="n_points >= 8"):
+        cost_ff_numeric(model, traj, empty, n_nodes=4, n_points=0)
+    assert cost_ff_numeric(model, traj, empty, n_nodes=4, n_points=8) == 0.0
+
+
+@pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
 @pytest.mark.parametrize("n_points", [2, 7])
 def test_frobenius_cost_rejects_fewer_than_8_points(model, n_points):
     traj = box_ramp(POLYNOMIAL) if model.n_min else ho_ramp(POLYNOMIAL)

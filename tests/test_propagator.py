@@ -12,13 +12,14 @@ from ffqd.propagator import (
     DirichletMovingWall,
     PropagationError,
     PropagationSpec,
-    _cn_step,
+    QuadraticPotential,
+    _cayley_step,
     fidelity,
     propagate,
     tdse_residual,
 )
 from ffqd.spectra import BoxModel, HarmonicModel
-from ffqd.trajectory import POLYNOMIAL, ControlTrajectory
+from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 from helpers import box_ramp, box_state, ho_ramp
 
@@ -126,6 +127,7 @@ def test_fidelity_at_most_one(n, width, seed):
 
 
 def test_moving_wall_past_t_ff_rejected_before_stepping():
+    # both potential forms: a callback V(x, t) and a coefficient a(t) of V = a x^2
     traj = box_ramp(POLYNOMIAL)
     grid = Grid(0.0, 1.0, 64)
     phi = box_state(1, 1.0, grid)
@@ -135,16 +137,25 @@ def test_moving_wall_past_t_ff_rejected_before_stepping():
         seen.append(t)
         return np.zeros_like(x)
 
+    def coefficient(t):
+        seen.extend(np.atleast_1d(t).tolist())
+        return 0.0 * np.asarray(t)
+
     n_steps = 1500
-    spec = PropagationSpec(grid, 1.5 / n_steps, 1.5, pot, DirichletMovingWall(traj))
-    with pytest.raises(ValueError, match="outside"):
-        propagate(phi, spec)
-    assert 0.5 * (1.5 / n_steps) not in seen  # the first half step was never evaluated
+    for potential in (pot, QuadraticPotential(coefficient)):
+        spec = PropagationSpec(grid, 1.5 / n_steps, 1.5, potential, DirichletMovingWall(traj))
+        with pytest.raises(ValueError, match="outside"):
+            propagate(phi, spec)
+        assert 0.5 * (1.5 / n_steps) not in seen  # the first half step was never evaluated
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("moving", [False, True])
-def test_non_finite_potential_mid_run_raises(bad, moving):
+@pytest.mark.parametrize(
+    "moving, form",
+    [(False, "callback"), (True, "callback"), (False, "coefficient"), (True, "coefficient")],
+    ids=["False", "True", "False-coefficient", "True-coefficient"],
+)
+def test_non_finite_potential_mid_run_raises(bad, moving, form):
     # 100 steps of 1e-4; the bad value sits only around the half step of step
     # 51, far from the 65 times the dt*max|V| precondition samples
     grid = Grid(0.0, 1.0, 128)
@@ -159,9 +170,13 @@ def test_non_finite_potential_mid_run_raises(bad, moving):
             v[len(v) // 2] = bad
         return v
 
+    def coefficient(t):
+        return np.where(np.abs(t - t_bad) < 0.25 * dt, bad, 0.0)
+
+    potential = pot if form == "callback" else QuadraticPotential(coefficient)
     boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
     with pytest.raises(PropagationError, match="not finite at step 51/100"):
-        propagate(phi, PropagationSpec(grid, dt, t_final, pot, boundary))
+        propagate(phi, PropagationSpec(grid, dt, t_final, potential, boundary))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -200,6 +215,12 @@ _tridiagonals = st.builds(
 )
 
 
+def _cn(diag, upper, lower, u, lam):
+    """_cayley_step on copies, from H's diagonals (A = 1 + i lam H is overwritten)."""
+    u = u.copy()
+    return _cayley_step(1j * lam * lower, 1.0 + 1j * lam * diag, 1j * lam * upper, u, np.empty_like(u), zgtsv)
+
+
 @settings(max_examples=60, deadline=None)
 @given(_tridiagonals)
 def test_cn_step_matches_banded_reference(case):
@@ -212,7 +233,7 @@ def test_cn_step_matches_banded_reference(case):
     hu[:-1] += upper * u[1:]
     hu[1:] += lower * u[:-1]
     ref = solve_banded((1, 1), ab, u - 1j * lam * hu)
-    out = _cn_step(diag, upper, lower, u, lam, zgtsv)
+    out = _cn(diag, upper, lower, u, lam)
     assert np.max(np.abs(out - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -220,8 +241,84 @@ def test_cn_step_matches_banded_reference(case):
 @given(_tridiagonals)
 def test_cn_step_is_unitary(case):
     diag, upper, lower, u, lam = case
-    out = _cn_step(diag, upper, lower, u, lam, zgtsv)
+    out = _cn(diag, upper, lower, u, lam)
     assert np.vdot(out, out).real == pytest.approx(np.vdot(u, u).real, rel=1e-12)
+
+
+def _per_step_reference(psi0, grid, dt, t_final, potential, traj=None):
+    """The two per-step loops propagate ran before they were merged, inlined.
+
+    Fixed walls (traj None) or the wall frame y = x/L(t) (traj given); per
+    step the potential is called, H u is formed explicitly and zgtsv solves
+    (1 + i lam H) u' = (1 - i lam H) u.  Natural units.
+    """
+    n_steps = max(1, int(round(t_final / dt)))
+    dt = t_final / n_steps
+    lam = dt / 2.0
+    if traj is None:
+        y, dy, L0 = grid.points, grid.dx, 1.0
+    else:
+        y = np.linspace(0.0, 1.0, grid.n_points)
+        dy, L0 = y[1] - y[0], traj.value(0.0)
+    ui = np.sqrt(L0) * psi0.values[1:-1].astype(complex)
+    y_int = y[1:-1]
+    y_pair = y_int[:-1] + y_int[1:]
+    for step in range(n_steps):
+        tm = (step + 0.5) * dt
+        L, Ldot = (1.0, 0.0) if traj is None else (traj.value(tm), traj.velocity(tm))
+        k = 1.0 / (2.0 * L * L * dy * dy)
+        q = (Ldot / L) / (4.0 * dy)
+        diag = 2.0 * k + potential(L * y_int, tm)
+        upper = -k + 1j * q * y_pair
+        lower = -k - 1j * q * y_pair
+        hu = diag * ui
+        hu[:-1] += upper * ui[1:]
+        hu[1:] += lower * ui[:-1]
+        _, _, _, ui, info = zgtsv(1j * lam * lower, 1.0 + 1j * lam * diag, 1j * lam * upper, ui - 1j * lam * hu)
+        assert info == 0
+    L_f = 1.0 if traj is None else traj.value(t_final)
+    return ui / np.sqrt(L_f)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    moving=st.booleans(),
+    coefficient_form=st.booleans(),
+    kind=st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]),
+    n=st.integers(16, 256),
+    n_steps=st.integers(100, 400),
+    l0=st.floats(0.8, 1.5),
+    l_final=st.floats(0.8, 1.6),
+    t_ff=st.floats(0.5, 1.0),
+    trap=st.floats(0.0, 1.0),
+    tilt=st.floats(-2.0, 2.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_merged_loop_matches_per_step_reference(
+    moving, coefficient_form, kind, n, n_steps, l0, l_final, t_ff, trap, tilt, seed
+):
+    # V = (trap/2 l^-4 - l_ddot/2l) x^2 on a random ramp, as the coefficient a(t)
+    # or as a callback with an extra tilt sin(t) x; random sine-mode initial state
+    traj = box_ramp(kind, l0, l_final, t_ff)
+
+    def coefficient(t):
+        l = traj.value(t)
+        return 0.5 * trap / l**4 - 0.5 * traj.acceleration(t) / l
+
+    if coefficient_form:
+        potential = QuadraticPotential(coefficient)
+    else:
+        potential = lambda x, t: coefficient(t) * x**2 + tilt * np.sin(5.0 * t) * x
+    grid = Grid(0.0, l0, n) if moving else Grid(-0.5 * l0, l0, n)
+    rng = np.random.default_rng(seed)
+    xi = (grid.points - grid.x_min) / (grid.x_max - grid.x_min)
+    modes = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
+    psi0 = normalize(ComplexField(grid, (modes * np.sin(np.pi * np.arange(1, 4)[:, None] * xi)).sum(axis=0)))
+    t_final = t_ff if moving else 0.5 * t_ff
+    boundary = DirichletMovingWall(traj) if moving else DirichletFixed()
+    out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, potential, boundary))
+    ref = _per_step_reference(psi0, grid, t_final / n_steps, t_final, potential, traj if moving else None)
+    assert np.max(np.abs(out.values[1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
 def test_snapshot_dump(tmp_path):
