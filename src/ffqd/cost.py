@@ -117,27 +117,14 @@ def _excess(e, beta: float, mu, n_particles: int):
     return _fermi_factor(beta * (e - np.asarray(mu)[..., None])).sum(axis=-1) - n_particles
 
 
-def _mu_past_stall(e: np.ndarray, beta: float, n_particles: int, lo: float, hi: float) -> float:
-    """mu of one spectrum whose bisection bracket [lo, hi] fell below 1e-15 (1 + |mu|).
+def _mu_at_one_ulp(e: np.ndarray, beta: float, n_particles: int, lo: float, hi: float) -> float:
+    """mu of one spectrum whose bisection bracket [lo, hi] is two adjacent doubles.
 
-    The midpoint is returned if its residual meets the 1e-10 tolerance.
-    Otherwise the bisection goes on to adjacent doubles: near a degenerate
-    level at large beta, sum f moves by more than 1e-10 across one ulp of mu.
-    The better end is accepted if its residual is within what one ulp can
-    reach, beta ulp(mu) sum f (1 - f), plus the rounding of the sum
-    (2 n_levels eps N); RuntimeError above that.
+    Near a degenerate level at large beta, sum f moves by more than 1e-10
+    across one ulp of mu.  The better end is accepted if its residual is
+    within what one ulp can reach, beta ulp(mu) sum f (1 - f), plus the
+    rounding of the sum (2 n_levels eps N); RuntimeError above that.
     """
-    while True:
-        mid = 0.5 * (lo + hi)
-        g = float(_excess(e, beta, mid, n_particles))
-        if abs(g) <= _MU_TOL:
-            return mid
-        if mid in (lo, hi):  # lo and hi are adjacent doubles
-            break
-        if g > 0:
-            hi = mid
-        else:
-            lo = mid
     g, mu = min((abs(float(_excess(e, beta, m, n_particles))), m) for m in (lo, hi))
     f = _fermi_factor(beta * (e - mu))
     rounding = 2.0 * e.size * np.finfo(float).eps * n_particles
@@ -150,10 +137,10 @@ def _mu_past_stall(e: np.ndarray, beta: float, n_particles: int, lo: float, hi: 
 def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
     """Chemical potential of each row of e (ascending energies), all rows in one bisection.
 
-    Each row follows the path solve_mu takes for it alone: the same bracket
-    and midpoints, acceptance below 1e-10, and the same stall rule; a row
-    leaves the loop once it is accepted or its bracket stalls.  Row sums are
-    the contiguous 1-D sums, so every mu is bit-identical to solve_mu's.
+    Each row bisects until its residual is below 1e-10 or its bracket is two
+    adjacent doubles, where the one-ulp rule of _mu_at_one_ulp decides.  Row
+    sums are the contiguous 1-D sums, so every mu is bit-identical to
+    solve_mu's for that row alone.
     """
     if not 0 < n_particles < e.shape[1]:
         raise ValueError(f"need 0 < n_particles < {e.shape[1]}, got {n_particles}")
@@ -164,22 +151,17 @@ def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
     mu = np.empty(e.shape[0])
     rows = np.arange(e.shape[0])
     with np.errstate(over="ignore"):
-        for _ in range(200):
+        while rows.size:
             mid = 0.5 * (lo + hi)
             g = _excess(e[rows], beta, mid, n_particles)
             done = np.abs(g) < _MU_TOL
             mu[rows[done]] = mid[done]
+            adjacent = ~done & ((mid == lo) | (mid == hi))
+            for i in np.flatnonzero(adjacent):
+                mu[rows[i]] = _mu_at_one_ulp(e[rows[i]], beta, n_particles, lo[i], hi[i])
             up = g > 0
-            hi = np.where(up, mid, hi)
-            lo = np.where(up, lo, mid)
-            live = ~done & (hi - lo >= 1e-15 * (1.0 + np.abs(mid)))
-            for i in np.flatnonzero(~done & ~live):
-                mu[rows[i]] = _mu_past_stall(e[rows[i]], beta, n_particles, lo[i], hi[i])
-            rows, lo, hi = rows[live], lo[live], hi[live]
-            if not rows.size:
-                return mu
-        for r, a, b in zip(rows, lo, hi):
-            mu[r] = _mu_past_stall(e[r], beta, n_particles, a, b)
+            live = ~done & ~adjacent
+            rows, lo, hi = rows[live], np.where(up, lo, mid)[live], np.where(up, mid, hi)[live]
     return mu
 
 
@@ -462,8 +444,6 @@ class CostReport:
     published_ratio: float
     constants: dict
     u_samples: tuple
-    c_frobenius: float | None = None
-    frobenius_cutoff: int | None = None
 
     def to_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -471,9 +451,6 @@ class CostReport:
                 fh.write(f"# {key}={getattr(self, key):.14e}\n")
             for key, val in sorted(self.constants.items()):
                 fh.write(f"# constant_{key}={val:.14e}\n")
-            if self.c_frobenius is not None:
-                fh.write(f"# c_frobenius={self.c_frobenius:.14e}\n")
-                fh.write(f"# frobenius_cutoff={self.frobenius_cutoff}\n")
             fh.write("t,u_bar\n")
             for t, ub in self.u_samples:
                 fh.write(f"{t:.14e},{ub:.14e}\n")
@@ -582,7 +559,8 @@ def frobenius_cost(
 
     The untruncated norm diverges for quadratic drives, so a basis cutoff is
     mandatory (>= 2) and is reported with the value.  Passing an ensemble
-    derives the cutoff from its occupation tail at the widest wall position.
+    derives the cutoff from its occupation tail at the widest l, the larger
+    of l(0) and l(t_ff).
     At each node H = diag(E_n(1) / l^2) + c X2 with c = -(m/2) l_ddot / l and
     X2 the trapezoid x^2 matrix on the trace grid; the integrand is called
     once per Gauss-Legendre panel.  On the box grid X2(l) = l^2 X2(1), with
@@ -592,8 +570,7 @@ def frobenius_cost(
     """
     u = model.units
     if isinstance(ens_or_cutoff, ThermalEnsemble):
-        ls = traj.value(np.linspace(0.0, t_ff, 17))
-        l_widest = np.array([np.max(ls)])
+        l_widest = traj.value(np.array([0.0, t_ff])).max(keepdims=True)  # l is monotone
         _, _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest, None, 4096)
         m_cut = max(int(n_top[0]), 2)
     else:

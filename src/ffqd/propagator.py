@@ -101,15 +101,12 @@ def fidelity(a: ComplexField, b: ComplexField) -> float:
     return abs(inner_product(a, b))
 
 
-def _max_potential_sample(spec: PropagationSpec, frame: Grid, scale) -> float:
-    """max |V| over 65 sample times; a non-finite sample raises PropagationError."""
-    vmax = 0.0
-    for t in np.linspace(0.0, spec.t_final, 65):
-        v = float(np.max(np.abs(spec.potential(scale(t) * frame.points, t))))
-        if not v < math.inf:
-            raise PropagationError(f"potential is not finite at sample time t = {t:.6g}")
-        vmax = max(vmax, v)
-    return vmax
+def _check_margin(margin: float, step: int, n_steps: int) -> None:
+    """PropagationError unless margin = dt*max|V|/hbar at this step is below 0.5 (NaN fails too)."""
+    if not margin < 0.5:
+        if not margin < math.inf:
+            raise PropagationError(f"potential is not finite at step {step}/{n_steps}")
+        raise PropagationError(f"time step too coarse: dt*max|V|/hbar = {margin:.3g} >= 0.5")
 
 
 class _SnapshotWriter:
@@ -133,17 +130,22 @@ def _frame(spec: PropagationSpec, psi0: ComplexField, t_half: np.ndarray):
 
     DirichletFixed: y = x and s = 1.  DirichletMovingWall: y = x / L(t) on
     [0, 1] and s = L; the wall ramp is evaluated (and domain-checked) at every
-    half step here, before the first step.
+    half step here, before the first step.  Both frames set psi at the grid
+    ends to zero, so psi0 must already vanish there: below 1e-8 at a moving
+    wall, and below 1e-5 at fixed ends, which holds every oscillator state
+    (edge amplitude at most 1e-6 before renormalization on the grid).
     """
-    if not isinstance(spec.boundary, DirichletMovingWall):
+    moving = isinstance(spec.boundary, DirichletMovingWall)
+    limit = 1e-8 if moving else 1e-5
+    if not np.abs(psi0.values[[0, -1]]).max() <= limit:  # NaN fails too
+        raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {limit:g} there)")
+    if not moving:
         return spec.grid, np.ones(t_half.size), np.zeros(t_half.size), lambda t: 1.0
     traj = spec.boundary.traj
     L0 = traj.value(0.0)
     g = spec.grid
     if abs(g.x_min) > 1e-9 * L0 or abs(g.x_max - L0) > 1e-9 * L0:
         raise ValueError(f"moving-wall grid must span [0, L(0)] = [0, {L0}]")
-    if max(abs(psi0.values[0]), abs(psi0.values[-1])) > 1e-8:
-        raise ValueError("psi0 must vanish at x = 0 and x = L(0)")
     scale = lambda t: traj.value(min(t, traj.t_ff))
     return Grid(0.0, 1.0, g.n_points), traj.value(t_half), traj.velocity(t_half), scale
 
@@ -163,10 +165,14 @@ def propagate(
 ) -> ComplexField:
     """Crank-Nicolson run from t = 0 to t_final; returns the final state.
 
-    Raises PropagationError if dt*max|V|/hbar >= 0.5 (sampled bound), if the
-    potential is not finite at a step, or if the norm drifts by more than 1e-6
-    (or turns NaN) at any checkpoint.  A moving-wall run that would leave
-    [0, t_ff] raises ValueError before the first step.
+    Raises PropagationError if dt*max|V|/hbar >= 0.5 or V is not finite at a
+    half step actually stepped (V on the interior points, dt the stepped
+    t_final / n_steps), or if the norm drifts by more than 1e-6 (or turns
+    NaN) at any checkpoint.  For a QuadraticPotential the bound is
+    max|a(t) s(t)^2| max y^2 over all half steps, checked before the first
+    step; a callback's V is checked at each step as it is evaluated.  A
+    psi0 that does not vanish at the grid ends, or a moving-wall run that
+    would leave [0, t_ff], raises ValueError before the first step.
     """
     units = spec.units
     hbar, m = units.hbar, units.mass
@@ -174,11 +180,6 @@ def propagate(
     dt = spec.t_final / n_steps
     t_half = (np.arange(n_steps) + 0.5) * dt
     frame, s, s_dot, scale = _frame(spec, psi0, t_half)
-    vmax = _max_potential_sample(spec, frame, scale)
-    if spec.dt * vmax / hbar >= 0.5:
-        raise PropagationError(
-            f"time step too coarse: dt*max|V|/hbar = {spec.dt * vmax / hbar:.3g} >= 0.5"
-        )
     nrm0 = norm(psi0)
     if abs(nrm0 - 1.0) > 1e-6:
         raise ValueError(f"psi0 must be normalized, got norm {nrm0!r}")
@@ -194,9 +195,10 @@ def propagate(
     pot = None
     if isinstance(spec.potential, QuadraticPotential):
         pot = lam * spec.potential.coefficient(t_half) * (s * s)
-        bad = np.flatnonzero(~np.isfinite(pot))
+        margin = 2.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
+        bad = np.flatnonzero(~(margin < 0.5))
         if bad.size:
-            raise PropagationError(f"potential is not finite at step {bad[0] + 1}/{n_steps}")
+            _check_margin(margin[bad[0]], bad[0] + 1, n_steps)
         y2 = (y * y).astype(complex)
 
     from scipy.linalg.lapack import zgtsv
@@ -214,8 +216,7 @@ def propagate(
             sk = s.item(step)
             if pot is None:
                 v = spec.potential(sk * y, t_half.item(step))
-                if not np.isfinite(v).all():
-                    raise PropagationError(f"potential is not finite at step {step + 1}/{n_steps}")
+                _check_margin(2.0 * lam * np.max(np.abs(v)), step + 1, n_steps)
                 np.multiply(v, 1j * lam, out=d)
             else:
                 np.multiply(y2, 1j * pot.item(step), out=d)

@@ -1,5 +1,8 @@
 """Shared builders for the standard test scenarios: 1 -> 10 ramps over T = 1."""
 
+import os
+from pathlib import Path
+
 import numpy as np
 
 from ffqd.core import ComplexField, Grid
@@ -23,3 +26,12 @@ BOTH_RAMPS = (POLYNOMIAL, TRIGONOMETRIC)
 def box_state(n: int, L: float, grid: Grid) -> ComplexField:
     """Box eigenstate n at wall position L on a grid spanning [0, L]."""
     return ComplexField(grid, BoxModel().amplitudes(n, L, grid)[n - 1])
+
+
+def src_env() -> dict:
+    """os.environ with the repository's src/ first on PYTHONPATH, for subprocesses
+    that import ffqd whether or not the package is installed."""
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env

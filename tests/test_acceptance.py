@@ -41,7 +41,7 @@ from ffqd.propagator import (
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
-from helpers import BOTH_RAMPS, box_ramp, ho_ramp
+from helpers import BOTH_RAMPS, box_ramp, ho_ramp, src_env
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -257,6 +257,7 @@ def test_criterion_10_preset_determinism(tmp_path):
             [sys.executable, "-m", "ffqd", "preset", "fig1", "--out", str(out_dir)],
             capture_output=True,
             text=True,
+            env=src_env(),
         )
         assert proc.returncode == 0, proc.stderr
         outs.append(out_dir)

@@ -19,6 +19,8 @@ from ffqd.cli import (
 )
 from ffqd.spectra import HarmonicModel
 
+from helpers import src_env
+
 
 def small_box_scenario(**overrides):
     base = dict(
@@ -271,6 +273,7 @@ def test_console_entry_point(tmp_path):
         [sys.executable, "-m", "ffqd", "run", str(cfg), "--out", str(tmp_path)],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
 
@@ -286,7 +289,7 @@ def test_import_and_cost_preset_load_no_scipy(tmp_path):
         f"assert ffqd.cli.main(['preset', 'fig3', '--out', {str(tmp_path)!r}]) == 0\n"
         "print(after_import, loaded())\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] []"
 

@@ -1,11 +1,12 @@
 """Every narrative script in demos/ runs to completion against the library."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from helpers import src_env
 
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -14,9 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # cwd is a scratch directory, so plots (when matplotlib is present) land there
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300
+        [sys.executable, str(demo)], cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300
     )
     assert proc.returncode == 0, proc.stderr[-4000:]

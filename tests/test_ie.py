@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffqd.ie import cost_ie, design_b, ermakov_residual, h_ie_expectation
+from ffqd.ie import ErmakovSolution, cost_ie, design_b, ermakov_residual, h_ie_expectation
 
 
 def test_no_ramp_is_constant():
@@ -73,3 +73,17 @@ def test_cost_ie_nonincreasing_in_t_ff():
     costs = [cost_ie(design_b(1.0, 10.0, T), 1.0) for T in (0.1, 0.5, 1.0, 2.0, 5.0, 10.0)]
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["omega0", "omegaF", "t_ff"])
+def test_non_finite_parameters_rejected(field, bad):
+    args = {"omega0": 1.0, "omegaF": 10.0, "t_ff": 1.0, field: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        ErmakovSolution(**args)
+
+
+def test_ratio_beyond_double_precision_rejected():
+    # b(t_ff) = 1 + (sqrt(omega0/omegaF) - 1) rounds to exactly 0
+    with pytest.raises(ValueError, match="reaches zero"):
+        design_b(1.0, 1e40, 1.0)

@@ -156,8 +156,7 @@ def test_moving_wall_past_t_ff_rejected_before_stepping():
     ids=["False", "True", "False-coefficient", "True-coefficient"],
 )
 def test_non_finite_potential_mid_run_raises(bad, moving, form):
-    # 100 steps of 1e-4; the bad value sits only around the half step of step
-    # 51, far from the 65 times the dt*max|V| precondition samples
+    # 100 steps of 1e-4; the bad value sits only around the half step of step 51
     grid = Grid(0.0, 1.0, 128)
     phi = box_state(1, 1.0, grid)
     t_final, n_steps = 0.01, 100
@@ -182,20 +181,90 @@ def test_non_finite_potential_mid_run_raises(bad, moving, form):
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("moving", [False, True])
 def test_non_finite_potential_sample_fails_precondition(bad, moving):
-    # bad at the t = 0 sample only, 3 elsewhere: a NaN must not be folded away
-    # into vmax = 3 by the dt*max|V| precondition
+    # bad at the half step of step 37 only, |V| = 3 elsewhere: a NaN must not
+    # be folded away into max|V| = 3 by the dt*max|V|/hbar bound, in either
+    # potential form
     grid = Grid(0.0, 1.0, 128)
     phi = box_state(1, 1.0, grid)
+    t_final, n_steps = 0.01, 100
+    dt = t_final / n_steps
+    t_bad = 36.5 * dt
 
     def pot(x, t):
         v = np.full_like(x, 3.0)
-        if t == 0.0:
+        if abs(t - t_bad) < 0.25 * dt:
             v[len(v) // 2] = bad
         return v
 
+    def coefficient(t):
+        return np.where(np.abs(t - t_bad) < 0.25 * dt, bad, 3.0)
+
     boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
-    with pytest.raises(PropagationError, match="not finite at sample time t = 0"):
-        propagate(phi, PropagationSpec(grid, 1e-4, 0.01, pot, boundary))
+    for potential in (pot, QuadraticPotential(coefficient)):
+        with pytest.raises(PropagationError, match="not finite at step 37/100"):
+            propagate(phi, PropagationSpec(grid, dt, t_final, potential, boundary))
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["fixed", "moving"])
+@pytest.mark.parametrize("form", ["callback", "coefficient"])
+def test_potential_spike_between_sample_times_is_too_coarse(tmp_path, moving, form):
+    # a(t) = 1e4 only around the half step of step 51, between the times
+    # k t_final/64 that the bound used to sample, so dt*max|V|/hbar ~ 1 there
+    # and 0 elsewhere; the coefficient form raises before the first step, a
+    # callback at the step that evaluates the spike
+    grid = Grid(0.0, 1.0, 64)
+    phi = box_state(1, 1.0, grid)
+    t_final, n_steps = 0.01, 100
+    dt = t_final / n_steps
+    t_spike = 50.5 * dt
+    assert np.min(np.abs(np.linspace(0.0, t_final, 65) - t_spike)) > 0.25 * dt
+
+    def coefficient(t):
+        return np.where(np.abs(t - t_spike) < 0.25 * dt, 1e4, 0.0)
+
+    potential = QuadraticPotential(coefficient)
+    if form == "callback":
+        potential = lambda x, t: coefficient(t) * x**2  # noqa: E731
+    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
+    path = tmp_path / "snaps.csv"
+    with pytest.raises(PropagationError, match="time step too coarse"):
+        propagate(phi, PropagationSpec(grid, dt, t_final, potential, boundary), path, snapshot_stride=1)
+    if form == "coefficient":
+        assert not path.exists()
+    else:  # frames at steps 0..50: step 51 raised
+        assert len(path.read_text().splitlines()) == 1 + 64 * 51
+
+
+@pytest.mark.parametrize("moving", [False, True], ids=["fixed", "moving"])
+def test_psi0_not_vanishing_at_grid_ends_rejected_before_stepping(moving):
+    # the walls set psi to zero at both grid ends; a normalized constant used to
+    # lose its end values silently and fail 16 steps later with "norm drifted"
+    grid = Grid(0.0, 1.0, 256)
+    const = ComplexField(grid, np.ones(grid.n_points, dtype=complex))
+    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
+    seen = []
+
+    def pot(x, t):
+        seen.append(t)
+        return np.zeros_like(x)
+
+    with pytest.raises(ValueError, match="psi0 must vanish at both grid ends"):
+        propagate(const, PropagationSpec(grid, 1e-4, 0.01, pot, boundary))
+    assert not seen
+
+
+def test_oscillator_state_at_the_edge_limit_propagates():
+    # an oscillator state whose grid ends sit just inside the 1e-6 edge bound
+    # of the amplitude tables must pass the fixed-wall check
+    model = HarmonicModel()
+    traj = ho_ramp(POLYNOMIAL)
+    half = np.sqrt(2.0 * np.log(np.pi**-0.25 / 0.99e-6))
+    grid = Grid(-half, half, 512)
+    psi0 = psi_ff(model, 0, 0.0, traj, grid)
+    assert 0.9e-6 < np.abs(psi0.values[[0, -1]]).max() <= 1e-6
+    coefficient = lambda t: model._v0_coefficient(traj.value(t))  # noqa: E731
+    out = propagate(psi0, PropagationSpec(grid, 1e-3, 0.01, QuadraticPotential(coefficient)))
+    assert fidelity(out, psi0) > 0.99
 
 
 def _random_hermitian_tridiagonal(n, seed, scale):

@@ -91,11 +91,24 @@ def test_ramps_stay_positive_and_hit_both_endpoints(kind, l0, l_final, t_ff):
     # l0 + (l_final - l0) rounds at the scale of the larger endpoint
     assert abs(traj.value(t_ff) - l_final) <= 1e-12 * max(l0, l_final)
     assert np.min(traj.value(np.linspace(0.0, t_ff, 20_001))) > 0.0
+    # the larger end, through the array path, is bit for bit the max over the
+    # 257 even samples that sized oscillator grids before
+    assert traj._l_max == float(np.max(traj.value(np.linspace(0.0, t_ff, 257))))
 
 
 def test_positivity_enforced_at_construction():
     with pytest.raises(ValueError):
         ControlTrajectory.polynomial(1.0, -7.0, 1.0)  # l(T) = 1 - 7/6 < 0
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("field", ["l0", "vbar", "epsilon", "t_ff"])
+def test_non_finite_ends_rejected(field, bad):
+    # each leaves l(0) or l(t_ff) NaN or inf, which a positivity test alone passes
+    kind = ADIABATIC_LINEAR if field == "epsilon" else POLYNOMIAL
+    args = {"kind": kind, "l0": 1.0, "t_ff": 1.0, "vbar": 1.0, "epsilon": 0.1, field: bad}
+    with pytest.raises(ValueError, match="positive and finite"):
+        ControlTrajectory(**args)
 
 
 def test_derivatives_match_finite_differences():
