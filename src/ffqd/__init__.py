@@ -54,7 +54,6 @@ from .cost import (
     cost_ff_box_closed,
     cost_ff_ho_closed,
     cost_ff_numeric,
-    fermi_occupation,
     frobenius_cost,
     internal_energy_box,
     internal_energy_box_parts,

@@ -12,7 +12,9 @@ side by side and must agree:
 
 The literature's printed closed-form coefficients are treated as claims under
 test: CostReport carries both the quadrature value (primary) and the printed
-form, and records their ratio instead of hiding a disagreement.
+form, and records their ratio instead of hiding a disagreement.  The closed
+forms take a time or a time array; cost_ff, the one ramp average, calls them
+once per Gauss-Legendre panel on its node array.
 
 The numeric thermal trace sum_n f_n <psi_n| H_FF |psi_n> that judges them is
 evaluated in real arithmetic.  The eigenamplitudes phi_n are real and the
@@ -53,30 +55,23 @@ _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
 class ThermalEnsemble:
     """Fermi-Dirac ensemble with fixed particle number.
 
-    beta may be math.inf for the zero-temperature limit.  mu is optional: the
-    thermal-trace routines re-solve it from n_particles at each evaluation
-    time, so only direct fermi_occupation calls need it set.
+    beta may be math.inf for the zero-temperature limit.  The thermal-trace
+    routines solve mu from n_particles at each evaluation time.
     """
 
     beta: float
     n_particles: int
-    mu: float | None = None
     units: UnitSystem = NATURAL
 
     def __post_init__(self):
         if not self.beta > 0:
             raise ValueError("beta must be positive (use math.inf for T = 0)")
-        if self.n_particles < 0:
-            raise ValueError("n_particles must be >= 0")
+        if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 0:
+            raise ValueError(f"n_particles must be an integer >= 0, got {self.n_particles!r}")
 
     @property
     def temperature(self) -> float:
         return 0.0 if math.isinf(self.beta) else 1.0 / (self.units.kB * self.beta)
-
-    @classmethod
-    def from_temperature(cls, temperature: float, n_particles: int, units: UnitSystem = NATURAL):
-        beta = math.inf if temperature == 0.0 else 1.0 / (units.kB * temperature)
-        return cls(beta=beta, n_particles=n_particles, units=units)
 
 
 def _fermi_factor(z):
@@ -96,13 +91,6 @@ def _fermi(e, beta: float, mu: float):
         with np.errstate(over="ignore"):
             out = _fermi_factor(beta * (e - mu))
     return float(out) if out.ndim == 0 else out
-
-
-def fermi_occupation(e_n, ens: ThermalEnsemble):
-    """Fermi-Dirac factor 1/(exp(beta (E - mu)) + 1), stable for large |beta (E - mu)|."""
-    if ens.mu is None:
-        raise ValueError("ensemble has no chemical potential set; use solve_mu first")
-    return _fermi(e_n, ens.beta, ens.mu)
 
 
 _MU_TOL = 1e-10  # occupation-sum residual the bisection accepts at once
@@ -180,13 +168,18 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 # ---------------------------------------------------------------------------
 # closed-form internal energies and their printed constants
 
-def internal_energy_ho(traj: ControlTrajectory, t: float, a_coeff: float, units: UnitSystem = NATURAL) -> float:
-    """Oscillator internal energy A (hbar^2/4mL^2 - (m/8) L L_dd + (m/8) L_dot^2)."""
-    L = traj.value(t)
-    Ld = traj.velocity(t)
-    Ldd = traj.acceleration(t)
+def internal_energy_ho(traj: ControlTrajectory, t, a_coeff: float, units: UnitSystem = NATURAL):
+    """Oscillator internal energy A (hbar^2/4mL^2 - (m/8) L L_dd + (m/8) L_dot^2) at a time or a time array."""
+    L, Ld, Ldd = traj.value(t), traj.velocity(t), traj.acceleration(t)
     m, hbar = units.mass, units.hbar
     return a_coeff * (hbar**2 / (4.0 * m * L * L) - (m / 8.0) * L * Ldd + (m / 8.0) * Ld * Ld)
+
+
+def _printed_n(ens: ThermalEnsemble) -> int:
+    """N of the printed constants, which divide by it."""
+    if ens.n_particles < 1:
+        raise ValueError(f"the printed constants need n_particles >= 1, got {ens.n_particles}")
+    return ens.n_particles
 
 
 def coefficient_A(ens: ThermalEnsemble, l0: float) -> float:
@@ -196,53 +189,54 @@ def coefficient_A(ens: ThermalEnsemble, l0: float) -> float:
     validity requires k T well below the level spacing times N.
     """
     u = ens.units
-    N = ens.n_particles
+    N = _printed_n(ens)
     kT = u.kB * ens.temperature
-    corr = (4.0 * np.pi**2 / 3.0) * l0**2 * (u.mass * kT / u.hbar**2) ** 2 * (l0 / N) ** 2
+    r = l0 / N
+    corr = (4.0 * np.pi**2 / 3.0) * (l0 * l0) * (u.mass * kT / u.hbar**2) ** 2 * (r * r)
     return N * N * (1.0 + corr)
 
 
-def _thermal_l4(ens: ThermalEnsemble, L: float) -> float:
+def _thermal_l4(ens: ThermalEnsemble, L):
+    # powers of L are products here and in coefficient_A: a Python float's ** rounds
+    # apart from numpy's, products keep a node array bit-identical to per-node calls
     u = ens.units
     kT = u.kB * ens.temperature
-    return (u.mass * kT / u.hbar**2) ** 2 * (L / ens.n_particles) ** 4
+    r2 = (L / ens.n_particles) * (L / ens.n_particles)
+    return (u.mass * kT / u.hbar**2) ** 2 * (r2 * r2)
 
 
-def coefficients_B(ens: ThermalEnsemble, L: float) -> tuple[float, float]:
-    """Printed box constants (B1, B2), each truncated at its printed term."""
+def coefficients_B(ens: ThermalEnsemble, L):
+    """Printed box constants (B1, B2), each truncated at its printed term; L may be an array."""
     u = ens.units
-    N = ens.n_particles
-    b1 = (np.pi**2 * u.hbar**2 * N**3 / (24.0 * u.mass)) * (1.0 + (24.0 / np.pi**2) * _thermal_l4(ens, L))
-    b2 = (u.mass * N / 6.0) * (1.0 + (16.0 / (3.0 * np.pi**2)) * _thermal_l4(ens, L))
-    return float(b1), float(b2)
+    N = _printed_n(ens)
+    th = _thermal_l4(ens, L)
+    b1 = (np.pi**2 * u.hbar**2 * N**3 / (24.0 * u.mass)) * (1.0 + (24.0 / np.pi**2) * th)
+    b2 = (u.mass * N / 6.0) * (1.0 + (16.0 / (3.0 * np.pi**2)) * th)
+    return b1, b2
 
 
-def box_drive_prefactor(ens: ThermalEnsemble, L: float) -> float:
+def box_drive_prefactor(ens: ThermalEnsemble, L):
     """Drive prefactor of the box internal energy, with its full two-layer bracket.
 
     This differs from the printed B2 (whose bracket drops the 6/(pi N)^2
     layer); the internal energy is evaluated with the bracket as printed in
     its own equation, and this constant is what the cost oracle identities
-    use.
+    use.  L may be an array.
     """
     u = ens.units
-    N = ens.n_particles
+    N = _printed_n(ens)
     inner = 1.0 + (16.0 / (3.0 * np.pi**2)) * _thermal_l4(ens, L)
-    return float((u.mass * N / 6.0) * (1.0 + (6.0 / (np.pi**2 * N * N)) * inner))
+    return (u.mass * N / 6.0) * (1.0 + (6.0 / (np.pi**2 * N * N)) * inner)
 
 
-def internal_energy_box_parts(traj: ControlTrajectory, t: float, ens: ThermalEnsemble) -> tuple[float, float]:
-    """(confinement, drive) parts of the printed box internal energy."""
-    L = traj.value(t)
-    Ld = traj.velocity(t)
-    Ldd = traj.acceleration(t)
+def internal_energy_box_parts(traj: ControlTrajectory, t, ens: ThermalEnsemble):
+    """(confinement, drive) parts of the printed box internal energy at a time or a time array."""
+    L, Ld, Ldd = traj.value(t), traj.velocity(t), traj.acceleration(t)
     b1, _ = coefficients_B(ens, L)
-    conf = b1 / (L * L)
-    drive = -box_drive_prefactor(ens, L) * (L * Ldd - Ld * Ld)
-    return float(conf), float(drive)
+    return b1 / (L * L), -box_drive_prefactor(ens, L) * (L * Ldd - Ld * Ld)
 
 
-def internal_energy_box(traj: ControlTrajectory, t: float, ens: ThermalEnsemble) -> float:
+def internal_energy_box(traj: ControlTrajectory, t, ens: ThermalEnsemble):
     """Printed large-N expansion of the box internal energy, both brackets as printed."""
     conf, drive = internal_energy_box_parts(traj, t, ens)
     return conf + drive
@@ -289,37 +283,27 @@ def _weighted_trace(
     return float(out) if out.ndim == 0 else out
 
 
-def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray, cutoff: int | None, max_levels: int):
+_MAX_LEVELS = 4096  # the trace's level cutoff doubles at most up to this
+
+
+def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray):
     """Level numbers, occupations and top levels of the trace at control values l.
 
     Returns (ns, f, n_top): f[i] holds node i's occupations of the levels ns,
     zero above its own cutoff, and n_top[i] is its top level.  Energies scale
-    as E_n(l) = E_n(1) / l^2, and mu is solved for all nodes at once.  An
-    explicit cutoff keeps levels up to it and must leave every top
-    occupation below 1e-12.  Otherwise every node starts from
-    max(4N + 16, 64) levels, the nodes whose top occupation is still
-    >= 1e-12 double theirs, and each node keeps the levels up to two past
-    its last occupation >= 1e-12, and at least N + 1.
+    as E_n(l) = E_n(1) / l^2, and mu is solved for all nodes at once.  Every
+    node starts from max(4N + 16, 64) levels, the nodes whose top occupation
+    is still >= 1e-12 double theirs (ValueError past 4096 levels), and each
+    node keeps the levels up to two past its last occupation >= 1e-12, and
+    at least N + 1.
     """
-
-    def occupations(n_max, rows):
-        ns = model.level_numbers(n_max)
-        e = model.energy(ns, 1.0) / (l[rows] * l[rows])[:, None]
-        return ns, _fermi(e, ens.beta, _solve_mu_rows(e, ens.beta, ens.n_particles)[:, None])
-
-    if cutoff is not None:
-        ns, f = occupations(cutoff, slice(None))
-        bad = np.flatnonzero(f[:, -1] >= _F_TOL)
-        if bad.size:
-            raise ValueError(
-                f"cutoff {cutoff} too small: top occupation {f[bad[0], -1]:.3e} >= {_F_TOL:g}"
-            )
-        return ns, f, np.full(l.size, ns[-1])
     n_max = max(4 * ens.n_particles + 16, 64)
     rows = np.arange(l.size)
     kept = [None] * l.size  # each node's occupations up to its cutoff
     while True:
-        ns, f = occupations(n_max, rows)
+        ns = model.level_numbers(n_max)
+        e = model.energy(ns, 1.0) / (l[rows] * l[rows])[:, None]
+        f = _fermi(e, ens.beta, _solve_mu_rows(e, ens.beta, ens.n_particles)[:, None])
         ok = f[:, -1] < _F_TOL
         last = np.where(f >= _F_TOL, np.arange(ns.size), 0).max(axis=1)
         keep = np.minimum(np.maximum(last + 2, ens.n_particles + 1), ns.size)
@@ -328,8 +312,8 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray, cutoff: 
         rows = rows[~ok]
         if not rows.size:
             break
-        if n_max >= max_levels:
-            raise ValueError(f"no cutoff below {max_levels} reaches occupation < {_F_TOL:g}")
+        if n_max >= _MAX_LEVELS:
+            raise ValueError(f"no cutoff below {_MAX_LEVELS} reaches occupation < {_F_TOL:g}")
         n_max *= 2
     occ = np.zeros((l.size, max(k.size for k in kept)))
     for i, k in enumerate(kept):
@@ -342,9 +326,7 @@ def _node_traces(
     traj: ControlTrajectory,
     ts: np.ndarray,
     ens: ThermalEnsemble,
-    cutoff: int | None = None,
     n_points: int = 2048,
-    max_levels: int = 4096,
 ) -> np.ndarray:
     """The thermal trace of internal_energy_numeric at every time of ts, in one pass.
 
@@ -362,7 +344,7 @@ def _node_traces(
         return np.zeros(ts.size)
     u = model.units
     l, ldot, lddot = traj.value(ts), traj.velocity(ts), traj.acceleration(ts)
-    _, f, n_top = _occupied_levels(model, ens, l, cutoff, max_levels)
+    _, f, n_top = _occupied_levels(model, ens, l)
     a = u.mass * ldot / (2.0 * u.hbar * l)  # gauge phase theta = a x^2
     c = -0.5 * u.mass * lddot / l  # drive V_FF = c x^2
     out = np.empty(ts.size)
@@ -381,9 +363,7 @@ def internal_energy_numeric(
     traj: ControlTrajectory,
     t: float,
     ens: ThermalEnsemble,
-    cutoff: int | None = None,
     n_points: int = 2048,
-    max_levels: int = 4096,
 ) -> float:
     """Truncated thermal trace sum_n f_n <psi_n| H_FF |psi_n> on a grid.
 
@@ -391,32 +371,28 @@ def internal_energy_numeric(
     instantaneous spectrum; each accelerated state carries the gauge phase
     exp(i theta), theta = a x^2 with a = m l_dot / 2 hbar l, and the matrix
     element is taken with the second-order finite-difference kinetic operator
-    plus V0 + V_FF.
-
-    The sum is formed in real arithmetic: Re(conj psi_n,j psi_n,k) =
-    phi_n,j phi_n,k cos(theta_k - theta_j) for the real amplitudes phi_n, so
-    the trace is trapezoid(-(hbar^2 / 2m dx^2) K + v rho0) with
-    rho0_j = sum_n f_n phi_n,j^2, rho1_j = sum_n f_n phi_n,j phi_n,j+1 and
-    K_j = rho1_j cos(theta_j+1 - theta_j) + rho1_j-1 cos(theta_j - theta_j-1)
-    - 2 rho0_j inside; the one-sided end stencils use the pairs (0, 1), (0, 2),
-    (0, 3) and their mirrors at the last grid point.  This is the one-node
-    call of the batched trace that cost_ff_numeric runs on all its nodes.
+    plus V0 + V_FF.  The sum is formed in real arithmetic (module docstring,
+    _weighted_trace).  This is the one-node call of the batched trace that
+    cost_ff_numeric runs on all its nodes.
     """
-    return float(_node_traces(model, traj, np.array([float(t)]), ens, cutoff, n_points, max_levels)[0])
+    return float(_node_traces(model, traj, np.array([float(t)]), ens, n_points)[0])
 
 
 # ---------------------------------------------------------------------------
 # time-averaged costs
 
-def cost_ff(u_of_t: Callable[[float], float], t_ff: float, rel_tol: float = 1e-10) -> float:
+def cost_ff(u_of_t: Callable[[np.ndarray], np.ndarray], t_ff: float, rel_tol: float = 1e-10) -> float:
     """Time average (1/T) int_0^T u(t) dt by 32/64-node Gauss-Legendre panels.
 
-    u_of_t takes one time and is called at each node.  A panel whose
-    32/64-node difference exceeds its share of rel_tol is halved; RuntimeError
-    if the quadrature does not converge.
+    u_of_t takes the array of a panel's nodes and is called once per panel.
+    A panel whose 32/64-node difference exceeds its share of rel_tol is
+    halved; RuntimeError if the quadrature does not converge.  Every ramp
+    average of the package except cost_ff_numeric's fixed rule goes through
+    here: the closed forms, frobenius_cost and ie.cost_ie.
     """
-    val, _ = gauss_legendre(lambda ts: [u_of_t(float(t)) for t in ts], 0.0, t_ff, rel_tol)
-    return val / t_ff
+    if not 0 < t_ff < math.inf:  # False for NaN too
+        raise ValueError(f"t_ff must be positive and finite, got {t_ff!r}")
+    return gauss_legendre(u_of_t, 0.0, t_ff, rel_tol)[0] / t_ff
 
 
 _DRIVE_SHAPE = {POLYNOMIAL: 1.0 / 15.0, TRIGONOMETRIC: 3.0}
@@ -435,26 +411,14 @@ class CostReport:
     the declared tolerance (exact at zero temperature).  published_value is the
     printed closed form evaluated verbatim; published_ratio compares the
     quadrature against it, recording any disagreement rather than hiding it.
+    The four values are the row cost_curve.csv prints.
     """
 
-    c_ff: float
     quadrature_value: float
     closed_form_value: float
     published_value: float
     published_ratio: float
     constants: dict
-    u_samples: tuple
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            for key in ("c_ff", "quadrature_value", "closed_form_value", "published_value", "published_ratio"):
-                fh.write(f"# {key}={getattr(self, key):.14e}\n")
-            for key, val in sorted(self.constants.items()):
-                fh.write(f"# constant_{key}={val:.14e}\n")
-            fh.write("t,u_bar\n")
-            for t, ub in self.u_samples:
-                fh.write(f"{t:.14e},{ub:.14e}\n")
-            fh.write(f"summary,{self.c_ff:.14e}\n")
 
 
 def _require_smooth_ramp(traj: ControlTrajectory) -> None:
@@ -462,12 +426,7 @@ def _require_smooth_ramp(traj: ControlTrajectory) -> None:
         raise ValueError("cost closed forms need a polynomial or trigonometric ramp")
 
 
-def _mean_inverse_l2(traj: ControlTrajectory, rel_tol: float = 1e-12) -> float:
-    val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, 0.0, traj.t_ff, rel_tol)
-    return val / traj.t_ff
-
-
-def cost_ff_box_closed(traj: ControlTrajectory, ens: ThermalEnsemble, n_samples: int = 33) -> CostReport:
+def cost_ff_box_closed(traj: ControlTrajectory, ens: ThermalEnsemble) -> CostReport:
     """Box cost: quadrature of the printed internal energy vs closed forms.
 
     At zero temperature the closed form (confinement average plus the
@@ -486,45 +445,33 @@ def cost_ff_box_closed(traj: ControlTrajectory, ens: ThermalEnsemble, n_samples:
     closed = conf_avg + k_drive * traj.vbar**2 * _DRIVE_SHAPE[traj.kind]
 
     b1, b2 = coefficients_B(ens, l0)
-    published = b1 * _mean_inverse_l2(traj) / 24.0 + b2 * traj.vbar**2 * _PUBLISHED_DRIVE_SHAPE[traj.kind]
-    ts = np.linspace(0.0, T, n_samples)
-    samples = tuple((float(t), internal_energy_box(traj, float(t), ens)) for t in ts)
+    mean_l_inv2 = cost_ff(lambda s: 1.0 / traj.value(s) ** 2, T, 1e-12)
+    published = b1 * mean_l_inv2 / 24.0 + b2 * traj.vbar**2 * _PUBLISHED_DRIVE_SHAPE[traj.kind]
     return CostReport(
-        c_ff=quadrature,
         quadrature_value=quadrature,
         closed_form_value=closed,
         published_value=published,
         published_ratio=quadrature / published,
         constants={"B1": b1, "B2": b2, "B2_drive": k_drive},
-        u_samples=samples,
     )
 
 
-def cost_ff_ho_closed(
-    traj: ControlTrajectory,
-    a_coeff: float,
-    units: UnitSystem = NATURAL,
-    n_samples: int = 33,
-) -> CostReport:
+def cost_ff_ho_closed(traj: ControlTrajectory, a_coeff: float, units: UnitSystem = NATURAL) -> CostReport:
     """Oscillator cost: here the printed drive constants survive the oracle, so
     closed_form_value and published_value coincide."""
     _require_smooth_ramp(traj)
     T = traj.t_ff
     m, hbar = units.mass, units.hbar
     quadrature = cost_ff(lambda s: internal_energy_ho(traj, s, a_coeff, units), T)
-    conf = a_coeff * hbar**2 / (4.0 * m) * _mean_inverse_l2(traj)
+    conf = a_coeff * hbar**2 / (4.0 * m) * cost_ff(lambda s: 1.0 / traj.value(s) ** 2, T, 1e-12)
     drive_shape = 1.0 / 120.0 if traj.kind == POLYNOMIAL else 3.0 / 8.0
     closed = conf + m * a_coeff * traj.vbar**2 * drive_shape
-    ts = np.linspace(0.0, T, n_samples)
-    samples = tuple((float(t), internal_energy_ho(traj, float(t), a_coeff, units)) for t in ts)
     return CostReport(
-        c_ff=quadrature,
         quadrature_value=quadrature,
         closed_form_value=closed,
         published_value=closed,
         published_ratio=quadrature / closed,
         constants={"A": a_coeff},
-        u_samples=samples,
     )
 
 
@@ -561,17 +508,18 @@ def frobenius_cost(
     mandatory (>= 2) and is reported with the value.  Passing an ensemble
     derives the cutoff from its occupation tail at the widest l, the larger
     of l(0) and l(t_ff).
-    At each node H = diag(E_n(1) / l^2) + c X2 with c = -(m/2) l_ddot / l and
-    X2 the trapezoid x^2 matrix on the trace grid; the integrand is called
-    once per Gauss-Legendre panel.  On the box grid X2(l) = l^2 X2(1), with
-    X2(1) taken from the l = 1 table once per chunk of nodes, so a node adds
-    only its levels x levels matrix: ||H||^2 = s0 / l^4 + 2 c s1 + c^2 l^4 s2.
-    The oscillator takes X2 from its batched stacks.
+    At each node the code builds the cutoff x cutoff matrix
+    H = diag(E_n(1) / l^2) + c X2, c = -(m/2) l_ddot / l, and takes the root
+    of its summed squares.  X2 = <k|x^2|m> on the node's trace grid
+    x = length xi is weight length^3 times the trapezoid <k|xi^2|m> of the
+    amplitude table model._trace_stacks yields: the box shares one l = 1
+    sine table per chunk of nodes, the oscillator has one table per node.
+    The time average is cost_ff's, one integrand call per panel.
     """
     u = model.units
     if isinstance(ens_or_cutoff, ThermalEnsemble):
         l_widest = traj.value(np.array([0.0, t_ff])).max(keepdims=True)  # l is monotone
-        _, _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest, None, 4096)
+        _, _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest)
         m_cut = max(int(n_top[0]), 2)
     else:
         m_cut = int(ens_or_cutoff)
@@ -596,5 +544,4 @@ def frobenius_cost(
             del h, xi2, table  # free this chunk before the next one is built
         return out
 
-    val, _ = gauss_legendre(h_norm, 0.0, t_ff, rel_tol)
-    return FrobeniusCost(value=val / t_ff, cutoff=m_cut)
+    return FrobeniusCost(value=cost_ff(h_norm, t_ff, rel_tol), cutoff=m_cut)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._numutil import gauss_legendre
+from .cost import cost_ff
 
 
 @dataclass(frozen=True)
@@ -110,11 +110,10 @@ def h_ie_expectation(sol: ErmakovSolution, t, beta: float) -> float:
 
 
 def cost_ie(sol: ErmakovSolution, beta: float, rel_tol: float = 1e-10) -> float:
-    """Time-averaged <H_IE> over the ramp, by 32/64-node Gauss-Legendre panels.
+    """Time-averaged <H_IE> over the ramp, by cost.cost_ff's Gauss-Legendre panels.
 
     Each panel evaluates <H_IE> on its whole node array; RuntimeError if the
     quadrature does not converge.
     """
-    val, _ = gauss_legendre(lambda s: h_ie_expectation(sol, s, beta), 0.0, sol.t_ff, rel_tol)
-    return val / sol.t_ff
+    return cost_ff(lambda s: h_ie_expectation(sol, s, beta), sol.t_ff, rel_tol)
 

@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -16,17 +17,18 @@ from ffqd.cost import (
     cost_ff_box_closed,
     cost_ff_ho_closed,
     cost_ff_numeric,
-    fermi_occupation,
     frobenius_cost,
     internal_energy_box,
     internal_energy_box_parts,
     internal_energy_ho,
     internal_energy_numeric,
     solve_mu,
+    _fermi,
     _node_traces,
     _solve_mu_rows,
     _weighted_trace,
 )
+from ffqd.cli import Scenario, run
 from ffqd.core import Grid
 from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
@@ -45,18 +47,10 @@ def static_trajectory(l0=1.0, t_ff=1.0):
 
 
 def test_fermi_occupation_values():
-    ens = ThermalEnsemble(beta=2.0, n_particles=1, mu=1.0)
-    assert fermi_occupation(1.0, ens) == pytest.approx(0.5)
+    assert _fermi(1.0, 2.0, 1.0) == pytest.approx(0.5)
     # beta (E - mu) = ln 3  ->  f = 1/4
-    ens2 = ThermalEnsemble(beta=1.0, n_particles=1, mu=0.0)
-    assert fermi_occupation(math.log(3.0), ens2) == pytest.approx(0.25, rel=1e-12)
-    ens3 = ThermalEnsemble(beta=1e4, n_particles=1, mu=0.0)
-    assert fermi_occupation(-1.0, ens3) == pytest.approx(1.0, abs=1e-12)
-
-
-def test_fermi_occupation_needs_mu():
-    with pytest.raises(ValueError):
-        fermi_occupation(1.0, ThermalEnsemble(beta=1.0, n_particles=1))
+    assert _fermi(math.log(3.0), 1.0, 0.0) == pytest.approx(0.25, rel=1e-12)
+    assert _fermi(-1.0, 1e4, 0.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def test_solve_mu_zero_t_filling():
@@ -85,12 +79,24 @@ def test_solve_mu_range_check():
         solve_mu([1.0, 2.0], 1.0, 2)
 
 
+@pytest.mark.parametrize("beta", [math.inf, 2.0])
+def test_solve_mu_needs_more_levels_than_particles(beta):
+    with pytest.raises(ValueError, match="n_particles"):
+        solve_mu(BoxModel().energy(np.arange(1, 4), 1.0), beta, 3)
+
+
 def test_ensemble_validation_and_temperature():
     with pytest.raises(ValueError):
         ThermalEnsemble(beta=0.0, n_particles=1)
-    assert ThermalEnsemble.from_temperature(0.0, 1).beta == math.inf
-    assert ThermalEnsemble.from_temperature(2.0, 1).beta == pytest.approx(0.5)
+    assert ThermalEnsemble(beta=0.5, n_particles=1).temperature == 2.0
     assert ZERO_T.temperature == 0.0
+
+
+@pytest.mark.parametrize("n", [1.5, 2.0, -1])
+def test_ensemble_rejects_non_integer_or_negative_particle_count(n):
+    # 1.5 used to pass here and fail with an IndexError inside the trace
+    with pytest.raises(ValueError, match="n_particles must be an integer >= 0"):
+        ThermalEnsemble(beta=1.0, n_particles=n)
 
 
 # ---------------------------------------------------------------------------
@@ -102,9 +108,22 @@ def test_coefficient_a_printed_truncation():
     ens = ThermalEnsemble(beta=math.inf, n_particles=5)
     assert coefficient_A(ens, 1.0) == pytest.approx(25.0)
     # the printed correction is positive, so A grows with temperature
-    a_cold = coefficient_A(ThermalEnsemble.from_temperature(0.1, 2), 1.0)
-    a_warm = coefficient_A(ThermalEnsemble.from_temperature(0.2, 2), 1.0)
+    a_cold = coefficient_A(ThermalEnsemble(beta=10.0, n_particles=2), 1.0)
+    a_warm = coefficient_A(ThermalEnsemble(beta=5.0, n_particles=2), 1.0)
     assert a_warm > a_cold > 4.0
+
+
+def test_printed_constants_reject_empty_ensemble():
+    # the printed constants divide by N: N = 0 used to raise ZeroDivisionError
+    empty = ThermalEnsemble(beta=2.0, n_particles=0)
+    for call in (
+        lambda: coefficient_A(empty, 1.0),
+        lambda: coefficients_B(empty, 1.0),
+        lambda: box_drive_prefactor(empty, 1.0),
+        lambda: cost_ff_box_closed(box_ramp(POLYNOMIAL), empty),
+    ):
+        with pytest.raises(ValueError, match="n_particles >= 1"):
+            call()
 
 
 def test_coefficients_b_zero_temperature():
@@ -142,6 +161,55 @@ def test_internal_energy_box_endpoint_reduction():
     assert drive == pytest.approx(-k * traj.value(0.0) * traj.acceleration(0.0), rel=1e-12)
 
 
+class _NodeRamp:
+    """A ramp whose scalar calls return its node-array path's value at that time.
+
+    ControlTrajectory's scalar path rounds t**3 differently from its array
+    path (polynomial ramps), so both sides below see the same l, l_dot and
+    l_ddot and only the closed forms' own arithmetic is compared.
+    """
+
+    def __init__(self, traj):
+        self.traj = traj
+
+    def __getattr__(self, name):
+        f = getattr(self.traj, name)
+        return lambda t: f(np.array([t]))[0].item() if np.ndim(t) == 0 else f(t)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]),
+    st.floats(0.1, 10.0),
+    st.floats(0.1, 10.0),
+    st.floats(0.05, 10.0),
+    st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)),
+    st.integers(1, 200),
+    st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
+    st.floats(0.1, 5.0),
+)
+def test_closed_forms_on_a_node_array_match_per_node_calls(kind, l0, l1, t_ff, beta, n, fracs, a_coeff):
+    traj = _NodeRamp(ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff)))
+    ens = ThermalEnsemble(beta=beta, n_particles=n)
+    ts = t_ff * np.array(fracs)
+    of_time = [
+        lambda t: internal_energy_ho(traj, t, a_coeff),
+        lambda t: internal_energy_box(traj, t, ens),
+        lambda t: internal_energy_box_parts(traj, t, ens)[0],
+        lambda t: internal_energy_box_parts(traj, t, ens)[1],
+    ]
+    of_l = [
+        lambda l: coefficient_A(ens, l),
+        lambda l: coefficients_B(ens, l)[0],
+        lambda l: coefficients_B(ens, l)[1],
+        lambda l: box_drive_prefactor(ens, l),
+    ]
+    for form, nodes in [(f, ts) for f in of_time] + [(f, traj.value(ts)) for f in of_l]:
+        per_node = [form(float(x)) for x in nodes]
+        assert all(isinstance(v, float) for v in per_node)
+        np.testing.assert_array_max_ulp(form(nodes), np.array(per_node), maxulp=4)
+
+
 # ---------------------------------------------------------------------------
 # numeric thermal trace
 
@@ -159,16 +227,12 @@ def test_trace_empty_ensemble():
     assert internal_energy_numeric(BoxModel(), box_ramp(), 0.5, ens) == 0.0
 
 
-@pytest.mark.parametrize("beta", [math.inf, 2.0])
-def test_trace_cutoff_must_exceed_particle_number(beta):
-    with pytest.raises(ValueError, match="n_particles"):
-        internal_energy_numeric(BoxModel(), box_ramp(), 0.5, ThermalEnsemble(beta, 3), cutoff=3)
-
-
 def test_trace_cutoff_too_small():
-    ens = ThermalEnsemble(beta=1.0, n_particles=1)
-    with pytest.raises(ValueError):
-        internal_energy_numeric(BoxModel(), box_ramp(), 0.0, ens, cutoff=2)
+    # at beta = 1e-8 the occupation of level 4096 is still ~1e-4: the cutoff
+    # stops doubling there and the trace refuses
+    ens = ThermalEnsemble(beta=1e-8, n_particles=1)
+    with pytest.raises(ValueError, match="no cutoff below 4096"):
+        internal_energy_numeric(BoxModel(), box_ramp(), 0.0, ens, n_points=64)
 
 
 def test_trace_endpoints_match_static_thermal_energy():
@@ -368,7 +432,31 @@ def test_cost_ff_numeric_pinned(model, traj, ens, pinned):
 
 
 def test_cost_ff_constant():
-    assert cost_ff(lambda t: 3.25, 2.0) == pytest.approx(3.25, rel=1e-12)
+    assert cost_ff(lambda t: np.full_like(t, 3.25), 2.0) == pytest.approx(3.25, rel=1e-12)
+
+
+@pytest.mark.parametrize("t_ff", [0.0, -1.0, math.inf, math.nan])
+def test_cost_ff_rejects_non_positive_or_non_finite_t_ff(t_ff):
+    # t_ff = 0 used to divide by zero and t_ff = -1 to return 1.0
+    with pytest.raises(ValueError, match="t_ff must be positive and finite"):
+        cost_ff(np.ones_like, t_ff)
+
+
+def test_cost_ff_calls_its_integrand_once_per_panel():
+    def counted(f):
+        def u(ts):
+            calls.append(np.shape(ts))
+            return f(ts)
+
+        return u
+
+    calls = []
+    cost_ff(counted(np.cos), 1.0)  # smooth: one panel
+    assert calls == [(96,)]  # its 32 and 64 nodes in one array
+    calls = []
+    cost_ff(counted(lambda t: np.abs(t - 1.0 / 3.0) ** 3), 1.0)  # a kink: [0, 1] is halved
+    assert len(calls) >= 3 and len(calls) % 2 == 1  # [0, 1], then halves in pairs
+    assert all(shape == (96,) for shape in calls)
 
 
 def test_cost_ff_ho_closed_form_identity():
@@ -413,7 +501,6 @@ def test_box_report_records_published_form_disagreement():
     rep = cost_ff_box_closed(traj, ens)
     # quadrature and the artifact closed form agree exactly at T = 0
     assert rep.quadrature_value == pytest.approx(rep.closed_form_value, rel=1e-10)
-    assert rep.c_ff == rep.quadrature_value
     # the printed drive coefficient is 6x low (B2/90 vs K/15); on top the
     # printed cost line divides the confinement term by an extra 24
     k = rep.constants["B2_drive"]
@@ -445,13 +532,19 @@ def test_cost_monotone_decreasing_in_t_ff():
 
 
 def test_cost_report_csv(tmp_path):
-    rep = cost_ff_ho_closed(ho_ramp(POLYNOMIAL), 1.0)
-    path = tmp_path / "report.csv"
-    rep.to_csv(path)
-    lines = path.read_text().splitlines()
-    assert lines[-1].startswith("summary,")
-    assert any(line.startswith("# c_ff=") for line in lines)
-    assert sum(not line.startswith("#") for line in lines) == 2 + len(rep.u_samples)
+    # a CostReport holds the row cost_curve.csv prints, plus its constants
+    for system in ("box", "harmonic"):
+        scn = Scenario(system=system, beta=2.0, n_particles=2, t_ff_list=(1.0,), outputs=("cost_curve",))
+        (path,) = run(scn, tmp_path / system)
+        traj = scn.trajectory(1.0)
+        if system == "box":
+            rep = cost_ff_box_closed(traj, scn.ensemble())
+        else:
+            rep = cost_ff_ho_closed(traj, coefficient_A(scn.ensemble(), traj.value(0.0)))
+        fields = [f.name for f in dataclasses.fields(rep)]
+        assert fields == ["quadrature_value", "closed_form_value", "published_value", "published_ratio", "constants"]
+        row = ",".join(f"{v:.14e}" for v in [1.0] + [getattr(rep, f) for f in fields[:4]])
+        assert path.read_text().splitlines()[-1] == row
 
 
 def test_cost_ff_numeric_matches_quadrature_of_trace():
@@ -468,7 +561,7 @@ def test_cost_ff_numeric_matches_quadrature_of_trace():
     assert fast == pytest.approx(ref, rel=1e-6)
 
 
-def _per_node_trace(model, traj, t, ens, cutoff, n_points):
+def _per_node_trace(model, traj, t, ens, n_points):
     """The thermal trace one node at a time, as the one-node path formed it.
 
     Per-node energies E_n(l), a scalar mu, the node's own grid and amplitude
@@ -478,20 +571,16 @@ def _per_node_trace(model, traj, t, ens, cutoff, n_points):
     """
     u = model.units
     l, ldot, lddot = traj.value(t), traj.velocity(t), traj.acceleration(t)
-    n_max = cutoff if cutoff is not None else max(4 * ens.n_particles + 16, 64)
+    n_max = max(4 * ens.n_particles + 16, 64)
     while True:
         ns = model.level_numbers(n_max)
         e = model.energy(ns, l)
-        mu = solve_mu(e, ens.beta, ens.n_particles)
-        f = fermi_occupation(e, ThermalEnsemble(ens.beta, ens.n_particles, mu))
+        f = _fermi(e, ens.beta, solve_mu(e, ens.beta, ens.n_particles))
         if f[-1] < 1e-12:
             break
-        if cutoff is not None:
-            raise ValueError("cutoff too small")
         n_max *= 2
-    if cutoff is None:
-        keep = max(int(np.max(np.nonzero(f >= 1e-12)[0], initial=0)) + 2, ens.n_particles + 1)
-        ns, f = ns[: min(keep, f.size)], f[: min(keep, f.size)]
+    keep = max(int(np.max(np.nonzero(f >= 1e-12)[0], initial=0)) + 2, ens.n_particles + 1)
+    ns, f = ns[: min(keep, f.size)], f[: min(keep, f.size)]
     if isinstance(model, BoxModel):
         grid = Grid(0.0, l, n_points)
         amps = np.sqrt(2.0 / l) * np.sin(ns[:, None] * np.pi * grid.points / l)
@@ -517,29 +606,27 @@ def _trace_scenarios(draw):
     traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff))
     beta = draw(st.one_of(st.just(math.inf), st.floats(0.5, 5.0)))
     ens = ThermalEnsemble(beta=beta, n_particles=draw(st.integers(1, 12)))
-    cutoff = draw(st.one_of(st.none(), st.integers(ens.n_particles + 1, 120)))
     n_nodes = draw(st.integers(1, 20).filter(lambda k: k % 8))
     model = BoxModel() if box else HarmonicModel()
-    return model, traj, ens, cutoff, n_nodes, draw(st.sampled_from([64, 160, 256]))
+    return model, traj, ens, n_nodes, draw(st.sampled_from([64, 160, 256]))
 
 
 @settings(max_examples=60, deadline=None)
 @given(_trace_scenarios())
 def test_batched_trace_matches_per_node_reference(scenario):
-    model, traj, ens, cutoff, n_nodes, n_points = scenario
+    model, traj, ens, n_nodes, n_points = scenario
     ts = 0.5 * traj.t_ff * (np.polynomial.legendre.leggauss(n_nodes)[0] + 1.0)
     try:
-        refs = [_per_node_trace(model, traj, float(t), ens, cutoff, n_points) for t in ts]
+        refs = [_per_node_trace(model, traj, float(t), ens, n_points) for t in ts]
     except ValueError:
         with pytest.raises(ValueError):
-            _node_traces(model, traj, ts, ens, cutoff, n_points)
+            _node_traces(model, traj, ts, ens, n_points)
         return
-    got = _node_traces(model, traj, ts, ens, cutoff, n_points)
+    got = _node_traces(model, traj, ts, ens, n_points)
     for g, (ref, scale) in zip(got, refs):
         assert abs(g - ref) <= 1e-12 * scale
-    if cutoff is None:
-        weights = np.polynomial.legendre.leggauss(n_nodes)[1]
-        assert cost_ff_numeric(model, traj, ens, n_nodes, n_points) == 0.5 * float(np.dot(weights, got))
+    weights = np.polynomial.legendre.leggauss(n_nodes)[1]
+    assert cost_ff_numeric(model, traj, ens, n_nodes, n_points) == 0.5 * float(np.dot(weights, got))
 
 
 def test_batched_edge_check_sees_each_nodes_own_rows_only():
@@ -603,10 +690,12 @@ def test_box_frobenius_from_unit_table_matches_per_node_forms():
     traj, m_cut, n_points = box_ramp(POLYNOMIAL), 12, 1024
     ns = np.arange(1, m_cut + 1)
 
-    def h_norm(t, x2_of_l):
-        l = traj.value(t)
-        h = -0.5 * traj.acceleration(t) / l * x2_of_l(l) + np.diag(BoxModel().energy(ns, l))
-        return float(np.sqrt(np.sum(h * h)))
+    def h_norm(ts, x2_of_l):
+        # one node's matrix at a time, from that node's own forms
+        h = np.array(
+            [-0.5 * a / l * x2_of_l(l) + np.diag(BoxModel().energy(ns, l)) for l, a in zip(traj.value(ts), traj.acceleration(ts))]
+        )
+        return np.sqrt(np.sum(h * h, axis=(1, 2)))
 
     got = frobenius_cost(BoxModel(), traj, m_cut, traj.t_ff, n_points=n_points, rel_tol=1e-10).value
     per_node_grid = cost_ff(lambda t: h_norm(t, lambda l: _box_x2_grid(l, m_cut, n_points)), traj.t_ff)
