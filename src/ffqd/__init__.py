@@ -1,8 +1,10 @@
 """Fast-forward driving of dynamical quantum confinement.
 
+All quantities are in natural units, hbar = m = k_B = 1.
+
 Library layout:
 
-  core         units, grids, complex fields, inner products
+  core         grids, complex fields, inner products
   trajectory   control ramps l(t)
   spectra      the two scale-invariant traps: level energies, potentials, amplitude tables
   fastforward  regularization phase, driving potential, accelerated states of either trap
@@ -12,7 +14,7 @@ Library layout:
   cli          scenario runner (`ffqd run|verify|preset`)
 """
 
-from .core import NATURAL, ComplexField, Grid, UnitSystem, inner_product, norm, normalize
+from .core import ComplexField, Grid, inner_product, norm, normalize
 from .trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,

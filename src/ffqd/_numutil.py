@@ -2,14 +2,25 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import Callable
 
 import numpy as np
 
-# 32- and 64-node Gauss-Legendre rules on [-1, 1], stacked so that one
-# integrand call per panel serves both; their difference is the error estimate
-_GL32, _GL64 = (np.polynomial.legendre.leggauss(n) for n in (32, 64))
+
+@functools.lru_cache
+def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """(nodes, weights) of the n-node Gauss-Legendre rule on [-1, 1], built once per n (read-only)."""
+    rule = np.polynomial.legendre.leggauss(n)
+    for a in rule:
+        a.flags.writeable = False
+    return rule
+
+
+# 32- and 64-node rules stacked so that one integrand call per panel serves
+# both; their difference is the error estimate
+_GL32, _GL64 = legendre_rule(32), legendre_rule(64)
 _GL_NODES = np.concatenate((_GL32[0], _GL64[0]))
 _GL_MAX_DEPTH = 8  # a panel is halved at most this often
 

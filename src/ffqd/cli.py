@@ -212,7 +212,7 @@ def _trap_potential(model, traj: ControlTrajectory, driven: bool) -> QuadraticPo
 
     def coefficient(t):
         a = model._v0_coefficient(traj.value(t))
-        return a + ff._v_ff_coefficient(t, traj, model.units) if driven else a
+        return a + ff._v_ff_coefficient(t, traj) if driven else a
 
     return QuadraticPotential(coefficient)
 

@@ -1,26 +1,10 @@
-"""Units, uniform spatial grids, and complex fields shared by every module."""
+"""Uniform spatial grids and complex fields shared by every module."""
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
-
-
-@dataclass(frozen=True)
-class UnitSystem:
-    """Physical constants. Defaults are natural units (hbar = m = kB = 1)."""
-
-    hbar: float = 1.0
-    mass: float = 1.0
-    kB: float = 1.0
-
-    def __post_init__(self):
-        if not (self.hbar > 0 and self.mass > 0 and self.kB > 0):
-            raise ValueError("all unit constants must be strictly positive")
-
-
-NATURAL = UnitSystem()
 
 
 @dataclass(frozen=True)

@@ -43,8 +43,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from ._numutil import gauss_legendre
-from .core import NATURAL, UnitSystem
+from ._numutil import gauss_legendre, legendre_rule
 from .spectra import Model, _require_trace_points
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
@@ -61,7 +60,6 @@ class ThermalEnsemble:
 
     beta: float
     n_particles: int
-    units: UnitSystem = NATURAL
 
     def __post_init__(self):
         if not self.beta > 0:
@@ -71,7 +69,7 @@ class ThermalEnsemble:
 
     @property
     def temperature(self) -> float:
-        return 0.0 if math.isinf(self.beta) else 1.0 / (self.units.kB * self.beta)
+        return 0.0 if math.isinf(self.beta) else 1.0 / self.beta
 
 
 def _fermi_factor(z):
@@ -168,11 +166,10 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 # ---------------------------------------------------------------------------
 # closed-form internal energies and their printed constants
 
-def internal_energy_ho(traj: ControlTrajectory, t, a_coeff: float, units: UnitSystem = NATURAL):
+def internal_energy_ho(traj: ControlTrajectory, t, a_coeff: float):
     """Oscillator internal energy A (hbar^2/4mL^2 - (m/8) L L_dd + (m/8) L_dot^2) at a time or a time array."""
     L, Ld, Ldd = traj.value(t), traj.velocity(t), traj.acceleration(t)
-    m, hbar = units.mass, units.hbar
-    return a_coeff * (hbar**2 / (4.0 * m * L * L) - (m / 8.0) * L * Ldd + (m / 8.0) * Ld * Ld)
+    return a_coeff * (1.0 / (4.0 * L * L) - 0.125 * L * Ldd + 0.125 * Ld * Ld)
 
 
 def _printed_n(ens: ThermalEnsemble) -> int:
@@ -188,30 +185,26 @@ def coefficient_A(ens: ThermalEnsemble, l0: float) -> float:
     Truncated exactly at the printed term; a low-temperature expansion whose
     validity requires k T well below the level spacing times N.
     """
-    u = ens.units
     N = _printed_n(ens)
-    kT = u.kB * ens.temperature
+    kT = ens.temperature
     r = l0 / N
-    corr = (4.0 * np.pi**2 / 3.0) * (l0 * l0) * (u.mass * kT / u.hbar**2) ** 2 * (r * r)
+    corr = (4.0 * np.pi**2 / 3.0) * (l0 * l0) * kT**2 * (r * r)
     return N * N * (1.0 + corr)
 
 
 def _thermal_l4(ens: ThermalEnsemble, L):
     # powers of L are products here and in coefficient_A: a Python float's ** rounds
     # apart from numpy's, products keep a node array bit-identical to per-node calls
-    u = ens.units
-    kT = u.kB * ens.temperature
     r2 = (L / ens.n_particles) * (L / ens.n_particles)
-    return (u.mass * kT / u.hbar**2) ** 2 * (r2 * r2)
+    return ens.temperature**2 * (r2 * r2)
 
 
 def coefficients_B(ens: ThermalEnsemble, L):
     """Printed box constants (B1, B2), each truncated at its printed term; L may be an array."""
-    u = ens.units
     N = _printed_n(ens)
     th = _thermal_l4(ens, L)
-    b1 = (np.pi**2 * u.hbar**2 * N**3 / (24.0 * u.mass)) * (1.0 + (24.0 / np.pi**2) * th)
-    b2 = (u.mass * N / 6.0) * (1.0 + (16.0 / (3.0 * np.pi**2)) * th)
+    b1 = (np.pi**2 * N**3 / 24.0) * (1.0 + (24.0 / np.pi**2) * th)
+    b2 = (N / 6.0) * (1.0 + (16.0 / (3.0 * np.pi**2)) * th)
     return b1, b2
 
 
@@ -223,10 +216,9 @@ def box_drive_prefactor(ens: ThermalEnsemble, L):
     its own equation, and this constant is what the cost oracle identities
     use.  L may be an array.
     """
-    u = ens.units
     N = _printed_n(ens)
     inner = 1.0 + (16.0 / (3.0 * np.pi**2)) * _thermal_l4(ens, L)
-    return (u.mass * N / 6.0) * (1.0 + (6.0 / (np.pi**2 * N * N)) * inner)
+    return (N / 6.0) * (1.0 + (6.0 / (np.pi**2 * N * N)) * inner)
 
 
 def internal_energy_box_parts(traj: ControlTrajectory, t, ens: ThermalEnsemble):
@@ -302,7 +294,7 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray):
     kept = [None] * l.size  # each node's occupations up to its cutoff
     while True:
         ns = model.level_numbers(n_max)
-        e = model.energy(ns, 1.0) / (l[rows] * l[rows])[:, None]
+        e = model.energy(ns, l[rows, None])
         f = _fermi(e, ens.beta, _solve_mu_rows(e, ens.beta, ens.n_particles)[:, None])
         ok = f[:, -1] < _F_TOL
         last = np.where(f >= _F_TOL, np.arange(ns.size), 0).max(axis=1)
@@ -326,7 +318,7 @@ def _node_traces(
     traj: ControlTrajectory,
     ts: np.ndarray,
     ens: ThermalEnsemble,
-    n_points: int = 2048,
+    n_points: int,
 ) -> np.ndarray:
     """The thermal trace of internal_energy_numeric at every time of ts, in one pass.
 
@@ -342,18 +334,17 @@ def _node_traces(
     _require_trace_points(n_points)  # before the empty ensemble's early return
     if ens.n_particles == 0:
         return np.zeros(ts.size)
-    u = model.units
     l, ldot, lddot = traj.value(ts), traj.velocity(ts), traj.acceleration(ts)
     _, f, n_top = _occupied_levels(model, ens, l)
-    a = u.mass * ldot / (2.0 * u.hbar * l)  # gauge phase theta = a x^2
-    c = -0.5 * u.mass * lddot / l  # drive V_FF = c x^2
+    a = ldot / (2.0 * l)  # gauge phase theta = a x^2
+    c = -0.5 * lddot / l  # drive V_FF = c x^2
     out = np.empty(ts.size)
     for sl, xi, length, table, weight in model._trace_stacks(traj, l, n_top, n_points):
         x = length[:, None] * xi
         v = model.v0(x, l[sl, None]) + c[sl, None] * x**2
         occ = f[sl, : table.shape[-2]] * weight
         dx = (x[:, -1] - x[:, 0]) / (n_points - 1)
-        out[sl] = _weighted_trace(table, occ, a[sl, None] * x * x, v, dx, u.hbar**2 / (2.0 * u.mass))
+        out[sl] = _weighted_trace(table, occ, a[sl, None] * x * x, v, dx, 0.5)
         del x, v, table  # free this chunk before the next one is built
     return out
 
@@ -456,16 +447,15 @@ def cost_ff_box_closed(traj: ControlTrajectory, ens: ThermalEnsemble) -> CostRep
     )
 
 
-def cost_ff_ho_closed(traj: ControlTrajectory, a_coeff: float, units: UnitSystem = NATURAL) -> CostReport:
+def cost_ff_ho_closed(traj: ControlTrajectory, a_coeff: float) -> CostReport:
     """Oscillator cost: here the printed drive constants survive the oracle, so
     closed_form_value and published_value coincide."""
     _require_smooth_ramp(traj)
     T = traj.t_ff
-    m, hbar = units.mass, units.hbar
-    quadrature = cost_ff(lambda s: internal_energy_ho(traj, s, a_coeff, units), T)
-    conf = a_coeff * hbar**2 / (4.0 * m) * cost_ff(lambda s: 1.0 / traj.value(s) ** 2, T, 1e-12)
+    quadrature = cost_ff(lambda s: internal_energy_ho(traj, s, a_coeff), T)
+    conf = a_coeff / 4.0 * cost_ff(lambda s: 1.0 / traj.value(s) ** 2, T, 1e-12)
     drive_shape = 1.0 / 120.0 if traj.kind == POLYNOMIAL else 3.0 / 8.0
-    closed = conf + m * a_coeff * traj.vbar**2 * drive_shape
+    closed = conf + a_coeff * traj.vbar**2 * drive_shape
     return CostReport(
         quadrature_value=quadrature,
         closed_form_value=closed,
@@ -489,9 +479,9 @@ def cost_ff_numeric(
     that adaptive refinement would chase forever.  All nodes go through one
     batched trace (see _node_traces).
     """
-    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
+    nodes, weights = legendre_rule(n_nodes)
     ts = 0.5 * traj.t_ff * (nodes + 1.0)
-    return float(np.dot(weights, _node_traces(model, traj, ts, ens, n_points=n_points)) * 0.5)
+    return float(np.dot(weights, _node_traces(model, traj, ts, ens, n_points)) * 0.5)
 
 
 def frobenius_cost(
@@ -516,7 +506,6 @@ def frobenius_cost(
     sine table per chunk of nodes, the oscillator has one table per node.
     The time average is cost_ff's, one integrand call per panel.
     """
-    u = model.units
     if isinstance(ens_or_cutoff, ThermalEnsemble):
         l_widest = traj.value(np.array([0.0, t_ff])).max(keepdims=True)  # l is monotone
         _, _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest)
@@ -525,11 +514,11 @@ def frobenius_cost(
         m_cut = int(ens_or_cutoff)
     if m_cut < 2:
         raise ValueError("Frobenius cutoff must be >= 2")
-    e1 = model.energy(model.level_numbers(m_cut), 1.0)
+    ns = model.level_numbers(m_cut)
 
     def h_norm(ts: np.ndarray) -> np.ndarray:
         l = traj.value(ts)
-        c = -0.5 * u.mass * traj.acceleration(ts) / l  # V_FF = c x^2
+        c = -0.5 * traj.acceleration(ts) / l  # V_FF = c x^2
         out = np.empty(ts.size)
         for sl, xi, length, table, weight in model._trace_stacks(traj, l, np.full(ts.size, m_cut), n_points):
             # <k|xi^2|m> on the stack's own grid by the trapezoid rule
@@ -539,7 +528,7 @@ def frobenius_cost(
             xi2 = (table * (w * xi * xi)[..., None, :]) @ np.swapaxes(table, -1, -2)
             s = np.sqrt(weight)
             h = (c[sl] * length**3)[:, None, None] * s[:, :, None] * xi2 * s[:, None, :]
-            h[:, np.arange(e1.size), np.arange(e1.size)] += e1 / (l[sl, None] * l[sl, None])
+            h[:, np.arange(ns.size), np.arange(ns.size)] += model.energy(ns, l[sl, None])
             out[sl] = np.sqrt(np.sum(h * h, axis=(1, 2)))
             del h, xi2, table  # free this chunk before the next one is built
         return out

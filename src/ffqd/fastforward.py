@@ -28,10 +28,12 @@ from typing import Callable
 import numpy as np
 
 from ._numutil import cumint, gauss_legendre, grad4
-from .core import NATURAL, ComplexField, Grid, UnitSystem
+from .core import ComplexField, Grid
 from .spectra import Model
 from .trajectory import ControlTrajectory
 
+# centered-difference step in l, relative to l
+_DL_REL = 1e-5
 # density below this is treated as an exact zero of the amplitude
 _DENSITY_FLOOR = 1e-14
 # running integral treated as zero (relative to its peak) at amplitude zeros
@@ -71,34 +73,31 @@ def _fill_masked_linear(x: np.ndarray, vals: np.ndarray, mask: np.ndarray) -> np
     return out
 
 
-def dtheta_dx_numeric(
-    amplitude_of_l: Callable[[float], np.ndarray],
-    l: float,
-    grid: Grid,
-    dl: float | None = None,
-    units: UnitSystem = NATURAL,
-    density_floor_rel: float = _DENSITY_FLOOR_REL,
-) -> np.ndarray:
+def _density_and_rate(amplitude_of_l: Callable[[float], np.ndarray], l: float):
+    """(rho, d_l rho) with rho = amplitude^2, the derivative by centered difference of step 1e-5 l."""
+    dl = _DL_REL * l
+    rho = np.asarray(amplitude_of_l(l), dtype=float) ** 2
+    rho_p = np.asarray(amplitude_of_l(l + dl), dtype=float) ** 2
+    rho_m = np.asarray(amplitude_of_l(l - dl), dtype=float) ** 2
+    return rho, (rho_p - rho_m) / (2.0 * dl)
+
+
+def dtheta_dx_numeric(amplitude_of_l: Callable[[float], np.ndarray], l: float, grid: Grid) -> np.ndarray:
     """Phase gradient from the continuity relation.
 
     d_x theta = -(m/hbar) (1/rho) * integral_{x_min}^{x} d_l rho dx', with
     rho = amplitude^2, the parameter derivative taken by centered difference
-    (step dl, default 1e-5 l) and the running integral Simpson-accurate.
+    (step 1e-5 l) and the running integral Simpson-accurate.
 
-    Where rho falls below density_floor_rel of its peak (box walls, interior
-    nodes, oscillator tails) the ratio is ill-conditioned; those stretches are
+    Where rho falls below 3e-4 of its peak (box walls, interior nodes,
+    oscillator tails) the ratio is ill-conditioned; those stretches are
     bridged by the linear limit through the neighboring well-conditioned
     points, which is exact through amplitude nodes for both confinement
     models.  A genuine singularity (density at zero while the running
     integral is not) raises instead.
     """
-    if dl is None:
-        dl = 1e-5 * l
     x = grid.points
-    rho = np.asarray(amplitude_of_l(l), dtype=float) ** 2
-    rho_p = np.asarray(amplitude_of_l(l + dl), dtype=float) ** 2
-    rho_m = np.asarray(amplitude_of_l(l - dl), dtype=float) ** 2
-    drho_dl = (rho_p - rho_m) / (2.0 * dl)
+    rho, drho_dl = _density_and_rate(amplitude_of_l, l)
     running = cumint(drho_dl, grid.dx)
 
     zero = rho < _DENSITY_FLOOR
@@ -108,54 +107,32 @@ def dtheta_dx_numeric(
         raise RegularizationSingularity(
             f"density < {_DENSITY_FLOOR:g} at {int(bad.sum())} points where the running integral is nonzero"
         )
-    mask = rho < max(_DENSITY_FLOOR, density_floor_rel * float(np.max(rho)))
+    mask = rho < max(_DENSITY_FLOOR, _DENSITY_FLOOR_REL * float(np.max(rho)))
     dtheta = np.zeros_like(rho)
-    np.divide(running, rho, out=dtheta, where=~mask)
-    dtheta *= -units.mass / units.hbar
+    np.divide(-running, rho, out=dtheta, where=~mask)
     if mask.any():
         dtheta = _fill_masked_linear(x, dtheta, mask)
     return dtheta
 
 
-def theta_numeric(
-    amplitude_of_l: Callable[[float], np.ndarray],
-    l: float,
-    grid: Grid,
-    dl: float | None = None,
-    units: UnitSystem = NATURAL,
-    density_floor_rel: float = _DENSITY_FLOOR_REL,
-) -> np.ndarray:
+def theta_numeric(amplitude_of_l: Callable[[float], np.ndarray], l: float, grid: Grid) -> np.ndarray:
     """Regularization phase theta(x) with theta(x_min) = 0.
 
     The integration constant is a gauge choice: it shifts the driving
     potential by a spatially uniform term only.  For the box (x_min = 0)
     this convention reproduces the closed form (m/2 hbar) x^2 / L.
     """
-    dtheta = dtheta_dx_numeric(amplitude_of_l, l, grid, dl, units, density_floor_rel)
-    return cumint(dtheta, grid.dx)
+    return cumint(dtheta_dx_numeric(amplitude_of_l, l, grid), grid.dx)
 
 
-def continuity_residual(
-    amplitude_of_l: Callable[[float], np.ndarray],
-    l: float,
-    grid: Grid,
-    dl: float | None = None,
-    units: UnitSystem = NATURAL,
-    density_floor_rel: float = _DENSITY_FLOOR_REL,
-) -> np.ndarray:
+def continuity_residual(amplitude_of_l: Callable[[float], np.ndarray], l: float, grid: Grid) -> np.ndarray:
     """Pointwise residual of d_x(rho d_x theta) + (m/hbar) d_l rho.
 
     Evaluated with the node-filled numeric phase gradient, so it is a real
     check of the construction rather than an algebraic identity.
     """
-    if dl is None:
-        dl = 1e-5 * l
-    rho = np.asarray(amplitude_of_l(l), dtype=float) ** 2
-    rho_p = np.asarray(amplitude_of_l(l + dl), dtype=float) ** 2
-    rho_m = np.asarray(amplitude_of_l(l - dl), dtype=float) ** 2
-    drho_dl = (rho_p - rho_m) / (2.0 * dl)
-    dtheta = dtheta_dx_numeric(amplitude_of_l, l, grid, dl, units, density_floor_rel)
-    return grad4(rho * dtheta, grid.dx) + (units.mass / units.hbar) * drho_dl
+    rho, drho_dl = _density_and_rate(amplitude_of_l, l)
+    return grad4(rho * dtheta_dx_numeric(amplitude_of_l, l, grid), grid.dx) + drho_dl
 
 
 def v_tilde(
@@ -164,16 +141,14 @@ def v_tilde(
     theta: np.ndarray | None,
     l: float,
     grid: Grid,
-    dl: float | None = None,
-    units: UnitSystem = NATURAL,
 ) -> np.ndarray:
     """First-order regularizing potential, evaluated by finite differences.
 
     V_tilde = -hbar Im[(d_l phi)/phi] - (hbar^2/m) Im[(d_x phi)/phi] d_x theta
-    with phi = amplitude * exp(i eta).  Identically zero for real states.
+    with phi = amplitude * exp(i eta), d_l by centered difference of step
+    1e-5 l.  Identically zero for real states.
     """
-    if dl is None:
-        dl = 1e-5 * l
+    dl = _DL_REL * l
 
     def phi(lp: float) -> np.ndarray:
         amp = np.asarray(amplitude_of_l(lp), dtype=float)
@@ -192,9 +167,9 @@ def v_tilde(
     np.divide(dphi_dl.imag * phi0.real - dphi_dl.real * phi0.imag, dens, out=term_l, where=ok)
     np.divide(grad_phi.imag * phi0.real - grad_phi.real * phi0.imag, dens, out=term_x, where=ok)
 
-    out = -units.hbar * term_l
+    out = -term_l
     if theta is not None:
-        out = out - (units.hbar**2 / units.mass) * term_x * grad4(np.asarray(theta, float), grid.dx)
+        out = out - term_x * grad4(np.asarray(theta, float), grid.dx)
     return out
 
 
@@ -213,17 +188,16 @@ class PhaseFunctions:
     deta_dl: Callable[[np.ndarray, float], np.ndarray]
 
 
-def scaling_phase_functions(units: UnitSystem = NATURAL) -> PhaseFunctions:
+def scaling_phase_functions() -> PhaseFunctions:
     """Closed-form phases shared by both models: theta = (m/2 hbar) x^2/l, eta = 0."""
-    m, hbar = units.mass, units.hbar
 
     def zero(x, l):
         return np.zeros_like(np.asarray(x, dtype=float))
 
     return PhaseFunctions(
-        theta=lambda x, l: 0.5 * m / hbar * np.asarray(x, float) ** 2 / l,
-        dtheta_dx=lambda x, l: m / hbar * np.asarray(x, float) / l,
-        dtheta_dl=lambda x, l: -0.5 * m / hbar * np.asarray(x, float) ** 2 / l**2,
+        theta=lambda x, l: 0.5 * np.asarray(x, float) ** 2 / l,
+        dtheta_dx=lambda x, l: np.asarray(x, float) / l,
+        dtheta_dl=lambda x, l: -0.5 * np.asarray(x, float) ** 2 / l**2,
         eta=zero,
         deta_dx=zero,
         deta_dl=zero,
@@ -235,7 +209,6 @@ def v_ff_generic(
     traj: ControlTrajectory,
     t: float,
     x: np.ndarray,
-    units: UnitSystem = NATURAL,
 ) -> np.ndarray:
     """Driving potential from the five-term generic expression in the phases.
 
@@ -247,29 +220,28 @@ def v_ff_generic(
     for name in ("theta", "dtheta_dx", "dtheta_dl", "eta", "deta_dx", "deta_dl"):
         if getattr(phases, name) is None:
             raise ValueError(f"missing phase derivative function {name!r}")
-    m, hbar = units.mass, units.hbar
     l = traj.value(t)
     v = traj.velocity(t)
     vdot = traj.acceleration(t)
     x = np.asarray(x, dtype=float)
     th_x = phases.dtheta_dx(x, l)
     return (
-        -(hbar**2 / m) * v * th_x * phases.deta_dx(x, l)
-        - (hbar**2 / (2.0 * m)) * v * v * th_x**2
-        - hbar * v * phases.deta_dl(x, l)
-        - hbar * vdot * phases.theta(x, l)
-        - hbar * v * v * phases.dtheta_dl(x, l)
+        -v * th_x * phases.deta_dx(x, l)
+        - 0.5 * v * v * th_x**2
+        - v * phases.deta_dl(x, l)
+        - vdot * phases.theta(x, l)
+        - v * v * phases.dtheta_dl(x, l)
     )
 
 
-def v_ff(x, t: float, traj: ControlTrajectory, units: UnitSystem = NATURAL):
+def v_ff(x, t: float, traj: ControlTrajectory):
     """Closed-form drive -(m/2)(l_ddot/l) x^2, the same for every scale-invariant trap."""
-    return _v_ff_coefficient(t, traj, units) * np.asarray(x, dtype=float) ** 2
+    return _v_ff_coefficient(t, traj) * np.asarray(x, dtype=float) ** 2
 
 
-def _v_ff_coefficient(t, traj: ControlTrajectory, units: UnitSystem = NATURAL):
+def _v_ff_coefficient(t, traj: ControlTrajectory):
     """c of v_ff = c x^2: -(m/2) l_ddot/l, t a float or an array."""
-    return -0.5 * units.mass * traj.acceleration(t) / traj.value(t)
+    return -0.5 * traj.acceleration(t) / traj.value(t)
 
 
 def _dynamical_phase(model: Model, n: int, t: float, traj: ControlTrajectory, t0: float = 0.0) -> float:
@@ -278,12 +250,12 @@ def _dynamical_phase(model: Model, n: int, t: float, traj: ControlTrajectory, t0
     if t == t0:
         return 0.0
     val, _ = gauss_legendre(lambda s: 1.0 / traj.value(s) ** 2, t0, t, _PHASE_TOL, _PHASE_TOL)
-    return e1 / model.units.hbar * val
+    return e1 * val
 
 
-def _gauge(units: UnitSystem, traj: ControlTrajectory, t: float, l: float, x: np.ndarray) -> np.ndarray:
+def _gauge(traj: ControlTrajectory, t: float, l: float, x: np.ndarray) -> np.ndarray:
     """exp(i theta) with theta = (m/2 hbar)(l_dot/l) x^2."""
-    return np.exp(1j * (units.mass * traj.velocity(t) / (2.0 * units.hbar * l)) * x**2)
+    return np.exp(1j * (traj.velocity(t) / (2.0 * l)) * x**2)
 
 
 def psi_ff(model: Model, n: int, t: float, traj: ControlTrajectory, grid: Grid) -> ComplexField:
@@ -296,7 +268,7 @@ def psi_ff(model: Model, n: int, t: float, traj: ControlTrajectory, grid: Grid) 
     dyn = _dynamical_phase(model, n, t, traj)
     l = traj.value(t)
     amp = model.amplitudes(n, l, grid)[n - model.n_min]
-    return ComplexField(grid, amp * _gauge(model.units, traj, t, l, grid.points) * np.exp(-1j * dyn))
+    return ComplexField(grid, amp * _gauge(traj, t, l, grid.points) * np.exp(-1j * dyn))
 
 
 def psi_ff_values(
@@ -314,4 +286,4 @@ def psi_ff_values(
     l = traj.value(t)
     xa = np.asarray(x, dtype=float)
     amp = model._unit_amplitudes(n, xa / l)[n - model.n_min] / math.sqrt(l)
-    return amp * _gauge(model.units, traj, t, l, xa) * np.exp(-1j * dyn)
+    return amp * _gauge(traj, t, l, xa) * np.exp(-1j * dyn)

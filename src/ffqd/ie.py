@@ -109,11 +109,11 @@ def h_ie_expectation(sol: ErmakovSolution, t, beta: float) -> float:
     return float(out) if np.ndim(t) == 0 else out
 
 
-def cost_ie(sol: ErmakovSolution, beta: float, rel_tol: float = 1e-10) -> float:
+def cost_ie(sol: ErmakovSolution, beta: float) -> float:
     """Time-averaged <H_IE> over the ramp, by cost.cost_ff's Gauss-Legendre panels.
 
     Each panel evaluates <H_IE> on its whole node array; RuntimeError if the
     quadrature does not converge.
     """
-    return cost_ff(lambda s: h_ie_expectation(sol, s, beta), sol.t_ff, rel_tol)
+    return cost_ff(lambda s: h_ie_expectation(sol, s, beta), sol.t_ff)
 

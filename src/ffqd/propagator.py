@@ -33,7 +33,7 @@ from typing import Callable, Union
 import numpy as np
 
 from ._numutil import lap2
-from .core import NATURAL, ComplexField, Grid, UnitSystem, inner_product, norm
+from .core import ComplexField, Grid, inner_product, norm
 from .trajectory import ControlTrajectory
 
 _NORM_DRIFT_LIMIT = 1e-6
@@ -87,7 +87,6 @@ class PropagationSpec:
     t_final: float
     potential: Callable[[np.ndarray, float], np.ndarray]
     boundary: Boundary = field(default_factory=DirichletFixed)
-    units: UnitSystem = NATURAL
 
     def __post_init__(self):
         if self.dt <= 0:
@@ -140,7 +139,7 @@ def _frame(spec: PropagationSpec, psi0: ComplexField, t_half: np.ndarray):
     if not np.abs(psi0.values[[0, -1]]).max() <= limit:  # NaN fails too
         raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {limit:g} there)")
     if not moving:
-        return spec.grid, np.ones(t_half.size), np.zeros(t_half.size), lambda t: 1.0
+        return spec.grid, np.broadcast_to(1.0, t_half.shape), np.broadcast_to(0.0, t_half.shape), lambda t: 1.0
     traj = spec.boundary.traj
     L0 = traj.value(0.0)
     g = spec.grid
@@ -174,8 +173,6 @@ def propagate(
     psi0 that does not vanish at the grid ends, or a moving-wall run that
     would leave [0, t_ff], raises ValueError before the first step.
     """
-    units = spec.units
-    hbar, m = units.hbar, units.mass
     n_steps = max(1, int(round(spec.t_final / spec.dt)))
     dt = spec.t_final / n_steps
     t_half = (np.arange(n_steps) + 0.5) * dt
@@ -187,11 +184,11 @@ def propagate(
     dy = frame.dx
     y = frame.points[1:-1]
     y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
-    # A = 1 + i lam H at every half step: kinetic lam hbar^2/(2 m s^2 dy^2),
-    # dilation lam hbar (s_dot/s)/(4 dy), and for a QuadraticPotential lam a s^2
-    lam = dt / (2.0 * hbar)
-    c_kin = lam * hbar * hbar / (2.0 * m * dy * dy)
-    c_dil = lam * hbar / (4.0 * dy)
+    # A = 1 + i lam H at every half step: kinetic lam/(2 s^2 dy^2),
+    # dilation lam (s_dot/s)/(4 dy), and for a QuadraticPotential lam a s^2
+    lam = dt / 2.0
+    c_kin = lam / (2.0 * dy * dy)
+    c_dil = lam / (4.0 * dy)
     pot = None
     if isinstance(spec.potential, QuadraticPotential):
         pot = lam * spec.potential.coefficient(t_half) * (s * s)
@@ -271,7 +268,6 @@ def tdse_residual(
     grid: Grid,
     t: float,
     dt: float,
-    units: UnitSystem = NATURAL,
 ) -> float:
     """Relative residual of the driven equation for an analytic state.
 
@@ -292,9 +288,8 @@ def tdse_residual(
         return np.asarray(out, dtype=complex)
 
     psi_m, psi_0, psi_p = vals(t - dt), vals(t), vals(t + dt)
-    hbar, m = units.hbar, units.mass
-    h_psi = -(hbar**2 / (2.0 * m)) * lap2(psi_0, grid.dx) + potential(grid.points, t) * psi_0
-    lhs = 1j * hbar * (psi_p - psi_m) / (2.0 * dt)
+    h_psi = -0.5 * lap2(psi_0, grid.dx) + potential(grid.points, t) * psi_0
+    lhs = 1j * (psi_p - psi_m) / (2.0 * dt)
     diff = (lhs - h_psi)[2:-2]
     ref = h_psi[2:-2]
     num = np.sqrt(np.trapezoid(np.abs(diff) ** 2, dx=grid.dx))

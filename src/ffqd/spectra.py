@@ -15,7 +15,7 @@ from typing import Union
 
 import numpy as np
 
-from .core import NATURAL, Grid, UnitSystem
+from .core import Grid
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6  # oscillator grids must decay below this at the boundary
 
@@ -84,33 +84,28 @@ def _node_chunks(rows: np.ndarray, n_points: int) -> list[slice]:
 class HarmonicModel:
     """Oscillator with frequency set by the length scale R: omega(R) = 1/R^2."""
 
-    units: UnitSystem = NATURAL
-    n_min: int = 0
+    n_min = 0  # lowest level number
 
     def omega(self, R):
         if not np.all(np.greater(R, 0)):
             raise ValueError("R must be positive")
         return 1.0 / (R * R)
 
-    def sigma(self, R: float) -> float:
-        """Ground-state width sqrt(hbar/(m omega))."""
-        return R * np.sqrt(self.units.hbar / self.units.mass)
-
-    def energy(self, n, R: float):
-        """(n + 1/2) hbar omega with omega = 1/R^2; n may be an integer array of levels."""
+    def energy(self, n, R):
+        """E_n(1) / R^2 with E_n(1) = n + 1/2; n and R may be arrays that broadcast."""
         if np.any(np.less(n, 0)):
             raise ValueError("oscillator quantum number must be >= 0")
-        if R <= 0:
+        if not np.all(np.greater(R, 0)):  # NaN fails too
             raise ValueError("R must be positive")
-        return (n + 0.5) * self.units.hbar / (R * R)
+        return (n + 0.5) / (R * R)
 
     def v0(self, x: np.ndarray, R) -> np.ndarray:
         return self._v0_coefficient(R) * np.asarray(x) ** 2
 
     def _v0_coefficient(self, R):
-        """a of v0 = a x^2: m omega(R)^2 / 2, R a float or an array."""
+        """a of v0 = a x^2: omega(R)^2 / 2, R a float or an array."""
         w = self.omega(R)
-        return 0.5 * self.units.mass * w * w
+        return 0.5 * w * w
 
     def _hermite_stack(self, n_top: np.ndarray, R: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Grid-renormalized eigenamplitudes of nodes with length scales R on grids x.
@@ -120,7 +115,7 @@ class HarmonicModel:
         must decay below 1e-6 at both ends of its grid; rows above them only
         pad the stack of a batch and are neither checked nor used.
         """
-        scale = np.sqrt(self.units.mass / (self.units.hbar * R * R))  # sqrt(m omega / hbar)
+        scale = np.sqrt(1.0 / (R * R))  # sqrt(omega)
         h = _hermite_functions(int(np.max(n_top)), scale[:, None] * x)
         h *= np.sqrt(scale)[:, None, None]
         edge = np.maximum(np.abs(h[..., 0]), np.abs(h[..., -1]))
@@ -140,10 +135,10 @@ class HarmonicModel:
         """Rows n = 0..n_max of grid-renormalized eigenamplitudes."""
         return self._hermite_stack(np.array([n_max]), np.array([R]), grid.points[None, :])[0]
 
-    def _unit_amplitudes(self, n_max: int, xi: np.ndarray) -> np.ndarray:
+    @staticmethod
+    def _unit_amplitudes(n_max: int, xi: np.ndarray) -> np.ndarray:
         """Rows n = 0..n_max of the Hermite-Gauss amplitudes at R = 1 on any xi."""
-        scale = math.sqrt(self.units.mass / self.units.hbar)
-        return math.sqrt(scale) * _hermite_functions(n_max, scale * xi)
+        return _hermite_functions(n_max, xi)
 
     def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
         """Chunks (nodes, x, length, table, weight) of amplitude stacks at nodes l.
@@ -163,11 +158,13 @@ class HarmonicModel:
     def level_numbers(self, n_max: int) -> np.ndarray:
         return np.arange(0, n_max + 1)
 
-    def _half_width(self, r_max: float, n_max):
-        return self.sigma(r_max) * (7.0 + np.sqrt(2.0 * n_max + 1.0))
+    @staticmethod
+    def _half_width(r_max: float, n_max):
+        """(7 + sqrt(2 n_max + 1)) ground-state widths, the width at R being R itself."""
+        return r_max * (7.0 + np.sqrt(2.0 * n_max + 1.0))
 
     def default_grid(self, r_max: float, n_points: int, n_max: int = 0) -> Grid:
-        """[-8 sigma, 8 sigma] widened for excited levels up to n_max."""
+        """[-8 r_max, 8 r_max] widened for excited levels up to n_max."""
         half = self._half_width(r_max, n_max)
         return Grid(-half, half, n_points)
 
@@ -176,16 +173,15 @@ class HarmonicModel:
 class BoxModel:
     """Hard-wall box on [0, L]; the wall position L is the control parameter."""
 
-    units: UnitSystem = NATURAL
-    n_min: int = 1
+    n_min = 1  # lowest level number
 
-    def energy(self, n, L: float):
-        """hbar^2 (pi n / L)^2 / 2m; n may be an integer array of levels."""
+    def energy(self, n, L):
+        """E_n(1) / L^2 with E_n(1) = (pi n)^2 / 2; n and L may be arrays that broadcast."""
         if np.any(np.less(n, 1)):
             raise ValueError("box quantum number must be >= 1")
-        if L <= 0:
+        if not np.all(np.greater(L, 0)):  # NaN fails too
             raise ValueError("L must be positive")
-        return self.units.hbar**2 * (np.pi * n / L) ** 2 / (2.0 * self.units.mass)
+        return (np.pi * n) ** 2 / 2.0 / (L * L)
 
     def v0(self, x: np.ndarray, L) -> np.ndarray:
         """Zero inside [0, L]; the potential is infinite beyond the walls, so x there raises.

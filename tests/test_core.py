@@ -1,20 +1,11 @@
 import numpy as np
 import pytest
 
-from ffqd.core import ComplexField, Grid, UnitSystem, inner_product, norm, normalize
+from ffqd.core import ComplexField, Grid, inner_product, norm, normalize
 
 
 def unit_grid(n=1024):
     return Grid(0.0, 1.0, n)
-
-
-def test_unit_system_defaults_and_validation():
-    u = UnitSystem()
-    assert (u.hbar, u.mass, u.kB) == (1.0, 1.0, 1.0)
-    with pytest.raises(ValueError):
-        UnitSystem(hbar=0.0)
-    with pytest.raises(ValueError):
-        UnitSystem(mass=-1.0)
 
 
 def test_grid_validation():

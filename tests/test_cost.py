@@ -569,7 +569,6 @@ def _per_node_trace(model, traj, t, ens, n_points):
     -(m/2)(l_ddot/l) x^2, and the complex-table trace of the reference above.
     Returns (trace, scale) or raises ValueError like the library.
     """
-    u = model.units
     l, ldot, lddot = traj.value(t), traj.velocity(t), traj.acceleration(t)
     n_max = max(4 * ens.n_particles + 16, 64)
     while True:
@@ -587,13 +586,13 @@ def _per_node_trace(model, traj, t, ens, n_points):
         amps[:, [0, -1]] = 0.0
     else:
         grid = model.default_grid(traj._l_max, n_points, n_max=int(ns[-1]))
-        scale = np.sqrt(u.mass / (u.hbar * l * l))
+        scale = np.sqrt(1.0 / (l * l))
         amps = _hermite_functions(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
         amps /= np.sqrt(np.trapezoid(amps * amps, dx=grid.dx, axis=1))[:, None]
     x = grid.points
-    v = model.v0(x, l) - 0.5 * u.mass * lddot / l * x * x
-    a = u.mass * ldot / (2.0 * u.hbar * l)
-    return _complex_trace_reference(amps, f, a, x, v, grid.dx, u.hbar**2 / (2.0 * u.mass))
+    v = model.v0(x, l) - 0.5 * lddot / l * x * x
+    a = ldot / (2.0 * l)
+    return _complex_trace_reference(amps, f, a, x, v, grid.dx, 0.5)
 
 
 @st.composite

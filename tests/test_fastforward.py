@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ffqd.core import Grid, UnitSystem, inner_product
+from ffqd.core import Grid, inner_product
 from ffqd.fastforward import (
     PhaseFunctions,
     RegularizationSingularity,
@@ -217,11 +217,7 @@ def test_psi_ff_ho_norm_and_start():
         assert inner_product(psi, psi).real == pytest.approx(1.0, abs=1e-10)
 
 
-@pytest.mark.parametrize(
-    "model",
-    [BoxModel(), HarmonicModel(), HarmonicModel(UnitSystem(hbar=0.5, mass=2.0))],
-    ids=["box", "harmonic", "harmonic-units"],
-)
+@pytest.mark.parametrize("model", [BoxModel(), HarmonicModel()], ids=["box", "harmonic"])
 def test_values_extension_matches_field_inside(model):
     # the smooth l^-1/2 phi_n(x/l; 1) formula against the grid field built
     # from the model's amplitude table at l (wall-clipped or grid-renormalized)
@@ -266,10 +262,3 @@ def test_accelerated_state_rejects_levels_below_n_min(model):
         psi_ff(model, model.n_min - 1, 0.0, traj, grid)
     with pytest.raises(ValueError, match="quantum number"):
         psi_ff_values(model, model.n_min - 1, 0.5, traj, grid.points)
-
-
-def test_theta_units_scaling():
-    units = UnitSystem(hbar=0.5, mass=2.0)  # m/hbar = 4x the natural value
-    grid = Grid(0.0, 1.0, 1024)
-    theta = theta_numeric(box_amplitude_fn(1, grid), 1.0, grid, units=units)
-    np.testing.assert_allclose(theta, 4.0 * 0.5 * grid.points**2, atol=5e-6)

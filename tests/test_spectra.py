@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ffqd._numutil import lap2
-from ffqd.core import ComplexField, Grid, UnitSystem, inner_product
+from ffqd.core import ComplexField, Grid, inner_product
 from ffqd.spectra import BoxModel, HarmonicModel
 
 HO, BOX = HarmonicModel(), BoxModel()
@@ -109,6 +109,8 @@ def test_model_metadata():
     assert HarmonicModel().omega(0.5) == pytest.approx(4.0)
     assert HarmonicModel().n_min == 0
     assert BoxModel().n_min == 1
+    with pytest.raises(TypeError):  # the lowest level is the model's, not a setting
+        HarmonicModel(n_min=3)
     np.testing.assert_array_equal(BoxModel().level_numbers(3), [1, 2, 3])
     np.testing.assert_array_equal(HarmonicModel().level_numbers(3), [0, 1, 2, 3])
 
@@ -123,18 +125,19 @@ def test_model_energy_and_amplitude_row():
     assert np.trapezoid(amp_h**2, dx=16.0 / 255) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_energies_in_non_natural_units():
-    units = UnitSystem(hbar=2.0, mass=3.0)
-    assert HarmonicModel(units).energy(1, 0.5) == pytest.approx(1.5 * 2.0 * 4.0)  # (n+1/2) hbar/R^2
-    assert BoxModel(units).energy(2, 1.0) == pytest.approx(4.0 * np.pi**2 * 4.0 / 6.0)
-
-
 @pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
 def test_vectorised_energies_match_per_level_calls(model):
     ns = model.level_numbers(40)
     for l in (0.3, 1.0, 7.5, np.float64(2.25)):
         per_level = np.array([model.energy(int(n), l) for n in ns])
         np.testing.assert_array_equal(model.energy(ns, l), per_level)
+    # an array of l broadcast against the levels: one row of energies per l
+    ls = np.array([0.3, 1.0, 7.5, 2.25])
+    per_pair = np.array([[model.energy(int(n), float(l)) for n in ns] for l in ls])
+    np.testing.assert_array_equal(model.energy(ns, ls[:, None]), per_pair)
+    for bad_l in (np.array([[1.0], [0.0]]), np.nan):
+        with pytest.raises(ValueError, match="positive"):
+            model.energy(ns, bad_l)
     bad = np.append(ns, model.n_min - 1)
     with pytest.raises(ValueError, match="quantum number"):
         model.energy(bad, 1.0)
