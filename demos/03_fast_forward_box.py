@@ -11,8 +11,8 @@ believes the closed forms only because this run says so.
 import numpy as np
 
 from ffqd.core import Grid
-from ffqd.fastforward import psi_ff, v_ff
-from ffqd.propagator import DirichletMovingWall, PropagationSpec, fidelity, propagate
+from ffqd.fastforward import psi_ff, trap_coefficient
+from ffqd.propagator import PropagationSpec, fidelity, propagate
 from ffqd.spectra import BoxModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
@@ -26,20 +26,12 @@ for kind in (POLYNOMIAL, TRIGONOMETRIC):
     grid = Grid(0.0, 1.0, N_POINTS)
     psi0 = psi_ff(BOX, 1, 0.0, traj, grid)
 
-    spec = PropagationSpec(
-        grid, DT, T,
-        lambda x, t, traj=traj: v_ff(x, min(t, T), traj),
-        DirichletMovingWall(traj),
-    )
-    out = propagate(psi0, spec)
+    out = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj), traj))
     target = psi_ff(BOX, 1, T, traj, out.grid)
     fid = fidelity(out, target)
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
 
-    spec0 = PropagationSpec(
-        grid, DT, T, lambda x, t: np.zeros_like(x), DirichletMovingWall(traj)
-    )
-    out0 = propagate(psi0, spec0)
+    out0 = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj, driven=False), traj))
     fid0 = fidelity(out0, target)
 
     print(f"{kind} ramp:")

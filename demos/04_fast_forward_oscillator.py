@@ -9,7 +9,7 @@ the drive included and orders of magnitude larger without it.
 
 import numpy as np
 
-from ffqd.fastforward import psi_ff, psi_ff_values, v_ff
+from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
 from ffqd.propagator import PropagationSpec, fidelity, propagate, tdse_residual
 from ffqd.spectra import HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, ControlTrajectory, vbar_for_target
@@ -19,16 +19,8 @@ R0, RF = 1.0, 1.0 / np.sqrt(10.0)
 traj = ControlTrajectory(POLYNOMIAL, R0, T, vbar=vbar_for_target(POLYNOMIAL, R0, RF, T))
 model = HarmonicModel()
 grid = model.default_grid(R0, 1024)
-
-
-def driven(x, t):
-    tc = min(t, T)
-    return model.v0(x, traj.value(tc)) + v_ff(x, tc, traj)
-
-
-def undriven(x, t):
-    return model.v0(x, traj.value(min(t, T)))
-
+driven = trap_coefficient(model, traj)  # a(t) of V = a(t) x^2: omega^2/2 - R_ddot/2R
+undriven = trap_coefficient(model, traj, driven=False)
 
 psi0 = psi_ff(model, 0, 0.0, traj, grid)
 target = psi_ff(model, 0, T, traj, grid)

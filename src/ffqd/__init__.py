@@ -32,13 +32,12 @@ from .fastforward import (
     psi_ff_values,
     scaling_phase_functions,
     theta_numeric,
+    trap_coefficient,
     v_ff,
     v_ff_generic,
     v_tilde,
 )
 from .propagator import (
-    DirichletFixed,
-    DirichletMovingWall,
     PropagationError,
     PropagationSpec,
     fidelity,

@@ -25,16 +25,7 @@ from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
 from .core import Grid, norm
-from .propagator import (
-    DirichletFixed,
-    DirichletMovingWall,
-    PropagationError,
-    PropagationSpec,
-    QuadraticPotential,
-    fidelity,
-    propagate,
-    tdse_residual,
-)
+from .propagator import PropagationError, PropagationSpec, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
     ADIABATIC_LINEAR,
@@ -193,40 +184,27 @@ def scenario_from_csv_header(path) -> Scenario:
 # per-sweep-entry computations
 
 def _system(scn: Scenario, traj: ControlTrajectory, t: float):
-    """(model, grid at time t, boundary) of the scenario's trap.
+    """(model, grid at time t, wall) of the scenario's trap.
 
     The oscillator keeps one fixed grid sized by the widest l of the ramp;
     the box grid spans [0, L(t)] and its wall moves with the ramp.
     """
     if scn.system == "harmonic":
         model = HarmonicModel()
-        return model, model.default_grid(traj._l_max, scn.grid_points), DirichletFixed()
-    return BoxModel(), Grid(0.0, traj.value(t), scn.grid_points), DirichletMovingWall(traj)
-
-
-def _trap_potential(model, traj: ControlTrajectory, driven: bool) -> QuadraticPotential:
-    """V = a(t) x^2 of the trap: model.v0's coefficient, plus v_ff's if driven.
-
-    In the box the wall frame only samples the inside, where v0 = 0.
-    """
-
-    def coefficient(t):
-        a = model._v0_coefficient(traj.value(t))
-        return a + ff._v_ff_coefficient(t, traj) if driven else a
-
-    return QuadraticPotential(coefficient)
+        return model, model.default_grid(traj._l_max, scn.grid_points), None
+    return BoxModel(), Grid(0.0, traj.value(t), scn.grid_points), traj
 
 
 def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, snapshot_path=None):
     """Propagate the tracked level and return (fidelity vs target, norm error)."""
-    model, grid, boundary = _system(scn, traj, 0.0)
+    model, grid, wall = _system(scn, traj, 0.0)
     n = model.n_min
     T = traj.t_ff
     n_steps = max(1, int(round(T / scn.dt)))
     stride = max(1, n_steps // 8)
     out = propagate(
         ff.psi_ff(model, n, 0.0, traj, grid),
-        PropagationSpec(grid, scn.dt, T, _trap_potential(model, traj, driven), boundary),
+        PropagationSpec(grid, scn.dt, T, ff.trap_coefficient(model, traj, driven), wall),
         snapshot_path=snapshot_path,
         snapshot_stride=stride if snapshot_path else 0,
     )
@@ -251,8 +229,8 @@ def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
     def psi(s):
         return ff.psi_ff_values(model, n, s, traj, grid.points, _phase_origin=t_mid)
 
-    driven = tdse_residual(psi, _trap_potential(model, traj, True), grid, t_mid, dt)
-    undriven = tdse_residual(psi, _trap_potential(model, traj, False), grid, t_mid, dt)
+    driven = tdse_residual(psi, ff.trap_coefficient(model, traj), grid, t_mid, dt)
+    undriven = tdse_residual(psi, ff.trap_coefficient(model, traj, driven=False), grid, t_mid, dt)
     return driven, undriven
 
 

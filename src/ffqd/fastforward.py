@@ -96,8 +96,11 @@ def dtheta_dx_numeric(amplitude_of_l: Callable[[float], np.ndarray], l: float, g
     models.  A genuine singularity (density at zero while the running
     integral is not) raises instead.
     """
-    x = grid.points
-    rho, drho_dl = _density_and_rate(amplitude_of_l, l)
+    return _dtheta_dx(*_density_and_rate(amplitude_of_l, l), grid)
+
+
+def _dtheta_dx(rho: np.ndarray, drho_dl: np.ndarray, grid: Grid) -> np.ndarray:
+    """dtheta_dx_numeric from rho and d_l rho already evaluated on grid."""
     running = cumint(drho_dl, grid.dx)
 
     zero = rho < _DENSITY_FLOOR
@@ -111,7 +114,7 @@ def dtheta_dx_numeric(amplitude_of_l: Callable[[float], np.ndarray], l: float, g
     dtheta = np.zeros_like(rho)
     np.divide(-running, rho, out=dtheta, where=~mask)
     if mask.any():
-        dtheta = _fill_masked_linear(x, dtheta, mask)
+        dtheta = _fill_masked_linear(grid.points, dtheta, mask)
     return dtheta
 
 
@@ -132,7 +135,7 @@ def continuity_residual(amplitude_of_l: Callable[[float], np.ndarray], l: float,
     check of the construction rather than an algebraic identity.
     """
     rho, drho_dl = _density_and_rate(amplitude_of_l, l)
-    return grad4(rho * dtheta_dx_numeric(amplitude_of_l, l, grid), grid.dx) + drho_dl
+    return grad4(rho * _dtheta_dx(rho, drho_dl, grid), grid.dx) + drho_dl
 
 
 def v_tilde(
@@ -242,6 +245,20 @@ def v_ff(x, t: float, traj: ControlTrajectory):
 def _v_ff_coefficient(t, traj: ControlTrajectory):
     """c of v_ff = c x^2: -(m/2) l_ddot/l, t a float or an array."""
     return -0.5 * traj.acceleration(t) / traj.value(t)
+
+
+def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True) -> Callable:
+    """a(t) of the trap potential V = a(t) x^2, t a float or an array.
+
+    model.v0's coefficient at l(t), plus v_ff's if driven.  In the box the
+    wall frame only samples the inside, where v0 = 0.
+    """
+
+    def coefficient(t):
+        a = model._v0_coefficient(traj.value(t))
+        return a + _v_ff_coefficient(t, traj) if driven else a
+
+    return coefficient
 
 
 def _dynamical_phase(model: Model, n: int, t: float, traj: ControlTrajectory, t0: float = 0.0) -> float:

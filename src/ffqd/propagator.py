@@ -3,32 +3,35 @@
 This is the correctness oracle for the analytic fast-forward states: a state
 is only believed once the independently stepped wavefunction reproduces it.
 
-One Cayley loop runs in the frame y = x / s(t), where the exactly
-transformed Hamiltonian is
-    H = -(hbar^2 / 2 m s^2) d_yy - (s_dot/s) D + V(s y, t),
+Both traps drive the same potential form, V = a(t) x^2 (the oscillator's
+omega^2/2 plus the drive -l_ddot/2l, or the drive alone inside the box), so a
+run takes the coefficient a(t), vectorised over an array of times.  One
+Cayley loop runs in the frame y = x / s(t), where the exactly transformed
+Hamiltonian is
+    H = -(hbar^2 / 2 m s^2) d_yy - (s_dot/s) D + a(t) s^2 y^2,
     D = -i hbar (y d_y + 1/2),
 with the dilation term discretized symmetrically so the tridiagonal matrix
 stays Hermitian and the Cayley step exactly unitary.
 
-* DirichletFixed: hard walls at the grid ends, s = 1, no dilation term (also
-  used for oscillator runs, where the state has decayed at the edges).
-* DirichletMovingWall: wall at x = L(t), s = L, so y runs over the fixed
+* No wall: hard walls at the grid ends, s = 1, no dilation term (also used
+  for oscillator runs, where the state has decayed at the edges).
+* A wall trajectory L(t): wall at x = L(t), s = L, so y runs over the fixed
   domain [0, 1].  No regridding, no interpolation at the wall.
 
 The half-step potential V(x, t + dt/2) keeps the scheme second order in time
-for explicitly time-dependent Hamiltonians.  s, s_dot and the coefficient of
-a QuadraticPotential V = a(t) x^2 are evaluated at every half step in one
-vectorised call each before the loop; any other V(x, t) is called once per
-step.  A step refills the diagonals of A = 1 + i dt H / 2hbar and makes one
-LAPACK zgtsv solve: A^-1 (1 - i dt H / 2hbar) = 2 A^-1 - 1, so the new state
-is 2 A^-1 psi - psi, with no product H psi.
+for explicitly time-dependent Hamiltonians.  s, s_dot and a are evaluated at
+every half step in one vectorised call each before the loop, where the bound
+dt*max|V|/hbar < 0.5 is checked on all of them at once.  A step refills the
+diagonals of A = 1 + i dt H / 2hbar and makes one LAPACK zgtsv solve:
+A^-1 (1 - i dt H / 2hbar) = 2 A^-1 - 1, so the new state is 2 A^-1 psi - psi,
+with no product H psi.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable, Union
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -45,67 +48,32 @@ class PropagationError(RuntimeError):
 
 
 @dataclass(frozen=True)
-class DirichletFixed:
-    pass
-
-
-@dataclass(frozen=True)
-class DirichletMovingWall:
-    traj: ControlTrajectory
-
-
-Boundary = Union[DirichletFixed, DirichletMovingWall]
-
-
-@dataclass(frozen=True)
-class QuadraticPotential:
-    """V(x, t) = a(t) x^2, with a(t) vectorised over an array of times.
-
-    propagate evaluates a at every half step in one call; the instance is
-    also a plain V(x, t) callable for everything else.
-    """
-
-    coefficient: Callable[[np.ndarray], np.ndarray]
-
-    def __call__(self, x, t):
-        return self.coefficient(t) * np.asarray(x, dtype=float) ** 2
-
-
-@dataclass(frozen=True)
 class PropagationSpec:
-    """One propagation run: grid, stepping, potential V(x, t), boundary mode.
+    """One propagation run: grid, stepping, trap coefficient a(t) of V = a(t) x^2, wall.
 
-    The potential is a QuadraticPotential or any callable V(x, t) of physical
-    x (an array) and t (a float).
-
-    For DirichletMovingWall the grid spans the initial box [0, L(0)]; the
+    coefficient maps an array of times to the array of a(t).  wall is the
+    ramp L(t) of a hard wall at x = L(t), or None for hard walls fixed at the
+    grid ends.  With a wall the grid spans the initial box [0, L(0)]; the
     returned field lives on [0, L(t_final)].
     """
 
     grid: Grid
     dt: float
     t_final: float
-    potential: Callable[[np.ndarray, float], np.ndarray]
-    boundary: Boundary = field(default_factory=DirichletFixed)
+    coefficient: Callable[[np.ndarray], np.ndarray]
+    wall: ControlTrajectory | None = None
 
     def __post_init__(self):
-        if self.dt <= 0:
-            raise ValueError("dt must be positive")
-        if self.t_final <= 0:
-            raise ValueError("t_final must be positive")
+        for name in ("dt", "t_final"):
+            if not 0 < getattr(self, name) < math.inf:  # False for NaN too
+                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
+        if not (self.wall is None or isinstance(self.wall, ControlTrajectory)):
+            raise ValueError(f"wall must be a ControlTrajectory or None, got {self.wall!r}")
 
 
 def fidelity(a: ComplexField, b: ComplexField) -> float:
     """|<a, b>| for normalized fields on the same grid; blind to global phase."""
     return abs(inner_product(a, b))
-
-
-def _check_margin(margin: float, step: int, n_steps: int) -> None:
-    """PropagationError unless margin = dt*max|V|/hbar at this step is below 0.5 (NaN fails too)."""
-    if not margin < 0.5:
-        if not margin < math.inf:
-            raise PropagationError(f"potential is not finite at step {step}/{n_steps}")
-        raise PropagationError(f"time step too coarse: dt*max|V|/hbar = {margin:.3g} >= 0.5")
 
 
 class _SnapshotWriter:
@@ -127,26 +95,25 @@ class _SnapshotWriter:
 def _frame(spec: PropagationSpec, psi0: ComplexField, t_half: np.ndarray):
     """(frame grid of y, s and s_dot at t_half, s(t)) for the frame x = s(t) y.
 
-    DirichletFixed: y = x and s = 1.  DirichletMovingWall: y = x / L(t) on
-    [0, 1] and s = L; the wall ramp is evaluated (and domain-checked) at every
-    half step here, before the first step.  Both frames set psi at the grid
-    ends to zero, so psi0 must already vanish there: below 1e-8 at a moving
-    wall, and below 1e-5 at fixed ends, which holds every oscillator state
-    (edge amplitude at most 1e-6 before renormalization on the grid).
+    No wall: y = x and s = 1.  A wall L(t): y = x / L(t) on [0, 1] and s = L;
+    the wall ramp is evaluated (and domain-checked) at every half step here,
+    before the first step.  Both frames set psi at the grid ends to zero, so
+    psi0 must already vanish there: below 1e-8 at a moving wall, and below
+    1e-5 at fixed ends, which holds every oscillator state (edge amplitude at
+    most 1e-6 before renormalization on the grid).
     """
-    moving = isinstance(spec.boundary, DirichletMovingWall)
-    limit = 1e-8 if moving else 1e-5
+    wall = spec.wall
+    limit = 1e-5 if wall is None else 1e-8
     if not np.abs(psi0.values[[0, -1]]).max() <= limit:  # NaN fails too
         raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {limit:g} there)")
-    if not moving:
+    if wall is None:
         return spec.grid, np.broadcast_to(1.0, t_half.shape), np.broadcast_to(0.0, t_half.shape), lambda t: 1.0
-    traj = spec.boundary.traj
-    L0 = traj.value(0.0)
+    L0 = wall.value(0.0)
     g = spec.grid
     if abs(g.x_min) > 1e-9 * L0 or abs(g.x_max - L0) > 1e-9 * L0:
         raise ValueError(f"moving-wall grid must span [0, L(0)] = [0, {L0}]")
-    scale = lambda t: traj.value(min(t, traj.t_ff))
-    return Grid(0.0, 1.0, g.n_points), traj.value(t_half), traj.velocity(t_half), scale
+    scale = lambda t: wall.value(min(t, wall.t_ff))
+    return Grid(0.0, 1.0, g.n_points), wall.value(t_half), wall.velocity(t_half), scale
 
 
 def _physical(frame: Grid, u: np.ndarray, s: float) -> tuple[Grid, np.ndarray]:
@@ -164,14 +131,13 @@ def propagate(
 ) -> ComplexField:
     """Crank-Nicolson run from t = 0 to t_final; returns the final state.
 
-    Raises PropagationError if dt*max|V|/hbar >= 0.5 or V is not finite at a
-    half step actually stepped (V on the interior points, dt the stepped
-    t_final / n_steps), or if the norm drifts by more than 1e-6 (or turns
-    NaN) at any checkpoint.  For a QuadraticPotential the bound is
-    max|a(t) s(t)^2| max y^2 over all half steps, checked before the first
-    step; a callback's V is checked at each step as it is evaluated.  A
-    psi0 that does not vanish at the grid ends, or a moving-wall run that
-    would leave [0, t_ff], raises ValueError before the first step.
+    Before the first step, raises PropagationError if V = a(t) x^2 is not
+    finite or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the
+    interior points, dt the stepped t_final / n_steps; the bound is
+    max|a(t) s(t)^2| max y^2), and ValueError if psi0 does not vanish at the
+    grid ends or a wall run would leave the ramp's [0, t_ff].  While
+    stepping, raises PropagationError if the norm drifts by more than 1e-6
+    (or turns NaN) at any checkpoint.
     """
     n_steps = max(1, int(round(spec.t_final / spec.dt)))
     dt = spec.t_final / n_steps
@@ -183,20 +149,21 @@ def propagate(
 
     dy = frame.dx
     y = frame.points[1:-1]
+    y2 = (y * y).astype(complex)
     y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
     # A = 1 + i lam H at every half step: kinetic lam/(2 s^2 dy^2),
-    # dilation lam (s_dot/s)/(4 dy), and for a QuadraticPotential lam a s^2
+    # dilation lam (s_dot/s)/(4 dy) and potential lam a s^2 y^2
     lam = dt / 2.0
     c_kin = lam / (2.0 * dy * dy)
     c_dil = lam / (4.0 * dy)
-    pot = None
-    if isinstance(spec.potential, QuadraticPotential):
-        pot = lam * spec.potential.coefficient(t_half) * (s * s)
-        margin = 2.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
-        bad = np.flatnonzero(~(margin < 0.5))
-        if bad.size:
-            _check_margin(margin[bad[0]], bad[0] + 1, n_steps)
-        y2 = (y * y).astype(complex)
+    pot = lam * spec.coefficient(t_half) * (s * s)
+    margin = 2.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
+    bad = np.flatnonzero(~(margin < 0.5))  # NaN fails too
+    if bad.size:
+        step, worst = bad[0] + 1, margin[bad[0]]
+        if not worst < math.inf:
+            raise PropagationError(f"potential is not finite at step {step}/{n_steps}")
+        raise PropagationError(f"time step too coarse: dt*max|V|/hbar = {worst:.3g} >= 0.5")
 
     from scipy.linalg.lapack import zgtsv
 
@@ -211,12 +178,7 @@ def propagate(
             writer.write(0.0, *_physical(frame, u, scale(0.0)))
         for step in range(n_steps):
             sk = s.item(step)
-            if pot is None:
-                v = spec.potential(sk * y, t_half.item(step))
-                _check_margin(2.0 * lam * np.max(np.abs(v)), step + 1, n_steps)
-                np.multiply(v, 1j * lam, out=d)
-            else:
-                np.multiply(y2, 1j * pot.item(step), out=d)
+            np.multiply(y2, 1j * pot.item(step), out=d)
             k, q = c_kin / (sk * sk), c_dil * (s_dot.item(step) / sk)
             d += 1.0 + 2j * k
             np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
@@ -264,7 +226,7 @@ def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int) -> Non
 
 def tdse_residual(
     psi_ff_fn: Callable[[float], np.ndarray],
-    potential: Callable[[np.ndarray, float], np.ndarray],
+    coefficient: Callable[[float], float],
     grid: Grid,
     t: float,
     dt: float,
@@ -272,9 +234,10 @@ def tdse_residual(
     """Relative residual of the driven equation for an analytic state.
 
     || i hbar (psi(t+dt) - psi(t-dt)) / 2dt - H(t) psi(t)|| / ||H(t) psi(t)||
-    with H the second-order finite-difference Hamiltonian for the supplied
-    potential.  psi_ff_fn(s) must return field values on `grid` (ndarray or
-    ComplexField).  Evaluated on the interior (two points clipped per edge).
+    with H the second-order finite-difference Hamiltonian for the potential
+    V = coefficient(t) x^2.  psi_ff_fn(s) must return field values on `grid`
+    (ndarray or ComplexField).  Evaluated on the interior (two points clipped
+    per edge).
     """
     if t - dt < 0.0:
         raise ValueError("centered stencil needs t - dt >= 0")
@@ -288,7 +251,7 @@ def tdse_residual(
         return np.asarray(out, dtype=complex)
 
     psi_m, psi_0, psi_p = vals(t - dt), vals(t), vals(t + dt)
-    h_psi = -0.5 * lap2(psi_0, grid.dx) + potential(grid.points, t) * psi_0
+    h_psi = -0.5 * lap2(psi_0, grid.dx) + coefficient(t) * grid.points**2 * psi_0
     lhs = 1j * (psi_p - psi_m) / (2.0 * dt)
     diff = (lhs - h_psi)[2:-2]
     ref = h_psi[2:-2]

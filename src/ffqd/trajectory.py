@@ -66,9 +66,8 @@ class ControlTrajectory:
     def _l_max(self) -> float:
         """Largest l on [0, t_ff]: the larger end, as the ramp is monotone; oscillator grids are sized by it.
 
-        Both ends go through the array path, whose t**3 can round differently
-        from a Python float's.  Computed once per trajectory: the thermal
-        trace and the propagation grid ask for it at every time node.
+        Computed once per trajectory: the thermal trace and the propagation
+        grid ask for it at every time node.
         """
         return float(np.max(self._value(np.array([0.0, self.t_ff]))))
 
@@ -86,7 +85,9 @@ class ControlTrajectory:
 
     def _value(self, t):
         if self.kind == POLYNOMIAL:
-            return self.l0 + self.vbar * (t * t / (2.0 * self.t_ff) - t**3 / (3.0 * self.t_ff**2))
+            # t * t * t, not t**3: a Python float's power (C pow) and numpy's
+            # round apart, and the scalar and array paths must agree bit for bit
+            return self.l0 + self.vbar * (t * t / (2.0 * self.t_ff) - t * t * t / (3.0 * self.t_ff**2))
         if self.kind == TRIGONOMETRIC:
             return self.l0 + self.vbar * (
                 t - (self.t_ff / (2.0 * np.pi)) * np.sin(2.0 * np.pi * t / self.t_ff)

@@ -30,14 +30,9 @@ from ffqd.cost import (
     internal_energy_ho,
     internal_energy_numeric,
 )
-from ffqd.fastforward import psi_ff, theta_numeric, v_ff
+from ffqd.fastforward import psi_ff, theta_numeric, trap_coefficient
 from ffqd.ie import cost_ie, design_b, ermakov_residual
-from ffqd.propagator import (
-    DirichletMovingWall,
-    PropagationSpec,
-    fidelity,
-    propagate,
-)
+from ffqd.propagator import PropagationSpec, fidelity, propagate
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
@@ -58,17 +53,9 @@ def test_criterion_01_oscillator_fast_forward_exactness():
     grid = model.default_grid(1.0, 1024)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
     target = psi_ff(model, 0, 1.0, traj, grid)
-
-    def driven(x, t):
-        tc = min(t, 1.0)
-        return model.v0(x, traj.value(tc)) + v_ff(x, tc, traj)
-
-    def undriven(x, t):
-        return model.v0(x, traj.value(min(t, 1.0)))
-
-    out = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, driven))
+    out = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj)))
     fid = fidelity(out, target)
-    out0 = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, undriven))
+    out0 = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj, driven=False)))
     fid0 = fidelity(out0, target)
     elapsed = time.monotonic() - t_start
 
@@ -85,11 +72,7 @@ def test_criterion_02_box_fast_forward_exactness():
         traj = box_ramp(kind)  # L 1 -> 10 over T = 1
         grid = Grid(0.0, 1.0, 2048)
         psi0 = psi_ff(BoxModel(), 1, 0.0, traj, grid)
-        spec = PropagationSpec(
-            grid, 5e-5, 1.0, lambda x, t, traj=traj: v_ff(x, min(t, 1.0), traj),
-            DirichletMovingWall(traj),
-        )
-        out = propagate(psi0, spec)
+        out = propagate(psi0, PropagationSpec(grid, 5e-5, 1.0, trap_coefficient(BoxModel(), traj), traj))
         fid = fidelity(out, psi_ff(BoxModel(), 1, 1.0, traj, out.grid))
         nrm = float(np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx)))
         results.append((kind, fid, abs(nrm - 1.0)))
@@ -232,11 +215,7 @@ def test_criterion_09_propagator_convergence_order():
     model = HarmonicModel()
     grid = model.default_grid(1.0, 1024)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
-
-    def pot(x, t):
-        tc = min(t, 0.5)
-        return model.v0(x, traj.value(tc)) + v_ff(x, tc, traj)
-
+    pot = trap_coefficient(model, traj)
     ref = propagate(psi0, PropagationSpec(grid, 2.5e-5, 0.5, pot))
     errs = []
     for dt in (8e-4, 4e-4, 2e-4):

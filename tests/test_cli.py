@@ -255,14 +255,11 @@ def test_driven_residual_matches_quad_phase_oracle(system):
         model, level, pref = BoxModel(), 1, 0.5 * math.pi**2
         grid = Grid(0.0, traj.value(t_mid), 512)
 
-    def pot(x, t):
-        return model.v0(x, traj.value(t)) + ff.v_ff(x, t, traj)
-
     def psi(s):
         phase = pref * quad(lambda u: traj.value(u) ** -2, t_mid, s, epsabs=0.0, epsrel=1e-13)[0]
         return ff.psi_ff_values(model, level, s, traj, grid.points, _phase_origin=s) * np.exp(-1j * phase)
 
-    oracle = tdse_residual(psi, pot, grid, t_mid, dt)
+    oracle = tdse_residual(psi, ff.trap_coefficient(model, traj), grid, t_mid, dt)
     assert driven == pytest.approx(oracle, rel=1e-13, abs=0.0)
 
 

@@ -78,6 +78,21 @@ def test_continuity_residual_maxabs(case):
     assert np.max(np.abs(resid)) < 1e-5
 
 
+@pytest.mark.parametrize("fn", [dtheta_dx_numeric, continuity_residual])
+def test_phase_construction_evaluates_the_amplitude_three_times(fn):
+    # rho at l and l +- dl: continuity_residual reuses them for the gradient
+    grid = Grid(0.0, 1.0, 2048)
+    amp = box_amplitude_fn(1, grid)
+    calls = []
+
+    def counted(l):
+        calls.append(l)
+        return amp(l)
+
+    fn(counted, 1.0, grid)
+    assert len(calls) == 3
+
+
 def test_singularity_detected():
     # density vanishes on the right half while the running integral does not:
     # amplitude supported on [0, 1/2] with l-dependent normalization

@@ -6,13 +6,10 @@ from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgtsv
 
 from ffqd.core import ComplexField, Grid, normalize
-from ffqd.fastforward import psi_ff, psi_ff_values, v_ff
+from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
 from ffqd.propagator import (
-    DirichletFixed,
-    DirichletMovingWall,
     PropagationError,
     PropagationSpec,
-    QuadraticPotential,
     _cayley_step,
     fidelity,
     propagate,
@@ -24,8 +21,8 @@ from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 from helpers import box_ramp, box_state, ho_ramp
 
 
-def zero_potential(x, t):
-    return np.zeros_like(x)
+def zero_potential(t):
+    return np.zeros(np.shape(t))
 
 
 def test_stationary_box_mode_acquires_pure_phase():
@@ -59,7 +56,7 @@ def test_cfl_style_precondition():
     grid = Grid(0.0, 1.0, 256)
     phi = box_state(1, 1.0, grid)
     with pytest.raises(PropagationError):
-        propagate(phi, PropagationSpec(grid, 0.1, 1.0, lambda x, t: 100.0 * np.ones_like(x)))
+        propagate(phi, PropagationSpec(grid, 0.1, 1.0, lambda t: np.full(np.shape(t), 100.0)))
 
 
 def test_unnormalized_initial_state_rejected():
@@ -75,10 +72,7 @@ def test_long_run_unitarity():
     grid = Grid(0.0, 1.0, 256)
     traj = box_ramp(POLYNOMIAL, t_ff=1.0)
     psi0 = psi_ff(BoxModel(), 1, 0.0, traj, grid)
-    spec = PropagationSpec(
-        grid, 1e-5, 1.0, lambda x, t: v_ff(x, min(t, 1.0), traj), DirichletMovingWall(traj)
-    )
-    out = propagate(psi0, spec)
+    out = propagate(psi0, PropagationSpec(grid, 1e-5, 1.0, trap_coefficient(BoxModel(), traj), traj))
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
     assert abs(nrm - 1.0) < 1e-8
 
@@ -88,7 +82,7 @@ def test_moving_wall_grid_must_match_initial_box():
     grid = Grid(0.0, 2.0, 256)
     phi = box_state(1, 2.0, grid)
     with pytest.raises(ValueError):
-        propagate(phi, PropagationSpec(grid, 1e-4, 1.0, zero_potential, DirichletMovingWall(traj)))
+        propagate(phi, PropagationSpec(grid, 1e-4, 1.0, zero_potential, traj))
 
 
 def test_moving_wall_adiabatic_limit():
@@ -97,9 +91,7 @@ def test_moving_wall_adiabatic_limit():
     traj = ControlTrajectory.adiabatic_linear(1.0, eps, 10.0)
     grid = Grid(0.0, 1.0, 1024)
     phi0 = box_state(1, 1.0, grid)
-    out = propagate(
-        phi0, PropagationSpec(grid, 2e-4, 10.0, zero_potential, DirichletMovingWall(traj))
-    )
+    out = propagate(phi0, PropagationSpec(grid, 2e-4, 10.0, zero_potential, traj))
     inst = box_state(1, traj.value(10.0), out.grid)
     assert 1.0 - fidelity(out, inst) < 0.1 * eps * eps
 
@@ -127,112 +119,90 @@ def test_fidelity_at_most_one(n, width, seed):
 
 
 def test_moving_wall_past_t_ff_rejected_before_stepping():
-    # both potential forms: a callback V(x, t) and a coefficient a(t) of V = a x^2
     traj = box_ramp(POLYNOMIAL)
     grid = Grid(0.0, 1.0, 64)
     phi = box_state(1, 1.0, grid)
     seen = []
-
-    def pot(x, t):
-        seen.append(t)
-        return np.zeros_like(x)
 
     def coefficient(t):
         seen.extend(np.atleast_1d(t).tolist())
         return 0.0 * np.asarray(t)
 
     n_steps = 1500
-    for potential in (pot, QuadraticPotential(coefficient)):
-        spec = PropagationSpec(grid, 1.5 / n_steps, 1.5, potential, DirichletMovingWall(traj))
-        with pytest.raises(ValueError, match="outside"):
-            propagate(phi, spec)
-        assert 0.5 * (1.5 / n_steps) not in seen  # the first half step was never evaluated
+    with pytest.raises(ValueError, match="outside"):
+        propagate(phi, PropagationSpec(grid, 1.5 / n_steps, 1.5, coefficient, traj))
+    assert not seen  # a(t) was never evaluated
+
+
+@pytest.mark.parametrize(
+    "dt, t_final, wall",
+    [
+        (np.inf, 1.0, None),
+        (np.nan, 1.0, None),
+        (1e-3, np.nan, None),
+        (1e-3, np.inf, None),
+        (0.0, 1.0, None),
+        (1e-3, -1.0, None),
+        (1e-3, 1.0, "box"),
+        (1e-3, 1.0, 1.0),
+    ],
+)
+def test_spec_rejects_bad_times_and_walls(dt, t_final, wall):
+    # unchecked, dt = inf runs one step of length t_final, a NaN fails
+    # converting the step count and t_final = inf overflows it
+    with pytest.raises(ValueError, match="must be positive and finite|must be a ControlTrajectory or None"):
+        PropagationSpec(Grid(0.0, 1.0, 64), dt, t_final, zero_potential, wall)
+
+
+def _spiked(t_bad, dt, bad, base):
+    """a(t): bad within dt/4 of t_bad, base elsewhere."""
+    return lambda t: np.where(np.abs(t - t_bad) < 0.25 * dt, bad, base)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize(
-    "moving, form",
-    [(False, "callback"), (True, "callback"), (False, "coefficient"), (True, "coefficient")],
-    ids=["False", "True", "False-coefficient", "True-coefficient"],
-)
-def test_non_finite_potential_mid_run_raises(bad, moving, form):
+@pytest.mark.parametrize("moving", [False, True], ids=["False-coefficient", "True-coefficient"])
+def test_non_finite_potential_mid_run_raises(bad, moving):
     # 100 steps of 1e-4; the bad value sits only around the half step of step 51
     grid = Grid(0.0, 1.0, 128)
     phi = box_state(1, 1.0, grid)
     t_final, n_steps = 0.01, 100
     dt = t_final / n_steps
-    t_bad = 50.5 * dt
-
-    def pot(x, t):
-        v = np.zeros_like(x)
-        if abs(t - t_bad) < 0.25 * dt:
-            v[len(v) // 2] = bad
-        return v
-
-    def coefficient(t):
-        return np.where(np.abs(t - t_bad) < 0.25 * dt, bad, 0.0)
-
-    potential = pot if form == "callback" else QuadraticPotential(coefficient)
-    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
+    wall = box_ramp(POLYNOMIAL) if moving else None
     with pytest.raises(PropagationError, match="not finite at step 51/100"):
-        propagate(phi, PropagationSpec(grid, dt, t_final, potential, boundary))
+        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked(50.5 * dt, dt, bad, 0.0), wall))
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("moving", [False, True])
 def test_non_finite_potential_sample_fails_precondition(bad, moving):
-    # bad at the half step of step 37 only, |V| = 3 elsewhere: a NaN must not
-    # be folded away into max|V| = 3 by the dt*max|V|/hbar bound, in either
-    # potential form
+    # bad at the half step of step 37 only, a = 3 elsewhere: a NaN must not
+    # be folded away into max|V| ~ 3 by the dt*max|V|/hbar bound
     grid = Grid(0.0, 1.0, 128)
     phi = box_state(1, 1.0, grid)
     t_final, n_steps = 0.01, 100
     dt = t_final / n_steps
-    t_bad = 36.5 * dt
-
-    def pot(x, t):
-        v = np.full_like(x, 3.0)
-        if abs(t - t_bad) < 0.25 * dt:
-            v[len(v) // 2] = bad
-        return v
-
-    def coefficient(t):
-        return np.where(np.abs(t - t_bad) < 0.25 * dt, bad, 3.0)
-
-    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
-    for potential in (pot, QuadraticPotential(coefficient)):
-        with pytest.raises(PropagationError, match="not finite at step 37/100"):
-            propagate(phi, PropagationSpec(grid, dt, t_final, potential, boundary))
+    wall = box_ramp(POLYNOMIAL) if moving else None
+    with pytest.raises(PropagationError, match="not finite at step 37/100"):
+        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked(36.5 * dt, dt, bad, 3.0), wall))
 
 
-@pytest.mark.parametrize("moving", [False, True], ids=["fixed", "moving"])
-@pytest.mark.parametrize("form", ["callback", "coefficient"])
-def test_potential_spike_between_sample_times_is_too_coarse(tmp_path, moving, form):
+@pytest.mark.parametrize("moving", [False, True], ids=["coefficient-fixed", "coefficient-moving"])
+def test_potential_spike_between_sample_times_is_too_coarse(tmp_path, moving):
     # a(t) = 1e4 only around the half step of step 51, between the times
-    # k t_final/64 that the bound used to sample, so dt*max|V|/hbar ~ 1 there
-    # and 0 elsewhere; the coefficient form raises before the first step, a
-    # callback at the step that evaluates the spike
+    # k t_final/64 that a sampled bound would see, so dt*max|V|/hbar ~ 1 there
+    # and 0 elsewhere; the bound raises before the first step
     grid = Grid(0.0, 1.0, 64)
     phi = box_state(1, 1.0, grid)
     t_final, n_steps = 0.01, 100
     dt = t_final / n_steps
     t_spike = 50.5 * dt
     assert np.min(np.abs(np.linspace(0.0, t_final, 65) - t_spike)) > 0.25 * dt
-
-    def coefficient(t):
-        return np.where(np.abs(t - t_spike) < 0.25 * dt, 1e4, 0.0)
-
-    potential = QuadraticPotential(coefficient)
-    if form == "callback":
-        potential = lambda x, t: coefficient(t) * x**2  # noqa: E731
-    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
+    wall = box_ramp(POLYNOMIAL) if moving else None
     path = tmp_path / "snaps.csv"
+    spec = PropagationSpec(grid, dt, t_final, _spiked(t_spike, dt, 1e4, 0.0), wall)
     with pytest.raises(PropagationError, match="time step too coarse"):
-        propagate(phi, PropagationSpec(grid, dt, t_final, potential, boundary), path, snapshot_stride=1)
-    if form == "coefficient":
-        assert not path.exists()
-    else:  # frames at steps 0..50: step 51 raised
-        assert len(path.read_text().splitlines()) == 1 + 64 * 51
+        propagate(phi, spec, path, snapshot_stride=1)
+    assert not path.exists()
 
 
 @pytest.mark.parametrize("moving", [False, True], ids=["fixed", "moving"])
@@ -241,15 +211,15 @@ def test_psi0_not_vanishing_at_grid_ends_rejected_before_stepping(moving):
     # lose its end values silently and fail 16 steps later with "norm drifted"
     grid = Grid(0.0, 1.0, 256)
     const = ComplexField(grid, np.ones(grid.n_points, dtype=complex))
-    boundary = DirichletMovingWall(box_ramp(POLYNOMIAL)) if moving else DirichletFixed()
+    wall = box_ramp(POLYNOMIAL) if moving else None
     seen = []
 
-    def pot(x, t):
+    def coefficient(t):
         seen.append(t)
-        return np.zeros_like(x)
+        return np.zeros(np.shape(t))
 
     with pytest.raises(ValueError, match="psi0 must vanish at both grid ends"):
-        propagate(const, PropagationSpec(grid, 1e-4, 0.01, pot, boundary))
+        propagate(const, PropagationSpec(grid, 1e-4, 0.01, coefficient, wall))
     assert not seen
 
 
@@ -262,8 +232,7 @@ def test_oscillator_state_at_the_edge_limit_propagates():
     grid = Grid(-half, half, 512)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
     assert 0.9e-6 < np.abs(psi0.values[[0, -1]]).max() <= 1e-6
-    coefficient = lambda t: model._v0_coefficient(traj.value(t))  # noqa: E731
-    out = propagate(psi0, PropagationSpec(grid, 1e-3, 0.01, QuadraticPotential(coefficient)))
+    out = propagate(psi0, PropagationSpec(grid, 1e-3, 0.01, trap_coefficient(model, traj, driven=False)))
     assert fidelity(out, psi0) > 0.99
 
 
@@ -314,13 +283,13 @@ def test_cn_step_is_unitary(case):
     assert np.vdot(out, out).real == pytest.approx(np.vdot(u, u).real, rel=1e-12)
 
 
-def _per_step_reference(psi0, grid, dt, t_final, potential, traj=None):
+def _per_step_reference(psi0, grid, dt, t_final, coefficient, traj=None):
     """The two per-step loops propagate ran before they were merged, inlined.
 
     Fixed walls (traj None) or the wall frame y = x/L(t) (traj given); per
-    step the potential is called, the diagonals of A = 1 + i lam H are formed
-    by the loop's own expressions (kinetic c_kin/L^2, dilation c_dil Ldot/L,
-    main diagonal 1 + 2ik + i lam V), the product (2 - A) u = (1 - i lam H) u
+    step V = a(t) x^2 is formed on the physical points, the diagonals of
+    A = 1 + i lam H by the loop's own expressions (kinetic c_kin/L^2,
+    dilation c_dil Ldot/L, main diagonal 1 + 2ik + i lam V), the product (2 - A) u = (1 - i lam H) u
     is formed explicitly and zgtsv solves A u' = (2 - A) u.  Rounding H's
     entries any other way (1/(2 L^2 dy^2), 2k + V) moves the result by more
     than the 1e-12 compared at lam ||H|| ~ 300.  Natural units.
@@ -341,7 +310,7 @@ def _per_step_reference(psi0, grid, dt, t_final, potential, traj=None):
         tm = (step + 0.5) * dt
         L, Ldot = (1.0, 0.0) if traj is None else (traj.value(tm), traj.velocity(tm))
         k, q = c_kin / (L * L), c_dil * (Ldot / L)
-        d = 1.0 + 2j * k + 1j * lam * potential(L * y_int, tm)
+        d = 1.0 + 2j * k + 1j * lam * (coefficient(tm) * (L * y_int) ** 2)
         du = -1j * k - q * y_pair
         dl = -1j * k + q * y_pair
         rhs = (2.0 - d) * ui
@@ -356,13 +325,12 @@ def _per_step_reference(psi0, grid, dt, t_final, potential, traj=None):
 # pinned: lam ||H|| ~ 300, where the reference's old rounding of H's entries
 # alone missed the bound (1.237e-12)
 @example(
-    moving=True, coefficient_form=False, kind=POLYNOMIAL, n=210, n_steps=100,
-    l0=0.875, l_final=0.875, t_ff=1.0, trap=0.0, tilt=1.0, seed=28,
+    moving=True, kind=POLYNOMIAL, n=210, n_steps=100,
+    l0=0.875, l_final=0.875, t_ff=1.0, trap=0.0, seed=28,
 )
 @settings(max_examples=40, deadline=None)
 @given(
     moving=st.booleans(),
-    coefficient_form=st.booleans(),
     kind=st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]),
     n=st.integers(16, 256),
     n_steps=st.integers(100, 400),
@@ -370,33 +338,25 @@ def _per_step_reference(psi0, grid, dt, t_final, potential, traj=None):
     l_final=st.floats(0.8, 1.6),
     t_ff=st.floats(0.5, 1.0),
     trap=st.floats(0.0, 1.0),
-    tilt=st.floats(-2.0, 2.0),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_merged_loop_matches_per_step_reference(
-    moving, coefficient_form, kind, n, n_steps, l0, l_final, t_ff, trap, tilt, seed
-):
-    # V = (trap/2 l^-4 - l_ddot/2l) x^2 on a random ramp, as the coefficient a(t)
-    # or as a callback with an extra tilt sin(t) x; random sine-mode initial state
+def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_final, t_ff, trap, seed):
+    # V = (trap/2 l^-4 - l_ddot/2l) x^2 on a random ramp; random sine-mode initial state
     traj = box_ramp(kind, l0, l_final, t_ff)
 
     def coefficient(t):
         l = traj.value(t)
         return 0.5 * trap / l**4 - 0.5 * traj.acceleration(t) / l
 
-    if coefficient_form:
-        potential = QuadraticPotential(coefficient)
-    else:
-        potential = lambda x, t: coefficient(t) * x**2 + tilt * np.sin(5.0 * t) * x
     grid = Grid(0.0, l0, n) if moving else Grid(-0.5 * l0, l0, n)
     rng = np.random.default_rng(seed)
     xi = (grid.points - grid.x_min) / (grid.x_max - grid.x_min)
     modes = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
     psi0 = normalize(ComplexField(grid, (modes * np.sin(np.pi * np.arange(1, 4)[:, None] * xi)).sum(axis=0)))
     t_final = t_ff if moving else 0.5 * t_ff
-    boundary = DirichletMovingWall(traj) if moving else DirichletFixed()
-    out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, potential, boundary))
-    ref = _per_step_reference(psi0, grid, t_final / n_steps, t_final, potential, traj if moving else None)
+    wall = traj if moving else None
+    out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, coefficient, wall))
+    ref = _per_step_reference(psi0, grid, t_final / n_steps, t_final, coefficient, wall)
     assert np.max(np.abs(out.values[1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
@@ -425,8 +385,8 @@ def test_residual_driven_box_and_negative_control():
     t_probe = 0.3  # wall acceleration nonzero here (vanishes at exactly T/2)
     grid = Grid(0.0, traj.value(t_probe), 2048)
     psi = lambda s: psi_ff_values(BoxModel(), 1, s, traj, grid.points)
-    driven = tdse_residual(psi, lambda x, t: v_ff(x, t, traj), grid, t_probe, 1e-5)
-    undriven = tdse_residual(psi, zero_potential, grid, t_probe, 1e-5)
+    driven = tdse_residual(psi, trap_coefficient(BoxModel(), traj), grid, t_probe, 1e-5)
+    undriven = tdse_residual(psi, trap_coefficient(BoxModel(), traj, driven=False), grid, t_probe, 1e-5)
     assert driven < 1e-3
     assert undriven >= 10.0 * driven
 
@@ -436,8 +396,7 @@ def test_residual_driven_oscillator():
     model = HarmonicModel()
     grid = model.default_grid(1.0, 2048)
     psi = lambda s: psi_ff_values(model, 0, s, traj, grid.points)
-    pot = lambda x, t: model.v0(x, traj.value(t)) + v_ff(x, t, traj)
-    assert tdse_residual(psi, pot, grid, 0.3, 1e-5) < 1e-3
+    assert tdse_residual(psi, trap_coefficient(model, traj), grid, 0.3, 1e-5) < 1e-3
 
 
 def test_residual_stencil_domain():

@@ -75,18 +75,34 @@ def test_scalar_and_array_paths_agree():
             np.testing.assert_allclose([fn(float(t)) for t in ts], fn(ts), rtol=1e-14, atol=1e-12)
 
 
-@settings(max_examples=200, deadline=None)
-@given(
+def _ramp(kind, l0, l_final, t_ff):
+    if kind == ADIABATIC_LINEAR:
+        return ControlTrajectory.adiabatic_linear(l0, (l_final - l0) / t_ff, t_ff)
+    return ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l_final, t_ff))
+
+
+_RAMP_ARGS = (
     st.sampled_from((POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)),
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 1e3),
 )
+
+
+@settings(max_examples=200, deadline=None)
+@given(*_RAMP_ARGS, st.integers(0, 2**32 - 1))
+def test_scalar_value_is_the_array_entry_bit_for_bit(kind, l0, l_final, t_ff, seed):
+    # a propagation run's half-step arrays and a residual's scalar calls must
+    # see the same ramp, also where l0 + vbar (...) nearly cancels (l_final < l0)
+    traj = _ramp(kind, l0, l_final, t_ff)
+    ts = np.append(np.random.default_rng(seed).uniform(0.0, t_ff, 96), [0.0, t_ff])
+    assert [traj.value(float(t)) for t in ts] == traj.value(ts).tolist()
+
+
+@settings(max_examples=200, deadline=None)
+@given(*_RAMP_ARGS)
 def test_ramps_stay_positive_and_hit_both_endpoints(kind, l0, l_final, t_ff):
-    if kind == ADIABATIC_LINEAR:
-        traj = ControlTrajectory.adiabatic_linear(l0, (l_final - l0) / t_ff, t_ff)
-    else:
-        traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l_final, t_ff))
+    traj = _ramp(kind, l0, l_final, t_ff)
     assert traj.value(0.0) == l0
     # l0 + (l_final - l0) rounds at the scale of the larger endpoint
     assert abs(traj.value(t_ff) - l_final) <= 1e-12 * max(l0, l_final)
