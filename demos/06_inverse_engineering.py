@@ -12,7 +12,7 @@ out cheaper at every duration, and both costs fall as the schedule relaxes.
 import numpy as np
 
 from ffqd.cost import ThermalEnsemble, cost_ff_numeric
-from ffqd.ie import cost_ie, design_b, ermakov_residual, h_ie_expectation
+from ffqd.ie import ErmakovSolution, cost_ie, ermakov_residual, h_ie_expectation
 from ffqd.spectra import HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, ControlTrajectory, vbar_for_target
 
@@ -20,7 +20,7 @@ BETA = 1.0
 OMEGA0, OMEGAF = 1.0, 10.0
 R0, RF = 1.0 / np.sqrt(OMEGA0), 1.0 / np.sqrt(OMEGAF)
 
-sol = design_b(OMEGA0, OMEGAF, 1.0)
+sol = ErmakovSolution(OMEGA0, OMEGAF, 1.0)
 ts = np.linspace(0.0, 1.0, 10_000)
 print(f"Ermakov design: b(T) = {sol.b(1.0):.6f} (target {np.sqrt(OMEGA0/OMEGAF):.6f})")
 print(f"  residual sup-norm over 1e4 samples: {np.max(np.abs(ermakov_residual(sol, ts))):.2e}")
@@ -34,7 +34,7 @@ rows = []
 for T in (0.5, 1.0, 2.0, 5.0):
     traj = ControlTrajectory(POLYNOMIAL, R0, T, vbar=vbar_for_target(POLYNOMIAL, R0, RF, T))
     mn = cost_ff_numeric(model, traj, ens, n_points=1024)
-    ie = cost_ie(design_b(OMEGA0, OMEGAF, T), BETA)
+    ie = cost_ie(ErmakovSolution(OMEGA0, OMEGAF, T), BETA)
     rows.append((T, mn, ie))
     print(f"   {T:4.1f}    {mn:12.4f}          {ie:12.4f}")
 

@@ -62,6 +62,6 @@ from .cost import (
     internal_energy_numeric,
     solve_mu,
 )
-from .ie import ErmakovSolution, cost_ie, design_b, ermakov_residual, h_ie_expectation
+from .ie import ErmakovSolution, cost_ie, ermakov_residual, h_ie_expectation
 
 __version__ = "0.1.0"

@@ -16,6 +16,7 @@ byte-identical.
 from __future__ import annotations
 
 import argparse
+import itertools
 import math
 import sys
 from dataclasses import dataclass, fields
@@ -112,44 +113,36 @@ class Scenario:
 
     # -- serialization -----------------------------------------------------
     def to_mapping(self) -> dict:
-        return {
-            "system": self.system,
-            "ramp": self.ramp,
-            "l0": repr(self.l0),
-            "l_final": repr(self.l_final),
-            "omega0": repr(self.omega0),
-            "omegaF": repr(self.omegaF),
-            "t_ff_list": ",".join(repr(t) for t in self.t_ff_list),
-            "beta": repr(self.beta),
-            "n_particles": str(self.n_particles),
-            "grid_points": str(self.grid_points),
-            "dt": repr(self.dt),
-            "epsilon": repr(self.epsilon),
-            "outputs": ",".join(self.outputs),
-        }
+        return {f.name: _encode(getattr(self, f.name)) for f in fields(self)}
 
     def comment_header(self) -> str:
         return "".join(f"# {k}={v}\n" for k, v in self.to_mapping().items())
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "Scenario":
-        known = {f.name for f in fields(cls)}
-        unknown = set(mapping) - known
+        defaults = {f.name: f.default for f in fields(cls)}
+        unknown = set(mapping) - set(defaults)
         if unknown:
             raise ValueError(f"unknown scenario keys: {sorted(unknown)}")
-        kw = {}
-        for key, raw in mapping.items():
-            if key in ("system", "ramp"):
-                kw[key] = raw.strip()
-            elif key == "t_ff_list":
-                kw[key] = tuple(float(tok) for tok in raw.split(",") if tok.strip())
-            elif key == "outputs":
-                kw[key] = tuple(tok.strip() for tok in raw.split(",") if tok.strip())
-            elif key in ("n_particles", "grid_points"):
-                kw[key] = int(raw)
-            else:
-                kw[key] = float(raw)
-        return cls(**kw)
+        return cls(**{key: _decode(raw, defaults[key]) for key, raw in mapping.items()})
+
+
+def _encode(value) -> str:
+    """A field value as text: a tuple item by item, comma-joined, anything else by str.
+
+    str of a Python float is its shortest round-trip repr; numpy scalars print
+    the same digits, where repr would write np.float64(...).
+    """
+    if isinstance(value, (tuple, list)):
+        return ",".join(_encode(item) for item in value)
+    return str(value)
+
+
+def _decode(raw: str, default):
+    """Text back to the type of a field's default; tuple items take the type of its first item."""
+    if isinstance(default, tuple):
+        return tuple(_decode(tok, default[0]) for tok in raw.split(",") if tok.strip())
+    return type(default)(raw.strip())
 
 
 def parse_config_text(text: str) -> dict:
@@ -168,16 +161,9 @@ def parse_config_text(text: str) -> dict:
 
 def scenario_from_csv_header(path) -> Scenario:
     """Rebuild the scenario recorded in a result file's provenance comments."""
-    mapping = {}
     with open(path) as fh:
-        for line in fh:
-            if not line.startswith("#"):
-                break
-            body = line[1:].strip()
-            if "=" in body:
-                key, val = body.split("=", 1)
-                mapping[key.strip()] = val.strip()
-    return Scenario.from_mapping(mapping)
+        header = "".join(line[1:] for line in itertools.takewhile(lambda line: line.startswith("#"), fh))
+    return Scenario.from_mapping(parse_config_text(header))
 
 
 # ---------------------------------------------------------------------------
@@ -249,7 +235,7 @@ def _ie_row(scn: Scenario, t_ff: float) -> list[float]:
     traj = scn.trajectory(t_ff)
     ens = scn.ensemble()
     mn = cost_mod.cost_ff_numeric(HarmonicModel(), traj, ens, n_points=scn.grid_points)
-    sol = ie_mod.design_b(scn.omega0, scn.omegaF, t_ff)
+    sol = ie_mod.ErmakovSolution(scn.omega0, scn.omegaF, t_ff)
     return [t_ff, mn, ie_mod.cost_ie(sol, scn.beta)]
 
 

@@ -27,11 +27,12 @@ the kinetic operator, the pairs (0, 2), (0, 3) and their mirrors (-1, -3),
 
 The trace is batched over time nodes: cost_ff_numeric evaluates all its
 Gauss-Legendre nodes in one pass (_node_traces), with one vectorised ramp
-call, energies E_n(l) = E_n(1) / l^2, one row-wise mu bisection, and
-amplitude stacks supplied by the model in chunks of nodes.  The box grid
-scales with the wall, x = L xi, so a single sine table at L = 1, scaled by
-L^-1/2, serves every node and the Frobenius cost takes its x^2 matrix from
-that table; the oscillator keeps a fixed grid per node.
+call, energies E_n(l) = E_n(1) / l^2, the potential a(t) x^2 from
+fastforward, one row-wise mu bisection, and amplitude stacks supplied by
+the model in chunks of nodes.  The box grid scales with the wall, x = L xi,
+so a single sine table at L = 1, scaled by L^-1/2, serves every node and
+the Frobenius cost takes its x^2 matrix from that table; the oscillator
+keeps a fixed grid per node.
 """
 
 from __future__ import annotations
@@ -39,11 +40,12 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Callable
 
 import numpy as np
 
 from ._numutil import gauss_legendre, legendre_rule
+from .fastforward import _v_ff_coefficient, trap_coefficient
 from .spectra import Model, _require_trace_points
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
@@ -322,30 +324,29 @@ def _node_traces(
 ) -> np.ndarray:
     """The thermal trace of internal_energy_numeric at every time of ts, in one pass.
 
-    l, l_dot and l_ddot come from one vectorised trajectory call each and mu
-    from one row-wise bisection.  The model supplies the amplitudes in
-    chunks of nodes: model._trace_stacks(traj, l, n_top, n_points) yields
-    (nodes, xi, length, table, weight), where node i has the grid
-    x = length_i xi and the amplitudes sqrt(weight_i) table, with xi and
-    table either shared by the chunk or given per node.  Both drives are
-    -(m/2)(l_ddot/l) x^2, so beyond that the model supplies only v0.
+    l, l_dot and a(t) of V = a(t) x^2 (fastforward.trap_coefficient) come
+    from one vectorised call each and mu from one row-wise bisection.  The
+    model supplies the amplitudes in chunks of nodes:
+    model._trace_stacks(traj, l, n_top, n_points) yields (nodes, xi, length,
+    table, weight), where node i has the grid x = length_i xi and the
+    amplitudes sqrt(weight_i) table, with xi and table either shared by the
+    chunk or given per node.
     """
     ts = np.asarray(ts, dtype=float)
     _require_trace_points(n_points)  # before the empty ensemble's early return
     if ens.n_particles == 0:
         return np.zeros(ts.size)
-    l, ldot, lddot = traj.value(ts), traj.velocity(ts), traj.acceleration(ts)
+    l = traj.value(ts)
     _, f, n_top = _occupied_levels(model, ens, l)
-    a = ldot / (2.0 * l)  # gauge phase theta = a x^2
-    c = -0.5 * lddot / l  # drive V_FF = c x^2
+    g = traj.velocity(ts) / (2.0 * l)  # gauge phase theta = g x^2
+    a = trap_coefficient(model, traj)(ts)  # V = a x^2
     out = np.empty(ts.size)
     for sl, xi, length, table, weight in model._trace_stacks(traj, l, n_top, n_points):
         x = length[:, None] * xi
-        v = model.v0(x, l[sl, None]) + c[sl, None] * x**2
         occ = f[sl, : table.shape[-2]] * weight
         dx = (x[:, -1] - x[:, 0]) / (n_points - 1)
-        out[sl] = _weighted_trace(table, occ, a[sl, None] * x * x, v, dx, 0.5)
-        del x, v, table  # free this chunk before the next one is built
+        out[sl] = _weighted_trace(table, occ, g[sl, None] * x * x, a[sl, None] * x**2, dx, 0.5)
+        del x, table  # free this chunk before the next one is built
     return out
 
 
@@ -487,7 +488,7 @@ def cost_ff_numeric(
 def frobenius_cost(
     model: Model,
     traj: ControlTrajectory,
-    ens_or_cutoff: Union[ThermalEnsemble, int],
+    ens_or_cutoff: ThermalEnsemble | int,
     t_ff: float,
     n_points: int = 1024,
     rel_tol: float = 1e-8,
@@ -518,7 +519,7 @@ def frobenius_cost(
 
     def h_norm(ts: np.ndarray) -> np.ndarray:
         l = traj.value(ts)
-        c = -0.5 * traj.acceleration(ts) / l  # V_FF = c x^2
+        c = _v_ff_coefficient(ts, traj)  # V_FF = c x^2
         out = np.empty(ts.size)
         for sl, xi, length, table, weight in model._trace_stacks(traj, l, np.full(ts.size, m_cut), n_points):
             # <k|xi^2|m> on the stack's own grid by the trapezoid rule

@@ -250,7 +250,7 @@ def _v_ff_coefficient(t, traj: ControlTrajectory):
 def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True) -> Callable:
     """a(t) of the trap potential V = a(t) x^2, t a float or an array.
 
-    model.v0's coefficient at l(t), plus v_ff's if driven.  In the box the
+    model._v0_coefficient at l(t), plus v_ff's if driven.  In the box the
     wall frame only samples the inside, where v0 = 0.
     """
 

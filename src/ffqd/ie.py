@@ -30,7 +30,7 @@ from .cost import cost_ff
 
 @dataclass(frozen=True)
 class ErmakovSolution:
-    """Scaling function b(t) on [0, t_ff] with its derivatives and frequency ramp."""
+    """Quintic scaling function b(t) of an omega0 -> omegaF ramp, with its derivatives and frequency ramp."""
 
     omega0: float
     omegaF: float
@@ -80,13 +80,8 @@ class ErmakovSolution:
         return float(out) if np.ndim(t) == 0 else out
 
 
-def design_b(omega0: float, omegaF: float, t_ff: float) -> ErmakovSolution:
-    """Build the quintic scaling function for an omega0 -> omegaF ramp."""
-    return ErmakovSolution(omega0=omega0, omegaF=omegaF, t_ff=t_ff)
-
-
 def ermakov_residual(sol: ErmakovSolution, t) -> float:
-    """b_ddot + omega^2 b - omega0^2/b^3; zero by construction for design_b output."""
+    """b_ddot + omega^2 b - omega0^2/b^3; zero by construction."""
     b = np.asarray(sol.b(t), dtype=float)
     out = np.asarray(sol.b_ddot(t)) + np.asarray(sol.omega_sq(t)) * b - sol.omega0**2 / b**3
     return float(out) if np.ndim(t) == 0 else out

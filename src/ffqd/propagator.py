@@ -137,8 +137,13 @@ def propagate(
     max|a(t) s(t)^2| max y^2), and ValueError if psi0 does not vanish at the
     grid ends or a wall run would leave the ramp's [0, t_ff].  While
     stepping, raises PropagationError if the norm drifts by more than 1e-6
-    (or turns NaN) at any checkpoint.
+    (or turns NaN) at any checkpoint.  Snapshots go to snapshot_path every
+    snapshot_stride >= 1 steps: ValueError unless both or neither are given.
     """
+    if (snapshot_path is None) != (snapshot_stride == 0) or snapshot_stride < 0:
+        raise ValueError(
+            f"snapshot_path and a snapshot_stride >= 1 go together; got {snapshot_path!r}, {snapshot_stride!r}"
+        )
     n_steps = max(1, int(round(spec.t_final / spec.dt)))
     dt = spec.t_final / n_steps
     t_half = (np.arange(n_steps) + 0.5) * dt
@@ -172,7 +177,7 @@ def propagate(
     d = np.empty_like(u)
     du = np.empty(u.size - 1, dtype=complex)
     dl = np.empty_like(du)
-    writer = _SnapshotWriter(snapshot_path, snapshot_stride) if snapshot_path and snapshot_stride > 0 else None
+    writer = None if snapshot_path is None else _SnapshotWriter(snapshot_path, snapshot_stride)
     try:
         if writer:
             writer.write(0.0, *_physical(frame, u, scale(0.0)))
@@ -235,22 +240,14 @@ def tdse_residual(
 
     || i hbar (psi(t+dt) - psi(t-dt)) / 2dt - H(t) psi(t)|| / ||H(t) psi(t)||
     with H the second-order finite-difference Hamiltonian for the potential
-    V = coefficient(t) x^2.  psi_ff_fn(s) must return field values on `grid`
-    (ndarray or ComplexField).  Evaluated on the interior (two points clipped
+    V = coefficient(t) x^2.  psi_ff_fn(s) must return the array of field
+    values on `grid`.  Evaluated on the interior (two points clipped
     per edge).
     """
     if t - dt < 0.0:
         raise ValueError("centered stencil needs t - dt >= 0")
 
-    def vals(s: float) -> np.ndarray:
-        out = psi_ff_fn(s)
-        if isinstance(out, ComplexField):
-            if out.grid != grid:
-                raise ValueError("psi_ff_fn returned a field on a different grid")
-            return out.values
-        return np.asarray(out, dtype=complex)
-
-    psi_m, psi_0, psi_p = vals(t - dt), vals(t), vals(t + dt)
+    psi_m, psi_0, psi_p = (np.asarray(psi_ff_fn(s), dtype=complex) for s in (t - dt, t, t + dt))
     h_psi = -0.5 * lap2(psi_0, grid.dx) + coefficient(t) * grid.points**2 * psi_0
     lhs = 1j * (psi_p - psi_m) / (2.0 * dt)
     diff = (lhs - h_psi)[2:-2]

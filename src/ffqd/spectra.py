@@ -1,17 +1,16 @@
 """Frozen-parameter eigenproblem for the two confinement models.
 
 Both are scale-invariant traps, V0(x; l) = l^-2 U(x/l), so
-E_n(l) = E_n(1) / l^2 and phi_n(x; l) = l^-1/2 phi_n(x/l; 1).  A model
-supplies its level energies, its potential and its amplitude tables; the
-amplitudes are real (the phase eta of the general scheme vanishes
-identically).
+E_n(l) = E_n(1) / l^2 and phi_n(x; l) = l^-1/2 phi_n(x/l; 1).  Model holds
+that scale law once; each trap supplies only its l = 1 data and its grid
+rule.  The amplitudes are real (the phase eta of the general scheme
+vanishes identically).
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -38,12 +37,6 @@ def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
             math.sqrt(2.0 / (k + 1.0)) * xi * h[..., k, :] - math.sqrt(k / (k + 1.0)) * h[..., k - 1, :]
         )
     return h
-
-
-def _check_box_grid(grid: Grid, L: float) -> None:
-    tol = 1e-9 * L
-    if abs(grid.x_min) > tol or abs(grid.x_max - L) > tol:
-        raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
 
 
 _CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this many nodes
@@ -80,32 +73,46 @@ def _node_chunks(rows: np.ndarray, n_points: int) -> list[slice]:
     return chunks
 
 
+class Model:
+    """A scale-invariant trap V0(x; l) = l^-2 U(x/l), given by its data at l = 1.
+
+    A trap supplies n_min, its lowest level; _unit_energy(n), the energies
+    E_n(1); _U2, the x^2 coefficient of U; _unit_amplitudes; and its grid
+    rule (amplitudes and _trace_stacks).  The scale law is applied here.
+    """
+
+    n_min: int
+    _U2: float
+
+    def energy(self, n, l):
+        """E_n(1) / l^2; n and l may be arrays that broadcast."""
+        if np.any(np.less(n, self.n_min)):
+            raise ValueError(f"quantum number must be >= {self.n_min}")
+        if not np.all(np.greater(l, 0)):  # NaN fails too
+            raise ValueError("l must be positive")
+        return self._unit_energy(n) / (l * l)
+
+    def level_numbers(self, n_max: int) -> np.ndarray:
+        return np.arange(self.n_min, n_max + 1)
+
+    def _v0_coefficient(self, l):
+        """a of v0 = a x^2 at l: U's x^2 coefficient over l^4, l a float or an array."""
+        if not np.all(np.greater(l, 0)):
+            raise ValueError("l must be positive")
+        w = 1.0 / (l * l)
+        return self._U2 * w * w
+
+
 @dataclass(frozen=True)
-class HarmonicModel:
-    """Oscillator with frequency set by the length scale R: omega(R) = 1/R^2."""
+class HarmonicModel(Model):
+    """Oscillator with frequency set by the length scale R: omega(R) = 1/R^2, U(xi) = xi^2 / 2."""
 
     n_min = 0  # lowest level number
+    _U2 = 0.5
 
-    def omega(self, R):
-        if not np.all(np.greater(R, 0)):
-            raise ValueError("R must be positive")
-        return 1.0 / (R * R)
-
-    def energy(self, n, R):
-        """E_n(1) / R^2 with E_n(1) = n + 1/2; n and R may be arrays that broadcast."""
-        if np.any(np.less(n, 0)):
-            raise ValueError("oscillator quantum number must be >= 0")
-        if not np.all(np.greater(R, 0)):  # NaN fails too
-            raise ValueError("R must be positive")
-        return (n + 0.5) / (R * R)
-
-    def v0(self, x: np.ndarray, R) -> np.ndarray:
-        return self._v0_coefficient(R) * np.asarray(x) ** 2
-
-    def _v0_coefficient(self, R):
-        """a of v0 = a x^2: omega(R)^2 / 2, R a float or an array."""
-        w = self.omega(R)
-        return 0.5 * w * w
+    @staticmethod
+    def _unit_energy(n):
+        return n + 0.5
 
     def _hermite_stack(self, n_top: np.ndarray, R: np.ndarray, x: np.ndarray) -> np.ndarray:
         """Grid-renormalized eigenamplitudes of nodes with length scales R on grids x.
@@ -135,10 +142,7 @@ class HarmonicModel:
         """Rows n = 0..n_max of grid-renormalized eigenamplitudes."""
         return self._hermite_stack(np.array([n_max]), np.array([R]), grid.points[None, :])[0]
 
-    @staticmethod
-    def _unit_amplitudes(n_max: int, xi: np.ndarray) -> np.ndarray:
-        """Rows n = 0..n_max of the Hermite-Gauss amplitudes at R = 1 on any xi."""
-        return _hermite_functions(n_max, xi)
+    _unit_amplitudes = staticmethod(_hermite_functions)  # rows n = 0..n_max at R = 1 on any xi
 
     def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
         """Chunks (nodes, x, length, table, weight) of amplitude stacks at nodes l.
@@ -155,9 +159,6 @@ class HarmonicModel:
             ones = np.ones((x.shape[0], 1))
             yield sl, x, ones[:, 0], self._hermite_stack(n_top[sl], l[sl], x), ones
 
-    def level_numbers(self, n_max: int) -> np.ndarray:
-        return np.arange(0, n_max + 1)
-
     @staticmethod
     def _half_width(r_max: float, n_max):
         """(7 + sqrt(2 n_max + 1)) ground-state widths, the width at R being R itself."""
@@ -170,33 +171,19 @@ class HarmonicModel:
 
 
 @dataclass(frozen=True)
-class BoxModel:
-    """Hard-wall box on [0, L]; the wall position L is the control parameter."""
+class BoxModel(Model):
+    """Hard-wall box on [0, L]; the wall position L is the control parameter.
+
+    U is zero inside [0, 1] and infinite beyond; only the inside is ever
+    sampled (the wall frame spans it exactly), so U's x^2 coefficient is 0.
+    """
 
     n_min = 1  # lowest level number
-
-    def energy(self, n, L):
-        """E_n(1) / L^2 with E_n(1) = (pi n)^2 / 2; n and L may be arrays that broadcast."""
-        if np.any(np.less(n, 1)):
-            raise ValueError("box quantum number must be >= 1")
-        if not np.all(np.greater(L, 0)):  # NaN fails too
-            raise ValueError("L must be positive")
-        return (np.pi * n) ** 2 / 2.0 / (L * L)
-
-    def v0(self, x: np.ndarray, L) -> np.ndarray:
-        """Zero inside [0, L]; the potential is infinite beyond the walls, so x there raises.
-
-        L may be a float or an array that broadcasts against x (one wall per row).
-        """
-        xi = np.asarray(x, dtype=float) / L
-        if xi.size and (xi.min() < -1e-12 or xi.max() > 1.0 + 1e-12):
-            raise ValueError(f"x outside the box [0, {L}]")
-        return np.zeros(xi.shape)
+    _U2 = 0.0
 
     @staticmethod
-    def _v0_coefficient(L):
-        """a of v0 = a x^2 inside the box, where a wall-frame run samples it: zero."""
-        return np.zeros(np.shape(L))
+    def _unit_energy(n):
+        return (np.pi * n) ** 2 / 2.0
 
     @staticmethod
     def _unit_amplitudes(n_max: int, xi: np.ndarray) -> np.ndarray:
@@ -216,7 +203,8 @@ class BoxModel:
 
     def amplitudes(self, n_max: int, L: float, grid: Grid) -> np.ndarray:
         """Rows n = 1..n_max of box eigenamplitudes on a [0, L] grid."""
-        _check_box_grid(grid, L)
+        if abs(grid.x_min) > 1e-9 * L or abs(grid.x_max - L) > 1e-9 * L:
+            raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
         return self._unit_table(n_max, grid.points / L) / math.sqrt(L)
 
     def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
@@ -231,12 +219,3 @@ class BoxModel:
         table = self._unit_table(int(np.max(n_top)), xi)
         for sl in chunks:
             yield sl, xi, l[sl], table, 1.0 / l[sl, None]
-
-    def level_numbers(self, n_max: int) -> np.ndarray:
-        return np.arange(1, n_max + 1)
-
-    def default_grid(self, L: float, n_points: int) -> Grid:
-        return Grid(0.0, L, n_points)
-
-
-Model = Union[HarmonicModel, BoxModel]

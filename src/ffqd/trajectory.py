@@ -74,10 +74,6 @@ class ControlTrajectory:
     def _check_domain(self, t):
         """t clipped to [0, t_ff]; errors for NaN or t beyond a 1e-9 t_ff slack."""
         slack = 1e-9 * self.t_ff
-        if isinstance(t, float):  # Python float and np.float64: the per-step path
-            if not -slack <= t <= self.t_ff + slack:
-                raise ValueError(f"t = {t} outside [0, {self.t_ff}]")
-            return min(max(t, 0.0), self.t_ff)
         t = np.asarray(t, dtype=float)
         if not (np.all(t >= -slack) and np.all(t <= self.t_ff + slack)):
             raise ValueError(f"t outside [0, {self.t_ff}]")

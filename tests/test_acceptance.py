@@ -31,7 +31,7 @@ from ffqd.cost import (
     internal_energy_numeric,
 )
 from ffqd.fastforward import psi_ff, theta_numeric, trap_coefficient
-from ffqd.ie import cost_ie, design_b, ermakov_residual
+from ffqd.ie import ErmakovSolution, cost_ie, ermakov_residual
 from ffqd.propagator import PropagationSpec, fidelity, propagate
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
@@ -145,7 +145,7 @@ def test_criterion_06_protocol_ordering_against_inverse_engineering():
     for t_ff in (0.5, 1.0, 2.0, 5.0):
         traj = ho_ramp(POLYNOMIAL, t_ff=t_ff)
         mn = cost_ff_numeric(model, traj, ens, n_points=1024)
-        ie = cost_ie(design_b(1.0, 10.0, t_ff), beta)
+        ie = cost_ie(ErmakovSolution(1.0, 10.0, t_ff), beta)
         rows.append((t_ff, mn, ie))
     ok = all(mn < ie for _, mn, ie in rows) and all(
         b[1] < a[1] for a, b in zip(rows, rows[1:])
@@ -157,7 +157,7 @@ def test_criterion_06_protocol_ordering_against_inverse_engineering():
 
 
 def test_criterion_07_ermakov_suite():
-    sol = design_b(1.0, 10.0, 1.0)
+    sol = ErmakovSolution(1.0, 10.0, 1.0)
     ts = np.linspace(0.0, 1.0, 10_000)
     sup = float(np.max(np.abs(ermakov_residual(sol, ts))))
     b_end = abs(sol.b(1.0) - math.sqrt(0.1))

@@ -158,6 +158,17 @@ def test_csv_header_round_trips_any_scenario(scn):
         assert scenario_from_csv_header(path) == scn
 
 
+def test_csv_header_round_trips_numpy_scalars(tmp_path):
+    # repr wrote l0=np.float64(2.0), which the header parse could not read back
+    scn = Scenario(
+        l0=np.float64(2.0), beta=np.float64(np.inf), n_particles=np.int64(3), t_ff_list=(np.float64(0.5),)
+    )
+    path = tmp_path / "out.csv"
+    path.write_text(scn.comment_header() + "t_ff,value\n")
+    assert "np." not in path.read_text()
+    assert scenario_from_csv_header(path) == scn
+
+
 def test_harmonic_control_endpoints():
     scn = Scenario(system="harmonic", omega0=1.0, omegaF=10.0)
     a, b = scn.control_endpoints()

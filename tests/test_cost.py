@@ -590,7 +590,7 @@ def _per_node_trace(model, traj, t, ens, n_points):
         amps = _hermite_functions(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
         amps /= np.sqrt(np.trapezoid(amps * amps, dx=grid.dx, axis=1))[:, None]
     x = grid.points
-    v = model.v0(x, l) - 0.5 * lddot / l * x * x
+    v = model._v0_coefficient(l) * x**2 - 0.5 * lddot / l * x * x
     a = ldot / (2.0 * l)
     return _complex_trace_reference(amps, f, a, x, v, grid.dx, 0.5)
 

@@ -15,7 +15,13 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[p.stem for p in DEMOS])
 def test_demo_runs(demo, tmp_path):
     # cwd is a scratch directory, so plots (when matplotlib is present) land there
+    # -W error: a demo that warns fails, as filterwarnings = ["error"] makes every test fail
     proc = subprocess.run(
-        [sys.executable, str(demo)], cwd=tmp_path, env=src_env(), capture_output=True, text=True, timeout=300
+        [sys.executable, "-W", "error", str(demo)],
+        cwd=tmp_path,
+        env=src_env(),
+        capture_output=True,
+        text=True,
+        timeout=300,
     )
     assert proc.returncode == 0, proc.stderr[-4000:]

@@ -148,15 +148,6 @@ def test_v_ff_box_value_at_ramp_start():
     assert v_ff(1.0, 0.0, traj) == pytest.approx(-27.0, rel=1e-12)
 
 
-def test_v_ff_box_domain_error():
-    # the driven box potential V0 + V_FF is infinite beyond the wall; V0 raises there
-    traj = box_ramp(POLYNOMIAL)
-    with pytest.raises(ValueError, match="outside the box"):
-        BoxModel().v0(2.0, traj.value(0.0)) + v_ff(2.0, 0.0, traj)  # box is [0, 1] at t = 0
-    with pytest.raises(ValueError, match="outside the box"):
-        BoxModel().v0(np.array([[0.5, 1.5]]), np.array([[1.0]]))  # one wall per row
-
-
 def test_v_ff_trig_sign_flip_across_midpoint():
     traj = box_ramp(TRIGONOMETRIC)
     early = v_ff(0.5, 0.25, traj)

@@ -10,7 +10,7 @@ from scipy.special import expit
 from ffqd._numutil import gauss_legendre
 from ffqd.cost import _fermi_factor, cost_ff
 from ffqd.fastforward import _dynamical_phase
-from ffqd.ie import cost_ie, design_b, h_ie_expectation
+from ffqd.ie import ErmakovSolution, cost_ie, h_ie_expectation
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
@@ -53,7 +53,7 @@ def test_inverse_l2_integrals_match_adaptive_quad(traj, frac, system, k):
 @settings(max_examples=80, deadline=None)
 @given(st.floats(0.5, 2.0), st.floats(0.5, 20.0), st.floats(0.1, 10.0), st.floats(0.1, 10.0))
 def test_cost_ie_matches_adaptive_quad(omega0, omegaF, t_ff, beta):
-    sol = design_b(omega0, omegaF, t_ff)
+    sol = ErmakovSolution(omega0, omegaF, t_ff)
     ref = _quad(lambda s: h_ie_expectation(sol, s, beta), 0.0, t_ff, 1e-300, 1e-10) / t_ff
     assert abs(cost_ie(sol, beta) - ref) <= 1e-10 * abs(ref)
 

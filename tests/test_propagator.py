@@ -159,31 +159,26 @@ def _spiked(t_bad, dt, bad, base):
     return lambda t: np.where(np.abs(t - t_bad) < 0.25 * dt, bad, base)
 
 
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("moving", [False, True], ids=["False-coefficient", "True-coefficient"])
-def test_non_finite_potential_mid_run_raises(bad, moving):
-    # 100 steps of 1e-4; the bad value sits only around the half step of step 51
+@pytest.mark.parametrize(
+    "step, base, moving, bad",
+    [
+        pytest.param(step, base, moving, bad, id=f"{prefix}{moving}-{bad}")
+        for step, base, prefix in ((37, 3.0, ""), (51, 0.0, "mid_run-"))
+        for moving in (False, True)
+        for bad in (np.nan, np.inf)
+    ],
+)
+def test_non_finite_potential_sample_fails_precondition(step, base, moving, bad):
+    # 100 steps of 1e-4; bad only around the half step of `step`, a = base
+    # elsewhere: a NaN must not be folded away into max|V| ~ 3 by the
+    # dt*max|V|/hbar bound, and the first bad step is the one reported
     grid = Grid(0.0, 1.0, 128)
     phi = box_state(1, 1.0, grid)
     t_final, n_steps = 0.01, 100
     dt = t_final / n_steps
     wall = box_ramp(POLYNOMIAL) if moving else None
-    with pytest.raises(PropagationError, match="not finite at step 51/100"):
-        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked(50.5 * dt, dt, bad, 0.0), wall))
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf])
-@pytest.mark.parametrize("moving", [False, True])
-def test_non_finite_potential_sample_fails_precondition(bad, moving):
-    # bad at the half step of step 37 only, a = 3 elsewhere: a NaN must not
-    # be folded away into max|V| ~ 3 by the dt*max|V|/hbar bound
-    grid = Grid(0.0, 1.0, 128)
-    phi = box_state(1, 1.0, grid)
-    t_final, n_steps = 0.01, 100
-    dt = t_final / n_steps
-    wall = box_ramp(POLYNOMIAL) if moving else None
-    with pytest.raises(PropagationError, match="not finite at step 37/100"):
-        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked(36.5 * dt, dt, bad, 3.0), wall))
+    with pytest.raises(PropagationError, match=f"not finite at step {step}/100"):
+        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked((step - 0.5) * dt, dt, bad, base), wall))
 
 
 @pytest.mark.parametrize("moving", [False, True], ids=["coefficient-fixed", "coefficient-moving"])
@@ -358,6 +353,18 @@ def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_
     out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, coefficient, wall))
     ref = _per_step_reference(psi0, grid, t_final / n_steps, t_final, coefficient, wall)
     assert np.max(np.abs(out.values[1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+@pytest.mark.parametrize("with_path, stride", [(True, 0), (True, -1), (False, 5)])
+def test_snapshot_path_and_stride_go_together(tmp_path, with_path, stride):
+    # either one alone used to be ignored without a word: no file, or no frames
+    grid = Grid(0.0, 1.0, 64)
+    phi = box_state(1, 1.0, grid)
+    path = tmp_path / "snaps.csv"
+    spec = PropagationSpec(grid, 1e-3, 0.01, zero_potential)
+    with pytest.raises(ValueError, match="snapshot_stride"):
+        propagate(phi, spec, snapshot_path=path if with_path else None, snapshot_stride=stride)
+    assert not path.exists()
 
 
 def test_snapshot_dump(tmp_path):

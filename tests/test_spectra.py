@@ -87,7 +87,7 @@ def test_eigen_residual_second_order_fd(model_case):
         levels = range(0, 5)
         l = 1.0
     amps = model.amplitudes(max(levels), l, grid)
-    v0 = model.v0(grid.points, l)
+    v0 = model._v0_coefficient(l) * grid.points**2
     for i, n in enumerate(levels):
         phi = amps[i]
         h_phi = -0.5 * lap2(phi, grid.dx) + v0 * phi
@@ -106,7 +106,6 @@ def test_amplitudes_are_real():
 
 
 def test_model_metadata():
-    assert HarmonicModel().omega(0.5) == pytest.approx(4.0)
     assert HarmonicModel().n_min == 0
     assert BoxModel().n_min == 1
     with pytest.raises(TypeError):  # the lowest level is the model's, not a setting
