@@ -519,7 +519,7 @@ def frobenius_cost(
 
     def h_norm(ts: np.ndarray) -> np.ndarray:
         l = traj.value(ts)
-        c = _v_ff_coefficient(ts, traj)  # V_FF = c x^2
+        c = _v_ff_coefficient(ts, traj, l)  # V_FF = c x^2
         out = np.empty(ts.size)
         for sl, xi, length, table, weight in model._trace_stacks(traj, l, np.full(ts.size, m_cut), n_points):
             # <k|xi^2|m> on the stack's own grid by the trapezoid rule

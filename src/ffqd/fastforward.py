@@ -239,12 +239,12 @@ def v_ff_generic(
 
 def v_ff(x, t: float, traj: ControlTrajectory):
     """Closed-form drive -(m/2)(l_ddot/l) x^2, the same for every scale-invariant trap."""
-    return _v_ff_coefficient(t, traj) * np.asarray(x, dtype=float) ** 2
+    return _v_ff_coefficient(t, traj, traj.value(t)) * np.asarray(x, dtype=float) ** 2
 
 
-def _v_ff_coefficient(t, traj: ControlTrajectory):
-    """c of v_ff = c x^2: -(m/2) l_ddot/l, t a float or an array."""
-    return -0.5 * traj.acceleration(t) / traj.value(t)
+def _v_ff_coefficient(t, traj: ControlTrajectory, l):
+    """c of v_ff = c x^2: -(m/2) l_ddot/l, t a float or an array, l = traj.value(t) from the caller."""
+    return -0.5 * traj.acceleration(t) / l
 
 
 def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True) -> Callable:
@@ -255,8 +255,9 @@ def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True)
     """
 
     def coefficient(t):
-        a = model._v0_coefficient(traj.value(t))
-        return a + _v_ff_coefficient(t, traj) if driven else a
+        l = traj.value(t)
+        a = model._v0_coefficient(l)
+        return a + _v_ff_coefficient(t, traj, l) if driven else a
 
     return coefficient
 

@@ -25,11 +25,22 @@ dt*max|V|/hbar < 0.5 is checked on all of them at once.  A step refills the
 diagonals of A = 1 + i dt H / 2hbar and makes one LAPACK zgtsv solve:
 A^-1 (1 - i dt H / 2hbar) = 2 A^-1 - 1, so the new state is 2 A^-1 psi - psi,
 with no product H psi.
+
+zgtsv comes from scipy's f2py extension scipy.linalg._flapack, loaded on the
+first run after the light top-level scipy package alone (see _zgtsv): the
+scipy.linalg package init, which pulls in scipy's array-API layer and with
+it numpy.f2py, numpy.testing, numpy.random and numpy.ma, never runs for a
+propagation.
 """
 
 from __future__ import annotations
 
+import functools
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
 from dataclasses import dataclass
 from typing import Callable
 
@@ -170,8 +181,7 @@ def propagate(
             raise PropagationError(f"potential is not finite at step {step}/{n_steps}")
         raise PropagationError(f"time step too coarse: dt*max|V|/hbar = {worst:.3g} >= 0.5")
 
-    from scipy.linalg.lapack import zgtsv
-
+    zgtsv = _zgtsv()
     u = math.sqrt(scale(0.0)) * psi0.values[1:-1]  # unitary map to the frame
     w = np.empty_like(u)
     d = np.empty_like(u)
@@ -201,6 +211,31 @@ def propagate(
     return ComplexField(*_physical(frame, u, scale(spec.t_final)))
 
 
+@functools.cache
+def _zgtsv():
+    """LAPACK zgtsv from scipy's extension module scipy.linalg._flapack.
+
+    The top-level scipy package is imported, as its init is what makes the
+    LAPACK library bundled with a scipy wheel loadable (on Windows it adds
+    the library's DLL directory to the search path).  The extension is then
+    loaded from scipy's linalg directory under its own dotted name, so the
+    scipy.linalg package init does not run.  The module is kept in
+    sys.modules under that name, where a later import of scipy.linalg finds
+    it; the routine is the one scipy.linalg.lapack binds.
+    """
+    import scipy
+
+    linalg = [os.path.join(d, "linalg") for d in scipy.__path__]
+    found = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
+    if found is None:
+        raise ImportError(f"scipy's LAPACK extension _flapack not found in {linalg}")
+    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found.origin)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    sys.modules.setdefault(spec.name, module)
+    return module.zgtsv
+
+
 def _cayley_step(dl, d, du, u: np.ndarray, w: np.ndarray, zgtsv) -> np.ndarray:
     """One Cayley step u -> (1 + i lam H)^-1 (1 - i lam H) u for a tridiagonal H.
 
@@ -208,8 +243,9 @@ def _cayley_step(dl, d, du, u: np.ndarray, w: np.ndarray, zgtsv) -> np.ndarray:
     (1 + i lam H)^-1 (1 - i lam H) = 2 (1 + i lam H)^-1 - 1 exactly, the step
     is 2 A^-1 u - u: one solve, no product H u (the solve takes 2u, which
     doubles its result exactly).  zgtsv is LAPACK's tridiagonal solver as
-    scipy binds it, looked up once per run by the caller; it overwrites dl,
-    d, du and the scratch vector w, and the result may share w's memory.
+    scipy's f2py extension binds it (propagate passes _zgtsv(), tests may
+    pass scipy.linalg.lapack.zgtsv); it overwrites dl, d, du and the scratch
+    vector w, and the result may share w's memory.
     """
     np.multiply(u, 2.0, out=w)
     _, _, _, x, info = zgtsv(dl, d, du, w, 1, 1, 1, 1)

@@ -1,3 +1,4 @@
+import json
 import math
 import subprocess
 import sys
@@ -287,8 +288,9 @@ def test_console_entry_point(tmp_path):
 
 
 def test_import_and_cost_preset_load_no_scipy(tmp_path):
-    # scipy is imported on first use by propagation and the numeric phase
-    # check; the cost layer behind the presets needs none of it
+    # propagation loads the top-level scipy package and its LAPACK extension
+    # and the numeric phase check imports scipy.integrate, both on first use;
+    # the cost layer behind the presets needs none of scipy
     code = (
         "import sys\n"
         "import ffqd, ffqd.cli\n"
@@ -300,6 +302,54 @@ def test_import_and_cost_preset_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[] []"
+
+
+_VERIFY_AND_PROPAGATE = """
+import hashlib, io, json, sys
+if SCIPY_FIRST:
+    import scipy.linalg.lapack
+import ffqd, ffqd.cli
+from ffqd.core import Grid
+from ffqd.fastforward import psi_ff, trap_coefficient
+from ffqd.propagator import PropagationSpec, propagate
+from ffqd.spectra import BoxModel
+
+scn = ffqd.cli.Scenario(system="box", ramp="trigonometric", l_final=3.0, grid_points=256, dt=5e-4)
+text = io.StringIO()
+assert ffqd.cli.verify(scn, text)
+scipy_names = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
+traj = scn.trajectory(1.0)
+psi0 = psi_ff(BoxModel(), 1, 0.0, traj, Grid(0.0, traj.value(0.0), 256))
+spec = PropagationSpec(psi0.grid, 1e-3, 1.0, trap_coefficient(BoxModel(), traj), traj)
+digest = lambda: hashlib.sha256(propagate(psi0, spec).values.tobytes()).hexdigest()
+states = [digest()]
+import scipy.linalg.lapack
+from ffqd.propagator import _zgtsv
+states.append(digest())
+print(json.dumps([text.getvalue(), scipy_names, states, _zgtsv() is scipy.linalg.lapack.zgtsv]))
+"""
+
+
+def test_propagation_skips_the_scipy_linalg_init():
+    # verify imports the top-level scipy package and its LAPACK extension
+    # but not scipy.linalg, and the states are bit-identical whether
+    # scipy.linalg was imported before or after that extension was loaded
+    bare = "import json, sys, scipy\nprint(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
+    proc = subprocess.run([sys.executable, "-c", bare], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    scipy_alone = json.loads(proc.stdout.splitlines()[-1])
+    runs = []
+    for scipy_first in (False, True):
+        code = f"SCIPY_FIRST = {scipy_first}\n" + _VERIFY_AND_PROPAGATE
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+        assert proc.returncode == 0, proc.stderr
+        runs.append(json.loads(proc.stdout.splitlines()[-1]))
+    (text, names, states, same_routine), (text_scipy_first, _, states_scipy_first, _) = runs
+    assert "scipy.linalg" not in names
+    assert names == sorted(scipy_alone + ["scipy.linalg._flapack"])
+    assert same_routine
+    assert text == text_scipy_first
+    assert len(set(states + states_scipy_first)) == 1
 
 
 def test_snapshots_output(tmp_path):

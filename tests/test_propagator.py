@@ -11,6 +11,7 @@ from ffqd.propagator import (
     PropagationError,
     PropagationSpec,
     _cayley_step,
+    _zgtsv,
     fidelity,
     propagate,
     tdse_residual,
@@ -276,6 +277,25 @@ def test_cn_step_is_unitary(case):
     diag, upper, lower, u, lam = case
     out = _cn(diag, upper, lower, u, lam)
     assert np.vdot(out, out).real == pytest.approx(np.vdot(u, u).real, rel=1e-12)
+
+
+def test_loaded_zgtsv_is_scipy_binding():
+    # scipy.linalg is imported above, so loading its LAPACK extension again
+    # hands back the routine scipy.linalg.lapack binds; the loader's own
+    # path, in a process without scipy.linalg, is checked in test_cli
+    assert _zgtsv() is zgtsv
+
+
+def test_singular_system_gives_the_same_info_and_fails_the_cayley_step():
+    # A = [[1, 1], [1, 1]]: elimination leaves an exactly zero second pivot
+    def system():
+        return np.ones(1, complex), np.ones(2, complex), np.ones(1, complex)
+
+    u = np.array([1.0, 2.0], dtype=complex)
+    info = [fn(*system(), u)[-1] for fn in (_zgtsv(), zgtsv)]
+    assert info[0] == info[1] > 0
+    with pytest.raises(PropagationError, match=rf"info = {info[0]}\)"):
+        _cayley_step(*system(), u, np.empty_like(u), _zgtsv())
 
 
 def _per_step_reference(psi0, grid, dt, t_final, coefficient, traj=None):
