@@ -1,7 +1,7 @@
 """Accelerated expansion of a box from L = 1 to L = 10 in unit time.
 
 The analytic accelerated state is propagated under the quadratic driving
-potential with the moving-wall solver (scaled coordinates, exactly unitary
+potential in the frame that follows the wall, y = x/L(t) (exactly unitary
 stepping).  With the drive on, the final state lands on the target expanded
 eigenstate; with the drive off, the wall outruns the state and the overlap
 collapses.  This is the pass/fail experiment behind the library: the solver
@@ -26,12 +26,12 @@ for kind in (POLYNOMIAL, TRIGONOMETRIC):
     grid = Grid(0.0, 1.0, N_POINTS)
     psi0 = psi_ff(BOX, 1, 0.0, traj, grid)
 
-    out = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj), traj))
+    out = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj), ramp=traj))
     target = psi_ff(BOX, 1, T, traj, out.grid)
     fid = fidelity(out, target)
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
 
-    out0 = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj, driven=False), traj))
+    out0 = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj, driven=False), ramp=traj))
     fid0 = fidelity(out0, target)
 
     print(f"{kind} ramp:")

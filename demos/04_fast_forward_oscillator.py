@@ -23,15 +23,18 @@ driven = trap_coefficient(model, traj)  # a(t) of V = a(t) x^2: omega^2/2 - R_dd
 undriven = trap_coefficient(model, traj, driven=False)
 
 psi0 = psi_ff(model, 0, 0.0, traj, grid)
-target = psi_ff(model, 0, T, traj, grid)
-out = propagate(psi0, PropagationSpec(grid, 1e-4, T, driven))
-out0 = propagate(psi0, PropagationSpec(grid, 1e-4, T, undriven))
+# the grid follows R(t), as the box grid follows the wall: the final states
+# live on the grid of R(T)
+out = propagate(psi0, PropagationSpec(grid, 1e-4, T, driven, ramp=traj))
+out0 = propagate(psi0, PropagationSpec(grid, 1e-4, T, undriven, ramp=traj))
+target = psi_ff(model, 0, T, traj, out.grid)
 print(f"driven fidelity   : {fidelity(out, target):.10f}")
 print(f"undriven fidelity : {fidelity(out0, target):.6f}")
 
-psi_fn = lambda s: psi_ff_values(model, 0, s, traj, grid.points)
-r = tdse_residual(psi_fn, driven, grid, 0.3, 1e-5)
-r0 = tdse_residual(psi_fn, undriven, grid, 0.3, 1e-5)
+probe = model.default_grid(traj.value(0.3), 1024)
+psi_fn = lambda s: psi_ff_values(model, 0, s, traj, probe.points)
+r = tdse_residual(psi_fn, driven, probe, 0.3, 1e-5)
+r0 = tdse_residual(psi_fn, undriven, probe, 0.3, 1e-5)
 print(f"equation residual at t = 0.3: driven {r:.2e}, undriven {r0:.2e} ({r0/r:.0f}x)")
 
 try:
@@ -41,10 +44,11 @@ try:
     import matplotlib.pyplot as plt
 
     fig, ax = plt.subplots(figsize=(6.0, 3.5))
-    sel = np.abs(grid.points) <= 3.0
-    ax.plot(grid.points[sel], np.abs(out.values[sel]) ** 2, label="driven")
-    ax.plot(grid.points[sel], np.abs(target.values[sel]) ** 2, "--", label="target")
-    ax.plot(grid.points[sel], np.abs(out0.values[sel]) ** 2, ":", label="no drive")
+    x = out.grid.points
+    sel = np.abs(x) <= 1.5
+    ax.plot(x[sel], np.abs(out.values[sel]) ** 2, label="driven")
+    ax.plot(x[sel], np.abs(target.values[sel]) ** 2, "--", label="target")
+    ax.plot(x[sel], np.abs(out0.values[sel]) ** 2, ":", label="no drive")
     ax.set_xlabel("x")
     ax.set_ylabel("|psi|^2")
     ax.legend()

@@ -25,7 +25,7 @@ from pathlib import Path
 from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
-from .core import Grid, norm
+from .core import norm
 from .propagator import PropagationError, PropagationSpec, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
@@ -36,7 +36,7 @@ from .trajectory import (
     vbar_for_target,
 )
 
-_SYSTEMS = ("harmonic", "box")
+_MODELS = {"harmonic": HarmonicModel(), "box": BoxModel()}
 _RAMPS = (POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)
 _OUTPUTS = ("cost_curve", "fidelity", "residual", "ie_compare", "snapshots")
 
@@ -69,13 +69,15 @@ class Scenario:
     outputs: tuple = ("cost_curve",)
 
     def __post_init__(self):
-        if self.system not in _SYSTEMS:
-            raise ValueError(f"system must be one of {_SYSTEMS}, got {self.system!r}")
+        if self.system not in _MODELS:
+            raise ValueError(f"system must be one of {tuple(_MODELS)}, got {self.system!r}")
         if self.ramp not in _RAMPS:
             raise ValueError(f"ramp must be one of {_RAMPS}, got {self.ramp!r}")
         for out in self.outputs:
             if out not in _OUTPUTS:
                 raise ValueError(f"unknown output {out!r}; choose from {_OUTPUTS}")
+        if len(set(self.outputs)) != len(self.outputs):
+            raise ValueError(f"outputs has duplicate entries: {self.outputs!r}")
         if "ie_compare" in self.outputs and self.system != "harmonic":
             raise ValueError("ie_compare is only defined for the harmonic system")
         # `0 < v < inf` is False for NaN, so each check also rejects non-finite input
@@ -170,27 +172,21 @@ def scenario_from_csv_header(path) -> Scenario:
 # per-sweep-entry computations
 
 def _system(scn: Scenario, traj: ControlTrajectory, t: float):
-    """(model, grid at time t, wall) of the scenario's trap.
-
-    The oscillator keeps one fixed grid sized by the widest l of the ramp;
-    the box grid spans [0, L(t)] and its wall moves with the ramp.
-    """
-    if scn.system == "harmonic":
-        model = HarmonicModel()
-        return model, model.default_grid(traj._l_max, scn.grid_points), None
-    return BoxModel(), Grid(0.0, traj.value(t), scn.grid_points), traj
+    """(model, grid at time t) of the scenario's trap: the model's grid at l(t)."""
+    model = _MODELS[scn.system]
+    return model, model.default_grid(traj.value(t), scn.grid_points)
 
 
 def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, snapshot_path=None):
     """Propagate the tracked level and return (fidelity vs target, norm error)."""
-    model, grid, wall = _system(scn, traj, 0.0)
+    model, grid = _system(scn, traj, 0.0)
     n = model.n_min
     T = traj.t_ff
     n_steps = max(1, int(round(T / scn.dt)))
     stride = max(1, n_steps // 8)
     out = propagate(
         ff.psi_ff(model, n, 0.0, traj, grid),
-        PropagationSpec(grid, scn.dt, T, ff.trap_coefficient(model, traj, driven), wall),
+        PropagationSpec(grid, scn.dt, T, ff.trap_coefficient(model, traj, driven), traj),
         snapshot_path=snapshot_path,
         snapshot_stride=stride if snapshot_path else 0,
     )
@@ -209,7 +205,7 @@ def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
     T = traj.t_ff
     t_mid = 0.3 * T
     dt = min(1e-5, 0.1 * T)
-    model, grid, _ = _system(scn, traj, t_mid)
+    model, grid = _system(scn, traj, t_mid)
     n = model.n_min
 
     def psi(s):
@@ -309,7 +305,9 @@ def _prepend_provenance(path: Path, scenario: Scenario) -> None:
 
 
 def verify(scenario: Scenario, stream=None) -> bool:
-    """Run the fidelity / norm / residual acceptance checks; print a table."""
+    """Run the fidelity / norm / residual acceptance checks; print a table (ValueError if no t_ff)."""
+    if not scenario.t_ff_list:
+        raise ValueError("nothing to verify: t_ff_list is empty")
     stream = sys.stdout if stream is None else stream
     ok_all = True
     rows = []
@@ -339,7 +337,7 @@ def verify(scenario: Scenario, stream=None) -> bool:
         for name, passed, detail in checks:
             rows.append((t_ff, name, "PASS" if passed else "FAIL", detail))
             ok_all = ok_all and passed
-    width = max(len(r[1]) for r in rows) if rows else 10
+    width = max(len(r[1]) for r in rows)
     for t_ff, name, status, detail in rows:
         stream.write(f"t_ff={t_ff:<8g} {name:<{width}} {status}  {detail}\n")
     stream.write("verification " + ("PASSED" if ok_all else "FAILED") + "\n")

@@ -251,7 +251,7 @@ def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True)
     """a(t) of the trap potential V = a(t) x^2, t a float or an array.
 
     model._v0_coefficient at l(t), plus v_ff's if driven.  In the box the
-    wall frame only samples the inside, where v0 = 0.
+    scaled frame y = x/L only samples the inside, where v0 = 0.
     """
 
     def coefficient(t):

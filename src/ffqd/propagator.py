@@ -6,17 +6,14 @@ is only believed once the independently stepped wavefunction reproduces it.
 Both traps drive the same potential form, V = a(t) x^2 (the oscillator's
 omega^2/2 plus the drive -l_ddot/2l, or the drive alone inside the box), so a
 run takes the coefficient a(t), vectorised over an array of times.  One
-Cayley loop runs in the frame y = x / s(t), where the exactly transformed
-Hamiltonian is
+Cayley loop runs in the frame x = s(t) y, s = l(t) the ramp a run is given,
+where the exactly transformed Hamiltonian is
     H = -(hbar^2 / 2 m s^2) d_yy - (s_dot/s) D + a(t) s^2 y^2,
     D = -i hbar (y d_y + 1/2),
 with the dilation term discretized symmetrically so the tridiagonal matrix
-stays Hermitian and the Cayley step exactly unitary.
-
-* No wall: hard walls at the grid ends, s = 1, no dilation term (also used
-  for oscillator runs, where the state has decayed at the edges).
-* A wall trajectory L(t): wall at x = L(t), s = L, so y runs over the fixed
-  domain [0, 1].  No regridding, no interpolation at the wall.
+stays Hermitian and the Cayley step exactly unitary.  y spans the initial
+grid over l(0), hard walls at both ends: a box grid [0, L(0)] becomes [0, 1],
+an oscillator grid follows R(t), and a static run takes a constant ramp.
 
 The half-step potential V(x, t + dt/2) keeps the scheme second order in time
 for explicitly time-dependent Hamiltonians.  s, s_dot and a are evaluated at
@@ -52,6 +49,7 @@ from .trajectory import ControlTrajectory
 
 _NORM_DRIFT_LIMIT = 1e-6
 _NORM_CHECK_STRIDE = 16
+_EDGE_LIMIT = 1e-5  # |psi0| at both grid ends
 
 
 class PropagationError(RuntimeError):
@@ -60,26 +58,26 @@ class PropagationError(RuntimeError):
 
 @dataclass(frozen=True)
 class PropagationSpec:
-    """One propagation run: grid, stepping, trap coefficient a(t) of V = a(t) x^2, wall.
+    """One propagation run: grid, stepping, trap coefficient a(t) of V = a(t) x^2, ramp l(t).
 
-    coefficient maps an array of times to the array of a(t).  wall is the
-    ramp L(t) of a hard wall at x = L(t), or None for hard walls fixed at the
-    grid ends.  With a wall the grid spans the initial box [0, L(0)]; the
-    returned field lives on [0, L(t_final)].
+    coefficient maps an array of times to the array of a(t).  The grid, hard
+    walls at both ends, follows the ramp l(t): the returned field lives on it
+    scaled by l(t_final) / l(0).  A static run passes a constant ramp,
+    ControlTrajectory.adiabatic_linear(l, 0.0, t_final).
     """
 
     grid: Grid
     dt: float
     t_final: float
     coefficient: Callable[[np.ndarray], np.ndarray]
-    wall: ControlTrajectory | None = None
+    ramp: ControlTrajectory
 
     def __post_init__(self):
         for name in ("dt", "t_final"):
             if not 0 < getattr(self, name) < math.inf:  # False for NaN too
                 raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not (self.wall is None or isinstance(self.wall, ControlTrajectory)):
-            raise ValueError(f"wall must be a ControlTrajectory or None, got {self.wall!r}")
+        if not isinstance(self.ramp, ControlTrajectory):
+            raise ValueError(f"ramp must be a ControlTrajectory, got {self.ramp!r}")
 
 
 def fidelity(a: ComplexField, b: ComplexField) -> float:
@@ -104,27 +102,19 @@ class _SnapshotWriter:
 
 
 def _frame(spec: PropagationSpec, psi0: ComplexField, t_half: np.ndarray):
-    """(frame grid of y, s and s_dot at t_half, s(t)) for the frame x = s(t) y.
+    """(frame grid of y, s and s_dot at t_half, s(t)) for the frame x = s(t) y, s = l(t).
 
-    No wall: y = x and s = 1.  A wall L(t): y = x / L(t) on [0, 1] and s = L;
-    the wall ramp is evaluated (and domain-checked) at every half step here,
-    before the first step.  Both frames set psi at the grid ends to zero, so
-    psi0 must already vanish there: below 1e-8 at a moving wall, and below
-    1e-5 at fixed ends, which holds every oscillator state (edge amplitude at
-    most 1e-6 before renormalization on the grid).
+    y spans the grid over l(0); the ramp is evaluated (and domain-checked)
+    at every half step here, before the first step.  psi at the grid ends is
+    set to zero, so psi0 must vanish there, below 1e-5: box states are zero
+    at the walls, oscillator states in the amplitude tables at most 1e-6.
     """
-    wall = spec.wall
-    limit = 1e-5 if wall is None else 1e-8
-    if not np.abs(psi0.values[[0, -1]]).max() <= limit:  # NaN fails too
-        raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {limit:g} there)")
-    if wall is None:
-        return spec.grid, np.broadcast_to(1.0, t_half.shape), np.broadcast_to(0.0, t_half.shape), lambda t: 1.0
-    L0 = wall.value(0.0)
-    g = spec.grid
-    if abs(g.x_min) > 1e-9 * L0 or abs(g.x_max - L0) > 1e-9 * L0:
-        raise ValueError(f"moving-wall grid must span [0, L(0)] = [0, {L0}]")
-    scale = lambda t: wall.value(min(t, wall.t_ff))
-    return Grid(0.0, 1.0, g.n_points), wall.value(t_half), wall.velocity(t_half), scale
+    if not np.abs(psi0.values[[0, -1]]).max() <= _EDGE_LIMIT:  # NaN fails too
+        raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {_EDGE_LIMIT:g} there)")
+    ramp, g = spec.ramp, spec.grid
+    l0 = ramp.value(0.0)
+    scale = lambda t: ramp.value(min(t, ramp.t_ff))
+    return Grid(g.x_min / l0, g.x_max / l0, g.n_points), ramp.value(t_half), ramp.velocity(t_half), scale
 
 
 def _physical(frame: Grid, u: np.ndarray, s: float) -> tuple[Grid, np.ndarray]:
@@ -146,7 +136,7 @@ def propagate(
     finite or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the
     interior points, dt the stepped t_final / n_steps; the bound is
     max|a(t) s(t)^2| max y^2), and ValueError if psi0 does not vanish at the
-    grid ends or a wall run would leave the ramp's [0, t_ff].  While
+    grid ends or the run would leave the ramp's [0, t_ff].  While
     stepping, raises PropagationError if the norm drifts by more than 1e-6
     (or turns NaN) at any checkpoint.  Snapshots go to snapshot_path every
     snapshot_stride >= 1 steps: ValueError unless both or neither are given.

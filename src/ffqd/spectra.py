@@ -78,7 +78,7 @@ class Model:
 
     A trap supplies n_min, its lowest level; _unit_energy(n), the energies
     E_n(1); _U2, the x^2 coefficient of U; _unit_amplitudes; and its grid
-    rule (amplitudes and _trace_stacks).  The scale law is applied here.
+    rule (default_grid, amplitudes, _trace_stacks).  Model applies the scale law.
     """
 
     n_min: int
@@ -160,13 +160,13 @@ class HarmonicModel(Model):
             yield sl, x, ones[:, 0], self._hermite_stack(n_top[sl], l[sl], x), ones
 
     @staticmethod
-    def _half_width(r_max: float, n_max):
+    def _half_width(R: float, n_max):
         """(7 + sqrt(2 n_max + 1)) ground-state widths, the width at R being R itself."""
-        return r_max * (7.0 + np.sqrt(2.0 * n_max + 1.0))
+        return R * (7.0 + np.sqrt(2.0 * n_max + 1.0))
 
-    def default_grid(self, r_max: float, n_points: int, n_max: int = 0) -> Grid:
-        """[-8 r_max, 8 r_max] widened for excited levels up to n_max."""
-        half = self._half_width(r_max, n_max)
+    def default_grid(self, R: float, n_points: int, n_max: int = 0) -> Grid:
+        """The grid of length scale R: [-8 R, 8 R], widened for excited levels up to n_max."""
+        half = self._half_width(R, n_max)
         return Grid(-half, half, n_points)
 
 
@@ -175,7 +175,7 @@ class BoxModel(Model):
     """Hard-wall box on [0, L]; the wall position L is the control parameter.
 
     U is zero inside [0, 1] and infinite beyond; only the inside is ever
-    sampled (the wall frame spans it exactly), so U's x^2 coefficient is 0.
+    sampled (the scaled frame y = x/L spans it exactly), so U's x^2 coefficient is 0.
     """
 
     n_min = 1  # lowest level number
@@ -200,6 +200,10 @@ class BoxModel(Model):
         phi[:, 0] = 0.0
         phi[:, -1] = 0.0
         return phi
+
+    def default_grid(self, L: float, n_points: int) -> Grid:
+        """The grid of wall position L: [0, L]."""
+        return Grid(0.0, L, n_points)
 
     def amplitudes(self, n_max: int, L: float, grid: Grid) -> np.ndarray:
         """Rows n = 1..n_max of box eigenamplitudes on a [0, L] grid."""

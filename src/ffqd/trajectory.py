@@ -64,10 +64,10 @@ class ControlTrajectory:
 
     @cached_property
     def _l_max(self) -> float:
-        """Largest l on [0, t_ff]: the larger end, as the ramp is monotone; oscillator grids are sized by it.
+        """Largest l on [0, t_ff]: the larger end, as the ramp is monotone.
 
-        Computed once per trajectory: the thermal trace and the propagation
-        grid ask for it at every time node.
+        The oscillator's thermal trace sizes its fixed grids by it, at every
+        time node, so it is computed once per trajectory.
         """
         return float(np.max(self._value(np.array([0.0, self.t_ff]))))
 

@@ -20,6 +20,11 @@ def ho_ramp(kind=POLYNOMIAL, r0=1.0, r_final=R_FINAL, t_ff=1.0) -> ControlTrajec
     return ControlTrajectory(kind, r0, t_ff, vbar=vbar_for_target(kind, r0, r_final, t_ff))
 
 
+def static_ramp(t_final: float, l: float = 1.0) -> ControlTrajectory:
+    """The constant ramp l(t) = l over [0, t_final]: a propagation with walls fixed at the grid ends."""
+    return ControlTrajectory.adiabatic_linear(l, 0.0, t_final)
+
+
 BOTH_RAMPS = (POLYNOMIAL, TRIGONOMETRIC)
 
 

@@ -52,10 +52,10 @@ def test_criterion_01_oscillator_fast_forward_exactness():
     model = HarmonicModel()
     grid = model.default_grid(1.0, 1024)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
-    target = psi_ff(model, 0, 1.0, traj, grid)
-    out = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj)))
+    out = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj), traj))
+    target = psi_ff(model, 0, 1.0, traj, out.grid)
     fid = fidelity(out, target)
-    out0 = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj, driven=False)))
+    out0 = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj, driven=False), traj))
     fid0 = fidelity(out0, target)
     elapsed = time.monotonic() - t_start
 
@@ -216,10 +216,10 @@ def test_criterion_09_propagator_convergence_order():
     grid = model.default_grid(1.0, 1024)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
     pot = trap_coefficient(model, traj)
-    ref = propagate(psi0, PropagationSpec(grid, 2.5e-5, 0.5, pot))
+    ref = propagate(psi0, PropagationSpec(grid, 2.5e-5, 0.5, pot, traj))
     errs = []
     for dt in (8e-4, 4e-4, 2e-4):
-        out = propagate(psi0, PropagationSpec(grid, dt, 0.5, pot))
+        out = propagate(psi0, PropagationSpec(grid, dt, 0.5, pot, traj))
         errs.append(abs(1.0 - inner_product(ref, out)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0

@@ -76,6 +76,7 @@ _BAD_OVERRIDES = [
     "grid_points=0",
     "grid_points=7",
     "system=harmonic outputs=ie_compare beta=1.0 grid_points=2",
+    "outputs=cost_curve,cost_curve",
 ]
 
 
@@ -223,6 +224,19 @@ def test_verify_linear_ramp_skips_negative_control(capsys):
     assert "negative_control" not in out
 
 
+def test_verify_with_an_empty_sweep_is_an_invalid_scenario(tmp_path, capsys):
+    # no t_ff means no check runs, which used to print "verification PASSED"
+    with pytest.raises(ValueError, match="nothing to verify: t_ff_list is empty"):
+        verify(small_box_scenario(t_ff_list=()))
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("system=box\nramp=polynomial\nt_ff_list=1.0\n")
+    assert main(["verify", str(cfg), "t_ff_list="]) == 2
+    captured = capsys.readouterr()
+    assert "invalid scenario" in captured.err
+    assert "Traceback" not in captured.err
+    assert "verification" not in captured.out
+
+
 def test_main_run_and_exit_codes(tmp_path):
     cfg = tmp_path / "box.cfg"
     cfg.write_text(
@@ -262,7 +276,7 @@ def test_driven_residual_matches_quad_phase_oracle(system):
     t_mid, dt = 0.3, 1e-5
     if system == "harmonic":
         model, level, pref = HarmonicModel(), 0, 0.5
-        grid = model.default_grid(traj._l_max, 512)
+        grid = model.default_grid(traj.value(t_mid), 512)
     else:
         model, level, pref = BoxModel(), 1, 0.5 * math.pi**2
         grid = Grid(0.0, traj.value(t_mid), 512)

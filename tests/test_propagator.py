@@ -19,7 +19,7 @@ from ffqd.propagator import (
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
-from helpers import box_ramp, box_state, ho_ramp
+from helpers import box_ramp, box_state, ho_ramp, static_ramp
 
 
 def zero_potential(t):
@@ -30,14 +30,14 @@ def test_stationary_box_mode_acquires_pure_phase():
     grid = Grid(0.0, 1.0, 512)
     phi = box_state(1, 1.0, grid)
     t_final = 2.0 * np.pi / BoxModel().energy(1, 1.0)
-    out = propagate(phi, PropagationSpec(grid, t_final / 4000, t_final, zero_potential))
+    out = propagate(phi, PropagationSpec(grid, t_final / 4000, t_final, zero_potential, static_ramp(t_final)))
     assert fidelity(out, phi) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_single_tiny_step_is_identity():
     grid = Grid(0.0, 1.0, 256)
     phi = box_state(2, 1.0, grid)
-    out = propagate(phi, PropagationSpec(grid, 1e-12, 1e-12, zero_potential))
+    out = propagate(phi, PropagationSpec(grid, 1e-12, 1e-12, zero_potential, static_ramp(1e-12)))
     np.testing.assert_allclose(out.values, phi.values, atol=1e-10)
 
 
@@ -47,7 +47,7 @@ def test_free_gaussian_dispersion():
     a0 = 1.0
     psi0 = normalize(ComplexField(grid, np.exp(-x * x / (2.0 * a0 * a0))))
     t_final = 1.0
-    out = propagate(psi0, PropagationSpec(grid, 2.5e-4, t_final, zero_potential))
+    out = propagate(psi0, PropagationSpec(grid, 2.5e-4, t_final, zero_potential, static_ramp(t_final)))
     var = np.trapezoid(x * x * np.abs(out.values) ** 2, dx=grid.dx)
     expected = 0.5 * a0 * a0 * (1.0 + (t_final / (a0 * a0)) ** 2)
     assert var == pytest.approx(expected, rel=1e-4)
@@ -57,7 +57,7 @@ def test_cfl_style_precondition():
     grid = Grid(0.0, 1.0, 256)
     phi = box_state(1, 1.0, grid)
     with pytest.raises(PropagationError):
-        propagate(phi, PropagationSpec(grid, 0.1, 1.0, lambda t: np.full(np.shape(t), 100.0)))
+        propagate(phi, PropagationSpec(grid, 0.1, 1.0, lambda t: np.full(np.shape(t), 100.0), static_ramp(1.0)))
 
 
 def test_unnormalized_initial_state_rejected():
@@ -65,7 +65,7 @@ def test_unnormalized_initial_state_rejected():
     phi = box_state(1, 1.0, grid)
     bad = ComplexField(grid, 2.0 * phi.values)
     with pytest.raises(ValueError):
-        propagate(bad, PropagationSpec(grid, 1e-3, 0.1, zero_potential))
+        propagate(bad, PropagationSpec(grid, 1e-3, 0.1, zero_potential, static_ramp(0.1)))
 
 
 def test_long_run_unitarity():
@@ -76,14 +76,6 @@ def test_long_run_unitarity():
     out = propagate(psi0, PropagationSpec(grid, 1e-5, 1.0, trap_coefficient(BoxModel(), traj), traj))
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
     assert abs(nrm - 1.0) < 1e-8
-
-
-def test_moving_wall_grid_must_match_initial_box():
-    traj = box_ramp(POLYNOMIAL)
-    grid = Grid(0.0, 2.0, 256)
-    phi = box_state(1, 2.0, grid)
-    with pytest.raises(ValueError):
-        propagate(phi, PropagationSpec(grid, 1e-4, 1.0, zero_potential, traj))
 
 
 def test_moving_wall_adiabatic_limit():
@@ -136,7 +128,7 @@ def test_moving_wall_past_t_ff_rejected_before_stepping():
 
 
 @pytest.mark.parametrize(
-    "dt, t_final, wall",
+    "dt, t_final, ramp",
     [
         (np.inf, 1.0, None),
         (np.nan, 1.0, None),
@@ -144,15 +136,20 @@ def test_moving_wall_past_t_ff_rejected_before_stepping():
         (1e-3, np.inf, None),
         (0.0, 1.0, None),
         (1e-3, -1.0, None),
+        (1e-3, 1.0, None),
         (1e-3, 1.0, "box"),
         (1e-3, 1.0, 1.0),
     ],
 )
-def test_spec_rejects_bad_times_and_walls(dt, t_final, wall):
+def test_spec_rejects_bad_times_and_walls(dt, t_final, ramp):
     # unchecked, dt = inf runs one step of length t_final, a NaN fails
-    # converting the step count and t_final = inf overflows it
-    with pytest.raises(ValueError, match="must be positive and finite|must be a ControlTrajectory or None"):
-        PropagationSpec(Grid(0.0, 1.0, 64), dt, t_final, zero_potential, wall)
+    # converting the step count and t_final = inf overflows it; the times
+    # are checked first, then the ramp that moves the walls, which no
+    # longer has a default
+    times_ok = 0 < dt < np.inf and 0 < t_final < np.inf
+    match = "ramp must be a ControlTrajectory" if times_ok else "must be positive and finite"
+    with pytest.raises(ValueError, match=match):
+        PropagationSpec(Grid(0.0, 1.0, 64), dt, t_final, zero_potential, ramp)
 
 
 def _spiked(t_bad, dt, bad, base):
@@ -177,9 +174,9 @@ def test_non_finite_potential_sample_fails_precondition(step, base, moving, bad)
     phi = box_state(1, 1.0, grid)
     t_final, n_steps = 0.01, 100
     dt = t_final / n_steps
-    wall = box_ramp(POLYNOMIAL) if moving else None
+    ramp = box_ramp(POLYNOMIAL) if moving else static_ramp(t_final)
     with pytest.raises(PropagationError, match=f"not finite at step {step}/100"):
-        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked((step - 0.5) * dt, dt, bad, base), wall))
+        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked((step - 0.5) * dt, dt, bad, base), ramp))
 
 
 @pytest.mark.parametrize("moving", [False, True], ids=["coefficient-fixed", "coefficient-moving"])
@@ -193,9 +190,9 @@ def test_potential_spike_between_sample_times_is_too_coarse(tmp_path, moving):
     dt = t_final / n_steps
     t_spike = 50.5 * dt
     assert np.min(np.abs(np.linspace(0.0, t_final, 65) - t_spike)) > 0.25 * dt
-    wall = box_ramp(POLYNOMIAL) if moving else None
+    ramp = box_ramp(POLYNOMIAL) if moving else static_ramp(t_final)
     path = tmp_path / "snaps.csv"
-    spec = PropagationSpec(grid, dt, t_final, _spiked(t_spike, dt, 1e4, 0.0), wall)
+    spec = PropagationSpec(grid, dt, t_final, _spiked(t_spike, dt, 1e4, 0.0), ramp)
     with pytest.raises(PropagationError, match="time step too coarse"):
         propagate(phi, spec, path, snapshot_stride=1)
     assert not path.exists()
@@ -207,7 +204,7 @@ def test_psi0_not_vanishing_at_grid_ends_rejected_before_stepping(moving):
     # lose its end values silently and fail 16 steps later with "norm drifted"
     grid = Grid(0.0, 1.0, 256)
     const = ComplexField(grid, np.ones(grid.n_points, dtype=complex))
-    wall = box_ramp(POLYNOMIAL) if moving else None
+    ramp = box_ramp(POLYNOMIAL) if moving else static_ramp(0.01)
     seen = []
 
     def coefficient(t):
@@ -215,20 +212,21 @@ def test_psi0_not_vanishing_at_grid_ends_rejected_before_stepping(moving):
         return np.zeros(np.shape(t))
 
     with pytest.raises(ValueError, match="psi0 must vanish at both grid ends"):
-        propagate(const, PropagationSpec(grid, 1e-4, 0.01, coefficient, wall))
+        propagate(const, PropagationSpec(grid, 1e-4, 0.01, coefficient, ramp))
     assert not seen
 
 
 def test_oscillator_state_at_the_edge_limit_propagates():
     # an oscillator state whose grid ends sit just inside the 1e-6 edge bound
-    # of the amplitude tables must pass the fixed-wall check
+    # of the amplitude tables must pass the psi0 edge check
     model = HarmonicModel()
     traj = ho_ramp(POLYNOMIAL)
     half = np.sqrt(2.0 * np.log(np.pi**-0.25 / 0.99e-6))
     grid = Grid(-half, half, 512)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
     assert 0.9e-6 < np.abs(psi0.values[[0, -1]]).max() <= 1e-6
-    out = propagate(psi0, PropagationSpec(grid, 1e-3, 0.01, trap_coefficient(model, traj, driven=False)))
+    spec = PropagationSpec(grid, 1e-3, 0.01, trap_coefficient(model, traj, driven=False), static_ramp(0.01))
+    out = propagate(psi0, spec)
     assert fidelity(out, psi0) > 0.99
 
 
@@ -298,32 +296,30 @@ def test_singular_system_gives_the_same_info_and_fails_the_cayley_step():
         _cayley_step(*system(), u, np.empty_like(u), _zgtsv())
 
 
-def _per_step_reference(psi0, grid, dt, t_final, coefficient, traj=None):
-    """The two per-step loops propagate ran before they were merged, inlined.
+def _per_step_reference(psi0, grid, dt, t_final, coefficient, ramp):
+    """The per-step loop propagate ran before its frame arrays were vectorised, inlined.
 
-    Fixed walls (traj None) or the wall frame y = x/L(t) (traj given); per
-    step V = a(t) x^2 is formed on the physical points, the diagonals of
-    A = 1 + i lam H by the loop's own expressions (kinetic c_kin/L^2,
-    dilation c_dil Ldot/L, main diagonal 1 + 2ik + i lam V), the product (2 - A) u = (1 - i lam H) u
+    The frame y = x/l(t) on the grid divided by l(0); per step
+    V = a(t) x^2 is formed on the physical points, the diagonals of
+    A = 1 + i lam H by the loop's own expressions (kinetic c_kin/l^2,
+    dilation c_dil l_dot/l, main diagonal 1 + 2ik + i lam V), the product (2 - A) u = (1 - i lam H) u
     is formed explicitly and zgtsv solves A u' = (2 - A) u.  Rounding H's
-    entries any other way (1/(2 L^2 dy^2), 2k + V) moves the result by more
+    entries any other way (1/(2 l^2 dy^2), 2k + V) moves the result by more
     than the 1e-12 compared at lam ||H|| ~ 300.  Natural units.
     """
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
     lam = dt / 2.0
-    if traj is None:
-        y, dy, L0 = grid.points, grid.dx, 1.0
-    else:
-        y = np.linspace(0.0, 1.0, grid.n_points)
-        dy, L0 = y[1] - y[0], traj.value(0.0)
+    L0 = ramp.value(0.0)
+    y = np.linspace(grid.x_min / L0, grid.x_max / L0, grid.n_points)
+    dy = (y[-1] - y[0]) / (grid.n_points - 1)
     ui = np.sqrt(L0) * psi0.values[1:-1].astype(complex)
     y_int = y[1:-1]
     y_pair = y_int[:-1] + y_int[1:]
     c_kin, c_dil = lam / (2.0 * dy * dy), lam / (4.0 * dy)
     for step in range(n_steps):
         tm = (step + 0.5) * dt
-        L, Ldot = (1.0, 0.0) if traj is None else (traj.value(tm), traj.velocity(tm))
+        L, Ldot = ramp.value(tm), ramp.velocity(tm)
         k, q = c_kin / (L * L), c_dil * (Ldot / L)
         d = 1.0 + 2j * k + 1j * lam * (coefficient(tm) * (L * y_int) ** 2)
         du = -1j * k - q * y_pair
@@ -333,15 +329,14 @@ def _per_step_reference(psi0, grid, dt, t_final, coefficient, traj=None):
         rhs[1:] -= dl * ui[:-1]
         _, _, _, ui, info = zgtsv(dl, d, du, rhs)
         assert info == 0
-    L_f = 1.0 if traj is None else traj.value(t_final)
-    return ui / np.sqrt(L_f)
+    return ui / np.sqrt(ramp.value(t_final))
 
 
 # pinned: lam ||H|| ~ 300, where the reference's old rounding of H's entries
 # alone missed the bound (1.237e-12)
 @example(
     moving=True, kind=POLYNOMIAL, n=210, n_steps=100,
-    l0=0.875, l_final=0.875, t_ff=1.0, trap=0.0, seed=28,
+    l0=0.875, l_final=0.875, t_ff=1.0, trap=0.0, x_min=0.0, seed=28,
 )
 @settings(max_examples=40, deadline=None)
 @given(
@@ -353,26 +348,46 @@ def _per_step_reference(psi0, grid, dt, t_final, coefficient, traj=None):
     l_final=st.floats(0.8, 1.6),
     t_ff=st.floats(0.5, 1.0),
     trap=st.floats(0.0, 1.0),
+    x_min=st.sampled_from([0.0, -0.5]),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_final, t_ff, trap, seed):
-    # V = (trap/2 l^-4 - l_ddot/2l) x^2 on a random ramp; random sine-mode initial state
+def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_final, t_ff, trap, x_min, seed):
+    # V = (trap/2 l^-4 - l_ddot/2l) x^2 on a random ramp, or on a constant
+    # ramp (walls fixed at the grid ends); the grid is [x_min l0, l0], a box
+    # [0, l0] or a span that does not start at 0; random sine-mode initial state
     traj = box_ramp(kind, l0, l_final, t_ff)
 
     def coefficient(t):
         l = traj.value(t)
         return 0.5 * trap / l**4 - 0.5 * traj.acceleration(t) / l
 
-    grid = Grid(0.0, l0, n) if moving else Grid(-0.5 * l0, l0, n)
+    grid = Grid(x_min * l0, l0, n)
     rng = np.random.default_rng(seed)
     xi = (grid.points - grid.x_min) / (grid.x_max - grid.x_min)
     modes = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
     psi0 = normalize(ComplexField(grid, (modes * np.sin(np.pi * np.arange(1, 4)[:, None] * xi)).sum(axis=0)))
     t_final = t_ff if moving else 0.5 * t_ff
-    wall = traj if moving else None
-    out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, coefficient, wall))
-    ref = _per_step_reference(psi0, grid, t_final / n_steps, t_final, coefficient, wall)
+    ramp = traj if moving else static_ramp(t_final)
+    out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, coefficient, ramp))
+    ref = _per_step_reference(psi0, grid, t_final / n_steps, t_final, coefficient, ramp)
     assert np.max(np.abs(out.values[1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_output_grid_follows_the_ramp():
+    # a constant ramp hands back the input grid itself; an oscillator run
+    # ends on the grid of R(T), the frame having followed R(t) from R(0)
+    phi = box_state(1, 1.0, Grid(0.0, 1.0, 64))
+    out = propagate(phi, PropagationSpec(phi.grid, 1e-3, 0.01, zero_potential, static_ramp(0.01)))
+    assert out.grid == phi.grid
+    model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)
+    grid = model.default_grid(traj.value(0.0), 256)
+    psi0 = psi_ff(model, 0, 0.0, traj, grid)
+    out = propagate(psi0, PropagationSpec(grid, 1e-3, 1.0, trap_coefficient(model, traj), traj))
+    expected = model.default_grid(traj.value(1.0), 256)
+    assert out.grid.n_points == expected.n_points
+    assert out.grid.x_min == pytest.approx(expected.x_min, rel=1e-15)
+    assert out.grid.x_max == pytest.approx(expected.x_max, rel=1e-15)
+    assert fidelity(out, psi_ff(model, 0, 1.0, traj, out.grid)) > 1.0 - 1e-4
 
 
 @pytest.mark.parametrize("with_path, stride", [(True, 0), (True, -1), (False, 5)])
@@ -381,7 +396,7 @@ def test_snapshot_path_and_stride_go_together(tmp_path, with_path, stride):
     grid = Grid(0.0, 1.0, 64)
     phi = box_state(1, 1.0, grid)
     path = tmp_path / "snaps.csv"
-    spec = PropagationSpec(grid, 1e-3, 0.01, zero_potential)
+    spec = PropagationSpec(grid, 1e-3, 0.01, zero_potential, static_ramp(0.01))
     with pytest.raises(ValueError, match="snapshot_stride"):
         propagate(phi, spec, snapshot_path=path if with_path else None, snapshot_stride=stride)
     assert not path.exists()
@@ -391,7 +406,8 @@ def test_snapshot_dump(tmp_path):
     grid = Grid(0.0, 1.0, 64)
     phi = box_state(1, 1.0, grid)
     path = tmp_path / "snaps.csv"
-    propagate(phi, PropagationSpec(grid, 1e-3, 0.01, zero_potential), snapshot_path=path, snapshot_stride=5)
+    spec = PropagationSpec(grid, 1e-3, 0.01, zero_potential, static_ramp(0.01))
+    propagate(phi, spec, snapshot_path=path, snapshot_stride=5)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,re_psi,im_psi"
     assert len(lines) == 1 + 64 * 3  # frames at steps 0, 5, and the final step 10
