@@ -80,6 +80,10 @@ class Scenario:
             raise ValueError(f"outputs has duplicate entries: {self.outputs!r}")
         if "ie_compare" in self.outputs and self.system != "harmonic":
             raise ValueError("ie_compare is only defined for the harmonic system")
+        for out in ("cost_curve", "ie_compare"):
+            # both compare smooth ramps between the scenario's end points; a linear ramp ends elsewhere
+            if out in self.outputs and self.ramp == ADIABATIC_LINEAR:
+                raise ValueError(f"{out} needs a polynomial or trigonometric ramp, got {self.ramp!r}")
         # `0 < v < inf` is False for NaN, so each check also rejects non-finite input
         for name in ("l0", "l_final", "omega0", "omegaF", "dt"):
             if not 0 < getattr(self, name) < math.inf:
@@ -227,12 +231,14 @@ def _cost_row(scn: Scenario, t_ff: float) -> list[float]:
     return [t_ff, rep.quadrature_value, rep.closed_form_value, rep.published_value, rep.published_ratio]
 
 
-def _ie_row(scn: Scenario, t_ff: float) -> list[float]:
-    traj = scn.trajectory(t_ff)
-    ens = scn.ensemble()
-    mn = cost_mod.cost_ff_numeric(HarmonicModel(), traj, ens, n_points=scn.grid_points)
-    sol = ie_mod.ErmakovSolution(scn.omega0, scn.omegaF, t_ff)
-    return [t_ff, mn, ie_mod.cost_ie(sol, scn.beta)]
+def _ie_rows(scn: Scenario, t_ffs) -> list[list[float]]:
+    """cost_mn of the whole sweep from one pooled trace, each against cost_ie at its t_ff."""
+    trajs = [scn.trajectory(t_ff) for t_ff in t_ffs]
+    mns = cost_mod._costs_ff_numeric(_MODELS["harmonic"], trajs, scn.ensemble(), n_points=scn.grid_points)
+    return [
+        [t_ff, mn, ie_mod.cost_ie(ie_mod.ErmakovSolution(scn.omega0, scn.omegaF, t_ff), scn.beta)]
+        for t_ff, mn in zip(t_ffs, mns)
+    ]
 
 
 def _fidelity_row(scn: Scenario, t_ff: float) -> list[float]:
@@ -255,11 +261,18 @@ _OUTPUT_COLUMNS = {
     "residual": "t_ff,residual,residual_no_drive",
 }
 
+
+def _per_t_ff(row):
+    """The sweep function of a row function: one row per t_ff."""
+    return lambda scn, t_ffs: [row(scn, t_ff) for t_ff in t_ffs]
+
+
+# output -> sweep function (scenario, t_ff values) -> one row per t_ff
 _OUTPUT_FUNCS = {
-    "cost_curve": _cost_row,
-    "ie_compare": _ie_row,
-    "fidelity": _fidelity_row,
-    "residual": _residual_row,
+    "cost_curve": _per_t_ff(_cost_row),
+    "ie_compare": _ie_rows,
+    "fidelity": _per_t_ff(_fidelity_row),
+    "residual": _per_t_ff(_residual_row),
 }
 
 
@@ -276,7 +289,7 @@ def run(scenario: Scenario, out_dir) -> list[Path]:
     if not scenario.t_ff_list:
         return written
     tables = {
-        output: sorted((_OUTPUT_FUNCS[output](scenario, t) for t in scenario.t_ff_list), key=lambda r: r[0])
+        output: sorted(_OUTPUT_FUNCS[output](scenario, scenario.t_ff_list), key=lambda r: r[0])
         for output in scenario.outputs
         if output != "snapshots"
     }

@@ -25,28 +25,37 @@ rho1_j = sum_n f_n phi_n,j phi_n,j+1 and, for the one-sided end stencils of
 the kinetic operator, the pairs (0, 2), (0, 3) and their mirrors (-1, -3),
 (-1, -4); no complex level x grid table is formed.
 
-The trace is batched over time nodes: cost_ff_numeric evaluates all its
-Gauss-Legendre nodes in one pass (_node_traces), with one vectorised ramp
-call, energies E_n(l) = E_n(1) / l^2, the potential a(t) x^2 from
-fastforward, one row-wise mu bisection, and amplitude stacks supplied by
-the model in chunks of nodes.  The box grid scales with the wall, x = L xi,
-so a single sine table at L = 1, scaled by L^-1/2, serves every node and
-the Frobenius cost takes its x^2 matrix from that table; the oscillator
-keeps a fixed grid per node.
+The trace is pooled over the time nodes of a whole sweep of ramps
+(_node_traces) and split in two.  The node moments (_trace_moments: rho0,
+rho1 before its cosine, and the end pairs) depend only on the control value
+l and the node's grid; the per-ramp finish (_trace_finish) adds the gauge
+phase g x^2, g = l_dot / 2l, the potential a(t) x^2, the stencil and the
+trapezoid rule.  Both smooth ramps have the form l0 + (l1 - l0) F(t/t_ff),
+so the Gauss-Legendre nodes of a t_ff sweep fall on the same control values
+(bit for bit at power-of-two multiples of t_ff, whose node times and vbar
+scale exactly, and at many nodes of other t_ff), and the moments are formed
+once per distinct value.  Energies are E_n(l) = E_n(1) / l^2, mu comes from
+one row-wise bisection, and the model supplies the amplitude stacks in
+chunks of nodes.  The box grid scales with the wall, x = L xi, so a single
+sine table at L = 1, scaled by L^-1/2, serves every node and the Frobenius
+cost takes its x^2 matrix from that table; the oscillator keeps a fixed grid
+per node, sized by its ramp's widest l.  cost_ff_numeric is the one-ramp
+call and internal_energy_numeric the one-node call of this pass.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Sequence
 
 import numpy as np
 
 from ._numutil import gauss_legendre, legendre_rule
-from .fastforward import _v_ff_coefficient, trap_coefficient
-from .spectra import Model, _require_trace_points
+from .fastforward import _v_ff_coefficient
+from .spectra import _CHUNK_NODES, Model, _require_trace_points
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
@@ -239,18 +248,17 @@ def internal_energy_box(traj: ControlTrajectory, t, ens: ThermalEnsemble):
 # ---------------------------------------------------------------------------
 # numeric thermal trace (the oracle the closed forms are judged against)
 
-def _weighted_trace(
-    amps: np.ndarray, f: np.ndarray, theta: np.ndarray, v: np.ndarray, dx, kin: float
-):
-    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = amps[n] exp(i theta), per node.
+_ENDS = ((0, 1), (-1, -1))  # (end point, step inward) of the one-sided end stencils
 
-    D2 is the three-point second difference with the one-sided stencil
-    (2, -5, 4, -1) at each end and <.|.> the trapezoid rule; the level sum is
-    taken first, in the real-arithmetic form of the module docstring.  A
-    leading node axis is optional and broadcasts: amps is (levels, points),
-    shared by every node, or (nodes, levels, points); f is (nodes, levels),
-    theta and v (nodes, points) and dx (nodes,).  Without one (a single
-    node) the trace is returned as a float.
+
+def _trace_moments(amps: np.ndarray, f: np.ndarray):
+    """The level sums of the trace, which need the amplitudes but no phase: (rho0, rho1, ends).
+
+    rho0_j = sum_n f_n phi_n,j^2; rho1_j = sum_n f_n phi_n,j phi_n,j+1, before
+    its cos(theta_j+1 - theta_j); ends[..., e, :] the pairs (0, 2), (0, 3)
+    (e = 0) and (-1, -3), (-1, -4) (e = 1) of the end stencils.  A leading
+    node axis is optional: amps is (levels, points), shared by every node, or
+    (nodes, levels, points), and f is (nodes, levels).
     """
 
     def level_sum(a, b):
@@ -259,17 +267,30 @@ def _weighted_trace(
         return np.einsum("...n,...nj,...nj->...j", f, a, b)
 
     rho0 = level_sum(amps, amps)
-    rho1 = level_sum(amps[..., :-1], amps[..., 1:]) * np.cos(np.diff(theta))
+    rho1 = level_sum(amps[..., :-1], amps[..., 1:])
+    ends = [level_sum(amps[..., [end, end]], amps[..., [end + 2 * step, end + 3 * step]]) for end, step in _ENDS]
+    return rho0, rho1, np.stack(ends, axis=-2)
+
+
+def _trace_finish(rho0, rho1, ends, theta: np.ndarray, v: np.ndarray, dx, kin: float):
+    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = phi_n exp(i theta), from _trace_moments.
+
+    D2 is the three-point second difference with the one-sided stencil
+    (2, -5, 4, -1) at each end and <.|.> the trapezoid rule, in the
+    real-arithmetic form of the module docstring.  A leading node axis is
+    optional and matches the moments': theta and v are (nodes, points) and
+    dx (nodes,).  Without one (a single node) the trace is returned as a float.
+    """
+    rho1 = rho1 * np.cos(np.diff(theta))
     k = np.empty_like(rho0)
     k[..., 1:-1] = rho1[..., 1:] + rho1[..., :-1] - 2.0 * rho0[..., 1:-1]
-    for end, step in ((0, 1), (-1, -1)):
+    for e, (end, step) in enumerate(_ENDS):
         j2, j3 = end + 2 * step, end + 3 * step
-        far = level_sum(amps[..., [end, end]], amps[..., [j2, j3]])
         k[..., end] = (
             2.0 * rho0[..., end]
             - 5.0 * rho1[..., end]
-            + 4.0 * far[..., 0] * np.cos(theta[..., j2] - theta[..., end])
-            - far[..., 1] * np.cos(theta[..., j3] - theta[..., end])
+            + 4.0 * ends[..., e, 0] * np.cos(theta[..., j2] - theta[..., end])
+            - ends[..., e, 1] * np.cos(theta[..., j3] - theta[..., end])
         )
     dx = np.asarray(dx, dtype=float)[..., None]
     y = (-kin / (dx * dx)) * k + v * rho0
@@ -317,37 +338,59 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray):
 
 def _node_traces(
     model: Model,
-    traj: ControlTrajectory,
-    ts: np.ndarray,
+    trajs: Sequence[ControlTrajectory] | ControlTrajectory,
+    ts,
     ens: ThermalEnsemble,
     n_points: int,
-) -> np.ndarray:
-    """The thermal trace of internal_energy_numeric at every time of ts, in one pass.
+):
+    """The thermal trace of internal_energy_numeric at the times of a sweep of ramps, in one pass.
 
-    l, l_dot and a(t) of V = a(t) x^2 (fastforward.trap_coefficient) come
-    from one vectorised call each and mu from one row-wise bisection.  The
-    model supplies the amplitudes in chunks of nodes:
-    model._trace_stacks(traj, l, n_top, n_points) yields (nodes, xi, length,
-    table, weight), where node i has the grid x = length_i xi and the
-    amplitudes sqrt(weight_i) table, with xi and table either shared by the
-    chunk or given per node.
+    trajs is a sequence of ramps and ts the matching sequence of time arrays;
+    one array of traces per ramp is returned (a single ControlTrajectory and
+    time array are a sweep of one, and return one array).  The moments depend
+    on a node's l and its ramp's widest l (traj._l_max sizes the oscillator's
+    grid), so they are formed once per distinct (l, l_max), by exact
+    equality, in order of first appearance: every trace is bit-identical to
+    its ramp's own call.  model._trace_stacks(l_max, l, n_top, n_points)
+    yields chunks (nodes, xi, length, table, weight) of those nodes, node i
+    with the grid x = length_i xi and the amplitudes sqrt(weight_i) table (xi
+    and table shared by the chunk or given per node).  The finish takes
+    blocks of at most _CHUNK_NODES of the sweep's nodes, with a(t) formed as
+    fastforward.trap_coefficient forms it.
     """
-    ts = np.asarray(ts, dtype=float)
+    if isinstance(trajs, ControlTrajectory):
+        return _node_traces(model, [trajs], [ts], ens, n_points)[0]
+    ts = [np.asarray(t, dtype=float) for t in ts]
     _require_trace_points(n_points)  # before the empty ensemble's early return
-    if ens.n_particles == 0:
-        return np.zeros(ts.size)
-    l = traj.value(ts)
+    offsets = list(itertools.accumulate((t.size for t in ts), initial=0))
+    if ens.n_particles == 0 or offsets[-1] == 0:
+        return [np.zeros(t.size) for t in ts]
+    g = np.empty(offsets[-1])  # gauge phase theta = g x^2
+    a = np.empty(offsets[-1])  # V = a x^2
+    slot = {}  # distinct (l, l_max) -> its index, by exact equality, in order of first appearance
+    inv = []
+    for traj, t, start, stop in zip(trajs, ts, offsets, offsets[1:]):
+        l = traj.value(t)
+        g[start:stop] = traj.velocity(t) / (2.0 * l)
+        a[start:stop] = model._v0_coefficient(l) + _v_ff_coefficient(t, traj, l)
+        inv += [slot.setdefault((v, traj._l_max), len(slot)) for v in l.tolist()]
+    l, l_max = (np.array(v) for v in zip(*slot))
     _, f, n_top = _occupied_levels(model, ens, l)
-    g = traj.velocity(ts) / (2.0 * l)  # gauge phase theta = g x^2
-    a = trap_coefficient(model, traj)(ts)  # V = a x^2
-    out = np.empty(ts.size)
-    for sl, xi, length, table, weight in model._trace_stacks(traj, l, n_top, n_points):
+    nodes_of = [[] for _ in slot]  # the nodes of the sweep at each distinct node
+    for i, k in enumerate(inv):
+        nodes_of[k].append(i)
+    out = np.empty(offsets[-1])
+    for sl, xi, length, table, weight in model._trace_stacks(l_max, l, n_top, n_points):
         x = length[:, None] * xi
-        occ = f[sl, : table.shape[-2]] * weight
         dx = (x[:, -1] - x[:, 0]) / (n_points - 1)
-        out[sl] = _weighted_trace(table, occ, g[sl, None] * x * x, a[sl, None] * x**2, dx, 0.5)
-        del x, table  # free this chunk before the next one is built
-    return out
+        moments = _trace_moments(table, f[sl, : table.shape[-2]] * weight)
+        del table  # free this chunk's stack before its nodes are finished
+        rows = [(i, k - sl.start) for k in range(sl.start, sl.stop) for i in nodes_of[k]]
+        for b in range(0, len(rows), _CHUNK_NODES):
+            r, j = np.array(rows[b : b + _CHUNK_NODES]).T  # sweep node, its row in the chunk
+            xj = x[j]
+            out[r] = _trace_finish(*(m[j] for m in moments), g[r, None] * xj * xj, a[r, None] * xj**2, dx[j], 0.5)
+    return [out[start:stop] for start, stop in zip(offsets, offsets[1:])]
 
 
 def internal_energy_numeric(
@@ -364,8 +407,8 @@ def internal_energy_numeric(
     exp(i theta), theta = a x^2 with a = m l_dot / 2 hbar l, and the matrix
     element is taken with the second-order finite-difference kinetic operator
     plus V0 + V_FF.  The sum is formed in real arithmetic (module docstring,
-    _weighted_trace).  This is the one-node call of the batched trace that
-    cost_ff_numeric runs on all its nodes.
+    _trace_moments and _trace_finish).  This is the one-node call of the
+    pooled trace that cost_ff_numeric runs on all its nodes.
     """
     return float(_node_traces(model, traj, np.array([float(t)]), ens, n_points)[0])
 
@@ -477,12 +520,27 @@ def cost_ff_numeric(
 
     Fixed-order Gauss-Legendre in time rather than adaptive quadrature: the
     trace integrand is smooth but carries a ~1e-9 grid-quadrature noise floor
-    that adaptive refinement would chase forever.  All nodes go through one
-    batched trace (see _node_traces).
+    that adaptive refinement would chase forever.  This is the one-ramp call
+    of the pooled trace (see _node_traces).
+    """
+    return _costs_ff_numeric(model, [traj], ens, n_nodes, n_points)[0]
+
+
+def _costs_ff_numeric(
+    model: Model,
+    trajs: Sequence[ControlTrajectory],
+    ens: ThermalEnsemble,
+    n_nodes: int = 64,
+    n_points: int = 1024,
+) -> list[float]:
+    """cost_ff_numeric of each ramp of a sweep, all nodes in one pooled trace.
+
+    A t_ff sweep shares most of its node moments (module docstring); each
+    cost is bit-identical to its ramp's own call.
     """
     nodes, weights = legendre_rule(n_nodes)
-    ts = 0.5 * traj.t_ff * (nodes + 1.0)
-    return float(np.dot(weights, _node_traces(model, traj, ts, ens, n_points)) * 0.5)
+    ts = [0.5 * traj.t_ff * (nodes + 1.0) for traj in trajs]
+    return [float(np.dot(weights, tr) * 0.5) for tr in _node_traces(model, trajs, ts, ens, n_points)]
 
 
 def frobenius_cost(
@@ -505,8 +563,11 @@ def frobenius_cost(
     x = length xi is weight length^3 times the trapezoid <k|xi^2|m> of the
     amplitude table model._trace_stacks yields: the box shares one l = 1
     sine table per chunk of nodes, the oscillator has one table per node.
-    The time average is cost_ff's, one integrand call per panel.
+    The time average is cost_ff's, one integrand call per panel, over the
+    whole ramp: t_ff must be traj.t_ff (ValueError otherwise).
     """
+    if t_ff != traj.t_ff:
+        raise ValueError(f"t_ff {t_ff!r} must be the ramp's own t_ff {traj.t_ff!r}")
     if isinstance(ens_or_cutoff, ThermalEnsemble):
         l_widest = traj.value(np.array([0.0, t_ff])).max(keepdims=True)  # l is monotone
         _, _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest)
@@ -521,7 +582,7 @@ def frobenius_cost(
         l = traj.value(ts)
         c = _v_ff_coefficient(ts, traj, l)  # V_FF = c x^2
         out = np.empty(ts.size)
-        for sl, xi, length, table, weight in model._trace_stacks(traj, l, np.full(ts.size, m_cut), n_points):
+        for sl, xi, length, table, weight in model._trace_stacks(traj._l_max, l, np.full(ts.size, m_cut), n_points):
             # <k|xi^2|m> on the stack's own grid by the trapezoid rule
             w = np.ones(xi.shape)
             w[..., [0, -1]] = 0.5

@@ -144,16 +144,16 @@ class HarmonicModel(Model):
 
     _unit_amplitudes = staticmethod(_hermite_functions)  # rows n = 0..n_max at R = 1 on any xi
 
-    def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
+    def _trace_stacks(self, l_max, l: np.ndarray, n_top: np.ndarray, n_points: int):
         """Chunks (nodes, x, length, table, weight) of amplitude stacks at nodes l.
 
-        Each node keeps the fixed grid of default_grid, sized by the
-        trajectory's widest l and widened for the node's own top level.  That
-        grid does not scale with l (length 1), so each chunk runs one
-        recurrence over its nodes' grids; the table rows are normalized
-        (weight 1).
+        Each node keeps the fixed grid of default_grid, sized by l_max (its
+        ramp's widest l, a float or one per node) and widened for the node's
+        own top level.  That grid does not scale with l (length 1), so each
+        chunk runs one recurrence over its nodes' grids; the table rows are
+        normalized (weight 1).
         """
-        half = self._half_width(traj._l_max, n_top)
+        half = self._half_width(l_max, n_top)
         for sl in _node_chunks(n_top + 1, n_points):
             x = np.linspace(-half[sl], half[sl], n_points, axis=-1)
             ones = np.ones((x.shape[0], 1))
@@ -211,8 +211,8 @@ class BoxModel(Model):
             raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
         return self._unit_table(n_max, grid.points / L) / math.sqrt(L)
 
-    def _trace_stacks(self, traj, l: np.ndarray, n_top: np.ndarray, n_points: int):
-        """Chunks (nodes, xi, length, table, weight) sharing one L = 1 table.
+    def _trace_stacks(self, l_max, l: np.ndarray, n_top: np.ndarray, n_points: int):
+        """Chunks (nodes, xi, length, table, weight) sharing one L = 1 table; l_max is unused.
 
         The wall grid scales with L, x = L xi on xi in [0, 1], and
         phi_n(x; L) = L^-1/2 phi_n(xi; 1), so one sine table built here serves

@@ -77,6 +77,8 @@ _BAD_OVERRIDES = [
     "grid_points=7",
     "system=harmonic outputs=ie_compare beta=1.0 grid_points=2",
     "outputs=cost_curve,cost_curve",
+    "ramp=linear outputs=cost_curve",
+    "system=harmonic ramp=linear outputs=ie_compare",
 ]
 
 
@@ -133,10 +135,13 @@ _OUTPUT_NAMES = ("cost_curve", "fidelity", "residual", "ie_compare", "snapshots"
 @st.composite
 def _scenarios(draw):
     system = draw(st.sampled_from(("harmonic", "box")))
+    ramp = draw(st.sampled_from(("polynomial", "trigonometric", "linear")))
     outputs = [o for o in _OUTPUT_NAMES if system == "harmonic" or o != "ie_compare"]
+    if ramp == "linear":
+        outputs = [o for o in outputs if o not in ("cost_curve", "ie_compare")]
     return Scenario(
         system=system,
-        ramp=draw(st.sampled_from(("polynomial", "trigonometric", "linear"))),
+        ramp=ramp,
         l0=draw(_positive),
         l_final=draw(_positive),
         omega0=draw(_positive),

@@ -24,11 +24,14 @@ from ffqd.cost import (
     internal_energy_numeric,
     solve_mu,
     _fermi,
+    _costs_ff_numeric,
     _node_traces,
     _solve_mu_rows,
-    _weighted_trace,
+    _trace_finish,
+    _trace_moments,
 )
-from ffqd.cli import Scenario, run
+from ffqd import cost as cost_mod
+from ffqd.cli import _PRESETS, Scenario, run
 from ffqd.core import Grid
 from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
@@ -305,7 +308,7 @@ _trace_cases = st.builds(
 def test_weighted_trace_matches_complex_reference(case, kin):
     amps, f, a, x, v, dx = case
     ref, scale = _complex_trace_reference(amps, f, a, x, v, dx, kin)
-    got = _weighted_trace(amps, f, a * x * x, v, dx, kin)
+    got = _trace_finish(*_trace_moments(amps, f), a * x * x, v, dx, kin)
     assert abs(got - ref) <= 1e-12 * scale
 
 
@@ -631,14 +634,77 @@ def test_batched_trace_matches_per_node_reference(scenario):
 def test_batched_edge_check_sees_each_nodes_own_rows_only():
     model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)  # grids sized for the widest l = 1
     # node 0 needs levels up to 2, node 1 up to 60: one chunk, one recurrence
-    ((sl, x, _, table, _),) = model._trace_stacks(traj, np.array([1.0, 1.0]), np.array([2, 60]), 64)
+    ((sl, x, _, table, _),) = model._trace_stacks(traj._l_max, np.array([1.0, 1.0]), np.array([2, 60]), 64)
     assert sl == slice(0, 2)
     # node 0's padded rows leak at the edge of its narrow grid and do not raise
     assert np.max(np.abs(table[0, 3:, [0, -1]])) > 1e-6
     assert np.max(np.abs(table[0, :3, [0, -1]])) < 1e-6
     # a node whose own rows leak raises inside the same batch
     with pytest.raises(ValueError, match="grid too narrow for levels up to n=2"):
-        list(model._trace_stacks(traj, np.array([1.0, 3.0, 1.0]), np.array([2, 2, 60]), 64))
+        list(model._trace_stacks(traj._l_max, np.array([1.0, 3.0, 1.0]), np.array([2, 2, 60]), 64))
+
+
+@st.composite
+def _t_ff_sweeps(draw):
+    """A model, 1-5 ramps of one shape and end points, an ensemble, nodes and points.
+
+    The t_ff values mix power-of-two multiples of one base, whose
+    Gauss-Legendre nodes fall on the same control values, with arbitrary ones,
+    whose nodes do not.
+    """
+    box = draw(st.booleans())
+    kind = draw(st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]))
+    l0 = draw(st.floats(0.5, 1.5))
+    l1 = draw(st.floats(0.5, 6.0) if box else st.floats(0.3, 1.5))
+    base = draw(st.floats(0.2, 3.0))
+    t_ff = st.one_of(st.integers(-2, 2).map(lambda k: base * 2.0**k), st.floats(0.2, 3.0))
+    t_ffs = draw(st.lists(t_ff, min_size=1, max_size=5, unique=True))
+    trajs = [ControlTrajectory(kind, l0, t, vbar=vbar_for_target(kind, l0, l1, t)) for t in t_ffs]
+    beta = draw(st.one_of(st.just(math.inf), st.floats(0.5, 5.0)))
+    ens = ThermalEnsemble(beta=beta, n_particles=draw(st.integers(1, 12)))
+    model = BoxModel() if box else HarmonicModel()
+    return model, trajs, ens, draw(st.integers(1, 20)), draw(st.sampled_from([64, 160, 256]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(_t_ff_sweeps(), st.data())
+def test_pooled_sweep_matches_per_ramp_costs(sweep, data):
+    model, trajs, ens, n_nodes, n_points = sweep
+    per_ramp = [cost_ff_numeric(model, traj, ens, n_nodes, n_points) for traj in trajs]
+    assert _costs_ff_numeric(model, trajs, ens, n_nodes, n_points) == per_ramp  # bit for bit
+    if model.n_min:
+        return  # the box has no edge check
+    # no monotone ramp leaves the grid its own l_max sizes, so a copy of a ramp whose
+    # grid is sized for a quarter of its widest l stands in for one that fails the
+    # edge check; its nodes share their l with the original's, not their l_max
+    narrow = dataclasses.replace(trajs[0])
+    narrow.__dict__["_l_max"] = 0.25 * trajs[0]._l_max
+    with pytest.raises(ValueError, match="grid too narrow") as own:
+        cost_ff_numeric(model, narrow, ens, n_nodes, n_points)
+    at = data.draw(st.integers(0, len(trajs)))
+    with pytest.raises(ValueError) as pooled:
+        _costs_ff_numeric(model, trajs[:at] + [narrow] + trajs[at:], ens, n_nodes, n_points)
+    assert str(pooled.value) == str(own.value)
+
+
+def test_fig1_sweep_forms_moments_once_per_distinct_node(monkeypatch):
+    # fig1's ramps l(t) = l0 + (l1 - l0) F(t / t_ff) put the 64 nodes of t_ff = 0.5, 1
+    # and 2 on the same control values, and t_ff = 5 shares 42 of them
+    scn = _PRESETS["fig1"]
+    trajs = [scn.trajectory(t_ff) for t_ff in scn.t_ff_list]
+    formed = []
+
+    def counted(amps, f):
+        formed.append(f.shape[0])
+        return moments(amps, f)
+
+    moments = cost_mod._trace_moments
+    monkeypatch.setattr(cost_mod, "_trace_moments", counted)
+    per_ramp = [cost_ff_numeric(HarmonicModel(), traj, scn.ensemble(), 64, 256) for traj in trajs]
+    assert sum(formed) == 4 * 64
+    formed.clear()
+    assert _costs_ff_numeric(HarmonicModel(), trajs, scn.ensemble(), 64, 256) == per_ramp
+    assert sum(formed) == 86
 
 
 # ---------------------------------------------------------------------------
@@ -648,6 +714,13 @@ def test_batched_edge_check_sees_each_nodes_own_rows_only():
 def test_frobenius_requires_cutoff_of_two():
     with pytest.raises(ValueError):
         frobenius_cost(BoxModel(), box_ramp(), 1, 1.0)
+
+
+@pytest.mark.parametrize("t_ff", [0.5, 2.0])
+def test_frobenius_cost_averages_over_the_whole_ramp_only(t_ff):
+    # t_ff = 0.5 used to average a t_ff = 1 ramp over [0, 0.5] and return 45.5
+    with pytest.raises(ValueError, match="must be the ramp's own t_ff 1.0"):
+        frobenius_cost(BoxModel(), box_ramp(POLYNOMIAL), 4, t_ff)
 
 
 def test_frobenius_static_diagonal():
