@@ -26,21 +26,20 @@ the kinetic operator, the pairs (0, 2), (0, 3) and their mirrors (-1, -3),
 (-1, -4); no complex level x grid table is formed.
 
 The trace is pooled over the time nodes of a whole sweep of ramps
-(_node_traces) and split in two.  The node moments (_trace_moments: rho0,
-rho1 before its cosine, and the end pairs) depend only on the control value
-l and the node's grid; the per-ramp finish (_trace_finish) adds the gauge
+(_node_traces) and split in two.  The node moments (rho0, rho1 before its
+cosine, and the end pairs) depend only on the control value l and the
+node's grid; the per-ramp finish (_trace_finish) adds the gauge
 phase g x^2, g = l_dot / 2l, the potential a(t) x^2, the stencil and the
 trapezoid rule.  Both smooth ramps have the form l0 + (l1 - l0) F(t/t_ff),
 so the Gauss-Legendre nodes of a t_ff sweep fall on the same control values
 (bit for bit at power-of-two multiples of t_ff, whose node times and vbar
 scale exactly, and at many nodes of other t_ff), and the moments are formed
 once per distinct value.  Energies are E_n(l) = E_n(1) / l^2, mu comes from
-one row-wise bisection, and the model supplies the amplitude stacks in
-chunks of nodes.  The box grid scales with the wall, x = L xi, so a single
-sine table at L = 1, scaled by L^-1/2, serves every node and the Frobenius
-cost takes its x^2 matrix from that table; the oscillator keeps a fixed grid
-per node, sized by its ramp's widest l.  cost_ff_numeric is the one-ramp
-call and internal_energy_numeric the one-node call of this pass.
+one row-wise bisection, and the model forms the moments in blocks of nodes
+(spectra): the box from one sine table at L = 1, the oscillator streamed on
+the mirror half of its fixed grid, sized by its ramp's widest l.
+cost_ff_numeric is the one-ramp call and internal_energy_numeric the
+one-node call of this pass.  The Frobenius cost needs no grid.
 """
 
 from __future__ import annotations
@@ -55,7 +54,7 @@ import numpy as np
 
 from ._numutil import gauss_legendre, legendre_rule
 from .fastforward import _v_ff_coefficient
-from .spectra import _CHUNK_NODES, Model, _require_trace_points
+from .spectra import _CHUNK_NODES, _ENDS, Model, _require_trace_points
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
@@ -248,32 +247,11 @@ def internal_energy_box(traj: ControlTrajectory, t, ens: ThermalEnsemble):
 # ---------------------------------------------------------------------------
 # numeric thermal trace (the oracle the closed forms are judged against)
 
-_ENDS = ((0, 1), (-1, -1))  # (end point, step inward) of the one-sided end stencils
-
-
-def _trace_moments(amps: np.ndarray, f: np.ndarray):
-    """The level sums of the trace, which need the amplitudes but no phase: (rho0, rho1, ends).
-
-    rho0_j = sum_n f_n phi_n,j^2; rho1_j = sum_n f_n phi_n,j phi_n,j+1, before
-    its cos(theta_j+1 - theta_j); ends[..., e, :] the pairs (0, 2), (0, 3)
-    (e = 0) and (-1, -3), (-1, -4) (e = 1) of the end stencils.  A leading
-    node axis is optional: amps is (levels, points), shared by every node, or
-    (nodes, levels, points), and f is (nodes, levels).
-    """
-
-    def level_sum(a, b):
-        # sum_n f_n a_n,j b_n,j, level by level in order: for a stack it is the
-        # one-node sum, and a shared table forms no (levels x points) product
-        return np.einsum("...n,...nj,...nj->...j", f, a, b)
-
-    rho0 = level_sum(amps, amps)
-    rho1 = level_sum(amps[..., :-1], amps[..., 1:])
-    ends = [level_sum(amps[..., [end, end]], amps[..., [end + 2 * step, end + 3 * step]]) for end, step in _ENDS]
-    return rho0, rho1, np.stack(ends, axis=-2)
-
-
 def _trace_finish(rho0, rho1, ends, theta: np.ndarray, v: np.ndarray, dx, kin: float):
-    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = phi_n exp(i theta), from _trace_moments.
+    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = phi_n exp(i theta), from the moments.
+
+    rho0, rho1 and ends are the level sums of spectra._trace_moments or a
+    model's _moment_blocks.
 
     D2 is the three-point second difference with the one-sided stencil
     (2, -5, 4, -1) at each end and <.|.> the trapezoid rule, in the
@@ -350,13 +328,12 @@ def _node_traces(
     time array are a sweep of one, and return one array).  The moments depend
     on a node's l and its ramp's widest l (traj._l_max sizes the oscillator's
     grid), so they are formed once per distinct (l, l_max), by exact
-    equality, in order of first appearance: every trace is bit-identical to
-    its ramp's own call.  model._trace_stacks(l_max, l, n_top, n_points)
-    yields chunks (nodes, xi, length, table, weight) of those nodes, node i
-    with the grid x = length_i xi and the amplitudes sqrt(weight_i) table (xi
-    and table shared by the chunk or given per node).  The finish takes
-    blocks of at most _CHUNK_NODES of the sweep's nodes, with a(t) formed as
-    fastforward.trap_coefficient forms it.
+    equality, in order of first appearance.
+    model._moment_blocks(l_max, l, f, n_top, n_points) yields them in blocks
+    (nodes, x, rho0, rho1, ends), each node's moments on its grid x, and
+    forms every row on its own, so every trace is bit-identical to its
+    ramp's own call.  The finish takes blocks of at most _CHUNK_NODES of the
+    sweep's nodes, with a(t) formed as fastforward.trap_coefficient forms it.
     """
     if isinstance(trajs, ControlTrajectory):
         return _node_traces(model, [trajs], [ts], ens, n_points)[0]
@@ -380,14 +357,11 @@ def _node_traces(
     for i, k in enumerate(inv):
         nodes_of[k].append(i)
     out = np.empty(offsets[-1])
-    for sl, xi, length, table, weight in model._trace_stacks(l_max, l, n_top, n_points):
-        x = length[:, None] * xi
+    for nodes, x, *moments in model._moment_blocks(l_max, l, f, n_top, n_points):
         dx = (x[:, -1] - x[:, 0]) / (n_points - 1)
-        moments = _trace_moments(table, f[sl, : table.shape[-2]] * weight)
-        del table  # free this chunk's stack before its nodes are finished
-        rows = [(i, k - sl.start) for k in range(sl.start, sl.stop) for i in nodes_of[k]]
+        rows = [(i, j) for j, k in enumerate(nodes.tolist()) for i in nodes_of[k]]
         for b in range(0, len(rows), _CHUNK_NODES):
-            r, j = np.array(rows[b : b + _CHUNK_NODES]).T  # sweep node, its row in the chunk
+            r, j = np.array(rows[b : b + _CHUNK_NODES]).T  # sweep node, its row in the block
             xj = x[j]
             out[r] = _trace_finish(*(m[j] for m in moments), g[r, None] * xj * xj, a[r, None] * xj**2, dx[j], 0.5)
     return [out[start:stop] for start, stop in zip(offsets, offsets[1:])]
@@ -407,7 +381,7 @@ def internal_energy_numeric(
     exp(i theta), theta = a x^2 with a = m l_dot / 2 hbar l, and the matrix
     element is taken with the second-order finite-difference kinetic operator
     plus V0 + V_FF.  The sum is formed in real arithmetic (module docstring,
-    _trace_moments and _trace_finish).  This is the one-node call of the
+    the model's _moment_blocks and _trace_finish).  This is the one-node call of the
     pooled trace that cost_ff_numeric runs on all its nodes.
     """
     return float(_node_traces(model, traj, np.array([float(t)]), ens, n_points)[0])
@@ -557,15 +531,16 @@ def frobenius_cost(
     mandatory (>= 2) and is reported with the value.  Passing an ensemble
     derives the cutoff from its occupation tail at the widest l, the larger
     of l(0) and l(t_ff).
-    At each node the code builds the cutoff x cutoff matrix
-    H = diag(E_n(1) / l^2) + c X2, c = -(m/2) l_ddot / l, and takes the root
-    of its summed squares.  X2 = <k|x^2|m> on the node's trace grid
-    x = length xi is weight length^3 times the trapezoid <k|xi^2|m> of the
-    amplitude table model._trace_stacks yields: the box shares one l = 1
-    sine table per chunk of nodes, the oscillator has one table per node.
-    The time average is cost_ff's, one integrand call per panel, over the
-    whole ramp: t_ff must be traj.t_ff (ValueError otherwise).
+    At each node H = diag(E_n(1) / l^2) + c l^2 X, c = -(m/2) l_ddot / l,
+    with X = <k|xi^2|m> the exact l = 1 matrix of the levels up to the
+    cutoff (box 1..cutoff, oscillator 0..cutoff, model._unit_x2), so
+    ||H||^2 = sum E_n(1)^2 / l^4 + 2 c sum E_n(1) X_nn + c^2 l^4 ||X||^2:
+    three sums per cutoff serve every node, and no grid is built.  n_points
+    is checked (>= 8) as the trace checks it.  The time average is
+    cost_ff's, one integrand call per panel, over the whole ramp: t_ff must
+    be traj.t_ff (ValueError otherwise).
     """
+    _require_trace_points(n_points)
     if t_ff != traj.t_ff:
         raise ValueError(f"t_ff {t_ff!r} must be the ramp's own t_ff {traj.t_ff!r}")
     if isinstance(ens_or_cutoff, ThermalEnsemble):
@@ -577,22 +552,13 @@ def frobenius_cost(
     if m_cut < 2:
         raise ValueError("Frobenius cutoff must be >= 2")
     ns = model.level_numbers(m_cut)
+    e, x2 = model._unit_energy(ns), model._unit_x2(ns)
+    ee, ex, xx = e @ e, e @ np.diag(x2), np.sum(x2 * x2)
 
     def h_norm(ts: np.ndarray) -> np.ndarray:
         l = traj.value(ts)
         c = _v_ff_coefficient(ts, traj, l)  # V_FF = c x^2
-        out = np.empty(ts.size)
-        for sl, xi, length, table, weight in model._trace_stacks(traj._l_max, l, np.full(ts.size, m_cut), n_points):
-            # <k|xi^2|m> on the stack's own grid by the trapezoid rule
-            w = np.ones(xi.shape)
-            w[..., [0, -1]] = 0.5
-            w *= ((xi[..., -1] - xi[..., 0]) / (n_points - 1))[..., None]
-            xi2 = (table * (w * xi * xi)[..., None, :]) @ np.swapaxes(table, -1, -2)
-            s = np.sqrt(weight)
-            h = (c[sl] * length**3)[:, None, None] * s[:, :, None] * xi2 * s[:, None, :]
-            h[:, np.arange(ns.size), np.arange(ns.size)] += model.energy(ns, l[sl, None])
-            out[sl] = np.sqrt(np.sum(h * h, axis=(1, 2)))
-            del h, xi2, table  # free this chunk before the next one is built
-        return out
+        l2 = l * l
+        return np.sqrt(ee / (l2 * l2) + 2.0 * c * ex + (c * l2) ** 2 * xx)
 
     return FrobeniusCost(value=cost_ff(h_norm, t_ff, rel_tol), cutoff=m_cut)

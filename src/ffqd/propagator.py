@@ -209,20 +209,23 @@ def _zgtsv():
     LAPACK library bundled with a scipy wheel loadable (on Windows it adds
     the library's DLL directory to the search path).  The extension is then
     loaded from scipy's linalg directory under its own dotted name, so the
-    scipy.linalg package init does not run.  The module is kept in
-    sys.modules under that name, where a later import of scipy.linalg finds
-    it; the routine is the one scipy.linalg.lapack binds.
+    scipy.linalg package init does not run, and taken out of sys.modules
+    again: a later import of scipy.linalg then binds its own module object
+    (with the same routines) as scipy.linalg._flapack.
     """
+    name = "scipy.linalg._flapack"
+    if name in sys.modules:
+        return sys.modules[name].zgtsv
     import scipy
 
     linalg = [os.path.join(d, "linalg") for d in scipy.__path__]
     found = importlib.machinery.PathFinder.find_spec("_flapack", linalg)
     if found is None:
         raise ImportError(f"scipy's LAPACK extension _flapack not found in {linalg}")
-    spec = importlib.util.spec_from_file_location("scipy.linalg._flapack", found.origin)
+    spec = importlib.util.spec_from_file_location(name, found.origin)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
-    sys.modules.setdefault(spec.name, module)
+    sys.modules.pop(name, None)
     return module.zgtsv
 
 

@@ -5,10 +5,16 @@ E_n(l) = E_n(1) / l^2 and phi_n(x; l) = l^-1/2 phi_n(x/l; 1).  Model holds
 that scale law once; each trap supplies only its l = 1 data and its grid
 rule.  The amplitudes are real (the phase eta of the general scheme
 vanishes identically).
+
+For the thermal trace of cost each trap forms the level sums a block of
+nodes at a time (_moment_blocks): the box from one shared L = 1 sine table,
+the oscillator streamed level by level on the mirror half of each node's
+grid.  For the Frobenius cost each gives <k|xi^2|m> at l = 1 (_unit_x2).
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -19,28 +25,40 @@ from .core import Grid
 _EDGE_AMPLITUDE_LIMIT = 1e-6  # oscillator grids must decay below this at the boundary
 
 
-def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
-    """Normalized Hermite functions h_0..h_n_max of a dimensionless argument.
+def _hermite_levels(xi: np.ndarray):
+    """Normalized Hermite functions h_0, h_1, ... of a dimensionless argument, one level at a time.
 
     Upward three-term recurrence with the normalization folded in, so no
     factorials are ever formed:  h_{k+1} = xi*sqrt(2/(k+1)) h_k - sqrt(k/(k+1)) h_{k-1}.
-    The level axis is second to last: xi of shape (..., P) gives (..., n_max + 1, P),
-    so a stack of grids, one per row of xi, runs one recurrence.
+    An endless generator of arrays shaped like xi.  It works in three
+    buffers, so the array of a level is overwritten when the level two
+    above it is asked for: a caller copies what it keeps.
     """
+    h_prev = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
+    yield h_prev
+    h = math.sqrt(2.0) * xi * h_prev
+    t = np.empty_like(h)
+    for k in itertools.count(1):
+        yield h
+        np.multiply(math.sqrt(2.0 / (k + 1.0)), xi, out=t)
+        t *= h
+        h_prev *= math.sqrt(k / (k + 1.0))
+        np.subtract(t, h_prev, out=h_prev)
+        h_prev, h = h, h_prev
+
+
+def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
+    """The levels 0..n_max of _hermite_levels stacked on the second-to-last axis of (..., n_max + 1, P)."""
     xi = np.atleast_1d(xi)
     h = np.empty(xi.shape[:-1] + (n_max + 1, xi.shape[-1]))
-    h[..., 0, :] = np.pi ** -0.25 * np.exp(-0.5 * xi * xi)
-    if n_max >= 1:
-        h[..., 1, :] = math.sqrt(2.0) * xi * h[..., 0, :]
-    for k in range(1, n_max):
-        h[..., k + 1, :] = (
-            math.sqrt(2.0 / (k + 1.0)) * xi * h[..., k, :] - math.sqrt(k / (k + 1.0)) * h[..., k - 1, :]
-        )
+    for k, level in zip(range(n_max + 1), _hermite_levels(xi)):
+        h[..., k, :] = level
     return h
 
 
 _CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this many nodes
-_CHUNK_DOUBLES = 2**15  # and a chunk's own amplitude stack at most this many doubles
+_BLOCK_DOUBLES = 2**16  # the working arrays of a block of streamed oscillator moments hold at most this many doubles
+_ENDS = ((0, 1), (-1, -1))  # (end point, step inward) of the one-sided end stencils
 
 
 def _require_trace_points(n_points: int) -> None:
@@ -49,36 +67,32 @@ def _require_trace_points(n_points: int) -> None:
         raise ValueError(f"need n_points >= 8, got {n_points}")
 
 
-def _node_chunks(rows: np.ndarray, n_points: int) -> list[slice]:
-    """Consecutive slices of the node axis for batched traces.
+def _trace_moments(table: np.ndarray, f: np.ndarray):
+    """The level sums of the thermal trace, which need the amplitudes but no phase: (rho0, rho1, ends).
 
-    rows[i] is the number of table rows node i needs on a grid of its own (0
-    where every node shares one table).  A chunk holds at most _CHUNK_NODES
-    nodes and, past its first node, a stack of at most _CHUNK_DOUBLES doubles,
-    so batching keeps the peak memory of the one-node trace.  Every trace
-    grid goes through here, so the n_points >= 8 of Grid is checked here.
+    rho0_j = sum_n f_n phi_n,j^2; rho1_j = sum_n f_n phi_n,j phi_n,j+1, before
+    its gauge factor; ends[..., e, :] the pairs (0, 2), (0, 3) (e = 0) and
+    (-1, -3), (-1, -4) (e = 1) of the end stencils.  table is one
+    (levels, points) table shared by every node, and f is (levels,) or, with a
+    leading node axis, (nodes, levels); no (levels x points) product is formed.
     """
-    _require_trace_points(n_points)
-    chunks = []
-    start = 0
-    while start < rows.size:
-        stop = start + 1
-        while (
-            stop < min(rows.size, start + _CHUNK_NODES)
-            and (stop + 1 - start) * max(rows[start : stop + 1]) * n_points <= _CHUNK_DOUBLES
-        ):
-            stop += 1
-        chunks.append(slice(start, stop))
-        start = stop
-    return chunks
+
+    def level_sum(a, b):
+        return np.einsum("...n,nj,nj->...j", f, a, b)
+
+    rho0 = level_sum(table, table)
+    rho1 = level_sum(table[:, :-1], table[:, 1:])
+    ends = [level_sum(table[:, [end, end]], table[:, [end + 2 * step, end + 3 * step]]) for end, step in _ENDS]
+    return rho0, rho1, np.stack(ends, axis=-2)
 
 
 class Model:
     """A scale-invariant trap V0(x; l) = l^-2 U(x/l), given by its data at l = 1.
 
     A trap supplies n_min, its lowest level; _unit_energy(n), the energies
-    E_n(1); _U2, the x^2 coefficient of U; _unit_amplitudes; and its grid
-    rule (default_grid, amplitudes, _trace_stacks).  Model applies the scale law.
+    E_n(1); _unit_x2(ns), the matrix <k|xi^2|m>; _U2, the x^2 coefficient
+    of U; _unit_amplitudes; and its grid rule (default_grid, amplitudes,
+    _moment_blocks).  Model applies the scale law.
     """
 
     n_min: int
@@ -114,50 +128,84 @@ class HarmonicModel(Model):
     def _unit_energy(n):
         return n + 0.5
 
-    def _hermite_stack(self, n_top: np.ndarray, R: np.ndarray, x: np.ndarray) -> np.ndarray:
-        """Grid-renormalized eigenamplitudes of nodes with length scales R on grids x.
-
-        x is (nodes, points); the result is (nodes, levels, points), levels
-        0..max(n_top) from one recurrence.  Node i's own rows, n = 0..n_top[i],
-        must decay below 1e-6 at both ends of its grid; rows above them only
-        pad the stack of a batch and are neither checked nor used.
-        """
-        scale = np.sqrt(1.0 / (R * R))  # sqrt(omega)
-        h = _hermite_functions(int(np.max(n_top)), scale[:, None] * x)
-        h *= np.sqrt(scale)[:, None, None]
-        edge = np.maximum(np.abs(h[..., 0]), np.abs(h[..., -1]))
-        edge = np.where(np.arange(h.shape[-2]) <= n_top[:, None], edge, 0.0).max(axis=1)
-        bad = np.flatnonzero(edge > _EDGE_AMPLITUDE_LIMIT)
-        if bad.size:
-            raise ValueError(
-                f"grid too narrow for levels up to n={n_top[bad[0]]}: edge amplitude {edge[bad[0]]:.3e}"
-            )
-        # trapezoid row norms in one pass: dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
-        dx = (x[:, -1] - x[:, 0]) / (x.shape[-1] - 1)
-        ends = h[..., 0] ** 2 + h[..., -1] ** 2
-        h /= np.sqrt(dx[:, None] * (np.einsum("ikj,ikj->ik", h, h) - 0.5 * ends))[..., None]
-        return h
+    @staticmethod
+    def _unit_x2(ns: np.ndarray) -> np.ndarray:
+        """<k|xi^2|n> of the levels ns = 0..c at R = 1: n + 1/2, and sqrt((n + 1)(n + 2)) / 2 two off the diagonal."""
+        off = 0.5 * np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0))
+        return np.diag(ns + 0.5) + np.diag(off, 2) + np.diag(off, -2)
 
     def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
-        """Rows n = 0..n_max of grid-renormalized eigenamplitudes."""
-        return self._hermite_stack(np.array([n_max]), np.array([R]), grid.points[None, :])[0]
+        """Rows n = 0..n_max of grid-renormalized eigenamplitudes; each must decay below 1e-6 at both grid ends."""
+        scale = math.sqrt(1.0 / (R * R))  # sqrt(omega)
+        x = grid.points
+        h = _hermite_functions(n_max, scale * x)
+        h *= math.sqrt(scale)
+        edge = np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1])).max()
+        if edge > _EDGE_AMPLITUDE_LIMIT:
+            raise ValueError(f"grid too narrow for levels up to n={n_max}: edge amplitude {edge:.3e}")
+        # trapezoid row norms in one pass: dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
+        dx = (x[-1] - x[0]) / (x.size - 1)
+        h /= np.sqrt(dx * (np.einsum("kj,kj->k", h, h) - 0.5 * (h[:, 0] ** 2 + h[:, -1] ** 2)))[:, None]
+        return h
 
     _unit_amplitudes = staticmethod(_hermite_functions)  # rows n = 0..n_max at R = 1 on any xi
 
-    def _trace_stacks(self, l_max, l: np.ndarray, n_top: np.ndarray, n_points: int):
-        """Chunks (nodes, x, length, table, weight) of amplitude stacks at nodes l.
+    def _moment_blocks(self, l_max, l: np.ndarray, f: np.ndarray, n_top: np.ndarray, n_points: int):
+        """Blocks (nodes, x, rho0, rho1, ends) of the trace moments at nodes l, streamed on the mirror half grid.
 
-        Each node keeps the fixed grid of default_grid, sized by l_max (its
-        ramp's widest l, a float or one per node) and widened for the node's
-        own top level.  That grid does not scale with l (length 1), so each
-        chunk runs one recurrence over its nodes' grids; the table rows are
-        normalized (weight 1).
+        Node i (occupations f[i] of the levels 0, 1, ...) keeps the fixed grid
+        of default_grid, sized by l_max (its ramp's widest l, a float or one
+        per node) and its top level n_top[i], built as
+        x_j = half (2j - P + 1) / (P - 1): mirror-symmetric bit for bit, with
+        0 at the centre of an odd grid.  As h_n(-xi) = (-1)^n h_n(xi), exactly
+        in the recurrence too, the levels are formed from the centre point or
+        pair (-d, d) to the end only, and each is added into the moments as
+        soon as it is formed, weighted by f_n over its trapezoid norm; the
+        moments are mirror-symmetric.  Blocks take the nodes in order of top
+        level, as many as keep seven (nodes x half grid) arrays within
+        _BLOCK_DOUBLES doubles (one at least); every operation is row-wise, so
+        a node's moments do not depend on its block.  Node i's own rows
+        n <= n_top[i] must decay below 1e-6 at the grid end; the rows above
+        them only pad a block and are not checked.
         """
         half = self._half_width(l_max, n_top)
-        for sl in _node_chunks(n_top + 1, n_points):
-            x = np.linspace(-half[sl], half[sl], n_points, axis=-1)
-            ones = np.ones((x.shape[0], 1))
-            yield sl, x, ones[:, 0], self._hermite_stack(n_top[sl], l[sl], x), ones
+        c = 1 - n_points % 2  # points of the half grid below 0: the -d of an even grid's centre pair
+        u = np.arange(-c, n_points, 2) / (n_points - 1)  # x / half on the half grid
+        size = max(1, _BLOCK_DOUBLES // (7 * u.size))
+        order = np.argsort(n_top, kind="stable")
+        for start in range(0, l.size, size):
+            nodes = order[start : start + size]
+            top = n_top[nodes]
+            occ = f[nodes]
+            dx = 2.0 * half[nodes] / (n_points - 1)
+            scale = np.sqrt(1.0 / (l[nodes] * l[nodes]))  # sqrt(omega)
+            rho0, sq = np.zeros((nodes.size, u.size)), np.empty((nodes.size, u.size))
+            rho1 = np.zeros((nodes.size, u.size - 1))
+            ends = np.zeros((nodes.size, 2))
+            edge = np.empty((top.max() + 1, nodes.size))
+            for n, h in zip(range(top.max() + 1), _hermite_levels((scale * half[nodes])[:, None] * u)):
+                np.multiply(h, h, out=sq)
+                # f_n over the full grid's trapezoid norm dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
+                w = (occ[:, n] / (dx * (2.0 * sq.sum(axis=1) - (1 + c) * sq[:, 0] - sq[:, -1])))[:, None]
+                sq *= w
+                rho0 += sq
+                pair = np.multiply(h[:, :-1], h[:, 1:], out=sq[:, 1:])
+                pair *= w
+                rho1 += pair
+                ends += w * (h[:, -1:] * h[:, -3:-5:-1])  # the pairs (-1, -3), (-1, -4)
+                edge[n] = h[:, -1]
+            del h, sq, pair
+            edge = np.where(np.arange(edge.shape[0])[:, None] <= top, np.abs(edge), 0.0).max(axis=0)
+            edge *= np.sqrt(scale)
+            bad = np.flatnonzero(edge > _EDGE_AMPLITUDE_LIMIT)
+            if bad.size:
+                raise ValueError(f"grid too narrow for levels up to n={top[bad[0]]}: edge amplitude {edge[bad[0]]:.3e}")
+            # the full grid: the points and pairs right of the centre point or pair mirrored, then the half grid
+            x = half[nodes, None] * u
+            x = np.concatenate([-x[:, c + 1 :][:, ::-1], x], axis=1)
+            rho0 = np.concatenate([rho0[:, c + 1 :][:, ::-1], rho0], axis=1)
+            rho1 = np.concatenate([rho1[:, c:][:, ::-1], rho1], axis=1)
+            yield nodes, x, rho0, rho1, np.stack([ends, ends], axis=1)
 
     @staticmethod
     def _half_width(R: float, n_max):
@@ -211,15 +259,24 @@ class BoxModel(Model):
             raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
         return self._unit_table(n_max, grid.points / L) / math.sqrt(L)
 
-    def _trace_stacks(self, l_max, l: np.ndarray, n_top: np.ndarray, n_points: int):
-        """Chunks (nodes, xi, length, table, weight) sharing one L = 1 table; l_max is unused.
+    @staticmethod
+    def _unit_x2(ns: np.ndarray) -> np.ndarray:
+        """<m|xi^2|n> of the levels ns at L = 1, from the closed-form sine integrals."""
+        m, n = ns[:, None], ns[None, :]
+        d2 = np.where(m == n, 1, (m - n) ** 2)  # the diagonal is replaced below
+        x2 = (2.0 / np.pi**2) * (-1.0) ** (m + n) * (1.0 / d2 - 1.0 / (m + n) ** 2)
+        x2[np.diag_indices(ns.size)] = 1.0 / 3.0 - 1.0 / (2.0 * np.pi**2 * ns * ns)
+        return x2
+
+    def _moment_blocks(self, l_max, l: np.ndarray, f: np.ndarray, n_top: np.ndarray, n_points: int):
+        """Blocks (nodes, x, rho0, rho1, ends) of _CHUNK_NODES nodes sharing one L = 1 table; l_max is unused.
 
         The wall grid scales with L, x = L xi on xi in [0, 1], and
         phi_n(x; L) = L^-1/2 phi_n(xi; 1), so one sine table built here serves
-        every node with length L and weight 1/L; no sine is evaluated per node.
+        every node with weight f_n / L; no sine is evaluated per node.
         """
-        chunks = _node_chunks(np.zeros(l.size, dtype=int), n_points)
         xi = np.linspace(0.0, 1.0, n_points)
         table = self._unit_table(int(np.max(n_top)), xi)
-        for sl in chunks:
-            yield sl, xi, l[sl], table, 1.0 / l[sl, None]
+        for start in range(0, l.size, _CHUNK_NODES):
+            nodes = np.arange(start, min(start + _CHUNK_NODES, l.size))
+            yield (nodes, l[nodes, None] * xi, *_trace_moments(table, f[nodes, : table.shape[0]] * (1.0 / l[nodes, None])))

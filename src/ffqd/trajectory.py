@@ -72,8 +72,16 @@ class ControlTrajectory:
         return float(np.max(self._value(np.array([0.0, self.t_ff]))))
 
     def _check_domain(self, t):
-        """t clipped to [0, t_ff]; errors for NaN or t beyond a 1e-9 t_ff slack."""
+        """t clipped to [0, t_ff]; errors for NaN or t beyond a 1e-9 t_ff slack.
+
+        A Python float stays a float, which skips the 0-d array work of the
+        array path and gives the same value bit for bit (np.clip's -0.0 too).
+        """
         slack = 1e-9 * self.t_ff
+        if type(t) is float:
+            if not -slack <= t <= self.t_ff + slack:  # False for NaN
+                raise ValueError(f"t outside [0, {self.t_ff}]")
+            return min(max(t, 0.0), float(self.t_ff))
         t = np.asarray(t, dtype=float)
         if not (np.all(t >= -slack) and np.all(t <= self.t_ff + slack)):
             raise ValueError(f"t outside [0, {self.t_ff}]")

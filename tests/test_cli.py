@@ -242,6 +242,21 @@ def test_verify_with_an_empty_sweep_is_an_invalid_scenario(tmp_path, capsys):
     assert "verification" not in captured.out
 
 
+def test_verify_does_not_check_the_outputs_it_never_writes(tmp_path, capsys):
+    # outputs defaults to cost_curve, which a linear ramp rejects: a linear-ramp
+    # config without an outputs= line used to make verify exit 2
+    cfg = tmp_path / "linear.cfg"
+    cfg.write_text("system=harmonic\nramp=linear\nepsilon=-0.05\nt_ff_list=1.0\ngrid_points=512\ndt=2e-4\n")
+    assert main(["verify", str(cfg)]) == 0
+    assert "verification PASSED" in capsys.readouterr().out
+    # run of the same config writes cost_curve, and still exits 2 before any work
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario: cost_curve needs a polynomial or trigonometric ramp" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_run_and_exit_codes(tmp_path):
     cfg = tmp_path / "box.cfg"
     cfg.write_text(
@@ -350,9 +365,10 @@ print(json.dumps([text.getvalue(), scipy_names, states, _zgtsv() is scipy.linalg
 
 
 def test_propagation_skips_the_scipy_linalg_init():
-    # verify imports the top-level scipy package and its LAPACK extension
-    # but not scipy.linalg, and the states are bit-identical whether
-    # scipy.linalg was imported before or after that extension was loaded
+    # verify imports the top-level scipy package and loads its LAPACK extension
+    # but imports not scipy.linalg (nor registers the extension under its name),
+    # and the states are bit-identical whether scipy.linalg was imported before
+    # or after that extension was loaded
     bare = "import json, sys, scipy\nprint(json.dumps(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')))"
     proc = subprocess.run([sys.executable, "-c", bare], capture_output=True, text=True, env=src_env())
     assert proc.returncode == 0, proc.stderr
@@ -365,10 +381,29 @@ def test_propagation_skips_the_scipy_linalg_init():
         runs.append(json.loads(proc.stdout.splitlines()[-1]))
     (text, names, states, same_routine), (text_scipy_first, _, states_scipy_first, _) = runs
     assert "scipy.linalg" not in names
-    assert names == sorted(scipy_alone + ["scipy.linalg._flapack"])
+    assert names == scipy_alone
     assert same_routine
     assert text == text_scipy_first
     assert len(set(states + states_scipy_first)) == 1
+
+
+_PROPAGATE_THEN_IMPORT_LINALG = """
+import ffqd.cli
+assert ffqd.cli.verify(ffqd.cli.Scenario(system="box", ramp="trigonometric", l_final=3.0, grid_points=256, dt=5e-4))
+import scipy.linalg
+from ffqd.propagator import _zgtsv
+print(scipy.linalg._flapack.zgtsv is _zgtsv() is scipy.linalg.lapack.zgtsv)
+"""
+
+
+def test_scipy_linalg_binds_its_lapack_extension_after_a_propagation():
+    # the extension loaded for the propagation used to stay in sys.modules, where the
+    # later import of scipy.linalg found it and left scipy.linalg._flapack unset
+    proc = subprocess.run(
+        [sys.executable, "-c", _PROPAGATE_THEN_IMPORT_LINALG], capture_output=True, text=True, env=src_env()
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "True"
 
 
 def test_snapshots_output(tmp_path):

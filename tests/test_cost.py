@@ -1,5 +1,6 @@
 import dataclasses
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -28,12 +29,11 @@ from ffqd.cost import (
     _node_traces,
     _solve_mu_rows,
     _trace_finish,
-    _trace_moments,
 )
 from ffqd import cost as cost_mod
 from ffqd.cli import _PRESETS, Scenario, run
 from ffqd.core import Grid
-from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions
+from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, _trace_moments
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 from helpers import box_ramp, ho_ramp
@@ -632,16 +632,82 @@ def test_batched_trace_matches_per_node_reference(scenario):
 
 
 def test_batched_edge_check_sees_each_nodes_own_rows_only():
-    model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)  # grids sized for the widest l = 1
-    # node 0 needs levels up to 2, node 1 up to 60: one chunk, one recurrence
-    ((sl, x, _, table, _),) = model._trace_stacks(traj._l_max, np.array([1.0, 1.0]), np.array([2, 60]), 64)
-    assert sl == slice(0, 2)
-    # node 0's padded rows leak at the edge of its narrow grid and do not raise
-    assert np.max(np.abs(table[0, 3:, [0, -1]])) > 1e-6
-    assert np.max(np.abs(table[0, :3, [0, -1]])) < 1e-6
-    # a node whose own rows leak raises inside the same batch
+    model = HarmonicModel()
+    occ = np.ones((3, 61))
+    # grids sized for the widest l = 1; node 0 needs levels up to 2, node 1 up to 60:
+    # one block, one recurrence up to level 60
+    ((nodes, x, *_),) = model._moment_blocks(1.0, np.array([1.0, 1.0]), occ[:2], np.array([2, 60]), 64)
+    assert nodes.tolist() == [0, 1]
+    # node 0's padded rows leak at the edge of its narrow grid and did not raise
+    table = _hermite_functions(60, x[0])
+    assert np.max(np.abs(table[3:, [0, -1]])) > 1e-6
+    assert np.max(np.abs(table[:3, [0, -1]])) < 1e-6
+    # a node whose own rows leak raises inside the same block
     with pytest.raises(ValueError, match="grid too narrow for levels up to n=2"):
-        list(model._trace_stacks(traj._l_max, np.array([1.0, 3.0, 1.0]), np.array([2, 2, 60]), 64))
+        list(model._moment_blocks(1.0, np.array([1.0, 3.0, 1.0]), occ, np.array([2, 2, 60]), 64))
+
+
+def _full_grid_stack_trace(l, half, f, n_points, g, a):
+    """One oscillator node's trace from the full-grid amplitude stack that the streamed kernel replaces.
+
+    The levels 0..f.size - 1 as one (levels x points) table on the whole
+    mirror-symmetric grid, each row normalized by the trapezoid rule, and the
+    complex-table trace of the reference above with gauge g x^2 and potential
+    a x^2.  Returns (trace, scale).
+    """
+    x = half * (np.arange(1 - n_points, n_points, 2) / (n_points - 1))
+    dx = 2.0 * half / (n_points - 1)
+    scale = np.sqrt(1.0 / (l * l))
+    amps = _hermite_functions(f.size - 1, scale * x) * np.sqrt(scale)
+    amps /= np.sqrt(np.trapezoid(amps * amps, dx=dx, axis=1))[:, None]
+    return _complex_trace_reference(amps, f, g, x, a * x * x, dx, 0.5)
+
+
+@pytest.mark.parametrize("n_points", [8, 9, 1024, 1025])
+def test_oscillator_trace_grid_is_mirror_symmetric(n_points):
+    l, top = np.array([1.0, 0.7, 3.1]), np.array([0, 5, 60])
+    half = HarmonicModel()._half_width(3.1, top)
+    ((nodes, x, *_),) = HarmonicModel()._moment_blocks(3.1, l, np.ones((3, 61)), top, n_points)
+    x = x[np.argsort(nodes)]
+    assert np.array_equal(x[:, ::-1], -x)
+    if n_points % 2:
+        assert np.all(x[:, n_points // 2] == 0.0)  # the centre point is 0, not a rounding residue
+    for row, h in zip(x, half):
+        # each point within 2 ulp of its exact value half (2j - P + 1) / (P - 1) ...
+        exact = [Fraction(float(h)) * (2 * j - n_points + 1) / (n_points - 1) for j in range(n_points)]
+        assert all(abs(Fraction(float(v)) - e) <= 2 * Fraction(float(np.spacing(abs(v)))) for v, e in zip(row, exact))
+        # ... and within 4 ulp of the end from linspace, which is itself up to 3 ulp asymmetric
+        assert np.max(np.abs(row - np.linspace(-h, h, n_points))) <= 4 * np.spacing(h)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.floats(0.5, 1.5), min_size=1, max_size=24),
+    st.floats(1.0, 1.5),
+    st.one_of(st.just(math.inf), st.floats(0.3, 5.0)),
+    st.integers(1, 32),
+    st.sampled_from([8, 9, 64, 65, 256, 257]),
+    st.integers(0, 2**32 - 1),
+)
+def test_streamed_half_grid_trace_matches_full_grid_stack(ls, widen, beta, n, n_points, seed):
+    # nodes of one sweep at several l, sharing one l_max: a block mixes top levels
+    # (from 1 to well past 60 here) and both parities of the point count; l_max / l
+    # stays below 4.5, where even 8 points resolve every level's trapezoid norm
+    model, l = HarmonicModel(), np.array(ls)
+    l_max = widen * float(np.max(l))
+    _, f, n_top = cost_mod._occupied_levels(model, ThermalEnsemble(beta=beta, n_particles=n), l)
+    g, a = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(2, l.size))
+    half = model._half_width(l_max, n_top)
+    seen = []
+    for nodes, x, *moments in model._moment_blocks(l_max, l, f, n_top, n_points):
+        assert np.array_equal(x[:, ::-1], -x)  # mirror-symmetric bit for bit
+        dx = (x[:, -1] - x[:, 0]) / (n_points - 1)
+        for row, i in enumerate(nodes):
+            got = _trace_finish(*(m[row] for m in moments), g[i] * x[row] ** 2, a[i] * x[row] ** 2, dx[row], 0.5)
+            ref, scale = _full_grid_stack_trace(l[i], half[i], f[i, : n_top[i] + 1], n_points, g[i], a[i])
+            assert abs(got - ref) <= 1e-12 * scale
+        seen += nodes.tolist()
+    assert sorted(seen) == list(range(l.size))
 
 
 @st.composite
@@ -693,13 +759,14 @@ def test_fig1_sweep_forms_moments_once_per_distinct_node(monkeypatch):
     scn = _PRESETS["fig1"]
     trajs = [scn.trajectory(t_ff) for t_ff in scn.t_ff_list]
     formed = []
+    blocks = HarmonicModel._moment_blocks
 
-    def counted(amps, f):
-        formed.append(f.shape[0])
-        return moments(amps, f)
+    def counted(self, *args):
+        for block in blocks(self, *args):
+            formed.append(block[0].size)
+            yield block
 
-    moments = cost_mod._trace_moments
-    monkeypatch.setattr(cost_mod, "_trace_moments", counted)
+    monkeypatch.setattr(HarmonicModel, "_moment_blocks", counted)
     per_ramp = [cost_ff_numeric(HarmonicModel(), traj, scn.ensemble(), 64, 256) for traj in trajs]
     assert sum(formed) == 4 * 64
     formed.clear()
@@ -744,10 +811,10 @@ def _box_x2_exact(L, n_max):
     return np.array([[analytic(m, n) for n in range(1, n_max + 1)] for m in range(1, n_max + 1)])
 
 
-def _box_x2_grid(L, n_max, n_points):
-    """<m|x^2|n> by the trapezoid rule on the node's own [0, L] grid."""
-    grid = Grid(0.0, L, n_points)
-    amps = BoxModel().amplitudes(n_max, L, grid)
+def _x2_grid(model, l, n_max, n_points):
+    """<k|x^2|m> of the levels up to n_max by the trapezoid rule on the node's own grid at l."""
+    grid = Grid(0.0, l, n_points) if model.n_min else model.default_grid(l, n_points, n_max)
+    amps = model.amplitudes(n_max, l, grid)
     w = np.full(grid.n_points, grid.dx)
     w[0] = w[-1] = 0.5 * grid.dx
     return (amps * w) @ (grid.points**2 * amps).T
@@ -755,25 +822,60 @@ def _box_x2_grid(L, n_max, n_points):
 
 def test_frobenius_box_x2_matrix_elements_match_analytic():
     # grid quadrature of <m|x^2|n> against the closed-form sine integrals
-    np.testing.assert_allclose(_box_x2_grid(4.6, 10, 2048), _box_x2_exact(4.6, 10), atol=1e-8)
+    np.testing.assert_allclose(_x2_grid(BoxModel(), 4.6, 10, 2048), _box_x2_exact(4.6, 10), atol=1e-8)
+
+
+@pytest.mark.parametrize("model, atol", [(BoxModel(), 1e-9), (HarmonicModel(), 1e-12)], ids=["box", "harmonic"])
+def test_unit_x2_matrices_match_grid_quadrature(model, atol):
+    # the exact l = 1 matrices of the Frobenius cost, scaled to l, against the trapezoid
+    # rule on the node's own grid: box levels 1..c, oscillator levels 0..c
+    l, c = 1.7, 14
+    exact = l * l * model._unit_x2(model.level_numbers(c))
+    assert exact.shape == (c + 1 - model.n_min,) * 2
+    np.testing.assert_allclose(exact, _x2_grid(model, l, c, 4096), rtol=0.0, atol=atol * l * l * c)
+
+
+def _frobenius_h_norm(model, traj, ts, x2_of_l, m_cut):
+    """||H0 + V_FF|| at each time, one node's matrix at a time from its own <k|x^2|m>."""
+    ns = model.level_numbers(m_cut)
+    h = np.array(
+        [-0.5 * a / l * x2_of_l(l) + np.diag(model.energy(ns, l)) for l, a in zip(traj.value(ts), traj.acceleration(ts))]
+    )
+    return np.sqrt(np.sum(h * h, axis=(1, 2)))
 
 
 def test_box_frobenius_from_unit_table_matches_per_node_forms():
-    traj, m_cut, n_points = box_ramp(POLYNOMIAL), 12, 1024
-    ns = np.arange(1, m_cut + 1)
+    model, traj, m_cut, n_points = BoxModel(), box_ramp(POLYNOMIAL), 12, 1024
+    got = frobenius_cost(model, traj, m_cut, traj.t_ff, n_points=n_points, rel_tol=1e-10).value
+    exact = cost_ff(lambda t: _frobenius_h_norm(model, traj, t, lambda l: _box_x2_exact(l, m_cut), m_cut), traj.t_ff)
+    per_node_grid = cost_ff(
+        lambda t: _frobenius_h_norm(model, traj, t, lambda l: _x2_grid(model, l, m_cut, n_points), m_cut), traj.t_ff
+    )
+    assert got == pytest.approx(exact, rel=1e-12, abs=0.0)
+    assert got == pytest.approx(per_node_grid, rel=1e-9, abs=0.0)  # the grid is now the oracle
 
-    def h_norm(ts, x2_of_l):
-        # one node's matrix at a time, from that node's own forms
-        h = np.array(
-            [-0.5 * a / l * x2_of_l(l) + np.diag(BoxModel().energy(ns, l)) for l, a in zip(traj.value(ts), traj.acceleration(ts))]
-        )
-        return np.sqrt(np.sum(h * h, axis=(1, 2)))
 
-    got = frobenius_cost(BoxModel(), traj, m_cut, traj.t_ff, n_points=n_points, rel_tol=1e-10).value
-    per_node_grid = cost_ff(lambda t: h_norm(t, lambda l: _box_x2_grid(l, m_cut, n_points)), traj.t_ff)
-    exact = cost_ff(lambda t: h_norm(t, lambda l: _box_x2_exact(l, m_cut)), traj.t_ff)
-    assert got == pytest.approx(per_node_grid, rel=1e-12, abs=0.0)
-    assert got == pytest.approx(exact, rel=1e-7, abs=0.0)
+@settings(max_examples=25, deadline=None)
+@given(
+    st.booleans(),
+    st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]),
+    st.floats(0.5, 1.5),
+    st.floats(0.3, 4.0),
+    st.floats(0.5, 3.0),
+    st.integers(2, 24),
+)
+def test_frobenius_cost_matches_the_grid_oracle(box, kind, l0, l1, t_ff, m_cut):
+    # the exact-matrix Frobenius cost against the grid matrix it replaced: the trapezoid
+    # <k|x^2|m> on the l = 1 grid, scaled by l^2 as both traps' grids scale with l.
+    # Faster oscillator ramps (t_ff ~ 0.4, l 1 -> 5) can leave cost_ff unconverged
+    # with either matrix: ||H|| dips where l_ddot l^3 = 2, as E_n(1) = X_nn = n + 1/2
+    model = BoxModel() if box else HarmonicModel()
+    traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff))
+    got = frobenius_cost(model, traj, m_cut, t_ff)
+    unit = _x2_grid(model, 1.0, m_cut, 1024)
+    grid = cost_ff(lambda t: _frobenius_h_norm(model, traj, t, lambda l: l * l * unit, m_cut), t_ff, 1e-8)
+    assert got.cutoff == m_cut
+    assert got.value == pytest.approx(grid, rel=1e-9, abs=0.0)
 
 
 # a trace grid needs the 8 points Grid asks for: below that the stencils and

@@ -100,6 +100,33 @@ def test_scalar_value_is_the_array_entry_bit_for_bit(kind, l0, l_final, t_ff, se
 
 
 @settings(max_examples=200, deadline=None)
+@given(
+    *_RAMP_ARGS,
+    st.one_of(
+        st.floats(-1e-8, 1.0 + 1e-8),  # inside, and on both sides of the 1e-9 t_ff slack
+        st.sampled_from([-0.0, -1e-9, 1.0 + 1e-9, -1.0, 2.0]),
+        st.floats(allow_nan=True, allow_infinity=True),
+    ),
+)
+def test_scalar_errors_and_values_match_the_0d_array_path(kind, l0, l_final, t_ff, frac):
+    # the Python-float path of value/velocity/acceleration against the 0-d array
+    # path it bypasses: the same ValueError message, or the same double bit for bit
+    traj = _ramp(kind, l0, l_final, t_ff)
+    t = frac * t_ff
+    for fn in (traj.value, traj.velocity, traj.acceleration):
+        try:
+            want = fn(np.float64(t))
+        except ValueError as exc:
+            with pytest.raises(ValueError) as scalar:
+                fn(t)
+            assert str(scalar.value) == str(exc)
+        else:
+            got = fn(t)
+            assert type(got) is float
+            assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+
+@settings(max_examples=200, deadline=None)
 @given(*_RAMP_ARGS)
 def test_ramps_stay_positive_and_hit_both_endpoints(kind, l0, l_final, t_ff):
     traj = _ramp(kind, l0, l_final, t_ff)
