@@ -7,14 +7,14 @@ Library layout:
   core         grids, complex fields, inner products
   trajectory   control ramps l(t)
   spectra      the two scale-invariant traps: level energies, potentials, amplitude tables
-  fastforward  regularization phase, driving potential, accelerated states of either trap
+  fastforward  regularization phase, trap coefficient with the drive, accelerated states of either trap
   propagator   Crank-Nicolson oracle for the driven Schroedinger equation
   cost         thermal traces, closed-form energy costs, Frobenius cost
   ie           inverse-engineering comparison protocol (Ermakov machinery)
   cli          scenario runner (`ffqd run|verify|preset`)
 """
 
-from .core import ComplexField, Grid, inner_product, norm, normalize
+from .core import ComplexField, Grid, inner_product, norm
 from .trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,
@@ -24,18 +24,13 @@ from .trajectory import (
 )
 from .spectra import BoxModel, HarmonicModel
 from .fastforward import (
-    PhaseFunctions,
     RegularizationSingularity,
     continuity_residual,
     dtheta_dx_numeric,
     psi_ff,
     psi_ff_values,
-    scaling_phase_functions,
     theta_numeric,
     trap_coefficient,
-    v_ff,
-    v_ff_generic,
-    v_tilde,
 )
 from .propagator import (
     PropagationError,

@@ -94,7 +94,7 @@ def lap2(f: np.ndarray, dx: float) -> np.ndarray:
 
 def cumint(f: np.ndarray, dx: float) -> np.ndarray:
     """Cumulative integral from the first grid point, Simpson-accurate (O(dx^4))."""
-    # only the generic-scheme phase check integrates on a grid; scipy loads here
+    # only the numeric regularization phase integrates on a grid; scipy loads here
     from scipy.integrate import cumulative_simpson
 
     return cumulative_simpson(np.asarray(f, dtype=float), dx=dx, initial=0.0)

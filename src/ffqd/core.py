@@ -77,10 +77,3 @@ def norm(f: ComplexField) -> float:
     """L2 norm under inner_product (real and non-negative by construction)."""
     return float(np.sqrt(max(inner_product(f, f).real, 0.0)))
 
-
-def normalize(f: ComplexField) -> ComplexField:
-    """Rescale to unit L2 norm on the grid."""
-    n = norm(f)
-    if n < 1e-300:
-        raise ValueError("cannot normalize a zero field")
-    return ComplexField(f.grid, f.values / n)

@@ -316,27 +316,24 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray):
 
 def _node_traces(
     model: Model,
-    trajs: Sequence[ControlTrajectory] | ControlTrajectory,
-    ts,
+    trajs: Sequence[ControlTrajectory],
+    ts: Sequence[np.ndarray],
     ens: ThermalEnsemble,
     n_points: int,
 ):
     """The thermal trace of internal_energy_numeric at the times of a sweep of ramps, in one pass.
 
     trajs is a sequence of ramps and ts the matching sequence of time arrays;
-    one array of traces per ramp is returned (a single ControlTrajectory and
-    time array are a sweep of one, and return one array).  The moments depend
-    on a node's l and its ramp's widest l (traj._l_max sizes the oscillator's
-    grid), so they are formed once per distinct (l, l_max), by exact
-    equality, in order of first appearance.
+    one array of traces per ramp is returned.  The moments depend on a node's
+    l and its ramp's widest l (traj._l_max sizes the oscillator's grid), so
+    they are formed once per distinct (l, l_max), by exact equality, in order
+    of first appearance.
     model._moment_blocks(l_max, l, f, n_top, n_points) yields them in blocks
     (nodes, x, rho0, rho1, ends), each node's moments on its grid x, and
     forms every row on its own, so every trace is bit-identical to its
     ramp's own call.  The finish takes blocks of at most _CHUNK_NODES of the
     sweep's nodes, with a(t) formed as fastforward.trap_coefficient forms it.
     """
-    if isinstance(trajs, ControlTrajectory):
-        return _node_traces(model, [trajs], [ts], ens, n_points)[0]
     ts = [np.asarray(t, dtype=float) for t in ts]
     _require_trace_points(n_points)  # before the empty ensemble's early return
     offsets = list(itertools.accumulate((t.size for t in ts), initial=0))
@@ -384,7 +381,7 @@ def internal_energy_numeric(
     the model's _moment_blocks and _trace_finish).  This is the one-node call of the
     pooled trace that cost_ff_numeric runs on all its nodes.
     """
-    return float(_node_traces(model, traj, np.array([float(t)]), ens, n_points)[0])
+    return float(_node_traces(model, [traj], [np.array([float(t)])], ens, n_points)[0][0])
 
 
 # ---------------------------------------------------------------------------

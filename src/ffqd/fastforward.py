@@ -2,27 +2,26 @@
 
 The machinery has two layers that validate each other:
 
-* numeric constructions straight from the defining relations: the phase
+* a numeric construction straight from the defining relation: the phase
   gradient is the weighted running integral of the parameter derivative of
-  the probability density, and the driving potential is assembled from the
-  generic five-term expression in the phase functions;
+  the probability density (theta_numeric, dtheta_dx_numeric), checked by the
+  residual of the continuity equation (continuity_residual);
 * closed forms shared by the scale-invariant traps V0 = l^-2 U(x/l), the box
   and the oscillator: the phase collapses to theta = (m/2 hbar) x^2 / l, the
-  driving potential to the quadratic -(m/2)(l_ddot/l) x^2 (v_ff), and the
-  accelerated state of level n to l^-1/2 phi_n(x/l; 1) times the gauge
-  factor exp(i (m/2 hbar)(l_dot/l) x^2) and the dynamical phase
+  driving potential to the quadratic V_FF = -(m/2)(l_ddot/l) x^2 (added to
+  the trap's own x^2 coefficient by trap_coefficient), and the accelerated
+  state of level n to l^-1/2 phi_n(x/l; 1) times the gauge factor
+  exp(i (m/2 hbar)(l_dot/l) x^2) and the dynamical phase
   E_n(1)/hbar int l^-2 dt (psi_ff on a grid, psi_ff_values on any x).  The
   model supplies only phi_n and E_n(1).
 
 Both models carry real eigenamplitudes, so eta = 0 and the first-order
-regularizing potential vanishes identically; the generic evaluators still
-accept complex states.
+regularizing potential vanishes identically.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -138,119 +137,15 @@ def continuity_residual(amplitude_of_l: Callable[[float], np.ndarray], l: float,
     return grad4(rho * _dtheta_dx(rho, drho_dl, grid), grid.dx) + drho_dl
 
 
-def v_tilde(
-    amplitude_of_l: Callable[[float], np.ndarray],
-    eta_of_l: Callable[[float], np.ndarray] | None,
-    theta: np.ndarray | None,
-    l: float,
-    grid: Grid,
-) -> np.ndarray:
-    """First-order regularizing potential, evaluated by finite differences.
-
-    V_tilde = -hbar Im[(d_l phi)/phi] - (hbar^2/m) Im[(d_x phi)/phi] d_x theta
-    with phi = amplitude * exp(i eta), d_l by centered difference of step
-    1e-5 l.  Identically zero for real states.
-    """
-    dl = _DL_REL * l
-
-    def phi(lp: float) -> np.ndarray:
-        amp = np.asarray(amplitude_of_l(lp), dtype=float)
-        if eta_of_l is None:
-            return amp.astype(complex)
-        return amp * np.exp(1j * np.asarray(eta_of_l(lp), dtype=float))
-
-    phi0 = phi(l)
-    dphi_dl = (phi(l + dl) - phi(l - dl)) / (2.0 * dl)
-    grad_phi = grad4(phi0, grid.dx)
-
-    dens = np.abs(phi0) ** 2
-    ok = dens >= _DENSITY_FLOOR
-    term_l = np.zeros(grid.n_points)
-    term_x = np.zeros(grid.n_points)
-    np.divide(dphi_dl.imag * phi0.real - dphi_dl.real * phi0.imag, dens, out=term_l, where=ok)
-    np.divide(grad_phi.imag * phi0.real - grad_phi.real * phi0.imag, dens, out=term_x, where=ok)
-
-    out = -term_l
-    if theta is not None:
-        out = out - term_x * grad4(np.asarray(theta, float), grid.dx)
-    return out
-
-
-@dataclass(frozen=True)
-class PhaseFunctions:
-    """theta and eta with the derivatives the generic driving potential needs.
-
-    Every entry is a callable (x_array, l) -> array; all six must be present.
-    """
-
-    theta: Callable[[np.ndarray, float], np.ndarray]
-    dtheta_dx: Callable[[np.ndarray, float], np.ndarray]
-    dtheta_dl: Callable[[np.ndarray, float], np.ndarray]
-    eta: Callable[[np.ndarray, float], np.ndarray]
-    deta_dx: Callable[[np.ndarray, float], np.ndarray]
-    deta_dl: Callable[[np.ndarray, float], np.ndarray]
-
-
-def scaling_phase_functions() -> PhaseFunctions:
-    """Closed-form phases shared by both models: theta = (m/2 hbar) x^2/l, eta = 0."""
-
-    def zero(x, l):
-        return np.zeros_like(np.asarray(x, dtype=float))
-
-    return PhaseFunctions(
-        theta=lambda x, l: 0.5 * np.asarray(x, float) ** 2 / l,
-        dtheta_dx=lambda x, l: np.asarray(x, float) / l,
-        dtheta_dl=lambda x, l: -0.5 * np.asarray(x, float) ** 2 / l**2,
-        eta=zero,
-        deta_dx=zero,
-        deta_dl=zero,
-    )
-
-
-def v_ff_generic(
-    phases: PhaseFunctions,
-    traj: ControlTrajectory,
-    t: float,
-    x: np.ndarray,
-) -> np.ndarray:
-    """Driving potential from the five-term generic expression in the phases.
-
-    V_FF = -(hbar^2/m) v th_x et_x - (hbar^2/2m) v^2 th_x^2
-           - hbar v et_l - hbar v_dot th - hbar v^2 th_l
-    where v is the instantaneous ramp velocity and everything is evaluated at
-    l = l(t).
-    """
-    for name in ("theta", "dtheta_dx", "dtheta_dl", "eta", "deta_dx", "deta_dl"):
-        if getattr(phases, name) is None:
-            raise ValueError(f"missing phase derivative function {name!r}")
-    l = traj.value(t)
-    v = traj.velocity(t)
-    vdot = traj.acceleration(t)
-    x = np.asarray(x, dtype=float)
-    th_x = phases.dtheta_dx(x, l)
-    return (
-        -v * th_x * phases.deta_dx(x, l)
-        - 0.5 * v * v * th_x**2
-        - v * phases.deta_dl(x, l)
-        - vdot * phases.theta(x, l)
-        - v * v * phases.dtheta_dl(x, l)
-    )
-
-
-def v_ff(x, t: float, traj: ControlTrajectory):
-    """Closed-form drive -(m/2)(l_ddot/l) x^2, the same for every scale-invariant trap."""
-    return _v_ff_coefficient(t, traj, traj.value(t)) * np.asarray(x, dtype=float) ** 2
-
-
 def _v_ff_coefficient(t, traj: ControlTrajectory, l):
-    """c of v_ff = c x^2: -(m/2) l_ddot/l, t a float or an array, l = traj.value(t) from the caller."""
+    """c of the drive V_FF = c x^2: -(m/2) l_ddot/l, t a float or an array, l = traj.value(t) from the caller."""
     return -0.5 * traj.acceleration(t) / l
 
 
 def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True) -> Callable:
     """a(t) of the trap potential V = a(t) x^2, t a float or an array.
 
-    model._v0_coefficient at l(t), plus v_ff's if driven.  In the box the
+    model._v0_coefficient at l(t), plus the drive's _v_ff_coefficient if driven.  In the box the
     scaled frame y = x/L only samples the inside, where v0 = 0.
     """
 

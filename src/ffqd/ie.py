@@ -93,8 +93,8 @@ def h_ie_expectation(sol: ErmakovSolution, t, beta: float) -> float:
     (1/2) [b_dot^2/(2 omega0) + omega^2 b^2/(2 omega0) + omega0/(2 b^2)]
     * coth(beta omega0 / 2), evaluated as printed in natural units.
     """
-    if beta <= 0:
-        raise ValueError("beta must be positive")
+    if not beta > 0:  # False for NaN too
+        raise ValueError(f"beta must be positive (inf for zero temperature), got {beta!r}")
     b = np.asarray(sol.b(t), dtype=float)
     bd = np.asarray(sol.b_dot(t), dtype=float)
     w2 = np.asarray(sol.omega_sq(t), dtype=float)

@@ -3,8 +3,8 @@
 Both are scale-invariant traps, V0(x; l) = l^-2 U(x/l), so
 E_n(l) = E_n(1) / l^2 and phi_n(x; l) = l^-1/2 phi_n(x/l; 1).  Model holds
 that scale law once; each trap supplies only its l = 1 data and its grid
-rule.  The amplitudes are real (the phase eta of the general scheme
-vanishes identically).
+rule.  The amplitudes are real, so a state's own phase eta vanishes
+identically.
 
 For the thermal trace of cost each trap forms the level sums a block of
 nodes at a time (_moment_blocks): the box from one shared L = 1 sine table,
@@ -165,8 +165,9 @@ class HarmonicModel(Model):
         level, as many as keep seven (nodes x half grid) arrays within
         _BLOCK_DOUBLES doubles (one at least); every operation is row-wise, so
         a node's moments do not depend on its block.  Node i's own rows
-        n <= n_top[i] must decay below 1e-6 at the grid end; the rows above
-        them only pad a block and are not checked.
+        n <= n_top[i] must decay below 1e-6 at the grid end and have a
+        positive trapezoid norm with a finite weight (ValueError otherwise);
+        the rows above them only pad a block, weigh 0 and are not checked.
         """
         half = self._half_width(l_max, n_top)
         c = 1 - n_points % 2  # points of the half grid below 0: the -d of an even grid's centre pair
@@ -185,8 +186,16 @@ class HarmonicModel(Model):
             edge = np.empty((top.max() + 1, nodes.size))
             for n, h in zip(range(top.max() + 1), _hermite_levels((scale * half[nodes])[:, None] * u)):
                 np.multiply(h, h, out=sq)
-                # f_n over the full grid's trapezoid norm dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
-                w = (occ[:, n] / (dx * (2.0 * sq.sum(axis=1) - (1 + c) * sq[:, 0] - sq[:, -1])))[:, None]
+                # f_n over the full grid's trapezoid norm dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2), 0 above top
+                nrm = dx * (2.0 * sq.sum(axis=1) - (1 + c) * sq[:, 0] - sq[:, -1])
+                own = n <= top
+                with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+                    w = np.where(own, occ[:, n] / nrm, 0.0)[:, None]
+                # a grid too coarse for a level samples it only where it has underflowed: its norm
+                # is 0, or so small that f_n over it overflows
+                bad = np.flatnonzero(own & ~((nrm > 0.0) & np.isfinite(w[:, 0])))
+                if bad.size:
+                    raise ValueError(f"grid too coarse for level n={n}: trapezoid norm {nrm[bad[0]]:.3e}")
                 sq *= w
                 rho0 += sq
                 pair = np.multiply(h[:, :-1], h[:, 1:], out=sq[:, 1:])
@@ -212,10 +221,9 @@ class HarmonicModel(Model):
         """(7 + sqrt(2 n_max + 1)) ground-state widths, the width at R being R itself."""
         return R * (7.0 + np.sqrt(2.0 * n_max + 1.0))
 
-    def default_grid(self, R: float, n_points: int, n_max: int = 0) -> Grid:
-        """The grid of length scale R: [-8 R, 8 R], widened for excited levels up to n_max."""
-        half = self._half_width(R, n_max)
-        return Grid(-half, half, n_points)
+    def default_grid(self, R: float, n_points: int) -> Grid:
+        """The grid of length scale R: [-8 R, 8 R], _half_width at the ground level."""
+        return Grid(-8.0 * R, 8.0 * R, n_points)
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ffqd.core import ComplexField, Grid
+from ffqd.core import ComplexField, Grid, norm
 from ffqd.spectra import BoxModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
@@ -31,6 +31,12 @@ BOTH_RAMPS = (POLYNOMIAL, TRIGONOMETRIC)
 def box_state(n: int, L: float, grid: Grid) -> ComplexField:
     """Box eigenstate n at wall position L on a grid spanning [0, L]."""
     return ComplexField(grid, BoxModel().amplitudes(n, L, grid)[n - 1])
+
+
+def normalized(grid: Grid, values) -> ComplexField:
+    """The field of values on grid, rescaled to unit norm."""
+    f = ComplexField(grid, values)
+    return ComplexField(grid, f.values / norm(f))
 
 
 def src_env() -> dict:

@@ -79,6 +79,9 @@ _BAD_OVERRIDES = [
     "outputs=cost_curve,cost_curve",
     "ramp=linear outputs=cost_curve",
     "system=harmonic ramp=linear outputs=ie_compare",
+    # grids too coarse for a level of the narrowest nodes (omega 1 -> 100 at 9 points, 1 -> 400 at 8)
+    "system=harmonic ramp=trigonometric omegaF=100 beta=0.375 n_particles=21 grid_points=9 outputs=ie_compare",
+    "system=harmonic ramp=trigonometric omegaF=400 beta=0.375 n_particles=21 grid_points=8 outputs=ie_compare",
 ]
 
 
@@ -90,7 +93,7 @@ def test_invalid_scenario_exits_2_without_traceback(tmp_path, capsys, overrides)
     err = capsys.readouterr().err
     assert "invalid scenario" in err
     assert "Traceback" not in err
-    assert not (tmp_path / "out" / "cost_curve.csv").exists()
+    assert not list((tmp_path / "out").glob("*.csv"))
 
 
 def test_scenario_boundary_values_accepted():

@@ -588,7 +588,8 @@ def _per_node_trace(model, traj, t, ens, n_points):
         amps = np.sqrt(2.0 / l) * np.sin(ns[:, None] * np.pi * grid.points / l)
         amps[:, [0, -1]] = 0.0
     else:
-        grid = model.default_grid(traj._l_max, n_points, n_max=int(ns[-1]))
+        half = model._half_width(traj._l_max, int(ns[-1]))
+        grid = Grid(-half, half, n_points)
         scale = np.sqrt(1.0 / (l * l))
         amps = _hermite_functions(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
         amps /= np.sqrt(np.trapezoid(amps * amps, dx=grid.dx, axis=1))[:, None]
@@ -622,9 +623,9 @@ def test_batched_trace_matches_per_node_reference(scenario):
         refs = [_per_node_trace(model, traj, float(t), ens, n_points) for t in ts]
     except ValueError:
         with pytest.raises(ValueError):
-            _node_traces(model, traj, ts, ens, n_points)
+            _node_traces(model, [traj], [ts], ens, n_points)
         return
-    got = _node_traces(model, traj, ts, ens, n_points)
+    (got,) = _node_traces(model, [traj], [ts], ens, n_points)
     for g, (ref, scale) in zip(got, refs):
         assert abs(g - ref) <= 1e-12 * scale
     weights = np.polynomial.legendre.leggauss(n_nodes)[1]
@@ -645,6 +646,35 @@ def test_batched_edge_check_sees_each_nodes_own_rows_only():
     # a node whose own rows leak raises inside the same block
     with pytest.raises(ValueError, match="grid too narrow for levels up to n=2"):
         list(model._moment_blocks(1.0, np.array([1.0, 3.0, 1.0]), occ, np.array([2, 2, 60]), 64))
+
+
+@pytest.mark.parametrize(
+    "r_final, n_points, norm",
+    [(0.1, 9, r"0\.000e\+00"), (0.05, 8, r"0\.000e\+00"), (0.086, 9, r"\d\.\d{3}e-3(0[89]|[12]\d)")],
+    ids=["zero_norm_9_points", "zero_norm_8_points", "subnormal_norm_9_points"],
+)
+def test_grid_too_coarse_for_a_level_raises(r_final, n_points, norm):
+    # omega 1 -> 100 and 1 -> 400 on grids sized for R = 1: the narrowest nodes sample
+    # their odd levels (9 points, the centre at 0) or every level (8 points) only where
+    # the Gaussian has underflowed to 0, so that level's trapezoid norm is 0; at R 1 -> 0.086
+    # it is a subnormal whose weight f_n / norm overflows.  Either division would warn,
+    # which this suite turns into an error
+    traj = ho_ramp(TRIGONOMETRIC, r_final=r_final)
+    with pytest.raises(ValueError, match=rf"grid too coarse for level n=\d+: trapezoid norm {norm}$"):
+        cost_ff_numeric(HarmonicModel(), traj, ThermalEnsemble(beta=0.375, n_particles=21), n_points=n_points)
+
+
+def test_rows_above_a_nodes_top_level_add_exact_zeros():
+    # node 0 (l = 0.1 on a grid sized for l = 1, top level 0) sees its levels at the
+    # centre point only, where the odd ones vanish: padded up to node 1's top level 3
+    # in one block, its rows 1..3 have norm 0, weigh 0 and leave its moments as alone
+    model, occ = HarmonicModel(), np.ones((2, 4))
+    l, top = np.array([0.1, 1.0]), np.array([0, 3])
+    ((nodes, *pooled),) = model._moment_blocks(1.0, l, occ, top, 9)
+    ((_, *alone),) = model._moment_blocks(1.0, l[:1], occ[:1], top[:1], 9)
+    row = nodes.tolist().index(0)
+    for p, a in zip(pooled, alone):
+        assert np.all(np.isfinite(p)) and np.array_equal(p[row], a[0])
 
 
 def _full_grid_stack_trace(l, half, f, n_points, g, a):
@@ -813,7 +843,11 @@ def _box_x2_exact(L, n_max):
 
 def _x2_grid(model, l, n_max, n_points):
     """<k|x^2|m> of the levels up to n_max by the trapezoid rule on the node's own grid at l."""
-    grid = Grid(0.0, l, n_points) if model.n_min else model.default_grid(l, n_points, n_max)
+    if model.n_min:
+        grid = Grid(0.0, l, n_points)
+    else:
+        half = model._half_width(l, n_max)
+        grid = Grid(-half, half, n_points)
     amps = model.amplitudes(n_max, l, grid)
     w = np.full(grid.n_points, grid.dx)
     w[0] = w[-1] = 0.5 * grid.dx

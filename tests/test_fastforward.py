@@ -3,17 +3,14 @@ import pytest
 
 from ffqd.core import Grid, inner_product
 from ffqd.fastforward import (
-    PhaseFunctions,
     RegularizationSingularity,
+    _v_ff_coefficient,
     continuity_residual,
     dtheta_dx_numeric,
     psi_ff,
     psi_ff_values,
-    scaling_phase_functions,
     theta_numeric,
-    v_ff,
-    v_ff_generic,
-    v_tilde,
+    trap_coefficient,
 )
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
@@ -108,70 +105,44 @@ def test_singularity_detected():
 
 
 # ---------------------------------------------------------------------------
-# regularizing potential
-
-
-def test_v_tilde_vanishes_for_real_states():
-    grid = Grid(0.0, 1.0, 1024)
-    out = v_tilde(box_amplitude_fn(2, grid), None, None, 1.0, grid)
-    np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-    gridh = Grid(-9.0, 9.0, 1024)
-    model = HarmonicModel()
-    amp = lambda l: model.amplitudes(0, l, gridh)[0]
-    theta = theta_numeric(amp, 1.0, gridh)
-    out = v_tilde(amp, None, theta, 1.0, gridh)
-    np.testing.assert_allclose(out, 0.0, atol=1e-12)
-
-
-def test_v_tilde_synthetic_complex_state():
-    # phi = amplitude * exp(i x l): d_l eta = x, so V_tilde = -hbar x away from
-    # the amplitude zeros (walls return 0 by convention)
-    grid = Grid(0.0, 1.0, 512)
-    x = grid.points
-    out = v_tilde(box_amplitude_fn(1, grid), lambda l: x * l, None, 1.0, grid)
-    np.testing.assert_allclose(out[1:-1], -x[1:-1], atol=1e-9)
-
-
-# ---------------------------------------------------------------------------
 # driving potential
 
 
 def test_v_ff_zero_without_motion():
     traj = ControlTrajectory.adiabatic_linear(1.0, 0.0, 1.0)
-    x = np.linspace(0.0, 1.0, 64)
-    np.testing.assert_allclose(v_ff(x, 0.5, traj), 0.0, atol=1e-15)
+    np.testing.assert_array_equal(trap_coefficient(BoxModel(), traj)(np.linspace(0.0, 1.0, 64)), 0.0)
 
 
 def test_v_ff_box_value_at_ramp_start():
-    traj = box_ramp(POLYNOMIAL)  # vbar = 54, L_dd(0) = 54
-    assert v_ff(1.0, 0.0, traj) == pytest.approx(-27.0, rel=1e-12)
+    traj = box_ramp(POLYNOMIAL)  # vbar = 54, L_dd(0) = 54; the box's own v0 is 0
+    assert trap_coefficient(BoxModel(), traj)(0.0) == pytest.approx(-27.0, rel=1e-12)
 
 
 def test_v_ff_trig_sign_flip_across_midpoint():
-    traj = box_ramp(TRIGONOMETRIC)
-    early = v_ff(0.5, 0.25, traj)
-    late = v_ff(0.5, 0.75, traj)
-    assert early < 0.0 < late  # wall acceleration changes sign at T/2
+    a = trap_coefficient(BoxModel(), box_ramp(TRIGONOMETRIC))
+    assert a(0.25) < 0.0 < a(0.75)  # wall acceleration changes sign at T/2
+
+
+def _five_term_drive(traj, t, x):
+    """The paper's V_FF = -v th_x et_x - v^2 th_x^2 / 2 - v et_l - v_dot th - v^2 th_l (hbar = m = 1).
+
+    v is the ramp velocity and the phases of the scale-invariant traps,
+    theta = x^2 / 2l and eta = 0, are taken at l = l(t).
+    """
+    l, v, vdot = traj.value(t), traj.velocity(t), traj.acceleration(t)
+    th, th_x, th_l = 0.5 * x * x / l, x / l, -0.5 * x * x / (l * l)
+    et_x = et_l = np.zeros_like(x)
+    return -v * th_x * et_x - 0.5 * v * v * th_x**2 - v * et_l - vdot * th - v * v * th_l
 
 
 @pytest.mark.parametrize("kind", BOTH_RAMPS)
 @pytest.mark.parametrize("system", ["box", "ho"])
 def test_generic_drive_matches_closed_form(system, kind):
     traj = box_ramp(kind) if system == "box" else ho_ramp(kind)
-    phases = scaling_phase_functions()
     x = np.linspace(0.0, 1.0, 257) if system == "box" else np.linspace(-6.0, 6.0, 257)
     for t in (0.1, 0.35, 0.8):
-        generic = v_ff_generic(phases, traj, t, x)
-        np.testing.assert_allclose(generic, v_ff(x, t, traj), atol=1e-8)
-
-
-def test_generic_drive_requires_all_phase_functions():
-    traj = box_ramp(POLYNOMIAL)
-    ph = scaling_phase_functions()
-    broken = PhaseFunctions(ph.theta, None, ph.dtheta_dl, ph.eta, ph.deta_dx, ph.deta_dl)
-    with pytest.raises(ValueError):
-        v_ff_generic(broken, traj, 0.5, np.linspace(0.0, 1.0, 16))
+        closed = _v_ff_coefficient(t, traj, traj.value(t)) * x**2
+        np.testing.assert_allclose(_five_term_drive(traj, t, x), closed, atol=1e-8)
 
 
 # ---------------------------------------------------------------------------
@@ -233,7 +204,8 @@ def test_values_extension_matches_field_inside(model):
         grid = Grid(0.0, traj.value(t), 512)
     else:
         traj = ho_ramp(TRIGONOMETRIC)
-        grid = model.default_grid(1.0, 512, n_max=2)
+        half = model._half_width(1.0, 2)
+        grid = Grid(-half, half, 512)
     for n in (model.n_min, model.n_min + 2):
         field = psi_ff(model, n, t, traj, grid)
         vals = psi_ff_values(model, n, t, traj, grid.points)
@@ -241,15 +213,8 @@ def test_values_extension_matches_field_inside(model):
 
 
 def test_level_fields_per_model():
-    # the fields of one accelerated level: theta, eta, v_tilde, v_ff, psi_ff
+    # the accelerated level psi_ff of each model
     traj = box_ramp(POLYNOMIAL)
-    phases = scaling_phase_functions()
-    x = np.linspace(0.0, 1.0, 65)
-    np.testing.assert_allclose(phases.theta(x, 2.0), 0.25 * x * x, atol=1e-14)
-    np.testing.assert_allclose(phases.eta(x, 2.0), 0.0)
-    grid1 = Grid(0.0, 2.0, 65)
-    np.testing.assert_allclose(v_tilde(box_amplitude_fn(1, grid1), None, None, 2.0, grid1), 0.0)
-    np.testing.assert_allclose(v_ff(x, 0.0, traj), -27.0 * x * x, atol=1e-10)
     grid = Grid(0.0, traj.value(0.5), 256)
     psi = psi_ff(BoxModel(), 1, 0.5, traj, grid)
     assert inner_product(psi, psi).real == pytest.approx(1.0, abs=1e-10)

@@ -74,6 +74,15 @@ def test_cost_ie_nonincreasing_in_t_ff():
     assert all(b <= a + 1e-12 for a, b in zip(costs, costs[1:]))
 
 
+@pytest.mark.parametrize("beta", [np.nan, 0.0, -1.0])
+def test_non_positive_or_nan_beta_rejected(beta):
+    # bad input, not a quadrature that fails to converge on a NaN integrand
+    sol = ErmakovSolution(1.0, 10.0, 1.0)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        h_ie_expectation(sol, 0.5, beta)
+    with pytest.raises(ValueError, match="beta must be positive"):
+        cost_ie(sol, beta)
+
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["omega0", "omegaF", "t_ff"])

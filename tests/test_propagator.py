@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgtsv
 
-from ffqd.core import ComplexField, Grid, normalize
+from ffqd.core import ComplexField, Grid
 from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
 from ffqd.propagator import (
     PropagationError,
@@ -19,7 +19,7 @@ from ffqd.propagator import (
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
-from helpers import box_ramp, box_state, ho_ramp, static_ramp
+from helpers import box_ramp, box_state, ho_ramp, normalized, static_ramp
 
 
 def zero_potential(t):
@@ -45,7 +45,7 @@ def test_free_gaussian_dispersion():
     grid = Grid(-25.0, 25.0, 4096)
     x = grid.points
     a0 = 1.0
-    psi0 = normalize(ComplexField(grid, np.exp(-x * x / (2.0 * a0 * a0))))
+    psi0 = normalized(grid, np.exp(-x * x / (2.0 * a0 * a0)))
     t_final = 1.0
     out = propagate(psi0, PropagationSpec(grid, 2.5e-4, t_final, zero_potential, static_ramp(t_final)))
     var = np.trapezoid(x * x * np.abs(out.values) ** 2, dx=grid.dx)
@@ -106,7 +106,7 @@ def test_fidelity_properties():
 def test_fidelity_at_most_one(n, width, seed):
     rng = np.random.default_rng(seed)
     grid = Grid(-0.5 * width, 0.5 * width, n)
-    a, b = (normalize(ComplexField(grid, rng.normal(size=n) + 1j * rng.normal(size=n))) for _ in range(2))
+    a, b = (normalized(grid, rng.normal(size=n) + 1j * rng.normal(size=n)) for _ in range(2))
     assert fidelity(a, b) <= 1.0 + 1e-12
     assert fidelity(a, a) <= 1.0 + 1e-12
 
@@ -365,7 +365,7 @@ def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_
     rng = np.random.default_rng(seed)
     xi = (grid.points - grid.x_min) / (grid.x_max - grid.x_min)
     modes = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
-    psi0 = normalize(ComplexField(grid, (modes * np.sin(np.pi * np.arange(1, 4)[:, None] * xi)).sum(axis=0)))
+    psi0 = normalized(grid, (modes * np.sin(np.pi * np.arange(1, 4)[:, None] * xi)).sum(axis=0))
     t_final = t_ff if moving else 0.5 * t_ff
     ramp = traj if moving else static_ramp(t_final)
     out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, coefficient, ramp))
