@@ -15,6 +15,15 @@ stays Hermitian and the Cayley step exactly unitary.  y spans the initial
 grid over l(0), hard walls at both ends: a box grid [0, L(0)] becomes [0, 1],
 an oscillator grid follows R(t), and a static run takes a constant ramp.
 
+The Hamiltonian is even under y -> -y, so on a frame grid symmetric about 0
+the Cayley matrix is persymmetric and keeps mirror-even and mirror-odd states
+in their own subspace.  A psi0 whose interior is mirror-even or -odd (within
+1e-13 of max|psi0|) on such a grid, as every oscillator level is on its
+default grid, is stepped on the right half of the interior alone: the
+mirror image of the first half-grid unknown folds into one entry of the
+matrix, and the solve has half the rows.  The box frame [0, 1], asymmetric
+grids and states of no parity run the full interior.
+
 The half-step potential V(x, t + dt/2) keeps the scheme second order in time
 for explicitly time-dependent Hamiltonians.  s, s_dot and a are evaluated at
 every half step in one vectorised call each before the loop, where the bound
@@ -50,6 +59,7 @@ from .trajectory import ControlTrajectory
 _NORM_DRIFT_LIMIT = 1e-6
 _NORM_CHECK_STRIDE = 16
 _EDGE_LIMIT = 1e-5  # |psi0| at both grid ends
+_PARITY_LIMIT = 1e-13  # mirror asymmetry of psi0's interior, relative to max|psi0|
 
 
 class PropagationError(RuntimeError):
@@ -117,8 +127,26 @@ def _frame(spec: PropagationSpec, psi0: ComplexField, t_half: np.ndarray):
     return Grid(g.x_min / l0, g.x_max / l0, g.n_points), ramp.value(t_half), ramp.velocity(t_half), scale
 
 
-def _physical(frame: Grid, u: np.ndarray, s: float) -> tuple[Grid, np.ndarray]:
-    """(grid, values) of psi(x) = s^-1/2 u(x / s) on [s y_min, s y_max], zero at both ends."""
+def _parity(grid: Grid, values: np.ndarray) -> int:
+    """1 or -1 if the interior of values is mirror-even or -odd on a grid symmetric about 0, else 0."""
+    if grid.x_min != -grid.x_max:
+        return 0
+    inner = values[1:-1]
+    bound = _PARITY_LIMIT * np.abs(values).max()
+    for sign in (1, -1):
+        if np.abs(inner - sign * inner[::-1]).max() <= bound:
+            return sign
+    return 0
+
+
+def _physical(frame: Grid, u: np.ndarray, s: float, sign: int) -> tuple[Grid, np.ndarray]:
+    """(grid, values) of psi(x) = s^-1/2 u(x / s) on [s y_min, s y_max], zero at both ends.
+
+    With a mirror sign (0: none), u is the right half of the interior from its centre
+    point or pair, and the left half is its mirror image times sign.
+    """
+    if sign:
+        u = np.concatenate([sign * u[frame.n_points % 2 :][::-1], u])
     out = np.zeros(frame.n_points, dtype=complex)
     out[1:-1] = u / math.sqrt(s)
     return Grid(s * frame.x_min, s * frame.x_max, frame.n_points), out
@@ -136,7 +164,9 @@ def propagate(
     finite or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the
     interior points, dt the stepped t_final / n_steps; the bound is
     max|a(t) s(t)^2| max y^2), and ValueError if psi0 does not vanish at the
-    grid ends or the run would leave the ramp's [0, t_ff].  While
+    grid ends, does not live on spec.grid or the run would leave the
+    ramp's [0, t_ff].  A psi0 of definite parity on a grid symmetric about
+    0 is stepped on the half grid (see the module docstring).  While
     stepping, raises PropagationError if the norm drifts by more than 1e-6
     (or turns NaN) at any checkpoint.  Snapshots go to snapshot_path every
     snapshot_stride >= 1 steps: ValueError unless both or neither are given.
@@ -145,6 +175,8 @@ def propagate(
         raise ValueError(
             f"snapshot_path and a snapshot_stride >= 1 go together; got {snapshot_path!r}, {snapshot_stride!r}"
         )
+    if psi0.grid != spec.grid:
+        raise ValueError(f"psi0 lives on {psi0.grid}, the run on {spec.grid}")
     n_steps = max(1, int(round(spec.t_final / spec.dt)))
     dt = spec.t_final / n_steps
     t_half = (np.arange(n_steps) + 0.5) * dt
@@ -155,8 +187,6 @@ def propagate(
 
     dy = frame.dx
     y = frame.points[1:-1]
-    y2 = (y * y).astype(complex)
-    y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
     # A = 1 + i lam H at every half step: kinetic lam/(2 s^2 dy^2),
     # dilation lam (s_dot/s)/(4 dy) and potential lam a s^2 y^2
     lam = dt / 2.0
@@ -171,8 +201,18 @@ def propagate(
             raise PropagationError(f"potential is not finite at step {step}/{n_steps}")
         raise PropagationError(f"time step too coarse: dt*max|V|/hbar = {worst:.3g} >= 0.5")
 
-    zgtsv = _zgtsv()
     u = math.sqrt(scale(0.0)) * psi0.values[1:-1]  # unitary map to the frame
+    sign = _parity(spec.grid, psi0.values)  # 0: no mirror, the full interior is stepped
+    centre = frame.n_points % 2  # 1: the interior has a centre point y = 0
+    if sign:  # the right half of the interior, from its centre point or pair
+        h = y.size // 2
+        y = y[h:].copy()
+        if centre:
+            y[0] = 0.0
+        u = 0.5 * (u[h:] + sign * u[::-1][h:])
+    y2 = (y * y).astype(complex)
+    y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
+    zgtsv = _zgtsv()
     w = np.empty_like(u)
     d = np.empty_like(u)
     du = np.empty(u.size - 1, dtype=complex)
@@ -180,7 +220,7 @@ def propagate(
     writer = None if snapshot_path is None else _SnapshotWriter(snapshot_path, snapshot_stride)
     try:
         if writer:
-            writer.write(0.0, *_physical(frame, u, scale(0.0)))
+            writer.write(0.0, *_physical(frame, u, scale(0.0), sign))
         for step in range(n_steps):
             sk = s.item(step)
             np.multiply(y2, 1j * pot.item(step), out=d)
@@ -189,16 +229,21 @@ def propagate(
             np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
             du -= 1j * k
             np.subtract(-2j * k, du, out=dl)  # dl = -i lam k + lam q y_pair, exactly
+            if sign:  # the first unknown's coupling to its mirror image, which is sign times itself
+                if centre:
+                    du[0] *= 1 + sign  # the mirrored lower coupling equals du[0]
+                else:
+                    d[0] -= sign * 1j * k  # the centre pair's dilation terms cancel
             u, w = _cayley_step(dl, d, du, u, w, zgtsv), u
             done, last = step + 1, step + 1 == n_steps
             if done % _NORM_CHECK_STRIDE == 0 or last:
-                _check_norm(u, dy, done, n_steps)
+                _check_norm(u, dy, done, n_steps, sign, centre)
             if writer and (last or done % writer.stride == 0):
-                writer.write(done * dt, *_physical(frame, u, scale(done * dt)))
+                writer.write(done * dt, *_physical(frame, u, scale(done * dt), sign))
     finally:
         if writer is not None:
             writer.close()
-    return ComplexField(*_physical(frame, u, scale(spec.t_final)))
+    return ComplexField(*_physical(frame, u, scale(spec.t_final), sign))
 
 
 @functools.cache
@@ -248,10 +293,15 @@ def _cayley_step(dl, d, du, u: np.ndarray, w: np.ndarray, zgtsv) -> np.ndarray:
     return x
 
 
-def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int) -> None:
+def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int, sign: int, centre: int) -> None:
     """Norm drift check on the interior values; the Dirichlet endpoints are zero,
-    so the trapezoid rule reduces to dx times the plain sum of |psi|^2."""
-    nrm = float(np.sqrt(dx * np.vdot(interior, interior).real))
+    so the trapezoid rule reduces to dx times the plain sum of |psi|^2.  With a
+    mirror sign the values are the right half of the interior from its centre
+    point (centre = 1) or pair: the full sum is twice theirs, a centre point once."""
+    sq = np.vdot(interior, interior).real
+    if sign:
+        sq = 2.0 * sq - centre * abs(interior[0]) ** 2
+    nrm = float(np.sqrt(dx * sq))
     if not abs(nrm - 1.0) <= _NORM_DRIFT_LIMIT:  # NaN fails this test too
         raise PropagationError(
             f"norm drifted to {nrm!r} at step {step}/{n_steps} (|drift| > {_NORM_DRIFT_LIMIT:g})"

@@ -168,8 +168,20 @@ class HarmonicModel(Model):
         n <= n_top[i] must decay below 1e-6 at the grid end and have a
         positive trapezoid norm with a finite weight (ValueError otherwise);
         the rows above them only pad a block, weigh 0 and are not checked.
+        Before any level is formed, a node's spacing dx must not exceed
+        pi l / sqrt(2 n_top + 1), half the local period of its top level at
+        the centre (ValueError otherwise): a coarser grid gives finite but
+        wrong moments.
         """
         half = self._half_width(l_max, n_top)
+        spacing = 2.0 * half / (n_points - 1)
+        limit = np.pi * l / np.sqrt(2.0 * n_top + 1.0)
+        i = np.argmax(spacing / limit)  # the worst node; a NaN is taken first and fails too
+        if not spacing[i] <= limit[i]:
+            raise ValueError(
+                f"grid too coarse for level n={n_top[i]} at l={l[i]:.4g}: "
+                f"dx {spacing[i]:.3e} > pi l / sqrt(2n + 1) = {limit[i]:.3e}"
+            )
         c = 1 - n_points % 2  # points of the half grid below 0: the -d of an even grid's centre pair
         u = np.arange(-c, n_points, 2) / (n_points - 1)  # x / half on the half grid
         size = max(1, _BLOCK_DOUBLES // (7 * u.size))
@@ -178,7 +190,7 @@ class HarmonicModel(Model):
             nodes = order[start : start + size]
             top = n_top[nodes]
             occ = f[nodes]
-            dx = 2.0 * half[nodes] / (n_points - 1)
+            dx = spacing[nodes]
             scale = np.sqrt(1.0 / (l[nodes] * l[nodes]))  # sqrt(omega)
             rho0, sq = np.zeros((nodes.size, u.size)), np.empty((nodes.size, u.size))
             rho1 = np.zeros((nodes.size, u.size - 1))

@@ -570,7 +570,8 @@ def _per_node_trace(model, traj, t, ens, n_points):
     Per-node energies E_n(l), a scalar mu, the node's own grid and amplitude
     table (sines at L, or grid-normalized Hermite functions), the drive
     -(m/2)(l_ddot/l) x^2, and the complex-table trace of the reference above.
-    Returns (trace, scale) or raises ValueError like the library.
+    Returns (trace, scale) or raises ValueError like the library, also where an
+    oscillator grid has fewer than two points per local period of its top level.
     """
     l, ldot, lddot = traj.value(t), traj.velocity(t), traj.acceleration(t)
     n_max = max(4 * ens.n_particles + 16, 64)
@@ -590,6 +591,8 @@ def _per_node_trace(model, traj, t, ens, n_points):
     else:
         half = model._half_width(traj._l_max, int(ns[-1]))
         grid = Grid(-half, half, n_points)
+        if grid.dx > np.pi * l / np.sqrt(2.0 * ns[-1] + 1.0):
+            raise ValueError("grid too coarse for the top level")
         scale = np.sqrt(1.0 / (l * l))
         amps = _hermite_functions(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
         amps /= np.sqrt(np.trapezoid(amps * amps, dx=grid.dx, axis=1))[:, None]
@@ -635,9 +638,10 @@ def test_batched_trace_matches_per_node_reference(scenario):
 def test_batched_edge_check_sees_each_nodes_own_rows_only():
     model = HarmonicModel()
     occ = np.ones((3, 61))
-    # grids sized for the widest l = 1; node 0 needs levels up to 2, node 1 up to 60:
-    # one block, one recurrence up to level 60
-    ((nodes, x, *_),) = model._moment_blocks(1.0, np.array([1.0, 1.0]), occ[:2], np.array([2, 60]), 64)
+    # grids sized for the widest l = 1; node 0 needs levels up to 2, node 1 up to 60
+    # (128 points give node 1 two per local period of level 60): one block, one
+    # recurrence up to level 60
+    ((nodes, x, *_),) = model._moment_blocks(1.0, np.array([1.0, 1.0]), occ[:2], np.array([2, 60]), 128)
     assert nodes.tolist() == [0, 1]
     # node 0's padded rows leak at the edge of its narrow grid and did not raise
     table = _hermite_functions(60, x[0])
@@ -645,33 +649,46 @@ def test_batched_edge_check_sees_each_nodes_own_rows_only():
     assert np.max(np.abs(table[:3, [0, -1]])) < 1e-6
     # a node whose own rows leak raises inside the same block
     with pytest.raises(ValueError, match="grid too narrow for levels up to n=2"):
-        list(model._moment_blocks(1.0, np.array([1.0, 3.0, 1.0]), occ, np.array([2, 2, 60]), 64))
+        list(model._moment_blocks(1.0, np.array([1.0, 3.0, 1.0]), occ, np.array([2, 2, 60]), 128))
 
 
 @pytest.mark.parametrize(
-    "r_final, n_points, norm",
-    [(0.1, 9, r"0\.000e\+00"), (0.05, 8, r"0\.000e\+00"), (0.086, 9, r"\d\.\d{3}e-3(0[89]|[12]\d)")],
+    "r_final, n_points",
+    [(0.1, 9), (0.05, 8), (0.086, 9)],
     ids=["zero_norm_9_points", "zero_norm_8_points", "subnormal_norm_9_points"],
 )
-def test_grid_too_coarse_for_a_level_raises(r_final, n_points, norm):
+def test_grid_too_coarse_for_a_level_raises(r_final, n_points):
     # omega 1 -> 100 and 1 -> 400 on grids sized for R = 1: the narrowest nodes sample
     # their odd levels (9 points, the centre at 0) or every level (8 points) only where
-    # the Gaussian has underflowed to 0, so that level's trapezoid norm is 0; at R 1 -> 0.086
-    # it is a subnormal whose weight f_n / norm overflows.  Either division would warn,
-    # which this suite turns into an error
+    # the Gaussian has underflowed to 0, so that level's trapezoid norm would be 0, or
+    # at R 1 -> 0.086 a subnormal whose weight f_n / norm overflows.  The spacing
+    # guard rejects these grids before any level is formed
     traj = ho_ramp(TRIGONOMETRIC, r_final=r_final)
-    with pytest.raises(ValueError, match=rf"grid too coarse for level n=\d+: trapezoid norm {norm}$"):
+    with pytest.raises(ValueError, match=r"grid too coarse for level n=\d+ at l=0\.\d+: dx \d\.\d{3}e\+00 > pi l / sqrt\(2n \+ 1\) = "):
         cost_ff_numeric(HarmonicModel(), traj, ThermalEnsemble(beta=0.375, n_particles=21), n_points=n_points)
 
 
+@pytest.mark.parametrize("n_points, rejected", [(9, True), (64, True), (256, True), (512, False), (1024, False)])
+def test_grid_coarser_than_half_the_top_levels_period_raises(n_points, rejected):
+    # R 1 -> 0.15 on grids sized for R = 1: at the narrowest node dx / (pi l / sqrt(2 n_top + 1))
+    # is 50, 6.4, 1.6, 0.79 and 0.39.  Unguarded, the first three gave the finite but
+    # wrong traces 22133, 1391 and 2260 against 2668 at 512 points and 2816 at 1024
+    traj = ho_ramp(TRIGONOMETRIC, r_final=0.15)
+    ens = ThermalEnsemble(beta=0.375, n_particles=21)
+    if rejected:
+        with pytest.raises(ValueError, match=r"grid too coarse for level n=\d+ at l=0\.15\d*: "):
+            cost_ff_numeric(HarmonicModel(), traj, ens, n_points=n_points)
+    else:
+        assert 2600.0 < cost_ff_numeric(HarmonicModel(), traj, ens, n_points=n_points) < 2900.0
+
+
 def test_rows_above_a_nodes_top_level_add_exact_zeros():
-    # node 0 (l = 0.1 on a grid sized for l = 1, top level 0) sees its levels at the
-    # centre point only, where the odd ones vanish: padded up to node 1's top level 3
-    # in one block, its rows 1..3 have norm 0, weigh 0 and leave its moments as alone
+    # node 0 (l = 0.1 on a grid sized for l = 1, top level 0), padded up to node 1's
+    # top level 3 in one block: its rows 1..3 weigh 0 and leave its moments as alone
     model, occ = HarmonicModel(), np.ones((2, 4))
     l, top = np.array([0.1, 1.0]), np.array([0, 3])
-    ((nodes, *pooled),) = model._moment_blocks(1.0, l, occ, top, 9)
-    ((_, *alone),) = model._moment_blocks(1.0, l[:1], occ[:1], top[:1], 9)
+    ((nodes, *pooled),) = model._moment_blocks(1.0, l, occ, top, 65)
+    ((_, *alone),) = model._moment_blocks(1.0, l[:1], occ[:1], top[:1], 65)
     row = nodes.tolist().index(0)
     for p, a in zip(pooled, alone):
         assert np.all(np.isfinite(p)) and np.array_equal(p[row], a[0])
@@ -695,9 +712,12 @@ def _full_grid_stack_trace(l, half, f, n_points, g, a):
 
 @pytest.mark.parametrize("n_points", [8, 9, 1024, 1025])
 def test_oscillator_trace_grid_is_mirror_symmetric(n_points):
-    l, top = np.array([1.0, 0.7, 3.1]), np.array([0, 5, 60])
-    half = HarmonicModel()._half_width(3.1, top)
-    ((nodes, x, *_),) = HarmonicModel()._moment_blocks(3.1, l, np.ones((3, 61)), top, n_points)
+    # three half widths from three l_max; on 8 and 9 points only a top level 0 at
+    # l = l_max has two points per local period
+    l = np.array([1.0, 0.7, 3.1])
+    top = np.array([0, 5, 60]) if n_points > 9 else np.zeros(3, dtype=int)
+    half = HarmonicModel()._half_width(l, top)
+    ((nodes, x, *_),) = HarmonicModel()._moment_blocks(l, l, np.ones((3, 61)), top, n_points)
     x = x[np.argsort(nodes)]
     assert np.array_equal(x[:, ::-1], -x)
     if n_points % 2:
@@ -716,18 +736,23 @@ def test_oscillator_trace_grid_is_mirror_symmetric(n_points):
     st.floats(1.0, 1.5),
     st.one_of(st.just(math.inf), st.floats(0.3, 5.0)),
     st.integers(1, 32),
-    st.sampled_from([8, 9, 64, 65, 256, 257]),
+    st.sampled_from([8, 9, 64, 65, 256, 257, 1024, 1025]),
     st.integers(0, 2**32 - 1),
 )
 def test_streamed_half_grid_trace_matches_full_grid_stack(ls, widen, beta, n, n_points, seed):
     # nodes of one sweep at several l, sharing one l_max: a block mixes top levels
-    # (from 1 to well past 60 here) and both parities of the point count; l_max / l
-    # stays below 4.5, where even 8 points resolve every level's trapezoid norm
+    # (from 1 to well past 60 here) and both parities of the point count.  A grid
+    # with fewer than two points per local period of a node's top level raises: all
+    # of 8 and 9 points, most of 64, so 1024 and 1025 keep high levels compared
     model, l = HarmonicModel(), np.array(ls)
     l_max = widen * float(np.max(l))
     _, f, n_top = cost_mod._occupied_levels(model, ThermalEnsemble(beta=beta, n_particles=n), l)
     g, a = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(2, l.size))
     half = model._half_width(l_max, n_top)
+    if np.any(2.0 * half / (n_points - 1) > np.pi * l / np.sqrt(2.0 * n_top + 1.0)):
+        with pytest.raises(ValueError, match="grid too coarse for level"):
+            list(model._moment_blocks(l_max, l, f, n_top, n_points))
+        return
     seen = []
     for nodes, x, *moments in model._moment_blocks(l_max, l, f, n_top, n_points):
         assert np.array_equal(x[:, ::-1], -x)  # mirror-symmetric bit for bit
@@ -766,7 +791,13 @@ def _t_ff_sweeps(draw):
 @given(_t_ff_sweeps(), st.data())
 def test_pooled_sweep_matches_per_ramp_costs(sweep, data):
     model, trajs, ens, n_nodes, n_points = sweep
-    per_ramp = [cost_ff_numeric(model, traj, ens, n_nodes, n_points) for traj in trajs]
+    try:
+        per_ramp = [cost_ff_numeric(model, traj, ens, n_nodes, n_points) for traj in trajs]
+    except ValueError as exc:  # a grid too coarse for the top level of a narrow node
+        assert "grid too coarse for level" in str(exc)
+        with pytest.raises(ValueError, match="grid too coarse for level"):
+            _costs_ff_numeric(model, trajs, ens, n_nodes, n_points)
+        return
     assert _costs_ff_numeric(model, trajs, ens, n_nodes, n_points) == per_ramp  # bit for bit
     if model.n_min:
         return  # the box has no edge check

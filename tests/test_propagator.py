@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgtsv
 
+from ffqd import propagator
 from ffqd.core import ComplexField, Grid
 from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
 from ffqd.propagator import (
@@ -216,6 +217,26 @@ def test_psi0_not_vanishing_at_grid_ends_rejected_before_stepping(moving):
     assert not seen
 
 
+@pytest.mark.parametrize(
+    "state_grid, run_grid",
+    [(Grid(-8.0, 8.0, 256), Grid(-4.0, 4.0, 256)), (Grid(-8.0, 8.0, 512), Grid(-8.0, 8.0, 256))],
+    ids=["wider", "more_points"],
+)
+def test_psi0_on_another_grid_rejected_before_stepping(state_grid, run_grid):
+    # a state on [-8, 8] run on [-4, 4] used to fail as "norm drifted to 0.7071...",
+    # and one of 512 points run on 256 with a numpy broadcast error
+    model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)
+    seen = []
+
+    def coefficient(t):
+        seen.append(t)
+        return trap_coefficient(model, traj)(t)
+
+    with pytest.raises(ValueError, match="psi0 lives on Grid"):
+        propagate(psi_ff(model, 0, 0.0, traj, state_grid), PropagationSpec(run_grid, 1e-3, 0.01, coefficient, traj))
+    assert not seen
+
+
 def test_oscillator_state_at_the_edge_limit_propagates():
     # an oscillator state whose grid ends sit just inside the 1e-6 edge bound
     # of the amplitude tables must pass the psi0 edge check
@@ -332,11 +353,43 @@ def _per_step_reference(psi0, grid, dt, t_final, coefficient, ramp):
     return ui / np.sqrt(ramp.value(t_final))
 
 
+_MODE_PARITY = {"even": [1, 0, 1, 0], "odd": [0, 1, 0, 1], "none": [1, 1, 1, 1]}  # sine modes 1..4 kept
+
+
 # pinned: lam ||H|| ~ 300, where the reference's old rounding of H's entries
 # alone missed the bound (1.237e-12)
 @example(
     moving=True, kind=POLYNOMIAL, n=210, n_steps=100,
-    l0=0.875, l_final=0.875, t_ff=1.0, trap=0.0, x_min=0.0, seed=28,
+    l0=0.875, l_final=0.875, t_ff=1.0, trap=0.0, x_min=0.0, parity="none", seed=28,
+)
+# the half grid: both parities on both parities of the point count, static and moving
+@example(
+    moving=True, kind=TRIGONOMETRIC, n=200, n_steps=150,
+    l0=1.2, l_final=0.85, t_ff=0.7, trap=0.6, x_min=-1.0, parity="even", seed=3,
+)
+@example(
+    moving=True, kind=POLYNOMIAL, n=201, n_steps=150,
+    l0=0.9, l_final=1.5, t_ff=0.8, trap=0.3, x_min=-1.0, parity="even", seed=4,
+)
+@example(
+    moving=True, kind=POLYNOMIAL, n=128, n_steps=120,
+    l0=1.1, l_final=0.8, t_ff=0.6, trap=1.0, x_min=-1.0, parity="odd", seed=5,
+)
+@example(
+    moving=True, kind=TRIGONOMETRIC, n=129, n_steps=120,
+    l0=0.8, l_final=1.6, t_ff=0.9, trap=0.0, x_min=-1.0, parity="odd", seed=6,
+)
+@example(
+    moving=False, kind=POLYNOMIAL, n=64, n_steps=100,
+    l0=1.0, l_final=1.0, t_ff=1.0, trap=0.5, x_min=-1.0, parity="even", seed=7,
+)
+@example(
+    moving=False, kind=POLYNOMIAL, n=65, n_steps=100,
+    l0=1.3, l_final=1.0, t_ff=1.0, trap=0.5, x_min=-1.0, parity="odd", seed=8,
+)
+@example(
+    moving=True, kind=POLYNOMIAL, n=96, n_steps=100,
+    l0=1.0, l_final=1.4, t_ff=0.8, trap=0.2, x_min=-1.0, parity="none", seed=9,
 )
 @settings(max_examples=40, deadline=None)
 @given(
@@ -348,13 +401,17 @@ def _per_step_reference(psi0, grid, dt, t_final, coefficient, ramp):
     l_final=st.floats(0.8, 1.6),
     t_ff=st.floats(0.5, 1.0),
     trap=st.floats(0.0, 1.0),
-    x_min=st.sampled_from([0.0, -0.5]),
+    x_min=st.sampled_from([0.0, -0.5, -1.0]),
+    parity=st.sampled_from(sorted(_MODE_PARITY)),
     seed=st.integers(0, 2**32 - 1),
 )
-def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_final, t_ff, trap, x_min, seed):
+def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_final, t_ff, trap, x_min, parity, seed):
     # V = (trap/2 l^-4 - l_ddot/2l) x^2 on a random ramp, or on a constant
     # ramp (walls fixed at the grid ends); the grid is [x_min l0, l0], a box
-    # [0, l0] or a span that does not start at 0; random sine-mode initial state
+    # [0, l0], a span that does not start at 0 or one symmetric about 0; random
+    # initial state of sine modes 1..4 across the grid, the odd modes mirror-even
+    # about its centre and the even ones mirror-odd: on the symmetric grid an
+    # even or odd state runs on the half grid, the full-grid reference alike
     traj = box_ramp(kind, l0, l_final, t_ff)
 
     def coefficient(t):
@@ -364,8 +421,8 @@ def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_
     grid = Grid(x_min * l0, l0, n)
     rng = np.random.default_rng(seed)
     xi = (grid.points - grid.x_min) / (grid.x_max - grid.x_min)
-    modes = rng.normal(size=(3, 1)) + 1j * rng.normal(size=(3, 1))
-    psi0 = normalized(grid, (modes * np.sin(np.pi * np.arange(1, 4)[:, None] * xi)).sum(axis=0))
+    modes = (rng.normal(size=4) + 1j * rng.normal(size=4)) * _MODE_PARITY[parity]
+    psi0 = normalized(grid, modes @ np.sin(np.pi * np.arange(1, 5)[:, None] * xi))
     t_final = t_ff if moving else 0.5 * t_ff
     ramp = traj if moving else static_ramp(t_final)
     out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, coefficient, ramp))
@@ -411,6 +468,72 @@ def test_snapshot_dump(tmp_path):
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,re_psi,im_psi"
     assert len(lines) == 1 + 64 * 3  # frames at steps 0, 5, and the final step 10
+
+
+# ---------------------------------------------------------------------------
+# the half grid
+
+
+def _solved_rows(monkeypatch) -> list:
+    """The row count of every zgtsv solve propagate makes, through a recording stand-in."""
+    rows, real = [], _zgtsv()
+
+    def recording(dl, d, du, b, *flags):
+        rows.append(d.size)
+        return real(dl, d, du, b, *flags)
+
+    monkeypatch.setattr(propagator, "_zgtsv", lambda: recording)
+    return rows
+
+
+@pytest.mark.parametrize("n, level", [(512, 0), (513, 0), (128, 1), (129, 1)])
+def test_oscillator_levels_run_on_the_half_grid(monkeypatch, n, level):
+    # level 0 is mirror-even and level 1 mirror-odd on the symmetric default grid
+    rows = _solved_rows(monkeypatch)
+    model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)
+    grid = model.default_grid(1.0, n)
+    propagate(psi_ff(model, level, 0.0, traj, grid), PropagationSpec(grid, 1e-3, 0.05, trap_coefficient(model, traj), traj))
+    assert len(rows) == 50
+    assert max(rows) <= -(-(n - 2) // 2)
+
+
+def _even_plus_odd(grid, eps):
+    """The normalized sine mode 1 across the grid, mirror-even, plus eps times mode 2, mirror-odd."""
+    xi = (grid.points - grid.x_min) / (grid.x_max - grid.x_min)
+    return normalized(grid, np.sin(np.pi * xi) + eps * np.sin(2.0 * np.pi * xi))
+
+
+@pytest.mark.parametrize("eps, half", [(0.5, False), (1e-11, False), (1e-15, True)])
+def test_symmetric_grid_runs_the_half_grid_only_for_a_state_of_definite_parity(monkeypatch, eps, half):
+    # the bound is 1e-13 of max|psi0| on the interior's mirror asymmetry
+    rows = _solved_rows(monkeypatch)
+    grid = Grid(-1.0, 1.0, 64)
+    propagate(_even_plus_odd(grid, eps), PropagationSpec(grid, 1e-3, 0.01, zero_potential, static_ramp(0.01)))
+    assert set(rows) == {31 if half else 62}
+
+
+def test_box_runs_the_full_grid(monkeypatch):
+    # the box frame [0, 1] is not symmetric about 0, whatever the state
+    rows = _solved_rows(monkeypatch)
+    grid = Grid(0.0, 1.0, 64)
+    propagate(box_state(1, 1.0, grid), PropagationSpec(grid, 1e-3, 0.01, zero_potential, box_ramp()))
+    assert set(rows) == {62}
+
+
+@pytest.mark.parametrize("n, level", [(128, 0), (129, 0), (128, 1), (129, 1)])
+def test_half_grid_snapshots_match_the_full_grid(tmp_path, monkeypatch, n, level):
+    model, traj = HarmonicModel(), ho_ramp(TRIGONOMETRIC)
+    grid = model.default_grid(1.0, n)
+    psi0 = psi_ff(model, level, 0.0, traj, grid)
+    spec = PropagationSpec(grid, 1e-3, 0.1, trap_coefficient(model, traj), traj)
+    half, full = tmp_path / "half.csv", tmp_path / "full.csv"
+    propagate(psi0, spec, half, snapshot_stride=25)
+    monkeypatch.setattr(propagator, "_parity", lambda grid, values: 0)  # no mirror: the full interior
+    propagate(psi0, spec, full, snapshot_stride=25)
+    h, f = (np.loadtxt(p, delimiter=",", skiprows=1) for p in (half, full))
+    assert h.shape == f.shape == (5 * n, 4)  # frames at steps 0, 25, 50, 75 and 100
+    assert np.array_equal(h[:, :2], f[:, :2])
+    assert np.max(np.abs(h[:, 2:] - f[:, 2:])) <= 1e-12 * np.max(np.abs(f[:, 2:]))
 
 # ---------------------------------------------------------------------------
 # residual oracle
