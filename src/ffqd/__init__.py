@@ -47,13 +47,10 @@ from .cost import (
     coefficient_A,
     coefficients_B,
     cost_ff,
-    cost_ff_box_closed,
-    cost_ff_ho_closed,
+    cost_ff_closed,
     cost_ff_numeric,
     frobenius_cost,
-    internal_energy_box,
-    internal_energy_box_parts,
-    internal_energy_ho,
+    internal_energy_closed,
     internal_energy_numeric,
     solve_mu,
 )

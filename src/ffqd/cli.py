@@ -221,13 +221,7 @@ def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
 
 
 def _cost_row(scn: Scenario, t_ff: float) -> list[float]:
-    traj = scn.trajectory(t_ff)
-    ens = scn.ensemble()
-    if scn.system == "box":
-        rep = cost_mod.cost_ff_box_closed(traj, ens)
-    else:
-        a = cost_mod.coefficient_A(ens, traj.value(0.0))
-        rep = cost_mod.cost_ff_ho_closed(traj, a)
+    rep = cost_mod.cost_ff_closed(_MODELS[scn.system], scn.trajectory(t_ff), scn.ensemble())
     return [t_ff, rep.quadrature_value, rep.closed_form_value, rep.published_value, rep.published_ratio]
 
 

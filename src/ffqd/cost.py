@@ -1,17 +1,19 @@
 """Energy cost of acceleration: thermal traces, closed forms, Frobenius norm.
 
-Three independent routes to the drive part of the time-averaged cost are kept
-side by side and must agree:
+Both printed internal energies have the form scale invariance forces,
+C/l^2 + K (l_dot^2 - l l_ddot); each trap supplies only its constants
+(_printed_constants).  Three independent routes to the drive part of the
+time-averaged cost are kept side by side and must agree:
 
   (a) direct time quadrature of the drive term of the internal energy,
   (b) the integration-by-parts identity
-          (1/T) int -K (L L_dd - L_dot^2) dt = (2K/T) int L_dot^2 dt,
-      valid because both smooth ramps have L_dot = 0 at the endpoints,
-  (c) the resulting constants: int L_dot^2 dt = vbar^2 T/30 (polynomial) and
+          (1/T) int K (l_dot^2 - l l_dd) dt = (2K/T) int l_dot^2 dt,
+      valid because both smooth ramps have l_dot = 0 at the endpoints,
+  (c) the resulting constants: int l_dot^2 dt = vbar^2 T/30 (polynomial) and
       (3/2) vbar^2 T (trigonometric).
 
 The literature's printed closed-form coefficients are treated as claims under
-test: CostReport carries both the quadrature value (primary) and the printed
+test: CostReport carries the quadrature value (primary) and the printed
 form, and records their ratio instead of hiding a disagreement.  The closed
 forms take a time or a time array; cost_ff, the one ramp average, calls them
 once per Gauss-Legendre panel on its node array.
@@ -54,7 +56,7 @@ import numpy as np
 
 from ._numutil import gauss_legendre, legendre_rule
 from .fastforward import _v_ff_coefficient
-from .spectra import _CHUNK_NODES, _ENDS, Model, _require_trace_points
+from .spectra import _CHUNK_NODES, _ENDS, BoxModel, Model, _require_trace_points
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
@@ -176,12 +178,6 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 # ---------------------------------------------------------------------------
 # closed-form internal energies and their printed constants
 
-def internal_energy_ho(traj: ControlTrajectory, t, a_coeff: float):
-    """Oscillator internal energy A (hbar^2/4mL^2 - (m/8) L L_dd + (m/8) L_dot^2) at a time or a time array."""
-    L, Ld, Ldd = traj.value(t), traj.velocity(t), traj.acceleration(t)
-    return a_coeff * (1.0 / (4.0 * L * L) - 0.125 * L * Ldd + 0.125 * Ld * Ld)
-
-
 def _printed_n(ens: ThermalEnsemble) -> int:
     """N of the printed constants, which divide by it."""
     if ens.n_particles < 1:
@@ -231,17 +227,29 @@ def box_drive_prefactor(ens: ThermalEnsemble, L):
     return (N / 6.0) * (1.0 + (6.0 / (np.pi**2 * N * N)) * inner)
 
 
-def internal_energy_box_parts(traj: ControlTrajectory, t, ens: ThermalEnsemble):
-    """(confinement, drive) parts of the printed box internal energy at a time or a time array."""
-    L, Ld, Ldd = traj.value(t), traj.velocity(t), traj.acceleration(t)
-    b1, _ = coefficients_B(ens, L)
-    return b1 / (L * L), -box_drive_prefactor(ens, L) * (L * Ldd - Ld * Ld)
+def _printed_constants(model: Model, ens: ThermalEnsemble, l0: float):
+    """(of_l, line, named): (C, K) of the trap's printed energy at l, of its printed cost line, and by name.
+
+    Box: (B1(l), box_drive_prefactor(l)) and the line (B1(l0)/24, B2(l0)/6).
+    Oscillator: (A/4, A/8), A = coefficient_A(ens, l0), in both.
+    """
+    if isinstance(model, BoxModel):
+        b1, b2 = coefficients_B(ens, l0)
+        named = {"B1": b1, "B2": b2, "B2_drive": box_drive_prefactor(ens, l0)}
+        return lambda l: (coefficients_B(ens, l)[0], box_drive_prefactor(ens, l)), (b1 / 24.0, b2 / 6.0), named
+    a = coefficient_A(ens, l0)
+    return lambda l: (a / 4.0, a / 8.0), (a / 4.0, a / 8.0), {"A": a}
 
 
-def internal_energy_box(traj: ControlTrajectory, t, ens: ThermalEnsemble):
-    """Printed large-N expansion of the box internal energy, both brackets as printed."""
-    conf, drive = internal_energy_box_parts(traj, t, ens)
-    return conf + drive
+def internal_energy_closed(model: Model, traj: ControlTrajectory, t, ens: ThermalEnsemble):
+    """(C/l^2, K (l_dot^2 - l l_ddot)) of the printed internal energy at a time or a time array.
+
+    The box's B1/L^2 - B2 (L L_dd - L_dot^2), both brackets as printed; the
+    oscillator's A (1/4L^2 - L L_dd/8 + L_dot^2/8), A at l0 = l(0).
+    """
+    l, ld, ldd = traj.value(t), traj.velocity(t), traj.acceleration(t)
+    c, k = _printed_constants(model, ens, traj.value(0.0))[0](l)
+    return c / (l * l), k * (ld * ld - l * ldd)
 
 
 # ---------------------------------------------------------------------------
@@ -280,11 +288,12 @@ _MAX_LEVELS = 4096  # the trace's level cutoff doubles at most up to this
 
 
 def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray):
-    """Level numbers, occupations and top levels of the trace at control values l.
+    """Occupations and top levels of the trace at control values l.
 
-    Returns (ns, f, n_top): f[i] holds node i's occupations of the levels ns,
-    zero above its own cutoff, and n_top[i] is its top level.  Energies scale
-    as E_n(l) = E_n(1) / l^2, and mu is solved for all nodes at once.  Every
+    Returns (f, n_top): f[i] holds node i's occupations of the levels from
+    model.n_min up, zero above its own cutoff, and n_top[i] is its top
+    level.  Energies scale as E_n(l) = E_n(1) / l^2, and mu is solved for all
+    nodes at once.  Every
     node starts from max(4N + 16, 64) levels, the nodes whose top occupation
     is still >= 1e-12 double theirs (ValueError past 4096 levels), and each
     node keeps the levels up to two past its last occupation >= 1e-12, and
@@ -311,7 +320,7 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray):
     occ = np.zeros((l.size, max(k.size for k in kept)))
     for i, k in enumerate(kept):
         occ[i, : k.size] = k
-    return ns[: occ.shape[1]], occ, ns[[k.size - 1 for k in kept]]
+    return occ, ns[[k.size - 1 for k in kept]]
 
 
 def _node_traces(
@@ -349,7 +358,7 @@ def _node_traces(
         a[start:stop] = model._v0_coefficient(l) + _v_ff_coefficient(t, traj, l)
         inv += [slot.setdefault((v, traj._l_max), len(slot)) for v in l.tolist()]
     l, l_max = (np.array(v) for v in zip(*slot))
-    _, f, n_top = _occupied_levels(model, ens, l)
+    f, n_top = _occupied_levels(model, ens, l)
     nodes_of = [[] for _ in slot]  # the nodes of the sweep at each distinct node
     for i, k in enumerate(inv):
         nodes_of[k].append(i)
@@ -393,16 +402,17 @@ def cost_ff(u_of_t: Callable[[np.ndarray], np.ndarray], t_ff: float, rel_tol: fl
     u_of_t takes the array of a panel's nodes and is called once per panel.
     A panel whose 32/64-node difference exceeds its share of rel_tol is
     halved; RuntimeError if the quadrature does not converge.  Every ramp
-    average of the package except cost_ff_numeric's fixed rule goes through
-    here: the closed forms, frobenius_cost and ie.cost_ie.
+    average of the package except cost_ff_numeric's fixed rule and
+    frobenius_cost's split panels goes through here: the closed forms and
+    ie.cost_ie.
     """
     if not 0 < t_ff < math.inf:  # False for NaN too
         raise ValueError(f"t_ff must be positive and finite, got {t_ff!r}")
     return gauss_legendre(u_of_t, 0.0, t_ff, rel_tol)[0] / t_ff
 
 
+# (1/T) int (l_dot^2 - l l_ddot) dt / vbar^2 = (2/T) int l_dot^2 dt / vbar^2 of each smooth ramp
 _DRIVE_SHAPE = {POLYNOMIAL: 1.0 / 15.0, TRIGONOMETRIC: 3.0}
-_PUBLISHED_DRIVE_SHAPE = {POLYNOMIAL: 1.0 / 90.0, TRIGONOMETRIC: 0.5}
 
 
 FrobeniusCost = namedtuple("FrobeniusCost", ["value", "cutoff"])
@@ -414,10 +424,11 @@ class CostReport:
 
     quadrature_value is the artifact's own number.  closed_form_value uses the
     integration-by-parts drive constant and must agree with the quadrature at
-    the declared tolerance (exact at zero temperature).  published_value is the
-    printed closed form evaluated verbatim; published_ratio compares the
-    quadrature against it, recording any disagreement rather than hiding it.
-    The four values are the row cost_curve.csv prints.
+    the declared tolerance (exact while the drive constant is fixed).
+    published_value is the printed cost line evaluated verbatim;
+    published_ratio compares the quadrature against it, recording any
+    disagreement rather than hiding it.  The four values are the row
+    cost_curve.csv prints.
     """
 
     quadrature_value: float
@@ -432,52 +443,25 @@ def _require_smooth_ramp(traj: ControlTrajectory) -> None:
         raise ValueError("cost closed forms need a polynomial or trigonometric ramp")
 
 
-def cost_ff_box_closed(traj: ControlTrajectory, ens: ThermalEnsemble) -> CostReport:
-    """Box cost: quadrature of the printed internal energy vs closed forms.
+def cost_ff_closed(model: Model, traj: ControlTrajectory, ens: ThermalEnsemble) -> CostReport:
+    """CostReport of a smooth ramp from the printed internal energy of the model's trap.
 
-    At zero temperature the closed form (confinement average plus the
-    integration-by-parts drive constant) reproduces the quadrature to
-    quadrature accuracy; at finite temperature the drive prefactor picks up a
-    wall-position dependence and the closed form freezes it at L(0).  The
-    printed cost line, with its extra 1/24 on the confinement term and its
-    factor-6-low drive coefficients, is evaluated verbatim into published_value.
+    The closed form is the confinement average plus the drive by parts,
+    K(l0) vbar^2 _DRIVE_SHAPE, which freezes the box's finite-temperature K(l)
+    at l0.  The printed line is the same form with the printed constants.
     """
     _require_smooth_ramp(traj)
-    T = traj.t_ff
-    quadrature = cost_ff(lambda s: internal_energy_box(traj, s, ens), T)
-    conf_avg = cost_ff(lambda s: internal_energy_box_parts(traj, s, ens)[0], T)
-    l0 = traj.value(0.0)
-    k_drive = box_drive_prefactor(ens, l0)
-    closed = conf_avg + k_drive * traj.vbar**2 * _DRIVE_SHAPE[traj.kind]
+    T, l0 = traj.t_ff, traj.value(0.0)
+    of_l, (c_line, k_line), named = _printed_constants(model, ens, l0)
 
-    b1, b2 = coefficients_B(ens, l0)
-    mean_l_inv2 = cost_ff(lambda s: 1.0 / traj.value(s) ** 2, T, 1e-12)
-    published = b1 * mean_l_inv2 / 24.0 + b2 * traj.vbar**2 * _PUBLISHED_DRIVE_SHAPE[traj.kind]
-    return CostReport(
-        quadrature_value=quadrature,
-        closed_form_value=closed,
-        published_value=published,
-        published_ratio=quadrature / published,
-        constants={"B1": b1, "B2": b2, "B2_drive": k_drive},
-    )
+    def line(c_of_l, k):
+        conf = cost_ff(lambda s: c_of_l(traj.value(s)) / traj.value(s) ** 2, T, 1e-12)
+        return conf + k * traj.vbar**2 * _DRIVE_SHAPE[traj.kind]
 
-
-def cost_ff_ho_closed(traj: ControlTrajectory, a_coeff: float) -> CostReport:
-    """Oscillator cost: here the printed drive constants survive the oracle, so
-    closed_form_value and published_value coincide."""
-    _require_smooth_ramp(traj)
-    T = traj.t_ff
-    quadrature = cost_ff(lambda s: internal_energy_ho(traj, s, a_coeff), T)
-    conf = a_coeff / 4.0 * cost_ff(lambda s: 1.0 / traj.value(s) ** 2, T, 1e-12)
-    drive_shape = 1.0 / 120.0 if traj.kind == POLYNOMIAL else 3.0 / 8.0
-    closed = conf + a_coeff * traj.vbar**2 * drive_shape
-    return CostReport(
-        quadrature_value=quadrature,
-        closed_form_value=closed,
-        published_value=closed,
-        published_ratio=quadrature / closed,
-        constants={"A": a_coeff},
-    )
+    quadrature = cost_ff(lambda s: sum(internal_energy_closed(model, traj, s, ens)), T)
+    closed = line(lambda l: of_l(l)[0], of_l(l0)[1])
+    published = line(lambda l: c_line, k_line)
+    return CostReport(quadrature, closed, published, quadrature / published, named)
 
 
 def cost_ff_numeric(
@@ -514,6 +498,10 @@ def _costs_ff_numeric(
     return [float(np.dot(weights, tr) * 0.5) for tr in _node_traces(model, trajs, ts, ens, n_points)]
 
 
+_DIP_SCAN = 64  # intervals of the scan for the dips of the Frobenius norm
+_DIP_GRADING = 30  # panel edges at 1/2, 1/4, ... of the way from either ramp end to a dip
+
+
 def frobenius_cost(
     model: Model,
     traj: ControlTrajectory,
@@ -533,16 +521,20 @@ def frobenius_cost(
     cutoff (box 1..cutoff, oscillator 0..cutoff, model._unit_x2), so
     ||H||^2 = sum E_n(1)^2 / l^4 + 2 c sum E_n(1) X_nn + c^2 l^4 ||X||^2:
     three sums per cutoff serve every node, and no grid is built.  n_points
-    is checked (>= 8) as the trace checks it.  The time average is
-    cost_ff's, one integrand call per panel, over the whole ramp: t_ff must
-    be traj.t_ff (ValueError otherwise).
+    is checked (>= 8) as the trace checks it.  The time average is over the
+    whole ramp: t_ff must be traj.t_ff (ValueError otherwise).
+    l^4 ||H||^2 dips to (ee xx - ex^2)/xx where u = c l^4 = -ex/xx, for the
+    oscillator (E_n(1) = X_nn) in a vertex far narrower than eight halvings
+    of a panel resolve.  So the Gauss-Legendre panels are split at each dip,
+    a sign change of u + ex/xx on a scan bisected to adjacent doubles, and at
+    2^-k, k <= _DIP_GRADING, of the way to it from either ramp end.
     """
     _require_trace_points(n_points)
     if t_ff != traj.t_ff:
         raise ValueError(f"t_ff {t_ff!r} must be the ramp's own t_ff {traj.t_ff!r}")
     if isinstance(ens_or_cutoff, ThermalEnsemble):
         l_widest = traj.value(np.array([0.0, t_ff])).max(keepdims=True)  # l is monotone
-        _, _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest)
+        _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest)
         m_cut = max(int(n_top[0]), 2)
     else:
         m_cut = int(ens_or_cutoff)
@@ -558,4 +550,19 @@ def frobenius_cost(
         l2 = l * l
         return np.sqrt(ee / (l2 * l2) + 2.0 * c * ex + (c * l2) ** 2 * xx)
 
-    return FrobeniusCost(value=cost_ff(h_norm, t_ff, rel_tol), cutoff=m_cut)
+    def dip(ts):  # c l^4 + ex/xx, which changes sign where ||H|| dips
+        l = traj.value(ts)
+        return _v_ff_coefficient(ts, traj, l) * (l * l) ** 2 + ex / xx
+
+    scan = np.linspace(0.0, t_ff, _DIP_SCAN + 1)
+    below, scan = dip(scan) < 0.0, scan.tolist()
+    edges = {0.0, t_ff}
+    for i in np.flatnonzero(below[:-1] != below[1:]):
+        lo, hi = scan[i], scan[i + 1]
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if (dip(mid) < 0.0) == below[i] else (lo, mid)
+        edges.update(mid + (end - mid) * 0.5**k for end in (0.0, t_ff) for k in range(1, _DIP_GRADING + 1))
+        edges.add(mid)
+    edges = sorted(edges)
+    value = sum(gauss_legendre(h_norm, a, b, rel_tol)[0] for a, b in zip(edges, edges[1:]))
+    return FrobeniusCost(value=value / t_ff, cutoff=m_cut)

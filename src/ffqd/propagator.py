@@ -160,13 +160,14 @@ def propagate(
 ) -> ComplexField:
     """Crank-Nicolson run from t = 0 to t_final; returns the final state.
 
-    Before the first step, raises PropagationError if V = a(t) x^2 is not
-    finite or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the
-    interior points, dt the stepped t_final / n_steps; the bound is
-    max|a(t) s(t)^2| max y^2), and ValueError if psi0 does not vanish at the
-    grid ends, does not live on spec.grid or the run would leave the
-    ramp's [0, t_ff].  A psi0 of definite parity on a grid symmetric about
-    0 is stepped on the half grid (see the module docstring).  While
+    Before the first step, raises ValueError if V = a(t) x^2 is not finite
+    or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the interior
+    points, dt the stepped t_final / n_steps; the bound is
+    max|a(t) s(t)^2| max y^2), if psi0 does not vanish at the grid ends or
+    does not live on spec.grid, or if the run would leave the ramp's
+    [0, t_ff]: each depends on the input alone.  A psi0 of definite parity
+    on a grid symmetric about 0 is stepped on the half grid (see the module
+    docstring).  While
     stepping, raises PropagationError if the norm drifts by more than 1e-6
     (or turns NaN) at any checkpoint.  Snapshots go to snapshot_path every
     snapshot_stride >= 1 steps: ValueError unless both or neither are given.
@@ -198,8 +199,8 @@ def propagate(
     if bad.size:
         step, worst = bad[0] + 1, margin[bad[0]]
         if not worst < math.inf:
-            raise PropagationError(f"potential is not finite at step {step}/{n_steps}")
-        raise PropagationError(f"time step too coarse: dt*max|V|/hbar = {worst:.3g} >= 0.5")
+            raise ValueError(f"potential is not finite at step {step}/{n_steps}")
+        raise ValueError(f"time step too coarse: dt*max|V|/hbar = {worst:.3g} >= 0.5")
 
     u = math.sqrt(scale(0.0)) * psi0.values[1:-1]  # unitary map to the frame
     sign = _parity(spec.grid, psi0.values)  # 0: no mirror, the full interior is stepped

@@ -22,12 +22,11 @@ from ffqd.core import Grid, inner_product
 from ffqd.cost import (
     ThermalEnsemble,
     box_drive_prefactor,
+    coefficient_A,
     cost_ff,
-    cost_ff_box_closed,
+    cost_ff_closed,
     cost_ff_numeric,
-    internal_energy_box,
-    internal_energy_box_parts,
-    internal_energy_ho,
+    internal_energy_closed,
     internal_energy_numeric,
 )
 from ffqd.fastforward import psi_ff, theta_numeric, trap_coefficient
@@ -96,14 +95,12 @@ def test_criterion_03_theta_closed_form():
 
 
 def test_criterion_04_oscillator_cost_coefficients():
-    a_coeff = 2.0
+    ens = ThermalEnsemble(beta=2.0, n_particles=2)
     details = []
     for kind, shape in ((POLYNOMIAL, 1.0 / 120.0), (TRIGONOMETRIC, 3.0 / 8.0)):
         traj = ho_ramp(kind)
-        drive_quad = cost_ff(
-            lambda s: internal_energy_ho(traj, s, a_coeff) - a_coeff / (4.0 * traj.value(s) ** 2),
-            traj.t_ff,
-        )
+        a_coeff = coefficient_A(ens, traj.value(0.0))
+        drive_quad = cost_ff(lambda s: internal_energy_closed(HarmonicModel(), traj, s, ens)[1], traj.t_ff)
         closed = a_coeff * traj.vbar**2 * shape
         rel = abs(drive_quad / closed - 1.0)
         details.append(f"{kind}: rel={rel:.1e}")
@@ -118,7 +115,7 @@ def test_criterion_05_box_cost_coefficients():
         traj = box_ramp(kind)
         T = traj.t_ff
         k_drive = box_drive_prefactor(ens, traj.value(0.0))
-        a_quad = cost_ff(lambda s: internal_energy_box_parts(traj, s, ens)[1], T)
+        a_quad = cost_ff(lambda s: internal_energy_closed(BoxModel(), traj, s, ens)[1], T)
         b_ibp = (
             2.0 * k_drive / T
             * quad(lambda s: traj.velocity(s) ** 2, 0.0, T, epsabs=1e-14, epsrel=1e-12)[0]
@@ -127,7 +124,7 @@ def test_criterion_05_box_cost_coefficients():
         assert abs(a_quad / b_ibp - 1.0) < 1e-8
         assert abs(a_quad / c_coeff - 1.0) < 1e-8
         # the report records the disagreement with the printed closed form
-        rep = cost_ff_box_closed(traj, ens)
+        rep = cost_ff_closed(BoxModel(), traj, ens)
         b2_printed = rep.constants["B2"]
         published_drive = b2_printed * traj.vbar**2 * (1.0 / 90.0 if kind == POLYNOMIAL else 0.5)
         factor = a_quad / published_drive
@@ -178,7 +175,7 @@ def test_criterion_08_thermal_trace_vs_printed_expansion():
     ens = ThermalEnsemble(beta=math.inf, n_particles=50)
     traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)  # static wall at L = 1
     numeric = internal_energy_numeric(BoxModel(), traj, 0.5, ens, n_points=2048)
-    printed = internal_energy_box(traj, 0.5, ens)
+    printed = sum(internal_energy_closed(BoxModel(), traj, 0.5, ens))
     rel = abs(numeric / printed - 1.0)
     report(8, rel <= 0.01, f"trace/printed = {numeric / printed:.4f} (|rel|={rel:.3f}, stated bound 0.01)")
     assert rel <= 0.01, (
@@ -199,7 +196,7 @@ def test_criterion_08_companion_frozen_convention_ratios():
     traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)
     numeric = internal_energy_numeric(BoxModel(), traj, 0.5, ens, n_points=2048)
     exact_sum = sum(BoxModel().energy(n, 1.0) for n in range(1, 51))
-    printed = internal_energy_box(traj, 0.5, ens)
+    printed = sum(internal_energy_closed(BoxModel(), traj, 0.5, ens))
     assert numeric == pytest.approx(exact_sum, rel=1e-3)  # FD-limited
     assert exact_sum / printed == pytest.approx(4.1208, abs=1e-4)
     spinful = 2.0 * sum(BoxModel().energy(n, 1.0) for n in range(1, 26))

@@ -1,8 +1,11 @@
+import io
 import json
 import math
 import subprocess
 import sys
 import tempfile
+import warnings
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 import numpy as np
@@ -94,6 +97,60 @@ def test_invalid_scenario_exits_2_without_traceback(tmp_path, capsys, overrides)
     assert "invalid scenario" in err
     assert "Traceback" not in err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+def _log_uniform(lo, hi):
+    return st.floats(math.log(lo), math.log(hi)).map(math.exp)
+
+
+@st.composite
+def _small_run_configs(draw):
+    """A random `ffqd run` config of either trap: at most 64 points and 200 steps."""
+    system = draw(st.sampled_from(["box", "harmonic"]))
+    outputs = ["cost_curve", "fidelity", "residual"] + ["ie_compare"] * (system == "harmonic")
+    t_ff = draw(_log_uniform(0.05, 5.0))
+    return {
+        "system": system,
+        "ramp": draw(st.sampled_from(["polynomial", "trigonometric", "linear"])),
+        "l0": draw(_log_uniform(0.2, 5.0)),
+        "l_final": draw(_log_uniform(0.2, 5.0)),
+        "omega0": draw(_log_uniform(0.2, 20.0)),
+        "omegaF": draw(_log_uniform(0.2, 20.0)),
+        "t_ff_list": t_ff,
+        "beta": draw(st.one_of(st.just(math.inf), _log_uniform(0.1, 10.0))),
+        "n_particles": draw(st.integers(1, 12)),
+        "grid_points": draw(st.integers(8, 64)),
+        "dt": t_ff / draw(st.integers(1, 200)),
+        "epsilon": draw(st.floats(-0.5, 0.5)),
+        "outputs": ",".join(draw(st.lists(st.sampled_from(outputs), min_size=1, unique=True))),
+    }
+
+
+# what only stepping can find: exit 1 names one of these, anything the input decides exits 2
+_IN_LOOP_FAILURES = ("norm drifted to", "zgtsv failed")
+
+
+@settings(max_examples=30, deadline=None)
+@given(_small_run_configs())
+def test_random_run_succeeds_or_names_its_failure(config):
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg, out = Path(tmp) / "s.cfg", Path(tmp) / "out"
+        cfg.write_text("".join(f"{k}={v}\n" for k, v in config.items()))
+        err = io.StringIO()
+        with warnings.catch_warnings(record=True) as caught, redirect_stderr(err), redirect_stdout(io.StringIO()):
+            warnings.simplefilter("always")
+            code = main(["run", str(cfg), "--out", str(out)])
+        assert not caught, [str(w.message) for w in caught]
+        msg = err.getvalue()
+        if code == 0:
+            assert sorted(p.name for p in out.iterdir()) == sorted(f"{o}.csv" for o in config["outputs"].split(","))
+            return
+        assert not list(out.glob("*.csv"))
+        if code == 2:
+            assert msg.startswith("error: invalid scenario: ")
+        else:
+            assert code == 1 and msg.startswith("error: numerical check failed: "), msg
+            assert any(name in msg for name in _IN_LOOP_FAILURES), msg
 
 
 def test_scenario_boundary_values_accepted():
@@ -274,10 +331,10 @@ def test_main_run_and_exit_codes(tmp_path):
 
 def test_run_writes_no_csv_when_a_later_output_fails(tmp_path):
     # dt = 0.1 makes the fidelity propagation fail its dt * max|V| precondition
-    # after the cost curve has been computed
+    # after the cost curve has been computed: an input fault, so exit 2
     cfg = tmp_path / "ho.cfg"
     cfg.write_text("system=harmonic\nt_ff_list=1.0\ngrid_points=128\ndt=0.1\noutputs=cost_curve,fidelity\n")
-    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 1
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
     assert not (tmp_path / "out" / "cost_curve.csv").exists()
 
 

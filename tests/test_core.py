@@ -87,11 +87,10 @@ def test_public_names_of_the_package():
         "ErmakovSolution", "FrobeniusCost", "Grid", "HarmonicModel", "POLYNOMIAL",
         "PropagationError", "PropagationSpec", "RegularizationSingularity", "TRIGONOMETRIC",
         "ThermalEnsemble", "box_drive_prefactor", "coefficient_A", "coefficients_B",
-        "continuity_residual", "core", "cost", "cost_ff", "cost_ff_box_closed",
-        "cost_ff_ho_closed", "cost_ff_numeric", "cost_ie", "dtheta_dx_numeric",
-        "ermakov_residual", "fastforward", "fidelity", "frobenius_cost", "h_ie_expectation",
-        "ie", "inner_product", "internal_energy_box", "internal_energy_box_parts",
-        "internal_energy_ho", "internal_energy_numeric", "norm", "propagate", "propagator",
+        "continuity_residual", "core", "cost", "cost_ff", "cost_ff_closed", "cost_ff_numeric",
+        "cost_ie", "dtheta_dx_numeric", "ermakov_residual", "fastforward", "fidelity",
+        "frobenius_cost", "h_ie_expectation", "ie", "inner_product", "internal_energy_closed",
+        "internal_energy_numeric", "norm", "propagate", "propagator",
         "psi_ff", "psi_ff_values", "solve_mu", "spectra", "tdse_residual", "theta_numeric",
         "trajectory", "trap_coefficient", "vbar_for_target",
     }

@@ -15,13 +15,10 @@ from ffqd.cost import (
     coefficient_A,
     coefficients_B,
     cost_ff,
-    cost_ff_box_closed,
-    cost_ff_ho_closed,
+    cost_ff_closed,
     cost_ff_numeric,
     frobenius_cost,
-    internal_energy_box,
-    internal_energy_box_parts,
-    internal_energy_ho,
+    internal_energy_closed,
     internal_energy_numeric,
     solve_mu,
     _fermi,
@@ -123,7 +120,8 @@ def test_printed_constants_reject_empty_ensemble():
         lambda: coefficient_A(empty, 1.0),
         lambda: coefficients_B(empty, 1.0),
         lambda: box_drive_prefactor(empty, 1.0),
-        lambda: cost_ff_box_closed(box_ramp(POLYNOMIAL), empty),
+        lambda: cost_ff_closed(BoxModel(), box_ramp(POLYNOMIAL), empty),
+        lambda: cost_ff_closed(HarmonicModel(), ho_ramp(POLYNOMIAL), empty),
     ):
         with pytest.raises(ValueError, match="n_particles >= 1"):
             call()
@@ -137,29 +135,30 @@ def test_coefficients_b_zero_temperature():
 
 
 def test_internal_energy_ho_static():
-    assert internal_energy_ho(static_trajectory(), 0.5, 1.0) == pytest.approx(0.25)
+    assert sum(internal_energy_closed(HarmonicModel(), static_trajectory(), 0.5, ZERO_T)) == pytest.approx(0.25)
 
 
 def test_internal_energy_ho_endpoint_kinetic_term_vanishes():
     traj = ho_ramp(POLYNOMIAL)
-    a = 2.0
+    ens = ThermalEnsemble(beta=2.0, n_particles=2)
+    a = coefficient_A(ens, traj.value(0.0))
     # at t = 0: L_dot = 0, so only confinement + L_ddot survive
     L0, Ldd = traj.value(0.0), traj.acceleration(0.0)
     expected = a * (1.0 / (4.0 * L0 * L0) - Ldd * L0 / 8.0)
-    assert internal_energy_ho(traj, 0.0, a) == pytest.approx(expected, rel=1e-12)
+    assert sum(internal_energy_closed(HarmonicModel(), traj, 0.0, ens)) == pytest.approx(expected, rel=1e-12)
 
 
 def test_internal_energy_box_static_printed_value():
     # N = 1, T = 0, L = 1, static wall: the printed expansion gives pi^2/24,
     # a large-N density-of-states form (the exact n=1 level is pi^2/2)
-    u = internal_energy_box(static_trajectory(), 0.3, ZERO_T)
+    u = sum(internal_energy_closed(BoxModel(), static_trajectory(), 0.3, ZERO_T))
     assert u == pytest.approx(np.pi**2 / 24.0, rel=1e-12)
 
 
 def test_internal_energy_box_endpoint_reduction():
     traj = box_ramp(POLYNOMIAL)
     ens = ThermalEnsemble(beta=math.inf, n_particles=2)
-    conf, drive = internal_energy_box_parts(traj, 0.0, ens)
+    conf, drive = internal_energy_closed(BoxModel(), traj, 0.0, ens)
     k = box_drive_prefactor(ens, traj.value(0.0))
     assert drive == pytest.approx(-k * traj.value(0.0) * traj.acceleration(0.0), rel=1e-12)
 
@@ -189,17 +188,15 @@ class _NodeRamp:
     st.one_of(st.just(math.inf), st.floats(1e-3, 1e3)),
     st.integers(1, 200),
     st.lists(st.floats(0.0, 1.0), min_size=1, max_size=16),
-    st.floats(0.1, 5.0),
 )
-def test_closed_forms_on_a_node_array_match_per_node_calls(kind, l0, l1, t_ff, beta, n, fracs, a_coeff):
+def test_closed_forms_on_a_node_array_match_per_node_calls(kind, l0, l1, t_ff, beta, n, fracs):
     traj = _NodeRamp(ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff)))
     ens = ThermalEnsemble(beta=beta, n_particles=n)
     ts = t_ff * np.array(fracs)
     of_time = [
-        lambda t: internal_energy_ho(traj, t, a_coeff),
-        lambda t: internal_energy_box(traj, t, ens),
-        lambda t: internal_energy_box_parts(traj, t, ens)[0],
-        lambda t: internal_energy_box_parts(traj, t, ens)[1],
+        lambda t, model=model, part=part: internal_energy_closed(model, traj, t, ens)[part]
+        for model in (HarmonicModel(), BoxModel())
+        for part in (0, 1)
     ]
     of_l = [
         lambda l: coefficient_A(ens, l),
@@ -259,7 +256,7 @@ def test_trace_vs_printed_ho_form_is_factor_two_at_n1():
     traj = ho_ramp(POLYNOMIAL)
     for t in (0.0, 0.3, 0.7):
         numeric = internal_energy_numeric(HarmonicModel(), traj, t, ZERO_T, n_points=2048)
-        closed = internal_energy_ho(traj, t, 1.0)
+        closed = sum(internal_energy_closed(HarmonicModel(), traj, t, ZERO_T))
         assert numeric / closed == pytest.approx(2.0, abs=2e-4)
 
 
@@ -465,10 +462,11 @@ def test_cost_ff_calls_its_integrand_once_per_panel():
 def test_cost_ff_ho_closed_form_identity():
     # quadrature of the full internal energy equals the confinement average
     # plus the drive constants vbar^2/120 and 3 vbar^2/8
-    a = 1.7
+    ens = ThermalEnsemble(beta=3.0, n_particles=1)
     for kind, shape in ((POLYNOMIAL, 1.0 / 120.0), (TRIGONOMETRIC, 3.0 / 8.0)):
         traj = ho_ramp(kind)
-        total = cost_ff(lambda s: internal_energy_ho(traj, s, a), traj.t_ff)
+        a = coefficient_A(ens, traj.value(0.0))
+        total = cost_ff(lambda s: sum(internal_energy_closed(HarmonicModel(), traj, s, ens)), traj.t_ff)
         conf = cost_ff(lambda s: a / (4.0 * traj.value(s) ** 2), traj.t_ff)
         assert total == pytest.approx(conf + a * traj.vbar**2 * shape, rel=1e-8)
 
@@ -481,7 +479,7 @@ def test_box_drive_three_way_agreement(kind, shape):
     traj = box_ramp(kind)
     T = traj.t_ff
     k = box_drive_prefactor(ens, traj.value(0.0))
-    a_quad = cost_ff(lambda s: internal_energy_box_parts(traj, s, ens)[1], T)
+    a_quad = cost_ff(lambda s: internal_energy_closed(BoxModel(), traj, s, ens)[1], T)
     b_ibp = 2.0 * k / T * quad(lambda s: traj.velocity(s) ** 2, 0.0, T, epsabs=1e-14, epsrel=1e-12)[0]
     c_closed = k * traj.vbar**2 * shape
     assert a_quad == pytest.approx(b_ibp, rel=1e-8)
@@ -494,14 +492,14 @@ def test_drive_term_scales_as_vbar_squared():
     vals = []
     for vbar in (9.0, 18.0):
         traj = ControlTrajectory.trigonometric(1.0, vbar, T)
-        vals.append(cost_ff(lambda s: internal_energy_box_parts(traj, s, ens)[1], T))
+        vals.append(cost_ff(lambda s: internal_energy_closed(BoxModel(), traj, s, ens)[1], T))
     assert vals[1] / vals[0] == pytest.approx(4.0, abs=1e-10)
 
 
 def test_box_report_records_published_form_disagreement():
     ens = ThermalEnsemble(beta=math.inf, n_particles=3)
     traj = box_ramp(POLYNOMIAL)
-    rep = cost_ff_box_closed(traj, ens)
+    rep = cost_ff_closed(BoxModel(), traj, ens)
     # quadrature and the artifact closed form agree exactly at T = 0
     assert rep.quadrature_value == pytest.approx(rep.closed_form_value, rel=1e-10)
     # the printed drive coefficient is 6x low (B2/90 vs K/15); on top the
@@ -515,23 +513,64 @@ def test_box_report_records_published_form_disagreement():
 def test_box_report_static_confinement():
     ens = ThermalEnsemble(beta=math.inf, n_particles=2)
     traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)  # static wall
-    rep = cost_ff_box_closed(traj, ens)
+    rep = cost_ff_closed(BoxModel(), traj, ens)
     b1, _ = coefficients_B(ens, 1.0)
     assert rep.quadrature_value == pytest.approx(b1, rel=1e-10)  # B1/L0^2 with L0 = 1
 
 
 def test_box_report_rejects_linear_ramp():
     with pytest.raises(ValueError):
-        cost_ff_box_closed(ControlTrajectory.adiabatic_linear(1.0, 0.1, 1.0), ZERO_T)
+        cost_ff_closed(BoxModel(), ControlTrajectory.adiabatic_linear(1.0, 0.1, 1.0), ZERO_T)
 
 
 def test_cost_monotone_decreasing_in_t_ff():
     ens = ThermalEnsemble(beta=math.inf, n_particles=1)
     values = [
-        cost_ff_box_closed(box_ramp(POLYNOMIAL, t_ff=T), ens).quadrature_value
+        cost_ff_closed(BoxModel(), box_ramp(POLYNOMIAL, t_ff=T), ens).quadrature_value
         for T in (0.5, 1.0, 2.0, 5.0)
     ]
     assert all(b < a for a, b in zip(values, values[1:]))
+
+
+# (quadrature, closed form, published, ratio) and the constants of the box and
+# oscillator reports as the per-trap functions that cost_ff_closed replaced gave
+# them: N = 3 on the 1 -> 10 ramps of helpers, over T = 1
+_TWIN_REPORTS = {
+    ("box", POLYNOMIAL, math.inf): (
+        (105.62494167623223, 105.62494167623224, 16.277472040675363, 6.489026146829724),
+        {"B1": 11.103304951225526, "B2": 0.5, "B2_drive": 0.5337737278807793},
+    ),
+    ("box", POLYNOMIAL, 2.0): (
+        (171.60704994303, 108.97636824778012, 16.305072471784463, 10.524764624014514),
+        {"B1": 11.18663828455886, "B2": 0.5008339192069329, "B2_drive": 0.5338300570015183},
+    ),
+    ("box", TRIGONOMETRIC, math.inf): (
+        (132.1756036647732, 132.175603664773, 20.352857824572652, 6.494203654544935),
+        {"B1": 11.103304951225526, "B2": 0.5, "B2_drive": 0.5337737278807793},
+    ),
+    ("box", TRIGONOMETRIC, 2.0): (
+        (210.59657561842343, 135.70007371793707, 20.387403528492882, 10.32973989670138),
+        {"B1": 11.18663828455886, "B2": 0.5008339192069329, "B2_drive": 0.5338300570015183},
+    ),
+    ("harmonic", POLYNOMIAL, math.inf): ((9.484794240243819,) * 3 + (1.0,), {"A": 9.0}),
+    ("harmonic", POLYNOMIAL, 2.0): ((12.951874498648905,) * 3 + (1.0,), {"A": 12.289868133696451}),
+    ("harmonic", TRIGONOMETRIC, math.inf): ((10.575349909621334,) * 3 + (1.0,), {"A": 9.0}),
+    ("harmonic", TRIGONOMETRIC, 2.0): (
+        (14.441072872993876, 14.441072872993873, 14.441072872993873, 1.0000000000000002),
+        {"A": 12.289868133696451},
+    ),
+}
+
+
+@pytest.mark.parametrize("system, kind, beta", list(_TWIN_REPORTS), ids=lambda v: str(v))
+def test_cost_ff_closed_reproduces_the_per_trap_reports(system, kind, beta):
+    model, ramp = (BoxModel(), box_ramp) if system == "box" else (HarmonicModel(), ho_ramp)
+    rep = cost_ff_closed(model, ramp(kind), ThermalEnsemble(beta=beta, n_particles=3))
+    values, constants = _TWIN_REPORTS[system, kind, beta]
+    got = (rep.quadrature_value, rep.closed_form_value, rep.published_value, rep.published_ratio)
+    np.testing.assert_allclose(got, values, rtol=1e-12, atol=0.0)
+    assert rep.constants.keys() == constants.keys()
+    np.testing.assert_allclose([rep.constants[k] for k in constants], list(constants.values()), rtol=1e-12, atol=0.0)
 
 
 def test_cost_report_csv(tmp_path):
@@ -539,11 +578,8 @@ def test_cost_report_csv(tmp_path):
     for system in ("box", "harmonic"):
         scn = Scenario(system=system, beta=2.0, n_particles=2, t_ff_list=(1.0,), outputs=("cost_curve",))
         (path,) = run(scn, tmp_path / system)
-        traj = scn.trajectory(1.0)
-        if system == "box":
-            rep = cost_ff_box_closed(traj, scn.ensemble())
-        else:
-            rep = cost_ff_ho_closed(traj, coefficient_A(scn.ensemble(), traj.value(0.0)))
+        model = BoxModel() if system == "box" else HarmonicModel()
+        rep = cost_ff_closed(model, scn.trajectory(1.0), scn.ensemble())
         fields = [f.name for f in dataclasses.fields(rep)]
         assert fields == ["quadrature_value", "closed_form_value", "published_value", "published_ratio", "constants"]
         row = ",".join(f"{v:.14e}" for v in [1.0] + [getattr(rep, f) for f in fields[:4]])
@@ -746,7 +782,7 @@ def test_streamed_half_grid_trace_matches_full_grid_stack(ls, widen, beta, n, n_
     # of 8 and 9 points, most of 64, so 1024 and 1025 keep high levels compared
     model, l = HarmonicModel(), np.array(ls)
     l_max = widen * float(np.max(l))
-    _, f, n_top = cost_mod._occupied_levels(model, ThermalEnsemble(beta=beta, n_particles=n), l)
+    f, n_top = cost_mod._occupied_levels(model, ThermalEnsemble(beta=beta, n_particles=n), l)
     g, a = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(2, l.size))
     half = model._half_width(l_max, n_top)
     if np.any(2.0 * half / (n_points - 1) > np.pi * l / np.sqrt(2.0 * n_top + 1.0)):
@@ -932,8 +968,9 @@ def test_box_frobenius_from_unit_table_matches_per_node_forms():
 def test_frobenius_cost_matches_the_grid_oracle(box, kind, l0, l1, t_ff, m_cut):
     # the exact-matrix Frobenius cost against the grid matrix it replaced: the trapezoid
     # <k|x^2|m> on the l = 1 grid, scaled by l^2 as both traps' grids scale with l.
-    # Faster oscillator ramps (t_ff ~ 0.4, l 1 -> 5) can leave cost_ff unconverged
-    # with either matrix: ||H|| dips where l_ddot l^3 = 2, as E_n(1) = X_nn = n + 1/2
+    # The reference is one cost_ff over the whole ramp, which faster oscillator ramps
+    # (t_ff ~ 0.4, l 1 -> 5) leave unconverged: ||H|| dips where l_ddot l^3 = 2, as
+    # E_n(1) = X_nn = n + 1/2 (see the fast-ramp tests below)
     model = BoxModel() if box else HarmonicModel()
     traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff))
     got = frobenius_cost(model, traj, m_cut, t_ff)
@@ -941,6 +978,48 @@ def test_frobenius_cost_matches_the_grid_oracle(box, kind, l0, l1, t_ff, m_cut):
     grid = cost_ff(lambda t: _frobenius_h_norm(model, traj, t, lambda l: l * l * unit, m_cut), t_ff, 1e-8)
     assert got.cutoff == m_cut
     assert got.value == pytest.approx(grid, rel=1e-9, abs=0.0)
+
+
+def _frobenius_trapezoid(model, traj, m_cut, n_intervals=2**16):
+    """The Frobenius cost by the trapezoid rule on n_intervals equal panels: no dip is looked for."""
+    ns = model.level_numbers(m_cut)
+    e, x2 = model._unit_energy(ns), model._unit_x2(ns)
+    ts = np.linspace(0.0, traj.t_ff, n_intervals + 1)
+    l, c = traj.value(ts), -0.5 * traj.acceleration(ts) / traj.value(ts)
+    h2 = e @ e / l**4 + 2.0 * c * (e @ np.diag(x2)) + (c * l * l) ** 2 * np.sum(x2 * x2)
+    return np.trapezoid(np.sqrt(h2), ts) / traj.t_ff
+
+
+@pytest.mark.parametrize(
+    "l0, l1, t_ff, m_cut, rel_tol",
+    [(0.83, 4.55, 0.367, 3, 1e-8), (0.98, 5.23, 0.381, 20, 1e-8), (1.0, 4.0, 0.5, 3, 1e-10)],
+)
+def test_frobenius_cost_converges_through_the_dips_of_fast_oscillator_ramps(l0, l1, t_ff, m_cut, rel_tol):
+    # each raised "did not converge ... after 8 halvings" from one cost_ff over the
+    # ramp: ||H|| dips to 0.2 from ~1e3 within ~1e-5 of the time where c l^4 = -ex/xx
+    model = HarmonicModel()
+    traj = ControlTrajectory(TRIGONOMETRIC, l0, t_ff, vbar=vbar_for_target(TRIGONOMETRIC, l0, l1, t_ff))
+    got = frobenius_cost(model, traj, m_cut, t_ff, rel_tol=rel_tol)
+    assert got.value == pytest.approx(_frobenius_trapezoid(model, traj, m_cut), rel=1e-8, abs=0.0)
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.booleans(),
+    st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]),
+    st.floats(0.5, 1.5),
+    st.floats(-math.log(6.0), math.log(6.0)),
+    st.floats(0.3, 1.0),
+    st.integers(2, 40),
+    st.sampled_from([1e-8, 1e-10]),
+)
+def test_frobenius_cost_converges_on_fast_ramps(box, kind, l0, log_ratio, t_ff, m_cut, rel_tol):
+    # fast ramps of both traps, widening or narrowing up to 6x, against the trapezoid
+    # rule on 2^16 equal panels, whose own error here is below 1e-9
+    model = BoxModel() if box else HarmonicModel()
+    traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l0 * math.exp(log_ratio), t_ff))
+    got = frobenius_cost(model, traj, m_cut, t_ff, rel_tol=rel_tol)
+    assert got.value == pytest.approx(_frobenius_trapezoid(model, traj, m_cut), rel=1e-8, abs=0.0)
 
 
 # a trace grid needs the 8 points Grid asks for: below that the stencils and
