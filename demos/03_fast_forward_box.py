@@ -12,7 +12,7 @@ import numpy as np
 
 from ffqd.core import Grid
 from ffqd.fastforward import psi_ff, trap_coefficient
-from ffqd.propagator import PropagationSpec, fidelity, propagate
+from ffqd.propagator import fidelity, propagate
 from ffqd.spectra import BoxModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
@@ -26,12 +26,12 @@ for kind in (POLYNOMIAL, TRIGONOMETRIC):
     grid = Grid(0.0, 1.0, N_POINTS)
     psi0 = psi_ff(BOX, 1, 0.0, traj, grid)
 
-    out = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj), ramp=traj))
+    out = propagate(psi0, traj, trap_coefficient(BOX, traj), DT, T)
     target = psi_ff(BOX, 1, T, traj, out.grid)
     fid = fidelity(out, target)
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
 
-    out0 = propagate(psi0, PropagationSpec(grid, DT, T, trap_coefficient(BOX, traj, driven=False), ramp=traj))
+    out0 = propagate(psi0, traj, trap_coefficient(BOX, traj, driven=False), DT, T)
     fid0 = fidelity(out0, target)
 
     print(f"{kind} ramp:")

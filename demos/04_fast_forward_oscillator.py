@@ -10,7 +10,7 @@ the drive included and orders of magnitude larger without it.
 import numpy as np
 
 from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
-from ffqd.propagator import PropagationSpec, fidelity, propagate, tdse_residual
+from ffqd.propagator import fidelity, propagate, tdse_residual
 from ffqd.spectra import HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, ControlTrajectory, vbar_for_target
 
@@ -25,8 +25,8 @@ undriven = trap_coefficient(model, traj, driven=False)
 psi0 = psi_ff(model, 0, 0.0, traj, grid)
 # the grid follows R(t), as the box grid follows the wall: the final states
 # live on the grid of R(T)
-out = propagate(psi0, PropagationSpec(grid, 1e-4, T, driven, ramp=traj))
-out0 = propagate(psi0, PropagationSpec(grid, 1e-4, T, undriven, ramp=traj))
+out = propagate(psi0, traj, driven, 1e-4, T)
+out0 = propagate(psi0, traj, undriven, 1e-4, T)
 target = psi_ff(model, 0, T, traj, out.grid)
 print(f"driven fidelity   : {fidelity(out, target):.10f}")
 print(f"undriven fidelity : {fidelity(out0, target):.6f}")

@@ -34,7 +34,6 @@ from .fastforward import (
 )
 from .propagator import (
     PropagationError,
-    PropagationSpec,
     fidelity,
     propagate,
     tdse_residual,

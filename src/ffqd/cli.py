@@ -26,7 +26,7 @@ from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
 from .core import norm
-from .propagator import PropagationError, PropagationSpec, fidelity, propagate, tdse_residual
+from .propagator import PropagationError, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
     ADIABATIC_LINEAR,
@@ -186,14 +186,8 @@ def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, snaps
     model, grid = _system(scn, traj, 0.0)
     n = model.n_min
     T = traj.t_ff
-    n_steps = max(1, int(round(T / scn.dt)))
-    stride = max(1, n_steps // 8)
-    out = propagate(
-        ff.psi_ff(model, n, 0.0, traj, grid),
-        PropagationSpec(grid, scn.dt, T, ff.trap_coefficient(model, traj, driven), traj),
-        snapshot_path=snapshot_path,
-        snapshot_stride=stride if snapshot_path else 0,
-    )
+    psi0 = ff.psi_ff(model, n, 0.0, traj, grid)
+    out = propagate(psi0, traj, ff.trap_coefficient(model, traj, driven), scn.dt, T, snapshot_path)
     return fidelity(out, ff.psi_ff(model, n, T, traj, out.grid)), abs(norm(out) - 1.0)
 
 

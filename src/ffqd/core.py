@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -16,8 +17,10 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if self.n_points < 8:
-            raise ValueError(f"need n_points >= 8, got {self.n_points}")
+        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 8:
+            raise ValueError(f"need an integer n_points >= 8, got {self.n_points!r}")
+        if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
+            raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:
             raise ValueError(f"x_max must exceed x_min, got [{self.x_min}, {self.x_max}]")
         pts = np.linspace(self.x_min, self.x_max, self.n_points)

@@ -42,6 +42,16 @@ one row-wise bisection, and the model forms the moments in blocks of nodes
 the mirror half of its fixed grid, sized by its ramp's widest l.
 cost_ff_numeric is the one-ramp call and internal_energy_numeric the
 one-node call of this pass.  The Frobenius cost needs no grid.
+
+Three population conventions meet in the comparisons, and they differ at
+finite temperature:
+  - the trace re-solves mu from the fixed particle number at every node, so
+    its Fermi-Dirac occupations re-thermalise as l(t) moves;
+  - the unitary fast-forward dynamics (the propagator's) carries each
+    level's t = 0 occupation f_n(0) unchanged; at T = 0 both fill the
+    lowest N levels and coincide;
+  - ie.cost_ie weights the inverse-engineering energy with the one-particle
+    Boltzmann factor coth(beta omega0 / 2) / 2 of the initial trap.
 """
 
 from __future__ import annotations
@@ -194,7 +204,7 @@ def coefficient_A(ens: ThermalEnsemble, l0: float) -> float:
     N = _printed_n(ens)
     kT = ens.temperature
     r = l0 / N
-    corr = (4.0 * np.pi**2 / 3.0) * (l0 * l0) * kT**2 * (r * r)
+    corr = (4.0 * np.pi**2 / 3.0) * (l0 * l0) * (kT * kT) * (r * r)
     return N * N * (1.0 + corr)
 
 
@@ -202,7 +212,7 @@ def _thermal_l4(ens: ThermalEnsemble, L):
     # powers of L are products here and in coefficient_A: a Python float's ** rounds
     # apart from numpy's, products keep a node array bit-identical to per-node calls
     r2 = (L / ens.n_particles) * (L / ens.n_particles)
-    return ens.temperature**2 * (r2 * r2)
+    return (ens.temperature * ens.temperature) * (r2 * r2)
 
 
 def coefficients_B(ens: ThermalEnsemble, L):
@@ -231,14 +241,15 @@ def _printed_constants(model: Model, ens: ThermalEnsemble, l0: float):
     """(of_l, line, named): (C, K) of the trap's printed energy at l, of its printed cost line, and by name.
 
     Box: (B1(l), box_drive_prefactor(l)) and the line (B1(l0)/24, B2(l0)/6).
-    Oscillator: (A/4, A/8), A = coefficient_A(ens, l0), in both.
+    Oscillator: (A/4, A/8), A = coefficient_A(ens, l0), and line None: its
+    printed cost line is its closed form.
     """
     if isinstance(model, BoxModel):
         b1, b2 = coefficients_B(ens, l0)
         named = {"B1": b1, "B2": b2, "B2_drive": box_drive_prefactor(ens, l0)}
         return lambda l: (coefficients_B(ens, l)[0], box_drive_prefactor(ens, l)), (b1 / 24.0, b2 / 6.0), named
     a = coefficient_A(ens, l0)
-    return lambda l: (a / 4.0, a / 8.0), (a / 4.0, a / 8.0), {"A": a}
+    return lambda l: (a / 4.0, a / 8.0), None, {"A": a}
 
 
 def internal_energy_closed(model: Model, traj: ControlTrajectory, t, ens: ThermalEnsemble):
@@ -448,19 +459,20 @@ def cost_ff_closed(model: Model, traj: ControlTrajectory, ens: ThermalEnsemble) 
 
     The closed form is the confinement average plus the drive by parts,
     K(l0) vbar^2 _DRIVE_SHAPE, which freezes the box's finite-temperature K(l)
-    at l0.  The printed line is the same form with the printed constants.
+    at l0.  The printed line is the same form with the printed constants;
+    where those are the closed form's (the oscillator), it is the closed form.
     """
     _require_smooth_ramp(traj)
     T, l0 = traj.t_ff, traj.value(0.0)
-    of_l, (c_line, k_line), named = _printed_constants(model, ens, l0)
+    of_l, printed, named = _printed_constants(model, ens, l0)
 
     def line(c_of_l, k):
         conf = cost_ff(lambda s: c_of_l(traj.value(s)) / traj.value(s) ** 2, T, 1e-12)
-        return conf + k * traj.vbar**2 * _DRIVE_SHAPE[traj.kind]
+        return conf + k * (traj.vbar * traj.vbar) * _DRIVE_SHAPE[traj.kind]
 
     quadrature = cost_ff(lambda s: sum(internal_energy_closed(model, traj, s, ens)), T)
     closed = line(lambda l: of_l(l)[0], of_l(l0)[1])
-    published = line(lambda l: c_line, k_line)
+    published = closed if printed is None else line(lambda l: printed[0], printed[1])
     return CostReport(quadrature, closed, published, quadrature / published, named)
 
 

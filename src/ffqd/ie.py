@@ -70,20 +70,20 @@ class ErmakovSolution:
     def b_ddot(self, t):
         s = self._s(t)
         wdd = 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
-        out = (self.b_final - 1.0) * wdd / self.t_ff**2
+        out = (self.b_final - 1.0) * wdd / (self.t_ff * self.t_ff)
         return float(out) if np.ndim(t) == 0 else out
 
     def omega_sq(self, t):
         """Engineered ramp omega^2(t) = omega0^2/b^4 - b_ddot/b."""
         b = self.b(t)
-        out = self.omega0**2 / np.asarray(b) ** 4 - np.asarray(self.b_ddot(t)) / np.asarray(b)
+        out = (self.omega0 * self.omega0) / np.asarray(b) ** 4 - np.asarray(self.b_ddot(t)) / np.asarray(b)
         return float(out) if np.ndim(t) == 0 else out
 
 
 def ermakov_residual(sol: ErmakovSolution, t) -> float:
     """b_ddot + omega^2 b - omega0^2/b^3; zero by construction."""
     b = np.asarray(sol.b(t), dtype=float)
-    out = np.asarray(sol.b_ddot(t)) + np.asarray(sol.omega_sq(t)) * b - sol.omega0**2 / b**3
+    out = np.asarray(sol.b_ddot(t)) + np.asarray(sol.omega_sq(t)) * b - (sol.omega0 * sol.omega0) / b**3
     return float(out) if np.ndim(t) == 0 else out
 
 
@@ -108,7 +108,11 @@ def cost_ie(sol: ErmakovSolution, beta: float) -> float:
     """Time-averaged <H_IE> over the ramp, by cost.cost_ff's Gauss-Legendre panels.
 
     Each panel evaluates <H_IE> on its whole node array; RuntimeError if the
-    quadrature does not converge.
+    quadrature does not converge.  The population is the one-particle
+    Boltzmann ensemble of the initial trap, <n + 1/2> = coth(beta omega0/2)/2,
+    frozen along the ramp: neither the Fermi-Dirac trace of
+    cost.cost_ff_numeric, which re-solves mu at every node, nor the t = 0
+    occupations f_n(0) that the unitary fast-forward dynamics carries.
     """
     return cost_ff(lambda s: h_ie_expectation(sol, s, beta), sol.t_ff)
 

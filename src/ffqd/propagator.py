@@ -41,13 +41,13 @@ propagation.
 
 from __future__ import annotations
 
+import contextlib
 import functools
 import importlib.machinery
 import importlib.util
 import math
 import os
 import sys
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -66,62 +66,28 @@ class PropagationError(RuntimeError):
     pass
 
 
-@dataclass(frozen=True)
-class PropagationSpec:
-    """One propagation run: grid, stepping, trap coefficient a(t) of V = a(t) x^2, ramp l(t).
-
-    coefficient maps an array of times to the array of a(t).  The grid, hard
-    walls at both ends, follows the ramp l(t): the returned field lives on it
-    scaled by l(t_final) / l(0).  A static run passes a constant ramp,
-    ControlTrajectory.adiabatic_linear(l, 0.0, t_final).
-    """
-
-    grid: Grid
-    dt: float
-    t_final: float
-    coefficient: Callable[[np.ndarray], np.ndarray]
-    ramp: ControlTrajectory
-
-    def __post_init__(self):
-        for name in ("dt", "t_final"):
-            if not 0 < getattr(self, name) < math.inf:  # False for NaN too
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not isinstance(self.ramp, ControlTrajectory):
-            raise ValueError(f"ramp must be a ControlTrajectory, got {self.ramp!r}")
-
-
 def fidelity(a: ComplexField, b: ComplexField) -> float:
     """|<a, b>| for normalized fields on the same grid; blind to global phase."""
     return abs(inner_product(a, b))
 
 
-class _SnapshotWriter:
-    """Plain CSV stream of (t, x, Re psi, Im psi) rows at fixed step strides."""
-
-    def __init__(self, path, stride: int):
-        self.stride = stride
-        self.fh = open(path, "w", newline="")
-        self.fh.write("t,x,re_psi,im_psi\n")
-
-    def write(self, t: float, grid: Grid, psi: np.ndarray):
-        for xj, pj in zip(grid.points, psi):
-            self.fh.write(f"{t:.14e},{xj:.14e},{pj.real:.14e},{pj.imag:.14e}\n")
-
-    def close(self):
-        self.fh.close()
+def _write_frame(fh, t: float, grid: Grid, psi: np.ndarray) -> None:
+    """The (t, x, Re psi, Im psi) CSV rows of one snapshot frame."""
+    for xj, pj in zip(grid.points, psi):
+        fh.write(f"{t:.14e},{xj:.14e},{pj.real:.14e},{pj.imag:.14e}\n")
 
 
-def _frame(spec: PropagationSpec, psi0: ComplexField, t_half: np.ndarray):
+def _frame(ramp: ControlTrajectory, psi0: ComplexField, t_half: np.ndarray):
     """(frame grid of y, s and s_dot at t_half, s(t)) for the frame x = s(t) y, s = l(t).
 
-    y spans the grid over l(0); the ramp is evaluated (and domain-checked)
+    y spans psi0's grid over l(0); the ramp is evaluated (and domain-checked)
     at every half step here, before the first step.  psi at the grid ends is
     set to zero, so psi0 must vanish there, below 1e-5: box states are zero
     at the walls, oscillator states in the amplitude tables at most 1e-6.
     """
     if not np.abs(psi0.values[[0, -1]]).max() <= _EDGE_LIMIT:  # NaN fails too
         raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {_EDGE_LIMIT:g} there)")
-    ramp, g = spec.ramp, spec.grid
+    g = psi0.grid
     l0 = ramp.value(0.0)
     scale = lambda t: ramp.value(min(t, ramp.t_ff))
     return Grid(g.x_min / l0, g.x_max / l0, g.n_points), ramp.value(t_half), ramp.velocity(t_half), scale
@@ -154,34 +120,41 @@ def _physical(frame: Grid, u: np.ndarray, s: float, sign: int) -> tuple[Grid, np
 
 def propagate(
     psi0: ComplexField,
-    spec: PropagationSpec,
+    ramp: ControlTrajectory,
+    coefficient: Callable[[np.ndarray], np.ndarray],
+    dt: float,
+    t_final: float,
     snapshot_path=None,
-    snapshot_stride: int = 0,
 ) -> ComplexField:
-    """Crank-Nicolson run from t = 0 to t_final; returns the final state.
+    """Crank-Nicolson run of psi0 on its own grid from t = 0 to t_final; returns the final state.
 
-    Before the first step, raises ValueError if V = a(t) x^2 is not finite
-    or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the interior
-    points, dt the stepped t_final / n_steps; the bound is
-    max|a(t) s(t)^2| max y^2), if psi0 does not vanish at the grid ends or
-    does not live on spec.grid, or if the run would leave the ramp's
-    [0, t_ff]: each depends on the input alone.  A psi0 of definite parity
-    on a grid symmetric about 0 is stepped on the half grid (see the module
-    docstring).  While
-    stepping, raises PropagationError if the norm drifts by more than 1e-6
-    (or turns NaN) at any checkpoint.  Snapshots go to snapshot_path every
-    snapshot_stride >= 1 steps: ValueError unless both or neither are given.
+    coefficient maps an array of times to the array of a(t) of V = a(t) x^2.
+    The grid, hard walls at both ends, follows the ramp l(t): the returned
+    field lives on it scaled by l(t_final) / l(0).  A static run passes a
+    constant ramp, ControlTrajectory.adiabatic_linear(l, 0.0, t_final).  The
+    run makes n_steps = round(t_final / dt) (at least 1) steps of t_final / n_steps.
+
+    Before the first step, raises ValueError if dt or t_final is not positive
+    and finite or ramp is not a ControlTrajectory (checked first), if psi0
+    does not vanish at the grid ends, if the run would leave the ramp's
+    [0, t_ff], or if V = a(t) x^2 is not finite or dt*max|V|/hbar >= 0.5 at
+    any half step stepped (V on the interior points; the bound is
+    max|a(t) s(t)^2| max y^2): each depends on the input alone.  A psi0 of
+    definite parity on a grid symmetric about 0 is stepped on the half grid
+    (see the module docstring).  While stepping, raises PropagationError if
+    the norm drifts by more than 1e-6 (or turns NaN) at any checkpoint.
+    With a snapshot_path, frames go there at step 0, every
+    max(1, n_steps // 8) steps and the last step.
     """
-    if (snapshot_path is None) != (snapshot_stride == 0) or snapshot_stride < 0:
-        raise ValueError(
-            f"snapshot_path and a snapshot_stride >= 1 go together; got {snapshot_path!r}, {snapshot_stride!r}"
-        )
-    if psi0.grid != spec.grid:
-        raise ValueError(f"psi0 lives on {psi0.grid}, the run on {spec.grid}")
-    n_steps = max(1, int(round(spec.t_final / spec.dt)))
-    dt = spec.t_final / n_steps
+    for name, value in (("dt", dt), ("t_final", t_final)):
+        if not 0 < value < math.inf:  # False for NaN too
+            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    if not isinstance(ramp, ControlTrajectory):
+        raise ValueError(f"ramp must be a ControlTrajectory, got {ramp!r}")
+    n_steps = max(1, int(round(t_final / dt)))
+    dt = t_final / n_steps
     t_half = (np.arange(n_steps) + 0.5) * dt
-    frame, s, s_dot, scale = _frame(spec, psi0, t_half)
+    frame, s, s_dot, scale = _frame(ramp, psi0, t_half)
     nrm0 = norm(psi0)
     if abs(nrm0 - 1.0) > 1e-6:
         raise ValueError(f"psi0 must be normalized, got norm {nrm0!r}")
@@ -193,7 +166,7 @@ def propagate(
     lam = dt / 2.0
     c_kin = lam / (2.0 * dy * dy)
     c_dil = lam / (4.0 * dy)
-    pot = lam * spec.coefficient(t_half) * (s * s)
+    pot = lam * coefficient(t_half) * (s * s)
     margin = 2.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
     bad = np.flatnonzero(~(margin < 0.5))  # NaN fails too
     if bad.size:
@@ -203,7 +176,7 @@ def propagate(
         raise ValueError(f"time step too coarse: dt*max|V|/hbar = {worst:.3g} >= 0.5")
 
     u = math.sqrt(scale(0.0)) * psi0.values[1:-1]  # unitary map to the frame
-    sign = _parity(spec.grid, psi0.values)  # 0: no mirror, the full interior is stepped
+    sign = _parity(psi0.grid, psi0.values)  # 0: no mirror, the full interior is stepped
     centre = frame.n_points % 2  # 1: the interior has a centre point y = 0
     if sign:  # the right half of the interior, from its centre point or pair
         h = y.size // 2
@@ -218,10 +191,11 @@ def propagate(
     d = np.empty_like(u)
     du = np.empty(u.size - 1, dtype=complex)
     dl = np.empty_like(du)
-    writer = None if snapshot_path is None else _SnapshotWriter(snapshot_path, snapshot_stride)
-    try:
-        if writer:
-            writer.write(0.0, *_physical(frame, u, scale(0.0), sign))
+    stride = max(1, n_steps // 8)  # steps between snapshot frames
+    with contextlib.nullcontext() if snapshot_path is None else open(snapshot_path, "w", newline="") as fh:
+        if fh:
+            fh.write("t,x,re_psi,im_psi\n")
+            _write_frame(fh, 0.0, *_physical(frame, u, scale(0.0), sign))
         for step in range(n_steps):
             sk = s.item(step)
             np.multiply(y2, 1j * pot.item(step), out=d)
@@ -239,12 +213,9 @@ def propagate(
             done, last = step + 1, step + 1 == n_steps
             if done % _NORM_CHECK_STRIDE == 0 or last:
                 _check_norm(u, dy, done, n_steps, sign, centre)
-            if writer and (last or done % writer.stride == 0):
-                writer.write(done * dt, *_physical(frame, u, scale(done * dt), sign))
-    finally:
-        if writer is not None:
-            writer.close()
-    return ComplexField(*_physical(frame, u, scale(spec.t_final), sign))
+            if fh and (last or done % stride == 0):
+                _write_frame(fh, done * dt, *_physical(frame, u, scale(done * dt), sign))
+    return ComplexField(*_physical(frame, u, scale(t_final), sign))
 
 
 @functools.cache

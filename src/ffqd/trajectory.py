@@ -28,17 +28,17 @@ class ControlTrajectory:
     kind:
       polynomial     l = l0 + vbar*(t^2/2T - t^3/3T^2)
       trigonometric  l = l0 + vbar*(t - (T/2pi) sin(2 pi t/T))
-      linear         l = l0 + epsilon*t   (quasi-static reference ramp)
+      linear         l = l0 + vbar*t      (quasi-static reference ramp)
 
-    Every kind is monotone on [0, t_ff] (l_dot = vbar s(1 - s) with s = t/T,
-    vbar (1 - cos), or epsilon), so l(0) and l(t_ff) are its extremes.
+    vbar is every kind's one velocity scale, the linear ramp's slope.  Every
+    kind is monotone on [0, t_ff] (l_dot = vbar s(1 - s) with s = t/T,
+    vbar (1 - cos), or vbar), so l(0) and l(t_ff) are its extremes.
     """
 
     kind: str
     l0: float
     t_ff: float
     vbar: float = 0.0
-    epsilon: float = 0.0
 
     def __post_init__(self):
         if self.kind not in _KINDS:
@@ -60,7 +60,7 @@ class ControlTrajectory:
 
     @classmethod
     def adiabatic_linear(cls, l0: float, epsilon: float, t_ff: float) -> "ControlTrajectory":
-        return cls(ADIABATIC_LINEAR, l0, t_ff, epsilon=epsilon)
+        return cls(ADIABATIC_LINEAR, l0, t_ff, vbar=epsilon)
 
     @cached_property
     def _l_max(self) -> float:
@@ -90,13 +90,15 @@ class ControlTrajectory:
     def _value(self, t):
         if self.kind == POLYNOMIAL:
             # t * t * t, not t**3: a Python float's power (C pow) and numpy's
-            # round apart, and the scalar and array paths must agree bit for bit
-            return self.l0 + self.vbar * (t * t / (2.0 * self.t_ff) - t * t * t / (3.0 * self.t_ff**2))
+            # round apart, and the scalar and array paths must agree bit for bit;
+            # C pow also misrounds about one square in a thousand, where a product
+            # is exact under scaling by powers of two
+            return self.l0 + self.vbar * (t * t / (2.0 * self.t_ff) - t * t * t / (3.0 * (self.t_ff * self.t_ff)))
         if self.kind == TRIGONOMETRIC:
             return self.l0 + self.vbar * (
                 t - (self.t_ff / (2.0 * np.pi)) * np.sin(2.0 * np.pi * t / self.t_ff)
             )
-        return self.l0 + self.epsilon * t
+        return self.l0 + self.vbar * t
 
     def value(self, t):
         """l(t); accepts scalars or arrays, errors outside [0, t_ff]."""
@@ -107,18 +109,18 @@ class ControlTrajectory:
         """Exact analytic dl/dt."""
         tt = self._check_domain(t)
         if self.kind == POLYNOMIAL:
-            out = self.vbar * (tt / self.t_ff - tt * tt / self.t_ff**2)
+            out = self.vbar * (tt / self.t_ff - tt * tt / (self.t_ff * self.t_ff))
         elif self.kind == TRIGONOMETRIC:
             out = self.vbar * (1.0 - np.cos(2.0 * np.pi * tt / self.t_ff))
         else:
-            out = np.full_like(tt, self.epsilon)
+            out = np.full_like(tt, self.vbar)
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def acceleration(self, t):
         """Exact analytic d^2 l/dt^2."""
         tt = self._check_domain(t)
         if self.kind == POLYNOMIAL:
-            out = self.vbar * (1.0 / self.t_ff - 2.0 * tt / self.t_ff**2)
+            out = self.vbar * (1.0 / self.t_ff - 2.0 * tt / (self.t_ff * self.t_ff))
         elif self.kind == TRIGONOMETRIC:
             out = self.vbar * (2.0 * np.pi / self.t_ff) * np.sin(2.0 * np.pi * tt / self.t_ff)
         else:
@@ -139,6 +141,6 @@ def vbar_for_target(kind: str, l0: float, l_final: float, t_ff: float) -> float:
     if kind == TRIGONOMETRIC:
         return (l_final - l0) / t_ff
     if kind == ADIABATIC_LINEAR:
-        raise ValueError("linear ramps are parameterized by epsilon, not vbar")
+        raise ValueError("linear ramps take their slope epsilon as given, not from a target")
     raise ValueError(f"unknown trajectory kind {kind!r}")
 

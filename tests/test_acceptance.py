@@ -31,7 +31,7 @@ from ffqd.cost import (
 )
 from ffqd.fastforward import psi_ff, theta_numeric, trap_coefficient
 from ffqd.ie import ErmakovSolution, cost_ie, ermakov_residual
-from ffqd.propagator import PropagationSpec, fidelity, propagate
+from ffqd.propagator import fidelity, propagate
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
@@ -51,10 +51,10 @@ def test_criterion_01_oscillator_fast_forward_exactness():
     model = HarmonicModel()
     grid = model.default_grid(1.0, 1024)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
-    out = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj), traj))
+    out = propagate(psi0, traj, trap_coefficient(model, traj), 1e-4, 1.0)
     target = psi_ff(model, 0, 1.0, traj, out.grid)
     fid = fidelity(out, target)
-    out0 = propagate(psi0, PropagationSpec(grid, 1e-4, 1.0, trap_coefficient(model, traj, driven=False), traj))
+    out0 = propagate(psi0, traj, trap_coefficient(model, traj, driven=False), 1e-4, 1.0)
     fid0 = fidelity(out0, target)
     elapsed = time.monotonic() - t_start
 
@@ -71,7 +71,7 @@ def test_criterion_02_box_fast_forward_exactness():
         traj = box_ramp(kind)  # L 1 -> 10 over T = 1
         grid = Grid(0.0, 1.0, 2048)
         psi0 = psi_ff(BoxModel(), 1, 0.0, traj, grid)
-        out = propagate(psi0, PropagationSpec(grid, 5e-5, 1.0, trap_coefficient(BoxModel(), traj), traj))
+        out = propagate(psi0, traj, trap_coefficient(BoxModel(), traj), 5e-5, 1.0)
         fid = fidelity(out, psi_ff(BoxModel(), 1, 1.0, traj, out.grid))
         nrm = float(np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx)))
         results.append((kind, fid, abs(nrm - 1.0)))
@@ -213,10 +213,10 @@ def test_criterion_09_propagator_convergence_order():
     grid = model.default_grid(1.0, 1024)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
     pot = trap_coefficient(model, traj)
-    ref = propagate(psi0, PropagationSpec(grid, 2.5e-5, 0.5, pot, traj))
+    ref = propagate(psi0, traj, pot, 2.5e-5, 0.5)
     errs = []
     for dt in (8e-4, 4e-4, 2e-4):
-        out = propagate(psi0, PropagationSpec(grid, dt, 0.5, pot, traj))
+        out = propagate(psi0, traj, pot, dt, 0.5)
         errs.append(abs(1.0 - inner_product(ref, out)))
     r1, r2 = errs[0] / errs[1], errs[1] / errs[2]
     ok = 3.0 <= r1 <= 5.0 and 3.0 <= r2 <= 5.0

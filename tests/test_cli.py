@@ -405,7 +405,7 @@ if SCIPY_FIRST:
 import ffqd, ffqd.cli
 from ffqd.core import Grid
 from ffqd.fastforward import psi_ff, trap_coefficient
-from ffqd.propagator import PropagationSpec, propagate
+from ffqd.propagator import propagate
 from ffqd.spectra import BoxModel
 
 scn = ffqd.cli.Scenario(system="box", ramp="trigonometric", l_final=3.0, grid_points=256, dt=5e-4)
@@ -414,8 +414,8 @@ assert ffqd.cli.verify(scn, text)
 scipy_names = sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")
 traj = scn.trajectory(1.0)
 psi0 = psi_ff(BoxModel(), 1, 0.0, traj, Grid(0.0, traj.value(0.0), 256))
-spec = PropagationSpec(psi0.grid, 1e-3, 1.0, trap_coefficient(BoxModel(), traj), traj)
-digest = lambda: hashlib.sha256(propagate(psi0, spec).values.tobytes()).hexdigest()
+coefficient = trap_coefficient(BoxModel(), traj)
+digest = lambda: hashlib.sha256(propagate(psi0, traj, coefficient, 1e-3, 1.0).values.tobytes()).hexdigest()
 states = [digest()]
 import scipy.linalg.lapack
 from ffqd.propagator import _zgtsv

@@ -21,6 +21,26 @@ def test_grid_validation():
         Grid(0.0, 1.0, 4)
     with pytest.raises(ValueError):
         Grid(1.0, 1.0, 64)
+    assert Grid(0.0, 1.0, np.int64(8)).points.size == 8
+
+
+@pytest.mark.parametrize(
+    "x_min, x_max, n_points",
+    [
+        (0.0, np.inf, 8),
+        (-np.inf, 1.0, 8),
+        (0.0, np.nan, 8),
+        (np.nan, 1.0, 8),
+        (0.0, 1.0, 8.0),
+        (0.0, 1.0, np.float64(64.0)),
+        (0.0, 1.0, "64"),
+    ],
+)
+def test_grid_rejects_non_finite_bounds_and_non_integer_points(x_min, x_max, n_points):
+    # an infinite bound used to give points [nan, inf, ...] and dx = inf with only a
+    # numpy warning, and a float n_points numpy's TypeError from linspace
+    with pytest.raises(ValueError):
+        Grid(x_min, x_max, n_points)
 
 
 def test_field_validation():
@@ -85,7 +105,7 @@ def test_public_names_of_the_package():
     assert set(out.stdout.split()) == {
         "ADIABATIC_LINEAR", "BoxModel", "ComplexField", "ControlTrajectory", "CostReport",
         "ErmakovSolution", "FrobeniusCost", "Grid", "HarmonicModel", "POLYNOMIAL",
-        "PropagationError", "PropagationSpec", "RegularizationSingularity", "TRIGONOMETRIC",
+        "PropagationError", "RegularizationSingularity", "TRIGONOMETRIC",
         "ThermalEnsemble", "box_drive_prefactor", "coefficient_A", "coefficients_B",
         "continuity_residual", "core", "cost", "cost_ff", "cost_ff_closed", "cost_ff_numeric",
         "cost_ie", "dtheta_dx_numeric", "ermakov_residual", "fastforward", "fidelity",

@@ -573,6 +573,24 @@ def test_cost_ff_closed_reproduces_the_per_trap_reports(system, kind, beta):
     np.testing.assert_allclose([rep.constants[k] for k in constants], list(constants.values()), rtol=1e-12, atol=0.0)
 
 
+@pytest.mark.parametrize("system, ramp_averages", [("box", 3), ("harmonic", 2)])
+def test_cost_ff_closed_averages_the_oscillator_confinement_once(monkeypatch, system, ramp_averages):
+    # the quadrature, the closed form's confinement and, for the box alone, the printed
+    # line's: the oscillator's printed line is its closed form, whose value it takes
+    calls = []
+    real = cost_mod.cost_ff
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(cost_mod, "cost_ff", counted)
+    model, ramp = (BoxModel(), box_ramp) if system == "box" else (HarmonicModel(), ho_ramp)
+    rep = cost_ff_closed(model, ramp(TRIGONOMETRIC), ThermalEnsemble(beta=2.0, n_particles=3))
+    assert len(calls) == ramp_averages
+    assert (rep.published_value == rep.closed_form_value) == (system == "harmonic")
+
+
 def test_cost_report_csv(tmp_path):
     # a CostReport holds the row cost_curve.csv prints, plus its constants
     for system in ("box", "harmonic"):

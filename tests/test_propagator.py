@@ -10,7 +10,6 @@ from ffqd.core import ComplexField, Grid
 from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
 from ffqd.propagator import (
     PropagationError,
-    PropagationSpec,
     _cayley_step,
     _zgtsv,
     fidelity,
@@ -31,14 +30,14 @@ def test_stationary_box_mode_acquires_pure_phase():
     grid = Grid(0.0, 1.0, 512)
     phi = box_state(1, 1.0, grid)
     t_final = 2.0 * np.pi / BoxModel().energy(1, 1.0)
-    out = propagate(phi, PropagationSpec(grid, t_final / 4000, t_final, zero_potential, static_ramp(t_final)))
+    out = propagate(phi, static_ramp(t_final), zero_potential, t_final / 4000, t_final)
     assert fidelity(out, phi) == pytest.approx(1.0, abs=1e-6)
 
 
 def test_single_tiny_step_is_identity():
     grid = Grid(0.0, 1.0, 256)
     phi = box_state(2, 1.0, grid)
-    out = propagate(phi, PropagationSpec(grid, 1e-12, 1e-12, zero_potential, static_ramp(1e-12)))
+    out = propagate(phi, static_ramp(1e-12), zero_potential, 1e-12, 1e-12)
     np.testing.assert_allclose(out.values, phi.values, atol=1e-10)
 
 
@@ -48,7 +47,7 @@ def test_free_gaussian_dispersion():
     a0 = 1.0
     psi0 = normalized(grid, np.exp(-x * x / (2.0 * a0 * a0)))
     t_final = 1.0
-    out = propagate(psi0, PropagationSpec(grid, 2.5e-4, t_final, zero_potential, static_ramp(t_final)))
+    out = propagate(psi0, static_ramp(t_final), zero_potential, 2.5e-4, t_final)
     var = np.trapezoid(x * x * np.abs(out.values) ** 2, dx=grid.dx)
     expected = 0.5 * a0 * a0 * (1.0 + (t_final / (a0 * a0)) ** 2)
     assert var == pytest.approx(expected, rel=1e-4)
@@ -58,7 +57,7 @@ def test_cfl_style_precondition():
     grid = Grid(0.0, 1.0, 256)
     phi = box_state(1, 1.0, grid)
     with pytest.raises(ValueError, match="time step too coarse"):
-        propagate(phi, PropagationSpec(grid, 0.1, 1.0, lambda t: np.full(np.shape(t), 100.0), static_ramp(1.0)))
+        propagate(phi, static_ramp(1.0), lambda t: np.full(np.shape(t), 100.0), 0.1, 1.0)
 
 
 def test_unnormalized_initial_state_rejected():
@@ -66,7 +65,7 @@ def test_unnormalized_initial_state_rejected():
     phi = box_state(1, 1.0, grid)
     bad = ComplexField(grid, 2.0 * phi.values)
     with pytest.raises(ValueError):
-        propagate(bad, PropagationSpec(grid, 1e-3, 0.1, zero_potential, static_ramp(0.1)))
+        propagate(bad, static_ramp(0.1), zero_potential, 1e-3, 0.1)
 
 
 def test_long_run_unitarity():
@@ -74,7 +73,7 @@ def test_long_run_unitarity():
     grid = Grid(0.0, 1.0, 256)
     traj = box_ramp(POLYNOMIAL, t_ff=1.0)
     psi0 = psi_ff(BoxModel(), 1, 0.0, traj, grid)
-    out = propagate(psi0, PropagationSpec(grid, 1e-5, 1.0, trap_coefficient(BoxModel(), traj), traj))
+    out = propagate(psi0, traj, trap_coefficient(BoxModel(), traj), 1e-5, 1.0)
     nrm = np.sqrt(np.trapezoid(np.abs(out.values) ** 2, dx=out.grid.dx))
     assert abs(nrm - 1.0) < 1e-8
 
@@ -85,7 +84,7 @@ def test_moving_wall_adiabatic_limit():
     traj = ControlTrajectory.adiabatic_linear(1.0, eps, 10.0)
     grid = Grid(0.0, 1.0, 1024)
     phi0 = box_state(1, 1.0, grid)
-    out = propagate(phi0, PropagationSpec(grid, 2e-4, 10.0, zero_potential, traj))
+    out = propagate(phi0, traj, zero_potential, 2e-4, 10.0)
     inst = box_state(1, traj.value(10.0), out.grid)
     assert 1.0 - fidelity(out, inst) < 0.1 * eps * eps
 
@@ -124,7 +123,7 @@ def test_moving_wall_past_t_ff_rejected_before_stepping():
 
     n_steps = 1500
     with pytest.raises(ValueError, match="outside"):
-        propagate(phi, PropagationSpec(grid, 1.5 / n_steps, 1.5, coefficient, traj))
+        propagate(phi, traj, coefficient, 1.5 / n_steps, 1.5)
     assert not seen  # a(t) was never evaluated
 
 
@@ -142,15 +141,25 @@ def test_moving_wall_past_t_ff_rejected_before_stepping():
         (1e-3, 1.0, 1.0),
     ],
 )
-def test_spec_rejects_bad_times_and_walls(dt, t_final, ramp):
+def test_spec_rejects_bad_times_and_walls(tmp_path, dt, t_final, ramp):
     # unchecked, dt = inf runs one step of length t_final, a NaN fails
     # converting the step count and t_final = inf overflows it; the times
-    # are checked first, then the ramp that moves the walls, which no
-    # longer has a default
+    # are checked first, then the ramp that moves the walls, all before
+    # a(t) is evaluated or the snapshot file is opened
+    phi = box_state(1, 1.0, Grid(0.0, 1.0, 64))
+    path = tmp_path / "snaps.csv"
+    seen = []
+
+    def coefficient(t):
+        seen.append(t)
+        return zero_potential(t)
+
     times_ok = 0 < dt < np.inf and 0 < t_final < np.inf
     match = "ramp must be a ControlTrajectory" if times_ok else "must be positive and finite"
     with pytest.raises(ValueError, match=match):
-        PropagationSpec(Grid(0.0, 1.0, 64), dt, t_final, zero_potential, ramp)
+        propagate(phi, ramp, coefficient, dt, t_final, path)
+    assert not seen
+    assert not path.exists()
 
 
 def _spiked(t_bad, dt, bad, base):
@@ -177,7 +186,7 @@ def test_non_finite_potential_sample_fails_precondition(step, base, moving, bad)
     dt = t_final / n_steps
     ramp = box_ramp(POLYNOMIAL) if moving else static_ramp(t_final)
     with pytest.raises(ValueError, match=f"not finite at step {step}/100"):
-        propagate(phi, PropagationSpec(grid, dt, t_final, _spiked((step - 0.5) * dt, dt, bad, base), ramp))
+        propagate(phi, ramp, _spiked((step - 0.5) * dt, dt, bad, base), dt, t_final)
 
 
 @pytest.mark.parametrize("moving", [False, True], ids=["coefficient-fixed", "coefficient-moving"])
@@ -193,9 +202,8 @@ def test_potential_spike_between_sample_times_is_too_coarse(tmp_path, moving):
     assert np.min(np.abs(np.linspace(0.0, t_final, 65) - t_spike)) > 0.25 * dt
     ramp = box_ramp(POLYNOMIAL) if moving else static_ramp(t_final)
     path = tmp_path / "snaps.csv"
-    spec = PropagationSpec(grid, dt, t_final, _spiked(t_spike, dt, 1e4, 0.0), ramp)
     with pytest.raises(ValueError, match="time step too coarse"):
-        propagate(phi, spec, path, snapshot_stride=1)
+        propagate(phi, ramp, _spiked(t_spike, dt, 1e4, 0.0), dt, t_final, path)
     assert not path.exists()
 
 
@@ -213,27 +221,7 @@ def test_psi0_not_vanishing_at_grid_ends_rejected_before_stepping(moving):
         return np.zeros(np.shape(t))
 
     with pytest.raises(ValueError, match="psi0 must vanish at both grid ends"):
-        propagate(const, PropagationSpec(grid, 1e-4, 0.01, coefficient, ramp))
-    assert not seen
-
-
-@pytest.mark.parametrize(
-    "state_grid, run_grid",
-    [(Grid(-8.0, 8.0, 256), Grid(-4.0, 4.0, 256)), (Grid(-8.0, 8.0, 512), Grid(-8.0, 8.0, 256))],
-    ids=["wider", "more_points"],
-)
-def test_psi0_on_another_grid_rejected_before_stepping(state_grid, run_grid):
-    # a state on [-8, 8] run on [-4, 4] used to fail as "norm drifted to 0.7071...",
-    # and one of 512 points run on 256 with a numpy broadcast error
-    model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)
-    seen = []
-
-    def coefficient(t):
-        seen.append(t)
-        return trap_coefficient(model, traj)(t)
-
-    with pytest.raises(ValueError, match="psi0 lives on Grid"):
-        propagate(psi_ff(model, 0, 0.0, traj, state_grid), PropagationSpec(run_grid, 1e-3, 0.01, coefficient, traj))
+        propagate(const, ramp, coefficient, 1e-4, 0.01)
     assert not seen
 
 
@@ -246,8 +234,7 @@ def test_oscillator_state_at_the_edge_limit_propagates():
     grid = Grid(-half, half, 512)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
     assert 0.9e-6 < np.abs(psi0.values[[0, -1]]).max() <= 1e-6
-    spec = PropagationSpec(grid, 1e-3, 0.01, trap_coefficient(model, traj, driven=False), static_ramp(0.01))
-    out = propagate(psi0, spec)
+    out = propagate(psi0, static_ramp(0.01), trap_coefficient(model, traj, driven=False), 1e-3, 0.01)
     assert fidelity(out, psi0) > 0.99
 
 
@@ -425,7 +412,7 @@ def test_merged_loop_matches_per_step_reference(moving, kind, n, n_steps, l0, l_
     psi0 = normalized(grid, modes @ np.sin(np.pi * np.arange(1, 5)[:, None] * xi))
     t_final = t_ff if moving else 0.5 * t_ff
     ramp = traj if moving else static_ramp(t_final)
-    out = propagate(psi0, PropagationSpec(grid, t_final / n_steps, t_final, coefficient, ramp))
+    out = propagate(psi0, ramp, coefficient, t_final / n_steps, t_final)
     ref = _per_step_reference(psi0, grid, t_final / n_steps, t_final, coefficient, ramp)
     assert np.max(np.abs(out.values[1:-1] - ref)) <= 1e-12 * np.max(np.abs(ref))
 
@@ -434,12 +421,12 @@ def test_output_grid_follows_the_ramp():
     # a constant ramp hands back the input grid itself; an oscillator run
     # ends on the grid of R(T), the frame having followed R(t) from R(0)
     phi = box_state(1, 1.0, Grid(0.0, 1.0, 64))
-    out = propagate(phi, PropagationSpec(phi.grid, 1e-3, 0.01, zero_potential, static_ramp(0.01)))
+    out = propagate(phi, static_ramp(0.01), zero_potential, 1e-3, 0.01)
     assert out.grid == phi.grid
     model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)
     grid = model.default_grid(traj.value(0.0), 256)
     psi0 = psi_ff(model, 0, 0.0, traj, grid)
-    out = propagate(psi0, PropagationSpec(grid, 1e-3, 1.0, trap_coefficient(model, traj), traj))
+    out = propagate(psi0, traj, trap_coefficient(model, traj), 1e-3, 1.0)
     expected = model.default_grid(traj.value(1.0), 256)
     assert out.grid.n_points == expected.n_points
     assert out.grid.x_min == pytest.approx(expected.x_min, rel=1e-15)
@@ -447,27 +434,17 @@ def test_output_grid_follows_the_ramp():
     assert fidelity(out, psi_ff(model, 0, 1.0, traj, out.grid)) > 1.0 - 1e-4
 
 
-@pytest.mark.parametrize("with_path, stride", [(True, 0), (True, -1), (False, 5)])
-def test_snapshot_path_and_stride_go_together(tmp_path, with_path, stride):
-    # either one alone used to be ignored without a word: no file, or no frames
-    grid = Grid(0.0, 1.0, 64)
-    phi = box_state(1, 1.0, grid)
-    path = tmp_path / "snaps.csv"
-    spec = PropagationSpec(grid, 1e-3, 0.01, zero_potential, static_ramp(0.01))
-    with pytest.raises(ValueError, match="snapshot_stride"):
-        propagate(phi, spec, snapshot_path=path if with_path else None, snapshot_stride=stride)
-    assert not path.exists()
-
-
 def test_snapshot_dump(tmp_path):
     grid = Grid(0.0, 1.0, 64)
     phi = box_state(1, 1.0, grid)
     path = tmp_path / "snaps.csv"
-    spec = PropagationSpec(grid, 1e-3, 0.01, zero_potential, static_ramp(0.01))
-    propagate(phi, spec, snapshot_path=path, snapshot_stride=5)
+    propagate(phi, static_ramp(0.017), zero_potential, 1e-3, 0.017, snapshot_path=path)
     lines = path.read_text().splitlines()
     assert lines[0] == "t,x,re_psi,im_psi"
-    assert len(lines) == 1 + 64 * 3  # frames at steps 0, 5, and the final step 10
+    # 17 steps: frames at step 0, every 17 // 8 = 2 steps and the last step 17
+    times = [float(line.split(",")[0]) for line in lines[1::64]]
+    assert len(lines) == 1 + 64 * 10
+    assert times == pytest.approx([1e-3 * k for k in (0, 2, 4, 6, 8, 10, 12, 14, 16, 17)], rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +469,7 @@ def test_oscillator_levels_run_on_the_half_grid(monkeypatch, n, level):
     rows = _solved_rows(monkeypatch)
     model, traj = HarmonicModel(), ho_ramp(POLYNOMIAL)
     grid = model.default_grid(1.0, n)
-    propagate(psi_ff(model, level, 0.0, traj, grid), PropagationSpec(grid, 1e-3, 0.05, trap_coefficient(model, traj), traj))
+    propagate(psi_ff(model, level, 0.0, traj, grid), traj, trap_coefficient(model, traj), 1e-3, 0.05)
     assert len(rows) == 50
     assert max(rows) <= -(-(n - 2) // 2)
 
@@ -508,7 +485,7 @@ def test_symmetric_grid_runs_the_half_grid_only_for_a_state_of_definite_parity(m
     # the bound is 1e-13 of max|psi0| on the interior's mirror asymmetry
     rows = _solved_rows(monkeypatch)
     grid = Grid(-1.0, 1.0, 64)
-    propagate(_even_plus_odd(grid, eps), PropagationSpec(grid, 1e-3, 0.01, zero_potential, static_ramp(0.01)))
+    propagate(_even_plus_odd(grid, eps), static_ramp(0.01), zero_potential, 1e-3, 0.01)
     assert set(rows) == {31 if half else 62}
 
 
@@ -516,7 +493,7 @@ def test_box_runs_the_full_grid(monkeypatch):
     # the box frame [0, 1] is not symmetric about 0, whatever the state
     rows = _solved_rows(monkeypatch)
     grid = Grid(0.0, 1.0, 64)
-    propagate(box_state(1, 1.0, grid), PropagationSpec(grid, 1e-3, 0.01, zero_potential, box_ramp()))
+    propagate(box_state(1, 1.0, grid), box_ramp(), zero_potential, 1e-3, 0.01)
     assert set(rows) == {62}
 
 
@@ -525,13 +502,13 @@ def test_half_grid_snapshots_match_the_full_grid(tmp_path, monkeypatch, n, level
     model, traj = HarmonicModel(), ho_ramp(TRIGONOMETRIC)
     grid = model.default_grid(1.0, n)
     psi0 = psi_ff(model, level, 0.0, traj, grid)
-    spec = PropagationSpec(grid, 1e-3, 0.1, trap_coefficient(model, traj), traj)
+    coefficient = trap_coefficient(model, traj)
     half, full = tmp_path / "half.csv", tmp_path / "full.csv"
-    propagate(psi0, spec, half, snapshot_stride=25)
+    propagate(psi0, traj, coefficient, 1e-3, 0.1, half)
     monkeypatch.setattr(propagator, "_parity", lambda grid, values: 0)  # no mirror: the full interior
-    propagate(psi0, spec, full, snapshot_stride=25)
+    propagate(psi0, traj, coefficient, 1e-3, 0.1, full)
     h, f = (np.loadtxt(p, delimiter=",", skiprows=1) for p in (half, full))
-    assert h.shape == f.shape == (5 * n, 4)  # frames at steps 0, 25, 50, 75 and 100
+    assert h.shape == f.shape == (10 * n, 4)  # frames at steps 0, 12, 24, ..., 96 and 100
     assert np.array_equal(h[:, :2], f[:, :2])
     assert np.max(np.abs(h[:, 2:] - f[:, 2:])) <= 1e-12 * np.max(np.abs(f[:, 2:]))
 

@@ -147,11 +147,20 @@ def test_positivity_enforced_at_construction():
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["l0", "vbar", "epsilon", "t_ff"])
 def test_non_finite_ends_rejected(field, bad):
-    # each leaves l(0) or l(t_ff) NaN or inf, which a positivity test alone passes
-    kind = ADIABATIC_LINEAR if field == "epsilon" else POLYNOMIAL
-    args = {"kind": kind, "l0": 1.0, "t_ff": 1.0, "vbar": 1.0, "epsilon": 0.1, field: bad}
+    # each leaves l(0) or l(t_ff) NaN or inf, which a positivity test alone passes;
+    # "epsilon" is the slope of a linear ramp, which is its vbar
+    kind, name = (ADIABATIC_LINEAR, "vbar") if field == "epsilon" else (POLYNOMIAL, field)
+    args = {"kind": kind, "l0": 1.0, "t_ff": 1.0, "vbar": 1.0, name: bad}
     with pytest.raises(ValueError, match="positive and finite"):
         ControlTrajectory(**args)
+
+
+def test_linear_ramp_velocity_is_its_vbar():
+    # every kind reads the one velocity scale vbar; a linear ramp's is its slope
+    traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=5.0)
+    assert traj.velocity(0.5) == 5.0
+    assert traj.value(1.0) == 6.0
+    assert ControlTrajectory.adiabatic_linear(1.0, 0.25, 2.0) == ControlTrajectory(ADIABATIC_LINEAR, 1.0, 2.0, vbar=0.25)
 
 
 def test_derivatives_match_finite_differences():
