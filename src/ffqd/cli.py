@@ -10,7 +10,8 @@ Config files are plain key=value lines ('#' comments allowed); command-line
 key=value arguments override file entries.  Every emitted CSV starts with
 '# key=value' provenance comments that parse back into the exact scenario,
 and all numbers are printed with 15 significant digits so identical runs are
-byte-identical.
+byte-identical.  A run computes the rows of every file before it writes the
+first, so a run that fails leaves no CSV behind.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import argparse
 import itertools
 import math
 import sys
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 from . import cost as cost_mod
@@ -38,7 +39,6 @@ from .trajectory import (
 
 _MODELS = {"harmonic": HarmonicModel(), "box": BoxModel()}
 _RAMPS = (POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)
-_OUTPUTS = ("cost_curve", "fidelity", "residual", "ie_compare", "snapshots")
 
 _FIDELITY_THRESHOLD = {"harmonic": 1.0 - 1e-4, "box": 1.0 - 1e-3}
 _NORM_THRESHOLD = 1e-8
@@ -75,7 +75,7 @@ class Scenario:
             raise ValueError(f"ramp must be one of {_RAMPS}, got {self.ramp!r}")
         for out in self.outputs:
             if out not in _OUTPUTS:
-                raise ValueError(f"unknown output {out!r}; choose from {_OUTPUTS}")
+                raise ValueError(f"unknown output {out!r}; choose from {tuple(_OUTPUTS)}")
         if len(set(self.outputs)) != len(self.outputs):
             raise ValueError(f"outputs has duplicate entries: {self.outputs!r}")
         if "ie_compare" in self.outputs and self.system != "harmonic":
@@ -181,13 +181,13 @@ def _system(scn: Scenario, traj: ControlTrajectory, t: float):
     return model, model.default_grid(traj.value(t), scn.grid_points)
 
 
-def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, snapshot_path=None):
-    """Propagate the tracked level and return (fidelity vs target, norm error)."""
+def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, frames=None):
+    """Propagate the tracked level and return (fidelity vs target, norm error); frames as propagate's."""
     model, grid = _system(scn, traj, 0.0)
     n = model.n_min
     T = traj.t_ff
     psi0 = ff.psi_ff(model, n, 0.0, traj, grid)
-    out = propagate(psi0, traj, ff.trap_coefficient(model, traj, driven), scn.dt, T, snapshot_path)
+    out = propagate(psi0, traj, ff.trap_coefficient(model, traj, driven), scn.dt, T, frames)
     return fidelity(out, ff.psi_ff(model, n, T, traj, out.grid)), abs(norm(out) - 1.0)
 
 
@@ -242,12 +242,18 @@ def _residual_row(scn: Scenario, t_ff: float) -> list[float]:
     return [t_ff, driven, undriven]
 
 
-_OUTPUT_COLUMNS = {
-    "cost_curve": "t_ff,cost_quadrature,cost_closed_form,cost_published,published_ratio",
-    "ie_compare": "t_ff,cost_mn,cost_ie",
-    "fidelity": "t_ff,fidelity,fidelity_no_drive,norm_error",
-    "residual": "t_ff,residual,residual_no_drive",
-}
+def _snapshot_files(scn: Scenario, t_ffs) -> dict[str, list[list[float]]]:
+    """snapshots_{i:02d}.csv of the i-th t_ff: rows (t, x, Re psi, Im psi) of the driven run's frames."""
+    files = {}
+    for i, t_ff in enumerate(t_ffs):
+        frames = []
+        _run_propagation(scn, scn.trajectory(t_ff), driven=True, frames=frames)
+        files[f"snapshots_{i:02d}.csv"] = [
+            [t, x, v.real, v.imag]
+            for t, grid, values in frames
+            for x, v in zip(grid.points.tolist(), values.tolist())
+        ]
+    return files
 
 
 def _per_t_ff(row):
@@ -255,54 +261,49 @@ def _per_t_ff(row):
     return lambda scn, t_ffs: [row(scn, t_ff) for t_ff in t_ffs]
 
 
-# output -> sweep function (scenario, t_ff values) -> one row per t_ff
-_OUTPUT_FUNCS = {
-    "cost_curve": _per_t_ff(_cost_row),
-    "ie_compare": _ie_rows,
-    "fidelity": _per_t_ff(_fidelity_row),
-    "residual": _per_t_ff(_residual_row),
+def _table(name: str, sweep):
+    """The files function of a sweep function (scenario, t_ff values) -> one row per t_ff.
+
+    It makes one file, {name}.csv, with the rows sorted by t_ff.
+    """
+    return lambda scn, t_ffs: {f"{name}.csv": sorted(sweep(scn, t_ffs), key=lambda r: r[0])}
+
+
+# output -> (CSV columns, files function (scenario, t_ff values) -> {file name: rows})
+_OUTPUTS = {
+    "cost_curve": (
+        "t_ff,cost_quadrature,cost_closed_form,cost_published,published_ratio",
+        _table("cost_curve", _per_t_ff(_cost_row)),
+    ),
+    "fidelity": ("t_ff,fidelity,fidelity_no_drive,norm_error", _table("fidelity", _per_t_ff(_fidelity_row))),
+    "residual": ("t_ff,residual,residual_no_drive", _table("residual", _per_t_ff(_residual_row))),
+    "ie_compare": ("t_ff,cost_mn,cost_ie", _table("ie_compare", _ie_rows)),
+    "snapshots": ("t,x,re_psi,im_psi", _snapshot_files),
 }
 
 
 def run(scenario: Scenario, out_dir) -> list[Path]:
-    """Compute every requested output for every t_ff; one CSV per output.
+    """Compute every requested output for every t_ff; write its CSV files and return their paths.
 
-    Every row of every table is computed before the first CSV is written, so
-    an output that fails leaves none behind; snapshots stream to their files
-    while their propagation runs.
+    Every row of every file is computed before the first CSV is written, so
+    an output that fails leaves none behind.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    written: list[Path] = []
     if not scenario.t_ff_list:
-        return written
-    tables = {
-        output: sorted(_OUTPUT_FUNCS[output](scenario, scenario.t_ff_list), key=lambda r: r[0])
-        for output in scenario.outputs
-        if output != "snapshots"
-    }
-    for output in scenario.outputs:
-        if output == "snapshots":
-            for i, t_ff in enumerate(scenario.t_ff_list):
-                path = out_dir / f"snapshots_{i:02d}.csv"
-                traj = scenario.trajectory(t_ff)
-                _run_propagation(scenario, traj, driven=True, snapshot_path=path)
-                _prepend_provenance(path, scenario)
-                written.append(path)
-            continue
-        path = out_dir / f"{output}.csv"
+        return []
+    files = [
+        (out_dir / name, columns, rows)
+        for columns, make in (_OUTPUTS[output] for output in scenario.outputs)
+        for name, rows in make(scenario, scenario.t_ff_list).items()
+    ]
+    for path, columns, rows in files:
         with open(path, "w", newline="") as fh:
             fh.write(scenario.comment_header())
-            fh.write(_OUTPUT_COLUMNS[output] + "\n")
-            for row in tables[output]:
+            fh.write(columns + "\n")
+            for row in rows:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
-        written.append(path)
-    return written
-
-
-def _prepend_provenance(path: Path, scenario: Scenario) -> None:
-    body = path.read_text()
-    path.write_text(scenario.comment_header() + body)
+    return [path for path, _, _ in files]
 
 
 def verify(scenario: Scenario, stream=None) -> bool:
@@ -345,55 +346,35 @@ def verify(scenario: Scenario, stream=None) -> bool:
     return ok_all
 
 
+_FIG1 = Scenario(
+    system="harmonic",
+    ramp=POLYNOMIAL,
+    omega0=1.0,
+    omegaF=10.0,
+    beta=1.0,
+    n_particles=1,
+    t_ff_list=(0.5, 1.0, 2.0, 5.0),
+    grid_points=1024,
+    dt=1e-4,
+    outputs=("cost_curve", "ie_compare"),
+)
+_FIG3 = Scenario(
+    system="box",
+    ramp=POLYNOMIAL,
+    l0=1.0,
+    l_final=10.0,
+    beta=math.inf,
+    n_particles=1,
+    t_ff_list=(0.5, 1.0, 2.0, 5.0),
+    grid_points=2048,
+    dt=2e-5,
+    outputs=("cost_curve",),
+)
 _PRESETS = {
-    "fig1": Scenario(
-        system="harmonic",
-        ramp=POLYNOMIAL,
-        omega0=1.0,
-        omegaF=10.0,
-        beta=1.0,
-        n_particles=1,
-        t_ff_list=(0.5, 1.0, 2.0, 5.0),
-        grid_points=1024,
-        dt=1e-4,
-        outputs=("cost_curve", "ie_compare"),
-    ),
-    "fig2": Scenario(
-        system="harmonic",
-        ramp=TRIGONOMETRIC,
-        omega0=1.0,
-        omegaF=10.0,
-        beta=1.0,
-        n_particles=1,
-        t_ff_list=(0.5, 1.0, 2.0, 5.0),
-        grid_points=1024,
-        dt=1e-4,
-        outputs=("cost_curve", "ie_compare"),
-    ),
-    "fig3": Scenario(
-        system="box",
-        ramp=POLYNOMIAL,
-        l0=1.0,
-        l_final=10.0,
-        beta=math.inf,
-        n_particles=1,
-        t_ff_list=(0.5, 1.0, 2.0, 5.0),
-        grid_points=2048,
-        dt=2e-5,
-        outputs=("cost_curve",),
-    ),
-    "fig4": Scenario(
-        system="box",
-        ramp=TRIGONOMETRIC,
-        l0=1.0,
-        l_final=10.0,
-        beta=math.inf,
-        n_particles=1,
-        t_ff_list=(0.5, 1.0, 2.0, 5.0),
-        grid_points=2048,
-        dt=2e-5,
-        outputs=("cost_curve",),
-    ),
+    "fig1": _FIG1,
+    "fig2": replace(_FIG1, ramp=TRIGONOMETRIC),
+    "fig3": _FIG3,
+    "fig4": replace(_FIG3, ramp=TRIGONOMETRIC),
 }
 
 

@@ -154,7 +154,7 @@ def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
         raise ValueError(f"need 0 < n_particles < {e.shape[1]}, got {n_particles}")
     if math.isinf(beta):
         return 0.5 * (e[:, n_particles - 1] + e[:, n_particles])
-    pad = 50.0 / beta + 1.0
+    pad = 50.0 / beta + (e[:, -1] - e[:, 0])  # no absolute energy: the bracket scales with e and 1/beta
     lo, hi = e[:, 0] - pad, e[:, -1] + pad
     mu = np.empty(e.shape[0])
     rows = np.arange(e.shape[0])

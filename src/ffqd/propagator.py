@@ -41,7 +41,6 @@ propagation.
 
 from __future__ import annotations
 
-import contextlib
 import functools
 import importlib.machinery
 import importlib.util
@@ -69,12 +68,6 @@ class PropagationError(RuntimeError):
 def fidelity(a: ComplexField, b: ComplexField) -> float:
     """|<a, b>| for normalized fields on the same grid; blind to global phase."""
     return abs(inner_product(a, b))
-
-
-def _write_frame(fh, t: float, grid: Grid, psi: np.ndarray) -> None:
-    """The (t, x, Re psi, Im psi) CSV rows of one snapshot frame."""
-    for xj, pj in zip(grid.points, psi):
-        fh.write(f"{t:.14e},{xj:.14e},{pj.real:.14e},{pj.imag:.14e}\n")
 
 
 def _frame(ramp: ControlTrajectory, psi0: ComplexField, t_half: np.ndarray):
@@ -124,7 +117,7 @@ def propagate(
     coefficient: Callable[[np.ndarray], np.ndarray],
     dt: float,
     t_final: float,
-    snapshot_path=None,
+    frames: list | None = None,
 ) -> ComplexField:
     """Crank-Nicolson run of psi0 on its own grid from t = 0 to t_final; returns the final state.
 
@@ -143,8 +136,9 @@ def propagate(
     definite parity on a grid symmetric about 0 is stepped on the half grid
     (see the module docstring).  While stepping, raises PropagationError if
     the norm drifts by more than 1e-6 (or turns NaN) at any checkpoint.
-    With a snapshot_path, frames go there at step 0, every
-    max(1, n_steps // 8) steps and the last step.
+    A frames list receives (t, grid, values) of the state at step 0, every
+    max(1, n_steps // 8) steps and the last step: raw arrays, not fields, so
+    a NaN frame still surfaces as the norm check's PropagationError.
     """
     for name, value in (("dt", dt), ("t_final", t_final)):
         if not 0 < value < math.inf:  # False for NaN too
@@ -191,30 +185,28 @@ def propagate(
     d = np.empty_like(u)
     du = np.empty(u.size - 1, dtype=complex)
     dl = np.empty_like(du)
-    stride = max(1, n_steps // 8)  # steps between snapshot frames
-    with contextlib.nullcontext() if snapshot_path is None else open(snapshot_path, "w", newline="") as fh:
-        if fh:
-            fh.write("t,x,re_psi,im_psi\n")
-            _write_frame(fh, 0.0, *_physical(frame, u, scale(0.0), sign))
-        for step in range(n_steps):
-            sk = s.item(step)
-            np.multiply(y2, 1j * pot.item(step), out=d)
-            k, q = c_kin / (sk * sk), c_dil * (s_dot.item(step) / sk)
-            d += 1.0 + 2j * k
-            np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
-            du -= 1j * k
-            np.subtract(-2j * k, du, out=dl)  # dl = -i lam k + lam q y_pair, exactly
-            if sign:  # the first unknown's coupling to its mirror image, which is sign times itself
-                if centre:
-                    du[0] *= 1 + sign  # the mirrored lower coupling equals du[0]
-                else:
-                    d[0] -= sign * 1j * k  # the centre pair's dilation terms cancel
-            u, w = _cayley_step(dl, d, du, u, w, zgtsv), u
-            done, last = step + 1, step + 1 == n_steps
-            if done % _NORM_CHECK_STRIDE == 0 or last:
-                _check_norm(u, dy, done, n_steps, sign, centre)
-            if fh and (last or done % stride == 0):
-                _write_frame(fh, done * dt, *_physical(frame, u, scale(done * dt), sign))
+    stride = max(1, n_steps // 8)  # steps between frames
+    if frames is not None:
+        frames.append((0.0, *_physical(frame, u, scale(0.0), sign)))
+    for step in range(n_steps):
+        sk = s.item(step)
+        np.multiply(y2, 1j * pot.item(step), out=d)
+        k, q = c_kin / (sk * sk), c_dil * (s_dot.item(step) / sk)
+        d += 1.0 + 2j * k
+        np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
+        du -= 1j * k
+        np.subtract(-2j * k, du, out=dl)  # dl = -i lam k + lam q y_pair, exactly
+        if sign:  # the first unknown's coupling to its mirror image, which is sign times itself
+            if centre:
+                du[0] *= 1 + sign  # the mirrored lower coupling equals du[0]
+            else:
+                d[0] -= sign * 1j * k  # the centre pair's dilation terms cancel
+        u, w = _cayley_step(dl, d, du, u, w, zgtsv), u
+        done, last = step + 1, step + 1 == n_steps
+        if done % _NORM_CHECK_STRIDE == 0 or last:
+            _check_norm(u, dy, done, n_steps, sign, centre)
+        if frames is not None and (last or done % stride == 0):
+            frames.append((done * dt, *_physical(frame, u, scale(done * dt), sign)))
     return ComplexField(*_physical(frame, u, scale(t_final), sign))
 
 

@@ -51,14 +51,6 @@ class ControlTrajectory:
             raise ValueError(f"l(0) and l(t_ff) must be positive and finite, got {ends.tolist()}")
 
     @classmethod
-    def polynomial(cls, l0: float, vbar: float, t_ff: float) -> "ControlTrajectory":
-        return cls(POLYNOMIAL, l0, t_ff, vbar=vbar)
-
-    @classmethod
-    def trigonometric(cls, l0: float, vbar: float, t_ff: float) -> "ControlTrajectory":
-        return cls(TRIGONOMETRIC, l0, t_ff, vbar=vbar)
-
-    @classmethod
     def adiabatic_linear(cls, l0: float, epsilon: float, t_ff: float) -> "ControlTrajectory":
         return cls(ADIABATIC_LINEAR, l0, t_ff, vbar=epsilon)
 

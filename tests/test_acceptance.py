@@ -173,7 +173,7 @@ def test_criterion_08_thermal_trace_vs_printed_expansion():
     # the trace contract is a plain Fermi-Dirac sum (see module docstring and
     # the frozen ratios below).  Kept faithful, expected red.
     ens = ThermalEnsemble(beta=math.inf, n_particles=50)
-    traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)  # static wall at L = 1
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=0.0)  # static wall at L = 1
     numeric = internal_energy_numeric(BoxModel(), traj, 0.5, ens, n_points=2048)
     printed = sum(internal_energy_closed(BoxModel(), traj, 0.5, ens))
     rel = abs(numeric / printed - 1.0)
@@ -193,7 +193,7 @@ def test_criterion_08_companion_frozen_convention_ratios():
     #   doubly-occupied reading / printed   = 1.0608
     # and the trace itself reproduces the exact level sum to FD accuracy.
     ens = ThermalEnsemble(beta=math.inf, n_particles=50)
-    traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=0.0)
     numeric = internal_energy_numeric(BoxModel(), traj, 0.5, ens, n_points=2048)
     exact_sum = sum(BoxModel().energy(n, 1.0) for n in range(1, 51))
     printed = sum(internal_energy_closed(BoxModel(), traj, 0.5, ens))

@@ -338,6 +338,20 @@ def test_run_writes_no_csv_when_a_later_output_fails(tmp_path):
     assert not (tmp_path / "out" / "cost_curve.csv").exists()
 
 
+def test_failing_snapshots_leave_no_csv(tmp_path, capsys):
+    # dt = 0.01 fails the snapshot propagation's dt * max|V| precondition; its
+    # frames used to stream to a file after cost_curve.csv had been written
+    text = "system=box\nt_ff_list=0.1\ndt=0.01\ngrid_points=64\noutputs=cost_curve,snapshots\n"
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text(text)
+    with pytest.raises(ValueError, match="time step too coarse"):
+        run(Scenario.from_mapping(parse_config_text(text)), tmp_path / "api")
+    assert list((tmp_path / "api").iterdir()) == []
+    assert main(["run", str(cfg), "--out", str(tmp_path / "cli")]) == 2
+    assert "time step too coarse" in capsys.readouterr().err
+    assert list((tmp_path / "cli").iterdir()) == []
+
+
 @pytest.mark.parametrize("system", ["harmonic", "box"])
 def test_driven_residual_matches_quad_phase_oracle(system):
     # the same analytic state with its dynamical phase from scipy's quad over

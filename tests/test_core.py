@@ -1,5 +1,7 @@
+import ast
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -114,3 +116,22 @@ def test_public_names_of_the_package():
         "psi_ff", "psi_ff_values", "solve_mu", "spectra", "tdse_residual", "theta_numeric",
         "trajectory", "trap_coefficient", "vbar_for_target",
     }
+
+
+_FILE_CALLS = {"open", "write", "writelines", "write_text", "write_bytes"}  # open(...), f.write(...), ...
+
+
+def test_only_the_cli_touches_files():
+    # the numerics, the propagator included, hand back values; cli.run alone
+    # writes them, after every row is computed, so a failing run leaves no file
+    calls = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ffqd").glob("*.py")):
+        if path.name == "cli.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                if name in _FILE_CALLS:
+                    calls.append(f"{path.name}:{node.lineno} {name}")
+    assert calls == []

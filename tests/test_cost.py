@@ -39,7 +39,7 @@ ZERO_T = ThermalEnsemble(beta=math.inf, n_particles=1)
 
 
 def static_trajectory(l0=1.0, t_ff=1.0):
-    return ControlTrajectory.polynomial(l0, 0.0, t_ff)
+    return ControlTrajectory(POLYNOMIAL, l0, t_ff, vbar=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +243,7 @@ def test_trace_endpoints_match_static_thermal_energy():
     for t, L in ((0.0, 1.0), (1.0, 10.0)):
         u = internal_energy_numeric(BoxModel(), traj, t, ens, n_points=4096)
         static = internal_energy_numeric(
-            BoxModel(), ControlTrajectory.polynomial(L, 0.0, 1.0), 0.5, ens, n_points=4096
+            BoxModel(), ControlTrajectory(POLYNOMIAL, L, 1.0, vbar=0.0), 0.5, ens, n_points=4096
         )
         assert u == pytest.approx(static, abs=1e-6)
 
@@ -373,7 +373,7 @@ def test_solve_mu_one_ulp_bound_is_tight():
 
 def _bisection_before_stall_rule(e, beta, n):
     """solve_mu as it was before the one-ulp rule; None where it raised."""
-    pad = 50.0 / beta + 1.0
+    pad = 50.0 / beta + (e[-1] - e[0])
     lo, hi = e[0] - pad, e[-1] + pad
     with np.errstate(over="ignore"):
         excess = lambda m: float((1.0 / (np.exp(beta * (e - m)) + 1.0)).sum()) - n  # noqa: E731
@@ -491,7 +491,7 @@ def test_drive_term_scales_as_vbar_squared():
     T = 1.0
     vals = []
     for vbar in (9.0, 18.0):
-        traj = ControlTrajectory.trigonometric(1.0, vbar, T)
+        traj = ControlTrajectory(TRIGONOMETRIC, 1.0, T, vbar=vbar)
         vals.append(cost_ff(lambda s: internal_energy_closed(BoxModel(), traj, s, ens)[1], T))
     assert vals[1] / vals[0] == pytest.approx(4.0, abs=1e-10)
 
@@ -512,7 +512,7 @@ def test_box_report_records_published_form_disagreement():
 
 def test_box_report_static_confinement():
     ens = ThermalEnsemble(beta=math.inf, n_particles=2)
-    traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)  # static wall
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=0.0)  # static wall
     rep = cost_ff_closed(BoxModel(), traj, ens)
     b1, _ = coefficients_B(ens, 1.0)
     assert rep.quadrature_value == pytest.approx(b1, rel=1e-10)  # B1/L0^2 with L0 = 1
@@ -907,7 +907,7 @@ def test_frobenius_cost_averages_over_the_whole_ramp_only(t_ff):
 
 def test_frobenius_static_diagonal():
     # static wall: H is diagonal in its own eigenbasis, norm = sqrt(sum E_n^2)
-    traj = ControlTrajectory.polynomial(1.0, 0.0, 1.0)
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=0.0)
     got = frobenius_cost(BoxModel(), traj, 4, 1.0, rel_tol=1e-10)
     expected = np.sqrt(sum(BoxModel().energy(n, 1.0) ** 2 for n in range(1, 5)))
     assert got.value == pytest.approx(expected, rel=1e-8)

@@ -141,13 +141,13 @@ def test_moving_wall_past_t_ff_rejected_before_stepping():
         (1e-3, 1.0, 1.0),
     ],
 )
-def test_spec_rejects_bad_times_and_walls(tmp_path, dt, t_final, ramp):
+def test_spec_rejects_bad_times_and_walls(dt, t_final, ramp):
     # unchecked, dt = inf runs one step of length t_final, a NaN fails
     # converting the step count and t_final = inf overflows it; the times
     # are checked first, then the ramp that moves the walls, all before
-    # a(t) is evaluated or the snapshot file is opened
+    # a(t) is evaluated or the first frame is taken
     phi = box_state(1, 1.0, Grid(0.0, 1.0, 64))
-    path = tmp_path / "snaps.csv"
+    frames = []
     seen = []
 
     def coefficient(t):
@@ -157,9 +157,9 @@ def test_spec_rejects_bad_times_and_walls(tmp_path, dt, t_final, ramp):
     times_ok = 0 < dt < np.inf and 0 < t_final < np.inf
     match = "ramp must be a ControlTrajectory" if times_ok else "must be positive and finite"
     with pytest.raises(ValueError, match=match):
-        propagate(phi, ramp, coefficient, dt, t_final, path)
+        propagate(phi, ramp, coefficient, dt, t_final, frames)
     assert not seen
-    assert not path.exists()
+    assert not frames
 
 
 def _spiked(t_bad, dt, bad, base):
@@ -190,7 +190,7 @@ def test_non_finite_potential_sample_fails_precondition(step, base, moving, bad)
 
 
 @pytest.mark.parametrize("moving", [False, True], ids=["coefficient-fixed", "coefficient-moving"])
-def test_potential_spike_between_sample_times_is_too_coarse(tmp_path, moving):
+def test_potential_spike_between_sample_times_is_too_coarse(moving):
     # a(t) = 1e4 only around the half step of step 51, between the times
     # k t_final/64 that a sampled bound would see, so dt*max|V|/hbar ~ 1 there
     # and 0 elsewhere; the bound raises before the first step
@@ -201,10 +201,10 @@ def test_potential_spike_between_sample_times_is_too_coarse(tmp_path, moving):
     t_spike = 50.5 * dt
     assert np.min(np.abs(np.linspace(0.0, t_final, 65) - t_spike)) > 0.25 * dt
     ramp = box_ramp(POLYNOMIAL) if moving else static_ramp(t_final)
-    path = tmp_path / "snaps.csv"
+    frames = []
     with pytest.raises(ValueError, match="time step too coarse"):
-        propagate(phi, ramp, _spiked(t_spike, dt, 1e4, 0.0), dt, t_final, path)
-    assert not path.exists()
+        propagate(phi, ramp, _spiked(t_spike, dt, 1e4, 0.0), dt, t_final, frames)
+    assert not frames
 
 
 @pytest.mark.parametrize("moving", [False, True], ids=["fixed", "moving"])
@@ -434,17 +434,17 @@ def test_output_grid_follows_the_ramp():
     assert fidelity(out, psi_ff(model, 0, 1.0, traj, out.grid)) > 1.0 - 1e-4
 
 
-def test_snapshot_dump(tmp_path):
+def test_snapshot_dump():
     grid = Grid(0.0, 1.0, 64)
     phi = box_state(1, 1.0, grid)
-    path = tmp_path / "snaps.csv"
-    propagate(phi, static_ramp(0.017), zero_potential, 1e-3, 0.017, snapshot_path=path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "t,x,re_psi,im_psi"
+    frames = []
+    out = propagate(phi, static_ramp(0.017), zero_potential, 1e-3, 0.017, frames=frames)
     # 17 steps: frames at step 0, every 17 // 8 = 2 steps and the last step 17
-    times = [float(line.split(",")[0]) for line in lines[1::64]]
-    assert len(lines) == 1 + 64 * 10
+    times = [t for t, _, _ in frames]
     assert times == pytest.approx([1e-3 * k for k in (0, 2, 4, 6, 8, 10, 12, 14, 16, 17)], rel=1e-12)
+    assert all(g == grid and type(v) is np.ndarray and v.shape == (64,) for _, g, v in frames)
+    assert np.array_equal(frames[0][2], phi.values)  # the box mode is zero at both walls
+    assert np.array_equal(frames[-1][2], out.values)
 
 
 # ---------------------------------------------------------------------------
@@ -498,19 +498,20 @@ def test_box_runs_the_full_grid(monkeypatch):
 
 
 @pytest.mark.parametrize("n, level", [(128, 0), (129, 0), (128, 1), (129, 1)])
-def test_half_grid_snapshots_match_the_full_grid(tmp_path, monkeypatch, n, level):
+def test_half_grid_snapshots_match_the_full_grid(monkeypatch, n, level):
     model, traj = HarmonicModel(), ho_ramp(TRIGONOMETRIC)
     grid = model.default_grid(1.0, n)
     psi0 = psi_ff(model, level, 0.0, traj, grid)
     coefficient = trap_coefficient(model, traj)
-    half, full = tmp_path / "half.csv", tmp_path / "full.csv"
+    half, full = [], []
     propagate(psi0, traj, coefficient, 1e-3, 0.1, half)
     monkeypatch.setattr(propagator, "_parity", lambda grid, values: 0)  # no mirror: the full interior
     propagate(psi0, traj, coefficient, 1e-3, 0.1, full)
-    h, f = (np.loadtxt(p, delimiter=",", skiprows=1) for p in (half, full))
-    assert h.shape == f.shape == (10 * n, 4)  # frames at steps 0, 12, 24, ..., 96 and 100
-    assert np.array_equal(h[:, :2], f[:, :2])
-    assert np.max(np.abs(h[:, 2:] - f[:, 2:])) <= 1e-12 * np.max(np.abs(f[:, 2:]))
+    assert len(half) == len(full) == 10  # frames at steps 0, 12, 24, ..., 96 and 100
+    for (th, gh, h), (tf, gf, f) in zip(half, full):
+        assert th == tf and np.array_equal(gh.points, gf.points)
+        re_im_h, re_im_f = h.view(float), f.view(float)  # Re and Im interleaved
+        assert np.max(np.abs(re_im_h - re_im_f)) <= 1e-12 * np.max(np.abs(re_im_f))
 
 # ---------------------------------------------------------------------------
 # residual oracle

@@ -15,21 +15,21 @@ from helpers import BOTH_RAMPS
 
 
 def test_polynomial_reaches_target():
-    traj = ControlTrajectory.polynomial(1.0, 54.0, 1.0)
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=54.0)
     assert traj.value(1.0) == pytest.approx(10.0, abs=1e-12)  # 1 + 54*(1/2 - 1/3)
 
 
 def test_value_at_zero_is_l0():
     for traj in (
-        ControlTrajectory.polynomial(2.0, 5.0, 1.5),
-        ControlTrajectory.trigonometric(2.0, 5.0, 1.5),
+        ControlTrajectory(POLYNOMIAL, 2.0, 1.5, vbar=5.0),
+        ControlTrajectory(TRIGONOMETRIC, 2.0, 1.5, vbar=5.0),
         ControlTrajectory.adiabatic_linear(2.0, 0.1, 1.5),
     ):
         assert traj.value(0.0) == 2.0
 
 
 def test_trigonometric_midpoint():
-    traj = ControlTrajectory.trigonometric(1.0, 9.0, 1.0)
+    traj = ControlTrajectory(TRIGONOMETRIC, 1.0, 1.0, vbar=9.0)
     # sin(pi) = 0, so l(T/2) = 1 + 9*0.5
     assert traj.value(0.5) == pytest.approx(5.5, abs=1e-12)
 
@@ -42,17 +42,17 @@ def test_ramp_endpoint_velocities_vanish_exactly():
 
 
 def test_polynomial_acceleration_at_zero():
-    traj = ControlTrajectory.polynomial(1.0, 54.0, 1.0)
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=54.0)
     assert traj.acceleration(0.0) == pytest.approx(54.0, rel=1e-14)
 
 
 def test_trigonometric_velocity_peak():
-    traj = ControlTrajectory.trigonometric(1.0, 9.0, 1.0)
+    traj = ControlTrajectory(TRIGONOMETRIC, 1.0, 1.0, vbar=9.0)
     assert traj.velocity(0.5) == pytest.approx(18.0, rel=1e-14)  # 1 - cos(pi) = 2
 
 
 def test_domain_errors():
-    traj = ControlTrajectory.polynomial(1.0, 54.0, 1.0)
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=54.0)
     with pytest.raises(ValueError):
         traj.value(-0.01)
     with pytest.raises(ValueError):
@@ -61,7 +61,7 @@ def test_domain_errors():
 
 @pytest.mark.parametrize("t", [float("nan"), np.float64("nan"), np.array([0.1, np.nan, 0.5])])
 def test_nan_times_rejected(t):
-    traj = ControlTrajectory.polynomial(1.0, 54.0, 1.0)
+    traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=54.0)
     for fn in (traj.value, traj.velocity, traj.acceleration):
         with pytest.raises(ValueError):
             fn(t)
@@ -141,7 +141,7 @@ def test_ramps_stay_positive_and_hit_both_endpoints(kind, l0, l_final, t_ff):
 
 def test_positivity_enforced_at_construction():
     with pytest.raises(ValueError):
-        ControlTrajectory.polynomial(1.0, -7.0, 1.0)  # l(T) = 1 - 7/6 < 0
+        ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=-7.0)  # l(T) = 1 - 7/6 < 0
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
