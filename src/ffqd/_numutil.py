@@ -82,14 +82,9 @@ def grad4(f: np.ndarray, dx: float) -> np.ndarray:
 
 
 def lap2(f: np.ndarray, dx: float) -> np.ndarray:
-    """Second derivative, 2nd-order centered stencil with one-sided ends."""
+    """Second derivative at the interior points f[1:-1], 2nd-order centered stencil."""
     f = np.asarray(f)
-    out = np.empty_like(f, dtype=np.result_type(f.dtype, float))
-    inv = 1.0 / (dx * dx)
-    out[1:-1] = (f[2:] - 2.0 * f[1:-1] + f[:-2]) * inv
-    out[0] = (2.0 * f[0] - 5.0 * f[1] + 4.0 * f[2] - f[3]) * inv
-    out[-1] = (2.0 * f[-1] - 5.0 * f[-2] + 4.0 * f[-3] - f[-4]) * inv
-    return out
+    return (f[2:] - 2.0 * f[1:-1] + f[:-2]) * (1.0 / (dx * dx))
 
 
 def cumint(f: np.ndarray, dx: float) -> np.ndarray:

@@ -17,6 +17,7 @@ first, so a run that fails leaves no CSV behind.
 from __future__ import annotations
 
 import argparse
+import functools
 import itertools
 import math
 import sys
@@ -191,6 +192,12 @@ def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, frame
     return fidelity(out, ff.psi_ff(model, n, T, traj, out.grid)), abs(norm(out) - 1.0)
 
 
+def _driven_run(scn: Scenario, t_ff: float):
+    """(fidelity, norm error, frames) of the driven propagation; frames is None unless the scenario writes snapshots."""
+    frames = [] if "snapshots" in scn.outputs else None
+    return *_run_propagation(scn, scn.trajectory(t_ff), True, frames), frames
+
+
 def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
     """TDSE residual of the analytic state mid-ramp, driven and undriven.
 
@@ -219,7 +226,7 @@ def _cost_row(scn: Scenario, t_ff: float) -> list[float]:
     return [t_ff, rep.quadrature_value, rep.closed_form_value, rep.published_value, rep.published_ratio]
 
 
-def _ie_rows(scn: Scenario, t_ffs) -> list[list[float]]:
+def _ie_rows(scn: Scenario, t_ffs, _driven_run) -> list[list[float]]:
     """cost_mn of the whole sweep from one pooled trace, each against cost_ie at its t_ff."""
     trajs = [scn.trajectory(t_ff) for t_ff in t_ffs]
     mns = cost_mod._costs_ff_numeric(_MODELS["harmonic"], trajs, scn.ensemble(), n_points=scn.grid_points)
@@ -229,11 +236,13 @@ def _ie_rows(scn: Scenario, t_ffs) -> list[list[float]]:
     ]
 
 
-def _fidelity_row(scn: Scenario, t_ff: float) -> list[float]:
-    traj = scn.trajectory(t_ff)
-    fid, norm_err = _run_propagation(scn, traj, driven=True)
-    fid0, _ = _run_propagation(scn, traj, driven=False)
-    return [t_ff, fid, fid0, norm_err]
+def _fidelity_rows(scn: Scenario, t_ffs, driven_run) -> list[list[float]]:
+    rows = []
+    for t_ff in t_ffs:
+        fid, norm_err, _ = driven_run(t_ff)
+        fid0, _ = _run_propagation(scn, scn.trajectory(t_ff), driven=False)
+        rows.append([t_ff, fid, fid0, norm_err])
+    return rows
 
 
 def _residual_row(scn: Scenario, t_ff: float) -> list[float]:
@@ -242,40 +251,39 @@ def _residual_row(scn: Scenario, t_ff: float) -> list[float]:
     return [t_ff, driven, undriven]
 
 
-def _snapshot_files(scn: Scenario, t_ffs) -> dict[str, list[list[float]]]:
+def _snapshot_files(scn: Scenario, t_ffs, driven_run) -> dict[str, list[list[float]]]:
     """snapshots_{i:02d}.csv of the i-th t_ff: rows (t, x, Re psi, Im psi) of the driven run's frames."""
-    files = {}
-    for i, t_ff in enumerate(t_ffs):
-        frames = []
-        _run_propagation(scn, scn.trajectory(t_ff), driven=True, frames=frames)
-        files[f"snapshots_{i:02d}.csv"] = [
+    return {
+        f"snapshots_{i:02d}.csv": [
             [t, x, v.real, v.imag]
-            for t, grid, values in frames
+            for t, grid, values in driven_run(t_ff)[2]
             for x, v in zip(grid.points.tolist(), values.tolist())
         ]
-    return files
+        for i, t_ff in enumerate(t_ffs)
+    }
 
 
 def _per_t_ff(row):
-    """The sweep function of a row function: one row per t_ff."""
-    return lambda scn, t_ffs: [row(scn, t_ff) for t_ff in t_ffs]
+    """The sweep function of a row function (scenario, t_ff): one row per t_ff."""
+    return lambda scn, t_ffs, _driven_run: [row(scn, t_ff) for t_ff in t_ffs]
 
 
 def _table(name: str, sweep):
-    """The files function of a sweep function (scenario, t_ff values) -> one row per t_ff.
+    """The files function of a sweep function (scenario, t_ff values, driven_run) -> one row per t_ff.
 
     It makes one file, {name}.csv, with the rows sorted by t_ff.
     """
-    return lambda scn, t_ffs: {f"{name}.csv": sorted(sweep(scn, t_ffs), key=lambda r: r[0])}
+    return lambda *sweep_args: {f"{name}.csv": sorted(sweep(*sweep_args), key=lambda r: r[0])}
 
 
-# output -> (CSV columns, files function (scenario, t_ff values) -> {file name: rows})
+# output -> (CSV columns, files function (scenario, t_ff values, driven_run) -> {file name: rows});
+# driven_run(t_ff) is run's memo of _driven_run, so fidelity and snapshots share each driven propagation
 _OUTPUTS = {
     "cost_curve": (
         "t_ff,cost_quadrature,cost_closed_form,cost_published,published_ratio",
         _table("cost_curve", _per_t_ff(_cost_row)),
     ),
-    "fidelity": ("t_ff,fidelity,fidelity_no_drive,norm_error", _table("fidelity", _per_t_ff(_fidelity_row))),
+    "fidelity": ("t_ff,fidelity,fidelity_no_drive,norm_error", _table("fidelity", _fidelity_rows)),
     "residual": ("t_ff,residual,residual_no_drive", _table("residual", _per_t_ff(_residual_row))),
     "ie_compare": ("t_ff,cost_mn,cost_ie", _table("ie_compare", _ie_rows)),
     "snapshots": ("t,x,re_psi,im_psi", _snapshot_files),
@@ -292,10 +300,11 @@ def run(scenario: Scenario, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     if not scenario.t_ff_list:
         return []
+    driven_run = functools.cache(functools.partial(_driven_run, scenario))  # one per t_ff, shared by the outputs
     files = [
         (out_dir / name, columns, rows)
         for columns, make in (_OUTPUTS[output] for output in scenario.outputs)
-        for name, rows in make(scenario, scenario.t_ff_list).items()
+        for name, rows in make(scenario, scenario.t_ff_list, driven_run).items()
     ]
     for path, columns, rows in files:
         with open(path, "w", newline="") as fh:

@@ -22,24 +22,24 @@ The numeric thermal trace sum_n f_n <psi_n| H_FF |psi_n> that judges them is
 evaluated in real arithmetic.  The eigenamplitudes phi_n are real and the
 gauge phase theta_j = a x_j^2 is common to every level, so
 Re(conj psi_n,j psi_n,k) = phi_n,j phi_n,k cos(theta_k - theta_j).  The
-occupation-weighted trace therefore needs only rho0_j = sum_n f_n phi_n,j^2,
-rho1_j = sum_n f_n phi_n,j phi_n,j+1 and, for the one-sided end stencils of
-the kinetic operator, the pairs (0, 2), (0, 3) and their mirrors (-1, -3),
-(-1, -4); no complex level x grid table is formed.
+kinetic operator is the propagator's, the three-point second difference with
+hard walls at both grid ends, so the occupation-weighted trace needs only
+rho0_j = sum_n f_n phi_n,j^2 and rho1_j = sum_n f_n phi_n,j phi_n,j+1; no
+complex level x grid table is formed.
 
 The trace is pooled over the time nodes of a whole sweep of ramps
-(_node_traces) and split in two.  The node moments (rho0, rho1 before its
-cosine, and the end pairs) depend only on the control value l and the
-node's grid; the per-ramp finish (_trace_finish) adds the gauge
-phase g x^2, g = l_dot / 2l, the potential a(t) x^2, the stencil and the
-trapezoid rule.  Both smooth ramps have the form l0 + (l1 - l0) F(t/t_ff),
-so the Gauss-Legendre nodes of a t_ff sweep fall on the same control values
-(bit for bit at power-of-two multiples of t_ff, whose node times and vbar
-scale exactly, and at many nodes of other t_ff), and the moments are formed
-once per distinct value.  Energies are E_n(l) = E_n(1) / l^2, mu comes from
-one row-wise bisection, and the model forms the moments in blocks of nodes
-(spectra): the box from one sine table at L = 1, the oscillator streamed on
-the mirror half of its fixed grid, sized by its ramp's widest l.
+(_node_traces) and split in two.  The node moments (rho0, and rho1 before
+its cosine) depend only on the control value l and the node's grid; the
+per-ramp finish (_trace_finish) adds the gauge phase g x^2, g = l_dot / 2l,
+the potential a(t) x^2, the stencil and the trapezoid rule.  Both smooth
+ramps have the form l0 + (l1 - l0) F(t/t_ff), so the Gauss-Legendre nodes of
+a t_ff sweep fall on the same control values (bit for bit at power-of-two
+multiples of t_ff, whose node times and vbar scale exactly, and at many
+nodes of other t_ff), and the moments are formed once per distinct value.
+Energies are E_n(l) = E_n(1) / l^2, mu comes from one row-wise bisection,
+and the model forms the moments in blocks of nodes (spectra): the box from
+one sine table at L = 1, the oscillator streamed on the mirror half of its
+fixed grid, sized by its ramp's widest l.
 cost_ff_numeric is the one-ramp call and internal_energy_numeric the
 one-node call of this pass.  The Frobenius cost needs no grid.
 
@@ -66,7 +66,7 @@ import numpy as np
 
 from ._numutil import gauss_legendre, legendre_rule
 from .fastforward import _v_ff_coefficient
-from .spectra import _CHUNK_NODES, _ENDS, BoxModel, Model, _require_trace_points
+from .spectra import _CHUNK_NODES, BoxModel, Model, _require_trace_points
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
@@ -266,33 +266,25 @@ def internal_energy_closed(model: Model, traj: ControlTrajectory, t, ens: Therma
 # ---------------------------------------------------------------------------
 # numeric thermal trace (the oracle the closed forms are judged against)
 
-def _trace_finish(rho0, rho1, ends, theta: np.ndarray, v: np.ndarray, dx, kin: float):
-    """sum_n f_n <psi_n| -kin D2 + v |psi_n> for psi_n = phi_n exp(i theta), from the moments.
+def _trace_finish(rho0, rho1, theta: np.ndarray, v: np.ndarray, dx: np.ndarray) -> np.ndarray:
+    """sum_n f_n <psi_n| -D2/2 + v |psi_n> for psi_n = phi_n exp(i theta), from the moments, node by node.
 
-    rho0, rho1 and ends are the level sums of spectra._trace_moments or a
-    model's _moment_blocks.
+    rho0 and rho1 are the level sums of spectra._trace_moments or a model's
+    _moment_blocks; they, theta and v are (nodes, points) and dx is (nodes,).
 
-    D2 is the three-point second difference with the one-sided stencil
-    (2, -5, 4, -1) at each end and <.|.> the trapezoid rule, in the
-    real-arithmetic form of the module docstring.  A leading node axis is
-    optional and matches the moments': theta and v are (nodes, points) and
-    dx (nodes,).  Without one (a single node) the trace is returned as a float.
+    D2 is the propagator's kinetic operator: the three-point second
+    difference with hard walls at both grid ends, where the kinetic row is 0.
+    <.|.> is the trapezoid rule, in the real-arithmetic form of the module
+    docstring.  The walls move no trace: the box amplitudes are exactly 0 at
+    its walls, and an oscillator node's levels are checked below 1e-6 at its
+    grid ends.
     """
     rho1 = rho1 * np.cos(np.diff(theta))
-    k = np.empty_like(rho0)
-    k[..., 1:-1] = rho1[..., 1:] + rho1[..., :-1] - 2.0 * rho0[..., 1:-1]
-    for e, (end, step) in enumerate(_ENDS):
-        j2, j3 = end + 2 * step, end + 3 * step
-        k[..., end] = (
-            2.0 * rho0[..., end]
-            - 5.0 * rho1[..., end]
-            + 4.0 * ends[..., e, 0] * np.cos(theta[..., j2] - theta[..., end])
-            - ends[..., e, 1] * np.cos(theta[..., j3] - theta[..., end])
-        )
-    dx = np.asarray(dx, dtype=float)[..., None]
-    y = (-kin / (dx * dx)) * k + v * rho0
-    out = (dx * (y[..., 1:] + y[..., :-1]) / 2.0).sum(axis=-1)  # trapezoid, row by row
-    return float(out) if out.ndim == 0 else out
+    k = np.zeros_like(rho0)
+    k[:, 1:-1] = rho1[:, 1:] + rho1[:, :-1] - 2.0 * rho0[:, 1:-1]
+    dx = dx[:, None]
+    y = (-0.5 / (dx * dx)) * k + v * rho0
+    return (dx * (y[:, 1:] + y[:, :-1]) / 2.0).sum(axis=-1)  # trapezoid, row by row
 
 
 _MAX_LEVELS = 4096  # the trace's level cutoff doubles at most up to this
@@ -349,7 +341,7 @@ def _node_traces(
     they are formed once per distinct (l, l_max), by exact equality, in order
     of first appearance.
     model._moment_blocks(l_max, l, f, n_top, n_points) yields them in blocks
-    (nodes, x, rho0, rho1, ends), each node's moments on its grid x, and
+    (nodes, x, rho0, rho1), each node's moments on its grid x, and
     forms every row on its own, so every trace is bit-identical to its
     ramp's own call.  The finish takes blocks of at most _CHUNK_NODES of the
     sweep's nodes, with a(t) formed as fastforward.trap_coefficient forms it.
@@ -380,7 +372,7 @@ def _node_traces(
         for b in range(0, len(rows), _CHUNK_NODES):
             r, j = np.array(rows[b : b + _CHUNK_NODES]).T  # sweep node, its row in the block
             xj = x[j]
-            out[r] = _trace_finish(*(m[j] for m in moments), g[r, None] * xj * xj, a[r, None] * xj**2, dx[j], 0.5)
+            out[r] = _trace_finish(*(m[j] for m in moments), g[r, None] * xj * xj, a[r, None] * xj**2, dx[j])
     return [out[start:stop] for start, stop in zip(offsets, offsets[1:])]
 
 
@@ -396,10 +388,11 @@ def internal_energy_numeric(
     The chemical potential is re-solved from the fixed particle number at the
     instantaneous spectrum; each accelerated state carries the gauge phase
     exp(i theta), theta = a x^2 with a = m l_dot / 2 hbar l, and the matrix
-    element is taken with the second-order finite-difference kinetic operator
-    plus V0 + V_FF.  The sum is formed in real arithmetic (module docstring,
-    the model's _moment_blocks and _trace_finish).  This is the one-node call of the
-    pooled trace that cost_ff_numeric runs on all its nodes.
+    element is taken with the propagator's second-order finite-difference
+    kinetic operator (walls at both grid ends) plus V0 + V_FF.  The sum is
+    formed in real arithmetic (module docstring, the model's _moment_blocks
+    and _trace_finish).  This is the one-node call of the pooled trace that
+    cost_ff_numeric runs on all its nodes.
     """
     return float(_node_traces(model, [traj], [np.array([float(t)])], ens, n_points)[0][0])
 

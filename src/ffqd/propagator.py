@@ -291,10 +291,10 @@ def tdse_residual(
         raise ValueError("centered stencil needs t - dt >= 0")
 
     psi_m, psi_0, psi_p = (np.asarray(psi_ff_fn(s), dtype=complex) for s in (t - dt, t, t + dt))
-    h_psi = -0.5 * lap2(psi_0, grid.dx) + coefficient(t) * grid.points**2 * psi_0
-    lhs = 1j * (psi_p - psi_m) / (2.0 * dt)
-    diff = (lhs - h_psi)[2:-2]
-    ref = h_psi[2:-2]
+    h_psi = -0.5 * lap2(psi_0, grid.dx) + coefficient(t) * grid.points[1:-1] ** 2 * psi_0[1:-1]  # interior rows
+    lhs = 1j * (psi_p - psi_m)[1:-1] / (2.0 * dt)
+    diff = (lhs - h_psi)[1:-1]
+    ref = h_psi[1:-1]
     num = np.sqrt(np.trapezoid(np.abs(diff) ** 2, dx=grid.dx))
     den = np.sqrt(np.trapezoid(np.abs(ref) ** 2, dx=grid.dx))
     if den == 0.0:

@@ -58,7 +58,6 @@ def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
 
 _CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this many nodes
 _BLOCK_DOUBLES = 2**16  # the working arrays of a block of streamed oscillator moments hold at most this many doubles
-_ENDS = ((0, 1), (-1, -1))  # (end point, step inward) of the one-sided end stencils
 
 
 def _require_trace_points(n_points: int) -> None:
@@ -68,13 +67,11 @@ def _require_trace_points(n_points: int) -> None:
 
 
 def _trace_moments(table: np.ndarray, f: np.ndarray):
-    """The level sums of the thermal trace, which need the amplitudes but no phase: (rho0, rho1, ends).
+    """The level sums of the thermal trace, which need the amplitudes but no phase: (rho0, rho1).
 
     rho0_j = sum_n f_n phi_n,j^2; rho1_j = sum_n f_n phi_n,j phi_n,j+1, before
-    its gauge factor; ends[..., e, :] the pairs (0, 2), (0, 3) (e = 0) and
-    (-1, -3), (-1, -4) (e = 1) of the end stencils.  table is one
-    (levels, points) table shared by every node, and f is (levels,) or, with a
-    leading node axis, (nodes, levels); no (levels x points) product is formed.
+    its gauge factor.  table is one (levels, points) table shared by every
+    node, and f is (nodes, levels); no (levels x points) product is formed.
     """
 
     def level_sum(a, b):
@@ -82,8 +79,7 @@ def _trace_moments(table: np.ndarray, f: np.ndarray):
 
     rho0 = level_sum(table, table)
     rho1 = level_sum(table[:, :-1], table[:, 1:])
-    ends = [level_sum(table[:, [end, end]], table[:, [end + 2 * step, end + 3 * step]]) for end, step in _ENDS]
-    return rho0, rho1, np.stack(ends, axis=-2)
+    return rho0, rho1
 
 
 class Model:
@@ -151,7 +147,7 @@ class HarmonicModel(Model):
     _unit_amplitudes = staticmethod(_hermite_functions)  # rows n = 0..n_max at R = 1 on any xi
 
     def _moment_blocks(self, l_max, l: np.ndarray, f: np.ndarray, n_top: np.ndarray, n_points: int):
-        """Blocks (nodes, x, rho0, rho1, ends) of the trace moments at nodes l, streamed on the mirror half grid.
+        """Blocks (nodes, x, rho0, rho1) of the trace moments at nodes l, streamed on the mirror half grid.
 
         Node i (occupations f[i] of the levels 0, 1, ...) keeps the fixed grid
         of default_grid, sized by l_max (its ramp's widest l, a float or one
@@ -194,7 +190,6 @@ class HarmonicModel(Model):
             scale = np.sqrt(1.0 / (l[nodes] * l[nodes]))  # sqrt(omega)
             rho0, sq = np.zeros((nodes.size, u.size)), np.empty((nodes.size, u.size))
             rho1 = np.zeros((nodes.size, u.size - 1))
-            ends = np.zeros((nodes.size, 2))
             edge = np.empty((top.max() + 1, nodes.size))
             for n, h in zip(range(top.max() + 1), _hermite_levels((scale * half[nodes])[:, None] * u)):
                 np.multiply(h, h, out=sq)
@@ -213,7 +208,6 @@ class HarmonicModel(Model):
                 pair = np.multiply(h[:, :-1], h[:, 1:], out=sq[:, 1:])
                 pair *= w
                 rho1 += pair
-                ends += w * (h[:, -1:] * h[:, -3:-5:-1])  # the pairs (-1, -3), (-1, -4)
                 edge[n] = h[:, -1]
             del h, sq, pair
             edge = np.where(np.arange(edge.shape[0])[:, None] <= top, np.abs(edge), 0.0).max(axis=0)
@@ -226,7 +220,7 @@ class HarmonicModel(Model):
             x = np.concatenate([-x[:, c + 1 :][:, ::-1], x], axis=1)
             rho0 = np.concatenate([rho0[:, c + 1 :][:, ::-1], rho0], axis=1)
             rho1 = np.concatenate([rho1[:, c:][:, ::-1], rho1], axis=1)
-            yield nodes, x, rho0, rho1, np.stack([ends, ends], axis=1)
+            yield nodes, x, rho0, rho1
 
     @staticmethod
     def _half_width(R: float, n_max):
@@ -289,7 +283,7 @@ class BoxModel(Model):
         return x2
 
     def _moment_blocks(self, l_max, l: np.ndarray, f: np.ndarray, n_top: np.ndarray, n_points: int):
-        """Blocks (nodes, x, rho0, rho1, ends) of _CHUNK_NODES nodes sharing one L = 1 table; l_max is unused.
+        """Blocks (nodes, x, rho0, rho1) of _CHUNK_NODES nodes sharing one L = 1 table; l_max is unused.
 
         The wall grid scales with L, x = L xi on xi in [0, 1], and
         phi_n(x; L) = L^-1/2 phi_n(xi; 1), so one sine table built here serves

@@ -9,6 +9,7 @@ by parts.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -43,8 +44,8 @@ class ControlTrajectory:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if self.t_ff <= 0:
-            raise ValueError(f"t_ff must be positive, got {self.t_ff}")
+        if not 0 < self.t_ff < math.inf:  # False for NaN too
+            raise ValueError(f"t_ff must be positive and finite, got {self.t_ff!r}")
         with np.errstate(invalid="ignore"):  # 0 * inf: a NaN end, rejected below
             ends = self._value(np.array([0.0, self.t_ff]))
         if not np.all((ends > 0.0) & (ends < np.inf)):  # NaN fails both comparisons

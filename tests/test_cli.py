@@ -490,6 +490,20 @@ def test_snapshots_output(tmp_path):
     assert scenario_from_csv_header(written[0]) == scn
 
 
+def test_fidelity_and_snapshots_share_the_driven_run(tmp_path, monkeypatch):
+    # one driven and one undriven run per t_ff: the snapshot files used to
+    # propagate the driven state again, 6 calls for these 2 t_ff
+    import ffqd.cli
+
+    calls = []
+    real = ffqd.cli.propagate
+    monkeypatch.setattr(ffqd.cli, "propagate", lambda *args: calls.append(args[4]) or real(*args))
+    scn = small_box_scenario(outputs=("fidelity", "snapshots"), t_ff_list=(1.0, 2.0), grid_points=256, dt=5e-4)
+    written = run(scn, tmp_path)
+    assert [p.name for p in written] == ["fidelity.csv", "snapshots_00.csv", "snapshots_01.csv"]
+    assert sorted(calls) == [1.0, 1.0, 2.0, 2.0]
+
+
 def test_run_is_deterministic(tmp_path):
     scn = Scenario(
         system="box",

@@ -155,6 +155,14 @@ def test_non_finite_ends_rejected(field, bad):
         ControlTrajectory(**args)
 
 
+@pytest.mark.parametrize("t_ff", [np.nan, np.inf])
+@pytest.mark.parametrize("kind", [POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR])
+def test_non_finite_t_ff_rejected_by_name(kind, t_ff):
+    # t_ff <= 0 is False for both; they used to fail later, on "l(0) and l(t_ff) ..."
+    with pytest.raises(ValueError, match=r"^t_ff must be positive and finite, got (nan|inf)$"):
+        ControlTrajectory(kind, 1.0, t_ff, vbar=1.0)
+
+
 def test_linear_ramp_velocity_is_its_vbar():
     # every kind reads the one velocity scale vbar; a linear ramp's is its slope
     traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=5.0)
