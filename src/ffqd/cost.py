@@ -43,6 +43,12 @@ fixed grid, sized by its ramp's widest l.
 cost_ff_numeric is the one-ramp call and internal_energy_numeric the
 one-node call of this pass.  The Frobenius cost needs no grid.
 
+Whether a grid resolves the trace is measured, for both traps alike: these
+states' trace is sum_n f_n [E_n(1)/l^2 + (l_dot^2 - l l_ddot) X_n/2] with
+X_n = <n|xi^2|n> at l = 1 (Deffner, Jarzynski & del Campo, PRX 4, 021013
+(2014)); a node whose grid trace (the reported number) misses it by more
+than _TRACE_TOL of the sum with |l_dot^2 - l l_ddot| raises.
+
 Three population conventions meet in the comparisons, and they differ at
 finite temperature:
   - the trace re-solves mu from the fixed particle number at every node, so
@@ -152,6 +158,8 @@ def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
     """
     if not 0 < n_particles < e.shape[1]:
         raise ValueError(f"need 0 < n_particles < {e.shape[1]}, got {n_particles}")
+    if not np.all(np.isfinite(e)):  # a bracket padded by inf or NaN would never close
+        raise ValueError("energies must be finite")
     if math.isinf(beta):
         return 0.5 * (e[:, n_particles - 1] + e[:, n_particles])
     pad = 50.0 / beta + (e[:, -1] - e[:, 0])  # no absolute energy: the bracket scales with e and 1/beta
@@ -178,8 +186,8 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 
     The occupation sum is monotone increasing in mu, so the root is unique at
     finite beta; at beta = inf any point of the zero-temperature plateau is
-    returned.  Residual tolerance 1e-10, or, where no double meets it, the
-    residual one ulp of mu can reach (RuntimeError beyond that).
+    returned, for finite energies only (ValueError).  Residual tolerance 1e-10,
+    or, where no double meets it, the one-ulp reach (RuntimeError beyond it).
     """
     e = np.sort(np.asarray(energies, dtype=float))
     return float(_solve_mu_rows(e[None, :], beta, n_particles)[0])
@@ -275,9 +283,8 @@ def _trace_finish(rho0, rho1, theta: np.ndarray, v: np.ndarray, dx: np.ndarray) 
     D2 is the propagator's kinetic operator: the three-point second
     difference with hard walls at both grid ends, where the kinetic row is 0.
     <.|.> is the trapezoid rule, in the real-arithmetic form of the module
-    docstring.  The walls move no trace: the box amplitudes are exactly 0 at
-    its walls, and an oscillator node's levels are checked below 1e-6 at its
-    grid ends.
+    docstring.  The box amplitudes are exactly 0 at its walls; what the walls
+    cost an oscillator node is measured by the trace check (_check_traces).
     """
     rho1 = rho1 * np.cos(np.diff(theta))
     k = np.zeros_like(rho0)
@@ -296,11 +303,10 @@ def _occupied_levels(model: Model, ens: ThermalEnsemble, l: np.ndarray):
     Returns (f, n_top): f[i] holds node i's occupations of the levels from
     model.n_min up, zero above its own cutoff, and n_top[i] is its top
     level.  Energies scale as E_n(l) = E_n(1) / l^2, and mu is solved for all
-    nodes at once.  Every
-    node starts from max(4N + 16, 64) levels, the nodes whose top occupation
-    is still >= 1e-12 double theirs (ValueError past 4096 levels), and each
-    node keeps the levels up to two past its last occupation >= 1e-12, and
-    at least N + 1.
+    nodes at once.  Every node starts from max(4N + 16, 64) levels, the
+    nodes whose top occupation is still >= 1e-12 double theirs (ValueError
+    past 4096 levels), and each node keeps the levels up to two past its
+    last occupation >= 1e-12, and at least N + 1.
     """
     n_max = max(4 * ens.n_particles + 16, 64)
     rows = np.arange(l.size)
@@ -339,27 +345,23 @@ def _node_traces(
     one array of traces per ramp is returned.  The moments depend on a node's
     l and its ramp's widest l (traj._l_max sizes the oscillator's grid), so
     they are formed once per distinct (l, l_max), by exact equality, in order
-    of first appearance.
-    model._moment_blocks(l_max, l, f, n_top, n_points) yields them in blocks
-    (nodes, x, rho0, rho1), each node's moments on its grid x, and
-    forms every row on its own, so every trace is bit-identical to its
+    of first appearance.  model._moment_blocks(l_max, l, f, n_top, n_points)
+    yields them in blocks (nodes, x, rho0, rho1), each node's on its grid x,
+    and forms every row on its own, so every trace is bit-identical to its
     ramp's own call.  The finish takes blocks of at most _CHUNK_NODES of the
-    sweep's nodes, with a(t) formed as fastforward.trap_coefficient forms it.
+    sweep's nodes; _check_traces then runs on all of them in sweep order.
     """
     ts = [np.asarray(t, dtype=float) for t in ts]
     _require_trace_points(n_points)  # before the empty ensemble's early return
     offsets = list(itertools.accumulate((t.size for t in ts), initial=0))
     if ens.n_particles == 0 or offsets[-1] == 0:
         return [np.zeros(t.size) for t in ts]
-    g = np.empty(offsets[-1])  # gauge phase theta = g x^2
-    a = np.empty(offsets[-1])  # V = a x^2
+    at = (ControlTrajectory.value, ControlTrajectory.velocity, ControlTrajectory.acceleration)
+    ls, ld, ldd = (np.concatenate([q(traj, t) for traj, t in zip(trajs, ts)]) for q in at)  # every sweep node
+    g, a = ld / (2.0 * ls), model._v0_coefficient(ls) + _v_ff_coefficient(ldd, ls)  # theta = g x^2, V = a x^2
+    l_maxs = np.repeat([traj._l_max for traj in trajs], [t.size for t in ts])
     slot = {}  # distinct (l, l_max) -> its index, by exact equality, in order of first appearance
-    inv = []
-    for traj, t, start, stop in zip(trajs, ts, offsets, offsets[1:]):
-        l = traj.value(t)
-        g[start:stop] = traj.velocity(t) / (2.0 * l)
-        a[start:stop] = model._v0_coefficient(l) + _v_ff_coefficient(t, traj, l)
-        inv += [slot.setdefault((v, traj._l_max), len(slot)) for v in l.tolist()]
+    inv = [slot.setdefault(key, len(slot)) for key in zip(ls.tolist(), l_maxs.tolist())]
     l, l_max = (np.array(v) for v in zip(*slot))
     f, n_top = _occupied_levels(model, ens, l)
     nodes_of = [[] for _ in slot]  # the nodes of the sweep at each distinct node
@@ -373,7 +375,28 @@ def _node_traces(
             r, j = np.array(rows[b : b + _CHUNK_NODES]).T  # sweep node, its row in the block
             xj = x[j]
             out[r] = _trace_finish(*(m[j] for m in moments), g[r, None] * xj * xj, a[r, None] * xj**2, dx[j])
+    _check_traces(model, out, np.concatenate(ts), ls, ld * ld - ls * ldd, f, n_top, inv)
     return [out[start:stop] for start, stop in zip(offsets, offsets[1:])]
+
+
+_TRACE_TOL = 5e-2  # |grid - grid-free trace| a node may reach, as a fraction of its scale
+
+
+def _check_traces(model: Model, out, t, l, drive, f, n_top, inv) -> None:
+    """ValueError at the first sweep node off the grid-free trace by _TRACE_TOL of its scale. drive: l_dot^2 - l l_ddot."""
+    ns = model.level_numbers(model.n_min + f.shape[1] - 1)
+    e1, x1 = model._unit_energy(ns), model._unit_xi2(ns)
+    # over each distinct node's own levels, as its ramp's own call sums them
+    conf, xi2 = np.array([(row[:k] @ e1[:k], row[:k] @ x1[:k]) for row, k in zip(f, n_top - model.n_min + 1)]).T
+    conf, xi2 = conf[inv] / (l * l), 0.5 * xi2[inv]
+    err, bound = np.abs(out - (conf + drive * xi2)), _TRACE_TOL * (conf + np.abs(drive) * xi2)
+    bad = np.flatnonzero(~(err <= bound))  # NaN fails too
+    if bad.size:
+        i = bad[0]
+        raise ValueError(
+            f"trace grid too coarse at t={t[i]:.6g}, l={l[i]:.6g}: |grid - exact| {err[i]:.3e} "
+            f"exceeds {bound[i]:.3e}, {_TRACE_TOL:g} of the node's scale"
+        )
 
 
 def internal_energy_numeric(
@@ -390,9 +413,9 @@ def internal_energy_numeric(
     exp(i theta), theta = a x^2 with a = m l_dot / 2 hbar l, and the matrix
     element is taken with the propagator's second-order finite-difference
     kinetic operator (walls at both grid ends) plus V0 + V_FF.  The sum is
-    formed in real arithmetic (module docstring, the model's _moment_blocks
-    and _trace_finish).  This is the one-node call of the pooled trace that
-    cost_ff_numeric runs on all its nodes.
+    formed in real arithmetic and checked against its grid-free form
+    (module docstring; ValueError).  This is the one-node call of the pooled
+    trace that cost_ff_numeric runs on all its nodes.
     """
     return float(_node_traces(model, [traj], [np.array([float(t)])], ens, n_points)[0][0])
 
@@ -518,9 +541,9 @@ def frobenius_cost(
     """Time-averaged Frobenius norm of H0 + V_FF in the instantaneous eigenbasis.
 
     The untruncated norm diverges for quadratic drives, so a basis cutoff is
-    mandatory (>= 2) and is reported with the value.  Passing an ensemble
-    derives the cutoff from its occupation tail at the widest l, the larger
-    of l(0) and l(t_ff).
+    mandatory (an integer >= 2) and is reported with the value.  An ensemble
+    gives the cutoff from its occupation tail at the widest l, the larger of
+    l(0) and l(t_ff).
     At each node H = diag(E_n(1) / l^2) + c l^2 X, c = -(m/2) l_ddot / l,
     with X = <k|xi^2|m> the exact l = 1 matrix of the levels up to the
     cutoff (box 1..cutoff, oscillator 0..cutoff, model._unit_x2), so
@@ -541,23 +564,23 @@ def frobenius_cost(
         l_widest = traj.value(np.array([0.0, t_ff])).max(keepdims=True)  # l is monotone
         _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest)
         m_cut = max(int(n_top[0]), 2)
-    else:
+    elif isinstance(ens_or_cutoff, (int, np.integer)) and not isinstance(ens_or_cutoff, bool) and ens_or_cutoff >= 2:
         m_cut = int(ens_or_cutoff)
-    if m_cut < 2:
-        raise ValueError("Frobenius cutoff must be >= 2")
+    else:
+        raise ValueError(f"Frobenius cutoff must be an integer >= 2, got {ens_or_cutoff!r}")
     ns = model.level_numbers(m_cut)
     e, x2 = model._unit_energy(ns), model._unit_x2(ns)
     ee, ex, xx = e @ e, e @ np.diag(x2), np.sum(x2 * x2)
 
     def h_norm(ts: np.ndarray) -> np.ndarray:
         l = traj.value(ts)
-        c = _v_ff_coefficient(ts, traj, l)  # V_FF = c x^2
+        c = _v_ff_coefficient(traj.acceleration(ts), l)  # V_FF = c x^2
         l2 = l * l
         return np.sqrt(ee / (l2 * l2) + 2.0 * c * ex + (c * l2) ** 2 * xx)
 
     def dip(ts):  # c l^4 + ex/xx, which changes sign where ||H|| dips
         l = traj.value(ts)
-        return _v_ff_coefficient(ts, traj, l) * (l * l) ** 2 + ex / xx
+        return _v_ff_coefficient(traj.acceleration(ts), l) * (l * l) ** 2 + ex / xx
 
     scan = np.linspace(0.0, t_ff, _DIP_SCAN + 1)
     below, scan = dip(scan) < 0.0, scan.tolist()

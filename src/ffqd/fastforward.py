@@ -137,9 +137,9 @@ def continuity_residual(amplitude_of_l: Callable[[float], np.ndarray], l: float,
     return grad4(rho * _dtheta_dx(rho, drho_dl, grid), grid.dx) + drho_dl
 
 
-def _v_ff_coefficient(t, traj: ControlTrajectory, l):
-    """c of the drive V_FF = c x^2: -(m/2) l_ddot/l, t a float or an array, l = traj.value(t) from the caller."""
-    return -0.5 * traj.acceleration(t) / l
+def _v_ff_coefficient(l_ddot, l):
+    """c of the drive V_FF = c x^2: -(m/2) l_ddot/l, from floats or arrays of l_ddot and l."""
+    return -0.5 * l_ddot / l
 
 
 def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True) -> Callable:
@@ -152,7 +152,7 @@ def trap_coefficient(model: Model, traj: ControlTrajectory, driven: bool = True)
     def coefficient(t):
         l = traj.value(t)
         a = model._v0_coefficient(l)
-        return a + _v_ff_coefficient(t, traj, l) if driven else a
+        return a + _v_ff_coefficient(traj.acceleration(t), l) if driven else a
 
     return coefficient
 
@@ -175,8 +175,8 @@ def psi_ff(model: Model, n: int, t: float, traj: ControlTrajectory, grid: Grid) 
     """Accelerated state of level n on a grid: the model's amplitude row at l(t) with both phases.
 
     The model checks the grid: a box grid must span exactly [0, L(t)], and an
-    oscillator grid must hold the state (edge amplitude below 1e-6), which is
-    then renormalized on it.
+    oscillator grid must hold the state (edge amplitude below 1e-6 of its
+    peak), which is then renormalized on it.
     """
     dyn = _dynamical_phase(model, n, t, traj)
     l = traj.value(t)

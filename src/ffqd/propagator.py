@@ -57,7 +57,7 @@ from .trajectory import ControlTrajectory
 
 _NORM_DRIFT_LIMIT = 1e-6
 _NORM_CHECK_STRIDE = 16
-_EDGE_LIMIT = 1e-5  # |psi0| at both grid ends
+_EDGE_LIMIT = 1e-5  # |psi0| at both grid ends, relative to max|psi0|
 _PARITY_LIMIT = 1e-13  # mirror asymmetry of psi0's interior, relative to max|psi0|
 
 
@@ -75,11 +75,11 @@ def _frame(ramp: ControlTrajectory, psi0: ComplexField, t_half: np.ndarray):
 
     y spans psi0's grid over l(0); the ramp is evaluated (and domain-checked)
     at every half step here, before the first step.  psi at the grid ends is
-    set to zero, so psi0 must vanish there, below 1e-5: box states are zero
-    at the walls, oscillator states in the amplitude tables at most 1e-6.
+    set to zero, so psi0 must vanish there, below 1e-5 max|psi0|: box states
+    are zero at the walls, amplitude-table oscillator states 1e-6 of peak.
     """
-    if not np.abs(psi0.values[[0, -1]]).max() <= _EDGE_LIMIT:  # NaN fails too
-        raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {_EDGE_LIMIT:g} there)")
+    if not np.abs(psi0.values[[0, -1]]).max() <= _EDGE_LIMIT * np.abs(psi0.values).max():  # NaN fails too
+        raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {_EDGE_LIMIT:g} max|psi0| there)")
     g = psi0.grid
     l0 = ramp.value(0.0)
     scale = lambda t: ramp.value(min(t, ramp.t_ff))

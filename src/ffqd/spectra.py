@@ -7,9 +7,9 @@ rule.  The amplitudes are real, so a state's own phase eta vanishes
 identically.
 
 For the thermal trace of cost each trap forms the level sums a block of
-nodes at a time (_moment_blocks): the box from one shared L = 1 sine table,
-the oscillator streamed level by level on the mirror half of each node's
-grid.  For the Frobenius cost each gives <k|xi^2|m> at l = 1 (_unit_x2).
+nodes at a time (_moment_blocks): the box from one L = 1 sine table, the
+oscillator level by level on the mirror half of each node's grid.  Each gives
+<n|xi^2|n> (_unit_xi2, for the grid-free trace) and <k|xi^2|m> (_unit_x2).
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .core import Grid
 
-_EDGE_AMPLITUDE_LIMIT = 1e-6  # oscillator grids must decay below this at the boundary
+_EDGE_AMPLITUDE_LIMIT = 1e-6  # oscillator rows must decay below this fraction of their peak at the boundary
 
 
 def _hermite_levels(xi: np.ndarray):
@@ -85,10 +85,10 @@ def _trace_moments(table: np.ndarray, f: np.ndarray):
 class Model:
     """A scale-invariant trap V0(x; l) = l^-2 U(x/l), given by its data at l = 1.
 
-    A trap supplies n_min, its lowest level; _unit_energy(n), the energies
-    E_n(1); _unit_x2(ns), the matrix <k|xi^2|m>; _U2, the x^2 coefficient
-    of U; _unit_amplitudes; and its grid rule (default_grid, amplitudes,
-    _moment_blocks).  Model applies the scale law.
+    A trap supplies n_min, its lowest level; _unit_energy(n) = E_n(1); _unit_xi2
+    and _unit_x2, <n|xi^2|n> and <k|xi^2|m>; _U2, U's x^2 coefficient;
+    _unit_amplitudes; and its grid rule (default_grid, amplitudes, _moment_blocks).
+    Model applies the scale law.
     """
 
     n_min: int
@@ -124,21 +124,23 @@ class HarmonicModel(Model):
     def _unit_energy(n):
         return n + 0.5
 
+    _unit_xi2 = _unit_energy  # <n|xi^2|n> at R = 1: n + 1/2, the energy itself (virial theorem)
+
     @staticmethod
     def _unit_x2(ns: np.ndarray) -> np.ndarray:
-        """<k|xi^2|n> of the levels ns = 0..c at R = 1: n + 1/2, and sqrt((n + 1)(n + 2)) / 2 two off the diagonal."""
+        """<k|xi^2|n> of the levels ns = 0..c at R = 1: _unit_xi2, and sqrt((n + 1)(n + 2)) / 2 two off the diagonal."""
         off = 0.5 * np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0))
-        return np.diag(ns + 0.5) + np.diag(off, 2) + np.diag(off, -2)
+        return np.diag(HarmonicModel._unit_xi2(ns)) + np.diag(off, 2) + np.diag(off, -2)
 
     def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
-        """Rows n = 0..n_max of grid-renormalized eigenamplitudes; each must decay below 1e-6 at both grid ends."""
+        """Rows n = 0..n_max of grid-renormalized eigenamplitudes, each below 1e-6 of its peak at both grid ends."""
         scale = math.sqrt(1.0 / (R * R))  # sqrt(omega)
         x = grid.points
         h = _hermite_functions(n_max, scale * x)
+        edge = (np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1])) / np.abs(h).max(axis=1)).max()
+        if not edge <= _EDGE_AMPLITUDE_LIMIT:  # a ratio, free of the unit of length; NaN fails too
+            raise ValueError(f"grid too narrow for levels up to n={n_max}: edge amplitude {edge:.3e} of the peak")
         h *= math.sqrt(scale)
-        edge = np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1])).max()
-        if edge > _EDGE_AMPLITUDE_LIMIT:
-            raise ValueError(f"grid too narrow for levels up to n={n_max}: edge amplitude {edge:.3e}")
         # trapezoid row norms in one pass: dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
         dx = (x[-1] - x[0]) / (x.size - 1)
         h /= np.sqrt(dx * (np.einsum("kj,kj->k", h, h) - 0.5 * (h[:, 0] ** 2 + h[:, -1] ** 2)))[:, None]
@@ -160,37 +162,22 @@ class HarmonicModel(Model):
         moments are mirror-symmetric.  Blocks take the nodes in order of top
         level, as many as keep seven (nodes x half grid) arrays within
         _BLOCK_DOUBLES doubles (one at least); every operation is row-wise, so
-        a node's moments do not depend on its block.  Node i's own rows
-        n <= n_top[i] must decay below 1e-6 at the grid end and have a
-        positive trapezoid norm with a finite weight (ValueError otherwise);
-        the rows above them only pad a block, weigh 0 and are not checked.
-        Before any level is formed, a node's spacing dx must not exceed
-        pi l / sqrt(2 n_top + 1), half the local period of its top level at
-        the centre (ValueError otherwise): a coarser grid gives finite but
-        wrong moments.
+        a node's moments do not depend on its block.  A node's own level with a
+        zero norm or an infinite weight raises ValueError; rows above n_top[i]
+        pad a block with weight 0.  cost._check_traces judges the resolution.
         """
         half = self._half_width(l_max, n_top)
-        spacing = 2.0 * half / (n_points - 1)
-        limit = np.pi * l / np.sqrt(2.0 * n_top + 1.0)
-        i = np.argmax(spacing / limit)  # the worst node; a NaN is taken first and fails too
-        if not spacing[i] <= limit[i]:
-            raise ValueError(
-                f"grid too coarse for level n={n_top[i]} at l={l[i]:.4g}: "
-                f"dx {spacing[i]:.3e} > pi l / sqrt(2n + 1) = {limit[i]:.3e}"
-            )
         c = 1 - n_points % 2  # points of the half grid below 0: the -d of an even grid's centre pair
         u = np.arange(-c, n_points, 2) / (n_points - 1)  # x / half on the half grid
         size = max(1, _BLOCK_DOUBLES // (7 * u.size))
         order = np.argsort(n_top, kind="stable")
         for start in range(0, l.size, size):
             nodes = order[start : start + size]
-            top = n_top[nodes]
-            occ = f[nodes]
-            dx = spacing[nodes]
+            top, occ = n_top[nodes], f[nodes]
+            dx = 2.0 * half[nodes] / (n_points - 1)
             scale = np.sqrt(1.0 / (l[nodes] * l[nodes]))  # sqrt(omega)
             rho0, sq = np.zeros((nodes.size, u.size)), np.empty((nodes.size, u.size))
             rho1 = np.zeros((nodes.size, u.size - 1))
-            edge = np.empty((top.max() + 1, nodes.size))
             for n, h in zip(range(top.max() + 1), _hermite_levels((scale * half[nodes])[:, None] * u)):
                 np.multiply(h, h, out=sq)
                 # f_n over the full grid's trapezoid norm dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2), 0 above top
@@ -208,13 +195,7 @@ class HarmonicModel(Model):
                 pair = np.multiply(h[:, :-1], h[:, 1:], out=sq[:, 1:])
                 pair *= w
                 rho1 += pair
-                edge[n] = h[:, -1]
             del h, sq, pair
-            edge = np.where(np.arange(edge.shape[0])[:, None] <= top, np.abs(edge), 0.0).max(axis=0)
-            edge *= np.sqrt(scale)
-            bad = np.flatnonzero(edge > _EDGE_AMPLITUDE_LIMIT)
-            if bad.size:
-                raise ValueError(f"grid too narrow for levels up to n={top[bad[0]]}: edge amplitude {edge[bad[0]]:.3e}")
             # the full grid: the points and pairs right of the centre point or pair mirrored, then the half grid
             x = half[nodes, None] * u
             x = np.concatenate([-x[:, c + 1 :][:, ::-1], x], axis=1)
@@ -273,13 +254,15 @@ class BoxModel(Model):
             raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
         return self._unit_table(n_max, grid.points / L) / math.sqrt(L)
 
+    _unit_xi2 = staticmethod(lambda ns: 1.0 / 3.0 - 1.0 / (2.0 * np.pi**2 * ns * ns))  # <n|xi^2|n> at L = 1
+
     @staticmethod
     def _unit_x2(ns: np.ndarray) -> np.ndarray:
-        """<m|xi^2|n> of the levels ns at L = 1, from the closed-form sine integrals."""
+        """<m|xi^2|n> of the levels ns at L = 1, from the closed-form sine integrals; _unit_xi2 on the diagonal."""
         m, n = ns[:, None], ns[None, :]
         d2 = np.where(m == n, 1, (m - n) ** 2)  # the diagonal is replaced below
         x2 = (2.0 / np.pi**2) * (-1.0) ** (m + n) * (1.0 / d2 - 1.0 / (m + n) ** 2)
-        x2[np.diag_indices(ns.size)] = 1.0 / 3.0 - 1.0 / (2.0 * np.pi**2 * ns * ns)
+        x2[np.diag_indices(ns.size)] = BoxModel._unit_xi2(ns)
         return x2
 
     def _moment_blocks(self, l_max, l: np.ndarray, f: np.ndarray, n_top: np.ndarray, n_points: int):

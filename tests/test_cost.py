@@ -74,6 +74,15 @@ def test_solve_mu_residual_tolerance():
         assert abs(f.sum() - 7.0) < 1e-10
 
 
+@pytest.mark.parametrize("beta", [1.0, math.inf])
+@pytest.mark.parametrize("energies", [[0.0, 1.0, math.nan], [0.0, 1.0, 2.0, math.inf], [-math.inf, 0.0, 1.0]])
+def test_solve_mu_rejects_non_finite_energies(energies, beta):
+    # at finite beta the bisection bracket, padded by e[-1] - e[0], was not finite and
+    # the bisection never ended
+    with pytest.raises(ValueError, match="energies must be finite"):
+        solve_mu(energies, beta, 1)
+
+
 def test_solve_mu_range_check():
     with pytest.raises(ValueError):
         solve_mu([1.0, 2.0], 1.0, 2)
@@ -227,6 +236,38 @@ def test_trace_empty_ensemble():
     assert internal_energy_numeric(BoxModel(), box_ramp(), 0.5, ens) == 0.0
 
 
+# fast oscillator ramps and a box of 50 cold fermions, on grids too coarse for them: before
+# the trace check, the costs 3843.3, 4554.0, 12453.3, 14213.7 (l 1.5 -> 0.3), 278.3 and
+# 343.5 (omega 1 -> 10) and 153952.7 and 195883.0 (the box, against 211826.4 from the
+# grid-free trace) came back without an error
+_UNRESOLVED = [
+    *[
+        (HarmonicModel(), ControlTrajectory(kind, 1.5, t_ff, vbar=vbar_for_target(kind, 1.5, 0.3, t_ff)), 0.5, 12, 1024)
+        for t_ff in (0.2, 0.1)
+        for kind in (POLYNOMIAL, TRIGONOMETRIC)
+    ],
+    *[(HarmonicModel(), ho_ramp(kind, t_ff=0.05), 1.0, 1, 1024) for kind in (POLYNOMIAL, TRIGONOMETRIC)],
+    *[(BoxModel(), box_ramp(POLYNOMIAL, l_final=1.0001), math.inf, 50, p) for p in (64, 128)],
+]
+
+
+@pytest.mark.parametrize("model, traj, beta, n, n_points", _UNRESOLVED)
+def test_trace_the_grid_does_not_resolve_raises(model, traj, beta, n, n_points):
+    with pytest.raises(ValueError, match=r"^trace grid too coarse at t=\S+, l=\S+: \|grid - exact\| \S+ exceeds \S+, 0\.05 of the node's scale$"):
+        cost_ff_numeric(model, traj, ThermalEnsemble(beta, n), n_points=n_points)
+
+
+def test_internal_energy_numeric_is_checked_at_its_node():
+    # the box of _UNRESOLVED at one node: 64 points miss the grid-free trace by 27% of its
+    # scale, 256 points by 1.9%
+    traj, ens = box_ramp(POLYNOMIAL, l_final=1.0001), ThermalEnsemble(math.inf, 50)
+    with pytest.raises(ValueError, match=r"^trace grid too coarse at t=0\.5, l=1\.00005: "):
+        internal_energy_numeric(BoxModel(), traj, 0.5, ens, n_points=64)
+    exact, scale = _exact_trace(BoxModel(), traj, np.array([0.5]), ens)
+    got = internal_energy_numeric(BoxModel(), traj, 0.5, ens, n_points=256)
+    assert 0.01 * scale[0] < exact[0] - got < 0.05 * scale[0]
+
+
 def test_trace_cutoff_too_small():
     # at beta = 1e-8 the occupation of level 4096 is still ~1e-4: the cutoff
     # stops doubling there and the trace refuses
@@ -261,17 +302,17 @@ def test_trace_vs_printed_ho_form_is_factor_two_at_n1():
 
 
 def _exact_trace(model, traj, ts, ens):
-    """The grid-free trace sum_n f_n [E_n(1) / l^2 + (l_dot^2 - l l_ddot) X_n / 2], X_n = <n|xi^2|n> at l = 1.
+    """The grid-free trace sum_n f_n [E_n(1) / l^2 + (l_dot^2 - l l_ddot) X_n / 2], X_n = <n|xi^2|n> at l = 1, and its scale.
 
     For psi_n = l^-1/2 phi_n(x / l; 1) exp(i l_dot x^2 / 2l) under H0 + V_FF,
     V_FF = -(l_ddot / 2l) x^2: the gauge adds l_dot^2 X_n / 2 of kinetic energy
-    and V_FF its -l l_ddot X_n / 2.
+    and V_FF its -l l_ddot X_n / 2.  The scale takes |l_dot^2 - l l_ddot|.
     """
     l, ld, ldd = traj.value(ts), traj.velocity(ts), traj.acceleration(ts)
     f, _ = cost_mod._occupied_levels(model, ens, l)
     ns = model.level_numbers(model.n_min + f.shape[1] - 1)
-    x2 = np.diag(model._unit_x2(ns))
-    return f @ model._unit_energy(ns) / (l * l) + 0.5 * (ld * ld - l * ldd) * (f @ x2)
+    conf, drive = f @ model._unit_energy(ns) / (l * l), 0.5 * (ld * ld - l * ldd) * (f @ model._unit_xi2(ns))
+    return conf + drive, conf + np.abs(drive)
 
 
 @st.composite
@@ -299,12 +340,8 @@ def _asymptotic_trace_cases(draw):
 def test_grid_trace_converges_at_second_order_to_the_exact_trace(case):
     # 513 and 1025 points halve dx exactly, so the error of a second-order trace drops by 4
     model, traj, ens, ts = case
-    try:
-        traces = [_node_traces(model, [traj], [ts], ens, p)[0] for p in (513, 1025)]
-    except ValueError as exc:
-        assert "grid too coarse for level" in str(exc)
-        return
-    exact = _exact_trace(model, traj, ts, ens)
+    traces = [_node_traces(model, [traj], [ts], ens, p)[0] for p in (513, 1025)]
+    exact, _ = _exact_trace(model, traj, ts, ens)
     coarse, fine = (np.max(np.abs(t - exact) / np.abs(exact)) for t in traces)
     assert 3.8 <= coarse / fine <= 4.2
 
@@ -670,8 +707,8 @@ def _per_node_trace(model, traj, t, ens, n_points):
     Per-node energies E_n(l), a scalar mu, the node's own grid and amplitude
     table (sines at L, or grid-normalized Hermite functions), the drive
     -(m/2)(l_ddot/l) x^2, and the complex-table trace of the reference above.
-    Returns (trace, scale) or raises ValueError like the library, also where an
-    oscillator grid has fewer than two points per local period of its top level.
+    Returns (trace, scale), or raises ValueError where an oscillator level's
+    trapezoid norm is 0, as the library does.
     """
     l, ldot, lddot = traj.value(t), traj.velocity(t), traj.acceleration(t)
     n_max = max(4 * ens.n_particles + 16, 64)
@@ -691,11 +728,12 @@ def _per_node_trace(model, traj, t, ens, n_points):
     else:
         half = model._half_width(traj._l_max, int(ns[-1]))
         grid = Grid(-half, half, n_points)
-        if grid.dx > np.pi * l / np.sqrt(2.0 * ns[-1] + 1.0):
-            raise ValueError("grid too coarse for the top level")
         scale = np.sqrt(1.0 / (l * l))
         amps = _hermite_functions(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
-        amps /= np.sqrt(np.trapezoid(amps * amps, dx=grid.dx, axis=1))[:, None]
+        nrm = np.trapezoid(amps * amps, dx=grid.dx, axis=1)
+        if not np.all(nrm > 0.0):
+            raise ValueError("grid too coarse for level")
+        amps /= np.sqrt(nrm)[:, None]
     x = grid.points
     v = model._v0_coefficient(l) * x**2 - 0.5 * lddot / l * x * x
     a = ldot / (2.0 * l)
@@ -725,31 +763,37 @@ def test_batched_trace_matches_per_node_reference(scenario):
     try:
         refs = [_per_node_trace(model, traj, float(t), ens, n_points) for t in ts]
     except ValueError:
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid too coarse for level"):
             _node_traces(model, [traj], [ts], ens, n_points)
         return
-    (got,) = _node_traces(model, [traj], [ts], ens, n_points)
+    # the check raises where the reference misses the grid-free trace by 5e-2 of its scale
+    misses = [abs(ref - e) / s for (ref, _), e, s in zip(refs, *_exact_trace(model, traj, ts, ens))]
+    try:
+        (got,) = _node_traces(model, [traj], [ts], ens, n_points)
+    except ValueError as exc:
+        assert "trace grid too coarse at" in str(exc) and max(misses) > 0.999 * 5e-2
+        return
+    assert max(misses) < 1.001 * 5e-2
     for g, (ref, scale) in zip(got, refs):
         assert abs(g - ref) <= 1e-12 * scale
     weights = np.polynomial.legendre.leggauss(n_nodes)[1]
     assert cost_ff_numeric(model, traj, ens, n_nodes, n_points) == 0.5 * float(np.dot(weights, got))
 
 
-def test_batched_edge_check_sees_each_nodes_own_rows_only():
-    model = HarmonicModel()
-    occ = np.ones((3, 61))
-    # grids sized for the widest l = 1; node 0 needs levels up to 2, node 1 up to 60
-    # (128 points give node 1 two per local period of level 60): one block, one
-    # recurrence up to level 60
-    ((nodes, x, *_),) = model._moment_blocks(1.0, np.array([1.0, 1.0]), occ[:2], np.array([2, 60]), 128)
-    assert nodes.tolist() == [0, 1]
-    # node 0's padded rows leak at the edge of its narrow grid and did not raise
-    table = _hermite_functions(60, x[0])
-    assert np.max(np.abs(table[3:, [0, -1]])) > 1e-6
-    assert np.max(np.abs(table[:3, [0, -1]])) < 1e-6
-    # a node whose own rows leak raises inside the same block
-    with pytest.raises(ValueError, match="grid too narrow for levels up to n=2"):
-        list(model._moment_blocks(1.0, np.array([1.0, 3.0, 1.0]), occ, np.array([2, 2, 60]), 128))
+def test_trace_check_names_the_first_failing_node():
+    # a static box passes at 64 points; the gauge phase of a 1 -> 10 wall in t_ff = 0.05
+    # turns by about 6 rad per point there, and its first node misses the grid-free trace
+    # by 48 times the bound.  A pooled sweep raises at that node, as its own call does
+    model, ens = BoxModel(), ThermalEnsemble(beta=math.inf, n_particles=2)
+    static, fast = static_trajectory(1.0), box_ramp(POLYNOMIAL, t_ff=0.05)
+    ts, fast_ts = np.array([0.25, 0.5]), np.array([0.0125, 0.025])
+    (fine,) = _node_traces(model, [static], [ts], ens, 64)
+    assert np.allclose(fine, 2.5 * np.pi**2, rtol=2e-3)
+    with pytest.raises(ValueError, match=r"^trace grid too coarse at t=0\.0125, l=2\.40625: \|grid - exact\| ") as own:
+        _node_traces(model, [fast], [fast_ts], ens, 64)
+    with pytest.raises(ValueError) as pooled:
+        _node_traces(model, [static, fast, fast], [ts, fast_ts, fast_ts[::-1]], ens, 64)
+    assert str(pooled.value) == str(own.value)
 
 
 @pytest.mark.parametrize(
@@ -760,23 +804,25 @@ def test_batched_edge_check_sees_each_nodes_own_rows_only():
 def test_grid_too_coarse_for_a_level_raises(r_final, n_points):
     # omega 1 -> 100 and 1 -> 400 on grids sized for R = 1: the narrowest nodes sample
     # their odd levels (9 points, the centre at 0) or every level (8 points) only where
-    # the Gaussian has underflowed to 0, so that level's trapezoid norm would be 0, or
-    # at R 1 -> 0.086 a subnormal whose weight f_n / norm overflows.  The spacing
-    # guard rejects these grids before any level is formed
+    # the Gaussian has underflowed to 0, so that level's trapezoid norm is 0, or at
+    # R 1 -> 0.086 a subnormal whose weight f_n / norm overflows.  The backstop raises
+    # before the division
     traj = ho_ramp(TRIGONOMETRIC, r_final=r_final)
-    with pytest.raises(ValueError, match=r"grid too coarse for level n=\d+ at l=0\.\d+: dx \d\.\d{3}e\+00 > pi l / sqrt\(2n \+ 1\) = "):
+    with pytest.raises(ValueError, match=r"grid too coarse for level n=\d+: trapezoid norm \d\.\d{3}e[+-]\d+$"):
         cost_ff_numeric(HarmonicModel(), traj, ThermalEnsemble(beta=0.375, n_particles=21), n_points=n_points)
 
 
-@pytest.mark.parametrize("n_points, rejected", [(9, True), (64, True), (256, True), (512, False), (1024, False)])
+@pytest.mark.parametrize("n_points, rejected", [(9, True), (64, True), (256, True), (512, True), (1024, False)])
 def test_grid_coarser_than_half_the_top_levels_period_raises(n_points, rejected):
     # R 1 -> 0.15 on grids sized for R = 1: at the narrowest node dx / (pi l / sqrt(2 n_top + 1))
-    # is 50, 6.4, 1.6, 0.79 and 0.39.  Unguarded, the first three gave the finite but
-    # wrong traces 22133, 1391 and 2260 against 2668 at 512 points and 2816 at 1024
+    # is 50, 6.4, 1.6, 0.79 and 0.39, and the worst node misses the grid-free trace by
+    # 11, 0.60, 0.29, 0.10 and 0.028 of its scale.  Unchecked, the first four gave the
+    # finite but wrong costs 22133, 1391, 2260 and 2668 against 2816 at 1024 points and
+    # 2856 at 2048: half the local period was not enough at 512 points
     traj = ho_ramp(TRIGONOMETRIC, r_final=0.15)
     ens = ThermalEnsemble(beta=0.375, n_particles=21)
     if rejected:
-        with pytest.raises(ValueError, match=r"grid too coarse for level n=\d+ at l=0\.15\d*: "):
+        with pytest.raises(ValueError, match=r"trace grid too coarse at t=0\.\d+, l=[\d.]+: "):
             cost_ff_numeric(HarmonicModel(), traj, ens, n_points=n_points)
     else:
         assert 2600.0 < cost_ff_numeric(HarmonicModel(), traj, ens, n_points=n_points) < 2900.0
@@ -841,18 +887,14 @@ def test_oscillator_trace_grid_is_mirror_symmetric(n_points):
 )
 def test_streamed_half_grid_trace_matches_full_grid_stack(ls, widen, beta, n, n_points, seed):
     # nodes of one sweep at several l, sharing one l_max: a block mixes top levels
-    # (from 1 to well past 60 here) and both parities of the point count.  A grid
-    # with fewer than two points per local period of a node's top level raises: all
-    # of 8 and 9 points, most of 64, so 1024 and 1025 keep high levels compared
+    # (from 1 to well past 60 here) and both parities of the point count.  Grids too
+    # coarse for the trace are compared too: whether they resolve the levels is the
+    # trace check's to judge, and the moments must be the stack's either way
     model, l = HarmonicModel(), np.array(ls)
     l_max = widen * float(np.max(l))
     f, n_top = cost_mod._occupied_levels(model, ThermalEnsemble(beta=beta, n_particles=n), l)
     g, a = np.random.default_rng(seed).uniform(-5.0, 5.0, size=(2, l.size))
     half = model._half_width(l_max, n_top)
-    if np.any(2.0 * half / (n_points - 1) > np.pi * l / np.sqrt(2.0 * n_top + 1.0)):
-        with pytest.raises(ValueError, match="grid too coarse for level"):
-            list(model._moment_blocks(l_max, l, f, n_top, n_points))
-        return
     seen = []
     for nodes, x, *moments in model._moment_blocks(l_max, l, f, n_top, n_points):
         assert np.array_equal(x[:, ::-1], -x)  # mirror-symmetric bit for bit
@@ -891,26 +933,28 @@ def _t_ff_sweeps(draw):
 @given(_t_ff_sweeps(), st.data())
 def test_pooled_sweep_matches_per_ramp_costs(sweep, data):
     model, trajs, ens, n_nodes, n_points = sweep
-    try:
-        per_ramp = [cost_ff_numeric(model, traj, ens, n_nodes, n_points) for traj in trajs]
-    except ValueError as exc:  # a grid too coarse for the top level of a narrow node
-        assert "grid too coarse for level" in str(exc)
-        with pytest.raises(ValueError, match="grid too coarse for level"):
+    per_ramp = []
+    for traj in trajs:
+        try:
+            per_ramp.append(cost_ff_numeric(model, traj, ens, n_nodes, n_points))
+        except ValueError as exc:
+            per_ramp.append(exc)
+    errors = [str(v) for v in per_ramp if isinstance(v, ValueError)]
+    if errors:  # the pooled sweep fails as its first failing ramp's own call does
+        with pytest.raises(ValueError) as pooled:
             _costs_ff_numeric(model, trajs, ens, n_nodes, n_points)
+        assert str(pooled.value) == errors[0]
         return
     assert _costs_ff_numeric(model, trajs, ens, n_nodes, n_points) == per_ramp  # bit for bit
-    if model.n_min:
-        return  # the box has no edge check
-    # no monotone ramp leaves the grid its own l_max sizes, so a copy of a ramp whose
-    # grid is sized for a quarter of its widest l stands in for one that fails the
-    # edge check; its nodes share their l with the original's, not their l_max
-    narrow = dataclasses.replace(trajs[0])
-    narrow.__dict__["_l_max"] = 0.25 * trajs[0]._l_max
-    with pytest.raises(ValueError, match="grid too narrow") as own:
-        cost_ff_numeric(model, narrow, ens, n_nodes, n_points)
+    # l doubled in t_ff = 1e-5 turns the gauge phase by hundreds of radians per point: the
+    # ramp fails the check wherever it is put in the sweep
+    kind, l0 = trajs[0].kind, trajs[0].l0
+    fast = ControlTrajectory(kind, l0, 1e-5, vbar=vbar_for_target(kind, l0, 2.0 * l0, 1e-5))
+    with pytest.raises(ValueError, match="trace grid too coarse at") as own:
+        cost_ff_numeric(model, fast, ens, n_nodes, n_points)
     at = data.draw(st.integers(0, len(trajs)))
     with pytest.raises(ValueError) as pooled:
-        _costs_ff_numeric(model, trajs[:at] + [narrow] + trajs[at:], ens, n_nodes, n_points)
+        _costs_ff_numeric(model, trajs[:at] + [fast] + trajs[at:], ens, n_nodes, n_points)
     assert str(pooled.value) == str(own.value)
 
 
@@ -942,6 +986,14 @@ def test_fig1_sweep_forms_moments_once_per_distinct_node(monkeypatch):
 def test_frobenius_requires_cutoff_of_two():
     with pytest.raises(ValueError):
         frobenius_cost(BoxModel(), box_ramp(), 1, 1.0)
+    assert frobenius_cost(BoxModel(), box_ramp(), np.int64(2), 1.0) == frobenius_cost(BoxModel(), box_ramp(), 2, 1.0)
+
+
+@pytest.mark.parametrize("cutoff", [10.9, math.inf, math.nan, 10.0, True, np.float64(3.0), "3", 1, np.int64(-2)])
+def test_frobenius_cutoff_must_be_an_integer_of_at_least_two(cutoff):
+    # 10.9 used to give the cutoff-10 value and inf to raise OverflowError
+    with pytest.raises(ValueError, match="Frobenius cutoff must be an integer >= 2"):
+        frobenius_cost(BoxModel(), box_ramp(), cutoff, 1.0)
 
 
 @pytest.mark.parametrize("t_ff", [0.5, 2.0])

@@ -12,6 +12,8 @@ unit or mis-scaled grid rule in any layer breaks this.
 
 import math
 
+import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,8 +21,10 @@ from ffqd import (
     POLYNOMIAL,
     TRIGONOMETRIC,
     BoxModel,
+    ComplexField,
     ControlTrajectory,
     ErmakovSolution,
+    Grid,
     HarmonicModel,
     ThermalEnsemble,
     cost_ff_closed,
@@ -49,12 +53,22 @@ def _quantities(model, kind, l0, l1, t_ff, beta, n_particles, c):
         rep.closed_form_value,
         rep.published_value,
         frobenius_cost(model, traj, cold, t_ff).value,
-        cost_ff_numeric(model, traj, cold, n_nodes=8, n_points=256),
-        cost_ff_numeric(model, traj, thermal, n_nodes=8, n_points=256),
+        *(_trace_cost(model, traj, ens) for ens in (cold, thermal)),
     ]
     if isinstance(model, HarmonicModel):
         costs.append(cost_ie(ErmakovSolution(1.0 / (l0 * l0), 1.0 / (l1 * l1), t_ff), beta))
-    return [fidelity(out, psi_ff(model, n, t_run, traj, out.grid)), rep.published_ratio] + [c * c * v for v in costs]
+    return [fidelity(out, psi_ff(model, n, t_run, traj, out.grid)), rep.published_ratio] + [
+        None if v is None else c * c * v for v in costs
+    ]
+
+
+def _trace_cost(model, traj, ens):
+    """cost_ff_numeric on 256 points, or None where its trace check rejects the grid: a decision that must scale too."""
+    try:
+        return cost_ff_numeric(model, traj, ens, n_nodes=8, n_points=256)
+    except ValueError as exc:
+        assert str(exc).startswith("trace grid too coarse at")
+        return None
 
 
 @settings(max_examples=25, deadline=None)
@@ -71,3 +85,44 @@ def _quantities(model, kind, l0, l1, t_ff, beta, n_particles, c):
 def test_scaled_scenario_scales_every_layer(model, kind, l0, ratio, t_ff, beta, n_particles, k):
     args = (model, kind, l0, ratio * l0, t_ff, beta, n_particles)
     assert _quantities(*args, 4.0**k) == _quantities(*args, 1.0)
+
+
+def _accepts(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return False
+    return True
+
+
+def _edge_grid(c, edge):
+    """A grid of 64 points on which the oscillator ground state at l = c falls to edge times its peak at both ends."""
+    half = c * math.sqrt(2.0 * math.log(1.0 / edge))
+    return Grid(-half, half, 64)
+
+
+def _table_accepts(c, edge):
+    ramp = ControlTrajectory.adiabatic_linear(c, 0.0, c * c)
+    return _accepts(lambda: psi_ff(HarmonicModel(), 0, 0.0, ramp, _edge_grid(c, edge)))
+
+
+def _propagation_accepts(c, edge):
+    grid = _edge_grid(c, edge)
+    xi = grid.points / c
+    psi0 = ComplexField(grid, np.pi**-0.25 / math.sqrt(c) * np.exp(-0.5 * xi * xi) + 0j)
+    ramp = ControlTrajectory.adiabatic_linear(c, 0.0, c * c * 4e-3)
+    coefficient = trap_coefficient(HarmonicModel(), ramp, driven=False)
+    return _accepts(lambda: propagate(psi0, ramp, coefficient, c * c * 1e-3, c * c * 4e-3))
+
+
+# the ground state's peak is pi^-1/4 / sqrt(c): compared with the absolute limits 1e-6 and
+# 1e-5, grid ends at these fractions of it passed (or failed) at c = 1 and failed at c = 4^-2
+# (or passed at c = 4 and 4^2)
+@pytest.mark.parametrize("k", [-2, -1, 1, 2])
+@pytest.mark.parametrize(
+    "accepts, edge",
+    [(_table_accepts, 0.5e-6), (_table_accepts, 2e-6), (_propagation_accepts, 5e-6), (_propagation_accepts, 2e-5)],
+    ids=["table_inside", "table_outside", "psi0_inside", "psi0_outside"],
+)
+def test_edge_limits_do_not_depend_on_the_unit_of_length(accepts, edge, k):
+    assert accepts(4.0**k, edge) == accepts(1.0, edge) == (edge < 1e-6 if accepts is _table_accepts else edge < 1e-5)
