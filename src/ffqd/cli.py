@@ -27,7 +27,7 @@ from pathlib import Path
 from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
-from .core import norm
+from .core import _require_count, norm
 from .propagator import PropagationError, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
@@ -95,12 +95,8 @@ class Scenario:
             raise ValueError(f"t_ff_list has duplicate entries: {self.t_ff_list!r}")
         if not math.isfinite(self.epsilon):
             raise ValueError(f"epsilon must be finite, got {self.epsilon!r}")
-        if not self.beta > 0:
-            raise ValueError(f"beta must be positive (inf for zero temperature), got {self.beta!r}")
-        if self.n_particles < 1:
-            raise ValueError(f"n_particles must be >= 1, got {self.n_particles}")
-        if self.grid_points < 8:
-            raise ValueError(f"grid_points must be >= 8, got {self.grid_points}")
+        self.ensemble()  # beta and n_particles follow the ensemble's rules
+        _require_count(self.grid_points, "grid_points", 8)
 
     # -- geometry ----------------------------------------------------------
     def control_endpoints(self) -> tuple[float, float]:

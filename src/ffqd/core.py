@@ -8,6 +8,12 @@ from dataclasses import dataclass
 import numpy as np
 
 
+def _require_count(value, name: str, minimum: int) -> None:
+    """The rule of every count: an int or numpy integer, not a bool, and at least minimum."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise ValueError(f"need an integer {name} >= {minimum}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1D grid on [x_min, x_max] with n_points samples (endpoints included)."""
@@ -17,8 +23,7 @@ class Grid:
     n_points: int
 
     def __post_init__(self):
-        if not isinstance(self.n_points, (int, np.integer)) or self.n_points < 8:
-            raise ValueError(f"need an integer n_points >= 8, got {self.n_points!r}")
+        _require_count(self.n_points, "n_points", 8)
         if not (math.isfinite(self.x_min) and math.isfinite(self.x_max)):
             raise ValueError(f"grid bounds must be finite, got [{self.x_min}, {self.x_max}]")
         if not self.x_max > self.x_min:

@@ -71,29 +71,35 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._numutil import gauss_legendre, legendre_rule
+from .core import _require_count
 from .fastforward import _v_ff_coefficient
-from .spectra import _CHUNK_NODES, BoxModel, Model, _require_trace_points
+from .spectra import _CHUNK_NODES, BoxModel, Model
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
+
+
+def _require_beta(beta: float) -> None:
+    """The rule of every inverse temperature: positive, math.inf for T = 0."""
+    if not beta > 0:  # False for NaN too
+        raise ValueError(f"beta must be positive (inf for zero temperature), got {beta!r}")
 
 
 @dataclass(frozen=True)
 class ThermalEnsemble:
     """Fermi-Dirac ensemble with fixed particle number.
 
-    beta may be math.inf for the zero-temperature limit.  The thermal-trace
-    routines solve mu from n_particles at each evaluation time.
+    beta may be math.inf for the zero-temperature limit.  n_particles is an
+    integer >= 1, so the printed constants, which divide by N, are defined;
+    the thermal-trace routines solve mu from it at each evaluation time.
     """
 
     beta: float
     n_particles: int
 
     def __post_init__(self):
-        if not self.beta > 0:
-            raise ValueError("beta must be positive (use math.inf for T = 0)")
-        if not isinstance(self.n_particles, (int, np.integer)) or self.n_particles < 0:
-            raise ValueError(f"n_particles must be an integer >= 0, got {self.n_particles!r}")
+        _require_beta(self.beta)
+        _require_count(self.n_particles, "n_particles", 1)
 
     @property
     def temperature(self) -> float:
@@ -156,8 +162,8 @@ def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
     sums are the contiguous 1-D sums, so every mu is bit-identical to
     solve_mu's for that row alone.
     """
-    if not 0 < n_particles < e.shape[1]:
-        raise ValueError(f"need 0 < n_particles < {e.shape[1]}, got {n_particles}")
+    if not n_particles < e.shape[1]:
+        raise ValueError(f"need n_particles < {e.shape[1]}, got {n_particles}")
     if not np.all(np.isfinite(e)):  # a bracket padded by inf or NaN would never close
         raise ValueError("energies must be finite")
     if math.isinf(beta):
@@ -186,9 +192,12 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 
     The occupation sum is monotone increasing in mu, so the root is unique at
     finite beta; at beta = inf any point of the zero-temperature plateau is
-    returned, for finite energies only (ValueError).  Residual tolerance 1e-10,
-    or, where no double meets it, the one-ulp reach (RuntimeError beyond it).
+    returned, for finite energies only (ValueError).  beta and n_particles
+    follow ThermalEnsemble's rules, and n_particles is below the number of
+    energies (ValueError).  Residual tolerance 1e-10, or, where no double
+    meets it, the one-ulp reach (RuntimeError beyond it).
     """
+    ThermalEnsemble(beta, n_particles)  # its rules for beta and n_particles
     e = np.sort(np.asarray(energies, dtype=float))
     return float(_solve_mu_rows(e[None, :], beta, n_particles)[0])
 
@@ -196,20 +205,13 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 # ---------------------------------------------------------------------------
 # closed-form internal energies and their printed constants
 
-def _printed_n(ens: ThermalEnsemble) -> int:
-    """N of the printed constants, which divide by it."""
-    if ens.n_particles < 1:
-        raise ValueError(f"the printed constants need n_particles >= 1, got {ens.n_particles}")
-    return ens.n_particles
-
-
 def coefficient_A(ens: ThermalEnsemble, l0: float) -> float:
     """Printed thermal constant N^2 [1 + (4 pi^2/3) l0^2 (m k T/hbar^2)^2 (l0/N)^2].
 
     Truncated exactly at the printed term; a low-temperature expansion whose
     validity requires k T well below the level spacing times N.
     """
-    N = _printed_n(ens)
+    N = ens.n_particles
     kT = ens.temperature
     r = l0 / N
     corr = (4.0 * np.pi**2 / 3.0) * (l0 * l0) * (kT * kT) * (r * r)
@@ -225,7 +227,7 @@ def _thermal_l4(ens: ThermalEnsemble, L):
 
 def coefficients_B(ens: ThermalEnsemble, L):
     """Printed box constants (B1, B2), each truncated at its printed term; L may be an array."""
-    N = _printed_n(ens)
+    N = ens.n_particles
     th = _thermal_l4(ens, L)
     b1 = (np.pi**2 * N**3 / 24.0) * (1.0 + (24.0 / np.pi**2) * th)
     b2 = (N / 6.0) * (1.0 + (16.0 / (3.0 * np.pi**2)) * th)
@@ -240,7 +242,7 @@ def box_drive_prefactor(ens: ThermalEnsemble, L):
     its own equation, and this constant is what the cost oracle identities
     use.  L may be an array.
     """
-    N = _printed_n(ens)
+    N = ens.n_particles
     inner = 1.0 + (16.0 / (3.0 * np.pi**2)) * _thermal_l4(ens, L)
     return (N / 6.0) * (1.0 + (6.0 / (np.pi**2 * N * N)) * inner)
 
@@ -352,10 +354,8 @@ def _node_traces(
     sweep's nodes; _check_traces then runs on all of them in sweep order.
     """
     ts = [np.asarray(t, dtype=float) for t in ts]
-    _require_trace_points(n_points)  # before the empty ensemble's early return
+    _require_count(n_points, "n_points", 8)
     offsets = list(itertools.accumulate((t.size for t in ts), initial=0))
-    if ens.n_particles == 0 or offsets[-1] == 0:
-        return [np.zeros(t.size) for t in ts]
     at = (ControlTrajectory.value, ControlTrajectory.velocity, ControlTrajectory.acceleration)
     ls, ld, ldd = (np.concatenate([q(traj, t) for traj, t in zip(trajs, ts)]) for q in at)  # every sweep node
     g, a = ld / (2.0 * ls), model._v0_coefficient(ls) + _v_ff_coefficient(ldd, ls)  # theta = g x^2, V = a x^2
@@ -375,19 +375,18 @@ def _node_traces(
             r, j = np.array(rows[b : b + _CHUNK_NODES]).T  # sweep node, its row in the block
             xj = x[j]
             out[r] = _trace_finish(*(m[j] for m in moments), g[r, None] * xj * xj, a[r, None] * xj**2, dx[j])
-    _check_traces(model, out, np.concatenate(ts), ls, ld * ld - ls * ldd, f, n_top, inv)
+    _check_traces(model, out, np.concatenate(ts), ls, ld * ld - ls * ldd, f, inv)
     return [out[start:stop] for start, stop in zip(offsets, offsets[1:])]
 
 
 _TRACE_TOL = 5e-2  # |grid - grid-free trace| a node may reach, as a fraction of its scale
 
 
-def _check_traces(model: Model, out, t, l, drive, f, n_top, inv) -> None:
+def _check_traces(model: Model, out, t, l, drive, f, inv) -> None:
     """ValueError at the first sweep node off the grid-free trace by _TRACE_TOL of its scale. drive: l_dot^2 - l l_ddot."""
     ns = model.level_numbers(model.n_min + f.shape[1] - 1)
-    e1, x1 = model._unit_energy(ns), model._unit_xi2(ns)
-    # over each distinct node's own levels, as its ramp's own call sums them
-    conf, xi2 = np.array([(row[:k] @ e1[:k], row[:k] @ x1[:k]) for row, k in zip(f, n_top - model.n_min + 1)]).T
+    # f is zero past each distinct node's own levels: these sum over them alone
+    conf, xi2 = f @ model._unit_energy(ns), f @ model._unit_xi2(ns)
     conf, xi2 = conf[inv] / (l * l), 0.5 * xi2[inv]
     err, bound = np.abs(out - (conf + drive * xi2)), _TRACE_TOL * (conf + np.abs(drive) * xi2)
     bad = np.flatnonzero(~(err <= bound))  # NaN fails too
@@ -521,6 +520,7 @@ def _costs_ff_numeric(
     A t_ff sweep shares most of its node moments (module docstring); each
     cost is bit-identical to its ramp's own call.
     """
+    _require_count(n_nodes, "n_nodes", 1)
     nodes, weights = legendre_rule(n_nodes)
     ts = [0.5 * traj.t_ff * (nodes + 1.0) for traj in trajs]
     return [float(np.dot(weights, tr) * 0.5) for tr in _node_traces(model, trajs, ts, ens, n_points)]
@@ -557,17 +557,15 @@ def frobenius_cost(
     a sign change of u + ex/xx on a scan bisected to adjacent doubles, and at
     2^-k, k <= _DIP_GRADING, of the way to it from either ramp end.
     """
-    _require_trace_points(n_points)
+    _require_count(n_points, "n_points", 8)
     if t_ff != traj.t_ff:
         raise ValueError(f"t_ff {t_ff!r} must be the ramp's own t_ff {traj.t_ff!r}")
     if isinstance(ens_or_cutoff, ThermalEnsemble):
-        l_widest = traj.value(np.array([0.0, t_ff])).max(keepdims=True)  # l is monotone
-        _, n_top = _occupied_levels(model, ens_or_cutoff, l_widest)
+        _, n_top = _occupied_levels(model, ens_or_cutoff, np.array([traj._l_max]))
         m_cut = max(int(n_top[0]), 2)
-    elif isinstance(ens_or_cutoff, (int, np.integer)) and not isinstance(ens_or_cutoff, bool) and ens_or_cutoff >= 2:
-        m_cut = int(ens_or_cutoff)
     else:
-        raise ValueError(f"Frobenius cutoff must be an integer >= 2, got {ens_or_cutoff!r}")
+        _require_count(ens_or_cutoff, "Frobenius cutoff", 2)
+        m_cut = int(ens_or_cutoff)
     ns = model.level_numbers(m_cut)
     e, x2 = model._unit_energy(ns), model._unit_x2(ns)
     ee, ex, xx = e @ e, e @ np.diag(x2), np.sum(x2 * x2)

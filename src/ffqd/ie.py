@@ -16,7 +16,8 @@ omega(T) = omegaF exactly.  omega^2 may dip negative for aggressive ramps
 is monotone between its ends 1 and sqrt(omega0/omegaF) > 0.
 
 Note the auxiliary equation is implemented with the dimensionally consistent
-right-hand side omega0^2/b^3.
+right-hand side omega0^2/b^3.  Every function of t takes the ramps' time rule
+(trajectory._check_time): a NaN t, or one outside [0, t_ff], raises ValueError.
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cost import cost_ff
+from .cost import _require_beta, cost_ff
+from .trajectory import _check_time
 
 
 @dataclass(frozen=True)
@@ -49,26 +51,20 @@ class ErmakovSolution:
     def b_final(self) -> float:
         return float(np.sqrt(self.omega0 / self.omegaF))
 
-    def _s(self, t):
-        t = np.asarray(t, dtype=float)
-        if np.any(t < -1e-9 * self.t_ff) or np.any(t > self.t_ff * (1.0 + 1e-9)):
-            raise ValueError(f"t outside [0, {self.t_ff}]")
-        return np.clip(t / self.t_ff, 0.0, 1.0)
-
     def b(self, t):
-        s = self._s(t)
+        s = np.asarray(_check_time(t, self.t_ff)) / self.t_ff
         w = s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
         out = 1.0 + (self.b_final - 1.0) * w
         return float(out) if np.ndim(t) == 0 else out
 
     def b_dot(self, t):
-        s = self._s(t)
+        s = np.asarray(_check_time(t, self.t_ff)) / self.t_ff
         wd = 30.0 * s * s * (1.0 - s) ** 2
         out = (self.b_final - 1.0) * wd / self.t_ff
         return float(out) if np.ndim(t) == 0 else out
 
     def b_ddot(self, t):
-        s = self._s(t)
+        s = np.asarray(_check_time(t, self.t_ff)) / self.t_ff
         wdd = 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
         out = (self.b_final - 1.0) * wdd / (self.t_ff * self.t_ff)
         return float(out) if np.ndim(t) == 0 else out
@@ -93,8 +89,7 @@ def h_ie_expectation(sol: ErmakovSolution, t, beta: float) -> float:
     (1/2) [b_dot^2/(2 omega0) + omega^2 b^2/(2 omega0) + omega0/(2 b^2)]
     * coth(beta omega0 / 2), evaluated as printed in natural units.
     """
-    if not beta > 0:  # False for NaN too
-        raise ValueError(f"beta must be positive (inf for zero temperature), got {beta!r}")
+    _require_beta(beta)
     b = np.asarray(sol.b(t), dtype=float)
     bd = np.asarray(sol.b_dot(t), dtype=float)
     w2 = np.asarray(sol.omega_sq(t), dtype=float)

@@ -53,7 +53,7 @@ import numpy as np
 
 from ._numutil import lap2
 from .core import ComplexField, Grid, inner_product, norm
-from .trajectory import ControlTrajectory
+from .trajectory import ControlTrajectory, _check_time
 
 _NORM_DRIFT_LIMIT = 1e-6
 _NORM_CHECK_STRIDE = 16
@@ -71,7 +71,7 @@ def fidelity(a: ComplexField, b: ComplexField) -> float:
 
 
 def _frame(ramp: ControlTrajectory, psi0: ComplexField, t_half: np.ndarray):
-    """(frame grid of y, s and s_dot at t_half, s(t)) for the frame x = s(t) y, s = l(t).
+    """(frame grid of y, s and s_dot at t_half) for the frame x = s(t) y, s = l(t).
 
     y spans psi0's grid over l(0); the ramp is evaluated (and domain-checked)
     at every half step here, before the first step.  psi at the grid ends is
@@ -82,8 +82,7 @@ def _frame(ramp: ControlTrajectory, psi0: ComplexField, t_half: np.ndarray):
         raise ValueError(f"psi0 must vanish at both grid ends (|psi0| <= {_EDGE_LIMIT:g} max|psi0| there)")
     g = psi0.grid
     l0 = ramp.value(0.0)
-    scale = lambda t: ramp.value(min(t, ramp.t_ff))
-    return Grid(g.x_min / l0, g.x_max / l0, g.n_points), ramp.value(t_half), ramp.velocity(t_half), scale
+    return Grid(g.x_min / l0, g.x_max / l0, g.n_points), ramp.value(t_half), ramp.velocity(t_half)
 
 
 def _parity(grid: Grid, values: np.ndarray) -> int:
@@ -129,10 +128,11 @@ def propagate(
 
     Before the first step, raises ValueError if dt or t_final is not positive
     and finite or ramp is not a ControlTrajectory (checked first), if psi0
-    does not vanish at the grid ends, if the run would leave the ramp's
-    [0, t_ff], or if V = a(t) x^2 is not finite or dt*max|V|/hbar >= 0.5 at
-    any half step stepped (V on the interior points; the bound is
-    max|a(t) s(t)^2| max y^2): each depends on the input alone.  A psi0 of
+    does not vanish at the grid ends, if t_final lies beyond the ramp's t_ff
+    (the ramp's time rule, trajectory._check_time), or if V = a(t) x^2 is not
+    finite or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the
+    interior points; the bound is max|a(t) s(t)^2| max y^2): each depends on
+    the input alone.  A psi0 of
     definite parity on a grid symmetric about 0 is stepped on the half grid
     (see the module docstring).  While stepping, raises PropagationError if
     the norm drifts by more than 1e-6 (or turns NaN) at any checkpoint.
@@ -145,10 +145,11 @@ def propagate(
             raise ValueError(f"{name} must be positive and finite, got {value!r}")
     if not isinstance(ramp, ControlTrajectory):
         raise ValueError(f"ramp must be a ControlTrajectory, got {ramp!r}")
+    _check_time(t_final, ramp.t_ff)
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
     t_half = (np.arange(n_steps) + 0.5) * dt
-    frame, s, s_dot, scale = _frame(ramp, psi0, t_half)
+    frame, s, s_dot = _frame(ramp, psi0, t_half)
     nrm0 = norm(psi0)
     if abs(nrm0 - 1.0) > 1e-6:
         raise ValueError(f"psi0 must be normalized, got norm {nrm0!r}")
@@ -169,7 +170,7 @@ def propagate(
             raise ValueError(f"potential is not finite at step {step}/{n_steps}")
         raise ValueError(f"time step too coarse: dt*max|V|/hbar = {worst:.3g} >= 0.5")
 
-    u = math.sqrt(scale(0.0)) * psi0.values[1:-1]  # unitary map to the frame
+    u = math.sqrt(ramp.value(0.0)) * psi0.values[1:-1]  # unitary map to the frame
     sign = _parity(psi0.grid, psi0.values)  # 0: no mirror, the full interior is stepped
     centre = frame.n_points % 2  # 1: the interior has a centre point y = 0
     if sign:  # the right half of the interior, from its centre point or pair
@@ -187,7 +188,7 @@ def propagate(
     dl = np.empty_like(du)
     stride = max(1, n_steps // 8)  # steps between frames
     if frames is not None:
-        frames.append((0.0, *_physical(frame, u, scale(0.0), sign)))
+        frames.append((0.0, *_physical(frame, u, ramp.value(0.0), sign)))
     for step in range(n_steps):
         sk = s.item(step)
         np.multiply(y2, 1j * pot.item(step), out=d)
@@ -206,8 +207,8 @@ def propagate(
         if done % _NORM_CHECK_STRIDE == 0 or last:
             _check_norm(u, dy, done, n_steps, sign, centre)
         if frames is not None and (last or done % stride == 0):
-            frames.append((done * dt, *_physical(frame, u, scale(done * dt), sign)))
-    return ComplexField(*_physical(frame, u, scale(t_final), sign))
+            frames.append((done * dt, *_physical(frame, u, ramp.value(done * dt), sign)))
+    return ComplexField(*_physical(frame, u, ramp.value(t_final), sign))
 
 
 @functools.cache

@@ -60,12 +60,6 @@ _CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this
 _BLOCK_DOUBLES = 2**16  # the working arrays of a block of streamed oscillator moments hold at most this many doubles
 
 
-def _require_trace_points(n_points: int) -> None:
-    """The n_points >= 8 of Grid, for trace grids built from a point count."""
-    if n_points < 8:
-        raise ValueError(f"need n_points >= 8, got {n_points}")
-
-
 def _trace_moments(table: np.ndarray, f: np.ndarray):
     """The level sums of the thermal trace, which need the amplitudes but no phase: (rho0, rho1).
 

@@ -22,6 +22,24 @@ ADIABATIC_LINEAR = "linear"
 _KINDS = (POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)
 
 
+def _check_time(t, t_ff: float):
+    """t clipped to [0, t_ff]; ValueError for NaN or t beyond a 1e-9 t_ff slack.
+
+    The one time rule: of the ramps, ie's scaling function and propagate's
+    t_final.  A Python float stays a float, which skips the 0-d array work of
+    the array path and gives the same value bit for bit (np.clip's -0.0 too).
+    """
+    slack = 1e-9 * t_ff
+    if type(t) is float:
+        if not -slack <= t <= t_ff + slack:  # False for NaN
+            raise ValueError(f"t outside [0, {t_ff}]")
+        return min(max(t, 0.0), float(t_ff))
+    t = np.asarray(t, dtype=float)
+    if not (np.all(t >= -slack) and np.all(t <= t_ff + slack)):
+        raise ValueError(f"t outside [0, {t_ff}]")
+    return np.clip(t, 0.0, t_ff)
+
+
 @dataclass(frozen=True)
 class ControlTrajectory:
     """A ramp l(t) on [0, t_ff] with exact analytic derivatives.
@@ -64,22 +82,6 @@ class ControlTrajectory:
         """
         return float(np.max(self._value(np.array([0.0, self.t_ff]))))
 
-    def _check_domain(self, t):
-        """t clipped to [0, t_ff]; errors for NaN or t beyond a 1e-9 t_ff slack.
-
-        A Python float stays a float, which skips the 0-d array work of the
-        array path and gives the same value bit for bit (np.clip's -0.0 too).
-        """
-        slack = 1e-9 * self.t_ff
-        if type(t) is float:
-            if not -slack <= t <= self.t_ff + slack:  # False for NaN
-                raise ValueError(f"t outside [0, {self.t_ff}]")
-            return min(max(t, 0.0), float(self.t_ff))
-        t = np.asarray(t, dtype=float)
-        if not (np.all(t >= -slack) and np.all(t <= self.t_ff + slack)):
-            raise ValueError(f"t outside [0, {self.t_ff}]")
-        return np.clip(t, 0.0, self.t_ff)
-
     def _value(self, t):
         if self.kind == POLYNOMIAL:
             # t * t * t, not t**3: a Python float's power (C pow) and numpy's
@@ -95,12 +97,12 @@ class ControlTrajectory:
 
     def value(self, t):
         """l(t); accepts scalars or arrays, errors outside [0, t_ff]."""
-        out = self._value(self._check_domain(t))
+        out = self._value(_check_time(t, self.t_ff))
         return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
 
     def velocity(self, t):
         """Exact analytic dl/dt."""
-        tt = self._check_domain(t)
+        tt = _check_time(t, self.t_ff)
         if self.kind == POLYNOMIAL:
             out = self.vbar * (tt / self.t_ff - tt * tt / (self.t_ff * self.t_ff))
         elif self.kind == TRIGONOMETRIC:
@@ -111,7 +113,7 @@ class ControlTrajectory:
 
     def acceleration(self, t):
         """Exact analytic d^2 l/dt^2."""
-        tt = self._check_domain(t)
+        tt = _check_time(t, self.t_ff)
         if self.kind == POLYNOMIAL:
             out = self.vbar * (1.0 / self.t_ff - 2.0 * tt / (self.t_ff * self.t_ff))
         elif self.kind == TRIGONOMETRIC:

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.special import expit
@@ -104,7 +104,7 @@ def test_ensemble_validation_and_temperature():
 @pytest.mark.parametrize("n", [1.5, 2.0, -1])
 def test_ensemble_rejects_non_integer_or_negative_particle_count(n):
     # 1.5 used to pass here and fail with an IndexError inside the trace
-    with pytest.raises(ValueError, match="n_particles must be an integer >= 0"):
+    with pytest.raises(ValueError, match="need an integer n_particles >= 1"):
         ThermalEnsemble(beta=1.0, n_particles=n)
 
 
@@ -123,17 +123,10 @@ def test_coefficient_a_printed_truncation():
 
 
 def test_printed_constants_reject_empty_ensemble():
-    # the printed constants divide by N: N = 0 used to raise ZeroDivisionError
-    empty = ThermalEnsemble(beta=2.0, n_particles=0)
-    for call in (
-        lambda: coefficient_A(empty, 1.0),
-        lambda: coefficients_B(empty, 1.0),
-        lambda: box_drive_prefactor(empty, 1.0),
-        lambda: cost_ff_closed(BoxModel(), box_ramp(POLYNOMIAL), empty),
-        lambda: cost_ff_closed(HarmonicModel(), ho_ramp(POLYNOMIAL), empty),
-    ):
-        with pytest.raises(ValueError, match="n_particles >= 1"):
-            call()
+    # the printed constants divide by N: N = 0 used to raise ZeroDivisionError, and the
+    # ensemble that would reach them is now rejected where it is built
+    with pytest.raises(ValueError, match="need an integer n_particles >= 1"):
+        ThermalEnsemble(beta=2.0, n_particles=0)
 
 
 def test_coefficients_b_zero_temperature():
@@ -231,11 +224,6 @@ def test_trace_zero_temperature_single_level_at_rest():
     assert u0 == pytest.approx(np.pi**2 / 2.0, abs=1e-6)
 
 
-def test_trace_empty_ensemble():
-    ens = ThermalEnsemble(beta=1.0, n_particles=0)
-    assert internal_energy_numeric(BoxModel(), box_ramp(), 0.5, ens) == 0.0
-
-
 # fast oscillator ramps and a box of 50 cold fermions, on grids too coarse for them: before
 # the trace check, the costs 3843.3, 4554.0, 12453.3, 14213.7 (l 1.5 -> 0.3), 278.3 and
 # 343.5 (omega 1 -> 10) and 153952.7 and 195883.0 (the box, against 211826.4 from the
@@ -317,11 +305,13 @@ def _exact_trace(model, traj, ts, ens):
 
 @st.composite
 def _asymptotic_trace_cases(draw):
-    """A trap, a smooth ramp, an ensemble and 1-4 times, all resolved at 513 points.
+    """A trap, a smooth ramp, an ensemble and 1-4 times, nearly all resolved at 513 points.
 
     Oscillator ramps within [0.5, 1.5], box walls up to 6, t_ff >= 0.5 and
     beta >= 1: faster or wider oscillator ramps or hotter ensembles put
     levels or gauge phases of 513-point grids outside the asymptotic range.
+    The corner of the fastest compression (l 1.5 -> 0.5 in t_ff = 0.5 at
+    beta = 1, N = 8) is already outside it, and the trace check rejects it.
     """
     box = draw(st.booleans())
     kind = draw(st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]))
@@ -340,7 +330,11 @@ def _asymptotic_trace_cases(draw):
 def test_grid_trace_converges_at_second_order_to_the_exact_trace(case):
     # 513 and 1025 points halve dx exactly, so the error of a second-order trace drops by 4
     model, traj, ens, ts = case
-    traces = [_node_traces(model, [traj], [ts], ens, p)[0] for p in (513, 1025)]
+    try:
+        traces = [_node_traces(model, [traj], [ts], ens, p)[0] for p in (513, 1025)]
+    except ValueError as exc:  # a grid the trace check rejects has no convergence order to measure
+        assert str(exc).startswith("trace grid too coarse at")
+        assume(False)
     exact, _ = _exact_trace(model, traj, ts, ens)
     coarse, fine = (np.max(np.abs(t - exact) / np.abs(exact)) for t in traces)
     assert 3.8 <= coarse / fine <= 4.2
@@ -992,7 +986,7 @@ def test_frobenius_requires_cutoff_of_two():
 @pytest.mark.parametrize("cutoff", [10.9, math.inf, math.nan, 10.0, True, np.float64(3.0), "3", 1, np.int64(-2)])
 def test_frobenius_cutoff_must_be_an_integer_of_at_least_two(cutoff):
     # 10.9 used to give the cutoff-10 value and inf to raise OverflowError
-    with pytest.raises(ValueError, match="Frobenius cutoff must be an integer >= 2"):
+    with pytest.raises(ValueError, match="need an integer Frobenius cutoff >= 2"):
         frobenius_cost(BoxModel(), box_ramp(), cutoff, 1.0)
 
 
@@ -1161,14 +1155,16 @@ def test_internal_energy_numeric_rejects_fewer_than_8_points(model, n_points):
 
 @pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])
 def test_empty_ensemble_rejects_fewer_than_8_points(model):
-    # N = 0 has a zero trace, but the point count is checked first, as for N >= 1
+    # N = 0 had a zero trace, whose point count was checked first; the empty ensemble is
+    # now rejected where it is built, and the smallest one, N = 1, has its points checked
     traj = box_ramp(POLYNOMIAL) if model.n_min else ho_ramp(POLYNOMIAL)
-    empty = ThermalEnsemble(beta=1.0, n_particles=0)
+    with pytest.raises(ValueError, match="need an integer n_particles >= 1"):
+        ThermalEnsemble(beta=1.0, n_particles=0)
+    one = ThermalEnsemble(beta=1.0, n_particles=1)
     with pytest.raises(ValueError, match="n_points >= 8"):
-        internal_energy_numeric(model, traj, 0.5, empty, n_points=2)
+        internal_energy_numeric(model, traj, 0.5, one, n_points=2)
     with pytest.raises(ValueError, match="n_points >= 8"):
-        cost_ff_numeric(model, traj, empty, n_nodes=4, n_points=0)
-    assert cost_ff_numeric(model, traj, empty, n_nodes=4, n_points=8) == 0.0
+        cost_ff_numeric(model, traj, one, n_nodes=4, n_points=0)
 
 
 @pytest.mark.parametrize("model", [HarmonicModel(), BoxModel()], ids=["harmonic", "box"])

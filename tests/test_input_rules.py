@@ -1,0 +1,156 @@
+"""One rule per input quantity, pinned at every public entry point that takes it.
+
+Each quantity has one check, in the module that owns it: times in
+trajectory (the ramp's [0, t_ff] with a 1e-9 slack, NaN rejected), counts in
+core (an int or numpy integer, not a bool, at least a minimum), beta and the
+particle number in cost.  Every entry point gets the same bad inputs and must
+raise ValueError, not return a NaN or fail inside numpy.
+"""
+
+import math
+import re
+
+import numpy as np
+import pytest
+
+from ffqd import (
+    POLYNOMIAL,
+    BoxModel,
+    ControlTrajectory,
+    ErmakovSolution,
+    Grid,
+    HarmonicModel,
+    ThermalEnsemble,
+    cost_ff_numeric,
+    cost_ie,
+    ermakov_residual,
+    frobenius_cost,
+    h_ie_expectation,
+    internal_energy_closed,
+    internal_energy_numeric,
+    propagate,
+    psi_ff,
+    psi_ff_values,
+    solve_mu,
+    trap_coefficient,
+)
+from ffqd.cli import Scenario
+
+from helpers import box_ramp, box_state
+
+T = 1.0
+RAMP = box_ramp(t_ff=T)
+SOL = ErmakovSolution(1.0, 10.0, T)
+ENS = ThermalEnsemble(beta=1.0, n_particles=1)
+BOX = BoxModel()
+HO, HO_RAMP = HarmonicModel(), ControlTrajectory(POLYNOMIAL, 1.0, T, vbar=-1.0)
+
+# NaN, both infinities, and both ends 1e-8 t_ff beyond the rule's 1e-9 t_ff slack
+_BAD_TIMES = [math.nan, math.inf, -math.inf, -1e-8 * T, T * (1.0 + 1e-8)]
+
+# entry points that take a time or an array of times
+_TIME_ARRAYS = {
+    "value": RAMP.value,
+    "velocity": RAMP.velocity,
+    "acceleration": RAMP.acceleration,
+    "b": SOL.b,
+    "b_dot": SOL.b_dot,
+    "b_ddot": SOL.b_ddot,
+    "omega_sq": SOL.omega_sq,
+    "ermakov_residual": lambda t: ermakov_residual(SOL, t),
+    "h_ie_expectation": lambda t: h_ie_expectation(SOL, t, 1.0),
+    "internal_energy_closed": lambda t: internal_energy_closed(BOX, RAMP, t, ENS),
+    "trap_coefficient": trap_coefficient(BOX, RAMP),
+}
+# entry points that take one time
+_TIME_SCALARS = {
+    **_TIME_ARRAYS,
+    "internal_energy_numeric": lambda t: internal_energy_numeric(BOX, RAMP, t, ENS, n_points=256),
+    "psi_ff": lambda t: psi_ff(BOX, 1, t, RAMP, Grid(0.0, 1.0, 64)),
+    "psi_ff_values": lambda t: psi_ff_values(BOX, 1, t, RAMP, np.linspace(0.0, 1.0, 64)),
+}
+
+
+@pytest.mark.parametrize("t", _BAD_TIMES)
+@pytest.mark.parametrize("entry", sorted(_TIME_SCALARS))
+def test_every_time_follows_the_ramp_rule(entry, t):
+    # NaN times used to come back as NaN from the inverse-engineering functions
+    with pytest.raises(ValueError, match="outside"):
+        _TIME_SCALARS[entry](t)
+    if entry in _TIME_ARRAYS:
+        with pytest.raises(ValueError, match="outside"):
+            _TIME_ARRAYS[entry](np.array([0.5 * T, t]))
+
+
+@pytest.mark.parametrize("t_final", [math.nan, math.inf, -math.inf, 1.004, T * (1.0 + 1e-8)])
+def test_propagate_end_time_follows_the_ramp_rule(t_final):
+    # 1.004 at dt 0.01 keeps every half step inside the ramp: it used to run, and report the
+    # state on the grid of l(1)
+    seen = []
+
+    def coefficient(t):
+        seen.append(t)
+        return np.zeros_like(t)
+
+    with pytest.raises(ValueError):
+        propagate(box_state(1, 1.0, Grid(0.0, 1.0, 64)), RAMP, coefficient, 0.01, t_final)
+    assert not seen  # raised before a(t) was evaluated
+
+
+# (name, minimum, call) of every entry point that takes a count
+_COUNTS = [
+    ("Grid.n_points", 8, lambda n: Grid(0.0, 1.0, n)),
+    ("internal_energy_numeric.n_points", 8, lambda n: internal_energy_numeric(HO, HO_RAMP, 0.5, ENS, n_points=n)),
+    ("cost_ff_numeric.n_points", 8, lambda n: cost_ff_numeric(BOX, RAMP, ENS, n_nodes=4, n_points=n)),
+    ("frobenius_cost.n_points", 8, lambda n: frobenius_cost(BOX, RAMP, 4, T, n_points=n)),
+    ("Scenario.grid_points", 8, lambda n: Scenario(grid_points=n)),
+    ("cost_ff_numeric.n_nodes", 1, lambda n: cost_ff_numeric(BOX, RAMP, ENS, n_nodes=n, n_points=256)),
+    ("frobenius_cost.cutoff", 2, lambda n: frobenius_cost(BOX, RAMP, n, T)),
+]
+
+
+@pytest.mark.parametrize(
+    "bad_of",
+    [lambda m: m - 1, lambda m: m - 0.5, float, lambda m: True, np.float64],
+    ids=["below", "half", "float", "bool", "np.float64"],
+)
+@pytest.mark.parametrize("name, minimum, call", _COUNTS, ids=[c[0] for c in _COUNTS])
+def test_every_count_follows_the_integer_rule(name, minimum, call, bad_of):
+    # at minimum 8: 7, 7.5, 8.0, True and np.float64(8).  Floats used to reach numpy, which
+    # raised TypeError or "deg must be an integer", or to run (frobenius_cost's n_points)
+    bad = bad_of(minimum)
+    with pytest.raises(ValueError, match=f"need an integer .* >= {minimum}, got {re.escape(repr(bad))}"):
+        call(bad)
+
+
+_ENERGIES = np.arange(10) + 0.5
+
+_N_ENTRIES = {
+    "ThermalEnsemble": lambda n: ThermalEnsemble(1.0, n),
+    "solve_mu": lambda n: solve_mu(_ENERGIES, 1.0, n),
+    "Scenario": lambda n: Scenario(n_particles=n),
+}
+
+
+@pytest.mark.parametrize("n", [0, -1, True])
+@pytest.mark.parametrize("entry", sorted(_N_ENTRIES))
+def test_every_particle_number_is_at_least_one(entry, n):
+    # ThermalEnsemble used to accept 0 (an empty trace) and True
+    with pytest.raises(ValueError, match=f"need an integer n_particles >= 1, got {re.escape(repr(n))}"):
+        _N_ENTRIES[entry](n)
+
+
+_BETA_ENTRIES = {
+    "ThermalEnsemble": lambda b: ThermalEnsemble(b, 1),
+    "h_ie_expectation": lambda b: h_ie_expectation(SOL, 0.5, b),
+    "cost_ie": lambda b: cost_ie(SOL, b),
+    "solve_mu": lambda b: solve_mu(_ENERGIES, b, 1),
+    "Scenario": lambda b: Scenario(beta=b),
+}
+
+
+@pytest.mark.parametrize("beta", [0.0, -1.0, math.nan])
+@pytest.mark.parametrize("entry", sorted(_BETA_ENTRIES))
+def test_every_beta_is_positive(entry, beta):
+    with pytest.raises(ValueError, match=f"beta must be positive .*, got {re.escape(repr(beta))}"):
+        _BETA_ENTRIES[entry](beta)
