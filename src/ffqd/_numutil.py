@@ -8,6 +8,8 @@ from typing import Callable
 
 import numpy as np
 
+from .core import _require_positive
+
 
 @functools.lru_cache
 def legendre_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
@@ -35,8 +37,11 @@ def gauss_legendre(
     difference between its 64-node and 32-node values.  A panel whose
     estimate exceeds its width's share of max(abs_tol, rel_tol |integral|) is
     halved, at most eight times; RuntimeError if one still misses then, or if
-    the integrand is not finite.
+    the integrand is not finite; ValueError unless rel_tol and a nonzero abs_tol are positive and finite.
     """
+    _require_positive(rel_tol, "rel_tol")
+    if abs_tol != 0.0:
+        _require_positive(abs_tol, "abs_tol")
     width = b - a
     todo = [(a, b)]
     value = error = 0.0

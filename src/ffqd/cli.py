@@ -27,7 +27,7 @@ from pathlib import Path
 from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
-from .core import _require_count, norm
+from .core import _require_count, _require_positive, norm
 from .propagator import PropagationError, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
@@ -85,12 +85,10 @@ class Scenario:
             # both compare smooth ramps between the scenario's end points; a linear ramp ends elsewhere
             if out in self.outputs and self.ramp == ADIABATIC_LINEAR:
                 raise ValueError(f"{out} needs a polynomial or trigonometric ramp, got {self.ramp!r}")
-        # `0 < v < inf` is False for NaN, so each check also rejects non-finite input
         for name in ("l0", "l_final", "omega0", "omegaF", "dt"):
-            if not 0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite, got {getattr(self, name)!r}")
-        if not all(0 < t < math.inf for t in self.t_ff_list):
-            raise ValueError(f"every t_ff must be positive and finite, got {self.t_ff_list!r}")
+            _require_positive(getattr(self, name), name)
+        for t_ff in self.t_ff_list:
+            _require_positive(t_ff, "t_ff")
         if len(set(self.t_ff_list)) != len(self.t_ff_list):
             raise ValueError(f"t_ff_list has duplicate entries: {self.t_ff_list!r}")
         if not math.isfinite(self.epsilon):

@@ -14,6 +14,12 @@ def _require_count(value, name: str, minimum: int) -> None:
         raise ValueError(f"need an integer {name} >= {minimum}, got {value!r}")
 
 
+def _require_positive(value, name: str) -> None:
+    """The rule of every length, frequency, duration, step and tolerance: positive and finite."""
+    if not 0 < value < math.inf:  # False for NaN too
+        raise ValueError(f"{name} must be positive and finite, got {value!r}")
+
+
 @dataclass(frozen=True)
 class Grid:
     """Uniform 1D grid on [x_min, x_max] with n_points samples (endpoints included)."""

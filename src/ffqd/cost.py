@@ -71,7 +71,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from ._numutil import gauss_legendre, legendre_rule
-from .core import _require_count
+from .core import _require_count, _require_positive
 from .fastforward import _v_ff_coefficient
 from .spectra import _CHUNK_NODES, BoxModel, Model
 from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
@@ -427,13 +427,12 @@ def cost_ff(u_of_t: Callable[[np.ndarray], np.ndarray], t_ff: float, rel_tol: fl
 
     u_of_t takes the array of a panel's nodes and is called once per panel.
     A panel whose 32/64-node difference exceeds its share of rel_tol is
-    halved; RuntimeError if the quadrature does not converge.  Every ramp
-    average of the package except cost_ff_numeric's fixed rule and
-    frobenius_cost's split panels goes through here: the closed forms and
-    ie.cost_ie.
+    halved; RuntimeError if the quadrature does not converge, ValueError
+    unless t_ff and rel_tol are positive and finite.  Every ramp average of
+    the package except cost_ff_numeric's fixed rule and frobenius_cost's
+    split panels goes through here: the closed forms and ie.cost_ie.
     """
-    if not 0 < t_ff < math.inf:  # False for NaN too
-        raise ValueError(f"t_ff must be positive and finite, got {t_ff!r}")
+    _require_positive(t_ff, "t_ff")
     return gauss_legendre(u_of_t, 0.0, t_ff, rel_tol)[0] / t_ff
 
 
@@ -549,8 +548,8 @@ def frobenius_cost(
     cutoff (box 1..cutoff, oscillator 0..cutoff, model._unit_x2), so
     ||H||^2 = sum E_n(1)^2 / l^4 + 2 c sum E_n(1) X_nn + c^2 l^4 ||X||^2:
     three sums per cutoff serve every node, and no grid is built.  n_points
-    is checked (>= 8) as the trace checks it.  The time average is over the
-    whole ramp: t_ff must be traj.t_ff (ValueError otherwise).
+    is checked (>= 8) as the trace checks it, rel_tol before the dip scan.
+    The whole ramp is averaged: t_ff must be traj.t_ff (ValueError otherwise).
     l^4 ||H||^2 dips to (ee xx - ex^2)/xx where u = c l^4 = -ex/xx, for the
     oscillator (E_n(1) = X_nn) in a vertex far narrower than eight halvings
     of a panel resolve.  So the Gauss-Legendre panels are split at each dip,
@@ -558,6 +557,7 @@ def frobenius_cost(
     2^-k, k <= _DIP_GRADING, of the way to it from either ramp end.
     """
     _require_count(n_points, "n_points", 8)
+    _require_positive(rel_tol, "rel_tol")
     if t_ff != traj.t_ff:
         raise ValueError(f"t_ff {t_ff!r} must be the ramp's own t_ff {traj.t_ff!r}")
     if isinstance(ens_or_cutoff, ThermalEnsemble):

@@ -26,6 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import _require_positive
 from .cost import _require_beta, cost_ff
 from .trajectory import _check_time
 
@@ -39,11 +40,8 @@ class ErmakovSolution:
     t_ff: float
 
     def __post_init__(self):
-        # `0 < v < inf` is False for NaN too
-        if not (0 < self.omega0 < np.inf and 0 < self.omegaF < np.inf):
-            raise ValueError(f"frequencies must be positive and finite, got {self.omega0!r}, {self.omegaF!r}")
-        if not 0 < self.t_ff < np.inf:
-            raise ValueError(f"t_ff must be positive and finite, got {self.t_ff!r}")
+        for name in ("omega0", "omegaF", "t_ff"):
+            _require_positive(getattr(self, name), name)
         if not self.b(self.t_ff) > 0.0:  # b(t_ff) = 1 + (b_final - 1) rounds to 0 above omegaF/omega0 ~ 1e32
             raise ValueError("scaling function reaches zero at t_ff; reduce the ramp ratio")
 
@@ -52,19 +50,19 @@ class ErmakovSolution:
         return float(np.sqrt(self.omega0 / self.omegaF))
 
     def b(self, t):
-        s = np.asarray(_check_time(t, self.t_ff)) / self.t_ff
+        s = _check_time(t, self.t_ff) / self.t_ff
         w = s**3 * (10.0 - 15.0 * s + 6.0 * s * s)
         out = 1.0 + (self.b_final - 1.0) * w
         return float(out) if np.ndim(t) == 0 else out
 
     def b_dot(self, t):
-        s = np.asarray(_check_time(t, self.t_ff)) / self.t_ff
+        s = _check_time(t, self.t_ff) / self.t_ff
         wd = 30.0 * s * s * (1.0 - s) ** 2
         out = (self.b_final - 1.0) * wd / self.t_ff
         return float(out) if np.ndim(t) == 0 else out
 
     def b_ddot(self, t):
-        s = np.asarray(_check_time(t, self.t_ff)) / self.t_ff
+        s = _check_time(t, self.t_ff) / self.t_ff
         wdd = 60.0 * s * (1.0 - s) * (1.0 - 2.0 * s)
         out = (self.b_final - 1.0) * wdd / (self.t_ff * self.t_ff)
         return float(out) if np.ndim(t) == 0 else out

@@ -52,7 +52,7 @@ from typing import Callable
 import numpy as np
 
 from ._numutil import lap2
-from .core import ComplexField, Grid, inner_product, norm
+from .core import ComplexField, Grid, _require_positive, inner_product, norm
 from .trajectory import ControlTrajectory, _check_time
 
 _NORM_DRIFT_LIMIT = 1e-6
@@ -140,9 +140,8 @@ def propagate(
     max(1, n_steps // 8) steps and the last step: raw arrays, not fields, so
     a NaN frame still surfaces as the norm check's PropagationError.
     """
-    for name, value in (("dt", dt), ("t_final", t_final)):
-        if not 0 < value < math.inf:  # False for NaN too
-            raise ValueError(f"{name} must be positive and finite, got {value!r}")
+    _require_positive(dt, "dt")
+    _require_positive(t_final, "t_final")
     if not isinstance(ramp, ControlTrajectory):
         raise ValueError(f"ramp must be a ControlTrajectory, got {ramp!r}")
     _check_time(t_final, ramp.t_ff)
@@ -286,8 +285,9 @@ def tdse_residual(
     with H the second-order finite-difference Hamiltonian for the potential
     V = coefficient(t) x^2.  psi_ff_fn(s) must return the array of field
     values on `grid`.  Evaluated on the interior (two points clipped
-    per edge).
+    per edge).  ValueError unless dt is positive and finite and t >= dt.
     """
+    _require_positive(dt, "dt")
     if t - dt < 0.0:
         raise ValueError("centered stencil needs t - dt >= 0")
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid
+from .core import Grid, _require_count
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6  # oscillator rows must decay below this fraction of their peak at the boundary
 
@@ -89,9 +89,9 @@ class Model:
     _U2: float
 
     def energy(self, n, l):
-        """E_n(1) / l^2; n and l may be arrays that broadcast."""
-        if np.any(np.less(n, self.n_min)):
-            raise ValueError(f"quantum number must be >= {self.n_min}")
+        """E_n(1) / l^2; n and l may be arrays that broadcast, n of an integer dtype (bool is not) and >= n_min."""
+        if not (np.issubdtype(np.asarray(n).dtype, np.integer) and np.all(np.greater_equal(n, self.n_min))):
+            raise ValueError(f"need an integer quantum number >= {self.n_min}, got {n!r}")
         if not np.all(np.greater(l, 0)):  # NaN fails too
             raise ValueError("l must be positive")
         return self._unit_energy(n) / (l * l)
@@ -100,9 +100,7 @@ class Model:
         return np.arange(self.n_min, n_max + 1)
 
     def _v0_coefficient(self, l):
-        """a of v0 = a x^2 at l: U's x^2 coefficient over l^4, l a float or an array."""
-        if not np.all(np.greater(l, 0)):
-            raise ValueError("l must be positive")
+        """a of v0 = a x^2 at l > 0, a ramp value: U's x^2 coefficient over l^4, l a float or an array."""
         w = 1.0 / (l * l)
         return self._U2 * w * w
 
@@ -128,6 +126,7 @@ class HarmonicModel(Model):
 
     def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
         """Rows n = 0..n_max of grid-renormalized eigenamplitudes, each below 1e-6 of its peak at both grid ends."""
+        _require_count(n_max, "n_max", self.n_min)
         scale = math.sqrt(1.0 / (R * R))  # sqrt(omega)
         x = grid.points
         h = _hermite_functions(n_max, scale * x)
@@ -244,6 +243,7 @@ class BoxModel(Model):
 
     def amplitudes(self, n_max: int, L: float, grid: Grid) -> np.ndarray:
         """Rows n = 1..n_max of box eigenamplitudes on a [0, L] grid."""
+        _require_count(n_max, "n_max", self.n_min)
         if abs(grid.x_min) > 1e-9 * L or abs(grid.x_max - L) > 1e-9 * L:
             raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
         return self._unit_table(n_max, grid.points / L) / math.sqrt(L)

@@ -9,11 +9,12 @@ by parts.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
+
+from .core import _require_positive
 
 POLYNOMIAL = "polynomial"
 TRIGONOMETRIC = "trigonometric"
@@ -23,17 +24,12 @@ _KINDS = (POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)
 
 
 def _check_time(t, t_ff: float):
-    """t clipped to [0, t_ff]; ValueError for NaN or t beyond a 1e-9 t_ff slack.
+    """t as a float array clipped to [0, t_ff]; ValueError for NaN or t beyond a 1e-9 t_ff slack.
 
-    The one time rule: of the ramps, ie's scaling function and propagate's
-    t_final.  A Python float stays a float, which skips the 0-d array work of
-    the array path and gives the same value bit for bit (np.clip's -0.0 too).
+    The one time rule, one path for a scalar t (a 0-d array) and an array:
+    of the ramps, ie's scaling function and propagate's t_final.
     """
     slack = 1e-9 * t_ff
-    if type(t) is float:
-        if not -slack <= t <= t_ff + slack:  # False for NaN
-            raise ValueError(f"t outside [0, {t_ff}]")
-        return min(max(t, 0.0), float(t_ff))
     t = np.asarray(t, dtype=float)
     if not (np.all(t >= -slack) and np.all(t <= t_ff + slack)):
         raise ValueError(f"t outside [0, {t_ff}]")
@@ -62,8 +58,7 @@ class ControlTrajectory:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise ValueError(f"unknown trajectory kind {self.kind!r}")
-        if not 0 < self.t_ff < math.inf:  # False for NaN too
-            raise ValueError(f"t_ff must be positive and finite, got {self.t_ff!r}")
+        _require_positive(self.t_ff, "t_ff")
         with np.errstate(invalid="ignore"):  # 0 * inf: a NaN end, rejected below
             ends = self._value(np.array([0.0, self.t_ff]))
         if not np.all((ends > 0.0) & (ends < np.inf)):  # NaN fails both comparisons
@@ -84,7 +79,7 @@ class ControlTrajectory:
 
     def _value(self, t):
         if self.kind == POLYNOMIAL:
-            # t * t * t, not t**3: a Python float's power (C pow) and numpy's
+            # t * t * t, not t**3: a numpy scalar's power (C pow) and an array's
             # round apart, and the scalar and array paths must agree bit for bit;
             # C pow also misrounds about one square in a thousand, where a product
             # is exact under scaling by powers of two
@@ -98,7 +93,7 @@ class ControlTrajectory:
     def value(self, t):
         """l(t); accepts scalars or arrays, errors outside [0, t_ff]."""
         out = self._value(_check_time(t, self.t_ff))
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        return float(out) if np.ndim(t) == 0 else out
 
     def velocity(self, t):
         """Exact analytic dl/dt."""
@@ -109,7 +104,7 @@ class ControlTrajectory:
             out = self.vbar * (1.0 - np.cos(2.0 * np.pi * tt / self.t_ff))
         else:
             out = np.full_like(tt, self.vbar)
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        return float(out) if np.ndim(t) == 0 else out
 
     def acceleration(self, t):
         """Exact analytic d^2 l/dt^2."""
@@ -120,7 +115,7 @@ class ControlTrajectory:
             out = self.vbar * (2.0 * np.pi / self.t_ff) * np.sin(2.0 * np.pi * tt / self.t_ff)
         else:
             out = np.zeros_like(tt)
-        return float(out) if np.isscalar(t) or np.ndim(t) == 0 else out
+        return float(out) if np.ndim(t) == 0 else out
 
 
 def vbar_for_target(kind: str, l0: float, l_final: float, t_ff: float) -> float:
@@ -128,9 +123,11 @@ def vbar_for_target(kind: str, l0: float, l_final: float, t_ff: float) -> float:
 
     polynomial:     l(T) = l0 + vbar*T/6  ->  vbar = 6 (l_final - l0)/T
     trigonometric:  l(T) = l0 + vbar*T    ->  vbar = (l_final - l0)/T
+
+    l0, l_final and t_ff must be positive and finite (ValueError).
     """
-    if l_final <= 0:
-        raise ValueError("l_final must be positive")
+    for name, value in (("l0", l0), ("l_final", l_final), ("t_ff", t_ff)):
+        _require_positive(value, name)
     if kind == POLYNOMIAL:
         return 6.0 * (l_final - l0) / t_ff
     if kind == TRIGONOMETRIC:

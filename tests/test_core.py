@@ -135,3 +135,25 @@ def test_only_the_cli_touches_files():
                 if name in _FILE_CALLS:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+def _is_positive_rule(node) -> bool:
+    """A chained comparison `a < x < inf` (math.inf or np.inf): the positive-and-finite rule."""
+    if not (isinstance(node, ast.Compare) and len(node.ops) == 2):
+        return False
+    last = node.comparators[-1]
+    return getattr(last, "attr", getattr(last, "id", None)) == "inf"
+
+
+def test_only_core_writes_the_positive_and_finite_rule():
+    # every length, frequency, duration, step and tolerance takes core._require_positive;
+    # the rule used to be copied into five modules, and the copies drift
+    found, inside = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ffqd").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        found += [(path.name, n.lineno) for n in ast.walk(tree) if _is_positive_rule(n)]
+        for fn in ast.walk(tree):
+            if isinstance(fn, ast.FunctionDef) and fn.name == "_require_positive":
+                inside += [(path.name, n.lineno) for n in ast.walk(fn) if _is_positive_rule(n)]
+    assert len(inside) == 1 and inside[0][0] == "core.py"
+    assert found == inside

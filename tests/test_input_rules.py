@@ -1,10 +1,12 @@
 """One rule per input quantity, pinned at every public entry point that takes it.
 
 Each quantity has one check, in the module that owns it: times in
-trajectory (the ramp's [0, t_ff] with a 1e-9 slack, NaN rejected), counts in
-core (an int or numpy integer, not a bool, at least a minimum), beta and the
-particle number in cost.  Every entry point gets the same bad inputs and must
-raise ValueError, not return a NaN or fail inside numpy.
+trajectory (the ramp's [0, t_ff] with a 1e-9 slack, NaN rejected); counts and
+level numbers in core (an int or numpy integer, not a bool, at least a
+minimum); lengths, frequencies, durations, steps and tolerances in core
+(positive and finite); beta and the particle number in cost.  Every entry
+point gets the same bad inputs and must raise ValueError, not return a NaN or
+fail inside numpy.
 """
 
 import math
@@ -21,6 +23,7 @@ from ffqd import (
     Grid,
     HarmonicModel,
     ThermalEnsemble,
+    cost_ff,
     cost_ff_numeric,
     cost_ie,
     ermakov_residual,
@@ -32,8 +35,11 @@ from ffqd import (
     psi_ff,
     psi_ff_values,
     solve_mu,
+    tdse_residual,
     trap_coefficient,
+    vbar_for_target,
 )
+from ffqd._numutil import gauss_legendre
 from ffqd.cli import Scenario
 
 from helpers import box_ramp, box_state
@@ -154,3 +160,77 @@ _BETA_ENTRIES = {
 def test_every_beta_is_positive(entry, beta):
     with pytest.raises(ValueError, match=f"beta must be positive .*, got {re.escape(repr(beta))}"):
         _BETA_ENTRIES[entry](beta)
+
+
+_BOX_GRID = Grid(0.0, 1.0, 64)
+_PSI = box_state(1, 1.0, _BOX_GRID)
+
+# (id, name, call) of every entry point that takes a length, frequency, duration or step
+_POSITIVE = [
+    *((f"Scenario.{n}", n, lambda v, n=n: Scenario(**{n: v})) for n in ("l0", "l_final", "omega0", "omegaF", "dt")),
+    ("Scenario.t_ff_list", "t_ff", lambda v: Scenario(t_ff_list=(1.0, v))),
+    ("ControlTrajectory.t_ff", "t_ff", lambda v: ControlTrajectory(POLYNOMIAL, 1.0, v, vbar=1.0)),
+    ("vbar_for_target.l0", "l0", lambda v: vbar_for_target(POLYNOMIAL, v, 2.0, T)),
+    ("vbar_for_target.l_final", "l_final", lambda v: vbar_for_target(POLYNOMIAL, 1.0, v, T)),
+    ("vbar_for_target.t_ff", "t_ff", lambda v: vbar_for_target(POLYNOMIAL, 1.0, 2.0, v)),
+    ("ErmakovSolution.omega0", "omega0", lambda v: ErmakovSolution(v, 10.0, T)),
+    ("ErmakovSolution.omegaF", "omegaF", lambda v: ErmakovSolution(1.0, v, T)),
+    ("ErmakovSolution.t_ff", "t_ff", lambda v: ErmakovSolution(1.0, 10.0, v)),
+    ("cost_ff.t_ff", "t_ff", lambda v: cost_ff(lambda t: t, v)),
+    ("propagate.dt", "dt", lambda v: propagate(_PSI, RAMP, np.zeros_like, v, 0.5)),
+    ("propagate.t_final", "t_final", lambda v: propagate(_PSI, RAMP, np.zeros_like, 0.01, v)),
+    ("tdse_residual.dt", "dt", lambda v: tdse_residual(lambda s: _PSI.values, lambda t: 0.0, _BOX_GRID, 0.5, v)),
+]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry, name, call", _POSITIVE, ids=[p[0] for p in _POSITIVE])
+def test_every_length_frequency_duration_and_step_is_positive_and_finite(entry, name, call, bad):
+    # vbar_for_target used to divide by t_ff = 0, return a negative vbar for t_ff < 0 and
+    # inf for l_final = inf; tdse_residual returned NaN at dt = 0 and took dt < 0 as -dt
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+# (id, name, call, zero allowed) of every entry point that takes a quadrature tolerance; cost_ie
+# takes none of its own, it averages by cost_ff's default
+_TOLERANCES = [
+    ("cost_ff.rel_tol", "rel_tol", lambda v: cost_ff(lambda t: t, T, v), False),
+    ("frobenius_cost.rel_tol", "rel_tol", lambda v: frobenius_cost(BOX, RAMP, 4, T, rel_tol=v), False),
+    ("gauss_legendre.rel_tol", "rel_tol", lambda v: gauss_legendre(lambda t: t, 0.0, T, v), False),
+    ("gauss_legendre.abs_tol", "abs_tol", lambda v: gauss_legendre(lambda t: t, 0.0, T, 1e-10, v), True),
+]
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf, -math.inf])
+@pytest.mark.parametrize("entry, name, call, zero_ok", _TOLERANCES, ids=[t[0] for t in _TOLERANCES])
+def test_every_tolerance_is_positive_and_finite(entry, name, call, zero_ok, bad):
+    # a NaN or negative rel_tol made every panel's tolerance 0: cost_ff(t -> t, 1, nan)
+    # returned 0.5 and frobenius_cost(..., rel_tol=-1) 49.35 with no error
+    if bad == 0.0 and zero_ok:  # an absolute tolerance of 0 leaves the relative one alone
+        assert call(bad)[0] == pytest.approx(0.5 * T * T, rel=1e-12)
+        return
+    with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {re.escape(repr(bad))}$"):
+        call(bad)
+
+
+_HO_GRID = Grid(-8.0, 8.0, 64)
+
+# call(model, n) of every entry point that takes a level number or a top level
+_LEVELS = {
+    "energy": lambda model, n: model.energy(n, 1.0),
+    "amplitudes": lambda model, n: model.amplitudes(n, 1.0, _HO_GRID if model is HO else _BOX_GRID),
+    "psi_ff": lambda model, n: psi_ff(model, n, 0.0, *((HO_RAMP, _HO_GRID) if model is HO else (RAMP, _BOX_GRID))),
+    "psi_ff_values": lambda model, n: psi_ff_values(model, n, 0.0, HO_RAMP if model is HO else RAMP, _BOX_GRID.points),
+}
+
+
+@pytest.mark.parametrize("bad", [0.5, 2.0, True, np.float64(1.0)], ids=["half", "float", "bool", "np.float64"])
+@pytest.mark.parametrize("model", [BOX, HO], ids=["box", "harmonic"])
+@pytest.mark.parametrize("entry", sorted(_LEVELS))
+def test_every_level_number_follows_the_integer_rule(entry, model, bad):
+    # HarmonicModel().energy(0.5, 1.0) used to return 1.0, BoxModel().energy(True, 1.0) pi^2/2,
+    # BoxModel().amplitudes(2.5, ...) three rows, and psi_ff(BoxModel(), 2.0, ...) an IndexError
+    name = "n_max" if entry == "amplitudes" else "quantum number"
+    with pytest.raises(ValueError, match=f"^need an integer {name} >= {model.n_min}, got {re.escape(repr(bad))}$"):
+        _LEVELS[entry](model, bad)
