@@ -10,7 +10,7 @@ Library layout:
   fastforward  regularization phase, trap coefficient with the drive, accelerated states of either trap
   propagator   Crank-Nicolson oracle for the driven Schroedinger equation
   cost         thermal traces, closed-form energy costs, Frobenius cost
-  ie           inverse-engineering comparison protocol (Ermakov machinery)
+  ie           inverse-engineering comparison protocol on the quintic ramp (Ermakov design)
   cli          scenario runner (`ffqd run|verify|preset`)
 """
 
@@ -18,6 +18,7 @@ from .core import ComplexField, Grid, inner_product, norm
 from .trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,
+    QUINTIC,
     TRIGONOMETRIC,
     ControlTrajectory,
     vbar_for_target,
@@ -53,6 +54,6 @@ from .cost import (
     internal_energy_numeric,
     solve_mu,
 )
-from .ie import ErmakovSolution, cost_ie, ermakov_residual, h_ie_expectation
+from .ie import cost_ie, ermakov_residual, h_ie_expectation
 
 __version__ = "0.1.0"

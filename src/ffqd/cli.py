@@ -33,6 +33,7 @@ from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,
+    QUINTIC,
     TRIGONOMETRIC,
     ControlTrajectory,
     vbar_for_target,
@@ -224,10 +225,9 @@ def _ie_rows(scn: Scenario, t_ffs, _driven_run) -> list[list[float]]:
     """cost_mn of the whole sweep from one pooled trace, each against cost_ie at its t_ff."""
     trajs = [scn.trajectory(t_ff) for t_ff in t_ffs]
     mns = cost_mod._costs_ff_numeric(_MODELS["harmonic"], trajs, scn.ensemble(), n_points=scn.grid_points)
-    return [
-        [t_ff, mn, ie_mod.cost_ie(ie_mod.ErmakovSolution(scn.omega0, scn.omegaF, t_ff), scn.beta)]
-        for t_ff, mn in zip(t_ffs, mns)
-    ]
+    l0, l_final = scn.control_endpoints()
+    ramps = [ControlTrajectory(QUINTIC, l0, t_ff, vbar=vbar_for_target(QUINTIC, l0, l_final, t_ff)) for t_ff in t_ffs]
+    return [[t_ff, mn, ie_mod.cost_ie(ramp, scn.beta)] for t_ff, mn, ramp in zip(t_ffs, mns, ramps)]
 
 
 def _fidelity_rows(scn: Scenario, t_ffs, driven_run) -> list[list[float]]:

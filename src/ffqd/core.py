@@ -15,7 +15,14 @@ def _require_count(value, name: str, minimum: int) -> None:
 
 
 def _require_positive(value, name: str) -> None:
-    """The rule of every length, frequency, duration, step and tolerance: positive and finite."""
+    """The rule of every length, frequency, duration, step and tolerance: positive and finite.
+
+    value is a number, or an array whose every entry must pass; an array is
+    judged, and reported, by its worst entry: a NaN, else its least, else its largest.
+    """
+    if np.ndim(value):
+        lo, hi = np.min(value, initial=1.0), np.max(value, initial=1.0)  # NaN propagates to both
+        value = float(lo if not lo > 0 else hi)
     if not 0 < value < math.inf:  # False for NaN too
         raise ValueError(f"{name} must be positive and finite, got {value!r}")
 

@@ -56,8 +56,10 @@ finite temperature:
   - the unitary fast-forward dynamics (the propagator's) carries each
     level's t = 0 occupation f_n(0) unchanged; at T = 0 both fill the
     lowest N levels and coincide;
-  - ie.cost_ie weights the inverse-engineering energy with the one-particle
-    Boltzmann factor coth(beta omega0 / 2) / 2 of the initial trap.
+  - ie.cost_ie weights the inverse-engineering energy, the oscillator's
+    fast-forward energy on the quintic ramp, with the one-particle Boltzmann
+    factor coth(beta omega0 / 2) / 2 of the initial trap: it differs from
+    cost_ff_numeric only in ramp shape and in population.
 """
 
 from __future__ import annotations
@@ -535,7 +537,7 @@ def frobenius_cost(
     ens_or_cutoff: ThermalEnsemble | int,
     t_ff: float,
     n_points: int = 1024,
-    rel_tol: float = 1e-8,
+    rel_tol: float = 1e-10,
 ) -> FrobeniusCost:
     """Time-averaged Frobenius norm of H0 + V_FF in the instantaneous eigenbasis.
 
@@ -548,7 +550,8 @@ def frobenius_cost(
     cutoff (box 1..cutoff, oscillator 0..cutoff, model._unit_x2), so
     ||H||^2 = sum E_n(1)^2 / l^4 + 2 c sum E_n(1) X_nn + c^2 l^4 ||X||^2:
     three sums per cutoff serve every node, and no grid is built.  n_points
-    is checked (>= 8) as the trace checks it, rel_tol before the dip scan.
+    is checked (>= 8) as the trace checks it, rel_tol before the dip scan;
+    its default is cost_ff's, as at 1e-8 one panel can miss by 1e-9.
     The whole ramp is averaged: t_ff must be traj.t_ff (ValueError otherwise).
     l^4 ||H||^2 dips to (ee xx - ex^2)/xx where u = c l^4 = -ex/xx, for the
     oscillator (E_n(1) = X_nn) in a vertex far narrower than eight halvings

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Grid, _require_count
+from .core import Grid, _require_count, _require_positive
 
 _EDGE_AMPLITUDE_LIMIT = 1e-6  # oscillator rows must decay below this fraction of their peak at the boundary
 
@@ -89,11 +89,13 @@ class Model:
     _U2: float
 
     def energy(self, n, l):
-        """E_n(1) / l^2; n and l may be arrays that broadcast, n of an integer dtype (bool is not) and >= n_min."""
+        """E_n(1) / l^2; n and l may be arrays that broadcast.
+
+        n of an integer dtype (bool is not) and >= n_min; every l positive and finite.
+        """
         if not (np.issubdtype(np.asarray(n).dtype, np.integer) and np.all(np.greater_equal(n, self.n_min))):
             raise ValueError(f"need an integer quantum number >= {self.n_min}, got {n!r}")
-        if not np.all(np.greater(l, 0)):  # NaN fails too
-            raise ValueError("l must be positive")
+        _require_positive(l, "l")
         return self._unit_energy(n) / (l * l)
 
     def level_numbers(self, n_max: int) -> np.ndarray:
@@ -127,6 +129,7 @@ class HarmonicModel(Model):
     def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
         """Rows n = 0..n_max of grid-renormalized eigenamplitudes, each below 1e-6 of its peak at both grid ends."""
         _require_count(n_max, "n_max", self.n_min)
+        _require_positive(R, "R")
         scale = math.sqrt(1.0 / (R * R))  # sqrt(omega)
         x = grid.points
         h = _hermite_functions(n_max, scale * x)
@@ -244,6 +247,7 @@ class BoxModel(Model):
     def amplitudes(self, n_max: int, L: float, grid: Grid) -> np.ndarray:
         """Rows n = 1..n_max of box eigenamplitudes on a [0, L] grid."""
         _require_count(n_max, "n_max", self.n_min)
+        _require_positive(L, "L")
         if abs(grid.x_min) > 1e-9 * L or abs(grid.x_max - L) > 1e-9 * L:
             raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
         return self._unit_table(n_max, grid.points / L) / math.sqrt(L)

@@ -18,16 +18,18 @@ from .core import _require_positive
 
 POLYNOMIAL = "polynomial"
 TRIGONOMETRIC = "trigonometric"
+QUINTIC = "quintic"
 ADIABATIC_LINEAR = "linear"
 
-_KINDS = (POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)
+_KINDS = (POLYNOMIAL, TRIGONOMETRIC, QUINTIC, ADIABATIC_LINEAR)
 
 
 def _check_time(t, t_ff: float):
     """t as a float array clipped to [0, t_ff]; ValueError for NaN or t beyond a 1e-9 t_ff slack.
 
     The one time rule, one path for a scalar t (a 0-d array) and an array:
-    of the ramps, ie's scaling function and propagate's t_final.
+    of the ramps (and so of every function of t built on one) and of
+    propagate's t_final.
     """
     slack = 1e-9 * t_ff
     t = np.asarray(t, dtype=float)
@@ -43,11 +45,14 @@ class ControlTrajectory:
     kind:
       polynomial     l = l0 + vbar*(t^2/2T - t^3/3T^2)
       trigonometric  l = l0 + vbar*(t - (T/2pi) sin(2 pi t/T))
+      quintic        l = l0 + vbar*T s^3 (10 - 15 s + 6 s^2),  s = t/T
       linear         l = l0 + vbar*t      (quasi-static reference ramp)
 
     vbar is every kind's one velocity scale, the linear ramp's slope.  Every
-    kind is monotone on [0, t_ff] (l_dot = vbar s(1 - s) with s = t/T,
-    vbar (1 - cos), or vbar), so l(0) and l(t_ff) are its extremes.
+    kind is monotone on [0, t_ff] (l_dot = vbar s(1 - s), vbar (1 - cos),
+    30 vbar s^2 (1 - s)^2, or vbar), so l(0) and l(t_ff) are its extremes.
+    The quintic also has l_ddot = 0 at both ends: it is the scaling function
+    b = l/l0 of the oscillator's inverse-engineering design (ie).
     """
 
     kind: str
@@ -88,6 +93,9 @@ class ControlTrajectory:
             return self.l0 + self.vbar * (
                 t - (self.t_ff / (2.0 * np.pi)) * np.sin(2.0 * np.pi * t / self.t_ff)
             )
+        if self.kind == QUINTIC:
+            s = t / self.t_ff
+            return self.l0 + self.vbar * self.t_ff * (s * s * s * (10.0 - 15.0 * s + 6.0 * s * s))
         return self.l0 + self.vbar * t
 
     def value(self, t):
@@ -102,6 +110,9 @@ class ControlTrajectory:
             out = self.vbar * (tt / self.t_ff - tt * tt / (self.t_ff * self.t_ff))
         elif self.kind == TRIGONOMETRIC:
             out = self.vbar * (1.0 - np.cos(2.0 * np.pi * tt / self.t_ff))
+        elif self.kind == QUINTIC:
+            s = tt / self.t_ff
+            out = self.vbar * (30.0 * (s * s) * ((1.0 - s) * (1.0 - s)))
         else:
             out = np.full_like(tt, self.vbar)
         return float(out) if np.ndim(t) == 0 else out
@@ -113,6 +124,9 @@ class ControlTrajectory:
             out = self.vbar * (1.0 / self.t_ff - 2.0 * tt / (self.t_ff * self.t_ff))
         elif self.kind == TRIGONOMETRIC:
             out = self.vbar * (2.0 * np.pi / self.t_ff) * np.sin(2.0 * np.pi * tt / self.t_ff)
+        elif self.kind == QUINTIC:
+            s = tt / self.t_ff
+            out = self.vbar * (60.0 * s * (1.0 - s) * (1.0 - 2.0 * s) / self.t_ff)
         else:
             out = np.zeros_like(tt)
         return float(out) if np.ndim(t) == 0 else out
@@ -122,7 +136,8 @@ def vbar_for_target(kind: str, l0: float, l_final: float, t_ff: float) -> float:
     """Velocity scale that makes the ramp reach l_final at t_ff exactly.
 
     polynomial:     l(T) = l0 + vbar*T/6  ->  vbar = 6 (l_final - l0)/T
-    trigonometric:  l(T) = l0 + vbar*T    ->  vbar = (l_final - l0)/T
+    trigonometric,
+    quintic:        l(T) = l0 + vbar*T    ->  vbar = (l_final - l0)/T
 
     l0, l_final and t_ff must be positive and finite (ValueError).
     """
@@ -130,7 +145,7 @@ def vbar_for_target(kind: str, l0: float, l_final: float, t_ff: float) -> float:
         _require_positive(value, name)
     if kind == POLYNOMIAL:
         return 6.0 * (l_final - l0) / t_ff
-    if kind == TRIGONOMETRIC:
+    if kind in (TRIGONOMETRIC, QUINTIC):
         return (l_final - l0) / t_ff
     if kind == ADIABATIC_LINEAR:
         raise ValueError("linear ramps take their slope epsilon as given, not from a target")

@@ -1,5 +1,6 @@
 """Shared builders for the standard test scenarios: 1 -> 10 ramps over T = 1."""
 
+import math
 import os
 from pathlib import Path
 
@@ -7,7 +8,7 @@ import numpy as np
 
 from ffqd.core import ComplexField, Grid, norm
 from ffqd.spectra import BoxModel
-from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
+from ffqd.trajectory import POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 R_FINAL = 1.0 / np.sqrt(10.0)  # oscillator length scale for omega 1 -> 10
 
@@ -18,6 +19,11 @@ def box_ramp(kind=POLYNOMIAL, l0=1.0, l_final=10.0, t_ff=1.0) -> ControlTrajecto
 
 def ho_ramp(kind=POLYNOMIAL, r0=1.0, r_final=R_FINAL, t_ff=1.0) -> ControlTrajectory:
     return ControlTrajectory(kind, r0, t_ff, vbar=vbar_for_target(kind, r0, r_final, t_ff))
+
+
+def ie_ramp(omega0=1.0, omegaF=10.0, t_ff=1.0) -> ControlTrajectory:
+    """The inverse-engineering design: the quintic ramp of the length scale omega^-1/2, omega0 -> omegaF."""
+    return ho_ramp(QUINTIC, 1.0 / math.sqrt(omega0), 1.0 / math.sqrt(omegaF), t_ff)
 
 
 def static_ramp(t_final: float, l: float = 1.0) -> ControlTrajectory:

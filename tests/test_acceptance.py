@@ -30,12 +30,12 @@ from ffqd.cost import (
     internal_energy_numeric,
 )
 from ffqd.fastforward import psi_ff, theta_numeric, trap_coefficient
-from ffqd.ie import ErmakovSolution, cost_ie, ermakov_residual
+from ffqd.ie import cost_ie, ermakov_residual
 from ffqd.propagator import fidelity, propagate
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
-from helpers import BOTH_RAMPS, box_ramp, ho_ramp, src_env
+from helpers import BOTH_RAMPS, box_ramp, ho_ramp, ie_ramp, src_env
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -142,7 +142,7 @@ def test_criterion_06_protocol_ordering_against_inverse_engineering():
     for t_ff in (0.5, 1.0, 2.0, 5.0):
         traj = ho_ramp(POLYNOMIAL, t_ff=t_ff)
         mn = cost_ff_numeric(model, traj, ens, n_points=1024)
-        ie = cost_ie(ErmakovSolution(1.0, 10.0, t_ff), beta)
+        ie = cost_ie(ie_ramp(1.0, 10.0, t_ff), beta)
         rows.append((t_ff, mn, ie))
     ok = all(mn < ie for _, mn, ie in rows) and all(
         b[1] < a[1] for a, b in zip(rows, rows[1:])
@@ -154,12 +154,14 @@ def test_criterion_06_protocol_ordering_against_inverse_engineering():
 
 
 def test_criterion_07_ermakov_suite():
-    sol = ErmakovSolution(1.0, 10.0, 1.0)
+    # the quintic design b = l/l0, with omega^2 = 2 a(t) of the fast-forward trap coefficient
+    traj = ie_ramp(1.0, 10.0, 1.0)
+    omega_sq = trap_coefficient(HarmonicModel(), traj)
     ts = np.linspace(0.0, 1.0, 10_000)
-    sup = float(np.max(np.abs(ermakov_residual(sol, ts))))
-    b_end = abs(sol.b(1.0) - math.sqrt(0.1))
-    w0 = abs(sol.omega_sq(0.0) - 1.0)
-    wf = abs(sol.omega_sq(1.0) - 100.0)
+    sup = float(np.max(np.abs(ermakov_residual(traj, ts))))
+    b_end = abs(traj.value(1.0) / traj.l0 - math.sqrt(0.1))
+    w0 = abs(2.0 * omega_sq(0.0) - 1.0)
+    wf = abs(2.0 * omega_sq(1.0) - 100.0)
     ok = sup < 1e-8 and b_end < 1e-10 and w0 < 1e-10 and wf < 1e-10
     report(7, ok, f"residual sup={sup:.1e}, boundary errors {b_end:.1e}/{w0:.1e}/{wf:.1e}")
     assert sup < 1e-8

@@ -106,8 +106,8 @@ def test_public_names_of_the_package():
     out = subprocess.run([sys.executable, "-c", code], env=src_env(), capture_output=True, text=True, check=True)
     assert set(out.stdout.split()) == {
         "ADIABATIC_LINEAR", "BoxModel", "ComplexField", "ControlTrajectory", "CostReport",
-        "ErmakovSolution", "FrobeniusCost", "Grid", "HarmonicModel", "POLYNOMIAL",
-        "PropagationError", "RegularizationSingularity", "TRIGONOMETRIC",
+        "FrobeniusCost", "Grid", "HarmonicModel", "POLYNOMIAL",
+        "PropagationError", "QUINTIC", "RegularizationSingularity", "TRIGONOMETRIC",
         "ThermalEnsemble", "box_drive_prefactor", "coefficient_A", "coefficients_B",
         "continuity_residual", "core", "cost", "cost_ff", "cost_ff_closed", "cost_ff_numeric",
         "cost_ie", "dtheta_dx_numeric", "ermakov_residual", "fastforward", "fidelity",

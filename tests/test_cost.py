@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.optimize import minimize_scalar
 from scipy.special import expit
 
 from ffqd.cost import (
@@ -28,6 +29,7 @@ from ffqd.cost import (
     _trace_finish,
 )
 from ffqd import cost as cost_mod
+from ffqd._numutil import gauss_legendre
 from ffqd.cli import _PRESETS, Scenario, run
 from ffqd.core import Grid
 from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, _trace_moments
@@ -1066,6 +1068,17 @@ def test_box_frobenius_from_unit_table_matches_per_node_forms():
     assert got == pytest.approx(per_node_grid, rel=1e-9, abs=0.0)  # the grid is now the oracle
 
 
+def _panels_at_minima(f, t_ff, n_scan=1024):
+    """Edges of [0, t_ff] split at every interior local minimum of f on a scan, each refined by Brent's bounded search."""
+    ts = np.linspace(0.0, t_ff, n_scan + 1)
+    v = f(ts)
+    edges = [0.0, t_ff]
+    for i in np.flatnonzero((v[1:-1] < v[:-2]) & (v[1:-1] < v[2:])) + 1:
+        found = minimize_scalar(lambda t: f(np.array([t]))[0], bounds=(ts[i - 1], ts[i + 1]), method="bounded")
+        edges.append(found.x)
+    return sorted(edges)
+
+
 @settings(max_examples=25, deadline=None)
 @given(
     st.booleans(),
@@ -1075,17 +1088,24 @@ def test_box_frobenius_from_unit_table_matches_per_node_forms():
     st.floats(0.5, 3.0),
     st.integers(2, 24),
 )
+@example(False, TRIGONOMETRIC, 1.0, 4.0, 0.5, 2)  # a whole-ramp reference did not converge here
+@example(False, TRIGONOMETRIC, 0.5, 4.0, 0.5, 14)  # frobenius_cost at rel_tol 1e-8 missed by 1.0e-9
 def test_frobenius_cost_matches_the_grid_oracle(box, kind, l0, l1, t_ff, m_cut):
     # the exact-matrix Frobenius cost against the grid matrix it replaced: the trapezoid
     # <k|x^2|m> on the l = 1 grid, scaled by l^2 as both traps' grids scale with l.
-    # The reference is one cost_ff over the whole ramp, which faster oscillator ramps
-    # (t_ff ~ 0.4, l 1 -> 5) leave unconverged: ||H|| dips where l_ddot l^3 = 2, as
-    # E_n(1) = X_nn = n + 1/2 (see the fast-ramp tests below)
+    # ||H|| dips sharply where l_ddot l^3 = 2 on faster oscillator ramps, as
+    # E_n(1) = X_nn = n + 1/2 (see the fast-ramp tests below), beyond what one cost_ff over
+    # the whole ramp resolves: the reference splits its panels at the minima it finds itself
     model = BoxModel() if box else HarmonicModel()
     traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff))
     got = frobenius_cost(model, traj, m_cut, t_ff)
     unit = _x2_grid(model, 1.0, m_cut, 1024)
-    grid = cost_ff(lambda t: _frobenius_h_norm(model, traj, t, lambda l: l * l * unit, m_cut), t_ff, 1e-8)
+
+    def h_norm(t):
+        return _frobenius_h_norm(model, traj, t, lambda l: l * l * unit, m_cut)
+
+    edges = _panels_at_minima(h_norm, t_ff)
+    grid = sum(gauss_legendre(h_norm, a, b, 1e-10)[0] for a, b in zip(edges, edges[1:])) / t_ff
     assert got.cutoff == m_cut
     assert got.value == pytest.approx(grid, rel=1e-9, abs=0.0)
 

@@ -4,9 +4,9 @@ Each quantity has one check, in the module that owns it: times in
 trajectory (the ramp's [0, t_ff] with a 1e-9 slack, NaN rejected); counts and
 level numbers in core (an int or numpy integer, not a bool, at least a
 minimum); lengths, frequencies, durations, steps and tolerances in core
-(positive and finite); beta and the particle number in cost.  Every entry
-point gets the same bad inputs and must raise ValueError, not return a NaN or
-fail inside numpy.
+(positive and finite, an array by its worst entry); beta and the particle
+number in cost.  Every entry point gets the same bad inputs and must raise
+ValueError, not return a NaN or fail inside numpy.
 """
 
 import math
@@ -19,7 +19,6 @@ from ffqd import (
     POLYNOMIAL,
     BoxModel,
     ControlTrajectory,
-    ErmakovSolution,
     Grid,
     HarmonicModel,
     ThermalEnsemble,
@@ -42,11 +41,11 @@ from ffqd import (
 from ffqd._numutil import gauss_legendre
 from ffqd.cli import Scenario
 
-from helpers import box_ramp, box_state
+from helpers import box_ramp, box_state, ie_ramp
 
 T = 1.0
 RAMP = box_ramp(t_ff=T)
-SOL = ErmakovSolution(1.0, 10.0, T)
+IE_RAMP = ie_ramp(1.0, 10.0, T)
 ENS = ThermalEnsemble(beta=1.0, n_particles=1)
 BOX = BoxModel()
 HO, HO_RAMP = HarmonicModel(), ControlTrajectory(POLYNOMIAL, 1.0, T, vbar=-1.0)
@@ -59,12 +58,11 @@ _TIME_ARRAYS = {
     "value": RAMP.value,
     "velocity": RAMP.velocity,
     "acceleration": RAMP.acceleration,
-    "b": SOL.b,
-    "b_dot": SOL.b_dot,
-    "b_ddot": SOL.b_ddot,
-    "omega_sq": SOL.omega_sq,
-    "ermakov_residual": lambda t: ermakov_residual(SOL, t),
-    "h_ie_expectation": lambda t: h_ie_expectation(SOL, t, 1.0),
+    "quintic.value": IE_RAMP.value,
+    "quintic.velocity": IE_RAMP.velocity,
+    "quintic.acceleration": IE_RAMP.acceleration,
+    "ermakov_residual": lambda t: ermakov_residual(IE_RAMP, t),
+    "h_ie_expectation": lambda t: h_ie_expectation(IE_RAMP, t, 1.0),
     "internal_energy_closed": lambda t: internal_energy_closed(BOX, RAMP, t, ENS),
     "trap_coefficient": trap_coefficient(BOX, RAMP),
 }
@@ -148,8 +146,8 @@ def test_every_particle_number_is_at_least_one(entry, n):
 
 _BETA_ENTRIES = {
     "ThermalEnsemble": lambda b: ThermalEnsemble(b, 1),
-    "h_ie_expectation": lambda b: h_ie_expectation(SOL, 0.5, b),
-    "cost_ie": lambda b: cost_ie(SOL, b),
+    "h_ie_expectation": lambda b: h_ie_expectation(IE_RAMP, 0.5, b),
+    "cost_ie": lambda b: cost_ie(IE_RAMP, b),
     "solve_mu": lambda b: solve_mu(_ENERGIES, b, 1),
     "Scenario": lambda b: Scenario(beta=b),
 }
@@ -163,6 +161,7 @@ def test_every_beta_is_positive(entry, beta):
 
 
 _BOX_GRID = Grid(0.0, 1.0, 64)
+_HO_GRID = Grid(-8.0, 8.0, 64)
 _PSI = box_state(1, 1.0, _BOX_GRID)
 
 # (id, name, call) of every entry point that takes a length, frequency, duration or step
@@ -173,9 +172,12 @@ _POSITIVE = [
     ("vbar_for_target.l0", "l0", lambda v: vbar_for_target(POLYNOMIAL, v, 2.0, T)),
     ("vbar_for_target.l_final", "l_final", lambda v: vbar_for_target(POLYNOMIAL, 1.0, v, T)),
     ("vbar_for_target.t_ff", "t_ff", lambda v: vbar_for_target(POLYNOMIAL, 1.0, 2.0, v)),
-    ("ErmakovSolution.omega0", "omega0", lambda v: ErmakovSolution(v, 10.0, T)),
-    ("ErmakovSolution.omegaF", "omegaF", lambda v: ErmakovSolution(1.0, v, T)),
-    ("ErmakovSolution.t_ff", "t_ff", lambda v: ErmakovSolution(1.0, 10.0, v)),
+    ("BoxModel.energy.l", "l", lambda v: BOX.energy(1, v)),
+    ("BoxModel.energy.l_array", "l", lambda v: BOX.energy(np.array([1, 2]), np.array([1.0, v]))),
+    ("HarmonicModel.energy.l", "l", lambda v: HO.energy(0, v)),
+    ("HarmonicModel.energy.l_array", "l", lambda v: HO.energy(0, np.array([[2.0, 1.0], [v, 0.5]]))),
+    ("BoxModel.amplitudes.L", "L", lambda v: BOX.amplitudes(2, v, _BOX_GRID)),
+    ("HarmonicModel.amplitudes.R", "R", lambda v: HO.amplitudes(2, v, _HO_GRID)),
     ("cost_ff.t_ff", "t_ff", lambda v: cost_ff(lambda t: t, v)),
     ("propagate.dt", "dt", lambda v: propagate(_PSI, RAMP, np.zeros_like, v, 0.5)),
     ("propagate.t_final", "t_final", lambda v: propagate(_PSI, RAMP, np.zeros_like, 0.01, v)),
@@ -187,7 +189,10 @@ _POSITIVE = [
 @pytest.mark.parametrize("entry, name, call", _POSITIVE, ids=[p[0] for p in _POSITIVE])
 def test_every_length_frequency_duration_and_step_is_positive_and_finite(entry, name, call, bad):
     # vbar_for_target used to divide by t_ff = 0, return a negative vbar for t_ff < 0 and
-    # inf for l_final = inf; tdse_residual returned NaN at dt = 0 and took dt < 0 as -dt
+    # inf for l_final = inf; tdse_residual returned NaN at dt = 0 and took dt < 0 as -dt;
+    # BoxModel().energy(1, inf) returned 0.0, and energy([1, 2], [1.0, inf]) [pi^2/2, 0];
+    # BoxModel().amplitudes(2, inf, ...) a zero table, and HarmonicModel().amplitudes(2, nan,
+    # ...) "grid too narrow ... edge amplitude nan".  An array is judged by its worst entry
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {re.escape(repr(bad))}$"):
         call(bad)
 
@@ -213,8 +218,6 @@ def test_every_tolerance_is_positive_and_finite(entry, name, call, zero_ok, bad)
     with pytest.raises(ValueError, match=f"^{name} must be positive and finite, got {re.escape(repr(bad))}$"):
         call(bad)
 
-
-_HO_GRID = Grid(-8.0, 8.0, 64)
 
 # call(model, n) of every entry point that takes a level number or a top level
 _LEVELS = {

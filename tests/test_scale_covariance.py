@@ -1,9 +1,10 @@
 """Scale covariance of every layer, through the public API.
 
 Both traps are scale-invariant, V0(x, l) = l^-2 U(x/l), so the copy of a
-scenario with (l, t_ff, dt, beta) -> (c l, c^2 t_ff, c^2 dt, c^2 beta), and
-for the oscillator's inverse-engineering protocol omega -> omega / c^2, has
-every energy and cost scaled by c^-2 and every fidelity unchanged.  On the
+scenario with (l, t_ff, dt, beta) -> (c l, c^2 t_ff, c^2 dt, c^2 beta), the
+oscillator's inverse-engineering cost on the quintic ramp between the same
+ends included, has every energy and cost scaled by c^-2 and every fidelity
+unchanged.  On the
 grid the symmetry holds too: every grid, frame and Cayley coefficient scales
 with it.  With c = 4^k every scale factor, and sqrt(c) in the frame map, is a
 power of two, so the results agree bit for bit.  A stray absolute constant,
@@ -19,11 +20,11 @@ from hypothesis import strategies as st
 
 from ffqd import (
     POLYNOMIAL,
+    QUINTIC,
     TRIGONOMETRIC,
     BoxModel,
     ComplexField,
     ControlTrajectory,
-    ErmakovSolution,
     Grid,
     HarmonicModel,
     ThermalEnsemble,
@@ -56,7 +57,7 @@ def _quantities(model, kind, l0, l1, t_ff, beta, n_particles, c):
         *(_trace_cost(model, traj, ens) for ens in (cold, thermal)),
     ]
     if isinstance(model, HarmonicModel):
-        costs.append(cost_ie(ErmakovSolution(1.0 / (l0 * l0), 1.0 / (l1 * l1), t_ff), beta))
+        costs.append(cost_ie(ControlTrajectory(QUINTIC, l0, t_ff, vbar=vbar_for_target(QUINTIC, l0, l1, t_ff)), beta))
     return [fidelity(out, psi_ff(model, n, t_run, traj, out.grid)), rep.published_ratio] + [
         None if v is None else c * c * v for v in costs
     ]

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from ffqd.trajectory import (
     ADIABATIC_LINEAR,
     POLYNOMIAL,
+    QUINTIC,
     TRIGONOMETRIC,
     ControlTrajectory,
     vbar_for_target,
@@ -35,10 +36,17 @@ def test_trigonometric_midpoint():
 
 
 def test_ramp_endpoint_velocities_vanish_exactly():
-    for kind in BOTH_RAMPS:
+    for kind in (*BOTH_RAMPS, QUINTIC):
         traj = ControlTrajectory(kind, 1.0, 1.0, vbar=54.0 if kind == POLYNOMIAL else 9.0)
         assert traj.velocity(0.0) == 0.0
         assert traj.velocity(traj.t_ff) == 0.0
+
+
+def test_quintic_accelerations_vanish_exactly_at_both_ends():
+    # the Ermakov design's scaling function: b_ddot = 0 at both ends pins omega(0) and omega(T)
+    traj = ControlTrajectory(QUINTIC, 1.0, 2.0, vbar=-0.4)
+    assert traj.acceleration(0.0) == 0.0 and traj.acceleration(2.0) == 0.0
+    assert traj.value(1.0) == pytest.approx(0.6, rel=1e-15)  # s = 1/2: l0 + vbar T / 2
 
 
 def test_polynomial_acceleration_at_zero():
@@ -68,7 +76,7 @@ def test_nan_times_rejected(t):
 
 
 def test_scalar_and_array_paths_agree():
-    for kind in BOTH_RAMPS:
+    for kind in (*BOTH_RAMPS, QUINTIC):
         traj = ControlTrajectory(kind, 1.0, 1.0, vbar=vbar_for_target(kind, 1.0, 10.0, 1.0))
         ts = np.array([0.0, 0.3, 0.5, 1.0 + 1e-10])
         for fn in (traj.value, traj.velocity, traj.acceleration):
@@ -82,7 +90,7 @@ def _ramp(kind, l0, l_final, t_ff):
 
 
 _RAMP_ARGS = (
-    st.sampled_from((POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR)),
+    st.sampled_from((POLYNOMIAL, TRIGONOMETRIC, QUINTIC, ADIABATIC_LINEAR)),
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 1e3),
     st.floats(1e-3, 1e3),
@@ -156,7 +164,7 @@ def test_non_finite_ends_rejected(field, bad):
 
 
 @pytest.mark.parametrize("t_ff", [np.nan, np.inf])
-@pytest.mark.parametrize("kind", [POLYNOMIAL, TRIGONOMETRIC, ADIABATIC_LINEAR])
+@pytest.mark.parametrize("kind", [POLYNOMIAL, TRIGONOMETRIC, QUINTIC, ADIABATIC_LINEAR])
 def test_non_finite_t_ff_rejected_by_name(kind, t_ff):
     # t_ff <= 0 is False for both; they used to fail later, on "l(0) and l(t_ff) ..."
     with pytest.raises(ValueError, match=r"^t_ff must be positive and finite, got (nan|inf)$"):
@@ -173,7 +181,7 @@ def test_linear_ramp_velocity_is_its_vbar():
 
 def test_derivatives_match_finite_differences():
     h = 1e-5
-    for kind in BOTH_RAMPS:
+    for kind in (*BOTH_RAMPS, QUINTIC):
         traj = ControlTrajectory(kind, 1.0, 1.0, vbar=vbar_for_target(kind, 1.0, 10.0, 1.0))
         ts = np.linspace(0.05, 0.95, 41)
         v_fd = (traj.value(ts + h) - traj.value(ts - h)) / (2.0 * h)
@@ -184,7 +192,7 @@ def test_derivatives_match_finite_differences():
 
 @pytest.mark.parametrize(
     "kind,expected",
-    [(POLYNOMIAL, 54.0), (TRIGONOMETRIC, 9.0)],
+    [(POLYNOMIAL, 54.0), (TRIGONOMETRIC, 9.0), (QUINTIC, 9.0)],
 )
 def test_vbar_for_target(kind, expected):
     assert vbar_for_target(kind, 1.0, 10.0, 1.0) == pytest.approx(expected, rel=1e-14)
