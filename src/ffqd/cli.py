@@ -12,14 +12,19 @@ key=value arguments override file entries.  Every emitted CSV starts with
 and all numbers are printed with 15 significant digits so identical runs are
 byte-identical.  A run computes the rows of every file before it writes the
 first, so a run that fails leaves no CSV behind.
+
+The Crank-Nicolson propagations of a sweep do not depend on each other: run
+and verify plan them up front and spread them over the usable CPUs, one
+single-threaded propagation per worker process at a time, so the output is
+byte-identical to a run on one CPU.
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
 import itertools
 import math
+import os
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -28,7 +33,7 @@ from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
 from .core import _require_count, _require_positive, norm
-from .propagator import PropagationError, fidelity, propagate, tdse_residual
+from .propagator import PropagationError, _zgtsv, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
     ADIABATIC_LINEAR,
@@ -177,20 +182,82 @@ def _system(scn: Scenario, traj: ControlTrajectory, t: float):
     return model, model.default_grid(traj.value(t), scn.grid_points)
 
 
-def _run_propagation(scn: Scenario, traj: ControlTrajectory, driven: bool, frames=None):
-    """Propagate the tracked level and return (fidelity vs target, norm error); frames as propagate's."""
+def _propagation(scn: Scenario, job: tuple) -> tuple:
+    """Propagate the tracked level for one job (t_ff, driven, frames wanted).
+
+    Returns (fidelity vs target, norm error, frames): frames as propagate's,
+    or None unless wanted.
+    """
+    t_ff, driven, want_frames = job
+    traj = scn.trajectory(t_ff)
     model, grid = _system(scn, traj, 0.0)
     n = model.n_min
     T = traj.t_ff
+    frames = [] if want_frames else None
     psi0 = ff.psi_ff(model, n, 0.0, traj, grid)
     out = propagate(psi0, traj, ff.trap_coefficient(model, traj, driven), scn.dt, T, frames)
-    return fidelity(out, ff.psi_ff(model, n, T, traj, out.grid)), abs(norm(out) - 1.0)
+    return fidelity(out, ff.psi_ff(model, n, T, traj, out.grid)), abs(norm(out) - 1.0), frames
 
 
-def _driven_run(scn: Scenario, t_ff: float):
-    """(fidelity, norm error, frames) of the driven propagation; frames is None unless the scenario writes snapshots."""
-    frames = [] if "snapshots" in scn.outputs else None
-    return *_run_propagation(scn, scn.trajectory(t_ff), True, frames), frames
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _propagations(scn: Scenario, jobs: list) -> list:
+    """Each job's _propagation result, or the exception it raised, in job order.
+
+    The jobs are independent, so min(len(jobs), usable CPUs) workers run them.
+    One worker runs them here.  Several are processes forked from this one,
+    where fork is the platform's default start method and this process runs
+    one thread (fork copies no other thread, nor the locks it holds);
+    elsewhere the jobs run here too.  The pool's modules load only then, and
+    LAPACK's zgtsv loads before the fork, so every worker inherits it.
+    """
+    workers = min(len(jobs), _usable_cpus())
+    if workers > 1:
+        import multiprocessing
+        import threading
+
+        if multiprocessing.get_all_start_methods()[0] == "fork" and threading.active_count() == 1:
+            from concurrent.futures import ProcessPoolExecutor
+
+            _zgtsv()
+            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
+                futures = [pool.submit(_propagation, scn, job) for job in jobs]
+            return [future.exception() or future.result() for future in futures]
+    outcomes = []
+    for job in jobs:
+        try:
+            outcomes.append(_propagation(scn, job))
+        except Exception as exc:  # kept in the job's place, as the pool keeps a worker's
+            outcomes.append(exc)
+    return outcomes
+
+
+def _result(outcome):
+    """The result of an outcome of _propagations; the exception its job raised is raised here."""
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _plan(scn: Scenario) -> list[tuple]:
+    """The propagation jobs (t_ff, driven, frames wanted) that the scenario's outputs read.
+
+    fidelity reads the driven and the undriven run of each t_ff, snapshots the
+    driven run's frames; the two share each driven run.
+    """
+    fid, frames = "fidelity" in scn.outputs, "snapshots" in scn.outputs
+    jobs = []
+    for t_ff in scn.t_ff_list:
+        if fid or frames:
+            jobs.append((t_ff, True, frames))
+        if fid:
+            jobs.append((t_ff, False, False))
+    return jobs
 
 
 def _residuals(scn: Scenario, traj: ControlTrajectory) -> tuple[float, float]:
@@ -221,8 +288,9 @@ def _cost_row(scn: Scenario, t_ff: float) -> list[float]:
     return [t_ff, rep.quadrature_value, rep.closed_form_value, rep.published_value, rep.published_ratio]
 
 
-def _ie_rows(scn: Scenario, t_ffs, _driven_run) -> list[list[float]]:
+def _ie_rows(scn: Scenario, _runs) -> list[list[float]]:
     """cost_mn of the whole sweep from one pooled trace, each against cost_ie at its t_ff."""
+    t_ffs = scn.t_ff_list
     trajs = [scn.trajectory(t_ff) for t_ff in t_ffs]
     mns = cost_mod._costs_ff_numeric(_MODELS["harmonic"], trajs, scn.ensemble(), n_points=scn.grid_points)
     l0, l_final = scn.control_endpoints()
@@ -230,11 +298,11 @@ def _ie_rows(scn: Scenario, t_ffs, _driven_run) -> list[list[float]]:
     return [[t_ff, mn, ie_mod.cost_ie(ramp, scn.beta)] for t_ff, mn, ramp in zip(t_ffs, mns, ramps)]
 
 
-def _fidelity_rows(scn: Scenario, t_ffs, driven_run) -> list[list[float]]:
+def _fidelity_rows(scn: Scenario, runs) -> list[list[float]]:
     rows = []
-    for t_ff in t_ffs:
-        fid, norm_err, _ = driven_run(t_ff)
-        fid0, _ = _run_propagation(scn, scn.trajectory(t_ff), driven=False)
+    for t_ff in scn.t_ff_list:
+        fid, norm_err, _ = _result(runs[t_ff, True])
+        fid0, _, _ = _result(runs[t_ff, False])
         rows.append([t_ff, fid, fid0, norm_err])
     return rows
 
@@ -245,33 +313,33 @@ def _residual_row(scn: Scenario, t_ff: float) -> list[float]:
     return [t_ff, driven, undriven]
 
 
-def _snapshot_files(scn: Scenario, t_ffs, driven_run) -> dict[str, list[list[float]]]:
+def _snapshot_files(scn: Scenario, runs) -> dict[str, list[list[float]]]:
     """snapshots_{i:02d}.csv of the i-th t_ff: rows (t, x, Re psi, Im psi) of the driven run's frames."""
     return {
         f"snapshots_{i:02d}.csv": [
             [t, x, v.real, v.imag]
-            for t, grid, values in driven_run(t_ff)[2]
+            for t, grid, values in _result(runs[t_ff, True])[2]
             for x, v in zip(grid.points.tolist(), values.tolist())
         ]
-        for i, t_ff in enumerate(t_ffs)
+        for i, t_ff in enumerate(scn.t_ff_list)
     }
 
 
 def _per_t_ff(row):
     """The sweep function of a row function (scenario, t_ff): one row per t_ff."""
-    return lambda scn, t_ffs, _driven_run: [row(scn, t_ff) for t_ff in t_ffs]
+    return lambda scn, _runs: [row(scn, t_ff) for t_ff in scn.t_ff_list]
 
 
 def _table(name: str, sweep):
-    """The files function of a sweep function (scenario, t_ff values, driven_run) -> one row per t_ff.
+    """The files function of a sweep function (scenario, runs) -> one row per t_ff.
 
     It makes one file, {name}.csv, with the rows sorted by t_ff.
     """
     return lambda *sweep_args: {f"{name}.csv": sorted(sweep(*sweep_args), key=lambda r: r[0])}
 
 
-# output -> (CSV columns, files function (scenario, t_ff values, driven_run) -> {file name: rows});
-# driven_run(t_ff) is run's memo of _driven_run, so fidelity and snapshots share each driven propagation
+# output -> (CSV columns, files function (scenario, runs) -> {file name: rows}); runs maps
+# (t_ff, driven) to the _propagations outcome of each job of run's _plan
 _OUTPUTS = {
     "cost_curve": (
         "t_ff,cost_quadrature,cost_closed_form,cost_published,published_ratio",
@@ -294,11 +362,12 @@ def run(scenario: Scenario, out_dir) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
     if not scenario.t_ff_list:
         return []
-    driven_run = functools.cache(functools.partial(_driven_run, scenario))  # one per t_ff, shared by the outputs
+    jobs = _plan(scenario)
+    runs = {job[:2]: outcome for job, outcome in zip(jobs, _propagations(scenario, jobs))}
     files = [
         (out_dir / name, columns, rows)
         for columns, make in (_OUTPUTS[output] for output in scenario.outputs)
-        for name, rows in make(scenario, scenario.t_ff_list, driven_run).items()
+        for name, rows in make(scenario, runs).items()
     ]
     for path, columns, rows in files:
         with open(path, "w", newline="") as fh:
@@ -317,10 +386,12 @@ def verify(scenario: Scenario, stream=None) -> bool:
     ok_all = True
     rows = []
     fid_threshold = _FIDELITY_THRESHOLD[scenario.system]
-    for t_ff in scenario.t_ff_list:
-        traj = scenario.trajectory(t_ff)
+    # a ramp the scenario cannot build raises here, not as a job's FAIL row
+    trajs = [scenario.trajectory(t_ff) for t_ff in scenario.t_ff_list]
+    outcomes = _propagations(scenario, [(t_ff, True, False) for t_ff in scenario.t_ff_list])
+    for t_ff, traj, outcome in zip(scenario.t_ff_list, trajs, outcomes):
         try:
-            fid, norm_err = _run_propagation(scenario, traj, driven=True)
+            fid, norm_err, _ = _result(outcome)
             driven, undriven = _residuals(scenario, traj)
         except (PropagationError, ValueError) as exc:
             rows.append((t_ff, "propagation", "FAIL", str(exc)))

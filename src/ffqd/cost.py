@@ -8,9 +8,9 @@ time-averaged cost are kept side by side and must agree:
   (a) direct time quadrature of the drive term of the internal energy,
   (b) the integration-by-parts identity
           (1/T) int K (l_dot^2 - l l_dd) dt = (2K/T) int l_dot^2 dt,
-      valid because both smooth ramps have l_dot = 0 at the endpoints,
-  (c) the resulting constants: int l_dot^2 dt = vbar^2 T/30 (polynomial) and
-      (3/2) vbar^2 T (trigonometric).
+      valid because every smooth ramp has l_dot = 0 at the endpoints,
+  (c) the resulting constants: int l_dot^2 dt = vbar^2 T/30 (polynomial),
+      (3/2) vbar^2 T (trigonometric) and (10/7) vbar^2 T (quintic).
 
 The literature's printed closed-form coefficients are treated as claims under
 test: CostReport carries the quadrature value (primary) and the printed
@@ -76,7 +76,7 @@ from ._numutil import gauss_legendre, legendre_rule
 from .core import _require_count, _require_positive
 from .fastforward import _v_ff_coefficient
 from .spectra import _CHUNK_NODES, BoxModel, Model
-from .trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
+from .trajectory import POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
 
@@ -439,7 +439,7 @@ def cost_ff(u_of_t: Callable[[np.ndarray], np.ndarray], t_ff: float, rel_tol: fl
 
 
 # (1/T) int (l_dot^2 - l l_ddot) dt / vbar^2 = (2/T) int l_dot^2 dt / vbar^2 of each smooth ramp
-_DRIVE_SHAPE = {POLYNOMIAL: 1.0 / 15.0, TRIGONOMETRIC: 3.0}
+_DRIVE_SHAPE = {POLYNOMIAL: 1.0 / 15.0, TRIGONOMETRIC: 3.0, QUINTIC: 20.0 / 7.0}
 
 
 FrobeniusCost = namedtuple("FrobeniusCost", ["value", "cutoff"])
@@ -467,7 +467,7 @@ class CostReport:
 
 def _require_smooth_ramp(traj: ControlTrajectory) -> None:
     if traj.kind not in _DRIVE_SHAPE:
-        raise ValueError("cost closed forms need a polynomial or trigonometric ramp")
+        raise ValueError("cost closed forms need a polynomial, trigonometric or quintic ramp")
 
 
 def cost_ff_closed(model: Model, traj: ControlTrajectory, ens: ThermalEnsemble) -> CostReport:

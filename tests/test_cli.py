@@ -1,11 +1,14 @@
 import io
 import json
 import math
+import multiprocessing
 import subprocess
 import sys
 import tempfile
+import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -494,16 +497,103 @@ def test_snapshots_output(tmp_path):
 
 def test_fidelity_and_snapshots_share_the_driven_run(tmp_path, monkeypatch):
     # one driven and one undriven run per t_ff: the snapshot files used to
-    # propagate the driven state again, 6 calls for these 2 t_ff
+    # propagate the driven state again, 6 calls for these 2 t_ff.  Calls made in
+    # worker processes are not counted here, so the count runs on one CPU; on
+    # two, the plan that the pool maps holds the same four propagations
     import ffqd.cli
 
     calls = []
     real = ffqd.cli.propagate
     monkeypatch.setattr(ffqd.cli, "propagate", lambda *args: calls.append(args[4]) or real(*args))
+    monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: 1)
     scn = small_box_scenario(outputs=("fidelity", "snapshots"), t_ff_list=(1.0, 2.0), grid_points=256, dt=5e-4)
-    written = run(scn, tmp_path)
+    written = run(scn, tmp_path / "one")
     assert [p.name for p in written] == ["fidelity.csv", "snapshots_00.csv", "snapshots_01.csv"]
     assert sorted(calls) == [1.0, 1.0, 2.0, 2.0]
+
+    planned = []
+    real_map = ffqd.cli._propagations
+    monkeypatch.setattr(ffqd.cli, "_propagations", lambda scn, jobs: planned.append(jobs) or real_map(scn, jobs))
+    monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: 2)
+    run(scn, tmp_path / "two")
+    assert planned == [[(1.0, True, True), (1.0, False, False), (2.0, True, True), (2.0, False, False)]]
+
+
+_FORK_IS_DEFAULT = multiprocessing.get_all_start_methods()[0] == "fork"
+
+
+def _read_tree(root: Path) -> dict:
+    return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_one_and_two_cpus_give_the_same_bytes(tmp_path, monkeypatch):
+    # the pool runs the same single-threaded propagations as one process does
+    import ffqd.cli
+
+    scn = small_box_scenario(
+        outputs=("fidelity", "snapshots", "residual"), t_ff_list=(2.0, 1.0, 1.5), grid_points=256, dt=5e-4
+    )
+    # dt = 2e-3 is too coarse for the t_ff = 0.1 ramp alone; the FAIL row keeps its place
+    checked = small_box_scenario(ramp="trigonometric", l_final=3.0, t_ff_list=(0.1, 0.5), grid_points=256, dt=2e-3)
+    outputs = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: cpus)
+        out = tmp_path / f"cpus{cpus}"
+        run(scn, out)
+        text = io.StringIO()
+        assert verify(checked, text) is False
+        outputs.append((_read_tree(out), text.getvalue()))
+    (files, text), (files_pooled, text_pooled) = outputs
+    assert list(files) == ["fidelity.csv", "residual.csv", "snapshots_00.csv", "snapshots_01.csv", "snapshots_02.csv"]
+    assert files_pooled == files
+    assert text_pooled == text
+    lines = text.splitlines()
+    assert lines[0].startswith("t_ff=0.1") and "propagation      FAIL  time step too coarse" in lines[0]
+    assert [line.split()[0] for line in lines[1:5]] == ["t_ff=0.5"] * 4
+    assert all(" PASS " in line for line in lines[1:5])
+    assert lines[5] == "verification FAILED"
+
+
+@pytest.mark.skipif(not _FORK_IS_DEFAULT, reason="workers are forked only where fork is the default start method")
+def test_no_worker_outlives_a_pooled_run(tmp_path, monkeypatch):
+    import ffqd.cli
+
+    calls = []
+    real = ffqd.cli.propagate
+    monkeypatch.setattr(ffqd.cli, "propagate", lambda *args: calls.append(args[4]) or real(*args))
+    monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    scn = small_box_scenario(outputs=("fidelity",), l_final=3.0, t_ff_list=(0.5, 1.0), grid_points=128, dt=1e-3)
+    assert [p.name for p in run(scn, tmp_path / "ok")] == ["fidelity.csv"]
+    assert calls == []  # the workers propagated
+    assert multiprocessing.active_children() == []
+    # dt = 0.01 is too coarse for every job
+    with pytest.raises(ValueError, match="time step too coarse"):
+        run(replace(scn, dt=1e-2), tmp_path / "failed")
+    assert list((tmp_path / "failed").iterdir()) == []
+    assert multiprocessing.active_children() == []
+    assert threading.active_count() == threads
+
+
+def test_single_propagation_paths_load_no_pool():
+    # a one-t_ff verify (one propagation) and a cost preset (none) run in this
+    # process, and importing the CLI loads nothing of the pool
+    code = (
+        "import io, sys, tempfile\n"
+        "import ffqd.cli\n"
+        "pool = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)\n"
+        "loaded = [pool()]\n"
+        "scn = ffqd.cli.Scenario(system='box', ramp='trigonometric', l_final=3.0, grid_points=256, dt=5e-4)\n"
+        "assert ffqd.cli.verify(scn, io.StringIO())\n"
+        "loaded.append(pool())\n"
+        "with tempfile.TemporaryDirectory() as out:\n"
+        "    assert ffqd.cli.main(['preset', 'fig3', '--out', out]) == 0\n"
+        "loaded.append(pool())\n"
+        "print(loaded)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[[], [], []]"
 
 
 def test_run_is_deterministic(tmp_path):

@@ -33,7 +33,7 @@ from ffqd._numutil import gauss_legendre
 from ffqd.cli import _PRESETS, Scenario, run
 from ffqd.core import Grid
 from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, _trace_moments
-from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
+from ffqd.trajectory import POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 from helpers import box_ramp, ho_ramp
 
@@ -600,6 +600,15 @@ def test_box_report_static_confinement():
 def test_box_report_rejects_linear_ramp():
     with pytest.raises(ValueError):
         cost_ff_closed(BoxModel(), ControlTrajectory.adiabatic_linear(1.0, 0.1, 1.0), ZERO_T)
+
+
+@pytest.mark.parametrize("system, beta", [("box", math.inf), ("harmonic", 2.0)])
+def test_cost_ff_closed_takes_the_quintic_ramp(system, beta):
+    # l_dot = 30 vbar s^2 (1 - s)^2 gives (2/T) int l_dot^2 dt / vbar^2 = 20/7; the
+    # box's K(l) is frozen at l0 by the closed form, which is exact only at T = 0
+    model, ramp = (BoxModel(), box_ramp) if system == "box" else (HarmonicModel(), ho_ramp)
+    rep = cost_ff_closed(model, ramp(QUINTIC), ThermalEnsemble(beta=beta, n_particles=3))
+    assert rep.closed_form_value == pytest.approx(rep.quadrature_value, rel=1e-10, abs=0.0)
 
 
 def test_cost_monotone_decreasing_in_t_ff():
