@@ -14,9 +14,10 @@ byte-identical.  A run computes the rows of every file before it writes the
 first, so a run that fails leaves no CSV behind.
 
 The Crank-Nicolson propagations of a sweep do not depend on each other: run
-and verify plan them up front and spread them over the usable CPUs, one
-single-threaded propagation per worker process at a time, so the output is
-byte-identical to a run on one CPU.
+and verify plan them up front and share them between this process and
+workers forked from it, one per further usable CPU, where this process runs
+one OS thread.  Each propagation runs single-threaded in one process, so the
+output is byte-identical to a run on one CPU.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ import argparse
 import itertools
 import math
 import os
+import pickle
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -33,7 +35,7 @@ from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
 from .core import _require_count, _require_positive, norm
-from .propagator import PropagationError, _zgtsv, fidelity, propagate, tdse_residual
+from .propagator import PropagationError, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
     ADIABATIC_LINEAR,
@@ -200,40 +202,84 @@ def _propagation(scn: Scenario, job: tuple) -> tuple:
 
 
 def _usable_cpus() -> int:
-    """The CPUs this process may run on: its affinity set where the platform has one, else the CPU count."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
+    """The CPUs this process may run on: its affinity set, or 1 where the platform has none."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
-def _propagations(scn: Scenario, jobs: list) -> list:
-    """Each job's _propagation result, or the exception it raised, in job order.
+def _one_os_thread() -> bool:
+    """Whether the OS lists one thread in this process (Linux's /proc/self/task; False where there is none).
 
-    The jobs are independent, so min(len(jobs), usable CPUs) workers run them.
-    One worker runs them here.  Several are processes forked from this one,
-    where fork is the platform's default start method and this process runs
-    one thread (fork copies no other thread, nor the locks it holds);
-    elsewhere the jobs run here too.  The pool's modules load only then, and
-    LAPACK's zgtsv loads before the fork, so every worker inherits it.
+    fork copies no other thread, nor a lock one holds; and where numpy's BLAS
+    runs threads of its own, they already claim the CPUs.
     """
-    workers = min(len(jobs), _usable_cpus())
-    if workers > 1:
-        import multiprocessing
-        import threading
+    try:
+        return len(os.listdir("/proc/self/task")) == 1
+    except OSError:
+        return False
 
-        if multiprocessing.get_all_start_methods()[0] == "fork" and threading.active_count() == 1:
-            from concurrent.futures import ProcessPoolExecutor
 
-            _zgtsv()
-            with ProcessPoolExecutor(workers, mp_context=multiprocessing.get_context("fork")) as pool:
-                futures = [pool.submit(_propagation, scn, job) for job in jobs]
-            return [future.exception() or future.result() for future in futures]
+def _outcomes(scn: Scenario, jobs: list) -> list:
+    """Each job's _propagation result, or the exception it raised, in job order, run in this process."""
     outcomes = []
     for job in jobs:
         try:
             outcomes.append(_propagation(scn, job))
-        except Exception as exc:  # kept in the job's place, as the pool keeps a worker's
+        except Exception as exc:  # kept in the job's place; _result raises it where an output reads it
             outcomes.append(exc)
+    return outcomes
+
+
+def _worker(scn: Scenario, jobs: list, reads: list, write: int):
+    """A forked worker: pickle the jobs' _outcomes down the pipe end write, then end without this process's exit handlers.
+
+    It first closes the read ends it inherited, so that no pipe outlives its reader.
+    """
+    status = 1
+    try:
+        for fd in reads:
+            os.close(fd)
+        outcomes = pickle.dumps(_outcomes(scn, jobs))
+        with open(write, "wb") as pipe:
+            pipe.write(outcomes)
+        status = 0
+    finally:
+        os._exit(status)
+
+
+def _propagations(scn: Scenario, jobs: list) -> list:
+    """_outcomes of the jobs, shared by n = min(len(jobs), usable CPUs) processes.
+
+    The jobs are independent.  Job k runs in process k mod n: this one for
+    k mod n = 0, else a worker forked from it, which sends its outcomes back
+    through a pipe.  Workers are forked only where this process runs one OS
+    thread; otherwise every job runs here.
+    """
+    n = min(len(jobs), _usable_cpus())
+    if n < 2 or not _one_os_thread():
+        return _outcomes(scn, jobs)
+    reads, pids = [], []  # of workers 1 .. n - 1
+    try:
+        for k in range(1, n):
+            read, write = os.pipe()
+            reads.append(read)
+            pid = os.fork()
+            if pid == 0:
+                _worker(scn, jobs[k::n], reads, write)
+            os.close(write)
+            pids.append(pid)
+        outcomes = [None] * len(jobs)
+        outcomes[0::n] = _outcomes(scn, jobs[0::n])
+        for k, read in enumerate(reads, 1):
+            with open(read, "rb", closefd=False) as pipe:
+                try:
+                    outcomes[k::n] = pickle.load(pipe)
+                except (EOFError, pickle.UnpicklingError):
+                    raise RuntimeError("a propagation worker ended before it sent its results") from None
+    finally:
+        for fd in reads:  # a worker still writing then fails, and ends
+            os.close(fd)
+        for pid in pids:
+            os.waitpid(pid, 0)
     return outcomes
 
 

@@ -1,14 +1,14 @@
 import io
 import json
 import math
-import multiprocessing
+import os
+import pickle
 import subprocess
 import sys
 import tempfile
 import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -519,81 +519,172 @@ def test_fidelity_and_snapshots_share_the_driven_run(tmp_path, monkeypatch):
     assert planned == [[(1.0, True, True), (1.0, False, False), (2.0, True, True), (2.0, False, False)]]
 
 
-_FORK_IS_DEFAULT = multiprocessing.get_all_start_methods()[0] == "fork"
-
-
 def _read_tree(root: Path) -> dict:
     return {p.relative_to(root).as_posix(): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
 
 
-def test_one_and_two_cpus_give_the_same_bytes(tmp_path, monkeypatch):
-    # the pool runs the same single-threaded propagations as one process does
-    import ffqd.cli
+# Workers are forked only from a process that runs one OS thread, which the OS
+# lists only on Linux, and a test process usually runs BLAS threads too.  So
+# the pooled path runs in a fresh interpreter whose BLAS starts none, with
+# DeprecationWarning an error: from Python 3.12 on, fork warns in a process
+# that runs several threads.
+_FORKS = Path("/proc/self/task").is_dir() and hasattr(os, "sched_getaffinity")
+needs_fork = pytest.mark.skipif(not _FORKS, reason="workers are forked only where the OS lists a process's threads")
 
+
+def _pooled(code: str, *inputs) -> list[str]:
+    """Run code in a one-thread interpreter that counts this process's propagate calls and forks.
+
+    The code finds the pickled inputs in `inputs`, ffqd.cli as `cli`, the
+    propagate calls in `calls` and the forks in `forks`; `cpus(n)` sets the
+    usable CPU count and `children()` counts the child processes, 0 or 1 for more.
+    """
+    with tempfile.NamedTemporaryFile(suffix=".pickle", delete=False) as fh:
+        pickle.dump(inputs, fh)
+    prelude = (
+        "import os, pickle, sys\n"
+        "import ffqd.cli as cli\n"
+        "inputs = pickle.load(open(sys.argv[1], 'rb'))\n"
+        "calls, forks = [], []\n"
+        "real = cli.propagate\n"
+        "cli.propagate = lambda *args: calls.append(args[4]) or real(*args)\n"
+        "os.register_at_fork(before=lambda: forks.append(1))\n"
+        "def cpus(n):\n"
+        "    cli._usable_cpus = lambda: n\n"
+        "def children():\n"
+        "    try:\n"
+        "        os.waitpid(-1, os.WNOHANG)\n"
+        "    except ChildProcessError:\n"
+        "        return 0\n"
+        "    return 1\n"
+    )
+    env = dict(src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", prelude + code, fh.name],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.unlink(fh.name)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+@needs_fork
+def test_one_and_two_cpus_give_the_same_bytes(tmp_path):
+    # this process and a forked worker share the same single-threaded
+    # propagations that one process runs alone
     scn = small_box_scenario(
         outputs=("fidelity", "snapshots", "residual"), t_ff_list=(2.0, 1.0, 1.5), grid_points=256, dt=5e-4
     )
     # dt = 2e-3 is too coarse for the t_ff = 0.1 ramp alone; the FAIL row keeps its place
     checked = small_box_scenario(ramp="trigonometric", l_final=3.0, t_ff_list=(0.1, 0.5), grid_points=256, dt=2e-3)
-    outputs = []
-    for cpus in (1, 2):
-        monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: cpus)
-        out = tmp_path / f"cpus{cpus}"
-        run(scn, out)
-        text = io.StringIO()
-        assert verify(checked, text) is False
-        outputs.append((_read_tree(out), text.getvalue()))
-    (files, text), (files_pooled, text_pooled) = outputs
-    assert list(files) == ["fidelity.csv", "residual.csv", "snapshots_00.csv", "snapshots_01.csv", "snapshots_02.csv"]
+    code = (
+        "import io\n"
+        "scn, checked, root = inputs\n"
+        "for n in (1, 2):\n"
+        "    cpus(n)\n"
+        "    calls.clear()\n"
+        "    forks.clear()\n"
+        "    cli.run(scn, f'{root}/cpus{n}')\n"
+        "    text = io.StringIO()\n"
+        "    passed = cli.verify(checked, text)\n"
+        "    open(f'{root}/cpus{n}/verify.txt', 'w').write(text.getvalue())\n"
+        "    print(n, len(calls), len(forks), passed)\n"
+    )
+    # six propagations for run and two for verify; on 2 CPUs each forks a
+    # worker and runs half of them here
+    assert _pooled(code, scn, checked, str(tmp_path)) == ["1 8 0 False", "2 4 2 False"]
+    files, files_pooled = _read_tree(tmp_path / "cpus1"), _read_tree(tmp_path / "cpus2")
+    assert list(files) == [
+        "fidelity.csv",
+        "residual.csv",
+        "snapshots_00.csv",
+        "snapshots_01.csv",
+        "snapshots_02.csv",
+        "verify.txt",
+    ]
     assert files_pooled == files
-    assert text_pooled == text
-    lines = text.splitlines()
+    lines = files["verify.txt"].decode().splitlines()
     assert lines[0].startswith("t_ff=0.1") and "propagation      FAIL  time step too coarse" in lines[0]
     assert [line.split()[0] for line in lines[1:5]] == ["t_ff=0.5"] * 4
     assert all(" PASS " in line for line in lines[1:5])
     assert lines[5] == "verification FAILED"
 
 
-@pytest.mark.skipif(not _FORK_IS_DEFAULT, reason="workers are forked only where fork is the default start method")
-def test_no_worker_outlives_a_pooled_run(tmp_path, monkeypatch):
+@needs_fork
+def test_no_worker_outlives_a_pooled_run(tmp_path):
+    scn = small_box_scenario(outputs=("fidelity",), l_final=3.0, t_ff_list=(0.5, 1.0), grid_points=128, dt=1e-3)
+    code = (
+        "from dataclasses import replace\n"
+        "scn, root = inputs\n"
+        "cpus(2)\n"
+        "print([p.name for p in cli.run(scn, root + '/ok')], sorted(calls), len(forks), children())\n"
+        "try:\n"
+        "    cli.run(replace(scn, dt=1e-2), root + '/failed')\n"  # too coarse for every job
+        "except ValueError as exc:\n"
+        "    print(str(exc).split(':')[0], os.listdir(root + '/failed'), len(forks), children())\n"
+        "main, share = os.getpid(), cli._outcomes\n"
+        "cli._outcomes = lambda scn, jobs: share(scn, jobs) if os.getpid() == main else os._exit(3)\n"
+        "try:\n"
+        "    cli.run(scn, root + '/lost')\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc, os.listdir(root + '/lost'), len(forks), children())\n"
+        "def interrupted(scn, jobs):\n"
+        "    if os.getpid() == main:\n"
+        "        raise KeyboardInterrupt\n"
+        "    return share(scn, jobs)\n"
+        "cli._outcomes = interrupted\n"
+        "try:\n"  # the worker's frames fill its pipe before this process stops reading it
+        "    cli.run(replace(scn, outputs=('snapshots',), grid_points=1024), root + '/stopped')\n"
+        "except KeyboardInterrupt:\n"
+        "    print('interrupted', os.listdir(root + '/stopped'), len(forks), children())\n"
+    )
+    # this process ran each t_ff's driven job, the worker the undriven ones
+    assert _pooled(code, scn, str(tmp_path)) == [
+        "['fidelity.csv'] [0.5, 1.0] 1 0",
+        "time step too coarse [] 2 0",
+        "a propagation worker ended before it sent its results [] 3 0",
+        "interrupted [] 4 0",
+    ]
+
+
+def test_a_second_thread_keeps_every_job_in_this_process(tmp_path, monkeypatch):
+    # fork would copy neither that thread nor a lock it holds
     import ffqd.cli
 
     calls = []
     real = ffqd.cli.propagate
     monkeypatch.setattr(ffqd.cli, "propagate", lambda *args: calls.append(args[4]) or real(*args))
     monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: 2)
-    threads = threading.active_count()
     scn = small_box_scenario(outputs=("fidelity",), l_final=3.0, t_ff_list=(0.5, 1.0), grid_points=128, dt=1e-3)
-    assert [p.name for p in run(scn, tmp_path / "ok")] == ["fidelity.csv"]
-    assert calls == []  # the workers propagated
-    assert multiprocessing.active_children() == []
-    # dt = 0.01 is too coarse for every job
-    with pytest.raises(ValueError, match="time step too coarse"):
-        run(replace(scn, dt=1e-2), tmp_path / "failed")
-    assert list((tmp_path / "failed").iterdir()) == []
-    assert multiprocessing.active_children() == []
-    assert threading.active_count() == threads
+    release = threading.Event()
+    waiting = threading.Thread(target=release.wait)
+    waiting.start()
+    try:
+        run(scn, tmp_path)
+    finally:
+        release.set()
+        waiting.join()
+    assert sorted(calls) == [0.5, 0.5, 1.0, 1.0]
 
 
-def test_single_propagation_paths_load_no_pool():
-    # a one-t_ff verify (one propagation) and a cost preset (none) run in this
-    # process, and importing the CLI loads nothing of the pool
+@needs_fork
+def test_single_propagation_paths_fork_nothing():
+    # a one-t_ff verify makes one propagation and a cost preset none; no pool module loads
     code = (
-        "import io, sys, tempfile\n"
-        "import ffqd.cli\n"
-        "pool = lambda: sorted(m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules)\n"
-        "loaded = [pool()]\n"
-        "scn = ffqd.cli.Scenario(system='box', ramp='trigonometric', l_final=3.0, grid_points=256, dt=5e-4)\n"
-        "assert ffqd.cli.verify(scn, io.StringIO())\n"
-        "loaded.append(pool())\n"
+        "import io, tempfile\n"
+        "cpus(2)\n"
+        "scn = cli.Scenario(system='box', ramp='trigonometric', l_final=3.0, grid_points=256, dt=5e-4)\n"
+        "assert cli.verify(scn, io.StringIO())\n"
         "with tempfile.TemporaryDirectory() as out:\n"
-        "    assert ffqd.cli.main(['preset', 'fig3', '--out', out]) == 0\n"
-        "loaded.append(pool())\n"
-        "print(loaded)\n"
+        "    assert cli.main(['preset', 'fig3', '--out', out]) == 0\n"
+        "print(calls, len(forks), [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
     )
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=src_env())
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines()[-1] == "[[], [], []]"
+    assert _pooled(code)[-1] == "[1.0] 0 []"
 
 
 def test_run_is_deterministic(tmp_path):
