@@ -113,9 +113,8 @@ class Scenario:
 
     def trajectory(self, t_ff: float) -> ControlTrajectory:
         a, b = self.control_endpoints()
-        if self.ramp == ADIABATIC_LINEAR:
-            return ControlTrajectory.adiabatic_linear(a, self.epsilon, t_ff)
-        return ControlTrajectory(self.ramp, a, t_ff, vbar=vbar_for_target(self.ramp, a, b, t_ff))
+        vbar = self.epsilon if self.ramp == ADIABATIC_LINEAR else vbar_for_target(self.ramp, a, b, t_ff)
+        return ControlTrajectory(self.ramp, a, t_ff, vbar=vbar)
 
     def ensemble(self) -> cost_mod.ThermalEnsemble:
         return cost_mod.ThermalEnsemble(beta=self.beta, n_particles=self.n_particles)
@@ -546,7 +545,7 @@ def main(argv=None) -> int:
         for path in run(scenario, out_dir):
             print(path)
         return 0
-    except (ValueError, FileNotFoundError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: invalid scenario: {exc}", file=sys.stderr)
         return 2
     except (PropagationError, RuntimeError) as exc:

@@ -9,8 +9,9 @@ time-averaged cost are kept side by side and must agree:
   (b) the integration-by-parts identity
           (1/T) int K (l_dot^2 - l l_dd) dt = (2K/T) int l_dot^2 dt,
       valid because every smooth ramp has l_dot = 0 at the endpoints,
-  (c) the resulting constants: int l_dot^2 dt = vbar^2 T/30 (polynomial),
-      (3/2) vbar^2 T (trigonometric) and (10/7) vbar^2 T (quintic).
+  (c) the resulting constant: (2/T) int l_dot^2 dt = vbar^2 2 int_0^1 F'^2 ds
+      for the ramp l0 + vbar T F(t/T), the drive constant of its shape's
+      row in trajectory._SHAPES.
 
 The literature's printed closed-form coefficients are treated as claims under
 test: CostReport carries the quadrature value (primary) and the printed
@@ -31,11 +32,12 @@ The trace is pooled over the time nodes of a whole sweep of ramps
 (_node_traces) and split in two.  The node moments (rho0, and rho1 before
 its cosine) depend only on the control value l and the node's grid; the
 per-ramp finish (_trace_finish) adds the gauge phase g x^2, g = l_dot / 2l,
-the potential a(t) x^2, the stencil and the trapezoid rule.  Both smooth
-ramps have the form l0 + (l1 - l0) F(t/t_ff), so the Gauss-Legendre nodes of
-a t_ff sweep fall on the same control values (bit for bit at power-of-two
-multiples of t_ff, whose node times and vbar scale exactly, and at many
-nodes of other t_ff), and the moments are formed once per distinct value.
+the potential a(t) x^2, the stencil and the trapezoid rule.  Every ramp
+has the form l0 + vbar T F(t/T), vbar T = (l1 - l0)/F(1) to rounding, so
+the Gauss-Legendre nodes of a t_ff sweep fall on the same control values
+(bit for bit at power-of-two multiples of t_ff, whose node times and vbar
+scale exactly, and at most nodes of other t_ff, where t/T rounds alike),
+and the moments are formed once per distinct value.
 Energies are E_n(l) = E_n(1) / l^2, mu comes from one row-wise bisection,
 and the model forms the moments in blocks of nodes (spectra): the box from
 one sine table at L = 1, the oscillator streamed on the mirror half of its
@@ -76,7 +78,7 @@ from ._numutil import gauss_legendre, legendre_rule
 from .core import _require_count, _require_positive
 from .fastforward import _v_ff_coefficient
 from .spectra import _CHUNK_NODES, BoxModel, Model
-from .trajectory import POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory
+from .trajectory import ControlTrajectory
 
 _F_TOL = 1e-12  # occupation below which a level is outside the truncated trace
 
@@ -172,6 +174,8 @@ def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
         return 0.5 * (e[:, n_particles - 1] + e[:, n_particles])
     pad = 50.0 / beta + (e[:, -1] - e[:, 0])  # no absolute energy: the bracket scales with e and 1/beta
     lo, hi = e[:, 0] - pad, e[:, -1] + pad
+    if not np.all(np.isfinite(lo) & np.isfinite(hi)):  # 50/beta overflows below beta ~ 2.8e-307
+        raise ValueError(f"the mu bracket, padded by 50/beta, is not finite at beta={beta!r}")
     mu = np.empty(e.shape[0])
     rows = np.arange(e.shape[0])
     with np.errstate(over="ignore"):
@@ -194,10 +198,12 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
 
     The occupation sum is monotone increasing in mu, so the root is unique at
     finite beta; at beta = inf any point of the zero-temperature plateau is
-    returned, for finite energies only (ValueError).  beta and n_particles
-    follow ThermalEnsemble's rules, and n_particles is below the number of
-    energies (ValueError).  Residual tolerance 1e-10, or, where no double
-    meets it, the one-ulp reach (RuntimeError beyond it).
+    returned, for finite energies only (ValueError).  At finite beta the
+    bracket is padded by 50/beta, which must be finite (ValueError below
+    beta about 2.8e-307).  beta and n_particles follow ThermalEnsemble's rules, and
+    n_particles is below the number of energies (ValueError).  Residual
+    tolerance 1e-10, or, where no double meets it, the one-ulp reach
+    (RuntimeError beyond it).
     """
     ThermalEnsemble(beta, n_particles)  # its rules for beta and n_particles
     e = np.sort(np.asarray(energies, dtype=float))
@@ -438,10 +444,6 @@ def cost_ff(u_of_t: Callable[[np.ndarray], np.ndarray], t_ff: float, rel_tol: fl
     return gauss_legendre(u_of_t, 0.0, t_ff, rel_tol)[0] / t_ff
 
 
-# (1/T) int (l_dot^2 - l l_ddot) dt / vbar^2 = (2/T) int l_dot^2 dt / vbar^2 of each smooth ramp
-_DRIVE_SHAPE = {POLYNOMIAL: 1.0 / 15.0, TRIGONOMETRIC: 3.0, QUINTIC: 20.0 / 7.0}
-
-
 FrobeniusCost = namedtuple("FrobeniusCost", ["value", "cutoff"])
 
 
@@ -465,26 +467,25 @@ class CostReport:
     constants: dict
 
 
-def _require_smooth_ramp(traj: ControlTrajectory) -> None:
-    if traj.kind not in _DRIVE_SHAPE:
-        raise ValueError("cost closed forms need a polynomial, trigonometric or quintic ramp")
-
-
 def cost_ff_closed(model: Model, traj: ControlTrajectory, ens: ThermalEnsemble) -> CostReport:
     """CostReport of a smooth ramp from the printed internal energy of the model's trap.
 
     The closed form is the confinement average plus the drive by parts,
-    K(l0) vbar^2 _DRIVE_SHAPE, which freezes the box's finite-temperature K(l)
-    at l0.  The printed line is the same form with the printed constants;
-    where those are the closed form's (the oscillator), it is the closed form.
+    K(l0) vbar^2 times the drive constant of the ramp's shape, which freezes
+    the box's finite-temperature K(l) at l0.  The printed line is the same
+    form with the printed constants; where those are the closed form's (the
+    oscillator), it is the closed form.  ValueError for a ramp that does not
+    start and end at rest (no drive constant: the linear ramp).
     """
-    _require_smooth_ramp(traj)
+    drive = traj._shape.drive
+    if drive is None:
+        raise ValueError(f"cost closed forms need a ramp that starts and ends at rest, not a {traj.kind} one")
     T, l0 = traj.t_ff, traj.value(0.0)
     of_l, printed, named = _printed_constants(model, ens, l0)
 
     def line(c_of_l, k):
         conf = cost_ff(lambda s: c_of_l(traj.value(s)) / traj.value(s) ** 2, T, 1e-12)
-        return conf + k * (traj.vbar * traj.vbar) * _DRIVE_SHAPE[traj.kind]
+        return conf + k * (traj.vbar * traj.vbar) * drive
 
     quadrature = cost_ff(lambda s: sum(internal_energy_closed(model, traj, s, ens)), T)
     closed = line(lambda l: of_l(l)[0], of_l(l0)[1])

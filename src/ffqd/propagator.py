@@ -123,7 +123,7 @@ def propagate(
     coefficient maps an array of times to the array of a(t) of V = a(t) x^2.
     The grid, hard walls at both ends, follows the ramp l(t): the returned
     field lives on it scaled by l(t_final) / l(0).  A static run passes a
-    constant ramp, ControlTrajectory.adiabatic_linear(l, 0.0, t_final).  The
+    constant ramp, ControlTrajectory(ADIABATIC_LINEAR, l, t_final).  The
     run makes n_steps = round(t_final / dt) (at least 1) steps of t_final / n_steps.
 
     Before the first step, raises ValueError if dt or t_final is not positive

@@ -8,7 +8,7 @@ import numpy as np
 
 from ffqd.core import ComplexField, Grid, norm
 from ffqd.spectra import BoxModel
-from ffqd.trajectory import POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
+from ffqd.trajectory import ADIABATIC_LINEAR, POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 R_FINAL = 1.0 / np.sqrt(10.0)  # oscillator length scale for omega 1 -> 10
 
@@ -28,7 +28,7 @@ def ie_ramp(omega0=1.0, omegaF=10.0, t_ff=1.0) -> ControlTrajectory:
 
 def static_ramp(t_final: float, l: float = 1.0) -> ControlTrajectory:
     """The constant ramp l(t) = l over [0, t_final]: a propagation with walls fixed at the grid ends."""
-    return ControlTrajectory.adiabatic_linear(l, 0.0, t_final)
+    return ControlTrajectory(ADIABATIC_LINEAR, l, t_final, vbar=0.0)
 
 
 BOTH_RAMPS = (POLYNOMIAL, TRIGONOMETRIC)

@@ -90,6 +90,8 @@ _BAD_OVERRIDES = [
     "system=harmonic ramp=trigonometric omegaF=100 beta=0.375 n_particles=21 grid_points=9 outputs=ie_compare",
     "system=harmonic ramp=trigonometric omegaF=400 beta=0.375 n_particles=21 grid_points=8 outputs=ie_compare",
     "system=harmonic omegaF=10 beta=1.0 n_particles=1 t_ff_list=0.05 outputs=ie_compare",
+    # 50/beta, the mu bisection's bracket pad, overflows: the bisection never ended
+    "system=harmonic outputs=ie_compare beta=1e-310",
 ]
 
 
@@ -102,6 +104,25 @@ def test_invalid_scenario_exits_2_without_traceback(tmp_path, capsys, overrides)
     assert "invalid scenario" in err
     assert "Traceback" not in err
     assert not list((tmp_path / "out").glob("*.csv"))
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        lambda d: ["run", str(d)],
+        lambda d: ["run", str(d / "box.cfg"), "--out", str(d / "file")],
+        lambda d: ["preset", "fig3", "--out", str(d / "file")],
+    ],
+    ids=["config_is_a_directory", "run_out_is_a_file", "preset_out_is_a_file"],
+)
+def test_a_bad_path_exits_2_without_traceback(tmp_path, capsys, argv):
+    # IsADirectoryError and FileExistsError used to escape main as tracebacks
+    (tmp_path / "box.cfg").write_text("system=box\nramp=polynomial\nt_ff_list=1.0\noutputs=cost_curve\n")
+    (tmp_path / "file").write_text("")
+    assert main(argv(tmp_path)) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario" in err
+    assert "Traceback" not in err
 
 
 def _log_uniform(lo, hi):

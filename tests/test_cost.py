@@ -33,7 +33,7 @@ from ffqd._numutil import gauss_legendre
 from ffqd.cli import _PRESETS, Scenario, run
 from ffqd.core import Grid
 from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, _trace_moments
-from ffqd.trajectory import POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
+from ffqd.trajectory import ADIABATIC_LINEAR, POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 from helpers import box_ramp, ho_ramp
 
@@ -83,6 +83,13 @@ def test_solve_mu_rejects_non_finite_energies(energies, beta):
     # the bisection never ended
     with pytest.raises(ValueError, match="energies must be finite"):
         solve_mu(energies, beta, 1)
+
+
+def test_solve_mu_rejects_a_beta_whose_bracket_is_not_finite():
+    # 50/beta overflows to inf below beta ~ 2.8e-307: the midpoint was NaN and the
+    # bisection never ended
+    with pytest.raises(ValueError, match="bracket"):
+        solve_mu([1.0, 2.0, 3.0], 1e-310, 1)
 
 
 def test_solve_mu_range_check():
@@ -550,7 +557,7 @@ def test_cost_ff_ho_closed_form_identity():
         assert total == pytest.approx(conf + a * traj.vbar**2 * shape, rel=1e-8)
 
 
-@pytest.mark.parametrize("kind,shape", [(POLYNOMIAL, 1.0 / 15.0), (TRIGONOMETRIC, 3.0)])
+@pytest.mark.parametrize("kind,shape", [(POLYNOMIAL, 1.0 / 15.0), (TRIGONOMETRIC, 3.0), (QUINTIC, 20.0 / 7.0)])
 def test_box_drive_three_way_agreement(kind, shape):
     # (a) quadrature of the drive term, (b) integration-by-parts identity,
     # (c) closed-form coefficient -- all with the same prefactor K
@@ -598,8 +605,8 @@ def test_box_report_static_confinement():
 
 
 def test_box_report_rejects_linear_ramp():
-    with pytest.raises(ValueError):
-        cost_ff_closed(BoxModel(), ControlTrajectory.adiabatic_linear(1.0, 0.1, 1.0), ZERO_T)
+    with pytest.raises(ValueError, match="starts and ends at rest"):
+        cost_ff_closed(BoxModel(), ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=0.1), ZERO_T)
 
 
 @pytest.mark.parametrize("system, beta", [("box", math.inf), ("harmonic", 2.0)])
@@ -963,10 +970,12 @@ def test_pooled_sweep_matches_per_ramp_costs(sweep, data):
     assert str(pooled.value) == str(own.value)
 
 
-def test_fig1_sweep_forms_moments_once_per_distinct_node(monkeypatch):
-    # fig1's ramps l(t) = l0 + (l1 - l0) F(t / t_ff) put the 64 nodes of t_ff = 0.5, 1
-    # and 2 on the same control values, and t_ff = 5 shares 42 of them
-    scn = _PRESETS["fig1"]
+@pytest.mark.parametrize("preset, distinct", [("fig1", 67), ("fig2", 66)])
+def test_fig1_sweep_forms_moments_once_per_distinct_node(monkeypatch, preset, distinct):
+    # the ramps l0 + vbar T F(t / T) of a preset share vbar T bit for bit, so the 64
+    # nodes of t_ff = 0.5, 1 and 2 fall on the same control values, and t_ff = 5, whose
+    # t / T rounds apart at a few nodes, shares 61 (fig1) or 62 (fig2) of them
+    scn = _PRESETS[preset]
     trajs = [scn.trajectory(t_ff) for t_ff in scn.t_ff_list]
     formed = []
     blocks = HarmonicModel._moment_blocks
@@ -981,7 +990,7 @@ def test_fig1_sweep_forms_moments_once_per_distinct_node(monkeypatch):
     assert sum(formed) == 4 * 64
     formed.clear()
     assert _costs_ff_numeric(HarmonicModel(), trajs, scn.ensemble(), 64, 256) == per_ramp
-    assert sum(formed) == 86
+    assert sum(formed) == distinct
 
 
 # ---------------------------------------------------------------------------

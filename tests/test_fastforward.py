@@ -13,7 +13,7 @@ from ffqd.fastforward import (
     trap_coefficient,
 )
 from ffqd.spectra import BoxModel, HarmonicModel
-from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
+from ffqd.trajectory import ADIABATIC_LINEAR, POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 from helpers import BOTH_RAMPS, box_ramp, ho_ramp
 
@@ -109,7 +109,7 @@ def test_singularity_detected():
 
 
 def test_v_ff_zero_without_motion():
-    traj = ControlTrajectory.adiabatic_linear(1.0, 0.0, 1.0)
+    traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=0.0)
     np.testing.assert_array_equal(trap_coefficient(BoxModel(), traj)(np.linspace(0.0, 1.0, 64)), 0.0)
 
 

@@ -17,7 +17,7 @@ from ffqd.propagator import (
     tdse_residual,
 )
 from ffqd.spectra import BoxModel, HarmonicModel
-from ffqd.trajectory import POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
+from ffqd.trajectory import ADIABATIC_LINEAR, POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
 from helpers import box_ramp, box_state, ho_ramp, normalized, static_ramp
 
@@ -81,7 +81,7 @@ def test_long_run_unitarity():
 def test_moving_wall_adiabatic_limit():
     # slow linear expansion tracks the instantaneous ground state to O(eps^2)
     eps = 0.05
-    traj = ControlTrajectory.adiabatic_linear(1.0, eps, 10.0)
+    traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 10.0, vbar=eps)
     grid = Grid(0.0, 1.0, 1024)
     phi0 = box_state(1, 1.0, grid)
     out = propagate(phi0, traj, zero_potential, 2e-4, 10.0)
@@ -519,7 +519,7 @@ def test_half_grid_snapshots_match_the_full_grid(monkeypatch, n, level):
 
 
 def test_residual_static_eigenstate():
-    traj = ControlTrajectory.adiabatic_linear(1.0, 1e-14, 1.0)
+    traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=1e-14)
     grid = Grid(0.0, 1.0, 2048)
     psi = lambda s: psi_ff_values(BoxModel(), 1, s, traj, grid.points)
     assert tdse_residual(psi, zero_potential, grid, 0.5, 1e-5) < 1e-4

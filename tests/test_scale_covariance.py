@@ -19,6 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ffqd import (
+    ADIABATIC_LINEAR,
     POLYNOMIAL,
     QUINTIC,
     TRIGONOMETRIC,
@@ -103,7 +104,7 @@ def _edge_grid(c, edge):
 
 
 def _table_accepts(c, edge):
-    ramp = ControlTrajectory.adiabatic_linear(c, 0.0, c * c)
+    ramp = ControlTrajectory(ADIABATIC_LINEAR, c, c * c, vbar=0.0)
     return _accepts(lambda: psi_ff(HarmonicModel(), 0, 0.0, ramp, _edge_grid(c, edge)))
 
 
@@ -111,7 +112,7 @@ def _propagation_accepts(c, edge):
     grid = _edge_grid(c, edge)
     xi = grid.points / c
     psi0 = ComplexField(grid, np.pi**-0.25 / math.sqrt(c) * np.exp(-0.5 * xi * xi) + 0j)
-    ramp = ControlTrajectory.adiabatic_linear(c, 0.0, c * c * 4e-3)
+    ramp = ControlTrajectory(ADIABATIC_LINEAR, c, c * c * 4e-3, vbar=0.0)
     coefficient = trap_coefficient(HarmonicModel(), ramp, driven=False)
     return _accepts(lambda: propagate(psi0, ramp, coefficient, c * c * 1e-3, c * c * 4e-3))
 

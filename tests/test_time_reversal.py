@@ -1,10 +1,11 @@
 """Time reversal, a second exact symmetry of the oracle and of the costs, through the public API.
 
-Both smooth ramps reverse into their own kind: l(T - t) is
-ControlTrajectory(kind, l(T), T, vbar=-vbar), as both shapes F(u) = 3u^2 - 2u^3
-and u - sin(2 pi u)/2 pi satisfy F(1 - u) = 1 - F(u).  l_dot flips sign and
-l_ddot does not.  In the propagator's frame the dilation term, odd in s_dot,
-is the only imaginary part of H, so the reversed ramp's H(t) is
+Every smooth ramp reverses into its own kind: l(T - t) is
+ControlTrajectory(kind, l(T), T, vbar=-vbar), as each shape F of
+l0 + vbar T F(t/T), the inverse-engineering quintic's too, is point
+symmetric, F(1) - F(1 - s) = F(s).  l_dot flips sign and l_ddot does not.
+In the propagator's frame the dilation term, odd in s_dot, is the only
+imaginary part of H, so the reversed ramp's H(t) is
 conj(H(T - t)); the half-step times of the two runs mirror each other.  So
 the Cayley steps of the reversed run undo the forward run's: propagating
 conj(psi(T)) back along the reversed ramp returns conj(psi0), on any grid, at
@@ -22,6 +23,7 @@ from hypothesis import strategies as st
 
 from ffqd import (
     POLYNOMIAL,
+    QUINTIC,
     TRIGONOMETRIC,
     BoxModel,
     ComplexField,
@@ -66,7 +68,7 @@ _ROUND_TRIP_C = 4.0
 @settings(max_examples=20, deadline=None)
 @given(
     model=st.sampled_from([BoxModel(), HarmonicModel()]),
-    kind=st.sampled_from([POLYNOMIAL, TRIGONOMETRIC]),
+    kind=st.sampled_from([POLYNOMIAL, TRIGONOMETRIC, QUINTIC]),
     l1=st.floats(0.5, 2.0).filter(lambda l: abs(l - 1.0) > 0.05),
     half=st.integers(64, 128),
     odd=st.booleans(),
@@ -98,7 +100,7 @@ def test_propagating_back_along_the_reversed_ramp_returns_psi0(model, kind, l1, 
 _COST_CASES = [(BoxModel(), 3.0), (HarmonicModel(), 0.5)]
 
 
-@pytest.mark.parametrize("kind", [POLYNOMIAL, TRIGONOMETRIC])
+@pytest.mark.parametrize("kind", [POLYNOMIAL, TRIGONOMETRIC, QUINTIC])
 @pytest.mark.parametrize("model, l1", _COST_CASES, ids=["box", "harmonic"])
 def test_costs_equal_their_reverse(model, l1, kind):
     # measured: the trace within 3.3e-15 and the Frobenius cost within 6.7e-16

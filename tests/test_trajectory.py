@@ -24,7 +24,7 @@ def test_value_at_zero_is_l0():
     for traj in (
         ControlTrajectory(POLYNOMIAL, 2.0, 1.5, vbar=5.0),
         ControlTrajectory(TRIGONOMETRIC, 2.0, 1.5, vbar=5.0),
-        ControlTrajectory.adiabatic_linear(2.0, 0.1, 1.5),
+        ControlTrajectory(ADIABATIC_LINEAR, 2.0, 1.5, vbar=0.1),
     ):
         assert traj.value(0.0) == 2.0
 
@@ -75,18 +75,17 @@ def test_nan_times_rejected(t):
             fn(t)
 
 
+def _ramp(kind, l0, l_final, t_ff):
+    vbar = (l_final - l0) / t_ff if kind == ADIABATIC_LINEAR else vbar_for_target(kind, l0, l_final, t_ff)
+    return ControlTrajectory(kind, l0, t_ff, vbar=vbar)
+
+
 def test_scalar_and_array_paths_agree():
-    for kind in (*BOTH_RAMPS, QUINTIC):
-        traj = ControlTrajectory(kind, 1.0, 1.0, vbar=vbar_for_target(kind, 1.0, 10.0, 1.0))
+    for kind in (*BOTH_RAMPS, QUINTIC, ADIABATIC_LINEAR):
+        traj = _ramp(kind, 1.0, 10.0, 1.0)  # the linear ramp's explicit vbar is its slope 9
         ts = np.array([0.0, 0.3, 0.5, 1.0 + 1e-10])
         for fn in (traj.value, traj.velocity, traj.acceleration):
             np.testing.assert_allclose([fn(float(t)) for t in ts], fn(ts), rtol=1e-14, atol=1e-12)
-
-
-def _ramp(kind, l0, l_final, t_ff):
-    if kind == ADIABATIC_LINEAR:
-        return ControlTrajectory.adiabatic_linear(l0, (l_final - l0) / t_ff, t_ff)
-    return ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l_final, t_ff))
 
 
 _RAMP_ARGS = (
@@ -176,13 +175,12 @@ def test_linear_ramp_velocity_is_its_vbar():
     traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=5.0)
     assert traj.velocity(0.5) == 5.0
     assert traj.value(1.0) == 6.0
-    assert ControlTrajectory.adiabatic_linear(1.0, 0.25, 2.0) == ControlTrajectory(ADIABATIC_LINEAR, 1.0, 2.0, vbar=0.25)
 
 
 def test_derivatives_match_finite_differences():
     h = 1e-5
-    for kind in (*BOTH_RAMPS, QUINTIC):
-        traj = ControlTrajectory(kind, 1.0, 1.0, vbar=vbar_for_target(kind, 1.0, 10.0, 1.0))
+    for kind in (*BOTH_RAMPS, QUINTIC, ADIABATIC_LINEAR):
+        traj = _ramp(kind, 1.0, 10.0, 1.0)
         ts = np.linspace(0.05, 0.95, 41)
         v_fd = (traj.value(ts + h) - traj.value(ts - h)) / (2.0 * h)
         a_fd = (traj.value(ts + h) - 2.0 * traj.value(ts) + traj.value(ts - h)) / (h * h)
