@@ -16,8 +16,12 @@ first, so a run that fails leaves no CSV behind.
 The Crank-Nicolson propagations of a sweep do not depend on each other: run
 and verify plan them up front and share them between this process and
 workers forked from it, one per further usable CPU, where this process runs
-one OS thread.  Each propagation runs single-threaded in one process, so the
-output is byte-identical to a run on one CPU.
+one OS thread.  Where the usable CPUs number at least twice the
+propagations, as for a one-t_ff verify on two CPUs, each propagation is
+paired too: it forks a partner that solves every other block of its steps
+(see the propagator module).  Every process runs single-threaded and a
+paired run returns the serial run's bits, so the output is byte-identical to
+a run on one CPU.
 """
 
 from __future__ import annotations
@@ -183,11 +187,12 @@ def _system(scn: Scenario, traj: ControlTrajectory, t: float):
     return model, model.default_grid(traj.value(t), scn.grid_points)
 
 
-def _propagation(scn: Scenario, job: tuple) -> tuple:
+def _propagation(scn: Scenario, job: tuple, paired: bool = False) -> tuple:
     """Propagate the tracked level for one job (t_ff, driven, frames wanted).
 
     Returns (fidelity vs target, norm error, frames): frames as propagate's,
-    or None unless wanted.
+    or None unless wanted.  A paired job's run shares its steps with a
+    partner process that propagate forks (see propagator.propagate).
     """
     t_ff, driven, want_frames = job
     traj = scn.trajectory(t_ff)
@@ -196,7 +201,7 @@ def _propagation(scn: Scenario, job: tuple) -> tuple:
     T = traj.t_ff
     frames = [] if want_frames else None
     psi0 = ff.psi_ff(model, n, 0.0, traj, grid)
-    out = propagate(psi0, traj, ff.trap_coefficient(model, traj, driven), scn.dt, T, frames)
+    out = propagate(psi0, traj, ff.trap_coefficient(model, traj, driven), scn.dt, T, frames, _paired=paired)
     return fidelity(out, ff.psi_ff(model, n, T, traj, out.grid)), abs(norm(out) - 1.0), frames
 
 
@@ -217,18 +222,18 @@ def _one_os_thread() -> bool:
         return False
 
 
-def _outcomes(scn: Scenario, jobs: list) -> list:
+def _outcomes(scn: Scenario, jobs: list, paired: bool = False) -> list:
     """Each job's _propagation result, or the exception it raised, in job order, run in this process."""
     outcomes = []
     for job in jobs:
         try:
-            outcomes.append(_propagation(scn, job))
+            outcomes.append(_propagation(scn, job, paired))
         except Exception as exc:  # kept in the job's place; _result raises it where an output reads it
             outcomes.append(exc)
     return outcomes
 
 
-def _worker(scn: Scenario, jobs: list, reads: list, write: int):
+def _worker(scn: Scenario, jobs: list, paired: bool, reads: list, write: int):
     """A forked worker: pickle the jobs' _outcomes down the pipe end write, then end without this process's exit handlers.
 
     It first closes the read ends it inherited, so that no pipe outlives its reader.
@@ -237,7 +242,7 @@ def _worker(scn: Scenario, jobs: list, reads: list, write: int):
     try:
         for fd in reads:
             os.close(fd)
-        outcomes = pickle.dumps(_outcomes(scn, jobs))
+        outcomes = pickle.dumps(_outcomes(scn, jobs, paired))
         with open(write, "wb") as pipe:
             pipe.write(outcomes)
         status = 0
@@ -250,12 +255,18 @@ def _propagations(scn: Scenario, jobs: list) -> list:
 
     The jobs are independent.  Job k runs in process k mod n: this one for
     k mod n = 0, else a worker forked from it, which sends its outcomes back
-    through a pipe.  Workers are forked only where this process runs one OS
-    thread; otherwise every job runs here.
+    through a pipe.  Where the CPUs number at least twice the jobs, every
+    job is paired: its propagation forks a partner that takes every other
+    block of its steps.  Workers and partners are forked only where this
+    process runs one OS thread; otherwise every job runs here, unpaired.
     """
-    n = min(len(jobs), _usable_cpus())
-    if n < 2 or not _one_os_thread():
+    cpus = _usable_cpus()
+    n = min(len(jobs), cpus)
+    paired = 0 < 2 * len(jobs) <= cpus
+    if not (n > 1 or paired) or not _one_os_thread():
         return _outcomes(scn, jobs)
+    if n < 2:
+        return _outcomes(scn, jobs, paired)
     reads, pids = [], []  # of workers 1 .. n - 1
     try:
         for k in range(1, n):
@@ -263,11 +274,11 @@ def _propagations(scn: Scenario, jobs: list) -> list:
             reads.append(read)
             pid = os.fork()
             if pid == 0:
-                _worker(scn, jobs[k::n], reads, write)
+                _worker(scn, jobs[k::n], paired, reads, write)
             os.close(write)
             pids.append(pid)
         outcomes = [None] * len(jobs)
-        outcomes[0::n] = _outcomes(scn, jobs[0::n])
+        outcomes[0::n] = _outcomes(scn, jobs[0::n], paired)
         for k, read in enumerate(reads, 1):
             with open(read, "rb", closefd=False) as pipe:
                 try:

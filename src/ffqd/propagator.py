@@ -32,11 +32,22 @@ diagonals of A = 1 + i dt H / 2hbar and makes one LAPACK zgtsv solve:
 A^-1 (1 - i dt H / 2hbar) = 2 A^-1 - 1, so the new state is 2 A^-1 psi - psi,
 with no product H psi.
 
-zgtsv comes from scipy's f2py extension scipy.linalg._flapack, loaded on the
-first run after the light top-level scipy package alone (see _zgtsv): the
-scipy.linalg package init, which pulls in scipy's array-API layer and with
-it numpy.f2py, numpy.testing, numpy.random and numpy.ma, never runs for a
-propagation.
+A paired run shares its steps with one forked partner process, so that a
+lone run keeps a second CPU busy.  The matrices A depend on the ramp and not
+on the state, so their LU factorization can leave the critical path: blocks
+of _PAIR_BLOCK steps alternate between the two processes, and while one
+solves its block, the other fills and zgttrf-factors the matrices of its
+next one.  A step from the factors is one zgttrs solve of 2 psi, less psi.
+zgttrf eliminates with zgtsv's pivot choices and operations, and zgttrs
+applies them to the right-hand side in zgtsv's order, so the paired run
+returns the serial run's bits, and raises its errors at the same steps.  Only
+the state crosses between the processes (see _paired_run).
+
+zgtsv, zgttrf and zgttrs come from scipy's f2py extension
+scipy.linalg._flapack, loaded on the first run after the light top-level
+scipy package alone (see _flapack): the scipy.linalg package init, which
+pulls in scipy's array-API layer and with it numpy.f2py, numpy.testing,
+numpy.random and numpy.ma, never runs for a propagation.
 """
 
 from __future__ import annotations
@@ -46,6 +57,7 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import pickle
 import sys
 from typing import Callable
 
@@ -59,6 +71,7 @@ _NORM_DRIFT_LIMIT = 1e-6
 _NORM_CHECK_STRIDE = 16
 _EDGE_LIMIT = 1e-5  # |psi0| at both grid ends, relative to max|psi0|
 _PARITY_LIMIT = 1e-13  # mirror asymmetry of psi0's interior, relative to max|psi0|
+_PAIR_BLOCK = 8  # steps a paired run solves in one process before it hands the state over
 
 
 class PropagationError(RuntimeError):
@@ -117,6 +130,8 @@ def propagate(
     dt: float,
     t_final: float,
     frames: list | None = None,
+    *,
+    _paired: bool = False,
 ) -> ComplexField:
     """Crank-Nicolson run of psi0 on its own grid from t = 0 to t_final; returns the final state.
 
@@ -139,6 +154,12 @@ def propagate(
     A frames list receives (t, grid, values) of the state at step 0, every
     max(1, n_steps // 8) steps and the last step: raw arrays, not fields, so
     a NaN frame still surfaces as the norm check's PropagationError.
+
+    _paired (private, set by cli where a CPU would idle) pairs a run of at
+    least 2 * _PAIR_BLOCK steps without frames: once every input check has
+    passed, it forks one partner process that solves every other block of
+    steps (see the module docstring).  Its result and errors are the serial
+    run's, bit for bit; RuntimeError if the partner ends early.
     """
     _require_positive(dt, "dt")
     _require_positive(t_final, "t_final")
@@ -155,12 +176,13 @@ def propagate(
 
     dy = frame.dx
     y = frame.points[1:-1]
-    # A = 1 + i lam H at every half step: kinetic lam/(2 s^2 dy^2),
-    # dilation lam (s_dot/s)/(4 dy) and potential lam a s^2 y^2
+    # A = 1 + i lam H at every half step: kinetic k = lam/(2 s^2 dy^2),
+    # dilation q = lam (s_dot/s)/(4 dy) and potential pot y^2 = lam a s^2 y^2
     lam = dt / 2.0
     c_kin = lam / (2.0 * dy * dy)
     c_dil = lam / (4.0 * dy)
     pot = lam * coefficient(t_half) * (s * s)
+    k, q = c_kin / (s * s), c_dil * (s_dot / s)
     margin = 2.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
     bad = np.flatnonzero(~(margin < 0.5))  # NaN fails too
     if bad.size:
@@ -180,6 +202,16 @@ def propagate(
         u = 0.5 * (u[h:] + sign * u[::-1][h:])
     y2 = (y * y).astype(complex)
     y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
+    if _paired and frames is None and n_steps >= 2 * _PAIR_BLOCK:
+
+        def fill(step, dl, d, du):
+            _fill(dl, d, du, y2, y_pair, pot.item(step), k.item(step), q.item(step), sign, centre)
+
+        def check(u, done):
+            _check_norm(u, dy, done, n_steps, sign, centre)
+
+        u = _paired_run(u, n_steps, fill, check)
+        return ComplexField(*_physical(frame, u, ramp.value(t_final), sign))
     zgtsv = _zgtsv()
     w = np.empty_like(u)
     d = np.empty_like(u)
@@ -189,18 +221,7 @@ def propagate(
     if frames is not None:
         frames.append((0.0, *_physical(frame, u, ramp.value(0.0), sign)))
     for step in range(n_steps):
-        sk = s.item(step)
-        np.multiply(y2, 1j * pot.item(step), out=d)
-        k, q = c_kin / (sk * sk), c_dil * (s_dot.item(step) / sk)
-        d += 1.0 + 2j * k
-        np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
-        du -= 1j * k
-        np.subtract(-2j * k, du, out=dl)  # dl = -i lam k + lam q y_pair, exactly
-        if sign:  # the first unknown's coupling to its mirror image, which is sign times itself
-            if centre:
-                du[0] *= 1 + sign  # the mirrored lower coupling equals du[0]
-            else:
-                d[0] -= sign * 1j * k  # the centre pair's dilation terms cancel
+        _fill(dl, d, du, y2, y_pair, pot.item(step), k.item(step), q.item(step), sign, centre)
         u, w = _cayley_step(dl, d, du, u, w, zgtsv), u
         done, last = step + 1, step + 1 == n_steps
         if done % _NORM_CHECK_STRIDE == 0 or last:
@@ -210,9 +231,29 @@ def propagate(
     return ComplexField(*_physical(frame, u, ramp.value(t_final), sign))
 
 
+def _fill(dl, d, du, y2, y_pair, pot, k, q, sign: int, centre: int) -> None:
+    """Write the sub-, main and super-diagonal of A = 1 + i lam H at one half step into dl, d, du.
+
+    pot = lam a s^2, k = lam / (2 s^2 dy^2) and q = lam (s_dot/s) / (4 dy) are
+    the step's potential, kinetic and dilation scalars; y2 holds y^2 and
+    y_pair y_j + y_{j+1} on the rows stepped, the half grid with a mirror sign
+    (0: none), which starts at a centre point (centre = 1) or pair.
+    """
+    np.multiply(y2, 1j * pot, out=d)
+    d += 1.0 + 2j * k
+    np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
+    du -= 1j * k
+    np.subtract(-2j * k, du, out=dl)  # dl = -i lam k + lam q y_pair, exactly
+    if sign:  # the first unknown's coupling to its mirror image, which is sign times itself
+        if centre:
+            du[0] *= 1 + sign  # the mirrored lower coupling equals du[0]
+        else:
+            d[0] -= sign * 1j * k  # the centre pair's dilation terms cancel
+
+
 @functools.cache
-def _zgtsv():
-    """LAPACK zgtsv from scipy's extension module scipy.linalg._flapack.
+def _flapack():
+    """scipy's LAPACK extension module scipy.linalg._flapack, loaded without the scipy.linalg package init.
 
     The top-level scipy package is imported, as its init is what makes the
     LAPACK library bundled with a scipy wheel loadable (on Windows it adds
@@ -224,7 +265,7 @@ def _zgtsv():
     """
     name = "scipy.linalg._flapack"
     if name in sys.modules:
-        return sys.modules[name].zgtsv
+        return sys.modules[name]
     import scipy
 
     linalg = [os.path.join(d, "linalg") for d in scipy.__path__]
@@ -235,7 +276,12 @@ def _zgtsv():
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules.pop(name, None)
-    return module.zgtsv
+    return module
+
+
+def _zgtsv():
+    """LAPACK zgtsv, the serial Cayley step's solver, from _flapack."""
+    return _flapack().zgtsv
 
 
 def _cayley_step(dl, d, du, u: np.ndarray, w: np.ndarray, zgtsv) -> np.ndarray:
@@ -255,6 +301,158 @@ def _cayley_step(dl, d, du, u: np.ndarray, w: np.ndarray, zgtsv) -> np.ndarray:
         raise PropagationError(f"zgtsv failed in the Cayley step (info = {info})")
     x -= u
     return x
+
+
+def _factored_step(factors, u: np.ndarray, w: np.ndarray, zgttrs) -> np.ndarray:
+    """_cayley_step from zgttrf's factors (dl, d, du, du2, ipiv, info) of A, solved by zgttrs.
+
+    zgttrf eliminates with the pivots and operations of zgtsv, and zgttrs
+    applies them to the right-hand side in zgtsv's order, so the step is bit
+    for bit _cayley_step's, and so is its error: a zero pivot is the info
+    zgtsv would report.
+    """
+    dl, d, du, du2, ipiv, info = factors
+    if info == 0:
+        np.multiply(u, 2.0, out=w)
+        x, info = zgttrs(dl, d, du, du2, ipiv, w, "N", 1)
+    if info != 0:
+        raise PropagationError(f"zgtsv failed in the Cayley step (info = {info})")
+    x -= u
+    return x
+
+
+def _paired_run(u: np.ndarray, n_steps: int, fill, check) -> np.ndarray:
+    """The state n_steps Cayley steps after u, solved in turns by this process and a forked partner.
+
+    fill(step, dl, d, du) writes A's diagonals at a step, and check(u, done)
+    is the norm check after step done.  The steps fall into blocks of
+    _PAIR_BLOCK: this process solves blocks 0, 2, 4, ... and the partner
+    blocks 1, 3, 5, ...  While one process solves a block, the other fills
+    and factors the matrices of its next one, so a step on the critical path
+    is one zgttrs.  The state crosses in a shared anonymous mmap, handed over
+    by a one-byte token on a pipe each way: the pipes order the memory,
+    block without spinning and read EOF when the other end dies.
+
+    The partner's exception, a PropagationError at the same step as a serial
+    run's, is raised here; a partner that ends without its token raises
+    RuntimeError.  Both pipes close and the partner is reaped however this
+    returns, and the partner ends through os._exit.
+    """
+    import mmap  # here, as a serial run needs none of it
+
+    blocks = [range(a, min(a + _PAIR_BLOCK, n_steps)) for a in range(0, n_steps, _PAIR_BLOCK)]
+    state = np.frombuffer(mmap.mmap(-1, u.nbytes), dtype=complex)  # shared with the partner
+    lapack = _flapack()
+    down_read, down_write = os.pipe()  # this process -> the partner
+    up_read, up_write = os.pipe()  # the partner -> this process
+    try:
+        pid = os.fork()
+    except OSError:
+        for fd in (down_read, down_write, up_read, up_write):
+            os.close(fd)
+        raise
+    if pid == 0:
+        status = 1
+        try:
+            os.close(down_write)
+            os.close(up_read)
+            try:
+                _turns(blocks[1::2], None, state, n_steps, fill, check, lapack, lambda: _from_caller(down_read), up_write)
+            except Exception as exc:  # raised again by this process, which waits for the token
+                _send(up_write, b"!" + pickle.dumps(exc))
+            status = 0
+        finally:
+            os._exit(status)
+    os.close(down_read)
+    os.close(up_write)
+    try:
+        u = _turns(blocks[0::2], u, state, n_steps, fill, check, lapack, lambda: _from_partner(up_read), down_write)
+        if len(blocks) % 2 == 0:  # the partner solved the last block
+            _from_partner(up_read)
+            np.copyto(u, state)
+    finally:
+        os.close(down_write)  # a partner waiting for the state then reads EOF, and ends
+        os.close(up_read)
+        os.waitpid(pid, 0)
+    return u
+
+
+def _turns(own, u, state, n_steps, fill, check, lapack, wait, hand) -> np.ndarray:
+    """Solve the blocks own of a paired run in turn; returns the state after the last.
+
+    The first block starts from u where u is given (this process's blocks
+    0, 2, ...), every other one from the shared state once wait() has
+    returned.  Each block ends by writing the state there and the token to
+    the pipe end hand, unless it is the run's last and this process called
+    the run.  The next block is filled and factored in between.
+    """
+    rows = state.size
+    buffers = [(np.empty(rows - 1, complex), np.empty(rows, complex), np.empty(rows - 1, complex)) for _ in range(_PAIR_BLOCK)]
+    w = np.empty_like(state)
+    called = u is not None
+    if not called:
+        u = np.empty_like(state)
+    factors = _factors(own[0], fill, buffers, lapack.zgttrf)
+    for i, block in enumerate(own):
+        if i or not called:
+            wait()
+            np.copyto(u, state)
+        for step, factor in zip(block, factors):
+            u, w = _factored_step(factor, u, w, lapack.zgttrs), u
+            done = step + 1
+            if done % _NORM_CHECK_STRIDE == 0 or done == n_steps:
+                check(u, done)
+        if done < n_steps or not called:
+            state[:] = u
+            _send(hand, b".")
+        if i + 1 < len(own):
+            factors = _factors(own[i + 1], fill, buffers, lapack.zgttrf)
+    return u
+
+
+def _factors(block, fill, buffers, zgttrf) -> list:
+    """zgttrf's factors of A at each step of block, filled into one of buffers each."""
+    factors = []
+    for step, (dl, d, du) in zip(block, buffers):
+        fill(step, dl, d, du)
+        factors.append(zgttrf(dl, d, du, 1, 1, 1))
+    return factors
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write data to the pipe end fd, to the other process of a paired run: the pipe is no file."""
+    while data:
+        data = data[os.write(fd, data) :]
+
+
+def _from_partner(fd: int) -> None:
+    """Wait in the caller of a paired run for the partner's token on the pipe end fd.
+
+    b"." hands the state over; b"!" comes before the pickled exception that
+    the partner's block raised, which is raised here.  A pipe that ends
+    first means the partner ended: RuntimeError.
+    """
+    token = os.read(fd, 1)
+    if token == b".":
+        return
+    rest = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))  # up to the partner's end
+    try:
+        exc = pickle.loads(rest) if token == b"!" else None
+    except (EOFError, pickle.UnpicklingError):
+        exc = None
+    if isinstance(exc, Exception):
+        raise exc
+    raise RuntimeError("the partner process of a paired propagation ended before it handed the state back")
+
+
+def _from_caller(fd: int) -> None:
+    """Wait in the partner of a paired run for the caller's token on the pipe end fd.
+
+    A pipe that ends first means the caller has stopped (it raised, or was
+    interrupted): the partner ends here.
+    """
+    if os.read(fd, 1) != b".":
+        os._exit(0)
 
 
 def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int, sign: int, centre: int) -> None:

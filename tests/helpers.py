@@ -2,6 +2,10 @@
 
 import math
 import os
+import pickle
+import subprocess
+import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
@@ -52,3 +56,28 @@ def src_env() -> dict:
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     return env
+
+
+def one_thread_python(code: str, *inputs) -> list[str]:
+    """The stdout lines of code, run in a fresh interpreter whose BLAS starts no thread of its own.
+
+    The code finds the pickled inputs as `inputs`; DeprecationWarning is an
+    error there, as fork warns from Python 3.12 on in a process that runs
+    several threads.  Fails unless the interpreter exits 0 within 60 s.
+    """
+    with tempfile.NamedTemporaryFile(suffix=".pickle", delete=False) as fh:
+        pickle.dump(inputs, fh)
+    prelude = "import pickle, sys\ninputs = pickle.load(open(sys.argv[1], 'rb'))\n"
+    env = dict(src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-W", "error::DeprecationWarning", "-c", prelude + code, fh.name],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.unlink(fh.name)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()

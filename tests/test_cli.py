@@ -2,13 +2,13 @@ import io
 import json
 import math
 import os
-import pickle
 import subprocess
 import sys
 import tempfile
 import threading
 import warnings
 from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +26,7 @@ from ffqd.cli import (
 )
 from ffqd.spectra import HarmonicModel
 
-from helpers import src_env
+from helpers import one_thread_python, src_env
 
 
 def small_box_scenario(**overrides):
@@ -525,7 +525,7 @@ def test_fidelity_and_snapshots_share_the_driven_run(tmp_path, monkeypatch):
 
     calls = []
     real = ffqd.cli.propagate
-    monkeypatch.setattr(ffqd.cli, "propagate", lambda *args: calls.append(args[4]) or real(*args))
+    monkeypatch.setattr(ffqd.cli, "propagate", lambda *args, **kwargs: calls.append(args[4]) or real(*args, **kwargs))
     monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: 1)
     scn = small_box_scenario(outputs=("fidelity", "snapshots"), t_ff_list=(1.0, 2.0), grid_points=256, dt=5e-4)
     written = run(scn, tmp_path / "one")
@@ -560,15 +560,12 @@ def _pooled(code: str, *inputs) -> list[str]:
     propagate calls in `calls` and the forks in `forks`; `cpus(n)` sets the
     usable CPU count and `children()` counts the child processes, 0 or 1 for more.
     """
-    with tempfile.NamedTemporaryFile(suffix=".pickle", delete=False) as fh:
-        pickle.dump(inputs, fh)
     prelude = (
-        "import os, pickle, sys\n"
+        "import os\n"
         "import ffqd.cli as cli\n"
-        "inputs = pickle.load(open(sys.argv[1], 'rb'))\n"
         "calls, forks = [], []\n"
         "real = cli.propagate\n"
-        "cli.propagate = lambda *args: calls.append(args[4]) or real(*args)\n"
+        "cli.propagate = lambda *args, **kwargs: calls.append(args[4]) or real(*args, **kwargs)\n"
         "os.register_at_fork(before=lambda: forks.append(1))\n"
         "def cpus(n):\n"
         "    cli._usable_cpus = lambda: n\n"
@@ -579,61 +576,63 @@ def _pooled(code: str, *inputs) -> list[str]:
         "        return 0\n"
         "    return 1\n"
     )
-    env = dict(src_env(), OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
-    try:
-        proc = subprocess.run(
-            [sys.executable, "-W", "error::DeprecationWarning", "-c", prelude + code, fh.name],
-            capture_output=True,
-            text=True,
-            env=env,
-            timeout=60,
-        )
-    finally:
-        os.unlink(fh.name)
-    assert proc.returncode == 0, proc.stderr
-    return proc.stdout.splitlines()
+    return one_thread_python(prelude + code, *inputs)
 
 
 @needs_fork
 def test_one_and_two_cpus_give_the_same_bytes(tmp_path):
-    # this process and a forked worker share the same single-threaded
-    # propagations that one process runs alone
+    # this process and forked workers share the same single-threaded
+    # propagations that one process runs alone, and a paired propagation's
+    # partner solves every other block of steps bit for bit as this process would
     scn = small_box_scenario(
         outputs=("fidelity", "snapshots", "residual"), t_ff_list=(2.0, 1.0, 1.5), grid_points=256, dt=5e-4
     )
     # dt = 2e-3 is too coarse for the t_ff = 0.1 ramp alone; the FAIL row keeps its place
     checked = small_box_scenario(ramp="trigonometric", l_final=3.0, t_ff_list=(0.1, 0.5), grid_points=256, dt=2e-3)
+    lone = replace(checked, t_ff_list=(0.5,))  # 250 steps, paired on 2 CPUs
     code = (
         "import io\n"
-        "scn, checked, root = inputs\n"
-        "for n in (1, 2):\n"
+        "scn, checked, lone, root = inputs\n"
+        "for n in (1, 2, 4):\n"
         "    cpus(n)\n"
         "    calls.clear()\n"
         "    forks.clear()\n"
         "    cli.run(scn, f'{root}/cpus{n}')\n"
-        "    text = io.StringIO()\n"
-        "    passed = cli.verify(checked, text)\n"
-        "    open(f'{root}/cpus{n}/verify.txt', 'w').write(text.getvalue())\n"
-        "    print(n, len(calls), len(forks), passed)\n"
+        "    passed = []\n"
+        "    for name, verified in (('verify', checked), ('lone_verify', lone)):\n"
+        "        text = io.StringIO()\n"
+        "        passed.append(cli.verify(verified, text))\n"
+        "        open(f'{root}/cpus{n}/{name}.txt', 'w').write(text.getvalue())\n"
+        "    print(n, len(calls), len(forks), *passed)\n"
     )
-    # six propagations for run and two for verify; on 2 CPUs each forks a
-    # worker and runs half of them here
-    assert _pooled(code, scn, checked, str(tmp_path)) == ["1 8 0 False", "2 4 2 False"]
-    files, files_pooled = _read_tree(tmp_path / "cpus1"), _read_tree(tmp_path / "cpus2")
+    # six propagations for run, two for verify and one for the lone verify.
+    # On 2 CPUs run and verify each fork a worker and run half of them here,
+    # and the lone verify forks its partner.  On 4 CPUs run forks 3 workers,
+    # and verify forks one, where verify's t_ff = 0.5 run is paired; this
+    # process counts only its own forks
+    assert _pooled(code, scn, checked, lone, str(tmp_path)) == [
+        "1 9 0 False True",
+        "2 5 3 False True",
+        "4 4 5 False True",
+    ]
+    files = _read_tree(tmp_path / "cpus1")
     assert list(files) == [
         "fidelity.csv",
+        "lone_verify.txt",
         "residual.csv",
         "snapshots_00.csv",
         "snapshots_01.csv",
         "snapshots_02.csv",
         "verify.txt",
     ]
-    assert files_pooled == files
+    assert _read_tree(tmp_path / "cpus2") == files
+    assert _read_tree(tmp_path / "cpus4") == files
     lines = files["verify.txt"].decode().splitlines()
     assert lines[0].startswith("t_ff=0.1") and "propagation      FAIL  time step too coarse" in lines[0]
     assert [line.split()[0] for line in lines[1:5]] == ["t_ff=0.5"] * 4
     assert all(" PASS " in line for line in lines[1:5])
     assert lines[5] == "verification FAILED"
+    assert files["lone_verify.txt"].decode().splitlines() == [*lines[1:5], "verification PASSED"]
 
 
 @needs_fork
@@ -649,27 +648,65 @@ def test_no_worker_outlives_a_pooled_run(tmp_path):
         "except ValueError as exc:\n"
         "    print(str(exc).split(':')[0], os.listdir(root + '/failed'), len(forks), children())\n"
         "main, share = os.getpid(), cli._outcomes\n"
-        "cli._outcomes = lambda scn, jobs: share(scn, jobs) if os.getpid() == main else os._exit(3)\n"
+        "cli._outcomes = lambda *args: share(*args) if os.getpid() == main else os._exit(3)\n"
         "try:\n"
         "    cli.run(scn, root + '/lost')\n"
         "except RuntimeError as exc:\n"
         "    print(exc, os.listdir(root + '/lost'), len(forks), children())\n"
-        "def interrupted(scn, jobs):\n"
+        "def interrupted(*args):\n"
         "    if os.getpid() == main:\n"
         "        raise KeyboardInterrupt\n"
-        "    return share(scn, jobs)\n"
+        "    return share(*args)\n"
         "cli._outcomes = interrupted\n"
         "try:\n"  # the worker's frames fill its pipe before this process stops reading it
         "    cli.run(replace(scn, outputs=('snapshots',), grid_points=1024), root + '/stopped')\n"
         "except KeyboardInterrupt:\n"
         "    print('interrupted', os.listdir(root + '/stopped'), len(forks), children())\n"
+        # a lone verify of 500 steps: paired on 2 CPUs
+        "import io\n"
+        "from ffqd import propagator\n"
+        "cli._outcomes = share\n"
+        "lone = replace(scn, t_ff_list=(0.5,))\n"
+        "propagator._NORM_DRIFT_LIMIT = -1.0\n"  # every check fails: first after step 16, in the partner's block 1
+        "rows = []\n"
+        "for n in (1, 2):\n"
+        "    cpus(n)\n"
+        "    text = io.StringIO()\n"
+        "    cli.verify(lone, text)\n"
+        "    rows.append(text.getvalue().splitlines()[0])\n"
+        "propagator._NORM_DRIFT_LIMIT = 1e-6\n"
+        "partner = (16 - 1) // propagator._PAIR_BLOCK % 2 == 1\n"  # step 16 lies in an odd block
+        "print(rows[0] == rows[1], rows[1].split(' at ')[1], partner, len(forks), children())\n"
+        "check = propagator._check_norm\n"
+        "propagator._check_norm = lambda *args: check(*args) if os.getpid() == main else os._exit(3)\n"
+        "try:\n"
+        "    cli.verify(lone, io.StringIO())\n"
+        "except RuntimeError as exc:\n"
+        "    print(exc, len(forks), children())\n"
+        "propagator._check_norm = check\n"
+        "step, solved = propagator._factored_step, []\n"
+        "def interrupted_step(*args):\n"
+        "    if os.getpid() == main:\n"
+        "        solved.append(1)\n"
+        "        if len(solved) == 20:\n"  # in block 4, while the partner factors block 5 or waits for it
+        "            raise KeyboardInterrupt\n"
+        "    return step(*args)\n"
+        "propagator._factored_step = interrupted_step\n"
+        "try:\n"
+        "    cli.verify(lone, io.StringIO())\n"
+        "except KeyboardInterrupt:\n"
+        "    print('interrupted', len(solved), len(forks), children())\n"
     )
-    # this process ran each t_ff's driven job, the worker the undriven ones
+    # this process ran each t_ff's driven job, the worker the undriven ones;
+    # a paired run raises what the serial run raises, at the same step
     assert _pooled(code, scn, str(tmp_path)) == [
         "['fidelity.csv'] [0.5, 1.0] 1 0",
         "time step too coarse [] 2 0",
         "a propagation worker ended before it sent its results [] 3 0",
         "interrupted [] 4 0",
+        "True step 16/500 (|drift| > -1) True 5 0",
+        "the partner process of a paired propagation ended before it handed the state back 6 0",
+        "interrupted 20 7 0",
     ]
 
 
@@ -679,7 +716,7 @@ def test_a_second_thread_keeps_every_job_in_this_process(tmp_path, monkeypatch):
 
     calls = []
     real = ffqd.cli.propagate
-    monkeypatch.setattr(ffqd.cli, "propagate", lambda *args: calls.append(args[4]) or real(*args))
+    monkeypatch.setattr(ffqd.cli, "propagate", lambda *args, **kwargs: calls.append(args[4]) or real(*args, **kwargs))
     monkeypatch.setattr(ffqd.cli, "_usable_cpus", lambda: 2)
     scn = small_box_scenario(outputs=("fidelity",), l_final=3.0, t_ff_list=(0.5, 1.0), grid_points=128, dt=1e-3)
     release = threading.Event()
@@ -694,18 +731,20 @@ def test_a_second_thread_keeps_every_job_in_this_process(tmp_path, monkeypatch):
 
 
 @needs_fork
-def test_single_propagation_paths_fork_nothing():
-    # a one-t_ff verify makes one propagation and a cost preset none; no pool module loads
+def test_a_lone_verify_forks_its_partner_and_a_preset_nothing():
+    # a one-t_ff verify makes one propagation, paired on 2 CPUs, and a cost preset none; no pool module loads
     code = (
         "import io, tempfile\n"
         "cpus(2)\n"
         "scn = cli.Scenario(system='box', ramp='trigonometric', l_final=3.0, grid_points=256, dt=5e-4)\n"
         "assert cli.verify(scn, io.StringIO())\n"
+        "print(calls, len(forks))\n"
         "with tempfile.TemporaryDirectory() as out:\n"
         "    assert cli.main(['preset', 'fig3', '--out', out]) == 0\n"
         "print(calls, len(forks), [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
     )
-    assert _pooled(code)[-1] == "[1.0] 0 []"
+    lines = _pooled(code)  # the preset prints the path of its CSV in between
+    assert (lines[0], lines[-1]) == ("[1.0] 1", "[1.0] 1 []")
 
 
 def test_run_is_deterministic(tmp_path):

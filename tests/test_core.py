@@ -119,6 +119,8 @@ def test_public_names_of_the_package():
 
 
 _FILE_CALLS = {"open", "write", "writelines", "write_text", "write_bytes"}  # open(...), f.write(...), ...
+# the one function whose writes go to a pipe, not a file: a paired propagation's hand-over between its processes
+_PIPE_WRITER = ("propagator.py", "_send")
 
 
 def test_only_the_cli_touches_files():
@@ -128,8 +130,15 @@ def test_only_the_cli_touches_files():
     for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ffqd").glob("*.py")):
         if path.name == "cli.py":
             continue
-        for node in ast.walk(ast.parse(path.read_text())):
-            if isinstance(node, ast.Call):
+        tree = ast.parse(path.read_text())
+        pipe_writes = {
+            id(node)
+            for func in ast.walk(tree)
+            if isinstance(func, ast.FunctionDef) and (path.name, func.name) == _PIPE_WRITER
+            for node in ast.walk(func)
+        }
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Call) and id(node) not in pipe_writes:
                 func = node.func
                 name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
                 if name in _FILE_CALLS:

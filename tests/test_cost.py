@@ -32,6 +32,7 @@ from ffqd import cost as cost_mod
 from ffqd._numutil import gauss_legendre
 from ffqd.cli import _PRESETS, Scenario, run
 from ffqd.core import Grid
+from ffqd.ie import cost_ie
 from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, _trace_moments
 from ffqd.trajectory import ADIABATIC_LINEAR, POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
@@ -347,6 +348,50 @@ def test_grid_trace_converges_at_second_order_to_the_exact_trace(case):
     exact, _ = _exact_trace(model, traj, ts, ens)
     coarse, fine = (np.max(np.abs(t - exact) / np.abs(exact)) for t in traces)
     assert 3.8 <= coarse / fine <= 4.2
+
+
+@st.composite
+def _ramp_family_cases(draw):
+    """A trap, a smooth ramp shape between two end points, an ensemble and a third ramp time T in [0.3, 10]."""
+    box = draw(st.booleans())
+    kind = draw(st.sampled_from([POLYNOMIAL, TRIGONOMETRIC, QUINTIC]))
+    l0 = draw(st.floats(0.5, 1.5))
+    l1 = draw(st.floats(0.5, 6.0) if box else st.floats(0.5, 1.5))
+    beta = draw(st.one_of(st.just(math.inf), st.floats(1.0, 5.0)))
+    ens = ThermalEnsemble(beta=beta, n_particles=draw(st.integers(1, 12)))
+    return BoxModel() if box else HarmonicModel(), kind, l0, l1, ens, draw(st.floats(0.3, 10.0))
+
+
+def _ramp_costs(model, kind, l0, l1, ens, t_ff) -> np.ndarray:
+    """The costs of the kind's ramp from l0 to l1 over t_ff.
+
+    They are cost_ff_closed's three values, the grid-free trace averaged by
+    cost_ff and, for the oscillator, cost_ie on the quintic ramp between the
+    same end points.
+    """
+    traj = ControlTrajectory(kind, l0, t_ff, vbar=vbar_for_target(kind, l0, l1, t_ff))
+    rep = cost_ff_closed(model, traj, ens)
+    costs = [rep.quadrature_value, rep.closed_form_value, rep.published_value]
+    costs.append(cost_ff(lambda t: _exact_trace(model, traj, t, ens)[0], t_ff))
+    if isinstance(model, HarmonicModel):
+        costs.append(cost_ie(ControlTrajectory(QUINTIC, l0, t_ff, vbar=vbar_for_target(QUINTIC, l0, l1, t_ff)), ens.beta))
+    return np.array(costs)
+
+
+@settings(max_examples=30, deadline=None)
+@given(_ramp_family_cases())
+def test_every_cost_is_a_plus_b_over_t_squared(case):
+    # on l0 + (l1 - l0) F(t/T) the confinement part of the energy is a
+    # function of t/T alone and the drive part scales as 1/T^2, so every
+    # time-averaged cost is A + B/T^2: A and B fitted on T = 1 and 2 predict
+    # the cost at any third T, to a few times cost_ff's 1e-10
+    model, kind, l0, l1, ens, t_ff = case
+    at_1, at_2 = (_ramp_costs(model, kind, l0, l1, ens, t) for t in (1.0, 2.0))
+    b = 4.0 * (at_1 - at_2) / 3.0
+    a = at_1 - b
+    got = _ramp_costs(model, kind, l0, l1, ens, t_ff)
+    law = a + b / t_ff**2
+    assert np.all(np.abs(got - law) <= 5e-10 * (np.abs(a) + np.abs(b) / t_ff**2))
 
 
 def _complex_trace_reference(amps, f, a, x, v, dx):

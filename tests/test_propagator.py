@@ -1,3 +1,6 @@
+import json
+import os
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -11,6 +14,8 @@ from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
 from ffqd.propagator import (
     PropagationError,
     _cayley_step,
+    _factored_step,
+    _flapack,
     _zgtsv,
     fidelity,
     propagate,
@@ -19,7 +24,7 @@ from ffqd.propagator import (
 from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import ADIABATIC_LINEAR, POLYNOMIAL, TRIGONOMETRIC, ControlTrajectory
 
-from helpers import box_ramp, box_state, ho_ramp, normalized, static_ramp
+from helpers import box_ramp, box_state, ho_ramp, normalized, one_thread_python, static_ramp
 
 
 def zero_potential(t):
@@ -305,6 +310,37 @@ def test_singular_system_gives_the_same_info_and_fails_the_cayley_step():
         _cayley_step(*system(), u, np.empty_like(u), _zgtsv())
 
 
+def _random_tridiagonal(n, seed):
+    """A random complex tridiagonal system (dl, d, du, u): elimination pivots on most of them."""
+    rng = np.random.default_rng(seed)
+    dl, d, du, u = (rng.normal(size=m) + 1j * rng.normal(size=m) for m in (n - 1, n, n - 1, n))
+    return dl, d, du, u
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(_random_tridiagonal, st.integers(3, 300), st.integers(0, 2**32 - 1)))
+def test_factored_step_is_bit_identical_to_the_cayley_step(system):
+    # zgttrf + zgttrs make zgtsv's pivots and operations in zgtsv's order,
+    # with or without row interchanges: the paired run's step keeps the bits
+    dl, d, du, u = system
+    lapack = _flapack()
+    want = _cayley_step(dl.copy(), d.copy(), du.copy(), u, np.empty_like(u), lapack.zgtsv)
+    got = _factored_step(lapack.zgttrf(dl, d, du), u, np.empty_like(u), lapack.zgttrs)
+    assert np.array_equal(got.view(float), want.view(float))
+
+
+def test_singular_system_fails_the_factored_step_with_the_cayley_step_message():
+    # rows 1 and 2 are equal: elimination leaves an exactly zero second pivot
+    dl, d, du = np.array([1, 0], complex), np.ones(3, complex), np.array([1, 0], complex)
+    u = np.array([1.0, 2.0, 3.0], dtype=complex)
+    lapack = _flapack()
+    info = lapack.zgtsv(dl.copy(), d.copy(), du.copy(), u)[-1]
+    factors = lapack.zgttrf(dl, d, du)
+    assert factors[-1] == info == 2
+    with pytest.raises(PropagationError, match=r"^zgtsv failed in the Cayley step \(info = 2\)$"):
+        _factored_step(factors, u, np.empty_like(u), lapack.zgttrs)
+
+
 def _per_step_reference(psi0, grid, dt, t_final, coefficient, ramp):
     """The per-step loop propagate ran before its frame arrays were vectorised, inlined.
 
@@ -514,6 +550,65 @@ def test_half_grid_snapshots_match_the_full_grid(monkeypatch, n, level):
         re_im_h, re_im_f = h.view(float), f.view(float)  # Re and Im interleaved
         assert np.max(np.abs(re_im_h - re_im_f)) <= 1e-12 * np.max(np.abs(re_im_f))
 
+
+# ---------------------------------------------------------------------------
+# the paired run
+
+# name: (system, level, grid points, ramp kind, l_final, t_ff, steps), every ramp from l = 1
+_PAIRED_CASES = {
+    "box full grid": ("box", 1, 512, "polynomial", 3.0, 1.0, 500),
+    "oscillator half grid, even points": ("harmonic", 0, 128, "trigonometric", 0.7, 0.5, 500),
+    "oscillator half grid, odd points": ("harmonic", 1, 129, "trigonometric", 0.7, 0.5, 503),
+    "2K steps": ("box", 2, 128, "polynomial", 1.2, 1.0, 16),
+    "2K + 3 steps": ("box", 2, 128, "polynomial", 1.2, 1.0, 19),
+}
+
+_PAIRED_AGAINST_SERIAL = """
+import json, os
+import numpy as np
+from ffqd import propagator
+from ffqd.core import norm
+from ffqd.fastforward import psi_ff, trap_coefficient
+from ffqd.spectra import BoxModel, HarmonicModel
+from ffqd.trajectory import ControlTrajectory, vbar_for_target
+
+result, forks = {}, []
+os.register_at_fork(before=lambda: forks.append(1))
+for name, (system, level, n_points, kind, l_final, t_ff, steps) in inputs[0].items():
+    model = BoxModel() if system == "box" else HarmonicModel()
+    traj = ControlTrajectory(kind, 1.0, t_ff, vbar=vbar_for_target(kind, 1.0, l_final, t_ff))
+    psi0 = psi_ff(model, level, 0.0, traj, model.default_grid(1.0, n_points))
+    args = (psi0, traj, trap_coefficient(model, traj), t_ff / steps, t_ff)
+    forks.clear()
+    serial = propagator.propagate(*args)
+    paired = propagator.propagate(*args, _paired=True)
+    half = propagator._parity(psi0.grid, psi0.values) != 0
+    result[name] = [
+        len(forks),
+        half,
+        np.array_equal(paired.values, serial.values),
+        abs(norm(paired) - 1.0) == abs(norm(serial) - 1.0),
+    ]
+print(json.dumps(result))
+"""
+
+
+@pytest.fixture(scope="module")
+def paired_against_serial():
+    """Each case of _PAIRED_CASES propagated serially and paired, in a one-thread interpreter (fork is safe there)."""
+    return json.loads(one_thread_python(_PAIRED_AGAINST_SERIAL, _PAIRED_CASES)[-1])
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a paired run forks its partner")
+@pytest.mark.parametrize("name", list(_PAIRED_CASES))
+def test_paired_run_is_bit_identical_to_the_serial_run(paired_against_serial, name):
+    # zgttrf + zgttrs repeat zgtsv's operations, so the paired run, one fork
+    # per call, returns the serial run's values and norm bit for bit
+    forks, half, same_values, same_norm = paired_against_serial[name]
+    assert forks == 1 and same_values and same_norm
+    assert half == (_PAIRED_CASES[name][0] == "harmonic")
+
+
 # ---------------------------------------------------------------------------
 # residual oracle
 
@@ -549,3 +644,13 @@ def test_residual_stencil_domain():
     psi = lambda s: box_state(1, 1.0, grid).values
     with pytest.raises(ValueError):
         tdse_residual(psi, zero_potential, grid, 0.0, 1e-3)
+
+
+def test_residual_stencil_accepts_t_equal_to_dt():
+    # the stencil then reads psi at t = 0 exactly; any t below dt is refused
+    traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=1e-14)
+    grid = Grid(0.0, 1.0, 2048)
+    psi = lambda s: psi_ff_values(BoxModel(), 1, s, traj, grid.points)
+    assert tdse_residual(psi, zero_potential, grid, 1e-5, 1e-5) < 1e-4
+    with pytest.raises(ValueError, match="t - dt >= 0"):
+        tdse_residual(psi, zero_potential, grid, np.nextafter(1e-5, 0.0), 1e-5)
