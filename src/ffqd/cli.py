@@ -18,10 +18,10 @@ and verify plan them up front and share them between this process and
 workers forked from it, one per further usable CPU, where this process runs
 one OS thread.  Where the usable CPUs number at least twice the
 propagations, as for a one-t_ff verify on two CPUs, each propagation is
-paired too: it forks a partner that solves every other block of its steps
-(see the propagator module).  Every process runs single-threaded and a
-paired run returns the serial run's bits, so the output is byte-identical to
-a run on one CPU.
+paired too: one large enough to repay it forks a partner that solves every
+other block of its steps (see the propagator module).  Every process runs
+single-threaded and a paired run returns the serial run's bits, so the
+output is byte-identical to a run on one CPU.
 """
 
 from __future__ import annotations
@@ -256,8 +256,9 @@ def _propagations(scn: Scenario, jobs: list) -> list:
     The jobs are independent.  Job k runs in process k mod n: this one for
     k mod n = 0, else a worker forked from it, which sends its outcomes back
     through a pipe.  Where the CPUs number at least twice the jobs, every
-    job is paired: its propagation forks a partner that takes every other
-    block of its steps.  Workers and partners are forked only where this
+    job is paired: its propagation, if large enough to repay it (see
+    propagator.propagate), forks a partner that takes every other block of
+    its steps.  Workers and partners are forked only where this
     process runs one OS thread; otherwise every job runs here, unpaired.
     """
     cpus = _usable_cpus()

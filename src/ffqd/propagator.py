@@ -41,7 +41,9 @@ next one.  A step from the factors is one zgttrs solve of 2 psi, less psi.
 zgttrf eliminates with zgtsv's pivot choices and operations, and zgttrs
 applies them to the right-hand side in zgtsv's order, so the paired run
 returns the serial run's bits, and raises its errors at the same steps.  Only
-the state crosses between the processes (see _paired_run).
+the state crosses between the processes (see _paired_run).  A run pairs only
+where its rows times steps reach _PAIR_WORK: a fork takes a few ms, and each
+hand-over a wake-up of the other process, which a short run does not repay.
 
 zgtsv, zgttrf and zgttrs come from scipy's f2py extension
 scipy.linalg._flapack, loaded on the first run after the light top-level
@@ -72,6 +74,10 @@ _NORM_CHECK_STRIDE = 16
 _EDGE_LIMIT = 1e-5  # |psi0| at both grid ends, relative to max|psi0|
 _PARITY_LIMIT = 1e-13  # mirror asymmetry of psi0's interior, relative to max|psi0|
 _PAIR_BLOCK = 8  # steps a paired run solves in one process before it hands the state over
+# rows x steps below which a paired run stays serial: below it, the fork (a few ms) and
+# the hand-overs cost about what the partner saves; above it, on 2 CPUs, the run took
+# 0.74-0.84 of the serial wall time at 8 to 2046 rows
+_PAIR_WORK = 1 << 21
 
 
 class PropagationError(RuntimeError):
@@ -155,11 +161,13 @@ def propagate(
     max(1, n_steps // 8) steps and the last step: raw arrays, not fields, so
     a NaN frame still surfaces as the norm check's PropagationError.
 
-    _paired (private, set by cli where a CPU would idle) pairs a run of at
-    least 2 * _PAIR_BLOCK steps without frames: once every input check has
-    passed, it forks one partner process that solves every other block of
-    steps (see the module docstring).  Its result and errors are the serial
-    run's, bit for bit; RuntimeError if the partner ends early.
+    _paired (private, set by cli where a CPU would idle) pairs a run
+    without frames of at least 2 * _PAIR_BLOCK steps whose rows stepped
+    times steps reach _PAIR_WORK: once every input check has passed, it
+    forks one partner process that solves every other block of steps (see
+    the module docstring).  Its result and errors are the serial run's, bit
+    for bit; RuntimeError if the partner ends early.  A smaller run stays
+    serial, as the fork and the hand-overs would cost about what they save.
     """
     _require_positive(dt, "dt")
     _require_positive(t_final, "t_final")
@@ -202,7 +210,7 @@ def propagate(
         u = 0.5 * (u[h:] + sign * u[::-1][h:])
     y2 = (y * y).astype(complex)
     y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
-    if _paired and frames is None and n_steps >= 2 * _PAIR_BLOCK:
+    if _paired and frames is None and n_steps >= 2 * _PAIR_BLOCK and n_steps * u.size >= _PAIR_WORK:
 
         def fill(step, dl, d, du):
             _fill(dl, d, du, y2, y_pair, pot.item(step), k.item(step), q.item(step), sign, centre)

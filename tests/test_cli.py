@@ -592,6 +592,8 @@ def test_one_and_two_cpus_give_the_same_bytes(tmp_path):
     lone = replace(checked, t_ff_list=(0.5,))  # 250 steps, paired on 2 CPUs
     code = (
         "import io\n"
+        "from ffqd import propagator\n"
+        "propagator._PAIR_WORK = 0\n"  # these runs are below the size that pays a partner; the bits do not depend on it
         "scn, checked, lone, root = inputs\n"
         "for n in (1, 2, 4):\n"
         "    cpus(n)\n"
@@ -666,6 +668,7 @@ def test_no_worker_outlives_a_pooled_run(tmp_path):
         "import io\n"
         "from ffqd import propagator\n"
         "cli._outcomes = share\n"
+        "propagator._PAIR_WORK = 0\n"  # 126 rows x 500 steps is below the size that pays a partner
         "lone = replace(scn, t_ff_list=(0.5,))\n"
         "propagator._NORM_DRIFT_LIMIT = -1.0\n"  # every check fails: first after step 16, in the partner's block 1
         "rows = []\n"
@@ -732,19 +735,26 @@ def test_a_second_thread_keeps_every_job_in_this_process(tmp_path, monkeypatch):
 
 @needs_fork
 def test_a_lone_verify_forks_its_partner_and_a_preset_nothing():
-    # a one-t_ff verify makes one propagation, paired on 2 CPUs, and a cost preset none; no pool module loads
+    # a one-t_ff verify makes one propagation, paired on 2 CPUs where its rows
+    # times steps reach propagator._PAIR_WORK, and a cost preset none; no pool module loads
     code = (
         "import io, tempfile\n"
+        "from dataclasses import replace\n"
+        "from ffqd import propagator\n"
         "cpus(2)\n"
         "scn = cli.Scenario(system='box', ramp='trigonometric', l_final=3.0, grid_points=256, dt=5e-4)\n"
-        "assert cli.verify(scn, io.StringIO())\n"
-        "print(calls, len(forks))\n"
+        "for points in (256, 2048):\n"  # 254 and 2046 rows, 2000 steps
+        "    forks.clear()\n"
+        "    assert cli.verify(replace(scn, grid_points=points), io.StringIO())\n"
+        "    print(points, (points - 2) * 2000 >= propagator._PAIR_WORK, calls, len(forks))\n"
+        "calls.clear()\n"
+        "forks.clear()\n"
         "with tempfile.TemporaryDirectory() as out:\n"
         "    assert cli.main(['preset', 'fig3', '--out', out]) == 0\n"
         "print(calls, len(forks), [m for m in ('concurrent.futures', 'multiprocessing') if m in sys.modules])\n"
     )
     lines = _pooled(code)  # the preset prints the path of its CSV in between
-    assert (lines[0], lines[-1]) == ("[1.0] 1", "[1.0] 1 []")
+    assert (lines[0], lines[1], lines[-1]) == ("256 False [1.0] 0", "2048 True [1.0, 1.0] 1", "[] 0 []")
 
 
 def test_run_is_deterministic(tmp_path):

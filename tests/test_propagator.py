@@ -12,6 +12,7 @@ from ffqd import propagator
 from ffqd.core import ComplexField, Grid
 from ffqd.fastforward import psi_ff, psi_ff_values, trap_coefficient
 from ffqd.propagator import (
+    _PAIR_WORK,
     PropagationError,
     _cayley_step,
     _factored_step,
@@ -574,6 +575,7 @@ from ffqd.trajectory import ControlTrajectory, vbar_for_target
 
 result, forks = {}, []
 os.register_at_fork(before=lambda: forks.append(1))
+propagator._PAIR_WORK = 0  # the cases are below the size that pays a partner; the bits do not depend on it
 for name, (system, level, n_points, kind, l_final, t_ff, steps) in inputs[0].items():
     model = BoxModel() if system == "box" else HarmonicModel()
     traj = ControlTrajectory(kind, 1.0, t_ff, vbar=vbar_for_target(kind, 1.0, l_final, t_ff))
@@ -607,6 +609,36 @@ def test_paired_run_is_bit_identical_to_the_serial_run(paired_against_serial, na
     forks, half, same_values, same_norm = paired_against_serial[name]
     assert forks == 1 and same_values and same_norm
     assert half == (_PAIRED_CASES[name][0] == "harmonic")
+
+
+_PAIR_WORK_BOUNDARY = """
+import os
+from ffqd import propagator
+from ffqd.fastforward import psi_ff, trap_coefficient
+from ffqd.spectra import BoxModel
+from ffqd.trajectory import POLYNOMIAL, ControlTrajectory, vbar_for_target
+
+forks = []
+os.register_at_fork(before=lambda: forks.append(1))
+box, steps = BoxModel(), 500
+traj = ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=vbar_for_target(POLYNOMIAL, 1.0, 3.0, 1.0))
+psi0 = psi_ff(box, 1, 0.0, traj, box.default_grid(1.0, 512))
+work = (psi0.grid.n_points - 2) * steps  # the full interior is stepped
+for threshold in (work, work + 1, propagator._PAIR_WORK):
+    propagator._PAIR_WORK = threshold
+    forks.clear()
+    propagator.propagate(psi0, traj, trap_coefficient(box, traj), 1.0 / steps, 1.0, _paired=True)
+    print(work, propagator._PAIR_WORK, len(forks))
+"""
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="a paired run forks its partner")
+def test_paired_run_forks_only_from_its_work_threshold():
+    # a run pairs where its rows times steps reach _PAIR_WORK: below it, the
+    # fork and the hand-overs cost about what the partner saves
+    # the third run, at the module's own threshold, is too small to pair
+    lines = one_thread_python(_PAIR_WORK_BOUNDARY)
+    assert lines == ["255000 255000 1", "255000 255001 0", f"255000 {_PAIR_WORK} 0"]
 
 
 # ---------------------------------------------------------------------------
