@@ -15,22 +15,22 @@ first, so a run that fails leaves no CSV behind.
 
 The Crank-Nicolson propagations of a sweep do not depend on each other: run
 and verify plan them up front and share them between this process and
-workers forked from it, one per further usable CPU, where this process runs
-one OS thread.  Where the usable CPUs number at least twice the
-propagations, as for a one-t_ff verify on two CPUs, each propagation is
-paired too: one large enough to repay it forks a partner that solves every
-other block of its steps (see the propagator module).  Every process runs
-single-threaded and a paired run returns the serial run's bits, so the
-output is byte-identical to a run on one CPU.
+workers forked from it (propagator._fork), one per further usable CPU, where
+this process runs one OS thread and the fork succeeds.  Where the usable
+CPUs number at least twice the propagations, as for a one-t_ff verify on two
+CPUs, each propagation large enough to repay it is paired too: it forks a
+partner that solves every other block of its steps (see propagator).  Every
+process runs single-threaded and a paired run returns the serial run's bits,
+so the output is byte-identical to a run on one CPU.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import itertools
 import math
 import os
-import pickle
 import sys
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
@@ -39,7 +39,7 @@ from . import cost as cost_mod
 from . import fastforward as ff
 from . import ie as ie_mod
 from .core import _require_count, _require_positive, norm
-from .propagator import PropagationError, fidelity, propagate, tdse_residual
+from .propagator import PropagationError, _fork, _reap, _receive, fidelity, propagate, tdse_residual
 from .spectra import BoxModel, HarmonicModel
 from .trajectory import (
     ADIABATIC_LINEAR,
@@ -187,7 +187,7 @@ def _system(scn: Scenario, traj: ControlTrajectory, t: float):
     return model, model.default_grid(traj.value(t), scn.grid_points)
 
 
-def _propagation(scn: Scenario, job: tuple, paired: bool = False) -> tuple:
+def _propagation(scn: Scenario, job: tuple, paired: bool) -> tuple:
     """Propagate the tracked level for one job (t_ff, driven, frames wanted).
 
     Returns (fidelity vs target, norm error, frames): frames as propagate's,
@@ -222,7 +222,7 @@ def _one_os_thread() -> bool:
         return False
 
 
-def _outcomes(scn: Scenario, jobs: list, paired: bool = False) -> list:
+def _outcomes(scn: Scenario, jobs: list, paired: bool) -> list:
     """Each job's _propagation result, or the exception it raised, in job order, run in this process."""
     outcomes = []
     for job in jobs:
@@ -233,64 +233,36 @@ def _outcomes(scn: Scenario, jobs: list, paired: bool = False) -> list:
     return outcomes
 
 
-def _worker(scn: Scenario, jobs: list, paired: bool, reads: list, write: int):
-    """A forked worker: pickle the jobs' _outcomes down the pipe end write, then end without this process's exit handlers.
-
-    It first closes the read ends it inherited, so that no pipe outlives its reader.
-    """
-    status = 1
-    try:
-        for fd in reads:
-            os.close(fd)
-        outcomes = pickle.dumps(_outcomes(scn, jobs, paired))
-        with open(write, "wb") as pipe:
-            pipe.write(outcomes)
-        status = 0
-    finally:
-        os._exit(status)
-
-
 def _propagations(scn: Scenario, jobs: list) -> list:
     """_outcomes of the jobs, shared by n = min(len(jobs), usable CPUs) processes.
 
     The jobs are independent.  Job k runs in process k mod n: this one for
-    k mod n = 0, else a worker forked from it, which sends its outcomes back
-    through a pipe.  Where the CPUs number at least twice the jobs, every
-    job is paired: its propagation, if large enough to repay it (see
-    propagator.propagate), forks a partner that takes every other block of
-    its steps.  Workers and partners are forked only where this
-    process runs one OS thread; otherwise every job runs here, unpaired.
+    k mod n = 0, else a worker forked from it (propagator._fork), whose one
+    message is its share's outcomes; a share with no worker runs here.
+    Where the CPUs number at least twice the jobs, every job is paired: its
+    propagation, if large enough to repay it (see propagator.propagate),
+    forks a partner that takes every other block of its steps.  Workers and
+    partners are forked only where this process runs one OS thread;
+    otherwise every job runs here, unpaired.
     """
-    cpus = _usable_cpus()
+    cpus = _usable_cpus() if _one_os_thread() else 1
     n = min(len(jobs), cpus)
     paired = 0 < 2 * len(jobs) <= cpus
-    if not (n > 1 or paired) or not _one_os_thread():
-        return _outcomes(scn, jobs)
-    if n < 2:
-        return _outcomes(scn, jobs, paired)
-    reads, pids = [], []  # of workers 1 .. n - 1
+    workers = {}  # share k -> (pid, read, write) of the worker forked for it
     try:
         for k in range(1, n):
-            read, write = os.pipe()
-            reads.append(read)
-            pid = os.fork()
-            if pid == 0:
-                _worker(scn, jobs[k::n], paired, reads, write)
-            os.close(write)
-            pids.append(pid)
+            inherited = [fd for _, *ends in workers.values() for fd in ends]
+            with contextlib.suppress(OSError):  # a share with no worker runs below; a child runs at once, with this k
+                workers[k] = _fork(lambda read, write: _outcomes(scn, jobs[k::n], paired), inherited)
         outcomes = [None] * len(jobs)
-        outcomes[0::n] = _outcomes(scn, jobs[0::n], paired)
-        for k, read in enumerate(reads, 1):
-            with open(read, "rb", closefd=False) as pipe:
-                try:
-                    outcomes[k::n] = pickle.load(pipe)
-                except (EOFError, pickle.UnpicklingError):
-                    raise RuntimeError("a propagation worker ended before it sent its results") from None
+        for k in range(n):
+            if k not in workers:
+                outcomes[k::n] = _outcomes(scn, jobs[k::n], paired)
+        for k, (_, read, _) in workers.items():
+            outcomes[k::n] = _receive(read)
     finally:
-        for fd in reads:  # a worker still writing then fails, and ends
-            os.close(fd)
-        for pid in pids:
-            os.waitpid(pid, 0)
+        for worker in workers.values():  # a worker still writing then fails, and ends
+            _reap(*worker)
     return outcomes
 
 

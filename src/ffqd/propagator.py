@@ -44,6 +44,8 @@ returns the serial run's bits, and raises its errors at the same steps.  Only
 the state crosses between the processes (see _paired_run).  A run pairs only
 where its rows times steps reach _PAIR_WORK: a fork takes a few ms, and each
 hand-over a wake-up of the other process, which a short run does not repay.
+The partner, as each worker of cli's pool, is forked by _fork, read by _receive
+and reaped by _reap; where no fork can be made, the run steps alone.
 
 zgtsv, zgttrf and zgttrs come from scipy's f2py extension
 scipy.linalg._flapack, loaded on the first run after the light top-level
@@ -78,6 +80,7 @@ _PAIR_BLOCK = 8  # steps a paired run solves in one process before it hands the 
 # the hand-overs cost about what the partner saves; above it, on 2 CPUs, the run took
 # 0.74-0.84 of the serial wall time at 8 to 2046 rows
 _PAIR_WORK = 1 << 21
+_ENDED_EARLY = "a process forked for the propagations ended early"
 
 
 class PropagationError(RuntimeError):
@@ -166,8 +169,9 @@ def propagate(
     times steps reach _PAIR_WORK: once every input check has passed, it
     forks one partner process that solves every other block of steps (see
     the module docstring).  Its result and errors are the serial run's, bit
-    for bit; RuntimeError if the partner ends early.  A smaller run stays
-    serial, as the fork and the hand-overs would cost about what they save.
+    for bit (it steps alone if the fork fails); RuntimeError if the partner
+    ends early.  A smaller run stays serial, as the fork and the hand-overs
+    would cost about what they save.
     """
     _require_positive(dt, "dt")
     _require_positive(t_final, "t_final")
@@ -218,8 +222,8 @@ def propagate(
         def check(u, done):
             _check_norm(u, dy, done, n_steps, sign, centre)
 
-        u = _paired_run(u, n_steps, fill, check)
-        return ComplexField(*_physical(frame, u, ramp.value(t_final), sign))
+        if (paired := _paired_run(u, n_steps, fill, check)) is not None:  # else no partner could be forked
+            return ComplexField(*_physical(frame, paired, ramp.value(t_final), sign))
     zgtsv = _zgtsv()
     w = np.empty_like(u)
     d = np.empty_like(u)
@@ -329,7 +333,7 @@ def _factored_step(factors, u: np.ndarray, w: np.ndarray, zgttrs) -> np.ndarray:
     return x
 
 
-def _paired_run(u: np.ndarray, n_steps: int, fill, check) -> np.ndarray:
+def _paired_run(u: np.ndarray, n_steps: int, fill, check) -> np.ndarray | None:
     """The state n_steps Cayley steps after u, solved in turns by this process and a forked partner.
 
     fill(step, dl, d, du) writes A's diagonals at a step, and check(u, done)
@@ -338,61 +342,43 @@ def _paired_run(u: np.ndarray, n_steps: int, fill, check) -> np.ndarray:
     blocks 1, 3, 5, ...  While one process solves a block, the other fills
     and factors the matrices of its next one, so a step on the critical path
     is one zgttrs.  The state crosses in a shared anonymous mmap, handed over
-    by a one-byte token on a pipe each way: the pipes order the memory,
-    block without spinning and read EOF when the other end dies.
+    by a b"." message (see _fork) on a pipe each way: the pipes order the
+    memory, block without spinning and read EOF when the other end dies.
 
     The partner's exception, a PropagationError at the same step as a serial
-    run's, is raised here; a partner that ends without its token raises
-    RuntimeError.  Both pipes close and the partner is reaped however this
-    returns, and the partner ends through os._exit.
+    run's, is raised here.  None, with u untouched, if no partner can be forked.
     """
     import mmap  # here, as a serial run needs none of it
 
     blocks = [range(a, min(a + _PAIR_BLOCK, n_steps)) for a in range(0, n_steps, _PAIR_BLOCK)]
     state = np.frombuffer(mmap.mmap(-1, u.nbytes), dtype=complex)  # shared with the partner
     lapack = _flapack()
-    down_read, down_write = os.pipe()  # this process -> the partner
-    up_read, up_write = os.pipe()  # the partner -> this process
+
+    def partner(read, write):  # returns None, as the state crosses in the mmap
+        _turns(blocks[1::2], None, state, n_steps, fill, check, lapack, read, write)
+
     try:
-        pid = os.fork()
+        pid, read, write = _fork(partner)
     except OSError:
-        for fd in (down_read, down_write, up_read, up_write):
-            os.close(fd)
-        raise
-    if pid == 0:
-        status = 1
-        try:
-            os.close(down_write)
-            os.close(up_read)
-            try:
-                _turns(blocks[1::2], None, state, n_steps, fill, check, lapack, lambda: _from_caller(down_read), up_write)
-            except Exception as exc:  # raised again by this process, which waits for the token
-                _send(up_write, b"!" + pickle.dumps(exc))
-            status = 0
-        finally:
-            os._exit(status)
-    os.close(down_read)
-    os.close(up_write)
+        return None
     try:
-        u = _turns(blocks[0::2], u, state, n_steps, fill, check, lapack, lambda: _from_partner(up_read), down_write)
+        u = _turns(blocks[0::2], u, state, n_steps, fill, check, lapack, read, write)
         if len(blocks) % 2 == 0:  # the partner solved the last block
-            _from_partner(up_read)
+            _receive(read)
             np.copyto(u, state)
     finally:
-        os.close(down_write)  # a partner waiting for the state then reads EOF, and ends
-        os.close(up_read)
-        os.waitpid(pid, 0)
+        _reap(pid, read, write)  # a partner waiting for the state then reads EOF, and ends
     return u
 
 
-def _turns(own, u, state, n_steps, fill, check, lapack, wait, hand) -> np.ndarray:
+def _turns(own, u, state, n_steps, fill, check, lapack, read, write) -> np.ndarray:
     """Solve the blocks own of a paired run in turn; returns the state after the last.
 
     The first block starts from u where u is given (this process's blocks
-    0, 2, ...), every other one from the shared state once wait() has
-    returned.  Each block ends by writing the state there and the token to
-    the pipe end hand, unless it is the run's last and this process called
-    the run.  The next block is filled and factored in between.
+    0, 2, ...), every other one from the shared state once the hand-over
+    has come on the pipe end read.  Each block ends by writing the state
+    there and b"." to the pipe end write, unless it is the run's last and
+    this process called the run.  The next block is factored in between.
     """
     rows = state.size
     buffers = [(np.empty(rows - 1, complex), np.empty(rows, complex), np.empty(rows - 1, complex)) for _ in range(_PAIR_BLOCK)]
@@ -403,7 +389,7 @@ def _turns(own, u, state, n_steps, fill, check, lapack, wait, hand) -> np.ndarra
     factors = _factors(own[0], fill, buffers, lapack.zgttrf)
     for i, block in enumerate(own):
         if i or not called:
-            wait()
+            _receive(read)
             np.copyto(u, state)
         for step, factor in zip(block, factors):
             u, w = _factored_step(factor, u, w, lapack.zgttrs), u
@@ -412,7 +398,7 @@ def _turns(own, u, state, n_steps, fill, check, lapack, wait, hand) -> np.ndarra
                 check(u, done)
         if done < n_steps or not called:
             state[:] = u
-            _send(hand, b".")
+            _send(write, b".")
         if i + 1 < len(own):
             factors = _factors(own[i + 1], fill, buffers, lapack.zgttrf)
     return u
@@ -427,40 +413,73 @@ def _factors(block, fill, buffers, zgttrf) -> list:
     return factors
 
 
-def _send(fd: int, data: bytes) -> None:
-    """Write data to the pipe end fd, to the other process of a paired run: the pipe is no file."""
-    while data:
-        data = data[os.write(fd, data) :]
+def _fork(child: Callable[[int, int], object], inherited=()) -> tuple[int, int, int]:
+    """Fork a process that runs child(read, write) and sends one message back; returns (pid, read, write).
 
-
-def _from_partner(fd: int) -> None:
-    """Wait in the caller of a paired run for the partner's token on the pipe end fd.
-
-    b"." hands the state over; b"!" comes before the pickled exception that
-    the partner's block raised, which is raised here.  A pipe that ends
-    first means the partner ended: RuntimeError.
+    A pipe runs each way.  The child closes the fds in inherited (ends of other children's pipes) and
+    its unused ends, sends b"=" and the pickled value child returns, or b"!" and the pickled exception
+    it raises, and ends through os._exit.  OSError, every end made closed, if a pipe or the fork fails.
     """
+    ends = []
+    try:
+        for _ in range(2):
+            ends += os.pipe()
+        pid = os.fork()
+    except OSError:
+        for fd in ends:
+            os.close(fd)
+        raise
+    down_read, down_write, up_read, up_write = ends
+    if pid == 0:
+        try:
+            for fd in (*inherited, down_write, up_read):
+                os.close(fd)
+            try:
+                message = b"=" + pickle.dumps(child(down_read, up_write))
+            except Exception as exc:  # raised again by _receive in this process
+                message = b"!" + pickle.dumps(exc)
+            _send(up_write, message)
+        finally:  # nothing reads the status: a child that ends early shows as EOF
+            os._exit(0)
+    os.close(down_read)
+    os.close(up_write)
+    return pid, up_read, down_write
+
+
+def _send(fd: int, data: bytes) -> None:
+    """Write data to the pipe end fd, to the other process of a _fork (no file); RuntimeError if it has ended."""
+    try:
+        while data:
+            data = data[os.write(fd, data) :]
+    except BrokenPipeError:
+        raise RuntimeError(_ENDED_EARLY) from None
+
+
+def _receive(fd: int):
+    """One message from the other process of a _fork on the pipe end fd.
+
+    None for b"." (a paired run's hand-over), the pickled value after b"=", and the pickled
+    exception after b"!", which is raised; RuntimeError if the pipe ends first or the message is torn."""
     token = os.read(fd, 1)
     if token == b".":
-        return
-    rest = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))  # up to the partner's end
+        return None
+    rest = b"".join(iter(functools.partial(os.read, fd, 1 << 16), b""))  # up to the child's end
     try:
-        exc = pickle.loads(rest) if token == b"!" else None
+        value = pickle.loads(rest)
     except (EOFError, pickle.UnpicklingError):
-        exc = None
-    if isinstance(exc, Exception):
-        raise exc
-    raise RuntimeError("the partner process of a paired propagation ended before it handed the state back")
+        token = b""  # the child ended while it wrote
+    if token == b"=":
+        return value
+    if token == b"!":
+        raise value
+    raise RuntimeError(_ENDED_EARLY)
 
 
-def _from_caller(fd: int) -> None:
-    """Wait in the partner of a paired run for the caller's token on the pipe end fd.
-
-    A pipe that ends first means the caller has stopped (it raised, or was
-    interrupted): the partner ends here.
-    """
-    if os.read(fd, 1) != b".":
-        os._exit(0)
+def _reap(pid: int, read: int, write: int) -> None:
+    """Close this process's pipe ends of the child pid, so that it ends if it still waits or writes; then wait for it."""
+    os.close(read)
+    os.close(write)
+    os.waitpid(pid, 0)
 
 
 def _check_norm(interior: np.ndarray, dx: float, step: int, n_steps: int, sign: int, centre: int) -> None:

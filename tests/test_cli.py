@@ -705,12 +705,56 @@ def test_no_worker_outlives_a_pooled_run(tmp_path):
     assert _pooled(code, scn, str(tmp_path)) == [
         "['fidelity.csv'] [0.5, 1.0] 1 0",
         "time step too coarse [] 2 0",
-        "a propagation worker ended before it sent its results [] 3 0",
+        "a process forked for the propagations ended early [] 3 0",
         "interrupted [] 4 0",
         "True step 16/500 (|drift| > -1) True 5 0",
-        "the partner process of a paired propagation ended before it handed the state back 6 0",
+        "a process forked for the propagations ended early 6 0",
         "interrupted 20 7 0",
     ]
+
+
+@needs_fork
+def test_a_failed_fork_leaves_its_work_to_this_process(tmp_path):
+    # a fork only saves time: where it fails (EAGAIN here, never by exhausting
+    # a real limit), the pool runs the worker's share in this process and a
+    # paired run steps alone, with the bytes and exit codes of one CPU, no fd
+    # left open and no child left
+    scn = small_box_scenario(outputs=("fidelity",), l_final=3.0, t_ff_list=(0.5, 1.0), grid_points=128, dt=1e-3)
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("".join(f"{k}={v}\n" for k, v in scn.to_mapping().items()))
+    code = (
+        "import contextlib, errno, io\n"
+        "from ffqd import propagator\n"
+        "cfg, root = inputs\n"
+        "propagator._PAIR_WORK = 0\n"  # 126 rows x 500 steps is below the size that pays a partner
+        "def refused():\n"
+        "    raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))\n"
+        "fds = len(os.listdir('/proc/self/fd'))\n"
+        "for n, fork in ((1, os.fork), (2, refused)):\n"
+        "    cpus(n)\n"
+        "    os.fork = fork\n"
+        "    calls.clear()\n"
+        "    text = io.StringIO()\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"  # the paths of the CSVs written
+        "        codes = [cli.main(['run', cfg, '--out', f'{root}/cpus{n}'])]\n"
+        "    with contextlib.redirect_stdout(text):\n"  # one t_ff: paired on 2 CPUs
+        "        codes.append(cli.main(['verify', cfg, 't_ff_list=0.5']))\n"
+        "    open(f'{root}/cpus{n}/verify.txt', 'w').write(text.getvalue())\n"
+        "    print(n, codes, len(calls), len(forks), len(os.listdir('/proc/self/fd')) - fds, children())\n"
+    )
+    # four propagations for run and one for verify, all of them in this process
+    assert _pooled(code, str(cfg), str(tmp_path)) == ["1 [0, 0] 5 0 0 0", "2 [0, 0] 5 0 0 0"]
+    files = _read_tree(tmp_path / "cpus1")
+    assert list(files) == ["fidelity.csv", "verify.txt"]
+    assert files["verify.txt"].decode().endswith("verification PASSED\n")
+    assert _read_tree(tmp_path / "cpus2") == files
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="the usable CPUs are the affinity set where there is one")
+def test_the_usable_cpus_are_this_process_affinity_set():
+    # a process pinned to one CPU (taskset -c 0, say) forks no worker and no partner
+    code = "import os\nfrom ffqd import cli\nos.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\nprint(cli._usable_cpus())\n"
+    assert one_thread_python(code) == ["1"]
 
 
 def test_a_second_thread_keeps_every_job_in_this_process(tmp_path, monkeypatch):

@@ -119,8 +119,9 @@ def test_public_names_of_the_package():
 
 
 _FILE_CALLS = {"open", "write", "writelines", "write_text", "write_bytes"}  # open(...), f.write(...), ...
-# the one call that writes to a pipe, not a file: os.write in propagator._send, a paired
-# propagation's hand-over between its processes.  Any other file call there is still flagged
+# the one call that writes to a pipe, not a file: os.write in propagator._send, which
+# carries every message between forked processes: a paired propagation's hand-overs and
+# the results of the sweep pool's workers.  Any other file call there is still flagged
 _PIPE_WRITER = ("propagator.py", "_send")
 
 
@@ -158,6 +159,42 @@ def test_only_the_cli_touches_files():
                 if name in _FILE_CALLS:
                     calls.append(f"{path.name}:{node.lineno} {name}")
     assert calls == []
+
+
+# the forked-process protocol: where each of its calls may occur, as (file, function)
+_PROTOCOL_SITES = {
+    "os.fork": ("propagator.py", "_fork"),
+    "os.pipe": ("propagator.py", "_fork"),
+    "os._exit": ("propagator.py", "_fork"),
+    "pickle.dumps": ("propagator.py", "_fork"),
+    "pickle.loads": ("propagator.py", "_receive"),
+    "os.waitpid": ("propagator.py", "_reap"),
+}
+
+
+def _protocol_calls(node, path: Path, func: str | None, found: list) -> None:
+    """Append (name, file, innermost enclosing function) of every _PROTOCOL_SITES name under node to found."""
+    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+        func = node.name
+    if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name):
+        names = [f"{node.value.id}.{node.attr}"]
+    elif isinstance(node, ast.ImportFrom):  # from os import fork would hide its calls
+        names = [f"{node.module}.{alias.name}" for alias in node.names]
+    else:
+        names = []
+    found += [(name, path.name, func) for name in names if name in _PROTOCOL_SITES]
+    for child in ast.iter_child_nodes(node):
+        _protocol_calls(child, path, func, found)
+
+
+def test_one_protocol_forks_every_process():
+    # the sweep pool and the paired run fork, message and reap through propagator's
+    # _fork, _receive and _reap alone, so how a forked process hands back its result
+    # or its error is decided in one place; a third fork site has to use them
+    found = []
+    for path in sorted((Path(__file__).resolve().parents[1] / "src" / "ffqd").glob("*.py")):
+        _protocol_calls(ast.parse(path.read_text()), path, None, found)
+    assert set(found) == {(name, *site) for name, site in _PROTOCOL_SITES.items()}
 
 
 def _is_positive_rule(node) -> bool:

@@ -1,5 +1,6 @@
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -639,6 +640,69 @@ def test_paired_run_forks_only_from_its_work_threshold():
     # the third run, at the module's own threshold, is too small to pair
     lines = one_thread_python(_PAIR_WORK_BOUNDARY)
     assert lines == ["255000 255000 1", "255000 255001 0", f"255000 {_PAIR_WORK} 0"]
+
+
+_PROTOCOL = """
+import os
+import numpy as np
+from ffqd.propagator import PropagationError, _fork, _reap, _receive, _send
+
+def children():
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return 0
+    return 1
+
+def outcome(child, before_reap=None, inherited=()):
+    pid, read, write = _fork(child, inherited)
+    try:
+        if before_reap:
+            return before_reap(pid, write)
+        return _receive(read)
+    except Exception as exc:
+        return exc
+    finally:
+        _reap(pid, read, write)
+
+def ended(pid, write):  # wait until the child has ended, and keep it to reap; then hand it a message
+    os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)
+    _send(write, b".")
+
+rng = np.random.default_rng(3)
+values = rng.standard_normal(5000) + 1j * rng.standard_normal(5000)  # 80 kB: more than a pipe holds
+back = outcome(lambda read, write: values)
+print(back.dtype, back.tobytes() == values.tobytes())
+def fails(read, write):
+    raise PropagationError("norm drifted to nan at step 16/500")
+exc = outcome(fails)
+print(type(exc).__name__, exc)
+print(repr(outcome(lambda read, write: os._exit(0))))
+print(repr(outcome(lambda read, write: os._exit(0), ended)))
+print(repr(outcome(lambda read, write: _receive(read), lambda pid, write: None)), children())
+fds = lambda: len(os.listdir("/proc/self/fd"))
+other = os.pipe()  # this process's ends of another child's pipe
+print(outcome(lambda read, write: fds(), inherited=other) - fds())
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="the protocol forks; its fds are listed in /proc")
+def test_one_fork_protocol_carries_values_errors_and_ends():
+    # _fork, _receive and _reap serve the sweep pool and the paired run alike:
+    # a returned array comes back bit for bit, a raised PropagationError with
+    # its message; a child that ends before it sends, or before it reads what
+    # it is sent, is one RuntimeError; and a child waiting in _receive ends
+    # once _reap closes this process's ends, leaving no child behind.  The
+    # child holds its two pipe ends and none of the inherited or unused ones
+    ended = "RuntimeError('a process forked for the propagations ended early')"
+    assert one_thread_python(_PROTOCOL) == [
+        "complex128 True",
+        "PropagationError norm drifted to nan at step 16/500",
+        ended,
+        ended,
+        "None 0",
+        "0",
+    ]
 
 
 # ---------------------------------------------------------------------------
