@@ -40,7 +40,7 @@ scale exactly, and at most nodes of other t_ff, where t/T rounds alike),
 and the moments are formed once per distinct value.
 Energies are E_n(l) = E_n(1) / l^2, mu comes from one row-wise bisection,
 and the model forms the moments in blocks of nodes (spectra): the box from
-one sine table at L = 1, the oscillator streamed on the mirror half of its
+one amplitude table at L = 1, the oscillator streamed on the mirror half of its
 fixed grid, sized by its ramp's widest l.
 cost_ff_numeric is the one-ramp call and internal_energy_numeric the
 one-node call of this pass.  The Frobenius cost needs no grid.
@@ -196,18 +196,20 @@ def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
 def solve_mu(energies, beta: float, n_particles: int) -> float:
     """Chemical potential with sum_n f_n = n_particles, by bisection.
 
-    The occupation sum is monotone increasing in mu, so the root is unique at
-    finite beta; at beta = inf any point of the zero-temperature plateau is
-    returned, for finite energies only (ValueError).  At finite beta the
-    bracket is padded by 50/beta, which must be finite (ValueError below
-    beta about 2.8e-307).  beta and n_particles follow ThermalEnsemble's rules, and
-    n_particles is below the number of energies (ValueError).  Residual
-    tolerance 1e-10, or, where no double meets it, the one-ulp reach
-    (RuntimeError beyond it).
+    energies is one 1-D spectrum (ValueError for any other shape).  The
+    occupation sum is monotone increasing in mu, so the root is unique at finite
+    beta; at beta = inf any point of the zero-temperature plateau is returned,
+    for finite energies only (ValueError).  At finite beta the bracket is padded
+    by 50/beta, which must be finite (ValueError below beta about 2.8e-307).
+    beta and n_particles follow ThermalEnsemble's rules, and n_particles is
+    below the number of energies (ValueError).  Residual tolerance 1e-10, or,
+    where no double meets it, the one-ulp reach (RuntimeError beyond it).
     """
     ThermalEnsemble(beta, n_particles)  # its rules for beta and n_particles
-    e = np.sort(np.asarray(energies, dtype=float))
-    return float(_solve_mu_rows(e[None, :], beta, n_particles)[0])
+    e = np.asarray(energies, dtype=float)
+    if e.ndim != 1:
+        raise ValueError(f"energies must be a 1-D spectrum, got shape {e.shape}")
+    return float(_solve_mu_rows(np.sort(e)[None, :], beta, n_particles)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -287,8 +289,8 @@ def internal_energy_closed(model: Model, traj: ControlTrajectory, t, ens: Therma
 def _trace_finish(rho0, rho1, theta: np.ndarray, v: np.ndarray, dx: np.ndarray) -> np.ndarray:
     """sum_n f_n <psi_n| -D2/2 + v |psi_n> for psi_n = phi_n exp(i theta), from the moments, node by node.
 
-    rho0 and rho1 are the level sums of spectra._trace_moments or a model's
-    _moment_blocks; they, theta and v are (nodes, points) and dx is (nodes,).
+    rho0 and rho1 are the level sums of a model's _moment_blocks; they, theta
+    and v are (nodes, points) and dx is (nodes,).
 
     D2 is the propagator's kinetic operator: the three-point second
     difference with hard walls at both grid ends, where the kinetic row is 0.

@@ -13,7 +13,7 @@ The machinery has two layers that validate each other:
   state of level n to l^-1/2 phi_n(x/l; 1) times the gauge factor
   exp(i (m/2 hbar)(l_dot/l) x^2) and the dynamical phase
   E_n(1)/hbar int l^-2 dt (psi_ff on a grid, psi_ff_values on any x).  The
-  model supplies only phi_n and E_n(1).
+  model supplies E_n(1) and the tables of phi_n, built by spectra.Model.
 
 Both models carry real eigenamplitudes, so eta = 0 and the first-order
 regularizing potential vanishes identically.
@@ -192,11 +192,12 @@ def psi_ff_values(
     No grid check, wall clipping or renormalization: the expression solves
     the driven equation pointwise for every x, which is what the
     centered-in-time residual needs when the wall moves across the stencil.
+    x of any shape gives an array of that shape, a scalar an array of one value.
     _phase_origin moves the start of the dynamical phase from t = 0 (a
     global phase).
     """
     dyn = _dynamical_phase(model, n, t, traj, _phase_origin)
     l = traj.value(t)
-    xa = np.asarray(x, dtype=float)
+    xa = np.atleast_1d(np.asarray(x, dtype=float))
     amp = model._unit_amplitudes(n, xa / l)[n - model.n_min] / math.sqrt(l)
     return amp * _gauge(traj, t, l, xa) * np.exp(-1j * dyn)

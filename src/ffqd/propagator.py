@@ -151,18 +151,19 @@ def propagate(
     run makes n_steps = round(t_final / dt) (at least 1) steps of t_final / n_steps.
 
     Before the first step, raises ValueError if dt or t_final is not positive
-    and finite or ramp is not a ControlTrajectory (checked first), if psi0
-    does not vanish at the grid ends, if t_final lies beyond the ramp's t_ff
-    (the ramp's time rule, trajectory._check_time), or if V = a(t) x^2 is not
-    finite or dt*max|V|/hbar >= 0.5 at any half step stepped (V on the
-    interior points; the bound is max|a(t) s(t)^2| max y^2): each depends on
-    the input alone.  A psi0 of
-    definite parity on a grid symmetric about 0 is stepped on the half grid
-    (see the module docstring).  While stepping, raises PropagationError if
-    the norm drifts by more than 1e-6 (or turns NaN) at any checkpoint.
-    A frames list receives (t, grid, values) of the state at step 0, every
-    max(1, n_steps // 8) steps and the last step: raw arrays, not fields, so
-    a NaN frame still surfaces as the norm check's PropagationError.
+    and finite, ramp is not a ControlTrajectory, psi0 not a ComplexField or
+    coefficient not callable (checked first), if coefficient returns neither
+    one value nor one per half step, if psi0 does not vanish at the grid ends,
+    if t_final lies beyond the ramp's t_ff (the ramp's time rule,
+    trajectory._check_time), or if V = a(t) x^2 is not finite or
+    dt*max|V|/hbar >= 0.5 at any half step stepped (V on the interior points;
+    the bound is max|a(t) s(t)^2| max y^2): each depends on the input alone.
+    A psi0 of definite parity on a grid symmetric about 0 is stepped on the
+    half grid (see the module docstring).  While stepping, raises
+    PropagationError if the norm drifts by more than 1e-6 (or turns NaN) at
+    any checkpoint.  A frames list receives (t, grid, values) of the state at
+    step 0, every max(1, n_steps // 8) steps and the last step: raw arrays,
+    not fields, so a NaN frame still surfaces as the norm check's PropagationError.
 
     _paired (private, set by cli where a CPU would idle) pairs a run
     without frames of at least 2 * _PAIR_BLOCK steps whose rows stepped
@@ -177,6 +178,10 @@ def propagate(
     _require_positive(t_final, "t_final")
     if not isinstance(ramp, ControlTrajectory):
         raise ValueError(f"ramp must be a ControlTrajectory, got {ramp!r}")
+    if not isinstance(psi0, ComplexField):
+        raise ValueError(f"psi0 must be a ComplexField, got {type(psi0).__name__}")
+    if not callable(coefficient):
+        raise ValueError(f"coefficient must be callable, got {coefficient!r}")
     _check_time(t_final, ramp.t_ff)
     n_steps = max(1, int(round(t_final / dt)))
     dt = t_final / n_steps
@@ -193,7 +198,10 @@ def propagate(
     lam = dt / 2.0
     c_kin = lam / (2.0 * dy * dy)
     c_dil = lam / (4.0 * dy)
-    pot = lam * coefficient(t_half) * (s * s)
+    a = np.asarray(coefficient(t_half))
+    if a.shape not in ((), t_half.shape):
+        raise ValueError(f"coefficient must return one value or one per half step ({n_steps}), got shape {a.shape}")
+    pot = lam * a * (s * s)
     k, q = c_kin / (s * s), c_dil * (s_dot / s)
     margin = 2.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
     bad = np.flatnonzero(~(margin < 0.5))  # NaN fails too

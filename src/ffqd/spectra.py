@@ -2,12 +2,12 @@
 
 Both are scale-invariant traps, V0(x; l) = l^-2 U(x/l), so
 E_n(l) = E_n(1) / l^2 and phi_n(x; l) = l^-1/2 phi_n(x/l; 1).  Model holds
-that scale law once; each trap supplies only its l = 1 data and its grid
-rule.  The amplitudes are real, so a state's own phase eta vanishes
-identically.
+that scale law once and builds every amplitude table; each trap supplies
+only its l = 1 data, its levels as a stream and its grid rule.  The
+amplitudes are real, so a state's own phase eta vanishes identically.
 
 For the thermal trace of cost each trap forms the level sums a block of
-nodes at a time (_moment_blocks): the box from one L = 1 sine table, the
+nodes at a time (_moment_blocks): the box from one L = 1 amplitude table, the
 oscillator level by level on the mirror half of each node's grid.  Each gives
 <n|xi^2|n> (_unit_xi2, for the grid-free trace) and <k|xi^2|m> (_unit_x2).
 """
@@ -47,42 +47,25 @@ def _hermite_levels(xi: np.ndarray):
         h_prev, h = h, h_prev
 
 
-def _hermite_functions(n_max: int, xi: np.ndarray) -> np.ndarray:
-    """The levels 0..n_max of _hermite_levels stacked on the second-to-last axis of (..., n_max + 1, P)."""
-    xi = np.atleast_1d(xi)
-    h = np.empty(xi.shape[:-1] + (n_max + 1, xi.shape[-1]))
-    for k, level in zip(range(n_max + 1), _hermite_levels(xi)):
-        h[..., k, :] = level
-    return h
+def _sine_levels(xi: np.ndarray):
+    """The box levels sqrt(2) sin(n pi xi), n = 1, 2, ..., one level at a time, each in an array of its own."""
+    for n in itertools.count(1):
+        yield math.sqrt(2.0) * np.sin(n * np.pi * xi)
 
 
 _CHUNK_NODES = 8  # (nodes x points) blocks of a batched trace hold at most this many nodes
 _BLOCK_DOUBLES = 2**16  # the working arrays of a block of streamed oscillator moments hold at most this many doubles
 
 
-def _trace_moments(table: np.ndarray, f: np.ndarray):
-    """The level sums of the thermal trace, which need the amplitudes but no phase: (rho0, rho1).
-
-    rho0_j = sum_n f_n phi_n,j^2; rho1_j = sum_n f_n phi_n,j phi_n,j+1, before
-    its gauge factor.  table is one (levels, points) table shared by every
-    node, and f is (nodes, levels); no (levels x points) product is formed.
-    """
-
-    def level_sum(a, b):
-        return np.einsum("...n,nj,nj->...j", f, a, b)
-
-    rho0 = level_sum(table, table)
-    rho1 = level_sum(table[:, :-1], table[:, 1:])
-    return rho0, rho1
-
-
 class Model:
     """A scale-invariant trap V0(x; l) = l^-2 U(x/l), given by its data at l = 1.
 
-    A trap supplies n_min, its lowest level; _unit_energy(n) = E_n(1); _unit_xi2
-    and _unit_x2, <n|xi^2|n> and <k|xi^2|m>; _U2, U's x^2 coefficient;
-    _unit_amplitudes; and its grid rule (default_grid, amplitudes, _moment_blocks).
-    Model applies the scale law.
+    A trap supplies n_min, its lowest level; _U2, U's x^2 coefficient; _LENGTH, l's name
+    in messages; _unit_energy(n) = E_n(1); _unit_xi2 and _unit_x2, <n|xi^2|n> and <k|xi^2|m>;
+    _levels(xi), the endless stream phi_n(xi; 1) from n_min up, where a level's array may be
+    overwritten when the level two above it is asked for (a caller copies what it keeps); and
+    its grid rule: _fit(table, grid, l), which judges and finishes a table built on grid,
+    default_grid and _moment_blocks.  Model applies the scale law and builds every table.
     """
 
     n_min: int
@@ -101,6 +84,21 @@ class Model:
     def level_numbers(self, n_max: int) -> np.ndarray:
         return np.arange(self.n_min, n_max + 1)
 
+    def _unit_amplitudes(self, n_max: int, xi) -> np.ndarray:
+        """The levels n = n_min..n_max of _levels on the points xi, one table (levels,) + xi.shape."""
+        table = np.empty((n_max + 1 - self.n_min,) + np.shape(xi))
+        for row, level in zip(table, self._levels(xi)):
+            row[...] = level
+        return table
+
+    def amplitudes(self, n_max: int, l: float, grid: Grid) -> np.ndarray:
+        """Rows n = n_min..n_max of l^-1/2 phi_n(x/l; 1) on grid, judged and finished by the trap's _fit."""
+        _require_count(n_max, "n_max", self.n_min)
+        _require_positive(l, self._LENGTH)
+        table = self._unit_amplitudes(n_max, grid.points / l)
+        table /= math.sqrt(l)
+        return self._fit(table, grid, l)
+
     def _v0_coefficient(self, l):
         """a of v0 = a x^2 at l > 0, a ramp value: U's x^2 coefficient over l^4, l a float or an array."""
         w = 1.0 / (l * l)
@@ -113,6 +111,7 @@ class HarmonicModel(Model):
 
     n_min = 0  # lowest level number
     _U2 = 0.5
+    _LENGTH = "R"
 
     @staticmethod
     def _unit_energy(n):
@@ -126,23 +125,17 @@ class HarmonicModel(Model):
         off = 0.5 * np.sqrt((ns[:-2] + 1.0) * (ns[:-2] + 2.0))
         return np.diag(HarmonicModel._unit_xi2(ns)) + np.diag(off, 2) + np.diag(off, -2)
 
-    def amplitudes(self, n_max: int, R: float, grid: Grid) -> np.ndarray:
-        """Rows n = 0..n_max of grid-renormalized eigenamplitudes, each below 1e-6 of its peak at both grid ends."""
-        _require_count(n_max, "n_max", self.n_min)
-        _require_positive(R, "R")
-        scale = math.sqrt(1.0 / (R * R))  # sqrt(omega)
-        x = grid.points
-        h = _hermite_functions(n_max, scale * x)
+    _levels = staticmethod(_hermite_levels)
+
+    @staticmethod
+    def _fit(h: np.ndarray, grid: Grid, R: float) -> np.ndarray:
+        """The table h, every row below 1e-6 of its peak at both grid ends, renormalized on grid; R is unused."""
         edge = (np.maximum(np.abs(h[:, 0]), np.abs(h[:, -1])) / np.abs(h).max(axis=1)).max()
         if not edge <= _EDGE_AMPLITUDE_LIMIT:  # a ratio, free of the unit of length; NaN fails too
-            raise ValueError(f"grid too narrow for levels up to n={n_max}: edge amplitude {edge:.3e} of the peak")
-        h *= math.sqrt(scale)
+            raise ValueError(f"grid too narrow for levels up to n={h.shape[0] - 1}: edge amplitude {edge:.3e} of the peak")
         # trapezoid row norms in one pass: dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2)
-        dx = (x[-1] - x[0]) / (x.size - 1)
-        h /= np.sqrt(dx * (np.einsum("kj,kj->k", h, h) - 0.5 * (h[:, 0] ** 2 + h[:, -1] ** 2)))[:, None]
+        h /= np.sqrt(grid.dx * (np.einsum("kj,kj->k", h, h) - 0.5 * (h[:, 0] ** 2 + h[:, -1] ** 2)))[:, None]
         return h
-
-    _unit_amplitudes = staticmethod(_hermite_functions)  # rows n = 0..n_max at R = 1 on any xi
 
     def _moment_blocks(self, l_max, l: np.ndarray, f: np.ndarray, n_top: np.ndarray, n_points: int):
         """Blocks (nodes, x, rho0, rho1) of the trace moments at nodes l, streamed on the mirror half grid.
@@ -174,7 +167,7 @@ class HarmonicModel(Model):
             scale = np.sqrt(1.0 / (l[nodes] * l[nodes]))  # sqrt(omega)
             rho0, sq = np.zeros((nodes.size, u.size)), np.empty((nodes.size, u.size))
             rho1 = np.zeros((nodes.size, u.size - 1))
-            for n, h in zip(range(top.max() + 1), _hermite_levels((scale * half[nodes])[:, None] * u)):
+            for n, h in zip(range(top.max() + 1), self._levels((scale * half[nodes])[:, None] * u)):
                 np.multiply(h, h, out=sq)
                 # f_n over the full grid's trapezoid norm dx (sum_j h_j^2 - (h_0^2 + h_-1^2) / 2), 0 above top
                 nrm = dx * (2.0 * sq.sum(axis=1) - (1 + c) * sq[:, 0] - sq[:, -1])
@@ -219,38 +212,25 @@ class BoxModel(Model):
 
     n_min = 1  # lowest level number
     _U2 = 0.0
+    _LENGTH = "L"
 
     @staticmethod
     def _unit_energy(n):
         return (np.pi * n) ** 2 / 2.0
 
-    @staticmethod
-    def _unit_amplitudes(n_max: int, xi: np.ndarray) -> np.ndarray:
-        """Rows n = 1..n_max of sqrt(2) sin(n pi xi), the amplitudes at L = 1 (xi = x/L)."""
-        phi = np.multiply.outer(np.arange(1, n_max + 1) * np.pi, xi)
-        np.sin(phi, out=phi)
-        phi *= math.sqrt(2.0)
-        return phi
+    _levels = staticmethod(_sine_levels)
 
     @staticmethod
-    def _unit_table(n_max: int, xi: np.ndarray) -> np.ndarray:
-        """_unit_amplitudes on a grid xi spanning [0, 1], exactly zero at both walls."""
-        phi = BoxModel._unit_amplitudes(n_max, xi)
-        phi[:, 0] = 0.0
-        phi[:, -1] = 0.0
-        return phi
+    def _fit(table: np.ndarray, grid: Grid, L: float) -> np.ndarray:
+        """The table of a grid spanning exactly [0, L], set exactly to zero at both walls."""
+        if abs(grid.x_min) > 1e-9 * L or abs(grid.x_max - L) > 1e-9 * L:
+            raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
+        table[:, [0, -1]] = 0.0
+        return table
 
     def default_grid(self, L: float, n_points: int) -> Grid:
         """The grid of wall position L: [0, L]."""
         return Grid(0.0, L, n_points)
-
-    def amplitudes(self, n_max: int, L: float, grid: Grid) -> np.ndarray:
-        """Rows n = 1..n_max of box eigenamplitudes on a [0, L] grid."""
-        _require_count(n_max, "n_max", self.n_min)
-        _require_positive(L, "L")
-        if abs(grid.x_min) > 1e-9 * L or abs(grid.x_max - L) > 1e-9 * L:
-            raise ValueError(f"grid [{grid.x_min}, {grid.x_max}] must span exactly [0, {L}]")
-        return self._unit_table(n_max, grid.points / L) / math.sqrt(L)
 
     _unit_xi2 = staticmethod(lambda ns: 1.0 / 3.0 - 1.0 / (2.0 * np.pi**2 * ns * ns))  # <n|xi^2|n> at L = 1
 
@@ -267,11 +247,15 @@ class BoxModel(Model):
         """Blocks (nodes, x, rho0, rho1) of _CHUNK_NODES nodes sharing one L = 1 table; l_max is unused.
 
         The wall grid scales with L, x = L xi on xi in [0, 1], and
-        phi_n(x; L) = L^-1/2 phi_n(xi; 1), so one sine table built here serves
-        every node with weight f_n / L; no sine is evaluated per node.
+        phi_n(x; L) = L^-1/2 phi_n(xi; 1), so the one table of amplitudes at
+        L = 1 serves every node with weight f_n / L; no sine is evaluated per
+        node, and no (levels x points) product is formed.
         """
-        xi = np.linspace(0.0, 1.0, n_points)
-        table = self._unit_table(int(np.max(n_top)), xi)
+        unit = Grid(0.0, 1.0, n_points)
+        table = self.amplitudes(int(np.max(n_top)), 1.0, unit)
         for start in range(0, l.size, _CHUNK_NODES):
             nodes = np.arange(start, min(start + _CHUNK_NODES, l.size))
-            yield (nodes, l[nodes, None] * xi, *_trace_moments(table, f[nodes, : table.shape[0]] * (1.0 / l[nodes, None])))
+            w = f[nodes, : table.shape[0]] * (1.0 / l[nodes, None])
+            rho0 = np.einsum("...n,nj,nj->...j", w, table, table)
+            rho1 = np.einsum("...n,nj,nj->...j", w, table[:, :-1], table[:, 1:])
+            yield nodes, l[nodes, None] * unit.points, rho0, rho1

@@ -125,6 +125,15 @@ def test_a_bad_path_exits_2_without_traceback(tmp_path, capsys, argv):
     assert "Traceback" not in err
 
 
+def test_a_config_line_without_equals_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "box.cfg"
+    cfg.write_text("system=box\n# ramp=trigonometric\nramp polynomial\n")
+    assert main(["run", str(cfg), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert "invalid scenario: line 3: expected key=value, got 'ramp polynomial'" in err
+    assert "Traceback" not in err
+
+
 def _log_uniform(lo, hi):
     return st.floats(math.log(lo), math.log(hi)).map(math.exp)
 

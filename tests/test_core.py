@@ -197,6 +197,45 @@ def test_one_protocol_forks_every_process():
     assert set(found) == {(name, *site) for name, site in _PROTOCOL_SITES.items()}
 
 
+def _scoped_names(node, scope: str, found: list) -> None:
+    """Append (name, scope) of every Name and np.attribute under node to found.
+
+    The scope is the dotted path of the enclosing classes and functions, with
+    the target of a one-name assignment as the last part (Class.attribute).
+    """
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        scope = f"{scope}.{node.name}".lstrip(".")
+    elif isinstance(node, ast.Assign) and len(node.targets) == 1 and isinstance(node.targets[0], ast.Name):
+        scope = f"{scope}.{node.targets[0].id}".lstrip(".")
+    if isinstance(node, ast.Name):
+        found.append((node.id, scope))
+    elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "np":
+        found.append((f"np.{node.attr}", scope))
+    for child in ast.iter_child_nodes(node):
+        _scoped_names(child, scope, found)
+
+
+def test_one_level_source_per_trap():
+    # Model builds every amplitude table from a trap's _levels and _fit: the box's sines
+    # are formed in _sine_levels alone, the Hermite recurrence is reached only as
+    # HarmonicModel._levels, and no trap builds a table of its own
+    tree = ast.parse((Path(__file__).resolve().parents[1] / "src" / "ffqd" / "spectra.py").read_text())
+    found = []
+    _scoped_names(tree, "", found)
+    assert {scope for name, scope in found if name == "np.sin"} == {"_sine_levels"}
+    assert {scope for name, scope in found if name == "_hermite_levels"} == {"HarmonicModel._levels"}
+    defined = {
+        cls.name: {n.name for n in cls.body if isinstance(n, ast.FunctionDef)}
+        | {t.id for n in cls.body if isinstance(n, ast.Assign) for t in n.targets if isinstance(t, ast.Name)}
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef)
+    }
+    assert {"amplitudes", "_unit_amplitudes"} <= defined["Model"]
+    for trap in ("HarmonicModel", "BoxModel"):
+        assert {"_levels", "_fit"} <= defined[trap]
+        assert not {"amplitudes", "_unit_amplitudes", "_unit_table"} & defined[trap]
+
+
 def _is_positive_rule(node) -> bool:
     """A chained comparison `a < x < inf` (math.inf or np.inf): the positive-and-finite rule."""
     if not (isinstance(node, ast.Compare) and len(node.ops) == 2):

@@ -23,7 +23,9 @@ from ffqd.cost import (
     internal_energy_numeric,
     solve_mu,
     _fermi,
+    _fermi_factor,
     _costs_ff_numeric,
+    _mu_at_one_ulp,
     _node_traces,
     _solve_mu_rows,
     _trace_finish,
@@ -33,7 +35,7 @@ from ffqd._numutil import gauss_legendre
 from ffqd.cli import _PRESETS, Scenario, run
 from ffqd.core import Grid
 from ffqd.ie import cost_ie
-from ffqd.spectra import BoxModel, HarmonicModel, _hermite_functions, _trace_moments
+from ffqd.spectra import BoxModel, HarmonicModel
 from ffqd.trajectory import ADIABATIC_LINEAR, POLYNOMIAL, QUINTIC, TRIGONOMETRIC, ControlTrajectory, vbar_for_target
 
 from helpers import box_ramp, ho_ramp
@@ -431,6 +433,11 @@ _trace_cases = st.builds(
 )
 
 
+def _trace_moments(table, f):
+    """rho0_j = sum_n f_n phi_n,j^2 and rho1_j = sum_n f_n phi_n,j phi_n,j+1 of one table shared by the rows of f."""
+    return np.einsum("...n,nj,nj->...j", f, table, table), np.einsum("...n,nj,nj->...j", f, table[:, :-1], table[:, 1:])
+
+
 @settings(max_examples=80, deadline=None)
 @given(_trace_cases)
 def test_weighted_trace_matches_complex_reference(case):
@@ -500,6 +507,36 @@ def test_solve_mu_one_ulp_bound_is_tight():
     # the bound is the jump of sum f across that one ulp, not a wider tolerance
     jump = abs(g(other) - g(mu))
     assert jump <= _one_ulp_reach(e, beta, n, mu) <= 1.001 * jump
+
+
+def _one_ulp_terms(e, beta, n, lo, hi):
+    """(better residual, beta (hi - lo) sum f (1 - f), rounding 2 n_levels eps N) of the bracket [lo, hi]."""
+    with np.errstate(over="ignore"):
+        g, mu = min((abs(float(np.sum(_fermi_factor(beta * (e - m)))) - n), m) for m in (lo, hi))
+        f = _fermi_factor(beta * (e - mu))
+    return g, beta * (hi - lo) * float(np.sum(f * (1.0 - f))), 2.0 * e.size * np.finfo(float).eps * n
+
+
+def test_one_ulp_rule_accepts_a_residual_only_the_rounding_term_reaches():
+    # f is 1 or 0 to rounding at all but the level at 0.835, whose f ~ 2.6e-15 leaves the sum 6 ulp
+    # above N = 2: far beyond what one ulp of mu moves (3.1e-29), within the sum's rounding (3.6e-15)
+    # and beyond half of it
+    e, beta, n = np.array([-1.0, 0.0, 0.835, 1.0]), 100.0, 2
+    lo, hi = 0.5, np.nextafter(0.5, math.inf)
+    g, drift, rounding = _one_ulp_terms(e, beta, n, lo, hi)
+    assert drift < g <= drift + rounding and g > 0.5 * rounding
+    assert _mu_at_one_ulp(e, beta, n, lo, hi) in (lo, hi)
+
+
+def test_one_ulp_rule_raises_on_a_residual_beyond_its_reach():
+    # mu 11.5 / beta below the middle level fills it to f ~ 1.0e-5, above N = 1 at both adjacent
+    # doubles; one ulp moves sum f by only 1.1e-9, though beta ulp(mu) itself (1.1e-4) is larger
+    e, beta, n = np.array([0.0, 0.5 + 11.5 / 1e12, 1.0]), 1e12, 1
+    lo, hi = 0.5, np.nextafter(0.5, math.inf)
+    g, drift, rounding = _one_ulp_terms(e, beta, n, lo, hi)
+    assert drift + rounding < g < beta * (hi - lo)
+    with np.errstate(over="ignore"), pytest.raises(RuntimeError, match=r"^mu bisection stalled with residual 1\.013e-05 above"):
+        _mu_at_one_ulp(e, beta, n, lo, hi)
 
 
 def _bisection_before_stall_rule(e, beta, n):
@@ -786,7 +823,7 @@ def _per_node_trace(model, traj, t, ens, n_points):
         half = model._half_width(traj._l_max, int(ns[-1]))
         grid = Grid(-half, half, n_points)
         scale = np.sqrt(1.0 / (l * l))
-        amps = _hermite_functions(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
+        amps = HarmonicModel()._unit_amplitudes(int(ns[-1]), scale * grid.points) * np.sqrt(scale)
         nrm = np.trapezoid(amps * amps, dx=grid.dx, axis=1)
         if not np.all(nrm > 0.0):
             raise ValueError("grid too coarse for level")
@@ -908,7 +945,7 @@ def _full_grid_stack_trace(l, half, f, n_points, g, a):
     x = half * (np.arange(1 - n_points, n_points, 2) / (n_points - 1))
     dx = 2.0 * half / (n_points - 1)
     scale = np.sqrt(1.0 / (l * l))
-    amps = _hermite_functions(f.size - 1, scale * x) * np.sqrt(scale)
+    amps = HarmonicModel()._unit_amplitudes(f.size - 1, scale * x) * np.sqrt(scale)
     amps /= np.sqrt(np.trapezoid(amps * amps, dx=dx, axis=1))[:, None]
     return _complex_trace_reference(amps, f, g, x, a * x * x, dx)
 

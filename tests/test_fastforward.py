@@ -104,6 +104,15 @@ def test_singularity_detected():
         dtheta_dx_numeric(amp, 1.0, grid)
 
 
+def test_one_usable_point_cannot_be_bridged():
+    # the density is 1e-12 (no exact zero) everywhere but at one point, so all but that
+    # point fall below 3e-4 of the peak, and no line runs through one point
+    grid = Grid(0.0, 1.0, 64)
+    amp = lambda l: np.where(np.arange(grid.n_points) == 32, 1.0, 1e-6)
+    with pytest.raises(RegularizationSingularity, match="^fewer than two usable grid points$"):
+        dtheta_dx_numeric(amp, 1.0, grid)
+
+
 # ---------------------------------------------------------------------------
 # driving potential
 
@@ -210,6 +219,18 @@ def test_values_extension_matches_field_inside(model):
         field = psi_ff(model, n, t, traj, grid)
         vals = psi_ff_values(model, n, t, traj, grid.points)
         np.testing.assert_allclose(vals[1:-1], field.values[1:-1], atol=1e-12)
+
+
+@pytest.mark.parametrize("model", [BoxModel(), HarmonicModel()], ids=["box", "harmonic"])
+def test_values_keep_the_shape_of_x(model):
+    # the oscillator's table used to put the levels behind the leading axes of x, so a 2-D x
+    # gave every row the first row's amplitude; a scalar x gives one value in an array
+    traj = box_ramp(POLYNOMIAL)
+    x = np.array([[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]])
+    n = model.n_min + 1
+    rows = [psi_ff_values(model, n, 0.2, traj, r) for r in x]
+    assert np.array_equal(psi_ff_values(model, n, 0.2, traj, x), np.array(rows))
+    assert np.array_equal(psi_ff_values(model, n, 0.2, traj, 0.3), rows[0][2:])
 
 
 def test_level_fields_per_model():

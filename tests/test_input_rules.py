@@ -197,6 +197,43 @@ def test_every_length_frequency_duration_and_step_is_positive_and_finite(entry, 
         call(bad)
 
 
+# (id, call, message) of each propagate argument that is not of its kind: each used to fail
+# inside the run, as an AttributeError on psi0.values, a TypeError "'float' object is not
+# callable", or numpy's broadcast error for 3 values of a(t) against 1000 half steps
+_PROPAGATE_KINDS = [
+    ("psi0", lambda: propagate(_PSI.values, RAMP, np.zeros_like, 0.01, 0.5), "psi0 must be a ComplexField, got ndarray"),
+    ("coefficient", lambda: propagate(_PSI, RAMP, 0.5, 0.01, 0.5), "coefficient must be callable, got 0.5"),
+    (
+        "coefficient_values",
+        lambda: propagate(_PSI, RAMP, lambda t: np.zeros(3), 0.0005, 0.5),
+        "coefficient must return one value or one per half step (1000), got shape (3,)",
+    ),
+]
+
+
+@pytest.mark.parametrize("entry, call, message", _PROPAGATE_KINDS, ids=[k[0] for k in _PROPAGATE_KINDS])
+def test_propagate_rejects_an_argument_of_the_wrong_kind(entry, call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
+
+
+def test_propagate_takes_one_scalar_a_for_every_half_step():
+    # a constant coefficient may return a plain number, which broadcasts over the half steps
+    scalar = propagate(_PSI, RAMP, lambda t: 0.0, 0.01, 0.5)
+    assert np.array_equal(scalar.values, propagate(_PSI, RAMP, np.zeros_like, 0.01, 0.5).values)
+
+
+@pytest.mark.parametrize(
+    "energies, beta",
+    [(np.float64(0.5), 1.0), (np.ones((2, 3)), 1.0), (np.ones((2, 3)), math.inf), ([[0.5], [1.5], [2.5]], 1.0)],
+    ids=["0-d", "2-D", "2-D_zero_T", "nested_list"],
+)
+def test_solve_mu_takes_one_1d_spectrum(energies, beta):
+    # these used to raise numpy's AxisError, a broadcast ValueError, a TypeError and an IndexError
+    with pytest.raises(ValueError, match=rf"^energies must be a 1-D spectrum, got shape {re.escape(str(np.shape(energies)))}$"):
+        solve_mu(energies, beta, 1)
+
+
 # (id, name, call, zero allowed) of every entry point that takes a quadrature tolerance; cost_ie
 # takes none of its own, it averages by cost_ff's default
 _TOLERANCES = [

@@ -742,6 +742,12 @@ def test_residual_stencil_domain():
         tdse_residual(psi, zero_potential, grid, 0.0, 1e-3)
 
 
+def test_residual_of_a_zero_state_is_undefined():
+    grid = Grid(0.0, 1.0, 256)
+    with pytest.raises(ValueError, match="^H psi vanishes; residual undefined$"):
+        tdse_residual(lambda s: np.zeros(grid.n_points), zero_potential, grid, 0.5, 1e-3)
+
+
 def test_residual_stencil_accepts_t_equal_to_dt():
     # the stencil then reads psi at t = 0 exactly; any t below dt is refused
     traj = ControlTrajectory(ADIABATIC_LINEAR, 1.0, 1.0, vbar=1e-14)

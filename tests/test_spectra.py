@@ -34,6 +34,14 @@ def test_ho_grid_norm():
     assert inner_product(phi, phi).real == pytest.approx(1.0, abs=1e-8)
 
 
+def test_ho_rows_have_unit_trapezoid_norm_to_rounding():
+    # the one-pass row norm takes half of each end point's square, as the trapezoid rule does:
+    # on 32 points the ends of level 10 carry 1.4e-14 of its norm, far above the sum's rounding
+    grid = Grid(-8.0, 8.0, 32)
+    h = HO.amplitudes(10, 1.0, grid)
+    assert np.max(np.abs(np.trapezoid(h * h, dx=grid.dx, axis=1) - 1.0)) <= 1e-15
+
+
 def test_ho_narrow_grid_rejected():
     with pytest.raises(ValueError):
         HO.amplitudes(0, 1.0, Grid(-2.0, 2.0, 256))
@@ -58,6 +66,19 @@ def test_box_eigenstate_values():
 def test_box_eigenstate_grid_domain_checked():
     with pytest.raises(ValueError):
         BOX.amplitudes(1, 2.0, Grid(0.0, 1.0, 256))
+
+
+def test_box_grid_may_miss_each_wall_by_1e_9_of_L():
+    # the left end passes exactly 1e-9 L off its wall and raises one double beyond; the right
+    # end, whose offset from L rounds, passes at 0.999e-9 L and raises at 1.001e-9 L
+    L = 2.0
+    tol = 1e-9 * L
+    for x_min, x_max in ((tol, L), (-tol, L), (0.0, L + 0.999 * tol), (0.0, L - 0.999 * tol)):
+        assert BOX.amplitudes(2, L, Grid(x_min, x_max, 64)).shape == (2, 64)
+    beyond = np.nextafter(tol, 1.0)
+    for x_min, x_max in ((beyond, L), (-beyond, L), (0.0, L + 1.001 * tol), (0.0, L - 1.001 * tol)):
+        with pytest.raises(ValueError, match=r"must span exactly \[0, 2.0\]$"):
+            BOX.amplitudes(2, L, Grid(x_min, x_max, 64))
 
 
 @pytest.mark.parametrize("model_case", ["box", "ho"])

@@ -151,6 +151,16 @@ def test_positivity_enforced_at_construction():
         ControlTrajectory(POLYNOMIAL, 1.0, 1.0, vbar=-7.0)  # l(T) = 1 - 7/6 < 0
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda kind: ControlTrajectory(kind, 1.0, 1.0, vbar=1.0), lambda kind: vbar_for_target(kind, 1.0, 2.0, 1.0)],
+    ids=["ControlTrajectory", "vbar_for_target"],
+)
+def test_unknown_trajectory_kind_rejected(make):
+    with pytest.raises(ValueError, match="^unknown trajectory kind 'cubic'$"):
+        make("cubic")
+
+
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 @pytest.mark.parametrize("field", ["l0", "vbar", "epsilon", "t_ff"])
 def test_non_finite_ends_rejected(field, bad):

@@ -4,8 +4,10 @@ Usage:
     python tools/mutants.py [--root DIR] [--out mutants.json] [TARGET ...]
 
 A TARGET is FILE:FUNCTION[,FUNCTION...], FILE relative to the repository root
-(--root, by default the one holding this script).  Without targets the
-sampler takes the parallel layer: the forked-process protocol, the paired
+(--root, by default the one holding this script).  A FUNCTION is a qualified
+name, Class.method or outer.inner, or a bare name that names one function of
+FILE alone (a bare name that two classes define is refused).  Without targets
+the sampler takes the parallel layer: the forked-process protocol, the paired
 run and the sweep pool (DEFAULT_TARGETS).
 
 Every mutation site of the targets is listed in source order, and SAMPLE
@@ -15,8 +17,9 @@ quoted for two versions of the code are made alike.  A site is one of:
   - a comparison flipped: < and <=, > and >=, == and !=, in and not in,
     is and is not;
   - and and or swapped, or a not dropped;
-  - a constant nudged: an int by +1, a float by 0.1%, a bytes value to
-    another byte, True and False swapped;
+  - a constant nudged: an int by +1, a float by 0.1% (0.0, which a nudge
+    leaves as it is, is no site), a bytes value to another byte, True and
+    False swapped;
   - a statement that is a bare call deleted (replaced by pass).
 
 Each mutant is written into one temporary copy of the repository, never
@@ -101,9 +104,33 @@ def _nodes(node: ast.AST):
             yield from _nodes(child)
 
 
+def _functions(node: ast.AST, prefix: str = "") -> dict:
+    """Every function under node by qualified name: Class.method, outer.inner, or a bare module-level name."""
+    found = {}
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = prefix + child.name
+            if not isinstance(child, ast.ClassDef):
+                found[name] = child
+            found.update(_functions(child, name + "."))
+    return found
+
+
+def _resolve(funcs: dict, file: str, name: str) -> str:
+    """The qualified name a target's FUNCTION stands for: itself, or the one function it ends."""
+    if name in funcs:
+        return name
+    matches = [q for q in funcs if q.rsplit(".", 1)[-1] == name]
+    if len(matches) > 1:
+        raise SystemExit(f"{file}: {name} is ambiguous, name one of {', '.join(matches)}")
+    if not matches:
+        raise SystemExit(f"{file} has no function {name}")
+    return matches[0]
+
+
 def sites(root: Path, targets) -> list[dict]:
-    """Every mutation site of the targets: file, function, line, byte span, original and mutated text."""
-    found = []
+    """Every mutation site of the targets, once each: file, function, line, byte span, original and mutated text."""
+    found, seen = [], set()
     for target in targets:
         file, names = target.split(":")
         source = (root / file).read_bytes()
@@ -111,16 +138,18 @@ def sites(root: Path, targets) -> list[dict]:
         for line in source.splitlines(keepends=True):
             starts.append(starts[-1] + len(line))
         tree = ast.parse(source)
-        funcs = {n.name: n for n in ast.walk(tree) if isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef))}
-        for name in names.split(","):
-            if name not in funcs:
-                raise SystemExit(f"{file} has no function {name}")
+        funcs = _functions(tree)
+        for name in (_resolve(funcs, file, n) for n in names.split(",")):
             for node in _nodes(funcs[name]):
                 for text in _mutated(node):
                     start = starts[node.lineno - 1] + node.col_offset  # col_offset counts UTF-8 bytes
                     end = starts[node.end_lineno - 1] + node.end_col_offset
-                    found.append(dict(file=file, function=name, line=node.lineno, start=start, end=end,
-                                      mutation=f"{source[start:end].decode()} -> {text}"))
+                    original = source[start:end].decode()
+                    # a float nudge of 0.0 changes nothing; a function and one nested in it share sites
+                    if text != original and (file, start, end, text) not in seen:
+                        seen.add((file, start, end, text))
+                        found.append(dict(file=file, function=name, line=node.lineno, start=start, end=end,
+                                          mutation=f"{original} -> {text}"))
     return found
 
 
