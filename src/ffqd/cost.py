@@ -196,7 +196,7 @@ def _solve_mu_rows(e: np.ndarray, beta: float, n_particles: int) -> np.ndarray:
 def solve_mu(energies, beta: float, n_particles: int) -> float:
     """Chemical potential with sum_n f_n = n_particles, by bisection.
 
-    energies is one 1-D spectrum (ValueError for any other shape).  The
+    energies is one 1-D spectrum of reals (ValueError otherwise, ragged too).  The
     occupation sum is monotone increasing in mu, so the root is unique at finite
     beta; at beta = inf any point of the zero-temperature plateau is returned,
     for finite energies only (ValueError).  At finite beta the bracket is padded
@@ -206,7 +206,10 @@ def solve_mu(energies, beta: float, n_particles: int) -> float:
     where no double meets it, the one-ulp reach (RuntimeError beyond it).
     """
     ThermalEnsemble(beta, n_particles)  # its rules for beta and n_particles
-    e = np.asarray(energies, dtype=float)
+    try:
+        e = np.asarray(energies, dtype=float)
+    except (TypeError, ValueError):  # a ragged nesting has no shape; a non-number no float
+        raise ValueError("energies must be a 1-D spectrum of real numbers") from None
     if e.ndim != 1:
         raise ValueError(f"energies must be a 1-D spectrum, got shape {e.shape}")
     return float(_solve_mu_rows(np.sort(e)[None, :], beta, n_particles)[0])

@@ -28,16 +28,16 @@ The half-step potential V(x, t + dt/2) keeps the scheme second order in time
 for explicitly time-dependent Hamiltonians.  s, s_dot and a are evaluated at
 every half step in one vectorised call each before the loop, where the bound
 dt*max|V|/hbar < 0.5 is checked on all of them at once.  A step refills the
-diagonals of A = 1 + i dt H / 2hbar and makes one LAPACK zgtsv solve:
-A^-1 (1 - i dt H / 2hbar) = 2 A^-1 - 1, so the new state is 2 A^-1 psi - psi,
-with no product H psi.
+diagonals of A/2, half of A = 1 + i dt H / 2hbar, and makes one zgtsv solve
+from psi where it lies: A^-1 (1 - i dt H / 2hbar) = 2 A^-1 - 1 = (A/2)^-1 - 1,
+so the new state is (A/2)^-1 psi - psi, with no product H psi.
 
 A paired run shares its steps with one forked partner process, so that a
 lone run keeps a second CPU busy.  The matrices A depend on the ramp and not
 on the state, so their LU factorization can leave the critical path: blocks
 of _PAIR_BLOCK steps alternate between the two processes, and while one
 solves its block, the other fills and zgttrf-factors the matrices of its
-next one.  A step from the factors is one zgttrs solve of 2 psi, less psi.
+next one.  A step from the factors of A/2 is one zgttrs solve of psi, less psi.
 zgttrf eliminates with zgtsv's pivot choices and operations, and zgttrs
 applies them to the right-hand side in zgtsv's order, so the paired run
 returns the serial run's bits, and raises its errors at the same steps.  Only
@@ -193,9 +193,9 @@ def propagate(
 
     dy = frame.dx
     y = frame.points[1:-1]
-    # A = 1 + i lam H at every half step: kinetic k = lam/(2 s^2 dy^2),
+    # A/2 = 1/2 + i lam H at every half step, lam = dt/4: kinetic k = lam/(2 s^2 dy^2),
     # dilation q = lam (s_dot/s)/(4 dy) and potential pot y^2 = lam a s^2 y^2
-    lam = dt / 2.0
+    lam = dt / 4.0
     c_kin = lam / (2.0 * dy * dy)
     c_dil = lam / (4.0 * dy)
     a = np.asarray(coefficient(t_half))
@@ -203,7 +203,7 @@ def propagate(
         raise ValueError(f"coefficient must return one value or one per half step ({n_steps}), got shape {a.shape}")
     pot = lam * a * (s * s)
     k, q = c_kin / (s * s), c_dil * (s_dot / s)
-    margin = 2.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
+    margin = 4.0 * np.abs(pot) * np.max(y * y)  # dt max|V|/hbar at every half step
     bad = np.flatnonzero(~(margin < 0.5))  # NaN fails too
     if bad.size:
         step, worst = bad[0] + 1, margin[bad[0]]
@@ -222,18 +222,17 @@ def propagate(
         u = 0.5 * (u[h:] + sign * u[::-1][h:])
     y2 = (y * y).astype(complex)
     y_pair = (y[:-1] + y[1:]).astype(complex)  # y_j + y_{j+1} for the symmetrized dilation term
+
+    def fill(step, dl, d, du):
+        _fill(dl, d, du, y2, y_pair, pot.item(step), k.item(step), q.item(step), sign, centre)
+
+    def check(u, done):
+        _check_norm(u, dy, done, n_steps, sign, centre)
+
     if _paired and frames is None and n_steps >= 2 * _PAIR_BLOCK and n_steps * u.size >= _PAIR_WORK:
-
-        def fill(step, dl, d, du):
-            _fill(dl, d, du, y2, y_pair, pot.item(step), k.item(step), q.item(step), sign, centre)
-
-        def check(u, done):
-            _check_norm(u, dy, done, n_steps, sign, centre)
-
         if (paired := _paired_run(u, n_steps, fill, check)) is not None:  # else no partner could be forked
             return ComplexField(*_physical(frame, paired, ramp.value(t_final), sign))
     zgtsv = _zgtsv()
-    w = np.empty_like(u)
     d = np.empty_like(u)
     du = np.empty(u.size - 1, dtype=complex)
     dl = np.empty_like(du)
@@ -241,18 +240,18 @@ def propagate(
     if frames is not None:
         frames.append((0.0, *_physical(frame, u, ramp.value(0.0), sign)))
     for step in range(n_steps):
-        _fill(dl, d, du, y2, y_pair, pot.item(step), k.item(step), q.item(step), sign, centre)
-        u, w = _cayley_step(dl, d, du, u, w, zgtsv), u
+        fill(step, dl, d, du)
+        u = _cayley_step(dl, d, du, u, zgtsv)
         done, last = step + 1, step + 1 == n_steps
         if done % _NORM_CHECK_STRIDE == 0 or last:
-            _check_norm(u, dy, done, n_steps, sign, centre)
+            check(u, done)
         if frames is not None and (last or done % stride == 0):
             frames.append((done * dt, *_physical(frame, u, ramp.value(done * dt), sign)))
     return ComplexField(*_physical(frame, u, ramp.value(t_final), sign))
 
 
 def _fill(dl, d, du, y2, y_pair, pot, k, q, sign: int, centre: int) -> None:
-    """Write the sub-, main and super-diagonal of A = 1 + i lam H at one half step into dl, d, du.
+    """Write the sub-, main and super-diagonal of A/2 = 1/2 + i lam H, lam = dt/4, at one half step into dl, d, du.
 
     pot = lam a s^2, k = lam / (2 s^2 dy^2) and q = lam (s_dot/s) / (4 dy) are
     the step's potential, kinetic and dilation scalars; y2 holds y^2 and
@@ -260,10 +259,10 @@ def _fill(dl, d, du, y2, y_pair, pot, k, q, sign: int, centre: int) -> None:
     (0: none), which starts at a centre point (centre = 1) or pair.
     """
     np.multiply(y2, 1j * pot, out=d)
-    d += 1.0 + 2j * k
-    np.multiply(y_pair, -q, out=du)  # du = -i lam k - lam q y_pair
+    d += 0.5 + 2j * k
+    np.multiply(y_pair, -q, out=du)  # du = -i k - q y_pair
     du -= 1j * k
-    np.subtract(-2j * k, du, out=dl)  # dl = -i lam k + lam q y_pair, exactly
+    np.subtract(-2j * k, du, out=dl)  # dl = -i k + q y_pair, exactly
     if sign:  # the first unknown's coupling to its mirror image, which is sign times itself
         if centre:
             du[0] *= 1 + sign  # the mirrored lower coupling equals du[0]
@@ -304,37 +303,35 @@ def _zgtsv():
     return _flapack().zgtsv
 
 
-def _cayley_step(dl, d, du, u: np.ndarray, w: np.ndarray, zgtsv) -> np.ndarray:
+def _cayley_step(dl, d, du, u: np.ndarray, zgtsv) -> np.ndarray:
     """One Cayley step u -> (1 + i lam H)^-1 (1 - i lam H) u for a tridiagonal H.
 
-    dl, d, du are the sub-, main and super-diagonal of A = 1 + i lam H.  As
-    (1 + i lam H)^-1 (1 - i lam H) = 2 (1 + i lam H)^-1 - 1 exactly, the step
-    is 2 A^-1 u - u: one solve, no product H u (the solve takes 2u, which
-    doubles its result exactly).  zgtsv is LAPACK's tridiagonal solver as
-    scipy's f2py extension binds it (propagate passes _zgtsv(), tests may
-    pass scipy.linalg.lapack.zgtsv); it overwrites dl, d, du and the scratch
-    vector w, and the result may share w's memory.
+    dl, d, du are the sub-, main and super-diagonal of A/2, half of
+    A = 1 + i lam H.  As A^-1 (1 - i lam H) = 2 A^-1 - 1 = (A/2)^-1 - 1
+    exactly, the new state is (A/2)^-1 u - u: one solve with u on the right,
+    no product H u, and the bits of a solve of A against 2u (halving commutes
+    with rounding and keeps zgtsv's pivots).  zgtsv is LAPACK's tridiagonal
+    solver as scipy's f2py extension binds it (propagate passes _zgtsv(),
+    tests may pass scipy.linalg.lapack.zgtsv); it overwrites dl, d, du, not u.
     """
-    np.multiply(u, 2.0, out=w)
-    _, _, _, x, info = zgtsv(dl, d, du, w, 1, 1, 1, 1)
+    _, _, _, x, info = zgtsv(dl, d, du, u, 1, 1, 1, 0)
     if info != 0:
         raise PropagationError(f"zgtsv failed in the Cayley step (info = {info})")
     x -= u
     return x
 
 
-def _factored_step(factors, u: np.ndarray, w: np.ndarray, zgttrs) -> np.ndarray:
-    """_cayley_step from zgttrf's factors (dl, d, du, du2, ipiv, info) of A, solved by zgttrs.
+def _factored_step(factors, u: np.ndarray, zgttrs) -> np.ndarray:
+    """_cayley_step from zgttrf's factors (dl, d, du, du2, ipiv, info) of A/2: (A/2)^-1 u - u by zgttrs.
 
     zgttrf eliminates with the pivots and operations of zgtsv, and zgttrs
     applies them to the right-hand side in zgtsv's order, so the step is bit
     for bit _cayley_step's, and so is its error: a zero pivot is the info
-    zgtsv would report.
+    zgtsv would report.  u is left as it is.
     """
     dl, d, du, du2, ipiv, info = factors
     if info == 0:
-        np.multiply(u, 2.0, out=w)
-        x, info = zgttrs(dl, d, du, du2, ipiv, w, "N", 1)
+        x, info = zgttrs(dl, d, du, du2, ipiv, u, "N", 0)
     if info != 0:
         raise PropagationError(f"zgtsv failed in the Cayley step (info = {info})")
     x -= u
@@ -344,7 +341,7 @@ def _factored_step(factors, u: np.ndarray, w: np.ndarray, zgttrs) -> np.ndarray:
 def _paired_run(u: np.ndarray, n_steps: int, fill, check) -> np.ndarray | None:
     """The state n_steps Cayley steps after u, solved in turns by this process and a forked partner.
 
-    fill(step, dl, d, du) writes A's diagonals at a step, and check(u, done)
+    fill(step, dl, d, du) writes A/2's diagonals at a step, and check(u, done)
     is the norm check after step done.  The steps fall into blocks of
     _PAIR_BLOCK: this process solves blocks 0, 2, 4, ... and the partner
     blocks 1, 3, 5, ...  While one process solves a block, the other fills
@@ -373,7 +370,7 @@ def _paired_run(u: np.ndarray, n_steps: int, fill, check) -> np.ndarray | None:
         u = _turns(blocks[0::2], u, state, n_steps, fill, check, lapack, read, write)
         if len(blocks) % 2 == 0:  # the partner solved the last block
             _receive(read)
-            np.copyto(u, state)
+            u = state
     finally:
         _reap(pid, read, write)  # a partner waiting for the state then reads EOF, and ends
     return u
@@ -383,24 +380,21 @@ def _turns(own, u, state, n_steps, fill, check, lapack, read, write) -> np.ndarr
     """Solve the blocks own of a paired run in turn; returns the state after the last.
 
     The first block starts from u where u is given (this process's blocks
-    0, 2, ...), every other one from the shared state once the hand-over
-    has come on the pipe end read.  Each block ends by writing the state
-    there and b"." to the pipe end write, unless it is the run's last and
-    this process called the run.  The next block is factored in between.
+    0, 2, ...), every other one from the shared state where it lies, once
+    the hand-over has come on the pipe end read.  Each block ends by writing
+    the state there and b"." to the pipe end write, unless it is the run's
+    last and this process called the run.  The next block is factored in between.
     """
     rows = state.size
     buffers = [(np.empty(rows - 1, complex), np.empty(rows, complex), np.empty(rows - 1, complex)) for _ in range(_PAIR_BLOCK)]
-    w = np.empty_like(state)
     called = u is not None
-    if not called:
-        u = np.empty_like(state)
     factors = _factors(own[0], fill, buffers, lapack.zgttrf)
     for i, block in enumerate(own):
         if i or not called:
             _receive(read)
-            np.copyto(u, state)
+            u = state
         for step, factor in zip(block, factors):
-            u, w = _factored_step(factor, u, w, lapack.zgttrs), u
+            u = _factored_step(factor, u, lapack.zgttrs)
             done = step + 1
             if done % _NORM_CHECK_STRIDE == 0 or done == n_steps:
                 check(u, done)

@@ -234,6 +234,13 @@ def test_solve_mu_takes_one_1d_spectrum(energies, beta):
         solve_mu(energies, beta, 1)
 
 
+@pytest.mark.parametrize("energies", [[[1, 2], [3]], [0.5, "a"], [0.5, 1j]], ids=["ragged", "string", "complex"])
+def test_solve_mu_names_energies_that_are_no_array_of_reals(energies):
+    # a ragged nesting used to raise numpy's "inhomogeneous shape" ValueError, a complex entry a TypeError
+    with pytest.raises(ValueError, match=r"^energies must be a 1-D spectrum of real numbers$"):
+        solve_mu(energies, 1.0, 1)
+
+
 # (id, name, call, zero allowed) of every entry point that takes a quadrature tolerance; cost_ie
 # takes none of its own, it averages by cost_ff's default
 _TOLERANCES = [

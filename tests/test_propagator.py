@@ -4,7 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import solve_banded
 from scipy.linalg.lapack import zgtsv
@@ -264,9 +264,9 @@ _tridiagonals = st.builds(
 
 
 def _cn(diag, upper, lower, u, lam):
-    """_cayley_step on copies, from H's diagonals (A = 1 + i lam H is overwritten)."""
-    u = u.copy()
-    return _cayley_step(1j * lam * lower, 1.0 + 1j * lam * diag, 1j * lam * upper, u, np.empty_like(u), zgtsv)
+    """_cayley_step from H's diagonals, on A/2 = 1/2 + i (lam/2) H, half of A = 1 + i lam H (overwritten)."""
+    half = 0.5 * lam
+    return _cayley_step(1j * half * lower, 0.5 + 1j * half * diag, 1j * half * upper, u, zgtsv)
 
 
 @settings(max_examples=60, deadline=None)
@@ -309,7 +309,7 @@ def test_singular_system_gives_the_same_info_and_fails_the_cayley_step():
     info = [fn(*system(), u)[-1] for fn in (_zgtsv(), zgtsv)]
     assert info[0] == info[1] > 0
     with pytest.raises(PropagationError, match=rf"info = {info[0]}\)"):
-        _cayley_step(*system(), u, np.empty_like(u), _zgtsv())
+        _cayley_step(*system(), u, _zgtsv())
 
 
 def _random_tridiagonal(n, seed):
@@ -326,9 +326,33 @@ def test_factored_step_is_bit_identical_to_the_cayley_step(system):
     # with or without row interchanges: the paired run's step keeps the bits
     dl, d, du, u = system
     lapack = _flapack()
-    want = _cayley_step(dl.copy(), d.copy(), du.copy(), u, np.empty_like(u), lapack.zgtsv)
-    got = _factored_step(lapack.zgttrf(dl, d, du), u, np.empty_like(u), lapack.zgttrs)
+    want = _cayley_step(dl.copy(), d.copy(), du.copy(), u, lapack.zgtsv)
+    got = _factored_step(lapack.zgttrf(dl, d, du), u, lapack.zgttrs)
     assert np.array_equal(got.view(float), want.view(float))
+
+
+def _pivoting_system(n, seed, pivots):
+    """A random system of _random_tridiagonal, or one whose diagonal, 10 up, keeps every pivot in place; and pivots."""
+    dl, d, du, u = _random_tridiagonal(n, seed)
+    if not pivots:
+        d += 10.0
+    return dl, d, du, u, pivots
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.builds(_pivoting_system, st.integers(3, 300), st.integers(0, 2**32 - 1), st.booleans()))
+def test_cayley_step_on_half_the_matrix_has_the_bits_of_the_doubled_solve(case):
+    # A/2 and A differ by a power of two, which commutes with rounding and
+    # leaves the pivot tests as they are: solving (A/2) x = u gives, bit for
+    # bit, what zgtsv gives on (A, 2u), with row interchanges or without
+    dl, d, du, u, pivots = case
+    ipiv = _flapack().zgttrf(dl, d, du)[4]
+    assume(np.any(ipiv != np.arange(1, u.size + 1)) == pivots)
+    x = zgtsv(dl, d, du, 2.0 * u)[3]
+    before = u.copy()
+    got = _cayley_step(0.5 * dl, 0.5 * d, 0.5 * du, u, zgtsv)
+    assert np.array_equal(got.view(float), (x - before).view(float))
+    assert np.array_equal(u, before)  # the state is the right-hand side, and stays as it was
 
 
 def test_singular_system_fails_the_factored_step_with_the_cayley_step_message():
@@ -340,7 +364,7 @@ def test_singular_system_fails_the_factored_step_with_the_cayley_step_message():
     factors = lapack.zgttrf(dl, d, du)
     assert factors[-1] == info == 2
     with pytest.raises(PropagationError, match=r"^zgtsv failed in the Cayley step \(info = 2\)$"):
-        _factored_step(factors, u, np.empty_like(u), lapack.zgttrs)
+        _factored_step(factors, u, lapack.zgttrs)
 
 
 def _per_step_reference(psi0, grid, dt, t_final, coefficient, ramp):

@@ -7,8 +7,9 @@ A TARGET is FILE:FUNCTION[,FUNCTION...], FILE relative to the repository root
 (--root, by default the one holding this script).  A FUNCTION is a qualified
 name, Class.method or outer.inner, or a bare name that names one function of
 FILE alone (a bare name that two classes define is refused).  Without targets
-the sampler takes the parallel layer: the forked-process protocol, the paired
-run and the sweep pool (DEFAULT_TARGETS).
+the sampler takes the Cayley step (the fill of A/2 and both solves) and the
+parallel layer: the forked-process protocol, the paired run and the sweep
+pool (DEFAULT_TARGETS).
 
 Every mutation site of the targets is listed in source order, and SAMPLE
 of them are drawn with random.Random(SEED): both are fixed, so that scores
@@ -27,7 +28,9 @@ into the checkout, and the suite runs there with -x, with acceptance
 criterion 8 deselected (it fails as written).  The unmutated copy runs
 first and must pass.  A mutant is killed when the suite fails or runs past
 TIMEOUT_S.  The JSON report lists each mutant's site, mutation,
-whether it was killed and the first failing test, and the score.
+whether it was killed and the first failing test, and the score.  A
+SIGTERM ends the sampler as an exception does: the running suite's
+session is killed and the temporary copy removed.
 
 Stdlib only; it runs the suite with the interpreter that runs it.
 """
@@ -50,7 +53,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 DEFAULT_TARGETS = (
-    "src/ffqd/propagator.py:_paired_run,_turns,_factors,_fork,_send,_receive,_reap",
+    "src/ffqd/propagator.py:_fill,_cayley_step,_factored_step,_paired_run,_turns,_factors,_fork,_send,_receive,_reap",
     "src/ffqd/cli.py:_usable_cpus,_one_os_thread,_outcomes,_propagations",
 )
 CRITERION_8 = "tests/test_acceptance.py::test_criterion_08_thermal_trace_vs_printed_expansion"
@@ -179,7 +182,13 @@ def _suite(copy: Path) -> tuple[bool, str | None]:
     return code == 0, (failed[0] if failed else None if code == 0 else f"exit {code}")
 
 
+def _terminated(signum, frame):
+    """The SIGTERM handler: raise SystemExit, so that the finally clauses and context managers on the stack clean up."""
+    raise SystemExit(128 + signum)
+
+
 def main(argv=None) -> int:
+    signal.signal(signal.SIGTERM, _terminated)
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("targets", nargs="*", default=list(DEFAULT_TARGETS))
     parser.add_argument("--root", type=Path, default=ROOT, help="repository to mutate a copy of")
